@@ -40,7 +40,8 @@ def auto_buckets(paths, *, target_bytes: int = 256 << 20,
     per-bucket task memory stays bounded at any corpus size (the
     tfidf_topk autoscale precedent, round 5): one bucket per
     ``target_bytes`` of on-disk input, clamped to [lo, hi] and rounded
-    up to a power of two (stable modulo behavior across nearby sizes).
+    up to a power of two (stable modulo behavior across nearby sizes)
+    — down instead when rounding up would pass ``hi``.
 
     At the test scales this returns ``lo`` (8–32 buckets); at 100 TB it
     grows to the cap instead of letting a fixed 32 force 3 TB bucket
@@ -60,4 +61,5 @@ def auto_buckets(paths, *, target_bytes: int = 256 << 20,
         elif os.path.exists(p):
             total += os.path.getsize(p)
     n = max(lo, min(hi, (total + target_bytes - 1) // target_bytes))
-    return 1 << (int(n - 1).bit_length())
+    p2 = 1 << (int(n - 1).bit_length())
+    return p2 if p2 <= hi else p2 >> 1

@@ -32,6 +32,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..index.codec import bm25_idf, bm25_wdl
+
 __all__ = ["blockjoin_topk", "blockjoin_sql", "BJ_QUERIES", "BJ_K",
            "BJ_WORDS_PER_CHUNK"]
 
@@ -180,16 +182,15 @@ def blockjoin_topk(sf_dir: str, *, queries=BJ_QUERIES, k: int = BJ_K,
                 tf = tfm[tf_cols[j_of[tm]]]
                 h = tf > 0
                 matched |= h
-                idf = np.log(1.0 + (n - df + 0.5) / (df + 0.5))
-                score[h] += idf * tf[h] / (
-                    tf[h] + k1 * (1.0 - b + b * dl[h] / avgdl))
+                score[h] += bm25_idf(n, df) * bm25_wdl(
+                    tf[h], dl[h], k1, b, avgdl)
             if not matched.any():
                 continue
             sc = np.round(score[matched], 6)
             mid, mcx = ids[matched], cidx[matched]
-            # chunk -> parent: max score, then smallest chunk_idx.
-            # within one batch a parent's chunks are contiguous-safe
-            # (chunking happened inside the scan batch)
+            # chunk -> parent within this batch: max score, then
+            # smallest chunk_idx (_merge_parent_candidates re-applies
+            # the rule across batches)
             order = np.lexsort((mcx, -sc, mid))
             pid, pcx, psc = mid[order], mcx[order], sc[order]
             first = np.r_[True, pid[1:] != pid[:-1]]
@@ -210,29 +211,33 @@ def blockjoin_topk(sf_dir: str, *, queries=BJ_QUERIES, k: int = BJ_K,
         score_batch, batch_format="pyarrow").to_pandas()
     if cand.empty:
         return empty
-    out_q, out_d, out_c, out_s = [], [], [], []
-    for q in sorted(queries):
-        g = cand[cand["query"] == q]
-        if g.empty:
-            continue
-        g = g.sort_values(["score", "doc_id"], ascending=[False, True],
-                          kind="mergesort").head(k)
-        out_q.extend([q] * len(g))
-        out_d.extend(g["doc_id"].tolist())
-        out_c.extend(g["best_chunk"].tolist())
-        out_s.extend(g["score"].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
+    top = _merge_parent_candidates(cand, k)
     return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "best_chunk": pa.array(out_c, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
+        "query": pa.array(top["query"].tolist(), type=pa.string()),
+        "doc_id": pa.array(top["doc_id"].tolist(), type=pa.int64()),
+        "best_chunk": pa.array(top["best_chunk"].tolist(),
+                               type=pa.int64()),
+        "score": pa.array(top["score"].tolist(), type=pa.float64()),
+        "rank": pa.array(top["rank"].tolist(), type=pa.int64()),
     })
+
+
+def _merge_parent_candidates(cand, k: int):
+    """Final merge of the per-batch (query, doc_id, best_chunk, score)
+    candidates → per-query top-``k`` parents with ``rank``, ordered
+    (query, score desc, doc_id asc).  Ray may split one parent's chunks
+    across blocks, so a doc_id can arrive from several batches: keep
+    its max score, then its min best_chunk, before ranking."""
+    cand = cand.sort_values(
+        ["query", "doc_id", "score", "best_chunk"],
+        ascending=[True, True, False, True], kind="mergesort",
+    ).drop_duplicates(["query", "doc_id"])
+    top = cand.sort_values(
+        ["query", "score", "doc_id"], ascending=[True, False, True],
+        kind="mergesort").groupby("query", sort=False).head(k)
+    top = top.reset_index(drop=True)
+    top["rank"] = top.groupby("query", sort=False).cumcount() + 1
+    return top
 
 
 def blockjoin_sql(queries=BJ_QUERIES, *, k: int = BJ_K,

@@ -32,6 +32,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..index.codec import bm25_idf, bm25_wdl
+
 __all__ = [
     "score_terms_conjunctive",
     "phrase_counts_from_index",
@@ -62,14 +64,11 @@ def score_terms_conjunctive(idx, terms) -> tuple[np.ndarray, np.ndarray]:
     standard BM25 sum over the query terms (OR scoring restricted to
     the intersected candidate set).  Intersects smallest-first so the
     running set only shrinks."""
-    uniq = sorted(set(terms))
-    idx._load_terms(uniq)
-    parts = []
-    for t in uniq:
-        ids_t, sc_t = idx._score([t])
-        if ids_t.size == 0:
-            return np.empty(0, dtype=np.uint64), np.empty(0)
-        parts.append((ids_t, sc_t))
+    from .scorequery import per_term_scores
+
+    parts = list(per_term_scores(idx, terms).values())
+    if not parts or any(ids_t.size == 0 for ids_t, _ in parts):
+        return np.empty(0, dtype=np.uint64), np.empty(0)
     parts.sort(key=lambda p: p[0].size)
     ids, sc = parts[0]
     for ids_t, sc_t in parts[1:]:
@@ -81,34 +80,29 @@ def score_terms_conjunctive(idx, terms) -> tuple[np.ndarray, np.ndarray]:
     return ids, sc
 
 
-def _term_position_keys(idx, term: str, common: np.ndarray) -> np.ndarray:
-    """All ``(doc_code << 32) | pos`` keys for the term's occurrences in
-    the ``common`` (sorted unique) candidate docs.  doc codes densify
-    through ``searchsorted`` because raw doc_ids are partition-prefixed
-    64-bit and would overflow the packed key."""
-    from ..index.codec import decode_positions
+def _common_docs(posts, terms) -> np.ndarray:
+    """Sorted doc_ids holding every one of ``terms`` (``posts`` from
+    ``BM25Index.postings``)."""
+    common = None
+    for t in terms:
+        ids = np.sort(posts[t].ids)
+        common = ids if common is None else np.intersect1d(
+            common, ids, assume_unique=True)
+        if common.size == 0:
+            break
+    return common
 
-    blocks = idx._term_cache.get(term, [])
-    idx._decode_blocks_bulk(blocks, idf=1.0)
-    keys = []
-    for blk in blocks:
-        ids = blk["ids"]
-        sel = np.isin(ids, common, assume_unique=True)
-        if not sel.any():
-            continue
-        plists = decode_positions(blk["pos_blob"], blk["n"])
-        lens = np.fromiter((p.size for p in plists), dtype=np.int64,
-                           count=blk["n"])
-        flat = np.concatenate(plists) if lens.sum() else \
-            np.empty(0, dtype=np.uint32)
-        doc_per_pos = np.repeat(ids, lens)
-        keep = np.repeat(sel, lens)
-        codes = np.searchsorted(common, doc_per_pos[keep]).astype(np.uint64)
-        keys.append((codes << np.uint64(32))
-                    | flat[keep].astype(np.uint64))
-    if not keys:
-        return np.empty(0, dtype=np.uint64)
-    return np.concatenate(keys)
+
+def _phrase_bm25(idx, dl_term: str, docs: np.ndarray,
+                 tf: np.ndarray) -> np.ndarray:
+    """BM25 of a phrase-like pseudo-term over its matching ``docs``:
+    df = len(docs), per-doc ``tf`` as given, dl read off the postings
+    of ``dl_term`` (a term every one of ``docs`` holds) — doc text is
+    never read."""
+    m = idx.manifest
+    dl = idx.postings([dl_term])[dl_term].dl_of(docs)
+    idf = float(bm25_idf(m.n_docs, int(docs.size)))
+    return idf * bm25_wdl(tf, dl, m.k1, m.b, m.avgdl)
 
 
 def _phrase_starts(idx, phrase_terms: list[str]):
@@ -118,22 +112,11 @@ def _phrase_starts(idx, phrase_terms: list[str]):
     the returned candidate array."""
     empty = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
     uniq = sorted(set(phrase_terms))
-    idx._load_terms(uniq)
-    id_sets = []
-    for t in uniq:
-        blocks = idx._term_cache.get(t, [])
-        idx._decode_blocks_bulk(blocks, idf=1.0)
-        ids = (np.concatenate([b["ids"] for b in blocks])
-               if blocks else np.empty(0, dtype=np.uint64))
-        if ids.size == 0:
-            return empty
-        id_sets.append(np.sort(ids))
-    common = id_sets[0]
-    for s in id_sets[1:]:
-        common = np.intersect1d(common, s, assume_unique=True)
+    posts = idx.postings(uniq)
+    common = _common_docs(posts, uniq)
     if common.size == 0:
         return empty
-    term_keys = {t: _term_position_keys(idx, t, common) for t in uniq}
+    term_keys = {t: posts[t].position_keys(common) for t in uniq}
     starts = term_keys[phrase_terms[0]]
     for k, t in enumerate(phrase_terms[1:], start=1):
         if starts.size == 0:
@@ -307,23 +290,12 @@ def near_counts_from_index(idx, t1: str, t2: str,
     positional self-join; for t1 == t2 both orders count, exactly as
     SQL's join does."""
     uniq = sorted({t1, t2})
-    idx._load_terms(uniq)
-    id_sets = []
-    for t in uniq:
-        blocks = idx._term_cache.get(t, [])
-        idx._decode_blocks_bulk(blocks, idf=1.0)
-        ids = (np.concatenate([b["ids"] for b in blocks])
-               if blocks else np.empty(0, dtype=np.uint64))
-        if ids.size == 0:
-            return 0, 0
-        id_sets.append(np.sort(ids))
-    common = id_sets[0]
-    for s in id_sets[1:]:
-        common = np.intersect1d(common, s, assume_unique=True)
+    posts = idx.postings(uniq)
+    common = _common_docs(posts, uniq)
     if common.size == 0:
         return 0, 0
-    k1 = _term_position_keys(idx, t1, common)
-    k2 = np.sort(_term_position_keys(idx, t2, common))
+    k1 = posts[t1].position_keys(common)
+    k2 = np.sort(posts[t2].position_keys(common))
     if not k1.size or not k2.size:
         return 0, 0
     n_pairs = 0
@@ -521,7 +493,6 @@ def phrase_topk(sf_dir: str) -> pa.Table:
     from .query import BM25Index
 
     idx = BM25Index(simple_index_cached(sf_dir))
-    m = idx.manifest
     out_q, out_d, out_t, out_s = [], [], [], []
     for q in sorted(PHRASE_TOPK_QUERIES):
         terms = analyze_simple(q)
@@ -531,17 +502,7 @@ def phrase_topk(sf_dir: str) -> pa.Table:
         codes, tf = np.unique(starts >> np.uint64(32),
                               return_counts=True)
         docs = common[codes.astype(np.int64)].astype(np.int64)
-        df = int(docs.size)
-        idf = float(np.log(1.0 + (m.n_docs - df + 0.5) / (df + 0.5)))
-        # dl lookup from the first term's decoded blocks
-        blocks = idx._term_cache.get(sorted(set(terms))[0], [])
-        ids_all = np.concatenate([b["ids"] for b in blocks])
-        dl_all = np.concatenate([b["dl"] for b in blocks])
-        order = np.argsort(ids_all)
-        pos = np.searchsorted(ids_all[order], docs.astype(np.uint64))
-        dl = dl_all[order][pos].astype(np.float64)
-        sc = idf * tf / (tf + m.k1 * (1 - m.b + m.b * dl / m.avgdl))
-        sc = np.round(sc, 6)
+        sc = np.round(_phrase_bm25(idx, sorted(set(terms))[0], docs, tf), 6)
         cut = np.lexsort((docs, -sc))[:PHRASE_TOPK_K]
         out_q.extend([q] * cut.size)
         out_d.extend(docs[cut].tolist())
@@ -577,23 +538,12 @@ def sloppy_weights_from_index(idx, t1: str, t2: str, *, w: int = SLOP_W,
     scaled to an EXACT integer so the value hash cannot flake on float
     summation order.  Positions store only; doc text never read."""
     uniq = sorted({t1, t2})
-    idx._load_terms(uniq)
-    id_sets = []
-    for t in uniq:
-        blocks = idx._term_cache.get(t, [])
-        idx._decode_blocks_bulk(blocks, idf=1.0)
-        ids = (np.concatenate([b["ids"] for b in blocks])
-               if blocks else np.empty(0, dtype=np.uint64))
-        if ids.size == 0:
-            return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-        id_sets.append(np.sort(ids))
-    common = id_sets[0]
-    for s in id_sets[1:]:
-        common = np.intersect1d(common, s, assume_unique=True)
+    posts = idx.postings(uniq)
+    common = _common_docs(posts, uniq)
     if common.size == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    k1 = _term_position_keys(idx, t1, common)
-    k2 = np.sort(_term_position_keys(idx, t2, common))
+    k1 = posts[t1].position_keys(common)
+    k2 = np.sort(posts[t2].position_keys(common))
     acc = np.zeros(common.size, dtype=np.int64)
     for d in range(1, w + 1):
         wgt = scale // d
@@ -623,7 +573,6 @@ def sloppy_phrase_topk(sf_dir: str) -> pa.Table:
     from .query import BM25Index
 
     idx = BM25Index(simple_index_cached(sf_dir))
-    m = idx.manifest
     out_q, out_d, out_w, out_s = [], [], [], []
     for q in sorted(SLOP_QUERIES):
         t1, t2 = analyze_simple(q)[:2]
@@ -631,17 +580,8 @@ def sloppy_phrase_topk(sf_dir: str) -> pa.Table:
         if docs_u.size == 0:
             continue
         docs = docs_u.astype(np.int64)
-        df = int(docs.size)
-        idf = float(np.log(1.0 + (m.n_docs - df + 0.5) / (df + 0.5)))
-        blocks = idx._term_cache.get(sorted({t1, t2})[0], [])
-        ids_all = np.concatenate([b["ids"] for b in blocks])
-        dl_all = np.concatenate([b["dl"] for b in blocks])
-        order = np.argsort(ids_all)
-        pos = np.searchsorted(ids_all[order], docs_u)
-        dl = dl_all[order][pos].astype(np.float64)
-        stf = w12 / float(SLOP_SCALE)
-        sc = idf * stf / (stf + m.k1 * (1 - m.b + m.b * dl / m.avgdl))
-        sc = np.round(sc, 6)
+        sc = np.round(_phrase_bm25(idx, min(t1, t2), docs_u,
+                                   w12 / float(SLOP_SCALE)), 6)
         cut = np.lexsort((docs, -sc))[:SLOP_K]
         out_q.extend([q] * cut.size)
         out_d.extend(docs[cut].tolist())
@@ -784,24 +724,12 @@ def ordered_span_weights_from_index(idx, t1: str, t2: str, *,
     ordered(t1,t2) + ordered(t2,t1) == sloppy(t1,t2) per doc
     (pytest-pinned)."""
     uniq = sorted({t1, t2})
-    idx._load_terms(uniq)
-    id_sets = []
-    for t in uniq:
-        blocks = idx._term_cache.get(t, [])
-        idx._decode_blocks_bulk(blocks, idf=1.0)
-        ids = (np.concatenate([b["ids"] for b in blocks])
-               if blocks else np.empty(0, dtype=np.uint64))
-        if ids.size == 0:
-            return (np.empty(0, dtype=np.uint64),
-                    np.empty(0, dtype=np.int64))
-        id_sets.append(np.sort(ids))
-    common = id_sets[0]
-    for s in id_sets[1:]:
-        common = np.intersect1d(common, s, assume_unique=True)
+    posts = idx.postings(uniq)
+    common = _common_docs(posts, uniq)
     if common.size == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    k1 = _term_position_keys(idx, t1, common)
-    k2 = np.sort(_term_position_keys(idx, t2, common))
+    k1 = posts[t1].position_keys(common)
+    k2 = np.sort(posts[t2].position_keys(common))
     acc = np.zeros(common.size, dtype=np.int64)
     for d in range(1, w + 1):
         keys = k1 + np.uint64(d)          # forward direction only
@@ -823,7 +751,6 @@ def ordered_span_topk(sf_dir: str) -> pa.Table:
     from .query import BM25Index
 
     idx = BM25Index(simple_index_cached(sf_dir))
-    m = idx.manifest
     out_q, out_d, out_w, out_s = [], [], [], []
     for q in sorted(SPANO_QUERIES):
         t1, t2 = analyze_simple(q)[:2]
@@ -831,17 +758,8 @@ def ordered_span_topk(sf_dir: str) -> pa.Table:
         if docs_u.size == 0:
             continue
         docs = docs_u.astype(np.int64)
-        df = int(docs.size)
-        idf = float(np.log(1.0 + (m.n_docs - df + 0.5) / (df + 0.5)))
-        blocks = idx._term_cache.get(sorted({t1, t2})[0], [])
-        ids_all = np.concatenate([b["ids"] for b in blocks])
-        dl_all = np.concatenate([b["dl"] for b in blocks])
-        order = np.argsort(ids_all)
-        pos = np.searchsorted(ids_all[order], docs_u)
-        dl = dl_all[order][pos].astype(np.float64)
-        stf = w12 / float(SPANO_SCALE)
-        sc = idf * stf / (stf + m.k1 * (1 - m.b + m.b * dl / m.avgdl))
-        sc = np.round(sc, 6)
+        sc = np.round(_phrase_bm25(idx, min(t1, t2), docs_u,
+                                   w12 / float(SPANO_SCALE)), 6)
         cut = np.lexsort((docs, -sc))[:SPANO_K]
         out_q.extend([q] * cut.size)
         out_d.extend(docs[cut].tolist())
@@ -939,28 +857,14 @@ def span_not_weights_from_index(idx, t1: str, t2: str, t3: str, *,
     algebra as the ordered/sloppy faces: per gap d, one isin against
     t2's keys finds the pairs and d-1 isins against t3's keys test
     the interior — O(w²) vectorized passes, no per-doc Python."""
-    pair = sorted({t1, t2})
-    idx._load_terms(sorted({t1, t2, t3}))
-    id_sets = []
-    for t in pair:
-        blocks = idx._term_cache.get(t, [])
-        idx._decode_blocks_bulk(blocks, idf=1.0)
-        ids = (np.concatenate([b["ids"] for b in blocks])
-               if blocks else np.empty(0, dtype=np.uint64))
-        if ids.size == 0:
-            return (np.empty(0, dtype=np.uint64),
-                    np.empty(0, dtype=np.int64))
-        id_sets.append(np.sort(ids))
-    common = id_sets[0]
-    for s in id_sets[1:]:
-        common = np.intersect1d(common, s, assume_unique=True)
+    posts = idx.postings([t1, t2, t3])
+    common = _common_docs(posts, sorted({t1, t2}))
     if common.size == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    # t3 keys only matter inside candidate docs; decode just those
-    idx._decode_blocks_bulk(idx._term_cache.get(t3, []), idf=1.0)
-    k1 = _term_position_keys(idx, t1, common)
-    k2 = np.sort(_term_position_keys(idx, t2, common))
-    k3 = np.sort(_term_position_keys(idx, t3, common))
+    # t3 keys only matter inside candidate docs
+    k1 = posts[t1].position_keys(common)
+    k2 = np.sort(posts[t2].position_keys(common))
+    k3 = np.sort(posts[t3].position_keys(common))
     acc = np.zeros(common.size, dtype=np.int64)
     for d in range(1, w + 1):
         m = np.isin(k1 + np.uint64(d), k2)
@@ -987,7 +891,6 @@ def span_not_topk(sf_dir: str) -> pa.Table:
     from .query import BM25Index
 
     idx = BM25Index(simple_index_cached(sf_dir))
-    m = idx.manifest
     out_q, out_d, out_w, out_s = [], [], [], []
     for t1, t2, t3 in sorted(SPANNOT_QUERIES):
         q = f"{t1} {t2} -{t3}"
@@ -995,17 +898,8 @@ def span_not_topk(sf_dir: str) -> pa.Table:
         if docs_u.size == 0:
             continue
         docs = docs_u.astype(np.int64)
-        df = int(docs.size)
-        idf = float(np.log(1.0 + (m.n_docs - df + 0.5) / (df + 0.5)))
-        blocks = idx._term_cache.get(sorted({t1, t2})[0], [])
-        ids_all = np.concatenate([b["ids"] for b in blocks])
-        dl_all = np.concatenate([b["dl"] for b in blocks])
-        order = np.argsort(ids_all)
-        pos = np.searchsorted(ids_all[order], docs_u)
-        dl = dl_all[order][pos].astype(np.float64)
-        stf = w12 / float(SPANNOT_SCALE)
-        sc = idf * stf / (stf + m.k1 * (1 - m.b + m.b * dl / m.avgdl))
-        sc = np.round(sc, 6)
+        sc = np.round(_phrase_bm25(idx, min(t1, t2), docs_u,
+                                   w12 / float(SPANNOT_SCALE)), 6)
         cut = np.lexsort((docs, -sc))[:SPANNOT_K]
         out_q.extend([q] * cut.size)
         out_d.extend(docs[cut].tolist())
@@ -1109,7 +1003,6 @@ def phrase_prefix_topk(sf_dir: str, *, queries=PHRASE_PREFIX_QUERIES,
     prefixes = tuple(sorted({analyze_simple(q)[-1] for q in queries}))
     exp = expand_terms(index_dir, prefix=prefixes)
     idx = BM25Index(index_dir)
-    m = idx.manifest
     out_q, out_d, out_t, out_s = [], [], [], []
     for q in sorted(queries):
         toks = analyze_simple(q)
@@ -1134,17 +1027,7 @@ def phrase_prefix_topk(sf_dir: str, *, queries=PHRASE_PREFIX_QUERIES,
         docs, inv = np.unique(ids, return_inverse=True)
         tf_sum = np.zeros(docs.size, dtype=np.int64)
         np.add.at(tf_sum, inv, tfs)
-        df = int(docs.size)
-        idf = float(np.log(1.0 + (m.n_docs - df + 0.5) / (df + 0.5)))
-        blocks = idx._term_cache.get(sorted(set(head))[0], [])
-        ids_all = np.concatenate([b["ids"] for b in blocks])
-        dl_all = np.concatenate([b["dl"] for b in blocks])
-        order = np.argsort(ids_all)
-        pos = np.searchsorted(ids_all[order], docs.astype(np.uint64))
-        dl = dl_all[order][pos].astype(np.float64)
-        sc = idf * tf_sum / (tf_sum + m.k1 * (1 - m.b
-                                              + m.b * dl / m.avgdl))
-        sc = np.round(sc, 6)
+        sc = np.round(_phrase_bm25(idx, min(head), docs, tf_sum), 6)
         cut = np.lexsort((docs, -sc))[:k]
         out_q.extend([q] * cut.size)
         out_d.extend(docs[cut].tolist())

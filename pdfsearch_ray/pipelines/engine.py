@@ -61,7 +61,7 @@ class QueryEngine:
         """Pre-load term caches for a query set; returns #terms cached."""
         for q in queries:
             self.idx.search(q, max_results=1, with_spans=False)
-        return len(self.idx._term_cache)
+        return self.idx.cached_terms()
 
     def reload(self) -> float:
         """Re-open the index handle — picks up appended segments and
@@ -99,7 +99,7 @@ class ShardEngine:
     def warm(self, queries: list[str]) -> int:
         for q in queries:
             self.idx.topk_in_range(q, 1, self.lo, self.hi)
-        return len(self.idx._term_cache)
+        return self.idx.cached_terms()
 
     def io_stats(self) -> dict:
         return dict(self.idx.io_stats)
@@ -174,27 +174,8 @@ class ShardedEngine:
                with_spans: bool = True) -> MatchSet:
         import time as _time
 
-        import numpy as np
-
         t0 = _time.perf_counter()
-        parts = ray.get([s.topk.remote(query, max_results)
-                         for s in self.shards])
-        ids = np.concatenate([p[0] for p in parts])
-        sc = np.concatenate([p[1] for p in parts])
-        total = sum(p[2] for p in parts)
-        result = MatchSet()
-        result.total_matches = int(total)
-        if ids.size and max_results > 0:
-            order = np.lexsort((ids, -sc))[:max_results]
-            idx = self._local
-            if idx.manifest.analyzer == "en":
-                from .query import analyze_en
-
-                q_terms = [tok.term for tok in analyze_en(query)]
-            else:
-                q_terms = idx.analyze(query)
-            result.matches = idx._hydrate(q_terms, ids[order], sc[order],
-                                          with_spans)
+        result = self.search_many([query], max_results, with_spans)[0]
         result.search_duration = _time.perf_counter() - t0
         return result
 
@@ -219,14 +200,8 @@ class ShardedEngine:
             if ids.size and max_results > 0:
                 order = np.lexsort((ids, -sc))[:max_results]
                 idx = self._local
-                if idx.manifest.analyzer == "en":
-                    from .query import analyze_en
-
-                    q_terms = [tok.term for tok in analyze_en(q)]
-                else:
-                    q_terms = idx.analyze(q)
-                ms.matches = idx._hydrate(q_terms, ids[order], sc[order],
-                                          with_spans)
+                ms.matches = idx.hydrate(idx.query_terms(q), ids[order],
+                                         sc[order], with_spans)
             out.append(ms)
         return out
 

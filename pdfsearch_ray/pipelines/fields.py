@@ -38,6 +38,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..index.codec import bm25_idf
+
 __all__ = [
     "bm25f_topk",
     "bm25f_topk_sql",
@@ -151,8 +153,8 @@ def bm25f_topk(sf_dir: str) -> pa.Table:
     avg_t = float(st["dl_t"].sum()) / n
     avg_b = float(st["dl_b"].sum()) / n
     dfs = {t: int(st[f"tft{j}"].sum()) for j, t in enumerate(all_terms)}
-    idf = {t: (float(np.log(1.0 + (n - df + 0.5) / (df + 0.5)))
-               if df else 0.0) for t, df in dfs.items()}
+    idf = {t: float(bm25_idf(n, df)) if df else 0.0
+           for t, df in dfs.items()}
     slot_of = {t: j for j, t in enumerate(all_terms)}
 
     out_parts = []

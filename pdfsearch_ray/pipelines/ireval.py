@@ -50,9 +50,7 @@ def _eval_one(idx, q: str) -> tuple[int, int, int, int]:
     from .boolquery import score_terms_conjunctive
 
     terms = idx.analyze(q)
-    uniq = sorted(set(terms))
-    idx._load_terms(uniq)
-    ids, sc = idx._score(uniq)
+    ids, sc = idx.score_terms(terms)
     if ids.size == 0:
         return 0, -1, 0, 0
     sc = np.round(sc, 6)
@@ -175,8 +173,7 @@ def ndcg_eval(sf_dir: str) -> pa.Table:
     rows = []
     for q in sorted(IR_QUERIES):
         terms = sorted(set(idx.analyze(q)))
-        idx._load_terms(terms)
-        ids, sc = idx._score(terms)
+        ids, sc = idx.score_terms(terms)
         if ids.size == 0:
             rows.append((q, 0.0, 0.0, 0.0, 0))
             continue
@@ -187,14 +184,9 @@ def ndcg_eval(sf_dir: str) -> pa.Table:
         grade = np.zeros(ids.size, dtype=np.int64)
         order_ids = np.argsort(ids)
         ids_sorted = ids[order_ids]
-        for t in terms:
-            blocks = idx._term_cache.get(t, [])
-            if not blocks:
-                continue
-            t_ids = np.concatenate([b["ids"] for b in blocks])
-            t_tf = np.concatenate([b["tf"] for b in blocks])
-            pos = np.searchsorted(ids_sorted, t_ids)
-            grade[order_ids[pos]] += t_tf.astype(np.int64)
+        for post in idx.postings(terms).values():
+            pos = np.searchsorted(ids_sorted, post.ids)
+            grade[order_ids[pos]] += post.tf.astype(np.int64)
         w = 1.0 / np.log2(np.arange(2, NDCG_K + 2, dtype=np.float64))
         top = order[:NDCG_K]
         gains = (2.0 ** grade[top]) - 1.0

@@ -51,18 +51,17 @@ def ltr_rerank_topk(sf_dir: str, *, w=LTR_W) -> pa.Table:
     from ..functions.hashing import mix64
     from .expand import simple_index_cached
     from .query import BM25Index
+    from .scorequery import per_term_scores
 
     idx = BM25Index(simple_index_cached(sf_dir))
     w1, w2, w3 = w
     out_q, out_d, out_m, out_a, out_s = [], [], [], [], []
     for q in sorted(LTR_QUERIES):
         terms = sorted(set(analyze_simple(q)))
-        idx._load_terms(terms)
         # per-term contributions -> union candidates with sum + count
         acc_ids, acc_sc, acc_nm = (np.empty(0, dtype=np.uint64),
                                    np.empty(0), np.empty(0, dtype=np.int64))
-        for t in terms:
-            ids_t, sc_t = idx._score([t])
+        for ids_t, sc_t in per_term_scores(idx, terms).values():
             if not ids_t.size:
                 continue
             union = np.union1d(acc_ids, ids_t)

@@ -478,20 +478,15 @@ def federated_score_terms(handles, terms):
     use the same correction for cross-shard scoring).
 
     Global N / total_dl come from the manifests; per-term global df is
-    the sum of per-index dfs (each index's _term_df after one pruned
-    metadata load).  Posting blocks cache raw (ids, tf, dl) at decode,
-    so contributions are recomputed here as
+    the sum of per-index dfs (each handle's ``postings`` df).
+    Contributions are recomputed from the raw (ids, tf, dl) as
     ``idf_global · bm25_wdl(tf, dl, k1, b, avgdl_global)`` — identical
     algebra to a merged or from-scratch build over the union corpus,
     which is exactly what the SQL oracle hashes.
-
-    Handles must be PRIVATE to this call: decode is triggered with a
-    placeholder idf, so the blocks' cached ``scores`` are not reusable
-    by the handle's own scorers afterwards.
     """
     import numpy as np
 
-    from ..index.codec import bm25_wdl
+    from ..index.codec import bm25_idf, bm25_wdl
 
     n_total = sum(h.manifest.n_docs for h in handles)
     total_dl = sum(h.manifest.total_dl for h in handles)
@@ -503,27 +498,18 @@ def federated_score_terms(handles, terms):
     if n_total == 0:
         return np.empty(0, np.int64), np.empty(0)
     avgdl = total_dl / n_total
-    for h in handles:
-        h._load_terms(terms)
+    posts = [h.postings(terms) for h in handles]
     ids_parts, sc_parts = [], []
     for t in terms:
-        df = sum(h._term_df(t) for h in handles)
+        df = sum(p[t].df for p in posts)
         if df == 0:
             continue
-        idf = float(np.log(1.0 + (n_total - df + 0.5) / (df + 0.5)))
-        for h in handles:
-            blocks = h._term_cache.get(t, [])
-            if not blocks:
-                continue
-            h._decode_blocks_bulk(blocks, 0.0)
-            for blk in blocks:
-                ids = blk["ids"]
-                sc = idf * bm25_wdl(blk["tf"], blk["dl"], k1, b, avgdl)
-                if h._deleted is not None and ids.size:
-                    live = ~np.isin(ids, h._deleted)
-                    ids, sc = ids[live], sc[live]
-                ids_parts.append(ids.astype(np.int64))
-                sc_parts.append(sc)
+        idf = float(bm25_idf(n_total, df))
+        for h, p in zip(handles, posts):
+            live = h.live_mask(p[t].ids)
+            ids_parts.append(p[t].ids[live].astype(np.int64))
+            sc_parts.append(idf * bm25_wdl(p[t].tf[live], p[t].dl[live],
+                                           k1, b, avgdl))
     if not ids_parts:
         return np.empty(0, np.int64), np.empty(0)
     all_ids = np.concatenate(ids_parts)
@@ -647,9 +633,7 @@ def select_shards(handles, terms, *, n_select: int = SHARD_SEL):
     top ``n_select`` shard indexes.  At scale the per-shard term df is
     a precomputed broker-side statistic — here it is the dictionary
     (term, n) metadata each handle already serves."""
-    for h in handles:
-        h._load_terms(terms)
-    scores = [(sum(h._term_df(t) for t in terms), s)
+    scores = [(sum(p.df for p in h.postings(terms).values()), s)
               for s, h in enumerate(handles)]
     ranked = sorted(scores, key=lambda p: (-p[0], p[1]))
     return sorted(s for total, s in ranked[:n_select] if total >= 0)
@@ -668,7 +652,7 @@ def shard_selected_topk(sf_dir: str):
     import pyarrow as pa
 
     from ..analysis.analyzer import analyze_simple
-    from ..index.codec import bm25_wdl
+    from ..index.codec import bm25_idf, bm25_wdl
     from .query import BM25Index
 
     handles = [BM25Index(d) for d in mod_shard_indexes_cached(sf_dir)]
@@ -682,20 +666,17 @@ def shard_selected_topk(sf_dir: str):
         terms = sorted(set(analyze_simple(q)))
         sel = select_shards(handles, terms)
         sh_str = ",".join(str(s) for s in sel)
+        posts = [h.postings(terms) for h in handles]
         ids_parts, sc_parts = [], []
         for t in terms:
-            df = sum(h._term_df(t) for h in handles)  # GLOBAL df
+            df = sum(p[t].df for p in posts)  # GLOBAL df
             if df == 0:
                 continue
-            idf = float(np.log(1.0 + (n_total - df + 0.5) / (df + 0.5)))
+            idf = float(bm25_idf(n_total, df))
             for s in sel:
-                h = handles[s]
-                blocks = h._term_cache.get(t, [])
-                h._decode_blocks_bulk(blocks, 0.0)
-                for blk in blocks:
-                    ids_parts.append(blk["ids"].astype(np.int64))
-                    sc_parts.append(idf * bm25_wdl(
-                        blk["tf"], blk["dl"], k1, b, avgdl))
+                ids_parts.append(posts[s][t].ids.astype(np.int64))
+                sc_parts.append(idf * bm25_wdl(
+                    posts[s][t].tf, posts[s][t].dl, k1, b, avgdl))
         if not ids_parts:
             continue
         all_ids = np.concatenate(ids_parts)

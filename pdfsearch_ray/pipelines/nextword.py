@@ -31,6 +31,8 @@ import shutil
 import numpy as np
 import pyarrow as pa
 
+from ..index.codec import bm25_idf, bm25_wdl
+
 __all__ = ["nextword_index_cached", "nextword_phrase_topk",
            "nextword_sql", "NW_QUERIES", "NW_K"]
 
@@ -171,10 +173,8 @@ def nextword_phrase_topk(sf_dir: str) -> pa.Table:
         docs = t["doc_id"].to_numpy()
         tf = t["tf"].to_numpy().astype(np.float64)
         dl = t["dl"].to_numpy().astype(np.float64)
-        df = int(docs.size)
-        idf = float(np.log(1.0 + (m.n_docs - df + 0.5) / (df + 0.5)))
-        sc = np.round(
-            idf * tf / (tf + m.k1 * (1 - m.b + m.b * dl / m.avgdl)), 6)
+        idf = float(bm25_idf(m.n_docs, int(docs.size)))
+        sc = np.round(idf * bm25_wdl(tf, dl, m.k1, m.b, m.avgdl), 6)
         cut = np.lexsort((docs, -sc))[:NW_K]
         out_q.extend([q] * cut.size)
         out_d.extend(docs[cut].tolist())

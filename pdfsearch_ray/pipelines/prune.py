@@ -71,36 +71,17 @@ _CHAMP_COLS = ["term", "salt", "bucket", "first_doc", "n",
                "doc_blob", "tf_blob", "dl_blob"]
 
 
-def _decode_rows(tbl: pa.Table):
-    """Posting-block rows -> flat (terms_idx, doc_id, tf, dl) arrays via
-    one bulk varint pass per stream (the _decode_blocks_bulk shape)."""
-    from ..index.codec import varint_decode
+def _flat_postings(tbl: pa.Table):
+    """Posting-block rows -> per-posting (term, doc_id, tf, dl) arrays
+    through the codec's bulk block decoder."""
+    from ..index.codec import decode_posting_blocks
 
-    n_arr = tbl["n"].to_numpy().astype(np.int64)
-    firsts = tbl["first_doc"].to_numpy().astype(np.uint64)
-    doc_b = tbl["doc_blob"].to_pylist()
-    gap_counts = n_arr - 1
-    gaps = varint_decode(b"".join(doc_b), count=int(gap_counts.sum()))
-    tf = varint_decode(b"".join(tbl["tf_blob"].to_pylist()),
-                       count=int(n_arr.sum()))
-    dl = varint_decode(b"".join(tbl["dl_blob"].to_pylist()),
-                       count=int(n_arr.sum()))
-    ids = np.empty(int(n_arr.sum()), dtype=np.uint64)
-    g = np.cumsum(gaps, dtype=np.uint64)
-    gap_ends = np.cumsum(gap_counts)
-    ends = np.cumsum(n_arr)
-    for i in range(len(n_arr)):
-        n = int(n_arr[i])
-        e = int(ends[i])
-        s = e - n
-        ids[s] = firsts[i]
-        if n > 1:
-            ge = int(gap_ends[i])
-            gs = ge - int(gap_counts[i])
-            base = g[gs - 1] if gs > 0 else np.uint64(0)
-            ids[s + 1:e] = (g[gs:ge] - base) + firsts[i]
-    block_idx = np.repeat(np.arange(len(n_arr), dtype=np.int64), n_arr)
-    return block_idx, ids, tf.astype(np.int64), dl.astype(np.int64)
+    n = tbl["n"].to_numpy().astype(np.int64)
+    ids, tf, dl = decode_posting_blocks(
+        tbl["first_doc"].to_numpy(), n, tbl["doc_blob"].to_pylist(),
+        tbl["tf_blob"].to_pylist(), tbl["dl_blob"].to_pylist())
+    terms = np.asarray(tbl["term"].to_pylist(), dtype=object).repeat(n)
+    return terms, ids, tf.astype(np.int64), dl.astype(np.int64)
 
 
 def _champion_cut(terms: np.ndarray, ids: np.ndarray, tf: np.ndarray,
@@ -220,9 +201,7 @@ def champion_lists_cached(sf_dir: str, *, r: int = CHAMP_R,
             return {"bucket": np.array([b]), "n_terms": np.array([0]),
                     "n_rows": np.array([0])}
         tbl = pa.concat_tables(parts)
-        block_idx, ids, tf, dl = _decode_rows(tbl)
-        term_per_block = np.asarray(tbl["term"].to_pylist(), dtype=object)
-        terms = term_per_block[block_idx]
+        terms, ids, tf, dl = _flat_postings(tbl)
         keep, _codes = _champion_cut(terms, ids, tf, dl, r)
         out = pa.table({
             "term": pa.array(terms[keep].tolist(), type=pa.string()),
@@ -325,13 +304,13 @@ def champion_topk(sf_dir: str) -> pa.Table:
         rows = champion_rows_for_terms(champ, idx, terms)
         # UNPRUNED df for idf: the dictionary (term, n) metadata read —
         # at scale the pruned tier ships df alongside its lists
-        idx._load_terms(terms)
+        posts = idx.postings(terms)
         all_ids, all_sc = [], []
         for t in terms:
             ids, tf, dl = rows.get(t, (np.empty(0, dtype=np.int64),) * 3)
             if not len(ids):
                 continue
-            idf = idx._idf(t)
+            idf = posts[t].idf
             all_ids.append(ids.astype(np.int64))
             all_sc.append(idf * bm25_wdl(
                 tf.astype(np.float64), dl.astype(np.float64),
@@ -462,7 +441,7 @@ def champion_safety(sf_dir: str) -> pa.Table:
     for q in sorted(SAFE_QUERIES):
         terms = sorted(set(analyze_simple(q)))
         crows = champion_rows_for_terms(champ, idx, terms)
-        idx._load_terms(terms)
+        posts = idx.postings(terms)
         # per-term pruned-max bound: build-side stats, plus any rows a
         # salted-partial merge cut at query time (none when unsalted)
         pmw: dict[str, float] = {}
@@ -479,7 +458,7 @@ def champion_safety(sf_dir: str) -> pa.Table:
             for t in terms:
                 sel = st_terms == t
                 pmw[t] = float(st_pm[sel].max()) if sel.any() else 0.0
-        idfs = {t: idx._idf(t) for t in terms}
+        idfs = {t: posts[t].idf for t in terms}
         B = sum(idfs[t] * pmw.get(t, 0.0) for t in terms)
         # candidate scores + per-candidate champion membership mass
         all_ids, all_sc, all_cov = [], [], []

@@ -22,6 +22,7 @@ cannot flip a rank (SURVEY §7.5 rank-identity note).
 from __future__ import annotations
 
 from ..functions.spill import spill_dir
+from ..index.codec import bm25_idf, bm25_wdl
 
 import numpy as np
 import pyarrow as pa
@@ -354,8 +355,7 @@ def bm25_topk(sf_dir: str) -> pa.Table:
     dfs = [int(st[c].sum()) for c in tf_cols]
     if not any(dfs):
         return empty
-    idf = [float(np.log(1.0 + (n - df + 0.5) / (df + 0.5)))
-           for df in dfs]
+    idf = [float(bm25_idf(n, df)) for df in dfs]
 
     def score_batch(t: pa.Table) -> pa.Table:
         t = t.filter(pc.not_equal(t["doc_id"], -1))
@@ -363,12 +363,11 @@ def bm25_topk(sf_dir: str) -> pa.Table:
                                 ("score", pa.float64())])
         if t.num_rows == 0:
             return out_schema.empty_table()
-        dl = t["dl"].to_numpy().astype(np.float64)
-        denom = BM25_K1 * (1 - BM25_B + BM25_B * dl / avgdl)
+        dl = t["dl"].to_numpy()
         score = np.zeros(len(dl), dtype=np.float64)
         for j in range(m):
-            tf = t[tf_cols[j]].to_numpy().astype(np.float64)
-            score += idf[j] * tf / (tf + denom)
+            score += idf[j] * bm25_wdl(t[tf_cols[j]].to_numpy(), dl,
+                                       BM25_K1, BM25_B, avgdl)
         score_r = np.round(score, 6)
         ids = t["doc_id"].to_numpy()
         top = np.lexsort((ids, -score_r))[:BM25_K]

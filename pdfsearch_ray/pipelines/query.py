@@ -34,7 +34,8 @@ import pyarrow.dataset as pads
 
 from ..analysis.analyzer import analyze_en, get_analyzer
 from ..functions.hashing import fnv1a64_str
-from ..index.codec import bm25_wdl, varint_decode
+from ..index.codec import (bm25_idf, bm25_wdl, decode_positions,
+                           decode_posting_blocks)
 from ..state.manifest import IndexManifest
 
 DEFAULT_MAX_RESULTS = 10  # DefaultMaxResults (index_search.go:54-59)
@@ -212,6 +213,81 @@ class MatchSet:
 # ---------------------------------------------------------------- engine
 
 
+class PostingList:
+    """One term's postings on a handle (``BM25Index.postings``) —
+    read-only.
+
+    ``df`` is the term's global posting count (tombstoned docs still
+    counted) and ``idf`` its BM25 idf.  ``ids``/``tf``/``dl``/``scores``
+    concatenate the term's blocks in (salt, segment, block) order, so
+    ids are docID-sorted only within one run; they decode on first
+    access, always at the term's own idf, so ``scores`` are exactly the
+    per-posting contributions the handle's own scorers sum."""
+
+    _EMPTY = {"ids": np.uint64, "tf": np.uint64, "dl": np.uint64,
+              "scores": np.float64}
+
+    def __init__(self, index: "BM25Index", term: str):
+        self._index = index
+        self._blocks = index._term_cache.get(term, [])
+        self._cols: dict[str, np.ndarray] = {}
+        self.df = index._term_df(term)
+        self.idf = index._idf(term)
+
+    def _column(self, key: str) -> np.ndarray:
+        col = self._cols.get(key)
+        if col is None:
+            if self._blocks:
+                self._index._decode_blocks_bulk(self._blocks, self.idf)
+                col = np.concatenate([b[key] for b in self._blocks])
+            else:
+                col = np.empty(0, dtype=self._EMPTY[key])
+            self._cols[key] = col
+        return col
+
+    ids = property(lambda self: self._column("ids"))
+    tf = property(lambda self: self._column("tf"))
+    dl = property(lambda self: self._column("dl"))
+    scores = property(lambda self: self._column("scores"))
+
+    def dl_of(self, doc_ids: np.ndarray) -> np.ndarray:
+        """Doc length (float64) of each of ``doc_ids``, every one of
+        which must hold this term — a doc's dl rides on each of its
+        postings, so positional scorers never read doc text for it."""
+        order = np.argsort(self.ids)
+        pos = np.searchsorted(self.ids[order],
+                              np.asarray(doc_ids).astype(np.uint64))
+        return self.dl[order][pos].astype(np.float64)
+
+    def position_keys(self, candidates: np.ndarray) -> np.ndarray:
+        """All ``(doc_code << 32) | pos`` keys of the term's occurrences
+        in ``candidates`` (sorted unique doc_ids); doc_code is the doc's
+        index in ``candidates``, because raw doc_ids are
+        partition-prefixed 64-bit and would overflow the packed key.
+        Position blobs decode only for blocks holding a candidate."""
+        self._index._decode_blocks_bulk(self._blocks, self.idf)
+        keys = []
+        for blk in self._blocks:
+            ids = blk["ids"]
+            sel = np.isin(ids, candidates, assume_unique=True)
+            if not sel.any():
+                continue
+            plists = decode_positions(blk["pos_blob"], blk["n"])
+            lens = np.fromiter((p.size for p in plists), dtype=np.int64,
+                               count=blk["n"])
+            flat = np.concatenate(plists) if lens.sum() else \
+                np.empty(0, dtype=np.uint32)
+            doc_per_pos = np.repeat(ids, lens)
+            keep = np.repeat(sel, lens)
+            codes = np.searchsorted(candidates,
+                                    doc_per_pos[keep]).astype(np.uint64)
+            keys.append((codes << np.uint64(32))
+                        | flat[keep].astype(np.uint64))
+        if not keys:
+            return np.empty(0, dtype=np.uint64)
+        return np.concatenate(keys)
+
+
 class CorruptIndexError(RuntimeError):
     """A posting block failed its crc32 integrity check (F2 framing —
     the reference CRC-frames its page blobs, doc_positions.go:140-153)."""
@@ -278,7 +354,7 @@ class BM25Index:
                 for p in pf:
                     self._post_file_seg[p] = (si, baked)
                 doc_files.extend(sorted(_glob.glob(f"{d}/docs/*.parquet")))
-            self.postings = pads.dataset(post_files, format="parquet")
+            self._postings_ds = pads.dataset(post_files, format="parquet")
             self.docs = pads.dataset(doc_files, format="parquet")
             self.analyze = get_analyzer(self.manifest.analyzer)
             if self.manifest.tombstones:
@@ -358,7 +434,7 @@ class BM25Index:
                 "doc_blob", "tf_blob", "dl_blob", "pos_blob", "max_wdl"]
         schema_names = (self._postings_mem.schema.names
                         if self._postings_mem is not None
-                        else self.postings.schema.names)
+                        else self._postings_ds.schema.names)
         check_crc = self.verify_checksums and "crc" in schema_names
         if check_crc:
             cols = cols + ["crc"]
@@ -500,7 +576,7 @@ class BM25Index:
         file_seg = getattr(self, "_post_file_seg", {})
         out: list[tuple] = []
         max_b = self.manifest.num_buckets - 1
-        for frag in self.postings.get_fragments():
+        for frag in self._postings_ds.get_fragments():
             seg, baked = file_seg.get(frag.path, (0, avgdl_now))
             bf = max(1.0, avgdl_now / baked) if baked > 0 else 1.0
             md = pq.ParquetFile(frag.path).metadata
@@ -562,70 +638,29 @@ class BM25Index:
             for term, n in zip(terms, ns):
                 self._df_global[term] += int(n)
 
-    def _decode_block(self, blk: dict, idf: float) -> dict:
-        """Decode a posting block in place (memoized): ids, per-posting
-        BM25 contribution (idf × wdl)."""
-        if "ids" not in blk:
-            m = self.manifest
-            n = blk["n"]
-            first = np.uint64(blk["first_doc"])
-            gaps = varint_decode(blk["doc_blob"], count=n - 1)
-            ids = np.empty(n, dtype=np.uint64)
-            ids[0] = first
-            if n > 1:
-                np.cumsum(gaps, out=ids[1:])
-                ids[1:] += first
-            tf = varint_decode(blk["tf_blob"], count=n)
-            dl = varint_decode(blk["dl_blob"], count=n)
-            blk["ids"] = ids
-            blk["tf"] = tf
-            blk["dl"] = dl
-            blk["scores"] = idf * bm25_wdl(tf, dl, m.k1, m.b, m.avgdl)
-        return blk
-
     def _decode_blocks_bulk(self, blocks: list[dict], idf: float) -> None:
-        """Decode many posting blocks in ONE varint pass per stream kind.
+        """Decode posting blocks in place (memoized): ids, tf, dl and the
+        per-posting BM25 contribution ``scores`` = idf × wdl, in one
+        bulk varint pass (``codec.decode_posting_blocks``).
 
-        Per-block ``varint_decode`` costs ~30µs of fixed numpy overhead;
-        a multi-term query over a large corpus touches thousands of
-        blocks, so the exhaustive scorer concatenates the blobs and
-        decodes each stream once, then splits per block with cheap
-        slices (docID gaps use a segmented cumsum: each block's first id
-        is stored absolute, so any split point is a restart).
-
-        CAVEAT: the decode caches each block's ``scores`` at the idf it
-        was FIRST given and never re-scores — callers that mix idf=1.0
-        positional decodes and idf-weighted scoring must use SEPARATE
-        handles (see pipelines/querystring.py)."""
+        INVARIANT: ``idf`` is the blocks' own term's ``_idf`` — the
+        memo keeps the scores of the FIRST decode, so every caller
+        (all inside this module; other modules read postings through
+        ``postings()``) decodes at that idf and no reader can leave
+        another's scores wrong."""
         todo = [b for b in blocks if "ids" not in b]
         if not todo:
             return
         m = self.manifest
-        n_arr = np.array([b["n"] for b in todo], dtype=np.int64)
-        gap_counts = n_arr - 1
-        gaps = varint_decode(b"".join(b["doc_blob"] for b in todo),
-                             count=int(gap_counts.sum()))
-        tf = varint_decode(b"".join(b["tf_blob"] for b in todo),
-                           count=int(n_arr.sum()))
-        dl = varint_decode(b"".join(b["dl_blob"] for b in todo),
-                           count=int(n_arr.sum()))
+        ids, tf, dl = decode_posting_blocks(
+            [b["first_doc"] for b in todo], [b["n"] for b in todo],
+            [b["doc_blob"] for b in todo], [b["tf_blob"] for b in todo],
+            [b["dl_blob"] for b in todo])
         scores_all = idf * bm25_wdl(tf, dl, m.k1, m.b, m.avgdl)
-        g = np.cumsum(gaps, dtype=np.uint64)
-        gap_ends = np.cumsum(gap_counts)
-        ends = np.cumsum(n_arr)
-        for i, b in enumerate(todo):
-            n = int(n_arr[i])
-            first = np.uint64(b["first_doc"])
-            ids = np.empty(n, dtype=np.uint64)
-            ids[0] = first
-            ge = int(gap_ends[i])
-            gs = ge - int(gap_counts[i])
-            if n > 1:
-                base = g[gs - 1] if gs > 0 else np.uint64(0)
-                ids[1:] = (g[gs:ge] - base) + first
-            e = int(ends[i])
-            s = e - n
-            b["ids"] = ids
+        e = 0
+        for b in todo:
+            s, e = e, e + b["n"]
+            b["ids"] = ids[s:e]
             b["tf"] = tf[s:e]
             b["dl"] = dl[s:e]
             b["scores"] = scores_all[s:e]
@@ -640,8 +675,7 @@ class BM25Index:
         df = self._term_df(term)
         if df == 0:
             return 0.0
-        m = self.manifest
-        return float(np.log(1.0 + (m.n_docs - df + 0.5) / (df + 0.5)))
+        return float(bm25_idf(self.manifest.n_docs, df))
 
     # -- scoring -------------------------------------------------------
 
@@ -737,10 +771,7 @@ class BM25Index:
         selection rule identical to search()'s (score desc, doc_id asc).
         No hydration — the scatter-gather driver hydrates the merged
         global top-k only."""
-        if self.manifest.analyzer == "en":
-            q_terms = [tok.term for tok in analyze_en(query)]
-        else:
-            q_terms = self.analyze(query)
+        q_terms = self.query_terms(query)
         uniq_terms = sorted(set(q_terms))
         self._load_terms(uniq_terms)
         ids, scores = self._score_range(uniq_terms, lo, hi)
@@ -1050,6 +1081,36 @@ class BM25Index:
         self._load_terms(uniq)
         return self._score(uniq)
 
+    def postings(self, terms) -> dict[str, PostingList]:
+        """term -> PostingList for each of ``terms``, all loaded in one
+        bucket- and row-group-pruned read.  The posting-access API for
+        every scorer outside this module."""
+        uniq = sorted(set(terms))
+        self._load_terms(uniq)
+        return {t: PostingList(self, t) for t in uniq}
+
+    def idf(self, term: str) -> float:
+        """The term's BM25 idf over its GLOBAL df (0.0 when absent)."""
+        self._load_terms([term])
+        return self._idf(term)
+
+    def live_mask(self, ids: np.ndarray) -> np.ndarray:
+        """True where a doc id is not tombstoned."""
+        if self._deleted is None:
+            return np.ones(len(ids), dtype=bool)
+        return ~np.isin(ids, self._deleted)
+
+    def cached_terms(self) -> int:
+        """Number of terms whose posting blocks the handle holds."""
+        return len(self._term_cache)
+
+    def query_terms(self, query: str) -> list[str]:
+        """Analyzed query tokens in order (duplicates kept) — the same
+        chain the index was built with."""
+        if self.manifest.analyzer == "en":
+            return [tok.term for tok in analyze_en(query)]
+        return self.analyze(query)
+
     def search(
         self,
         query: str,
@@ -1069,10 +1130,7 @@ class BM25Index:
         import time as _time
 
         t0 = _time.perf_counter()
-        if self.manifest.analyzer == "en":
-            q_terms = [tok.term for tok in analyze_en(query)]
-        else:
-            q_terms = self.analyze(query)
+        q_terms = self.query_terms(query)
         uniq_terms = sorted(set(q_terms))
         self._load_terms(uniq_terms)
         if method == "auto":
@@ -1085,7 +1143,7 @@ class BM25Index:
             result = MatchSet()
             result.total_matches = -1 if top_i.size else 0
             if top_i.size and max_results > 0:
-                result.matches = self._hydrate(
+                result.matches = self.hydrate(
                     q_terms, top_i[:max_results], top_s[:max_results], with_spans
                 )
             result.search_duration = _time.perf_counter() - t0
@@ -1107,7 +1165,7 @@ class BM25Index:
             order = np.lexsort((cand_ids, -cand_sc))[:k]
             top_ids = cand_ids[order]
             top_sc = cand_sc[order]
-            result.matches = self._hydrate(q_terms, top_ids, top_sc, with_spans)
+            result.matches = self.hydrate(q_terms, top_ids, top_sc, with_spans)
         result.search_duration = _time.perf_counter() - t0
         if apply_best:
             best = result.best()
@@ -1115,7 +1173,7 @@ class BM25Index:
             return best
         return result
 
-    def _hydrate(
+    def hydrate(
         self,
         q_terms: list[str],
         top_ids: np.ndarray,
@@ -1125,8 +1183,6 @@ class BM25Index:
         """Join hits against the docs table and build spans/lines — the
         hitToPdfMatch join (J1, search_pdfs.go:330-366).  Top-k is tiny,
         so this is a pushdown-filtered read, not a shuffle."""
-        import pyarrow.parquet as pq
-
         id_list = [int(i) for i in top_ids]
         dtbl, has_text = self.fetch_doc_meta(id_list, with_text=with_spans)
         return self._hydrate_from_table(q_terms, id_list, top_sc, with_spans,

@@ -84,23 +84,16 @@ def parse_query_string(qs: str):
     return {"terms": terms, "phrases": phrases}
 
 
-def _phrase_postings(idx, pair):
-    """(sorted doc_ids, phrase tf, dl) for a two-word phrase."""
-    from .boolquery import _phrase_starts
+def _phrase_scores(idx, pair):
+    """(sorted doc_ids, BM25 contribution) of a two-word phrase."""
+    from .boolquery import _phrase_bm25, _phrase_starts
 
     common, starts = _phrase_starts(idx, list(pair))
     if starts.size == 0:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64))
+        return np.empty(0, dtype=np.uint64), np.empty(0)
     codes, tf = np.unique(starts >> np.uint64(32), return_counts=True)
     docs = common[codes.astype(np.int64)]
-    blocks = idx._term_cache.get(sorted(set(pair))[0], [])
-    ids_all = np.concatenate([b["ids"] for b in blocks])
-    dl_all = np.concatenate([b["dl"] for b in blocks])
-    order = np.argsort(ids_all)
-    pos = np.searchsorted(ids_all[order], docs)
-    return (docs.astype(np.int64), tf.astype(np.int64),
-            dl_all[order][pos].astype(np.float64))
+    return docs, _phrase_bm25(idx, min(pair), docs, tf)
 
 
 def querystring_topk(sf_dir: str) -> pa.Table:
@@ -109,15 +102,7 @@ def querystring_topk(sf_dir: str) -> pa.Table:
     from .query import BM25Index
     from .scorequery import _ranked_table, _topk_rows, per_term_scores
 
-    # TWO handles on the same index: block decode caches per-block
-    # scores at the idf it was FIRST given (query.py:590 `"ids" not in
-    # b`), so the phrase path's idf=1.0 decodes must never share a
-    # handle with _score's idf-weighted decodes (found the hard way —
-    # the mixed handle returned idf-free contributions for any term a
-    # previous query had touched positionally).
     idx = BM25Index(simple_index_cached(sf_dir))
-    pidx = BM25Index(simple_index_cached(sf_dir))
-    m = idx.manifest
     rows: list[tuple] = []
     for qs in sorted(QS_QUERIES):
         p = parse_query_string(qs)
@@ -128,12 +113,11 @@ def querystring_topk(sf_dir: str) -> pa.Table:
         per_term = per_term_scores(
             idx, [t for t, _ in term_items])
         # phrase contribution vectors live on their own doc sets
-        phrase_posts = {pr: _phrase_postings(pidx, pr)
+        phrase_posts = {pr: _phrase_scores(idx, pr)
                         for pr, _ in phrase_items}
         cand_parts = [per_term[t][0] for t in scoring_terms
                       if per_term[t][0].size]
-        cand_parts += [d.astype(np.uint64)
-                       for pr, (d, _, _) in phrase_posts.items()
+        cand_parts += [d for pr, (d, _) in phrase_posts.items()
                        if p["phrases"][pr][0] != "must_not" and d.size]
         if not cand_parts:
             continue
@@ -158,18 +142,14 @@ def querystring_topk(sf_dir: str) -> pa.Table:
             else:
                 score += boost * v
         for pr, (occ, boost) in phrase_items:
-            docs, tf, dl = phrase_posts[pr]
+            docs, c = phrase_posts[pr]
             v = np.zeros(union.size)
             present = np.zeros(union.size, dtype=bool)
             if docs.size:
-                df = int(docs.size)
-                idf = float(np.log(1.0 + (m.n_docs - df + 0.5)
-                                   / (df + 0.5)))
-                c = idf * tf / (tf + m.k1 * (1 - m.b + m.b * dl / m.avgdl))
-                pos = np.searchsorted(union, docs.astype(np.uint64))
+                pos = np.searchsorted(union, docs)
                 ok = pos < union.size
                 pos_c = np.minimum(pos, max(union.size - 1, 0))
-                ok &= union[pos_c] == docs.astype(np.uint64)
+                ok &= union[pos_c] == docs
                 v[pos_c[ok]] = c[ok]
                 present[pos_c[ok]] = True
             if occ == "must":

@@ -100,8 +100,8 @@ def per_term_scores(idx, terms) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     index's exhaustive single-term TAAT path.  Empty terms (df = 0)
     map to empty arrays."""
     uniq = sorted(set(terms))
-    idx._load_terms(uniq)
-    return {t: idx._score([t]) for t in uniq}
+    idx.postings(uniq)  # one batched read; each score_terms hits the cache
+    return {t: idx.score_terms([t]) for t in uniq}
 
 
 def aligned_contributions(
@@ -228,22 +228,13 @@ def query_synonym_groups(q: str) -> list[tuple[str, ...]]:
 def _group_postings(idx, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Blend one synonym class's postings: (sorted unique doc_ids,
     summed tf, doc length) over the union of the member terms' posting
-    lists.  Terms must already be loaded (``_load_terms``)."""
-    id_parts, tf_parts, dl_parts = [], [], []
-    for t in terms:
-        blocks = idx._term_cache.get(t, [])
-        # decode with the member term's own idf so the memoized
-        # per-posting scores stay valid for other consumers
-        idx._decode_blocks_bulk(blocks, idx._idf(t))
-        for b in blocks:
-            id_parts.append(b["ids"])
-            tf_parts.append(b["tf"])
-            dl_parts.append(b["dl"])
-    if not id_parts:
+    lists."""
+    posts = idx.postings(terms).values()
+    ids = np.concatenate([p.ids for p in posts])
+    if not ids.size:
         return (np.empty(0, dtype=np.uint64), np.empty(0), np.empty(0))
-    ids = np.concatenate(id_parts)
-    tf = np.concatenate(tf_parts).astype(np.float64)
-    dl = np.concatenate(dl_parts).astype(np.float64)
+    tf = np.concatenate([p.tf for p in posts]).astype(np.float64)
+    dl = np.concatenate([p.dl for p in posts]).astype(np.float64)
     uniq, inv = np.unique(ids, return_inverse=True)
     tf_sum = np.zeros(uniq.size)
     np.add.at(tf_sum, inv, tf)
@@ -266,28 +257,25 @@ def score_synonym_groups(idx, groups) -> tuple[np.ndarray, np.ndarray]:
     OR scorer already does, with the aggregate keyed on (class, doc)
     instead of (term, doc) — no extra I/O, no shuffle; df_class is an
     exact by-product of the merge."""
+    from ..index.codec import bm25_idf, bm25_wdl
     from .query import _aggregate_scores
 
     m = idx.manifest
-    idx._load_terms(sorted({t for g in groups for t in g}))
+    idx.postings({t for g in groups for t in g})  # one batched read
     id_parts, sc_parts = [], []
     for g in groups:
         uniq, tf, dl = _group_postings(idx, g)
         if not uniq.size:
             continue
-        df = uniq.size
-        idf = float(np.log(1.0 + (m.n_docs - df + 0.5) / (df + 0.5)))
-        wdl = tf / (tf + m.k1 * (1.0 - m.b + m.b * dl / m.avgdl))
+        idf = float(bm25_idf(m.n_docs, uniq.size))
         id_parts.append(uniq)
-        sc_parts.append(idf * wdl)
+        sc_parts.append(idf * bm25_wdl(tf, dl, m.k1, m.b, m.avgdl))
     if not id_parts:
         return np.empty(0, dtype=np.uint64), np.empty(0)
     ids, sc = _aggregate_scores(np.concatenate(id_parts),
                                 np.concatenate(sc_parts))
-    if idx._deleted is not None and ids.size:
-        keep = ~np.isin(ids, idx._deleted)
-        ids, sc = ids[keep], sc[keep]
-    return ids, sc
+    keep = idx.live_mask(ids)
+    return ids[keep], sc[keep]
 
 
 def synonym_topk(sf_dir: str) -> pa.Table:

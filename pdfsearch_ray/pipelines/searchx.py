@@ -225,8 +225,8 @@ def mlt_topk(sf_dir: str) -> pa.Table:
         if not doc_terms:
             continue
         # at scale: a (term, df) dictionary scan, not posting loads
-        idx._load_terms(doc_terms)
-        score = {t: round(tf[t] * idx._idf(t), 6) for t in doc_terms}
+        posts = idx.postings(doc_terms)
+        score = {t: round(tf[t] * posts[t].idf, 6) for t in doc_terms}
         sel = sorted(score, key=lambda t: (-score[t], t))[:MLT_F]
         ids, sc = idx.score_terms(sorted(sel))
         keep = ids.astype(np.int64) != seed
@@ -907,10 +907,8 @@ def explain_scores(sf_dir: str) -> pa.Table:
     from ..analysis.analyzer import analyze_simple
     from .expand import simple_index_cached
     from .query import BM25Index
-    from .scorequery import _group_postings
 
     idx = BM25Index(simple_index_cached(sf_dir))
-    m = idx.manifest
     out = {k: [] for k in ("query", "rank", "doc_id", "term",
                            "tf", "df", "score_part")}
     for q in sorted(EXPLAIN_QUERIES):
@@ -921,23 +919,16 @@ def explain_scores(sf_dir: str) -> pa.Table:
         r_ids, _ = _ranked(ids, sc)
         top = r_ids[:EXPLAIN_TOP].astype(np.int64)
         rank_of = {int(d): r + 1 for r, d in enumerate(top)}
-        idx._load_terms(terms)
-        for t in terms:
-            uniq, tf, dl = _group_postings(idx, (t,))
-            if not uniq.size:
-                continue
-            df = idx._term_df(t)
-            idf = idx._idf(t)
-            part = idf * (tf / (tf + m.k1 * (1.0 - m.b + m.b * dl / m.avgdl)))
-            hit = np.isin(uniq.astype(np.int64), top)
-            for d, f, p in zip(uniq[hit].astype(np.int64),
-                               tf[hit], part[hit]):
+        for t, post in idx.postings(terms).items():
+            pids = post.ids.astype(np.int64)
+            hit = np.isin(pids, top)
+            for d, f, p in zip(pids[hit], post.tf[hit], post.scores[hit]):
                 out["query"].append(q)
                 out["rank"].append(rank_of[int(d)])
                 out["doc_id"].append(int(d))
                 out["term"].append(t)
                 out["tf"].append(int(f))
-                out["df"].append(df)
+                out["df"].append(post.df)
                 out["score_part"].append(round(float(p), 6))
     order = sorted(range(len(out["query"])),
                    key=lambda i: (out["query"][i], out["rank"][i],

@@ -124,12 +124,13 @@ def _load_desc(repo_dir: str, name: str) -> dict:
 
 
 def restore_index(repo_dir: str, name: str, dest_dir: str) -> None:
-    """Rebuild the snapshotted index tree at ``dest_dir`` (must not be
-    a committed index already).  Every blob is re-hashed during the
-    copy; the tree lands via one atomic rename."""
+    """Rebuild the snapshotted index tree at ``dest_dir``, which must
+    be missing or empty — a restore never deletes data it did not
+    create.  Every blob is re-hashed during the copy; the tree lands
+    via one atomic rename."""
     desc = _load_desc(repo_dir, name)
-    if os.path.isfile(os.path.join(dest_dir, "manifest.json")):
-        raise SnapshotError(f"{dest_dir}: already holds a committed index")
+    if os.path.isdir(dest_dir) and os.listdir(dest_dir):
+        raise SnapshotError(f"{dest_dir}: exists and is not empty")
     tmp_root = dest_dir.rstrip("/") + f".restore.tmp.{os.getpid()}"
     shutil.rmtree(tmp_root, ignore_errors=True)
     try:
@@ -146,7 +147,6 @@ def restore_index(repo_dir: str, name: str, dest_dir: str) -> None:
                 raise SnapshotError(
                     f"snapshot {name!r}: blob corrupt for {rel} "
                     f"(sha {got[:12]}… != {meta['sha256'][:12]}…)")
-        shutil.rmtree(dest_dir, ignore_errors=True)
         os.rename(tmp_root, dest_dir)
     finally:
         shutil.rmtree(tmp_root, ignore_errors=True)

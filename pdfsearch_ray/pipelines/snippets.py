@@ -48,27 +48,19 @@ def snippet_windows(sf_dir: str) -> pa.Table:
     for the top-K docs by (covered terms desc, doc asc); win_start is
     the 1-based token position of the window's anchor hit."""
     from ..analysis.analyzer import analyze_simple
-    from .boolquery import _term_position_keys
     from .expand import simple_index_cached
     from .query import BM25Index
 
     idx = BM25Index(simple_index_cached(sf_dir))
     out_q, out_d, out_s, out_n = [], [], [], []
     for q in sorted(SNIPPET_QUERIES):
-        terms = sorted(set(analyze_simple(q)))
-        idx._load_terms(terms)
-        id_parts = []
-        for t in terms:
-            blocks = idx._term_cache.get(t, [])
-            idx._decode_blocks_bulk(blocks, idf=1.0)
-            if blocks:
-                id_parts.append(np.concatenate(
-                    [b["ids"] for b in blocks]))
+        posts = idx.postings(analyze_simple(q))
+        id_parts = [p.ids for p in posts.values() if p.ids.size]
         if not id_parts:
             continue
         union = np.unique(np.concatenate(id_parts))
-        keys_per_term = [np.sort(_term_position_keys(idx, t, union))
-                         for t in terms]
+        keys_per_term = [np.sort(p.position_keys(union))
+                         for p in posts.values()]
         anchors = np.concatenate(
             [k for k in keys_per_term if k.size]) if keys_per_term \
             else np.empty(0, dtype=np.uint64)

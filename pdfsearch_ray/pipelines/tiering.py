@@ -84,16 +84,6 @@ _POSTING_COLS = ["term", "salt", "bucket", "first_doc", "n",
                  "doc_blob", "tf_blob", "dl_blob"]
 
 
-def _flat_rows(tbl: pa.Table):
-    """Posting-block rows -> flat (term, doc_id, tf, dl) numpy arrays
-    (bulk varint decode, prune._decode_rows under the hood)."""
-    from .prune import _decode_rows
-
-    block_idx, ids, tf, dl = _decode_rows(tbl)
-    term_per_block = np.asarray(tbl["term"].to_pylist(), dtype=object)
-    return term_per_block[block_idx], ids.astype(np.int64), tf, dl
-
-
 def _artifact_dir(idx_dir: str, tag: str, params: tuple) -> str:
     mst = os.stat(os.path.join(idx_dir, "manifest.json"))
     key = hashlib.sha256(repr((
@@ -129,7 +119,7 @@ def tiered_index_cached(sf_dir: str, *,
     import ray.data as rd
 
     from .expand import simple_index_cached
-    from .prune import bucket_rowgroup_map
+    from .prune import _flat_postings, bucket_rowgroup_map
 
     idx_dir = simple_index_cached(sf_dir, num_buckets=num_buckets)
     cdir = _artifact_dir(idx_dir, "tiered", (tuple(thresholds), "v1"))
@@ -156,7 +146,8 @@ def tiered_index_cached(sf_dir: str, *,
                 parts.append(t)
         counts = np.zeros(n_tiers, dtype=np.int64)
         if parts:
-            terms, ids, tf, dl = _flat_rows(pa.concat_tables(parts))
+            terms, ids, tf, dl = _flat_postings(pa.concat_tables(parts))
+            ids = ids.astype(np.int64)
             # tier id per posting: 0 while tf >= thr[0], …, n_tiers-1
             tier = np.full(tf.shape, n_tiers - 1, dtype=np.int64)
             for ti, cut in enumerate(thr):
@@ -246,7 +237,7 @@ def tiered_topk(sf_dir: str) -> pa.Table:
         if not acc:
             continue
         tbl = pa.concat_tables(acc)
-        idx._load_terms(terms)
+        posts = idx.postings(terms)
         t_arr = np.asarray(tbl["term"].to_pylist(), dtype=object)
         ids = tbl["doc_id"].to_numpy()
         tf = tbl["tf"].to_numpy().astype(np.float64)
@@ -254,7 +245,7 @@ def tiered_topk(sf_dir: str) -> pa.Table:
         w = bm25_wdl(tf, dl, m.k1, m.b, m.avgdl)
         for t in terms:
             sel = t_arr == t
-            w[sel] *= idx._idf(t)
+            w[sel] *= posts[t].idf
         uniq, inv = np.unique(ids, return_inverse=True)
         agg = np.zeros(uniq.size)
         np.add.at(agg, inv, w)
@@ -368,9 +359,9 @@ def impact_index_cached(sf_dir: str, *, scale: int = IMPACT_SCALE,
 
     import ray.data as rd
 
-    from ..index.codec import bm25_wdl
+    from ..index.codec import bm25_idf, bm25_wdl
     from .expand import simple_index_cached
-    from .prune import bucket_rowgroup_map
+    from .prune import _flat_postings, bucket_rowgroup_map
     from .query import BM25Index
 
     idx_dir = simple_index_cached(sf_dir, num_buckets=num_buckets)
@@ -387,8 +378,7 @@ def impact_index_cached(sf_dir: str, *, scale: int = IMPACT_SCALE,
     salted_df: dict[str, int] = {}
     if salt_spec:
         h = BM25Index(idx_dir)
-        h._load_terms(sorted(salt_spec))
-        salted_df = {t: h._term_df(t) for t in salt_spec}
+        salted_df = {t: p.df for t, p in h.postings(salt_spec).items()}
 
     tmp = f"{cdir}.tmp.{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
@@ -407,13 +397,14 @@ def impact_index_cached(sf_dir: str, *, scale: int = IMPACT_SCALE,
                 parts.append(t)
         if not parts:
             return {"bucket": np.array([b]), "n_rows": np.array([0])}
-        terms, ids, tf, dl = _flat_rows(pa.concat_tables(parts))
+        terms, ids, tf, dl = _flat_postings(pa.concat_tables(parts))
+        ids = ids.astype(np.int64)
         codes, inv = np.unique(terms, return_inverse=True)
         df = np.bincount(inv).astype(np.float64)
         for i, t in enumerate(codes):
             if t in salted_df:
                 df[i] = float(salted_df[t])
-        idf = np.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        idf = bm25_idf(n_docs, df)
         w = idf[inv] * bm25_wdl(tf.astype(np.float64),
                                 dl.astype(np.float64), k1, b_, avgdl)
         imp = np.round(w * scale).astype(np.int64)

@@ -154,3 +154,37 @@ def test_salted_build_identical(ray_session, tmp_path, docs):
         rb = [(m.doc_id, m.score) for m in b.search(q, 20, with_spans=False).matches]
         assert [d for d, _ in ra] == [d for d, _ in rb], q
         np.testing.assert_allclose([s for _, s in ra], [s for _, s in rb], rtol=1e-12)
+
+
+def test_positional_and_federated_reads_keep_search_scores(ray_session):
+    """Phrase, federated and snippet-style position reads decode posting
+    blocks on the handle they are given; that handle's search() must
+    stay bitwise equal to a fresh handle's.  Each reader is the first
+    to touch its own terms, so each one could leave wrong memoized
+    scores behind."""
+    from pdfsearch_ray.pipelines.boolquery import _phrase_starts
+    from pdfsearch_ray.pipelines.build import build_index_mem
+    from pdfsearch_ray.pipelines.merge import federated_score_terms
+
+    src = f"{SF_DIR}/documents.parquet"
+    fresh = build_index_mem(src, analyzer="simple")
+    idx = build_index_mem(src, analyzer="simple")
+
+    def top(h, q):
+        return [(m.doc_id, m.score)
+                for m in h.search(q, 10, with_spans=False).matches]
+
+    _phrase_starts(idx, ["fast", "scan"])
+    assert top(idx, "fast scan") == top(fresh, "fast scan")
+
+    federated_score_terms([idx], ["merge", "window"])
+    assert top(idx, "merge window") == top(fresh, "merge window")
+
+    posts = idx.postings(["stream", "table"])
+    union = np.unique(np.concatenate([p.ids for p in posts.values()]))
+    assert all(p.position_keys(union).size for p in posts.values())
+    assert top(idx, "stream table") == top(fresh, "stream table")
+
+    q = "fast scan merge window stream table"
+    assert top(idx, q) == top(fresh, q)
+    assert top(fresh, q)

@@ -174,6 +174,23 @@ def test_blockjoin_parent_is_max_child_min_chunk(ray_session):
     assert got.iloc[0]["score"] > got.iloc[1]["score"]
 
 
+def test_blockjoin_merge_dedupes_parent_split_across_batches():
+    """One parent's chunks scored in two batches arrive as two
+    candidate rows; the final merge must keep ONE row per (query,
+    doc_id) — max score, then min best_chunk — before the top-k cut."""
+    import pandas as pd
+
+    from pdfsearch_ray.pipelines.blockjoin import _merge_parent_candidates
+
+    batch_a = [("q", 7, 4, 0.9), ("q", 8, 0, 0.7), ("r", 7, 0, 0.2)]
+    batch_b = [("q", 7, 1, 0.9), ("q", 9, 2, 0.8), ("q", 7, 0, 0.5)]
+    cand = pd.DataFrame(batch_a + batch_b,
+                        columns=["query", "doc_id", "best_chunk", "score"])
+    got = _merge_parent_candidates(cand, k=2)
+    assert list(got.itertuples(index=False, name=None)) == [
+        ("q", 7, 1, 0.9, 1), ("q", 9, 2, 0.8, 2), ("r", 7, 0, 0.2, 1)]
+
+
 def test_blockjoin_one_chunk_degenerates_to_flat_bm25(ray_session):
     """With words_per_chunk larger than every doc, the chunk corpus IS
     the doc corpus — ranks must equal the flat bm25 scan's."""

@@ -54,9 +54,7 @@ def test_first_rel_rank_consistent_with_full_ranking(ray_session):
     t = I.ir_eval(SF).to_pandas().set_index("query")
     for q in I.IR_QUERIES:
         terms = idx.analyze(q)
-        uniq = sorted(set(terms))
-        idx._load_terms(uniq)
-        ids, sc = idx._score(uniq)
+        ids, sc = idx.score_terms(terms)
         rel_ids, _ = score_terms_conjunctive(idx, terms)
         row = t.loc[q]
         assert row["n_relevant"] == len(rel_ids)

@@ -1,0 +1,88 @@
+"""Layering guards: ``pipelines/query.py`` is the only module that knows
+the posting-block layout, the decode memo and the tombstone array, and
+``index/codec.py`` is the only place that writes the BM25 formula."""
+
+import ast
+import re
+from pathlib import Path
+
+PKG = Path(__file__).resolve().parents[1] / "pdfsearch_ray"
+QUERY = PKG / "pipelines" / "query.py"
+CODEC = PKG / "index" / "codec.py"
+
+
+def _bm25index_private_names() -> set[str]:
+    """Underscore methods of BM25Index plus the underscore attributes it
+    sets on ``self``."""
+    tree = ast.parse(QUERY.read_text())
+    cls = next(n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "BM25Index")
+    names = {n.name for n in cls.body
+             if isinstance(n, ast.FunctionDef) and n.name.startswith("_")}
+    for n in ast.walk(cls):
+        if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id == "self" and n.attr.startswith("_")):
+            names.add(n.attr)
+    return {n for n in names if not n.startswith("__")}
+
+
+def _modules():
+    for path in sorted(PKG.rglob("*.py")):
+        yield path, ast.parse(path.read_text())
+
+
+def test_no_module_outside_query_touches_bm25index_privates():
+    private = _bm25index_private_names()
+    assert {"_term_cache", "_decode_blocks_bulk", "_deleted",
+            "_load_terms", "_idf"} <= private
+    hits = []
+    for path, tree in _modules():
+        if path == QUERY:
+            continue
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Attribute) and n.attr in private
+                    and not (isinstance(n.value, ast.Name)
+                             and n.value.id == "self")):
+                hits.append(f"{path.relative_to(PKG)}:{n.lineno} "
+                            f"{ast.unparse(n)}")
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id in ("getattr", "setattr", "hasattr")
+                  and len(n.args) > 1
+                  and isinstance(n.args[1], ast.Constant)
+                  and n.args[1].value in private):
+                hits.append(f"{path.relative_to(PKG)}:{n.lineno} "
+                            f"{ast.unparse(n)}")
+    assert not hits, "BM25Index internals used outside query.py:\n" + \
+        "\n".join(hits)
+
+
+_IDF = re.compile(r"^1(\.0)?\+\(.+-.+\+0\.5\)/\(.+\+0\.5\)$")
+_IDF_LOG1P = re.compile(r"^\(.+-.+\+0\.5\)/\(.+\+0\.5\)$")
+# k1 * (1 - b + b * ...): the length normalization inside the wdl term
+_WDL_NORM = re.compile(r"^1(\.0)?-[\w.\[\]]+\+[\w.\[\]]+\*")
+
+
+def _formula_sites() -> tuple[list[str], list[str]]:
+    idf, wdl = [], []
+    for path, tree in _modules():
+        where = str(path.relative_to(PKG))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and n.args:
+                f = n.func
+                name = f.attr if isinstance(f, ast.Attribute) else \
+                    getattr(f, "id", "")
+                arg = re.sub(r"\s+", "", ast.unparse(n.args[0]))
+                if ((name == "log" and _IDF.match(arg))
+                        or (name == "log1p" and _IDF_LOG1P.match(arg))):
+                    idf.append(f"{where}:{n.lineno}")
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult):
+                rhs = re.sub(r"\s+", "", ast.unparse(n.right))
+                if _WDL_NORM.match(rhs.strip("()")):
+                    wdl.append(f"{where}:{n.lineno}")
+    return idf, wdl
+
+
+def test_bm25_formula_written_once_in_codec():
+    idf, wdl = _formula_sites()
+    assert len(idf) == 1 and idf[0].startswith("index/codec.py"), idf
+    assert len(wdl) == 1 and wdl[0].startswith("index/codec.py"), wdl

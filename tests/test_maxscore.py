@@ -65,21 +65,23 @@ def test_maxscore_prunes_decodes(indexes):
 
 
 def test_bulk_decode_equals_per_block():
-    """_decode_blocks_bulk (one varint pass over concatenated blobs,
-    segmented cumsum for docID restarts) must reproduce _decode_block
-    bit-for-bit on every field."""
-    import copy
+    """The codec's bulk block decoder (one varint pass over concatenated
+    blobs, segmented cumsum for docID restarts) must reproduce a
+    per-block decode bit-for-bit on every field, and a handle's
+    PostingList must carry exactly those fields with scores =
+    idf × bm25_wdl."""
+    import pyarrow as pa
 
-    from pdfsearch_ray.index.codec import varint_encode
+    from pdfsearch_ray.index.codec import (bm25_wdl, decode_posting_blocks,
+                                           varint_decode, varint_encode)
     from pdfsearch_ray.pipelines.query import BM25Index
     from pdfsearch_ray.state.manifest import IndexManifest
 
     rng = np.random.default_rng(11)
-    idx = BM25Index(None)
-    idx.manifest = IndexManifest(n_docs=1000, avgdl=50.0, total_tokens=50000,
-                                 analyzer="en", analyzer_version="t", k1=1.2,
-                                 b=0.75, num_buckets=4, block_size=8,
-                                 salt_spec={})
+    manifest = IndexManifest(n_docs=1000, avgdl=50.0, total_tokens=50000,
+                             analyzer="en", analyzer_version="t", k1=1.2,
+                             b=0.75, num_buckets=4, block_size=8,
+                             salt_spec={})
     blocks = []
     start = 0
     for nb in (1, 3, 8, 8, 5):  # includes n==1 (empty gap stream) blocks
@@ -89,21 +91,48 @@ def test_bulk_decode_equals_per_block():
         tf = rng.integers(1, 30, nb).astype(np.uint64)
         dl = rng.integers(10, 300, nb).astype(np.uint64)
         blocks.append({
-            "salt": 0, "first_doc": int(ids[0]), "n": nb,
+            "first_doc": int(ids[0]), "n": nb,
             "doc_blob": varint_encode(ids[1:] - ids[:-1]),
             "tf_blob": varint_encode(tf), "dl_blob": varint_encode(dl),
-            "pos_blob": b"", "max_wdl": 1.0,
         })
-    a_blocks = copy.deepcopy(blocks)
-    b_blocks = copy.deepcopy(blocks)
-    idx._decode_blocks_bulk(a_blocks, idf=1.7)
-    for blk in b_blocks:
-        idx._decode_block(blk, idf=1.7)
-    for ba, bb in zip(a_blocks, b_blocks):
-        np.testing.assert_array_equal(ba["ids"], bb["ids"])
-        np.testing.assert_array_equal(ba["tf"], bb["tf"])
-        np.testing.assert_array_equal(ba["dl"], bb["dl"])
-        np.testing.assert_array_equal(ba["scores"], bb["scores"])
+    ids, tf, dl = decode_posting_blocks(
+        *([b[k] for b in blocks]
+          for k in ("first_doc", "n", "doc_blob", "tf_blob", "dl_blob")))
+    ref_ids, ref_tf, ref_dl = [], [], []
+    for b in blocks:
+        gaps = varint_decode(b["doc_blob"], count=b["n"] - 1)
+        ref_ids.append(np.uint64(b["first_doc"])
+                       + np.r_[np.uint64(0), np.cumsum(gaps, dtype=np.uint64)])
+        ref_tf.append(varint_decode(b["tf_blob"], count=b["n"]))
+        ref_dl.append(varint_decode(b["dl_blob"], count=b["n"]))
+    ref_ids, ref_tf, ref_dl = (np.concatenate(x)
+                               for x in (ref_ids, ref_tf, ref_dl))
+    np.testing.assert_array_equal(ids, ref_ids)
+    np.testing.assert_array_equal(tf, ref_tf)
+    np.testing.assert_array_equal(dl, ref_dl)
+
+    postings = pa.table({
+        "term": ["t"] * len(blocks),
+        "salt": pa.array([0] * len(blocks), type=pa.int32()),
+        "block_id": pa.array(range(len(blocks)), type=pa.int32()),
+        "first_doc": pa.array([b["first_doc"] for b in blocks], pa.int64()),
+        "n": pa.array([b["n"] for b in blocks], type=pa.int32()),
+        **{k: pa.array([b[k] for b in blocks], type=pa.large_binary())
+           for k in ("doc_blob", "tf_blob", "dl_blob")},
+        "pos_blob": pa.array([b""] * len(blocks), type=pa.large_binary()),
+        "max_wdl": pa.array([1.0] * len(blocks), type=pa.float32()),
+    })
+    docs = pa.table({"doc_id": pa.array([], pa.int64()),
+                     "url": pa.array([], pa.string()),
+                     "text": pa.array([], pa.string())})
+    idx = BM25Index.from_tables(manifest, postings, docs)
+    post = idx.postings(["t"])["t"]
+    assert post.df == ref_ids.size and post.idf == idx.idf("t") > 0
+    np.testing.assert_array_equal(post.ids, ref_ids)
+    np.testing.assert_array_equal(post.tf, ref_tf)
+    np.testing.assert_array_equal(post.dl, ref_dl)
+    np.testing.assert_array_equal(
+        post.scores, post.idf * bm25_wdl(ref_tf, ref_dl, 1.2, 0.75, 50.0))
 
 
 def test_auto_method_rank_identical(indexes):

@@ -76,7 +76,8 @@ def test_ref_mode_identical_to_link_and_stats_exact(ray_session, tmp_path):
         ids_b, sc_b = ib.score_terms(terms)
         assert (ids_a == ids_b).all()
         assert np.allclose(sc_a, sc_b, rtol=0, atol=0)  # bitwise
-        assert ia._term_df(terms[0]) == ib._term_df(terms[0]) > 0
+        t0 = terms[0]
+        assert ia.postings([t0])[t0].df == ib.postings([t0])[t0].df > 0
 
 
 def test_merge_refuses_config_mismatch_and_collision(ray_session, tmp_path):

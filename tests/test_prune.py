@@ -50,13 +50,10 @@ def test_champion_set_contract(ray_session):
     champ = champion_lists_cached(SF)
     terms = ["data", "the", "fast", "scan"]
     rows = champion_rows_for_terms(champ, idx, terms)
-    idx._load_terms(terms)
+    posts = idx.postings(terms)
     for t in terms:
         ids, tf, _dl = rows[t]
-        blocks = idx._term_cache[t]
-        idx._decode_blocks_bulk(blocks, idf=1.0)
-        full_ids = np.concatenate([b["ids"] for b in blocks])
-        full_tf = np.concatenate([b["tf"] for b in blocks])
+        full_ids, full_tf = posts[t].ids, posts[t].tf
         assert len(ids) == min(CHAMP_R, full_ids.size), t
         # max-tf posting kept
         assert tf.max() == full_tf.max(), t
@@ -86,14 +83,13 @@ def test_unpruned_r_equals_exhaustive(ray_session):
     for q in ("data processing pipeline", "fast scan merge"):
         terms = sorted(set(analyze_simple(q)))
         rows = champion_rows_for_terms(champ, idx, terms, r=big_r)
-        idx._load_terms(terms)
         all_ids, all_sc = [], []
         for t in terms:
             ids, tf, dl = rows[t]
             if not len(ids):
                 continue
             all_ids.append(ids.astype(np.int64))
-            all_sc.append(idx._idf(t) * bm25_wdl(
+            all_sc.append(idx.idf(t) * bm25_wdl(
                 tf.astype(np.float64), dl.astype(np.float64),
                 m.k1, m.b, m.avgdl))
         ids = np.concatenate(all_ids)
@@ -154,7 +150,6 @@ def test_safety_certificate_sound(ray_session):
         truth = set(ids.astype(np.int64)[order].tolist())
         # champion top-K set
         rows = P.champion_rows_for_terms(champ, idx, terms)
-        idx._load_terms(terms)
         from pdfsearch_ray.index.codec import bm25_wdl
 
         m = idx.manifest
@@ -164,7 +159,7 @@ def test_safety_certificate_sound(ray_session):
             if not len(cids):
                 continue
             a_ids.append(cids.astype(np.int64))
-            a_sc.append(idx._idf(t) * bm25_wdl(
+            a_sc.append(idx.idf(t) * bm25_wdl(
                 tf.astype(np.float64), dl.astype(np.float64),
                 m.k1, m.b, m.avgdl))
         uniq, inv = np.unique(np.concatenate(a_ids), return_inverse=True)

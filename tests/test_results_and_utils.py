@@ -115,4 +115,4 @@ def test_crc_framing_and_io_stats(ray_session, tmp_path):
     bad = BM25Index(d, verify_checksums=True)
     corrupted_term = t["term"][k].as_py()
     with pytest.raises(CorruptIndexError, match="checksum mismatch"):
-        bad._load_terms([corrupted_term])
+        bad.postings([corrupted_term])

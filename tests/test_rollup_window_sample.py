@@ -254,6 +254,18 @@ def test_auto_buckets_scales_and_clamps(ray_session):
     assert n & (n - 1) == 0                                # pow2
 
 
+def test_auto_buckets_never_exceeds_non_pow2_hi(ray_session):
+    """A non-power-of-two hi rounds DOWN (3000 -> 2048), never up past
+    the cap; in-range counts still round up to a power of two."""
+    from pdfsearch_ray.functions.spill import auto_buckets
+
+    assert auto_buckets(f"{SF}/orders.parquet", target_bytes=1,
+                        hi=3000) == 2048
+    assert auto_buckets(f"{SF}/orders.parquet", target_bytes=1 << 12,
+                        hi=3000) == auto_buckets(
+        f"{SF}/orders.parquet", target_bytes=1 << 12)
+
+
 def test_cube_margins_consistent(ray_session):
     """CUBE invariants: both single-dimension margins and the grand
     total each sum to the same leaf total."""

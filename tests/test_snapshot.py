@@ -121,3 +121,37 @@ def test_snapshot_corruption_detected(ray_session, tmp_path):
         snapshot_index(idx_dir, repo, name="s1")
     with pytest.raises(SnapshotError, match="unknown snapshot"):
         restore_index(repo, "nope", str(tmp_path / "r2"))
+
+
+def test_restore_refuses_non_empty_dest(ray_session, tmp_path):
+    """A restore never deletes data it did not create: a non-empty
+    dest_dir raises and its contents survive; an empty one is fine."""
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import build_index
+    from pdfsearch_ray.pipelines.query import BM25Index
+    from pdfsearch_ray.pipelines.snapshot import (
+        SnapshotError,
+        restore_index,
+        snapshot_index,
+    )
+
+    t = pq.read_table(SRC).slice(0, 100)
+    idx_dir = str(tmp_path / "idx")
+    repo = str(tmp_path / "repo")
+    build_index(rd.from_arrow(t), idx_dir, analyzer="simple",
+                num_buckets=4, lang_col="lang")
+    snapshot_index(idx_dir, repo, name="s1")
+
+    dest = tmp_path / "dest"
+    dest.mkdir()
+    (dest / "notes.txt").write_text("keep me")
+    with pytest.raises(SnapshotError, match="not empty"):
+        restore_index(repo, "s1", str(dest))
+    assert (dest / "notes.txt").read_text() == "keep me"
+    assert sorted(os.listdir(dest)) == ["notes.txt"]
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    restore_index(repo, "s1", str(empty))
+    assert _ranked(BM25Index(str(empty))) == _ranked(BM25Index(idx_dir))

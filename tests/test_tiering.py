@@ -115,14 +115,13 @@ def test_one_tier_degenerates_to_exhaustive(ray_session):
     rows = _tier_rows(tdir, term_buckets(m, terms), terms, 0)
     assert rows is not None
     assert _tier_rows(tdir, term_buckets(m, terms), terms, 1) is None
-    idx._load_terms(terms)
     t_arr = np.asarray(rows["term"].to_pylist(), dtype=object)
     ids = rows["doc_id"].to_numpy()
     w = bm25_wdl(rows["tf"].to_numpy().astype(np.float64),
                  rows["dl"].to_numpy().astype(np.float64),
                  m.k1, m.b, m.avgdl)
     for t in terms:
-        w[t_arr == t] *= idx._idf(t)
+        w[t_arr == t] *= idx.idf(t)
     uniq, inv = np.unique(ids, return_inverse=True)
     agg = np.zeros(uniq.size)
     np.add.at(agg, inv, w)
