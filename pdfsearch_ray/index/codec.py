@@ -27,6 +27,39 @@ import numpy as np
 
 BLOCK_SIZE = 128
 
+# Parquet writer policy for every committed index file: the docs catalog,
+# the posting blocks above and the tombstone sets, whether written by a
+# base build, an append segment or a compaction.  zstd at pyarrow's
+# default level: the files are bucket-partitioned and term-grouped, so a
+# strong general codec finds the repeats.  Row-group min/max statistics
+# only on the columns a reader prunes on — postings: bucket and term
+# (bucket/term row-group pruning, the term pushdown filters of prefix,
+# range and completion expansion) and first_doc/last_doc (doc-range
+# shard pruning); docs and tombstones: doc_id (hydration's row-group
+# index, shard planning).  Dictionary pages only on low-cardinality
+# columns.  The unique payloads (text, url, hash, the varint blobs) get
+# neither: a statistic no reader looks at is footer bytes, and a
+# dictionary over unique values is a second copy.  Readers never depend
+# on the policy — parquet is self-describing, so files written with
+# other settings keep serving beside these.
+INDEX_WRITE_OPTIONS = {
+    "postings": {
+        "compression": "zstd",
+        "write_statistics": ("bucket", "term", "first_doc", "last_doc"),
+        "use_dictionary": ("term", "bucket", "salt", "block_id", "n"),
+    },
+    "docs": {
+        "compression": "zstd",
+        "write_statistics": ("doc_id",),
+        "use_dictionary": ("lang",),
+    },
+    "tombstones": {
+        "compression": "zstd",
+        "write_statistics": ("doc_id",),
+        "use_dictionary": False,
+    },
+}
+
 _THRESHOLDS = [np.uint64(1) << np.uint64(7 * k) for k in range(1, 10)]
 
 

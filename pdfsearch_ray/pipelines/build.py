@@ -73,7 +73,7 @@ except Exception:
 
 from ..analysis.analyzer import ANALYZER_VERSION, get_analyzer
 from ..functions.hashing import content_hash, mix64
-from ..index.codec import BLOCK_SIZE
+from ..index.codec import BLOCK_SIZE, INDEX_WRITE_OPTIONS
 from ..stages.tokenize import DEFAULT_NUM_BUCKETS, Tokenizer
 from ..state.manifest import IndexManifest
 
@@ -470,7 +470,7 @@ def build_index(
             )
             docs.map_batches(
                 lambda b: b.sort_by("doc_id"), batch_format="pyarrow"
-            ).write_parquet(tmp)
+            ).write_parquet(tmp, **INDEX_WRITE_OPTIONS["docs"])
             os.makedirs(tmp, exist_ok=True)  # empty corpus: no files
             os.rename(tmp, docs_dir)
         if not any(f.endswith(".parquet") for f in os.listdir(docs_dir)):
@@ -675,7 +675,8 @@ def build_index(
         # engine prunes to the row groups whose term range covers its
         # terms — and, for doc-range shard handles, whose
         # [first_doc, last_doc] span intersects the shard's slice
-        postings.write_parquet(tmp, row_group_size=row_group_size)
+        postings.write_parquet(tmp, row_group_size=row_group_size,
+                               **INDEX_WRITE_OPTIONS["postings"])
         os.makedirs(tmp, exist_ok=True)      # empty corpus: no files
         os.rename(tmp, postings_dir)
         # the spill is only removable once postings are durably renamed
@@ -1052,20 +1053,6 @@ def _committed_doc_files(index_dir: str, m) -> list[str]:
     return [f for d in dirs for f in sorted(_glob.glob(f"{d}/*.parquet"))]
 
 
-def _load_tombstones(index_dir: str, m) -> np.ndarray:
-    """Sorted int64 doc_ids from the manifest-committed tombstone files."""
-    import pyarrow.parquet as pq
-
-    if not m.tombstones:
-        return np.empty(0, dtype=np.int64)
-    parts = [
-        pq.read_table(f"{index_dir}/tombstones/{f}",
-                      columns=["doc_id"])["doc_id"].to_numpy()
-        for f in m.tombstones
-    ]
-    return np.unique(np.concatenate(parts)).astype(np.int64)
-
-
 def delete_docs(
     index_dir: str,
     *,
@@ -1102,7 +1089,7 @@ def delete_docs(
             .to_pandas()
         )
         ids.update(int(i) for i in cat["doc_id"])
-    existing = _load_tombstones(index_dir, m)
+    existing = m.tombstone_ids(index_dir)
     new = np.array(sorted(ids), dtype=np.int64)
     new = new[~np.isin(new, existing)]
     if new.size == 0:
@@ -1111,7 +1098,8 @@ def delete_docs(
     os.makedirs(tdir, exist_ok=True)
     fname = f"t-{len(m.tombstones):04d}.parquet"
     tmp = f"{tdir}/.{fname}.tmp"
-    pq.write_table(pa.table({"doc_id": pa.array(new, type=pa.int64())}), tmp)
+    pq.write_table(pa.table({"doc_id": pa.array(new, type=pa.int64())}), tmp,
+                   **INDEX_WRITE_OPTIONS["tombstones"])
     os.replace(tmp, f"{tdir}/{fname}")
     m.tombstones = list(m.tombstones) + [fname]
     m.build_metrics = dict(
@@ -1171,7 +1159,7 @@ def compact_index(
             "lang": pa.array([], type=pa.string()),
             "text": pa.array([], type=pa.string()),
         }))
-    tomb = _load_tombstones(index_dir, m)
+    tomb = m.tombstone_ids(index_dir)
     if tomb.size:
         import ray
 
@@ -1457,7 +1445,7 @@ def append_index(
         skip_content = False
         audit_unique = True
     doc_files = _committed_doc_files(index_dir, m)
-    tomb = _load_tombstones(index_dir, m)
+    tomb = m.tombstone_ids(index_dir)
     # materialize once: the hashed delta is consumed by the skip-join,
     # the stats pass AND the segment build — without this the source
     # read + sha256 re-run per consumer.  Object-store blocks spill

@@ -357,12 +357,9 @@ class BM25Index:
             self._postings_ds = pads.dataset(post_files, format="parquet")
             self.docs = pads.dataset(doc_files, format="parquet")
             self.analyze = get_analyzer(self.manifest.analyzer)
-            if self.manifest.tombstones:
-                from .build import _load_tombstones
-
-                tomb = _load_tombstones(index_dir, self.manifest)
-                if tomb.size:
-                    self._deleted = tomb.astype(np.uint64)
+            tomb = self.manifest.tombstone_ids(index_dir)
+            if tomb.size:
+                self._deleted = tomb.astype(np.uint64)
         self._term_cache: dict[str, list[dict]] = {}
         self._doc_rg_index: list[tuple[str, int, int, int]] | None = None
         self._pf_cache: dict[str, Any] = {}

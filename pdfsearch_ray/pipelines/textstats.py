@@ -637,10 +637,12 @@ def dsir_weights_sql() -> str:
 def quality_signals(sf_dir: str) -> rd.Dataset:
     """Fused one-pass quality-signal export — the Dolma/RedPajama
     "attributes file" shape: EVERY per-doc signal a curation pipeline
-    gates on, computed in ONE streaming read with zero shuffles, so at
-    100 TB the cost is one pass over the text column no matter how many
-    signals ride along.  All signals are integer-exact (scaled ratios
-    in basis points / x100) so the value hash is float-free:
+    gates on, computed in ONE streaming read, so at 100 TB the cost is
+    one pass over the text column no matter how many signals ride along.
+    The only exchange is the final sort of the narrow signal rows by
+    ``doc_id``, which makes the row order deterministic.  All signals are
+    integer-exact (scaled ratios in basis points / x100) so the value
+    hash is float-free:
 
     * ``n_tokens`` / ``n_distinct`` — simple-analyzer token counts,
     * ``mean_wl_x100`` — mean token length x100 (floor),
@@ -704,7 +706,7 @@ def quality_signals(sf_dir: str) -> rd.Dataset:
 
     return read_parquet_nometa(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"]) \
-        .map_batches(sig, batch_format="pyarrow")
+        .map_batches(sig, batch_format="pyarrow").sort("doc_id")
 
 
 def quality_signals_sql() -> str:
@@ -721,8 +723,8 @@ def quality_signals_sql() -> str:
             SELECT doc_id,
                    len(arr) AS n_tokens,
                    len(list_distinct(arr)) AS n_distinct,
-                   list_aggregate(list_transform(arr, x -> length(x)),
-                                  'sum') AS sum_len,
+                   CAST(list_aggregate(list_transform(arr, x -> length(x)),
+                                       'sum') AS BIGINT) AS sum_len,
                    length(text) - length(regexp_replace(
                        text, '[0-9]', '', 'g')) AS digits,
                    length(text) AS chars

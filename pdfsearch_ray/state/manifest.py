@@ -81,6 +81,22 @@ class IndexManifest:
         d.pop("format_version_check", None)
         return cls(**d)
 
+    def tombstone_ids(self, index_dir: str):
+        """Sorted int64 doc_ids from the committed tombstone files.
+        Lives here, not in the build pipeline, so opening an index for
+        serving imports no build code."""
+        import numpy as np
+        import pyarrow.parquet as pq
+
+        if not self.tombstones:
+            return np.empty(0, dtype=np.int64)
+        parts = [
+            pq.read_table(f"{index_dir}/tombstones/{f}",
+                          columns=["doc_id"])["doc_id"].to_numpy()
+            for f in self.tombstones
+        ]
+        return np.unique(np.concatenate(parts)).astype(np.int64)
+
 
 def partition_marker_path(index_dir: str, partition_id: int) -> str:
     return os.path.join(index_dir, PARTITIONS_DIR, f"{partition_id:06d}.json")

@@ -1,0 +1,216 @@
+"""Committed index files: the parquet writer policy and what opening an
+index costs.
+
+Every committed index file (docs catalog, posting blocks, tombstones;
+base build, append segments, compaction) is written zstd-compressed with
+row-group statistics only on the columns a reader prunes on and no
+dictionary over unique payloads.  Readers must not depend on that:
+indexes written with the old layout (Snappy, statistics and dictionary
+everywhere) keep serving, alone or mixed with new segments."""
+
+from __future__ import annotations
+
+import glob
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+
+QUERIES = [
+    "quick brown fox",
+    "documents per second",
+    "the data will set you free",
+    "search index page",
+    "zzxqv unknownterm",
+]
+
+# the columns some reader prunes row groups on, per table
+PRUNED = {
+    "postings": {"bucket", "term", "first_doc", "last_doc"},
+    "docs": {"doc_id"},
+    "tombstones": {"doc_id"},
+}
+UNIQUE_PAYLOADS = {"text", "url", "hash",
+                   "doc_blob", "tf_blob", "dl_blob", "pos_blob"}
+
+
+def _corpus(n_rows: int = 500) -> pa.Table:
+    """The fixture generator's pages as a documents table."""
+    from pdfsearch_ray.fixtures.gen import generate_pages
+
+    t = generate_pages(n_rows)
+    return pa.table({"doc_id": pa.array(np.arange(n_rows, dtype=np.int64)),
+                     "url": t["url"], "text": t["text"], "lang": t["lang"]})
+
+
+def _committed_files(index_dir: str) -> dict[str, list[str]]:
+    """Parquet files per table kind, over the base, every segment and
+    the tombstones."""
+    out: dict[str, list[str]] = {}
+    for kind in ("docs", "postings"):
+        out[kind] = sorted(
+            glob.glob(f"{index_dir}/{kind}/*.parquet")
+            + glob.glob(f"{index_dir}/segments/*/{kind}/*.parquet"))
+    out["tombstones"] = sorted(
+        glob.glob(f"{index_dir}/tombstones/*.parquet"))
+    return out
+
+
+def _policy_violations(kind: str, path: str) -> list[str]:
+    bad = []
+    md = pq.ParquetFile(path).metadata
+    for rg in range(md.num_row_groups):
+        for ci in range(md.num_columns):
+            col = md.row_group(rg).column(ci)
+            name = col.path_in_schema
+            where = f"{os.path.basename(path)} rg{rg} {name}"
+            if col.compression != "ZSTD":
+                bad.append(f"{where}: codec {col.compression}")
+            if col.is_stats_set != (name in PRUNED[kind]):
+                bad.append(f"{where}: statistics {col.is_stats_set}")
+            if name in UNIQUE_PAYLOADS and col.has_dictionary_page:
+                bad.append(f"{where}: dictionary page")
+    return bad
+
+
+def _assert_policy(index_dir: str, kinds=("docs", "postings",
+                                          "tombstones")) -> None:
+    files = _committed_files(index_dir)
+    bad = []
+    for kind in kinds:
+        assert files[kind], f"no {kind} files under {index_dir}"
+        for f in files[kind]:
+            bad += _policy_violations(kind, f)
+    assert not bad, bad[:10]
+
+
+def _taat_top10(idx, q: str) -> list[tuple[int, float]]:
+    ids, sc = idx.score_terms(idx.query_terms(q))
+    top = np.lexsort((ids, -sc))[:10]
+    return list(zip(ids[top].tolist(), sc[top].tolist()))
+
+
+def _assert_auto_equals_taat(index_dir: str) -> None:
+    from pdfsearch_ray.pipelines.query import BM25Index
+
+    idx = BM25Index(index_dir)
+    for q in QUERIES:
+        ms = idx.search(q, max_results=10, with_spans=False, method="auto")
+        got = [(m.doc_id, m.score) for m in ms.matches]
+        assert got == _taat_top10(idx, q), q
+
+
+def _rewrite_old_layout(directory: str) -> None:
+    """Rewrite every file in ``directory`` the way the index used to be
+    written (pyarrow defaults: Snappy, statistics and dictionary on every
+    column), keeping the rows and the row groups."""
+    for path in glob.glob(f"{directory}/*.parquet"):
+        pf = pq.ParquetFile(path)
+        tmp = path + ".old"
+        with pq.ParquetWriter(tmp, pf.schema_arrow, compression="snappy",
+                              write_statistics=True,
+                              use_dictionary=True) as w:
+            for rg in range(pf.num_row_groups):
+                w.write_table(pf.read_row_group(rg))
+        os.replace(tmp, path)
+
+
+def _victims(index_dir: str, n: int) -> list[int]:
+    from pdfsearch_ray.pipelines.query import BM25Index
+
+    ms = BM25Index(index_dir).search(QUERIES[0], max_results=n,
+                                     with_spans=False)
+    return [m.doc_id for m in ms.matches]
+
+
+def test_committed_files_follow_writer_policy(ray_session, tmp_path):
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import (append_index, build_index,
+                                               delete_docs)
+
+    t = _corpus()
+    cut = int(t.num_rows * 0.6)
+    d = str(tmp_path / "idx")
+    build_index(rd.from_arrow(t.slice(0, cut)), d, num_buckets=4,
+                analyzer="en", url_col="url", lang_col="lang")
+    append_index(rd.from_arrow(t.slice(cut)), d, url_col="url",
+                 lang_col="lang")
+    assert delete_docs(d, doc_ids=_victims(d, 3))["n_new"] == 3
+
+    files = _committed_files(d)
+    assert glob.glob(f"{d}/segments/*/postings/*.parquet")
+    assert glob.glob(f"{d}/segments/*/docs/*.parquet")
+    # the docs carry their text, so the unique-payload check covers it
+    assert "text" in pq.read_schema(files["docs"][0]).names
+    _assert_policy(d)
+
+
+def test_old_layout_index_serves_appends_and_compacts(ray_session,
+                                                      tmp_path):
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import (append_index, build_index,
+                                               compact_index, delete_docs)
+
+    t = _corpus()
+    cut = int(t.num_rows * 0.6)
+    d = str(tmp_path / "idx")
+    build_index(rd.from_arrow(t.slice(0, cut)), d, num_buckets=4,
+                analyzer="en", url_col="url", lang_col="lang")
+    for kind in ("docs", "postings"):
+        _rewrite_old_layout(f"{d}/{kind}")
+    old = pq.ParquetFile(_committed_files(d)["postings"][0]).metadata
+    assert old.row_group(0).column(0).compression == "SNAPPY"
+    assert all(old.row_group(0).column(i).is_stats_set
+               for i in range(old.num_columns))
+
+    # an old-layout base beside a new-layout segment and tombstones
+    append_index(rd.from_arrow(t.slice(cut)), d, url_col="url",
+                 lang_col="lang")
+    assert delete_docs(d, doc_ids=_victims(d, 3))["n_new"] == 3
+    _assert_auto_equals_taat(d)
+
+    compact_index(d)
+    _assert_auto_equals_taat(d)
+    _assert_policy(d, kinds=("docs", "postings"))
+
+
+def test_opening_an_index_imports_no_build_code(ray_session, tmp_path):
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import build_index, delete_docs
+    from pdfsearch_ray.pipelines.query import BM25Index
+
+    d = str(tmp_path / "idx")
+    build_index(rd.from_arrow(_corpus()), d, num_buckets=4, analyzer="en",
+                url_col="url", lang_col="lang")
+    victims = _victims(d, 2)
+    delete_docs(d, doc_ids=victims)
+    want = [m.doc_id for m in
+            BM25Index(d).search(QUERIES[0], max_results=5).matches]
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = textwrap.dedent(f"""
+        import json
+        import sys
+        from pdfsearch_ray.pipelines.query import BM25Index
+        idx = BM25Index({d!r})
+        ms = idx.search({QUERIES[0]!r}, max_results=5)
+        assert ms.matches and ms.matches[0].spans, "no hits with spans"
+        print(json.dumps([m.doc_id for m in ms.matches]))
+        loaded = [m for m in ("pdfsearch_ray.pipelines.build", "ray.data")
+                  if m in sys.modules]
+        assert not loaded, loaded
+    """)
+    r = subprocess.run([sys.executable, "-c", code], cwd=repo,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr[-2000:]
+    got = json.loads(r.stdout.strip().splitlines()[-1])
+    assert got == want
+    assert not set(victims) & set(got)
