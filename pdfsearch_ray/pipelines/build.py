@@ -30,6 +30,7 @@ Design notes (scale):
 from __future__ import annotations
 
 from ..functions.spill import spill_dir
+from ..functions.tables import block_tables
 
 import time
 from typing import Any
@@ -776,13 +777,11 @@ def build_index_mem(
         from ..functions.tables import read_parquet_nometa
         return read_parquet_nometa(source, columns=cols)
 
-    import ray
-
-    def _concat(refs: list, schema: pa.Schema) -> pa.Table:
+    def _concat(ds: rd.Dataset, schema: pa.Schema) -> pa.Table:
         # Ray may emit zero-row pass-through blocks carrying the *upstream*
         # schema (e.g. an empty sort partition never reaches map_groups);
-        # drop them before concatenating.
-        tabs = [t for t in ray.get(refs) if t.num_rows > 0]
+        # block_tables drops them before concatenating.
+        tabs = block_tables(ds)
         return pa.concat_tables(tabs) if tabs else schema.empty_table()
 
     from ..schemas import DOCS, POSTINGS
@@ -790,8 +789,7 @@ def build_index_mem(
     docs_tbl = _concat(
         _load()
         .map_batches(_DocMeta(id_col, text_col, url_col, lang_col, True),
-                     batch_format="pyarrow")
-        .to_arrow_refs(),
+                     batch_format="pyarrow"),
         DOCS,
     )
 
@@ -824,8 +822,7 @@ def build_index_mem(
 
     postings_tbl = _concat(
         tokens.groupby("bucket")
-        .map_groups(_encode, batch_format="pyarrow")
-        .to_arrow_refs(),
+        .map_groups(_encode, batch_format="pyarrow"),
         POSTINGS,
     )
     manifest = IndexManifest(
@@ -853,10 +850,8 @@ def duplicate_doc_ids(ds: rd.Dataset, id_col: str = "doc_id",
     sources, where a colliding id would silently corrupt postings."""
     import os
     import shutil
-    import tempfile
 
     import pyarrow.parquet as pq
-    import ray
 
     from ..functions.hashing import mix64
 
@@ -890,13 +885,11 @@ def duplicate_doc_ids(ds: rd.Dataset, id_col: str = "doc_id",
             outs.append(pa.table({"doc_id": pa.array(np.unique(dup))}))
         return pa.concat_tables(outs)
 
-    refs = (
+    tabs = block_tables(
         rd.from_items([{"dir": d} for d in bucket_dirs],
                       override_num_blocks=max(1, len(bucket_dirs)))
         .map_batches(_dups, batch_format="pyarrow", batch_size=1)
-        .to_arrow_refs()
     )
-    tabs = [t for t in ray.get(refs) if t.num_rows > 0]
     shutil.rmtree(work_dir, ignore_errors=True)
     if not tabs:
         return np.empty(0, dtype=np.int64)
@@ -927,10 +920,8 @@ def dup_loser_ids(
     the small output of a distributed computation, not a corpus gather."""
     import os
     import shutil
-    import tempfile
 
     import pyarrow.parquet as pq
-    import ray
 
     work_dir = work_dir or spill_dir(prefix="pdfsearch_dedup_")
 
@@ -973,13 +964,11 @@ def dup_loser_ids(
             outs.append(pa.table({"doc_id": pa.array(ids[order][~keep_first])}))
         return pa.concat_tables(outs)
 
-    loser_refs = (
+    tabs = block_tables(
         rd.from_items([{"dir": d} for d in bucket_dirs],
                       override_num_blocks=max(1, len(bucket_dirs)))
         .map_batches(_losers, batch_format="pyarrow", batch_size=1)
-        .to_arrow_refs()
     )
-    tabs = [t for t in ray.get(loser_refs) if t.num_rows > 0]
     shutil.rmtree(work_dir, ignore_errors=True)
     if not tabs:
         return np.empty(0, dtype=np.int64)
@@ -1247,10 +1236,19 @@ def _hash_provenance(source) -> str:
     """``"source"`` when the input carries a precomputed hash column (the
     extract checkpoint stores sha256(html)); ``"text"`` when the catalog
     hash falls back to sha256(text).  Two schemes hash identical content
-    differently, so appends must not silently mix them (ADVICE r2)."""
+    differently, so appends must not silently mix them (ADVICE r2).
+
+    A dataset's schema is read only when Ray knows it without running
+    the plan (a read, ``from_arrow``, a materialized dataset); otherwise
+    the answer is ``"unknown"``, because fetching it would run the plan
+    a second time under ``limit(1)``.  Callers that know the scheme
+    record it themselves (``compact_index``, ``build_from_pages``)."""
     try:
         if isinstance(source, rd.Dataset):
-            names = source.schema(fetch_if_missing=True).names
+            schema = source.schema(fetch_if_missing=False)
+            if schema is None:
+                return "unknown"
+            names = schema.names
         else:
             names = _source_columns(source, [])
         return "source" if "hash" in names else "text"
@@ -1278,7 +1276,6 @@ def append_skip_hashes(
     that is small by construction (it is the append batch itself)."""
     import os
     import shutil
-    import tempfile
 
     import pyarrow.parquet as pq
     import ray
@@ -1343,13 +1340,11 @@ def append_skip_hashes(
             return pa.table({"hash": pa.array([], type=pa.string())})
         return pa.concat_tables(outs)
 
-    refs = (
+    tabs = block_tables(
         rd.from_items([{"dir": d} for d in bucket_dirs],
                       override_num_blocks=max(1, len(bucket_dirs)))
         .map_batches(_matched, batch_format="pyarrow", batch_size=1)
-        .to_arrow_refs()
     )
-    tabs = [t for t in ray.get(refs) if t.num_rows > 0]
     shutil.rmtree(work_dir, ignore_errors=True)
     if not tabs:
         return pa.array([], type=pa.string())
@@ -1747,5 +1742,7 @@ def build_from_pages(
         resume=resume, **build_kwargs,
     )
     manifest.build_metrics["extract"] = summary
+    # the extract checkpoint carries sha256(html) as its hash column
+    manifest.build_metrics["hash_provenance"] = "source"
     manifest.save(index_dir)
     return manifest

@@ -89,7 +89,7 @@ def _dense_lists(sf_dir: str, qvecs, n: int):
     import pyarrow.parquet as pq
     import ray
 
-    from ..functions.tables import read_parquet_nometa
+    from ..functions.tables import block_tables, read_parquet_nometa
 
     qvecs = sorted(set(int(q) for q in qvecs))
     qt = pq.read_table(f"{sf_dir}/embeddings.parquet",
@@ -138,8 +138,10 @@ def _dense_lists(sf_dir: str, qvecs, n: int):
     part = read_parquet_nometa(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"],
     ).map_batches(sims, batch_format="pyarrow", batch_size=4096)
-    t = part.to_arrow_refs()
-    t = pa.concat_tables([ray.get(r) for r in t])
+    tabs = block_tables(part)
+    t = pa.concat_tables(tabs) if tabs else pa.schema([
+        ("query_id", pa.int64()), ("vec_id", pa.int64()),
+        ("sim", pa.float64())]).empty_table()
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     gq = t["query_id"].to_numpy()
     gv = t["vec_id"].to_numpy()

@@ -1095,12 +1095,10 @@ def term_vectors(sf_dir: str) -> pa.Table:
             "first_pos": pa.array(first),
         })
 
-    t = _docs(sf_dir).map_batches(
-        tv_batch, batch_format="pyarrow").to_arrow_refs()
-    import ray
+    from ..functions.tables import block_tables
 
-    parts = [ray.get(r) for r in t]
-    parts = [p for p in parts if p.num_rows]
+    parts = block_tables(_docs(sf_dir).map_batches(
+        tv_batch, batch_format="pyarrow"))
     if not parts:
         return pa.schema([
             ("doc_id", pa.int64()), ("term", pa.string()),

@@ -32,7 +32,7 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
-from ..functions.tables import read_parquet_nometa
+from ..functions.tables import block_tables, read_parquet_nometa
 
 # --------------------------------------------------------------- urls
 
@@ -2722,10 +2722,9 @@ def docid_remap(sf_dir: str) -> pa.Table:
                 "new_id": pa.array(out_n, type=pa.int64()),
             })
 
-        t = (rd.from_items([{"part": p} for p in parts])
-             .map_batches(finalize, batch_format="pyarrow", batch_size=1)
-             .to_arrow_refs())
-        out = pa.concat_tables([r for r in map(ray.get, t) if r.num_rows])
+        out = pa.concat_tables(block_tables(
+            rd.from_items([{"part": p} for p in parts])
+            .map_batches(finalize, batch_format="pyarrow", batch_size=1)))
         return out.sort_by([("doc_id", "ascending")])
     finally:
         import shutil

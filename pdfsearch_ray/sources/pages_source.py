@@ -29,6 +29,7 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
+from ..functions.tables import block_tables
 from ..stages.extract import EXTRACTOR_VERSION, HtmlExtractor
 from ..state.manifest import validated_completed_partitions, write_partition_marker
 
@@ -403,7 +404,6 @@ def dup_loser_ids_from_extract(out_dir: str, num_buckets: int = 16):
     groups), i.e. ~1/B of each file — the reduce side of a merge
     shuffle with footer-level pruning."""
     import numpy as np
-    import ray
 
     files = sorted(glob.glob(os.path.join(out_dir, "pairs-*.parquet")))
     if not files:
@@ -434,13 +434,11 @@ def dup_loser_ids_from_extract(out_dir: str, num_buckets: int = 16):
             return pa.table({"doc_id": pa.array([], type=pa.int64())})
         return pa.concat_tables(outs)
 
-    refs = (
+    tabs = block_tables(
         rd.from_items([{"b": i} for i in range(num_buckets)],
                       override_num_blocks=num_buckets)
         .map_batches(_losers, batch_format="pyarrow", batch_size=1)
-        .to_arrow_refs()
     )
-    tabs = [t for t in ray.get(refs) if t.num_rows > 0]
     if not tabs:
         return np.empty(0, dtype=np.int64)
     return np.sort(pa.concat_tables(tabs)["doc_id"].to_numpy())

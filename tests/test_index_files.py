@@ -2,9 +2,9 @@
 index costs.
 
 Every committed index file (docs catalog, posting blocks, tombstones;
-base build, append segments, compaction) is written zstd-compressed with
-row-group statistics only on the columns a reader prunes on and no
-dictionary over unique payloads.  Readers must not depend on that:
+base build, append segments, compaction) is written zstd-compressed at
+level 9, with row-group statistics only on the columns a reader prunes on
+and no dictionary over unique payloads.  Readers must not depend on that:
 indexes written with the old layout (Snappy, statistics and dictionary
 everywhere) keep serving, alone or mixed with new segments."""
 
@@ -20,6 +20,8 @@ import textwrap
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from pdfsearch_ray.index.codec import INDEX_WRITE_OPTIONS
 
 QUERIES = [
     "quick brown fox",
@@ -105,19 +107,23 @@ def _assert_auto_equals_taat(index_dir: str) -> None:
         assert got == _taat_top10(idx, q), q
 
 
+def _rewrite(src: str, dst: str, **writer_options) -> None:
+    """Write ``src``'s rows to ``dst`` with the given writer options,
+    keeping the row groups."""
+    pf = pq.ParquetFile(src)
+    with pq.ParquetWriter(dst, pf.schema_arrow, **writer_options) as w:
+        for rg in range(pf.num_row_groups):
+            w.write_table(pf.read_row_group(rg))
+
+
 def _rewrite_old_layout(directory: str) -> None:
     """Rewrite every file in ``directory`` the way the index used to be
     written (pyarrow defaults: Snappy, statistics and dictionary on every
     column), keeping the rows and the row groups."""
     for path in glob.glob(f"{directory}/*.parquet"):
-        pf = pq.ParquetFile(path)
-        tmp = path + ".old"
-        with pq.ParquetWriter(tmp, pf.schema_arrow, compression="snappy",
-                              write_statistics=True,
-                              use_dictionary=True) as w:
-            for rg in range(pf.num_row_groups):
-                w.write_table(pf.read_row_group(rg))
-        os.replace(tmp, path)
+        _rewrite(path, path + ".old", compression="snappy",
+                 write_statistics=True, use_dictionary=True)
+        os.replace(path + ".old", path)
 
 
 def _victims(index_dir: str, n: int) -> list[int]:
@@ -149,6 +155,20 @@ def test_committed_files_follow_writer_policy(ray_session, tmp_path):
     # the docs carry their text, so the unique-payload check covers it
     assert "text" in pq.read_schema(files["docs"][0]).names
     _assert_policy(d)
+
+    # parquet does not record the zstd level, so pin it by size: the same
+    # row groups at pyarrow's default level, under the same statistics
+    # and dictionary policy, take more bytes
+    written = default_level = 0
+    for kind in ("docs", "postings"):
+        policy = {k: v for k, v in INDEX_WRITE_OPTIONS[kind].items()
+                  if k != "compression_level"}
+        for i, path in enumerate(files[kind]):
+            out = str(tmp_path / f"default-{kind}-{i}.parquet")
+            _rewrite(path, out, **policy)
+            written += os.path.getsize(path)
+            default_level += os.path.getsize(out)
+    assert written < default_level, (written, default_level)
 
 
 def test_old_layout_index_serves_appends_and_compacts(ray_session,
