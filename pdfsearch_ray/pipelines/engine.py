@@ -23,6 +23,11 @@ class QueryEngine:
     answers searches from warm caches.  dataclass results (MatchSet /
     Match) serialize as-is.
 
+    Every replica pays for what its handle keeps, so the handle keeps
+    little: per cached term the encoded blocks, and per decoded posting
+    only its id and score (16 B).  Positions are never read for
+    scoring; tf and dl are decoded again when a reader asks.
+
     A small LRU RESULT cache sits in front of the scorer (every
     production engine's request cache): keyed by (index version, query,
     kwargs), where version = the manifest's built_at — so entries can

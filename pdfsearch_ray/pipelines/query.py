@@ -15,27 +15,28 @@ query terms are processed in sorted unique order, postings per term in
 (score desc, doc_id asc).
 
 Partition pruning: postings are keyed ``bucket = fnv1a64(term) % P``; a
-query computes each term's bucket and reads only matching row groups via
-Parquet predicate pushdown — the rebuild's version of the reference's
-term-dictionary probe (J3).  Reads are cached per term in the engine
-(unlike the reference, which reopens per-doc files on every hit and
-documents that as inefficient at bleve_pdf.go:482-484).
+query computes each term's bucket and reads only matching row groups,
+found from the files' footer statistics — the rebuild's version of the
+reference's term-dictionary probe (J3).  Reads are cached per term in
+the engine (unlike the reference, which reopens per-doc files on every
+hit and documents that as inefficient at bleve_pdf.go:482-484).  The
+scoring read leaves the position blobs out; they are read per term on
+the first ``PostingList.position_keys`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 from ..analysis.analyzer import analyze_en, get_analyzer
 from ..functions.hashing import fnv1a64_str
 from ..index.codec import (bm25_idf, bm25_wdl, decode_positions,
-                           decode_posting_blocks)
+                           decode_posting_blocks, varint_decode)
 from ..state.manifest import IndexManifest
 
 DEFAULT_MAX_RESULTS = 10  # DefaultMaxResults (index_search.go:54-59)
@@ -156,6 +157,17 @@ def _aggregate_scores(all_ids: np.ndarray,
     return uniq, scores
 
 
+def _matching_rows(t: pa.Table, terms: pa.Array, src: int) -> pa.Table:
+    """The rows of posting table ``t`` whose term is in ``terms``, each
+    tagged with ``src`` (the index of the read ``t`` came from) and its
+    row number in ``t`` — where its position blob can be read again."""
+    rows = np.flatnonzero(pc.is_in(t["term"], value_set=terms).to_numpy())
+    t = t.take(pa.array(rows, pa.int64()))
+    return (t.append_column("src", pa.array(np.full(rows.size, src,
+                                                    dtype=np.int32)))
+            .append_column("row", pa.array(rows, pa.int64())))
+
+
 @dataclass
 class Match:
     doc_id: int
@@ -222,7 +234,11 @@ class PostingList:
     concatenate the term's blocks in (salt, segment, block) order, so
     ids are docID-sorted only within one run; they decode on first
     access, always at the term's own idf, so ``scores`` are exactly the
-    per-posting contributions the handle's own scorers sum."""
+    per-posting contributions the handle's own scorers sum.  ``ids``
+    and ``scores`` come from the handle's decode memo; ``tf``, ``dl``
+    and positions are decoded (positions first read) here and kept on
+    this PostingList only, so a warm handle holds 16 B per decoded
+    posting whatever its readers ask for."""
 
     _EMPTY = {"ids": np.uint64, "tf": np.uint64, "dl": np.uint64,
               "scores": np.float64}
@@ -231,17 +247,22 @@ class PostingList:
         self._index = index
         self._blocks = index._term_cache.get(term, [])
         self._cols: dict[str, np.ndarray] = {}
+        self._pos_blobs: list[bytes] | None = None
         self.df = index._term_df(term)
         self.idf = index._idf(term)
 
     def _column(self, key: str) -> np.ndarray:
         col = self._cols.get(key)
         if col is None:
-            if self._blocks:
+            if not self._blocks:
+                col = np.empty(0, dtype=self._EMPTY[key])
+            elif key in ("ids", "scores"):
                 self._index._decode_blocks_bulk(self._blocks, self.idf)
                 col = np.concatenate([b[key] for b in self._blocks])
-            else:
-                col = np.empty(0, dtype=self._EMPTY[key])
+            else:  # tf / dl: one varint pass over the blocks' blobs
+                col = varint_decode(
+                    b"".join(b[f"{key}_blob"] for b in self._blocks),
+                    count=sum(b["n"] for b in self._blocks))
             self._cols[key] = col
         return col
 
@@ -264,15 +285,19 @@ class PostingList:
         in ``candidates`` (sorted unique doc_ids); doc_code is the doc's
         index in ``candidates``, because raw doc_ids are
         partition-prefixed 64-bit and would overflow the packed key.
+        The scoring read leaves positions out: the first call reads the
+        term's position blobs from the row groups its blocks came from.
         Position blobs decode only for blocks holding a candidate."""
         self._index._decode_blocks_bulk(self._blocks, self.idf)
+        if self._pos_blobs is None:
+            self._pos_blobs = self._index._read_positions(self._blocks)
         keys = []
-        for blk in self._blocks:
+        for blk, pos_blob in zip(self._blocks, self._pos_blobs):
             ids = blk["ids"]
             sel = np.isin(ids, candidates, assume_unique=True)
             if not sel.any():
                 continue
-            plists = decode_positions(blk["pos_blob"], blk["n"])
+            plists = decode_positions(pos_blob, blk["n"])
             lens = np.fromiter((p.size for p in plists), dtype=np.int64,
                                count=blk["n"])
             flat = np.concatenate(plists) if lens.sum() else \
@@ -318,6 +343,10 @@ class BM25Index:
         self.io_stats: dict[str, int] = {
             "postings_files_opened": 0,
             "postings_row_groups_read": 0,
+            # Arrow bytes of the row groups the scoring read returned
+            "postings_bytes_read": 0,
+            # on-demand position reads (PostingList.position_keys)
+            "positions_row_groups_read": 0,
             "docs_files_opened": 0,
             "docs_row_groups_read": 0,
             "blocks_verified": 0,
@@ -326,6 +355,9 @@ class BM25Index:
             # separately from blob reads
             "df_row_groups_read": 0,
         }
+        self._post_files: list[str] = []
+        self._doc_files: list[str] = []
+        self._pf_cache: dict[str, pq.ParquetFile] = {}
         if index_dir is not None:
             self.index_dir = index_dir
             self.manifest = IndexManifest.load(index_dir)
@@ -346,23 +378,24 @@ class BM25Index:
             self._seg_dirs = seg_dirs
             import glob as _glob
 
-            post_files, doc_files = [], []
             self._post_file_seg: dict[str, tuple[int, float]] = {}
             for si, (_, d, baked) in enumerate(seg_dirs):
                 pf = sorted(_glob.glob(f"{d}/postings/*.parquet"))
-                post_files.extend(pf)
+                self._post_files.extend(pf)
                 for p in pf:
                     self._post_file_seg[p] = (si, baked)
-                doc_files.extend(sorted(_glob.glob(f"{d}/docs/*.parquet")))
-            self._postings_ds = pads.dataset(post_files, format="parquet")
-            self.docs = pads.dataset(doc_files, format="parquet")
+                self._doc_files.extend(
+                    sorted(_glob.glob(f"{d}/docs/*.parquet")))
+            # an empty index has no docs files and so no schema
+            self._docs_schema = (
+                self._parquet_file(self._doc_files[0], "docs").schema_arrow
+                if self._doc_files else pa.schema([]))
             self.analyze = get_analyzer(self.manifest.analyzer)
             tomb = self.manifest.tombstone_ids(index_dir)
             if tomb.size:
                 self._deleted = tomb.astype(np.uint64)
         self._term_cache: dict[str, list[dict]] = {}
         self._doc_rg_index: list[tuple[str, int, int, int]] | None = None
-        self._pf_cache: dict[str, Any] = {}
         self._bucket_frags: dict[int, list] | None = None
         from collections import OrderedDict
 
@@ -389,27 +422,39 @@ class BM25Index:
         groups instead of stat-scanning the whole docs dataset (the
         reference reopens per-doc files per hit and calls that slow,
         bleve_pdf.go:482-484; this is the indexed version)."""
-        import pyarrow.parquet as pq
-
         out = []
-        for frag in self.docs.get_fragments():
-            md = pq.ParquetFile(frag.path).metadata
+        for path in self._doc_files:
+            md = self._parquet_file(path, "docs").metadata
             idx = md.schema.to_arrow_schema().names.index("doc_id")
             for rg in range(md.num_row_groups):
                 st = md.row_group(rg).column(idx).statistics
                 if st is None:
-                    out.append((frag.path, rg, -(1 << 62), 1 << 62))
+                    out.append((path, rg, -(1 << 62), 1 << 62))
                 else:
-                    out.append((frag.path, rg, st.min, st.max))
+                    out.append((path, rg, st.min, st.max))
         return out
+
+    def _parquet_file(self, path: str, kind: str) -> pq.ParquetFile:
+        """The handle's one open ``ParquetFile`` for ``path`` (footer
+        parsed once); ``kind`` ("postings" / "docs") names the
+        ``io_stats`` open counter."""
+        pf = self._pf_cache.get(path)
+        if pf is None:
+            pf = self._pf_cache[path] = pq.ParquetFile(path)
+            self.io_stats[f"{kind}_files_opened"] += 1
+        return pf
 
     # -- posting access ------------------------------------------------
 
     def _load_terms(self, terms: list[str]) -> None:
         """Fetch posting-block rows for terms (bucket- and row-group-pruned
-        parquet read).  Blocks stay ENCODED until a scorer touches them —
-        block-max pruning must be able to skip a block without paying its
-        decode."""
+        parquet read, row groups read one after another in this thread).
+        Blocks stay ENCODED until a scorer touches them — block-max
+        pruning must be able to skip a block without paying its decode.
+        The read leaves ``pos_blob`` out: each block keeps the row group
+        and row it came from, and ``_read_positions`` reads its positions
+        from there when asked.  Only a checksum-verifying handle reads
+        ``pos_blob`` here, because the block crc covers all four blobs."""
         missing = [t for t in terms if t not in self._term_cache]
         if not missing:
             return
@@ -428,16 +473,25 @@ class BM25Index:
                 bucket_set.add(fnv1a64_str(t) % nb)
         buckets = sorted(bucket_set)
         cols = ["term", "salt", "block_id", "first_doc", "n",
-                "doc_blob", "tf_blob", "dl_blob", "pos_blob", "max_wdl"]
-        schema_names = (self._postings_mem.schema.names
-                        if self._postings_mem is not None
-                        else self._postings_ds.schema.names)
-        check_crc = self.verify_checksums and "crc" in schema_names
-        if check_crc:
-            cols = cols + ["crc"]
+                "doc_blob", "tf_blob", "dl_blob", "max_wdl"]
+        if self.verify_checksums:
+            if self._postings_mem is not None:
+                schema_names = self._postings_mem.schema.names
+            elif self._post_files:
+                schema_names = self._parquet_file(
+                    self._post_files[0], "postings").schema_arrow.names
+            else:
+                schema_names = []
+            if "crc" in schema_names:
+                cols = cols + ["pos_blob", "crc"]
+        check_crc = "crc" in cols
+        value_set = pa.array(missing)
+        # where each read came from: None for the in-memory table, else
+        # (path, row_group); blocks point into this list
+        sources: list[tuple[str, int] | None]
         if self._postings_mem is not None:
-            mask = pc.is_in(self._postings_mem["term"], value_set=pa.array(missing))
-            tbl = self._postings_mem.filter(mask).select(cols)
+            sources = [None]
+            tbl = _matching_rows(self._postings_mem.select(cols), value_set, 0)
         else:
             if self._bucket_frags is None:
                 self._bucket_frags = self._build_bucket_frag_index()
@@ -463,17 +517,15 @@ class BM25Index:
             else:
                 want = [(p, rg, seg, bf)
                         for (p, rg, seg, bf, _d0, _d1) in want_all]
-
-            def _read_one(pr):
-                import pyarrow.parquet as pq
-
-                path, rg, seg, bf = pr
-                t = pq.ParquetFile(path).read_row_group(
-                    rg, columns=cols, use_threads=False
-                )
-                t = t.filter(
-                    pc.is_in(t["term"], value_set=pa.array(missing))
-                )
+            sources = [(path, rg) for path, rg, _seg, _bf in want]
+            parts = []
+            for src, (path, rg, seg, bf) in enumerate(want):
+                t = self._parquet_file(path, "postings").read_row_group(
+                    rg, columns=cols, use_threads=False)
+                self.io_stats["postings_bytes_read"] += t.nbytes
+                t = _matching_rows(t, value_set, src)
+                if not t.num_rows:
+                    continue
                 # block-max bounds were encoded under that segment's
                 # avgdl; scaling by max(1, avgdl_now/avgdl_baked) keeps
                 # them valid upper bounds (wdl ratio <= avgdl'/avgdl).
@@ -481,27 +533,13 @@ class BM25Index:
                 t = t.set_column(
                     t.schema.get_field_index("max_wdl"), "max_wdl",
                     pc.multiply(t["max_wdl"].cast(pa.float64()), bf))
-                return t.append_column(
+                parts.append(t.append_column(
                     "seg", pa.array(np.full(t.num_rows, seg,
-                                            dtype=np.int32)))
-
-            # direct row-group reads (cheap ParquetFile open, no dataset
-            # expression machinery — measured ~10x less per-read overhead
-            # than fragment.to_table); reads release the GIL → threaded
-            if len(want) > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(min(8, len(want))) as pool:
-                    parts = list(pool.map(_read_one, want))
-            else:
-                parts = [_read_one(pr) for pr in want]
-            self.io_stats["postings_files_opened"] += len(
-                {p for p, *_ in want})
+                                            dtype=np.int32))))
             self.io_stats["postings_row_groups_read"] += len(want)
-            parts = [p for p in parts if p.num_rows]
             if not parts:
-                # nothing to decode — also covers an EMPTY index, whose
-                # postings dataset has no files and hence no schema
+                # nothing to decode — also covers an EMPTY index, which
+                # has no posting files and hence no schema
                 for t in missing:
                     self._term_cache[t] = []
                 return
@@ -522,13 +560,15 @@ class BM25Index:
         firsts = tbl["first_doc"].to_numpy()
         ns = tbl["n"].to_numpy()
         maxw = tbl["max_wdl"].to_numpy()
+        srcs = tbl["src"].to_numpy()
+        rows = tbl["row"].to_numpy()
         doc_b = tbl["doc_blob"].to_pylist()
         tf_b = tbl["tf_blob"].to_pylist()
         dl_b = tbl["dl_blob"].to_pylist()
-        pos_b = tbl["pos_blob"].to_pylist()
         if check_crc:
             from zlib import crc32
 
+            pos_b = tbl["pos_blob"].to_pylist()
             crcs = tbl["crc"].to_numpy()
             for i in range(len(terms_np)):
                 got = crc32(pos_b[i],
@@ -549,9 +589,31 @@ class BM25Index:
                 "doc_blob": doc_b[i],
                 "tf_blob": tf_b[i],
                 "dl_blob": dl_b[i],
-                "pos_blob": pos_b[i],
                 "max_wdl": float(maxw[i]),
+                "src": sources[srcs[i]],
+                "row": int(rows[i]),
             })
+
+    def _read_positions(self, blocks: list[dict]) -> list[bytes]:
+        """The ``pos_blob`` of each of ``blocks``, read from the row group
+        (or in-memory table row) each block came from — one read per row
+        group."""
+        out: list[bytes] = [b""] * len(blocks)
+        by_src: dict[tuple[str, int] | None, list[int]] = {}
+        for i, b in enumerate(blocks):
+            by_src.setdefault(b["src"], []).append(i)
+        for src, idxs in by_src.items():
+            if src is None:
+                col = self._postings_mem["pos_blob"]
+            else:
+                path, rg = src
+                col = self._parquet_file(path, "postings").read_row_group(
+                    rg, columns=["pos_blob"], use_threads=False)["pos_blob"]
+                self.io_stats["positions_row_groups_read"] += 1
+            rows = pa.array([blocks[i]["row"] for i in idxs], pa.int64())
+            for i, blob in zip(idxs, col.take(rows).to_pylist()):
+                out[i] = blob
+        return out
 
     def _build_bucket_frag_index(self) -> list[tuple]:
         """(path, row_group, bucket_min, bucket_max, term_min, term_max,
@@ -567,16 +629,13 @@ class BM25Index:
         first_doc/last_doc column stats (full-range for indexes built
         before the last_doc column existed) and drive the doc-range
         shard pruning."""
-        import pyarrow.parquet as pq
-
         avgdl_now = self.manifest.avgdl
-        file_seg = getattr(self, "_post_file_seg", {})
         out: list[tuple] = []
         max_b = self.manifest.num_buckets - 1
-        for frag in self._postings_ds.get_fragments():
-            seg, baked = file_seg.get(frag.path, (0, avgdl_now))
+        for path in self._post_files:
+            seg, baked = self._post_file_seg[path]
             bf = max(1.0, avgdl_now / baked) if baked > 0 else 1.0
-            md = pq.ParquetFile(frag.path).metadata
+            md = self._parquet_file(path, "postings").metadata
             names = md.schema.to_arrow_schema().names
             b_idx = names.index("bucket")
             t_idx = names.index("term")
@@ -601,7 +660,7 @@ class BM25Index:
                             else 1 << 62)
                 else:
                     dmax = 1 << 62
-                out.append((frag.path, rg, bmin, bmax, tmin, tmax, seg, bf,
+                out.append((path, rg, bmin, bmax, tmin, tmax, seg, bf,
                             dmin, dmax))
         return out
 
@@ -609,36 +668,24 @@ class BM25Index:
         """Sum posting counts for ``missing`` terms over out-of-range row
         groups — (term, n) columns only, so global idf survives
         doc-range read pruning without touching blob bytes."""
-        import pyarrow.parquet as pq
-
-        def _one(pr):
-            path, rg = pr
-            t = pq.ParquetFile(path).read_row_group(
-                rg, columns=["term", "n"], use_threads=False)
-            return t.filter(pc.is_in(t["term"], value_set=pa.array(missing)))
-
-        if len(skipped) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(min(8, len(skipped))) as pool:
-                parts = list(pool.map(_one, skipped))
-        else:
-            parts = [_one(pr) for pr in skipped]
-        self.io_stats["df_row_groups_read"] += len(skipped)
+        value_set = pa.array(missing)
         for t in missing:
             self._df_global.setdefault(t, 0)
-        for p in parts:
-            if p.num_rows == 0:
-                continue
-            terms = p["term"].to_pylist()
-            ns = p["n"].to_numpy()
-            for term, n in zip(terms, ns):
+        for path, rg in skipped:
+            p = self._parquet_file(path, "postings").read_row_group(
+                rg, columns=["term", "n"], use_threads=False)
+            p = p.filter(pc.is_in(p["term"], value_set=value_set))
+            for term, n in zip(p["term"].to_pylist(), p["n"].to_numpy()):
                 self._df_global[term] += int(n)
+        self.io_stats["df_row_groups_read"] += len(skipped)
 
     def _decode_blocks_bulk(self, blocks: list[dict], idf: float) -> None:
-        """Decode posting blocks in place (memoized): ids, tf, dl and the
+        """Decode posting blocks in place (memoized): ids and the
         per-posting BM25 contribution ``scores`` = idf × wdl, in one
-        bulk varint pass (``codec.decode_posting_blocks``).
+        bulk varint pass (``codec.decode_posting_blocks``).  Only those
+        two arrays (16 B per posting) stay on the handle; tf and dl are
+        dropped once the scores are made (``PostingList`` decodes them
+        again from the blobs when a reader asks).
 
         INVARIANT: ``idf`` is the blocks' own term's ``_idf`` — the
         memo keeps the scores of the FIRST decode, so every caller
@@ -658,8 +705,6 @@ class BM25Index:
         for b in todo:
             s, e = e, e + b["n"]
             b["ids"] = ids[s:e]
-            b["tf"] = tf[s:e]
-            b["dl"] = dl[s:e]
             b["scores"] = scores_all[s:e]
 
     def _term_df(self, term: str) -> int:
@@ -1191,14 +1236,12 @@ class BM25Index:
         set — the hitToPdfMatch join's read half, public so renderers
         (pipelines/render.py) can pull evidence text for top-k docs.
         Returns (table, has_text)."""
-        import pyarrow.parquet as pq
-
         cols = ["doc_id", "url"]
         docs_schema = (self._docs_mem.schema if self._docs_mem is not None
-                       else self.docs.schema)
+                       else self._docs_schema)
         if not docs_schema.names:
-            # empty index: the docs dir has no fragments, so the dataset
-            # carries no schema — answer with the standard catalog shape
+            # empty index: no docs schema — answer with the standard
+            # catalog shape
             return pa.table({
                 "doc_id": pa.array([], type=pa.int64()),
                 "url": pa.array([], type=pa.string()),
@@ -1215,17 +1258,13 @@ class BM25Index:
             self._doc_rg_index = self._build_doc_rg_index()
         want = sorted(id_list)
         parts = []
-        open_files = self._pf_cache
         for path, rg, lo, hi in self._doc_rg_index:
             if any(lo <= d <= hi for d in want):
-                pf = open_files.get(path)
-                if pf is None:
-                    pf = open_files[path] = pq.ParquetFile(path)
-                    self.io_stats["docs_files_opened"] += 1
-                t = pf.read_row_group(rg, columns=cols)
+                t = self._parquet_file(path, "docs").read_row_group(
+                    rg, columns=cols)
                 self.io_stats["docs_row_groups_read"] += 1
                 parts.append(t.filter(pc.is_in(t["doc_id"], value_set=pa.array(want))))
-        dtbl = pa.concat_tables(parts) if parts else self.docs.schema.empty_table().select(cols)
+        dtbl = pa.concat_tables(parts) if parts else docs_schema.empty_table().select(cols)
         return dtbl, has_text
 
     def _hydrate_from_table(

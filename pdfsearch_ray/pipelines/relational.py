@@ -1157,12 +1157,13 @@ def order_value_pct_ranks(
     from ..functions.tables import typed_pandas
     agg = typed_pandas(agg, {
         "value_cents": "int64", "n_le": "int64", "n_total": "int64"})
-    agg = agg.sort_values("value_cents")
+    # one row per probe value, as the oracle gives: a probe no batch
+    # reported (an empty orders table has no batches) counts 0 of 0
+    agg = agg.set_index("value_cents").reindex(vals, fill_value=0)
     n_le = agg["n_le"].to_numpy().astype(np.int64)
     n_tot = agg["n_total"].to_numpy().astype(np.int64)
     return pa.table({
-        "value_cents": pa.array(agg["value_cents"].astype("int64"),
-                                type=pa.int64()),
+        "value_cents": pa.array(vals, type=pa.int64()),
         "n_le": pa.array(n_le, type=pa.int64()),
         "rank_bp": pa.array(
             10_000 * n_le // np.maximum(n_tot, 1), type=pa.int64()),

@@ -90,9 +90,11 @@ class IndexManifest:
 
         if not self.tombstones:
             return np.empty(0, dtype=np.int64)
+        # ParquetFile.read, not pq.read_table: the latter goes through
+        # pyarrow.dataset, which serving never imports
         parts = [
-            pq.read_table(f"{index_dir}/tombstones/{f}",
-                          columns=["doc_id"])["doc_id"].to_numpy()
+            pq.ParquetFile(f"{index_dir}/tombstones/{f}").read(
+                columns=["doc_id"])["doc_id"].to_numpy()
             for f in self.tombstones
         ]
         return np.unique(np.concatenate(parts)).astype(np.int64)

@@ -113,12 +113,22 @@ def test_agg_family_empty_corpus(ray_session, tmp_path):
         schema = pq.read_schema(os.path.join(schema_src, f))
         pq.write_table(schema.empty_table(), os.path.join(d, f))
 
+    import duckdb
+
     from pdfsearch_ray.pipelines.events import daily_event_deltas
     from pdfsearch_ray.pipelines.queries import rare_terms
-    from pdfsearch_ray.pipelines.relational import order_value_pct_ranks
+    from pdfsearch_ray.pipelines.relational import (order_value_pct_ranks,
+                                                    pct_ranks_sql)
     from pdfsearch_ray.pipelines.searchx import query_adjacency
 
-    assert order_value_pct_ranks(d).num_rows == 0
+    # one row per probe value with nothing below it, as the oracle says
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW orders AS SELECT * FROM "
+                f"read_parquet('{d}/orders.parquet')")
+    want = con.execute(pct_ranks_sql()).arrow().to_pylist()
+    assert len(want) == 3
+    assert all(r["n_le"] == 0 and r["rank_bp"] == 0 for r in want)
+    assert order_value_pct_ranks(d).to_pylist() == want
     assert daily_event_deltas(d).num_rows == 0
     assert rare_terms(d).num_rows == 0
     assert query_adjacency(d).num_rows == 0

@@ -156,6 +156,8 @@ def test_every_gate_survives_empty_corpus(ray_session, empty_sf_full):
         "champion_safety": 5, "index_stats": 1, "ir_eval": 5,
         "ndcg_eval": 5, "near_match_counts": 5,
         "phrase_match_counts": 6,
+        # one row per probe value, n_le = 0 (its oracle's answer)
+        "order_value_pct_ranks": 3,
     }
     failures = []
     for name, fn in sorted(RE.queries().items()):

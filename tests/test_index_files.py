@@ -6,7 +6,11 @@ base build, append segments, compaction) is written zstd-compressed at
 level 9, with row-group statistics only on the columns a reader prunes on
 and no dictionary over unique payloads.  Readers must not depend on that:
 indexes written with the old layout (Snappy, statistics and dictionary
-everywhere) keep serving, alone or mixed with new segments."""
+everywhere) keep serving, alone or mixed with new segments.
+
+A serving handle keeps only the ids and scores of each decoded posting,
+reads positions only when a reader asks for them, and imports neither
+build code nor ``pyarrow.dataset``."""
 
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ import textwrap
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from pdfsearch_ray.index.codec import INDEX_WRITE_OPTIONS
@@ -224,7 +229,8 @@ def test_opening_an_index_imports_no_build_code(ray_session, tmp_path):
         ms = idx.search({QUERIES[0]!r}, max_results=5)
         assert ms.matches and ms.matches[0].spans, "no hits with spans"
         print(json.dumps([m.doc_id for m in ms.matches]))
-        loaded = [m for m in ("pdfsearch_ray.pipelines.build", "ray.data")
+        loaded = [m for m in ("pdfsearch_ray.pipelines.build", "ray.data",
+                              "pyarrow.dataset")
                   if m in sys.modules]
         assert not loaded, loaded
     """)
@@ -234,3 +240,187 @@ def test_opening_an_index_imports_no_build_code(ray_session, tmp_path):
     got = json.loads(r.stdout.strip().splitlines()[-1])
     assert got == want
     assert not set(victims) & set(got)
+
+
+# -- what a serving handle keeps and reads --------------------------------
+
+
+def _segmented_index(tmp_path) -> str:
+    """A base, an appended segment and tombstones over them."""
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import (append_index, build_index,
+                                               delete_docs)
+
+    t = _corpus()
+    cut = int(t.num_rows * 0.6)
+    d = str(tmp_path / "idx")
+    build_index(rd.from_arrow(t.slice(0, cut)), d, num_buckets=4,
+                analyzer="en", url_col="url", lang_col="lang")
+    append_index(rd.from_arrow(t.slice(cut)), d, url_col="url",
+                 lang_col="lang")
+    assert delete_docs(d, doc_ids=_victims(d, 5))["n_new"] == 5
+    return d
+
+
+def _segment_dirs(index_dir: str) -> list[str]:
+    from pdfsearch_ray.state.manifest import IndexManifest
+
+    m = IndexManifest.load(index_dir)
+    return [index_dir] + [f"{index_dir}/segments/{s['name']}"
+                          for s in m.segments if s["name"] != "base"]
+
+
+def _full_read_reference(segment_dirs: list[str], term: str) -> dict:
+    """ids, tf, dl and per-posting positions of ``term`` from a read of
+    every posting column, blocks in (salt, segment, block) order."""
+    from pdfsearch_ray.index.codec import (decode_positions,
+                                           decode_posting_blocks)
+
+    parts = []
+    for seg, d in enumerate(segment_dirs):
+        for f in sorted(glob.glob(f"{d}/postings/*.parquet")):
+            t = pq.ParquetFile(f).read()
+            t = t.filter(pc.equal(t["term"], term))
+            parts.append(t.append_column(
+                "seg", pa.array([seg] * t.num_rows, pa.int32())))
+    t = pa.concat_tables(parts).sort_by(
+        [("salt", "ascending"), ("seg", "ascending"),
+         ("block_id", "ascending")])
+    rows = t.to_pylist()
+    ids, tf, dl = decode_posting_blocks(
+        *([r[k] for r in rows]
+          for k in ("first_doc", "n", "doc_blob", "tf_blob", "dl_blob")))
+    positions = [p for r in rows for p in decode_positions(r["pos_blob"],
+                                                           r["n"])]
+    return {"ids": ids, "tf": tf, "dl": dl, "positions": positions}
+
+
+def _assert_posting_readers_match(idx, segment_dirs: list[str]) -> None:
+    terms = sorted({t for q in QUERIES for t in idx.query_terms(q)})
+    posts = idx.postings(terms)
+    checked = 0
+    for term, p in posts.items():
+        if p.df == 0:
+            continue
+        ref = _full_read_reference(segment_dirs, term)
+        for key in ("ids", "tf", "dl"):
+            got = getattr(p, key)
+            assert got.dtype == np.uint64, (term, key, got.dtype)
+            np.testing.assert_array_equal(got, ref[key], err_msg=term)
+        cands = np.unique(ref["ids"])[::2]
+        keys = []
+        for doc, pos in zip(ref["ids"], ref["positions"]):
+            code = np.searchsorted(cands, doc)
+            if code < cands.size and cands[code] == doc:
+                keys += [(int(code) << 32) | int(x) for x in pos]
+        np.testing.assert_array_equal(p.position_keys(cands),
+                                      np.asarray(keys, dtype=np.uint64),
+                                      err_msg=term)
+        dl_by_doc = dict(zip(ref["ids"].tolist(), ref["dl"].tolist()))
+        np.testing.assert_array_equal(
+            p.dl_of(cands), [float(dl_by_doc[c]) for c in cands.tolist()])
+        checked += 1
+    assert checked >= 5
+
+
+def test_posting_readers_equal_a_full_column_read(ray_session, tmp_path):
+    """PostingList tf, dl, dl_of and position_keys (decoded from the
+    blobs and read on demand) equal a decode of every posting column,
+    on a segmented and tombstoned index, on an in-memory index and on
+    an old-layout index."""
+    from pdfsearch_ray.pipelines.query import BM25Index
+    from pdfsearch_ray.state.manifest import IndexManifest
+
+    d = _segmented_index(tmp_path)
+    _assert_posting_readers_match(BM25Index(d), _segment_dirs(d))
+
+    mem = BM25Index.from_tables(
+        IndexManifest.load(d),
+        pa.concat_tables(pq.ParquetFile(f).read() for f in
+                         sorted(glob.glob(f"{d}/postings/*.parquet"))),
+        pa.concat_tables(pq.ParquetFile(f).read() for f in
+                         sorted(glob.glob(f"{d}/docs/*.parquet"))))
+    _assert_posting_readers_match(mem, [d])
+
+    for seg_dir in _segment_dirs(d):
+        for kind in ("docs", "postings"):
+            _rewrite_old_layout(f"{seg_dir}/{kind}")
+    assert pq.ParquetFile(_committed_files(d)["postings"][0]).metadata \
+        .row_group(0).column(0).compression == "SNAPPY"
+    _assert_posting_readers_match(BM25Index(d), _segment_dirs(d))
+
+
+def test_serving_handle_keeps_ids_and_scores_only(ray_session, tmp_path,
+                                                  monkeypatch):
+    """After a batch of searches on every scoring path no cached block
+    holds decoded tf or dl, or a position blob; reading them through a
+    PostingList does not put them on the handle either.  A cold read
+    starts no thread, and position reads are counted apart from the
+    scoring read."""
+    import threading
+
+    from pdfsearch_ray.pipelines.query import BM25Index
+
+    d = _segmented_index(tmp_path)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    idx = BM25Index(d)
+    for q in QUERIES:
+        for method in ("taat", "maxscore", "auto"):
+            idx.search(q, max_results=5, method=method)
+        idx.topk_in_range(q, 5, 0, 300)
+    shard = BM25Index(d, doc_range=(0, 200))
+    for q in QUERIES:
+        shard.topk_in_range(q, 5, 0, 200)
+    assert started == []
+    assert shard.io_stats["df_row_groups_read"] > 0
+
+    def held(handle) -> set[str]:
+        return {k for blocks in handle._term_cache.values()
+                for b in blocks for k in b}
+
+    assert "ids" in held(idx) and "scores" in held(idx)
+    assert not held(idx) & {"tf", "dl", "pos_blob"}
+    stats = dict(idx.io_stats)
+    assert stats["positions_row_groups_read"] == 0
+    assert stats["postings_bytes_read"] > 0
+
+    for term, p in idx.postings(idx.query_terms(QUERIES[0])).items():
+        assert p.tf.size == p.dl.size == p.ids.size > 0
+        assert p.position_keys(np.unique(p.ids)).size >= p.tf.sum()
+    assert not held(idx) & {"tf", "dl", "pos_blob"}
+    assert idx.io_stats["positions_row_groups_read"] > 0
+    for key in ("postings_row_groups_read", "postings_bytes_read"):
+        assert idx.io_stats[key] == stats[key], key
+
+
+def test_scoring_never_reads_positions(ray_session, tmp_path):
+    """A corrupt position blob fails a checksum-verifying handle (the
+    block crc covers all four blobs), while a plain handle serves every
+    search, spans included, because spans come from the doc text."""
+    import pytest
+
+    from pdfsearch_ray.pipelines.query import BM25Index, CorruptIndexError
+
+    d = _segmented_index(tmp_path)
+    want = {q: [(m.doc_id, m.score, m.spans) for m in
+                BM25Index(d).search(q, max_results=5).matches]
+            for q in QUERIES}
+    f = _committed_files(d)["postings"][0]
+    t = pq.ParquetFile(f).read()
+    blobs = t["pos_blob"].to_pylist()
+    blobs = [bytes([b[0] ^ 0x55]) + b[1:] for b in blobs]
+    t = t.set_column(t.schema.get_field_index("pos_blob"), "pos_blob",
+                     pa.array(blobs, type=pa.large_binary()))
+    pq.write_table(t, f)
+
+    idx = BM25Index(d)
+    for q in QUERIES:
+        got = [(m.doc_id, m.score, m.spans)
+               for m in idx.search(q, max_results=5).matches]
+        assert got == want[q], q
+    with pytest.raises(CorruptIndexError, match="checksum mismatch"):
+        BM25Index(d, verify_checksums=True).postings(t["term"].to_pylist())

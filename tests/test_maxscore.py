@@ -227,3 +227,53 @@ def test_maxscore_concentrated_top_contributions(ray_session, tmp_path):
                     with_spans=False, method="maxscore")
     assert len(ms.matches) == 10
     assert sum(1 for m in ms.matches if m.doc_id >= 5) == 5
+
+
+def test_forced_maxscore_equals_taat_on_appended_tombstoned_index(
+        ray_session, tmp_path):
+    """Forced MaxScore on a segmented, tombstoned index: the fixture
+    generator's pages as the base, an appended segment that repeats one
+    small-vocabulary text (a mass tie that straddles the two segments'
+    docID runs) plus fresh pages, and 1% of the ids deleted.  Every
+    top-10 (doc_id, score) equals the TAAT top-10."""
+    import random
+
+    import pyarrow as pa
+
+    import ray.data as rd
+
+    from pdfsearch_ray.fixtures.gen import WORDS, generate_pages
+    from pdfsearch_ray.pipelines.build import (append_index, build_index,
+                                               delete_docs)
+    from pdfsearch_ray.pipelines.query import BM25Index
+
+    pages = generate_pages(2400)
+    texts = pages["text"].to_pylist()
+    tie = "data stream window merge join query"
+    base = texts[:1600] + [tie] * 200
+    delta = texts[1600:] + [tie] * 300
+    n_docs = len(base) + len(delta)
+    d = str(tmp_path / "idx")
+    build_index(rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(len(base)), pa.int64()),
+        "text": pa.array(base)})), d, analyzer="en", num_buckets=4)
+    append_index(rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(len(base), n_docs), pa.int64()),
+        "text": pa.array(delta)})), d)
+    rng = random.Random(7)
+    victims = sorted(rng.sample(range(n_docs), n_docs // 100))
+    assert delete_docs(d, doc_ids=victims)["n_new"] == len(victims)
+
+    vocab = sorted(set(WORDS))
+    queries = [tie, "data", "stream window"] + [
+        " ".join(rng.sample(vocab, rng.randint(2, 4))) for _ in range(40)]
+    idx = BM25Index(d)
+    assert len(idx.manifest.segments) >= 2 and idx.live_mask(
+        np.asarray(victims, dtype=np.uint64)).sum() == 0
+    for q in queries:
+        ids, sc = idx.score_terms(idx.query_terms(q))
+        top = np.lexsort((ids, -sc))[:10]
+        want = list(zip(ids[top].tolist(), sc[top].tolist()))
+        ms = idx.search(q, max_results=10, with_spans=False,
+                        method="maxscore")
+        assert [(m.doc_id, m.score) for m in ms.matches] == want, q
