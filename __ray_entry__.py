@@ -320,6 +320,8 @@ def _unit_topk_oracle():
 def queries() -> dict[str, Callable[[str], Any]]:
     from pdfsearch_ray.pipelines import queries as q
 
+    # A consumer may check only the first 50 keys: the flagship search,
+    # index-lifecycle and serving gates come first.
     return {
         "term_df": q.term_df,
         "top_terms": q.top_terms,
@@ -332,13 +334,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "fulltext_topk": q.fulltext_topk,
         "fulltext_topk_simple": q.fulltext_topk_simple,
         "unit_topk": q.unit_topk,
+        "merged_index_topk": _merge().merged_index_topk,
+        "compacted_index_topk": _merge().compacted_index_topk,
+        "federated_topk": _merge().federated_topk,
+        "shard_selected_topk": _merge().shard_selected_topk,
+        "search_after": _searchx().search_after,
+        "snapshot_diff": _webops().snapshot_diff,
         "fuzzy_topk": _expand().fuzzy_topk,
         "prefix_topk": _expand().prefix_topk,
         "wildcard_topk": _expand().wildcard_topk,
         "regexp_topk": _expand().regexp_topk,
         "term_range_topk": _expand().term_range_topk,
         "rm3_topk": _expand().rm3_topk,
-        "quality_signals": _quality_signals,
         "compound_split_topk": _expand().compound_split_topk,
         "bm25_and_topk": _boolquery().bm25_and_topk,
         "bm25_not_topk": _boolquery().bm25_not_topk,
@@ -354,19 +361,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "vsm_lnc_ltc_topk": _vsm().vsm_lnc_ltc_topk,
         "lm_dirichlet_topk": _vsm().lm_dirichlet_topk,
         "dfr_pl2_topk": _dfr().dfr_pl2_topk,
-        "geo_knn": _geo().geo_knn,
-        "geo_grid": _geo().geo_grid,
         "blockjoin_topk": _blockjoin().blockjoin_topk,
-        "ndcg_eval": _ireval().ndcg_eval,
         "snippet_windows": _snippets().snippet_windows,
-        "query_clarity": _qpp().query_clarity,
         "rocchio_dense_topk": _densefb().rocchio_dense_topk,
         "ltr_rerank_topk": _ltr().ltr_rerank_topk,
         "ordered_span_topk": _boolquery().ordered_span_topk,
         "span_not_topk": _boolquery().span_not_topk,
-        "quality_classifier": __import__(
-            "pdfsearch_ray.pipelines.textstats",
-            fromlist=["quality_classifier"]).quality_classifier,
         "nextword_phrase_topk": _nextword().nextword_phrase_topk,
         "querystring_topk": _querystring().querystring_topk,
         "champion_safety": _prune().champion_safety,
@@ -376,10 +376,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "boosted_topk": _scorequery().boosted_topk,
         "synonym_topk": _scorequery().synonym_topk,
         "recency_boost_topk": _scorequery().recency_boost_topk,
-        "merged_index_topk": _merge().merged_index_topk,
-        "compacted_index_topk": _merge().compacted_index_topk,
-        "federated_topk": _merge().federated_topk,
-        "shard_selected_topk": _merge().shard_selected_topk,
+        "quality_signals": _quality_signals,
+        "geo_knn": _geo().geo_knn,
+        "geo_grid": _geo().geo_grid,
+        "ndcg_eval": _ireval().ndcg_eval,
+        "query_clarity": _qpp().query_clarity,
+        "quality_classifier": __import__(
+            "pdfsearch_ray.pipelines.textstats",
+            fromlist=["quality_classifier"]).quality_classifier,
         "routed_lang_topk": _merge().routed_lang_topk,
         "hybrid_rrf_topk": _hybrid().hybrid_rrf_topk,
         "hybrid_interp_topk": _hybrid().hybrid_interp_topk,
@@ -391,7 +395,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ir_eval": _ireval().ir_eval,
         "facet_counts": _searchx().facet_counts,
         "mlt_topk": _searchx().mlt_topk,
-        "search_after": _searchx().search_after,
         "filtered_topk": _searchx().filtered_topk,
         "field_sorted_topk": _searchx().field_sorted_topk,
         "spell_suggest": _searchx().spell_suggest,
@@ -406,7 +409,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "url_dedup": _webops().url_dedup,
         "docid_remap": _webops().docid_remap,
         "cdc_chunk_stats": _webops().cdc_chunk_stats,
-        "snapshot_diff": _webops().snapshot_diff,
         "unimax_mix": q.unimax_mix,
         "shard_layout": q.shard_layout,
         "domain_stats": _webops().domain_stats,

@@ -35,6 +35,7 @@ import pyarrow.parquet as pq
 
 from ..analysis.analyzer import analyze_en, get_analyzer
 from ..functions.hashing import fnv1a64_str
+from ..index.arrays import _np, _pa, _pa_str
 from ..index.codec import (bm25_idf, bm25_wdl, decode_positions,
                            decode_posting_blocks, varint_decode)
 from ..state.manifest import IndexManifest
@@ -134,38 +135,31 @@ def line_number(text: str, offset: int, starts: np.ndarray | None = None
 
 def _aggregate_scores(all_ids: np.ndarray,
                       all_sc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group-sum scores by doc id.
+    """Group-sum scores by doc id → (sorted unique ids, summed scores).
 
-    Large inputs use pandas ``factorize`` (hash table, O(n)) instead of
-    ``np.unique`` (argsort, O(n log n)) — measured ~2× on the 1-2M-row
-    aggregations behind heavy-query p95 — and ``np.bincount`` instead of
-    the buffered ``np.add.at``.  Both paths accumulate in input order,
-    so float rounding is identical and the rank-identity contract holds;
-    the returned ids are NOT sorted (no caller needs them sorted — top-k
-    selection lexsorts explicitly)."""
-    if all_ids.size == 0:
-        return all_ids, all_sc
-    if all_ids.size > 65536:
-        import pandas as pd
-
-        codes, uniq = pd.factorize(all_ids, sort=False)
-        scores = np.bincount(codes, weights=all_sc, minlength=len(uniq))
-        return np.asarray(uniq, dtype=all_ids.dtype), scores
+    One path at every size: ``np.unique(return_inverse=True)`` then
+    ``np.bincount(weights=...)``.  bincount adds each doc's
+    contributions in input order, as a sequential ``np.add.at`` would,
+    so float rounding is fixed by the callers' concatenation order and
+    the rank-identity contract holds.  A hash-based pandas
+    ``factorize`` gives bitwise-equal scores but does not pay for the
+    ~31 MB pandas import in every serving process: on a 4-CPU host, over
+    4 docID-sorted runs of partition-prefixed ids (median of 7), it took
+    3.2 / 71 / 209 ms at 100k / 1M / 2M postings against 4.3 / 54 /
+    124 ms here."""
     uniq, inv = np.unique(all_ids, return_inverse=True)
-    scores = np.zeros(uniq.size)
-    np.add.at(scores, inv, all_sc)
-    return uniq, scores
+    return uniq, np.bincount(inv, weights=all_sc, minlength=uniq.size)
 
 
 def _matching_rows(t: pa.Table, terms: pa.Array, src: int) -> pa.Table:
     """The rows of posting table ``t`` whose term is in ``terms``, each
     tagged with ``src`` (the index of the read ``t`` came from) and its
     row number in ``t`` — where its position blob can be read again."""
-    rows = np.flatnonzero(pc.is_in(t["term"], value_set=terms).to_numpy())
-    t = t.take(pa.array(rows, pa.int64()))
-    return (t.append_column("src", pa.array(np.full(rows.size, src,
-                                                    dtype=np.int32)))
-            .append_column("row", pa.array(rows, pa.int64())))
+    rows = pc.indices_nonzero(pc.is_in(t["term"], value_set=terms))
+    return (t.take(rows)
+            .append_column("src", _pa(np.full(len(rows), src,
+                                              dtype=np.int32)))
+            .append_column("row", rows.cast(pa.int64())))
 
 
 @dataclass
@@ -485,7 +479,7 @@ class BM25Index:
             if "crc" in schema_names:
                 cols = cols + ["pos_blob", "crc"]
         check_crc = "crc" in cols
-        value_set = pa.array(missing)
+        value_set = _pa_str(missing)
         # where each read came from: None for the in-memory table, else
         # (path, row_group); blocks point into this list
         sources: list[tuple[str, int] | None]
@@ -532,10 +526,10 @@ class BM25Index:
                 # Cast unconditionally so all fragments concat-compatible.
                 t = t.set_column(
                     t.schema.get_field_index("max_wdl"), "max_wdl",
-                    pc.multiply(t["max_wdl"].cast(pa.float64()), bf))
+                    pc.multiply(t["max_wdl"].cast(pa.float64()),
+                                _pa(np.full(t.num_rows, bf))))
                 parts.append(t.append_column(
-                    "seg", pa.array(np.full(t.num_rows, seg,
-                                            dtype=np.int32))))
+                    "seg", _pa(np.full(t.num_rows, seg, dtype=np.int32))))
             self.io_stats["postings_row_groups_read"] += len(want)
             if not parts:
                 # nothing to decode — also covers an EMPTY index, which
@@ -550,18 +544,18 @@ class BM25Index:
             return
         if "seg" not in tbl.schema.names:  # mem index: single segment
             tbl = tbl.append_column(
-                "seg", pa.array(np.zeros(tbl.num_rows, dtype=np.int32)))
+                "seg", _pa(np.zeros(tbl.num_rows, dtype=np.int32)))
         tbl = tbl.sort_by([("term", "ascending"), ("salt", "ascending"),
                            ("seg", "ascending"),
                            ("block_id", "ascending")]).combine_chunks()
         terms_np = tbl["term"].to_pylist()
-        salts = tbl["salt"].to_numpy()
-        segs = tbl["seg"].to_numpy()
-        firsts = tbl["first_doc"].to_numpy()
-        ns = tbl["n"].to_numpy()
-        maxw = tbl["max_wdl"].to_numpy()
-        srcs = tbl["src"].to_numpy()
-        rows = tbl["row"].to_numpy()
+        salts = _np(tbl["salt"])
+        segs = _np(tbl["seg"])
+        firsts = _np(tbl["first_doc"])
+        ns = _np(tbl["n"])
+        maxw = _np(tbl["max_wdl"])
+        srcs = _np(tbl["src"])
+        rows = _np(tbl["row"])
         doc_b = tbl["doc_blob"].to_pylist()
         tf_b = tbl["tf_blob"].to_pylist()
         dl_b = tbl["dl_blob"].to_pylist()
@@ -569,7 +563,7 @@ class BM25Index:
             from zlib import crc32
 
             pos_b = tbl["pos_blob"].to_pylist()
-            crcs = tbl["crc"].to_numpy()
+            crcs = _np(tbl["crc"])
             for i in range(len(terms_np)):
                 got = crc32(pos_b[i],
                             crc32(dl_b[i], crc32(tf_b[i], crc32(doc_b[i]))))
@@ -610,7 +604,8 @@ class BM25Index:
                 col = self._parquet_file(path, "postings").read_row_group(
                     rg, columns=["pos_blob"], use_threads=False)["pos_blob"]
                 self.io_stats["positions_row_groups_read"] += 1
-            rows = pa.array([blocks[i]["row"] for i in idxs], pa.int64())
+            rows = _pa(np.array([blocks[i]["row"] for i in idxs],
+                                dtype=np.int64))
             for i, blob in zip(idxs, col.take(rows).to_pylist()):
                 out[i] = blob
         return out
@@ -668,14 +663,14 @@ class BM25Index:
         """Sum posting counts for ``missing`` terms over out-of-range row
         groups — (term, n) columns only, so global idf survives
         doc-range read pruning without touching blob bytes."""
-        value_set = pa.array(missing)
+        value_set = _pa_str(missing)
         for t in missing:
             self._df_global.setdefault(t, 0)
         for path, rg in skipped:
             p = self._parquet_file(path, "postings").read_row_group(
                 rg, columns=["term", "n"], use_threads=False)
             p = p.filter(pc.is_in(p["term"], value_set=value_set))
-            for term, n in zip(p["term"].to_pylist(), p["n"].to_numpy()):
+            for term, n in zip(p["term"].to_pylist(), _np(p["n"])):
                 self._df_global[term] += int(n)
         self.io_stats["df_row_groups_read"] += len(skipped)
 
@@ -1240,31 +1235,32 @@ class BM25Index:
         docs_schema = (self._docs_mem.schema if self._docs_mem is not None
                        else self._docs_schema)
         if not docs_schema.names:
-            # empty index: no docs schema — answer with the standard
-            # catalog shape
-            return pa.table({
-                "doc_id": pa.array([], type=pa.int64()),
-                "url": pa.array([], type=pa.string()),
-                "text": pa.array([], type=pa.string()),
-            }).select(cols + ["text"] if with_text else cols), True
+            # empty index: no docs files and so no schema — no row group
+            # matches below, and the answer has the standard catalog shape
+            docs_schema = pa.schema([("doc_id", pa.int64()),
+                                     ("url", pa.string()),
+                                     ("text", pa.string())])
         has_text = "text" in docs_schema.names
         if has_text and with_text:
             cols.append("text")
+        want = sorted(id_list)
+        value_set = _pa(np.array(want, dtype=np.int64))
         if self._docs_mem is not None:
             return self._docs_mem.filter(
-                pc.is_in(self._docs_mem["doc_id"], value_set=pa.array(id_list))
+                pc.is_in(self._docs_mem["doc_id"], value_set=value_set)
             ).select(cols), has_text
         if self._doc_rg_index is None:
             self._doc_rg_index = self._build_doc_rg_index()
-        want = sorted(id_list)
         parts = []
         for path, rg, lo, hi in self._doc_rg_index:
             if any(lo <= d <= hi for d in want):
                 t = self._parquet_file(path, "docs").read_row_group(
                     rg, columns=cols)
                 self.io_stats["docs_row_groups_read"] += 1
-                parts.append(t.filter(pc.is_in(t["doc_id"], value_set=pa.array(want))))
-        dtbl = pa.concat_tables(parts) if parts else docs_schema.empty_table().select(cols)
+                parts.append(t.filter(pc.is_in(t["doc_id"],
+                                               value_set=value_set)))
+        dtbl = pa.concat_tables(parts) if parts else pa.Table.from_batches(
+            [], schema=pa.schema([docs_schema.field(c) for c in cols]))
         return dtbl, has_text
 
     def _hydrate_from_table(

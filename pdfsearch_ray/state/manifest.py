@@ -88,13 +88,15 @@ class IndexManifest:
         import numpy as np
         import pyarrow.parquet as pq
 
+        from ..index.arrays import _np
+
         if not self.tombstones:
             return np.empty(0, dtype=np.int64)
         # ParquetFile.read, not pq.read_table: the latter goes through
         # pyarrow.dataset, which serving never imports
         parts = [
-            pq.ParquetFile(f"{index_dir}/tombstones/{f}").read(
-                columns=["doc_id"])["doc_id"].to_numpy()
+            _np(pq.ParquetFile(f"{index_dir}/tombstones/{f}").read(
+                columns=["doc_id"])["doc_id"])
             for f in self.tombstones
         ]
         return np.unique(np.concatenate(parts)).astype(np.int64)

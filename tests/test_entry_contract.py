@@ -33,3 +33,20 @@ def test_every_oracle_has_query(ray_session):
     # the only rows-only gates are the two media tensor pipelines
     assert sorted(set(qs) - set(sqls)) == [
         "media_features", "media_features_real"]
+
+
+# index-lifecycle and serving gates a consumer that checks only the first
+# 50 keys of queries() must still see
+WINDOW_GATES = ["merged_index_topk", "compacted_index_topk", "federated_topk",
+                "shard_selected_topk", "search_after", "snapshot_diff"]
+
+
+def test_lifecycle_and_serving_gates_in_first_50_keys(ray_session):
+    import sys
+
+    sys.path.insert(0, str(ENTRY.parent))
+    import __ray_entry__ as e
+
+    first = list(e.queries())[:50]
+    assert "bm25_topk" in first and "fulltext_topk" in first
+    assert [g for g in WINDOW_GATES if g not in first] == []

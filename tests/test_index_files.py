@@ -10,7 +10,7 @@ everywhere) keep serving, alone or mixed with new segments.
 
 A serving handle keeps only the ids and scores of each decoded posting,
 reads positions only when a reader asks for them, and imports neither
-build code nor ``pyarrow.dataset``."""
+build code, ``pyarrow.dataset`` nor pandas."""
 
 from __future__ import annotations
 
@@ -424,3 +424,59 @@ def test_scoring_never_reads_positions(ray_session, tmp_path):
         assert got == want[q], q
     with pytest.raises(CorruptIndexError, match="checksum mismatch"):
         BM25Index(d, verify_checksums=True).postings(t["term"].to_pylist())
+
+
+def test_serving_imports_no_pandas(ray_session, tmp_path):
+    """Serving converts between Arrow and numpy through buffers: no
+    search path, posting reader, checksum check or hydration of a local
+    handle imports pandas, and neither does a warmed QueryEngine or
+    ShardEngine replica."""
+    import ray
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import build_index
+    from pdfsearch_ray.pipelines.engine import QueryEngine, ShardEngine
+
+    d = _segmented_index(tmp_path)
+    empty = str(tmp_path / "empty")
+    build_index(rd.from_arrow(_corpus().slice(0, 0)), empty, num_buckets=4,
+                analyzer="en", url_col="url", lang_col="lang")
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        from pdfsearch_ray.pipelines.query import BM25Index
+        queries = {QUERIES!r}
+        idx = BM25Index({d!r})
+        for method in ("auto", "maxscore", "taat"):
+            for q in queries:
+                idx.search(q, max_results=5, method=method, with_spans=True)
+        shard = BM25Index({d!r}, doc_range=(0, 200))
+        for q in queries:
+            shard.topk_in_range(q, 5, 0, 200)
+        for p in idx.postings(idx.query_terms(queries[0])).values():
+            assert p.tf.size == p.dl.size == p.ids.size > 0
+            assert p.position_keys(np.unique(p.ids)).size >= p.tf.sum()
+        BM25Index({d!r}, verify_checksums=True).search(queries[0])
+        meta, _ = idx.fetch_doc_meta([0, 1, 2])
+        assert meta.num_rows > 0
+        assert BM25Index({empty!r}).search(queries[0]).total_matches == 0
+        assert "pandas" not in sys.modules, "serving imported pandas"
+    """)
+    r = subprocess.run([sys.executable, "-c", code], cwd=repo,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr[-2000:]
+
+    engine = QueryEngine.remote(d)
+    shard = ShardEngine.remote(d, 0, 200)
+    try:
+        ray.get([engine.warm.remote(QUERIES), shard.warm.remote(QUERIES)])
+        ray.get([engine.search.remote(q, max_results=5) for q in QUERIES]
+                + [shard.topk.remote(q, 5) for q in QUERIES])
+        loaded = ray.get([a.__ray_call__.remote(
+            lambda _self: "pandas" in sys.modules) for a in (engine, shard)])
+        assert loaded == [False, False]
+    finally:
+        for a in (engine, shard):
+            ray.kill(a)

@@ -1,6 +1,7 @@
 """Layering guards: ``pipelines/query.py`` is the only module that knows
-the posting-block layout, the decode memo and the tombstone array, and
-``index/codec.py`` is the only place that writes the BM25 formula."""
+the posting-block layout, the decode memo and the tombstone array,
+``index/codec.py`` is the only place that writes the BM25 formula, and
+the serving modules call none of pyarrow's pandas-backed converters."""
 
 import ast
 import re
@@ -86,3 +87,59 @@ def test_bm25_formula_written_once_in_codec():
     idf, wdl = _formula_sites()
     assert len(idf) == 1 and idf[0].startswith("index/codec.py"), idf
     assert len(wdl) == 1 and wdl[0].startswith("index/codec.py"), wdl
+
+
+# The serving path: what a QueryEngine / ShardEngine replica or a local
+# BM25Index imports and runs.  pyarrow's converters (``to_numpy``,
+# ``pa.array``, ``Schema.empty_table``) import pandas on first use, so
+# serving converts through buffers with the ``index/arrays.py`` helpers.
+SERVING = [PKG / "pipelines" / "query.py", PKG / "pipelines" / "engine.py",
+           PKG / "state" / "manifest.py", PKG / "index" / "codec.py",
+           PKG / "index" / "arrays.py",
+           *sorted((PKG / "analysis").glob("*.py"))]
+# where a converter call is allowed: the buffer helpers themselves and
+# search_to_table, a batch output rather than the serving path
+CONVERTER_ALLOWLIST = {"index/arrays.py:_np", "index/arrays.py:_pa",
+                       "index/arrays.py:_pa_str",
+                       "pipelines/query.py:BM25Index.search_to_table"}
+
+
+def _converter_sites(path: Path) -> list[str]:
+    """``where:qualname:line what`` of every pandas import and every
+    ``.to_numpy(`` / ``pa.array(`` / ``.empty_table(`` call in ``path``."""
+    where = str(path.relative_to(PKG))
+    hits: list[str] = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for n in ast.iter_child_nodes(node):
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                visit(n, f"{scope}.{n.name}" if scope else n.name)
+                continue
+            what = None
+            if isinstance(n, ast.Import) and any(
+                    a.name.split(".")[0] == "pandas" for a in n.names):
+                what = "import pandas"
+            elif (isinstance(n, ast.ImportFrom) and n.module
+                  and n.module.split(".")[0] == "pandas"):
+                what = "from pandas import"
+            elif isinstance(n, ast.Call) and isinstance(n.func,
+                                                        ast.Attribute):
+                f = n.func
+                if f.attr in ("to_numpy", "empty_table"):
+                    what = f".{f.attr}("
+                elif (f.attr == "array" and isinstance(f.value, ast.Name)
+                      and f.value.id == "pa"):
+                    what = "pa.array("
+            if what and f"{where}:{scope}" not in CONVERTER_ALLOWLIST:
+                hits.append(f"{where}:{scope}:{n.lineno} {what}")
+            visit(n, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return hits
+
+
+def test_serving_modules_use_no_pandas_backed_converter():
+    assert all(p.exists() for p in SERVING)
+    hits = [h for path in SERVING for h in _converter_sites(path)]
+    assert not hits, "pandas-backed conversion on the serving path:\n" + \
+        "\n".join(hits)

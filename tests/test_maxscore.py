@@ -277,3 +277,98 @@ def test_forced_maxscore_equals_taat_on_appended_tombstoned_index(
         ms = idx.search(q, max_results=10, with_spans=False,
                         method="maxscore")
         assert [(m.doc_id, m.score) for m in ms.matches] == want, q
+
+
+def test_aggregate_scores_equals_sequential_add_at():
+    """Above 65,536 postings (4 docID-sorted runs sharing ids, as a
+    4-term query concatenates them) the group-sum is bitwise equal to
+    a sequential ``np.add.at`` over the postings in input order."""
+    from pdfsearch_ray.pipelines.query import _aggregate_scores
+
+    rng = np.random.default_rng(5)
+    runs = [np.sort(rng.choice(30_000, 20_000, replace=False))
+            for _ in range(4)]
+    ids = np.concatenate(runs).astype(np.uint64)
+    sc = rng.random(ids.size) * 10.0 ** rng.integers(-3, 3, ids.size)
+    assert ids.size > 65_536
+
+    uniq, inv = np.unique(ids, return_inverse=True)
+    ref = np.zeros(uniq.size)
+    np.add.at(ref, inv, sc)
+
+    got_ids, got_sc = _aggregate_scores(ids, sc)
+    order = np.argsort(got_ids)
+    np.testing.assert_array_equal(got_ids[order], uniq)
+    assert got_sc[order].tobytes() == ref.tobytes()
+
+
+def test_forced_maxscore_equals_taat_above_65536_postings():
+    """A query over more than 65,536 postings on an in-memory index:
+    forced MaxScore gives the same top-10 (doc_id, score) as TAAT, and
+    both equal a sequential ``np.add.at`` over the postings in TAAT's
+    term order."""
+    import pyarrow as pa
+
+    from pdfsearch_ray.index.codec import bm25_idf, bm25_wdl, varint_encode
+    from pdfsearch_ray.pipelines.query import BM25Index
+    from pdfsearch_ray.state.manifest import IndexManifest
+
+    rng = np.random.default_rng(17)
+    n_docs, block = 40_000, 128
+    doc_dl = rng.integers(20, 300, n_docs)
+    manifest = IndexManifest(
+        n_docs=n_docs, avgdl=float(doc_dl.mean()),
+        total_tokens=int(doc_dl.sum()), analyzer="simple",
+        analyzer_version="t", k1=1.2, b=0.75, num_buckets=1,
+        block_size=block, salt_spec={})
+    rows = {k: [] for k in ("term", "block_id", "first_doc", "n", "doc_blob",
+                            "tf_blob", "dl_blob", "max_wdl")}
+    ref_ids, ref_sc = [], []
+    # sorted term order — the order TAAT accumulates in
+    for term, df, tf_hi in (("alpha", 30_000, 4), ("beta", 25_000, 6),
+                            ("delta", 200, 40), ("gamma", 15_000, 9)):
+        ids = np.sort(rng.choice(n_docs, df, replace=False)).astype(np.uint64)
+        tf = rng.integers(1, tf_hi, df).astype(np.uint64)
+        dl = doc_dl[ids.astype(np.int64)].astype(np.uint64)
+        wdl = bm25_wdl(tf, dl, manifest.k1, manifest.b, manifest.avgdl)
+        ref_ids.append(ids)
+        ref_sc.append(float(bm25_idf(n_docs, df)) * wdl)
+        for j, s in enumerate(range(0, df, block)):
+            e = min(s + block, df)
+            rows["term"].append(term)
+            rows["block_id"].append(j)
+            rows["first_doc"].append(int(ids[s]))
+            rows["n"].append(e - s)
+            rows["doc_blob"].append(varint_encode(np.diff(ids[s:e])))
+            rows["tf_blob"].append(varint_encode(tf[s:e]))
+            rows["dl_blob"].append(varint_encode(dl[s:e]))
+            rows["max_wdl"].append(float(wdl[s:e].max()))
+    n_blocks = len(rows["term"])
+    postings = pa.table({
+        "term": rows["term"],
+        "salt": pa.array([0] * n_blocks, pa.int32()),
+        "block_id": pa.array(rows["block_id"], pa.int32()),
+        "first_doc": pa.array(rows["first_doc"], pa.int64()),
+        "n": pa.array(rows["n"], pa.int32()),
+        **{k: pa.array(rows[k], pa.large_binary())
+           for k in ("doc_blob", "tf_blob", "dl_blob")},
+        "pos_blob": pa.array([b""] * n_blocks, pa.large_binary()),
+        "max_wdl": pa.array(rows["max_wdl"], pa.float64()),
+    })
+    docs = pa.table({"doc_id": pa.array(np.arange(n_docs), pa.int64()),
+                     "url": [f"u{i}" for i in range(n_docs)],
+                     "text": [""] * n_docs})
+    idx = BM25Index.from_tables(manifest, postings, docs)
+
+    ids = np.concatenate(ref_ids)
+    assert ids.size > 65_536
+    uniq, inv = np.unique(ids, return_inverse=True)
+    ref = np.zeros(uniq.size)
+    np.add.at(ref, inv, np.concatenate(ref_sc))
+    top = np.lexsort((uniq, -ref))[:10]
+    want = list(zip(uniq[top].tolist(), ref[top].tolist()))
+
+    q = "alpha beta gamma delta"
+    for method in ("taat", "maxscore"):
+        ms = idx.search(q, max_results=10, with_spans=False, method=method)
+        assert [(m.doc_id, m.score) for m in ms.matches] == want, method
