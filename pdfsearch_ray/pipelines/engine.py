@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import ray
 
-from .query import BM25Index, MatchSet
+from .query import BM25Index, MatchSet, select_topk
 
 
 @ray.remote
@@ -96,27 +96,26 @@ class QueryEngine:
 
 @ray.remote
 class ShardEngine:
-    """One doc-range scoring shard for scatter-gather serving: holds a
-    warm BM25Index handle OPENED WITH ITS DOC RANGE (round 4), so both
-    the posting READS and the block decodes touch only row groups whose
-    [first_doc, last_doc] span intersects the shard's slice — at scale
-    each shard's IO is ∝ its share of the long posting lists, not the
-    whole index.  df/idf stay global (a narrow term+n metadata read
-    covers the pruned row groups), so scores remain bitwise-identical
-    to unsharded TAAT."""
+    """One doc-range scoring shard for scatter-gather serving: a warm
+    BM25Index handle OPENED WITH ITS DOC RANGE, which owns the range —
+    ``topk`` scores only docs in [lo, hi), the posting READS touch only
+    row groups whose [first_doc, last_doc] span meets the range and the
+    scorer decodes only blocks that can hold an in-range doc, so at
+    scale each shard's IO is ∝ its share of the long posting lists.
+    df/idf stay global (a narrow term+n metadata read covers the pruned
+    row groups), so scores remain bitwise-identical to unsharded
+    TAAT."""
 
     def __init__(self, index_dir: str, lo: int, hi: int):
         self.idx = BM25Index(index_dir, doc_range=(int(lo), int(hi)))
-        self.lo, self.hi = int(lo), int(hi)
 
     def topk(self, query: str, max_results: int):
-        ids, sc, total = self.idx.topk_in_range(
-            query, max_results, self.lo, self.hi)
-        return ids, sc, total
+        """(doc_ids, scores, in-range total_matches), TAAT."""
+        return self.idx.topk(query, max_results)
 
     def warm(self, queries: list[str]) -> int:
         for q in queries:
-            self.idx.topk_in_range(q, 1, self.lo, self.hi)
+            self.idx.topk(q, 1)
         return self.idx.cached_terms()
 
     def io_stats(self) -> dict:
@@ -168,12 +167,11 @@ class ShardedEngine:
     """Scatter-gather serving over doc-range shards (the reference's
     single bleve handle scaled out; SURVEY §2.6 T1 as a fan-out).
 
-    Each query fans to every shard's ``topk_in_range`` (global idf —
-    scores are bitwise-identical to unsharded TAAT, so the merged
-    global top-k has identical ranks/scores; tested at 2 pool sizes in
-    tests/test_engine_pool.py), then the driver lexsort-merges the
-    K·shards candidates and hydrates only the final top-k through its
-    own handle."""
+    Each query fans to every shard's ``topk`` (global idf — scores are
+    bitwise-identical to unsharded TAAT, and the in-range totals add up
+    to the exact total_matches), then the driver merges the K·shards
+    candidates with ``select_topk`` — the selection every scorer uses —
+    and hydrates only the final top-k through its own handle."""
 
     def __init__(self, index_dir: str, n_shards: int = 4,
                  num_cpus: float = 1.0):
@@ -211,15 +209,14 @@ class ShardedEngine:
         out: list[MatchSet] = []
         for qi, q in enumerate(queries):
             parts = flat[qi * n_sh:(qi + 1) * n_sh]
-            ids = np.concatenate([p[0] for p in parts])
-            sc = np.concatenate([p[1] for p in parts])
-            ms = MatchSet()
-            ms.total_matches = int(sum(p[2] for p in parts))
-            if ids.size and max_results > 0:
-                order = np.lexsort((ids, -sc))[:max_results]
+            ids, sc = select_topk(np.concatenate([p[0] for p in parts]),
+                                  np.concatenate([p[1] for p in parts]),
+                                  max_results)
+            ms = MatchSet(total_matches=int(sum(p[2] for p in parts)))
+            if ids.size:
                 idx = self._local
-                ms.matches = idx.hydrate(idx.query_terms(q), ids[order],
-                                         sc[order], with_spans)
+                ms.matches = idx.hydrate(idx.query_terms(q), ids, sc,
+                                         with_spans)
             out.append(ms)
         return out
 

@@ -7,25 +7,39 @@ an analyzed OR-of-terms scored top-k (search_pdfs.go:176-194), then
 hydrate the top-k with doc metadata, phrase spans and line numbers
 (hitToPdfMatch, search_pdfs.go:330-366).
 
-Scoring is BM25 (k1/b from the manifest, Lucene-style idf
-``ln(1 + (N - df + 0.5)/(df + 0.5))``), term-at-a-time with vectorized
-numpy accumulation.  Determinism (rank-identity contract, SURVEY §7.1):
-query terms are processed in sorted unique order, postings per term in
-(salt, block_id) order, so float accumulation order is fixed; ties break
-(score desc, doc_id asc).
-
-Partition pruning: postings are keyed ``bucket = fnv1a64(term) % P``; a
+Posting access: postings are keyed ``bucket = fnv1a64(term) % P``; a
 query computes each term's bucket and reads only matching row groups,
 found from the files' footer statistics — the rebuild's version of the
-reference's term-dictionary probe (J3).  Reads are cached per term in
-the engine (unlike the reference, which reopens per-doc files on every
+reference's term-dictionary probe (J3).  Reads are cached per term on
+the handle (unlike the reference, which reopens per-doc files on every
 hit and documents that as inefficient at bleve_pdf.go:482-484).  The
 scoring read leaves the position blobs out; they are read per term on
 the first ``PostingList.position_keys`` call.
+
+Scoring is BM25 (k1/b from the manifest, ``index/codec.py``), one design
+on ``BM25Index``:
+
+* ``_runs`` turns the query terms into (term, salt, segment) runs with
+  their idf, blocks, block firsts and upper bound, in term-major order,
+  keeping only the blocks that can hold a doc in the handle's
+  ``doc_range``;
+* two consumers read the runs: exhaustive TAAT (``_score``) and
+  block-max MaxScore (``_maxscore``), which looks candidates up through
+  the one probe helper (``_probe``);
+* one live predicate (``live_mask``: not tombstoned and inside
+  ``doc_range``) and one top-k selection (``select_topk``, also the
+  ``ShardedEngine`` merge).
+
+``topk`` is the unhydrated answer; ``search`` is ``topk`` plus
+``hydrate``.  Determinism (rank-identity contract, SURVEY §7.1): every
+doc's score is summed in term-major run order whichever scorer, shard
+or range produced it, so scores are bitwise equal across all of them;
+ties break (score desc, doc_id asc).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +50,9 @@ import pyarrow.parquet as pq
 from ..analysis.analyzer import analyze_en, get_analyzer
 from ..functions.hashing import fnv1a64_str
 from ..index.arrays import _np, _pa, _pa_str
-from ..index.codec import (bm25_idf, bm25_wdl, decode_positions,
-                           decode_posting_blocks, varint_decode)
+from ..index.codec import (aggregate_scores, bm25_idf, bm25_wdl,
+                           decode_positions, decode_posting_blocks,
+                           varint_decode)
 from ..state.manifest import IndexManifest
 
 DEFAULT_MAX_RESULTS = 10  # DefaultMaxResults (index_search.go:54-59)
@@ -45,6 +60,10 @@ DEFAULT_MAX_RESULTS = 10  # DefaultMaxResults (index_search.go:54-59)
 # vectorized exhaustive pass beats pruning's bookkeeping (measured
 # crossover ~10^5-10^6 at sf0.1; conservative toward exact counts)
 AUTO_MAXSCORE_POSTINGS = 300_000
+# MaxScore's GROW phase folds its pending postings into one exact
+# aggregation once at least this many are pending (then on a doubling
+# schedule), so a mass-tie corpus gets a true k-th-total bound to stop on
+MAXSCORE_FOLD_POSTINGS = 1 << 19
 
 
 # ---------------------------------------------------------------- phrase kernels
@@ -133,22 +152,28 @@ def line_number(text: str, offset: int, starts: np.ndarray | None = None
     return ln + 1, text[int(starts[ln]) : end]
 
 
-def _aggregate_scores(all_ids: np.ndarray,
-                      all_sc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group-sum scores by doc id → (sorted unique ids, summed scores).
+def _kth(scores: np.ndarray, k: int) -> float:
+    """The k-th largest of ``scores``; -inf when there are fewer than k."""
+    if scores.size < k:
+        return -np.inf
+    return float(np.partition(scores, scores.size - k)[scores.size - k])
 
-    One path at every size: ``np.unique(return_inverse=True)`` then
-    ``np.bincount(weights=...)``.  bincount adds each doc's
-    contributions in input order, as a sequential ``np.add.at`` would,
-    so float rounding is fixed by the callers' concatenation order and
-    the rank-identity contract holds.  A hash-based pandas
-    ``factorize`` gives bitwise-equal scores but does not pay for the
-    ~31 MB pandas import in every serving process: on a 4-CPU host, over
-    4 docID-sorted runs of partition-prefixed ids (median of 7), it took
-    3.2 / 71 / 209 ms at 100k / 1M / 2M postings against 4.3 / 54 /
-    124 ms here."""
-    uniq, inv = np.unique(all_ids, return_inverse=True)
-    return uniq, np.bincount(inv, weights=all_sc, minlength=uniq.size)
+
+def select_topk(ids: np.ndarray, scores: np.ndarray,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The best ``k`` of (``ids``, ``scores``) ranked (score desc,
+    doc_id asc) — the one top-k selection of every scorer and of the
+    shard merge.  Every row tied with the k-th score survives the
+    partition, so the lexsort breaks ties by doc_id whatever the input
+    order."""
+    k = min(k, ids.size)
+    if k <= 0:
+        return ids[:0], scores[:0]
+    if ids.size > k * 8:
+        keep = scores >= _kth(scores, k)
+        ids, scores = ids[keep], scores[keep]
+    order = np.lexsort((ids, -scores))[:k]
+    return ids[order], scores[order]
 
 
 def _matching_rows(t: pa.Table, terms: pa.Array, src: int) -> pa.Table:
@@ -323,13 +348,13 @@ class BM25Index:
         self._docs_mem: pa.Table | None = None
         self._deleted: np.ndarray | None = None  # sorted tombstoned ids
         self.verify_checksums = verify_checksums
-        # doc-range-sharded handle (round 4): posting reads skip row
-        # groups whose [first_doc.min, last_doc.max] span misses the
-        # range, so a shard's IO ∝ its slice for long posting lists.
-        # df/idf stay GLOBAL (a cheap term+n metadata read covers the
-        # out-of-range row groups), so scores are bitwise-identical to
-        # the unsharded handle.  Use only via topk_in_range with the
-        # same range (engine.ShardEngine).
+        # doc-range handle: every answer (search, topk, score_terms)
+        # covers only doc_id ∈ [lo, hi).  Posting reads skip row groups
+        # whose [first_doc.min, last_doc.max] span misses the range and
+        # the scorers skip blocks outside it, so a shard's IO ∝ its
+        # slice for long posting lists.  df/idf stay GLOBAL (a cheap
+        # term+n metadata read covers the out-of-range row groups), so
+        # scores are bitwise-identical to the full handle's.
         self.doc_range = doc_range
         self._df_global: dict[str, int] = {}
         # open-handle / read accounting (F7 parity: the reference counts
@@ -389,6 +414,7 @@ class BM25Index:
             if tomb.size:
                 self._deleted = tomb.astype(np.uint64)
         self._term_cache: dict[str, list[dict]] = {}
+        self._term_runs: dict[str, list[dict]] = {}  # memo of _runs
         self._doc_rg_index: list[tuple[str, int, int, int]] | None = None
         self._bucket_frags: dict[int, list] | None = None
         from collections import OrderedDict
@@ -716,126 +742,121 @@ class BM25Index:
 
     # -- scoring -------------------------------------------------------
 
-    def _score(self, uniq_terms: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Exact TAAT disjunctive scoring → (doc_ids, scores).  Exhaustive:
-        used when exact total-match counts are required and for the test
-        oracle; decodes every block of every query term."""
-        id_parts: list[np.ndarray] = []
-        sc_parts: list[np.ndarray] = []
-        for t in uniq_terms:
-            blocks = self._term_cache.get(t, [])
-            idf = self._idf(t)
-            if idf == 0.0:
-                continue
-            self._decode_blocks_bulk(blocks, idf)
-            for b in blocks:
-                id_parts.append(b["ids"])
-                sc_parts.append(b["scores"])
-        if not id_parts:
-            return np.empty(0, dtype=np.uint64), np.empty(0)
-        all_ids = np.concatenate(id_parts)
-        all_sc = np.concatenate(sc_parts)
-        uniq, scores = _aggregate_scores(all_ids, all_sc)
-        if self._deleted is not None and uniq.size:
-            keep = ~np.isin(uniq, self._deleted)
-            uniq, scores = uniq[keep], scores[keep]
-        return uniq, scores
-
-    def _score_range(
-        self, uniq_terms: list[str], lo: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact TAAT restricted to doc_id ∈ [lo, hi) — the per-shard
-        scorer behind scatter-gather serving (engine.ShardedEngine,
-        SURVEY §2.6 T1 at scale).  Blocks outside the range are skipped
-        WITHOUT decoding: within a (salt, seg) run blocks are
-        docID-sorted, so block j covers [first_j, first_{j+1}).  idf
-        stays GLOBAL (the shard split is read-side only), so per-doc
-        scores are bitwise-identical to unsharded TAAT."""
-        id_parts: list[np.ndarray] = []
-        sc_parts: list[np.ndarray] = []
-        ulo, uhi = np.uint64(max(lo, 0)), np.uint64(max(hi, 0))
-        for t in uniq_terms:
-            blocks = self._term_cache.get(t, [])
-            idf = self._idf(t)
-            if idf == 0.0:
-                continue
-            selected: list[dict] = []
-            run_key = None
-            run: list[dict] = []
-
-            def flush(run: list[dict]) -> None:
-                for j, b in enumerate(run):
-                    b_lo = b["first_doc"]
-                    if b_lo >= hi:
-                        return  # docID-sorted: rest of run is past range
-                    if j + 1 < len(run) and run[j + 1]["first_doc"] <= lo:
-                        continue
-                    selected.append(b)
-
-            for b in blocks:
-                key = (b["salt"], b["seg"])
-                if key != run_key:
-                    if run:
-                        flush(run)
-                    run, run_key = [], key
-                run.append(b)
-            if run:
-                flush(run)
-            self._decode_blocks_bulk(selected, idf)
-            for b in selected:
-                ids = b["ids"]
-                m = (ids >= ulo) & (ids < uhi)
-                if m.all():
-                    id_parts.append(ids)
-                    sc_parts.append(b["scores"])
-                elif m.any():
-                    id_parts.append(ids[m])
-                    sc_parts.append(b["scores"][m])
-        if not id_parts:
-            return np.empty(0, dtype=np.uint64), np.empty(0)
-        all_ids = np.concatenate(id_parts)
-        all_sc = np.concatenate(sc_parts)
-        uniq, scores = _aggregate_scores(all_ids, all_sc)
-        if self._deleted is not None and uniq.size:
-            keep = ~np.isin(uniq, self._deleted)
-            uniq, scores = uniq[keep], scores[keep]
-        return uniq, scores
-
-    def topk_in_range(
-        self, query: str, max_results: int, lo: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Shard-local top-k: (doc_ids, scores, n_matched_in_range),
-        selection rule identical to search()'s (score desc, doc_id asc).
-        No hydration — the scatter-gather driver hydrates the merged
-        global top-k only."""
-        q_terms = self.query_terms(query)
-        uniq_terms = sorted(set(q_terms))
-        self._load_terms(uniq_terms)
-        ids, scores = self._score_range(uniq_terms, lo, hi)
-        total = int(ids.size)
-        if not ids.size or max_results <= 0:
-            return np.empty(0, dtype=np.uint64), np.empty(0), total
-        k = min(max_results, ids.size)
-        if ids.size > k * 8:
-            kth = np.partition(scores, ids.size - k)[ids.size - k]
-            mask = scores >= kth
-            ids, scores = ids[mask], scores[mask]
-        order = np.lexsort((ids, -scores))[:k]
-        return ids[order], scores[order], total
-
-    def _score_maxscore(
-        self, uniq_terms: list[str], k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized block-max MaxScore top-k (term-at-a-time pruning,
-        Buckley & Lewit 1985 / Turtle & Flood MaxScore).
-
-        Scoring units are (term, salt, segment) RUNS: a salted hot
-        term\'s postings are independent docID-sorted runs
+    def _runs(self, terms: list[str]) -> list[dict]:
+        """The scoring units of ``terms`` (sorted unique, loaded): one
+        run per (term, salt, segment), in term-major (salt, segment)
+        order — the order every scorer sums in.  A salted hot term's
+        postings are independent docID-sorted runs
         (stages/tokenize.py), docID order only holds within one append
-        segment, and a doc lives in exactly one run per term — so each
-        run is an independent disjunct with upper bound
-        idf × max(block max_wdl).  Runs are processed in DESCENDING
-        bound order in two phases:
+        segment, and a doc has at most one posting per run.
+
+        Each run carries its term's ``idf``, its ``blocks``, their
+        ``firsts`` (block j covers [firsts[j], firsts[j+1])), its
+        posting count ``n`` and its upper bound ``ub`` = idf × max
+        block max_wdl.  On a ``doc_range`` handle only the blocks that
+        can hold an in-range doc are kept, so the rest are never
+        decoded.  A term's runs are built once per handle."""
+        out = []
+        for t in terms:
+            runs = self._term_runs.get(t)
+            if runs is None:
+                runs = self._term_runs[t] = []
+                idf = self._idf(t)
+                if idf == 0.0:
+                    continue
+                by_run: dict[tuple[int, int], list[dict]] = {}
+                for b in self._term_cache[t]:
+                    by_run.setdefault((b["salt"], b["seg"]), []).append(b)
+                for blocks in by_run.values():
+                    if self.doc_range is not None:
+                        lo, hi = self.doc_range
+                        # past the range from the first block starting
+                        # at hi; before it while the next block starts
+                        # at or below lo
+                        blocks = [
+                            b for j, b in enumerate(blocks)
+                            if b["first_doc"] < hi
+                            and not (j + 1 < len(blocks)
+                                     and blocks[j + 1]["first_doc"] <= lo)]
+                        if not blocks:
+                            continue
+                    runs.append({
+                        "idf": idf, "blocks": blocks,
+                        "firsts": np.array([b["first_doc"] for b in blocks],
+                                           dtype=np.uint64),
+                        "n": sum(b["n"] for b in blocks),
+                        "ub": idf * max(b["max_wdl"] for b in blocks)})
+            out.extend(runs)
+        return out
+
+    def _decoded(self, run: dict) -> tuple[np.ndarray, np.ndarray]:
+        """A run's (ids, scores), docID-sorted, dead docs included."""
+        self._decode_blocks_bulk(run["blocks"], run["idf"])
+        return (np.concatenate([b["ids"] for b in run["blocks"]]),
+                np.concatenate([b["scores"] for b in run["blocks"]]))
+
+    def _live(self, ids: np.ndarray,
+              scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``ids`` and their ``scores`` where ``live_mask`` holds."""
+        if self._deleted is None and self.doc_range is None:
+            return ids, scores
+        keep = self.live_mask(ids)
+        return ids[keep], scores[keep]
+
+    def _probe(self, run: dict, ids: np.ndarray) -> np.ndarray:
+        """The contribution of ``run`` to each of ``ids``: the posting's
+        score where the doc has one in the run, else 0.0.
+
+        A per-block lookup pays a Python step per block an id falls in,
+        a whole-run lookup decodes every block: once the ids are as
+        many as the run's blocks they touch most blocks anyway, so the
+        whole run is decoded and looked up in one pass.  Fewer ids find
+        their blocks by ``firsts`` and only those blocks are decoded."""
+        out = np.zeros(ids.size)
+        if ids.size >= len(run["blocks"]):
+            rids, rsc = self._decoded(run)
+            pos = np.minimum(np.searchsorted(rids, ids), rids.size - 1)
+            hit = rids[pos] == ids
+            out[hit] = rsc[pos[hit]]
+            return out
+        bi = np.searchsorted(run["firsts"], ids,
+                             side="right").astype(np.int64) - 1
+        # group the ids by block with ONE stable sort + slices — a mask
+        # per block would cost O(ids × touched blocks)
+        vidx = np.nonzero(bi >= 0)[0]
+        vidx = vidx[np.argsort(bi[vidx], kind="stable")]
+        bsorted = bi[vidx]
+        starts = np.flatnonzero(np.diff(bsorted, prepend=-1))
+        blocks = [run["blocks"][x] for x in bsorted[starts]]
+        self._decode_blocks_bulk(blocks, run["idf"])
+        for blk, s0, s1 in zip(blocks, starts, [*starts[1:], vidx.size]):
+            ci = vidx[s0:s1]
+            pos = np.minimum(np.searchsorted(blk["ids"], ids[ci]),
+                             blk["n"] - 1)
+            hit = blk["ids"][pos] == ids[ci]
+            out[ci[hit]] = blk["scores"][pos[hit]]
+        return out
+
+    def _score(self, runs: list[dict]) -> tuple[np.ndarray, np.ndarray]:
+        """Exhaustive TAAT → (doc_ids, scores) of every live matching
+        doc, unranked: every block of every run decoded, the runs
+        concatenated in term-major order and group-summed."""
+        if not runs:
+            return np.empty(0, dtype=np.uint64), np.empty(0)
+        for r in runs:
+            self._decode_blocks_bulk(r["blocks"], r["idf"])
+        blocks = [b for r in runs for b in r["blocks"]]
+        return self._live(*aggregate_scores(
+            np.concatenate([b["ids"] for b in blocks]),
+            np.concatenate([b["scores"] for b in blocks])))
+
+    def _maxscore(self, runs: list[dict],
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized block-max MaxScore top-k (term-at-a-time pruning,
+        Buckley & Lewit 1985 / Turtle & Flood MaxScore) over ``runs``.
+
+        Each run is an independent disjunct with upper bound ``ub``.
+        Runs are processed in DESCENDING bound order in two phases:
 
         * GROW — runs are bulk-decoded and aggregated fully vectorized
           (exactly TAAT) while an unseen doc could still enter the top
@@ -844,51 +865,25 @@ class BM25Index:
           (score desc, doc_id asc) tie rule).
         * PROBE — once suffix_ub(i) < θ no unseen doc can reach the
           heap, so each remaining run is probed ONLY at the surviving
-          candidates: one searchsorted over block firsts finds each
-          candidate\'s block, only touched blocks are decoded, one
-          searchsorted per touched block resolves membership.
-          Candidates whose score + remaining bound < θ retire as runs
-          advance.  The heavy low-idf runs (the largest postings) sort
-          LAST and are never fully decoded — the point of the
-          per-block max_wdl metadata.
+          candidates (``_probe``: only the blocks they fall in are
+          decoded).  Candidates whose score + remaining bound < θ
+          retire as runs advance.  The heavy low-idf runs (the largest
+          postings) sort LAST and are never fully decoded — the point
+          of the per-block max_wdl metadata.
 
         Produces the same top-k, scores and tie order as exhaustive
         TAAT (every emitted candidate carries its exact final score and
-        the final selection uses the same lexsort); does NOT produce
+        the final pick is ``select_topk``); does NOT produce
         total-match counts.
         """
-        runs = []
-        for t in uniq_terms:
-            blocks = self._term_cache.get(t, [])
-            idf = self._idf(t)
-            if idf == 0.0:
-                continue
-            by_key: dict[tuple[int, int], list[dict]] = {}
-            for b in blocks:
-                by_key.setdefault((b["salt"], b.get("seg", 0)),
-                                  []).append(b)
-            for _key, bl in by_key.items():
-                firsts = np.array([b["first_doc"] for b in bl],
-                                  dtype=np.uint64)
-                ub = idf * max(b["max_wdl"] for b in bl)
-                runs.append({"idf": idf, "blocks": bl, "firsts": firsts,
-                             "ub": ub})
         if not runs:
             return np.empty(0, dtype=np.uint64), np.empty(0)
-        runs_term_order = list(runs)  # term-major, (salt, seg) order
-        runs.sort(key=lambda r: -r["ub"])
-        ubs = np.array([r["ub"] for r in runs])
+        by_bound = sorted(runs, key=lambda r: -r["ub"])
+        ubs = np.array([r["ub"] for r in by_bound])
         suffix = np.concatenate([np.cumsum(ubs[::-1])[::-1], [0.0]])
-        deleted = self._deleted
 
         cand_ids = np.empty(0, dtype=np.uint64)
         cand_sc = np.empty(0)
-
-        def _theta(sc: np.ndarray) -> float:
-            if sc.size < k:
-                return -np.inf
-            return float(np.partition(sc, sc.size - k)[sc.size - k])
-
         # GROW with a CHEAP θ lower bound so candidate parts are
         # aggregated exactly ONCE (per-run incremental merges over the
         # FULL candidate set made heavy queries O(runs × candidates) —
@@ -916,37 +911,28 @@ class BM25Index:
         # total fold cost O(final aggregation) while giving GROW a true
         # k-th-total bound to stop on.
         pend_total = 0
-        fold_at = max(1 << 19, 8 * k)
+        fold_at = max(MAXSCORE_FOLD_POSTINGS, 8 * k)
         # degenerate-corpus guard: when GROW has decoded most of the
         # posting mass and the bound still hasn't closed (flat scores —
         # e.g. every term in every doc, idf ≈ ε), block-max pruning
         # cannot win; stop paying per-run scoreboard/fold overhead and
         # finish exhaustively (exactly TAAT from here on)
-        total_postings = sum(b["n"] for r in runs for b in r["blocks"])
+        total_postings = sum(r["n"] for r in runs)
         decoded_total = 0
         i = 0
-        while i < len(runs) and suffix[i] >= theta_lower:
+        while i < len(by_bound) and suffix[i] >= theta_lower:
             if decoded_total > 0.6 * total_postings:
-                for r in runs[i:]:
-                    self._decode_blocks_bulk(r["blocks"], r["idf"])
-                    for b in r["blocks"]:
-                        ids_b, sc_b = b["ids"], b["scores"]
-                        if deleted is not None and ids_b.size:
-                            live = ~np.isin(ids_b, deleted)
-                            ids_b, sc_b = ids_b[live], sc_b[live]
-                        pend_ids.append(ids_b)
-                        pend_sc.append(sc_b)
-                i = len(runs)
+                for r in by_bound[i:]:
+                    ids_r, sc_r = self._live(*self._decoded(r))
+                    pend_ids.append(ids_r)
+                    pend_sc.append(sc_r)
+                i = len(by_bound)
                 break
-            r = runs[i]
-            self._decode_blocks_bulk(r["blocks"], r["idf"])
-            ids_new = np.concatenate([b["ids"] for b in r["blocks"]])
-            sc_new = np.concatenate([b["scores"] for b in r["blocks"]])
-            if deleted is not None and ids_new.size:
-                # tombstoned docs must not inflate θ (they would prune
-                # live docs); drop them before they become candidates
-                live = ~np.isin(ids_new, deleted)
-                ids_new, sc_new = ids_new[live], sc_new[live]
+            # dead docs (tombstoned or out of range) must not inflate θ
+            # (they would prune live docs): drop them before they
+            # become candidates
+            ids_new, sc_new = self._live(*self._decoded(by_bound[i]))
+            i += 1
             pend_ids.append(ids_new)
             pend_sc.append(sc_new)
             pend_total += int(ids_new.size)
@@ -957,7 +943,7 @@ class BM25Index:
                         sc_new.size - k:]
                 else:
                     sel = slice(None)
-                board_ids, board_sc = _aggregate_scores(
+                board_ids, board_sc = aggregate_scores(
                     np.concatenate([board_ids, ids_new[sel]]),
                     np.concatenate([board_sc, sc_new[sel]]))
                 if board_ids.size > board_cap:
@@ -965,143 +951,53 @@ class BM25Index:
                         board_sc, board_sc.size - board_cap)[
                         board_sc.size - board_cap:]
                     board_ids, board_sc = board_ids[keep], board_sc[keep]
-                if board_ids.size >= k:
-                    theta_lower = max(theta_lower, float(np.partition(
-                        board_sc, board_sc.size - k)[board_sc.size - k]))
+                theta_lower = max(theta_lower, _kth(board_sc, k))
             if pend_total >= fold_at:
-                pend_ids.insert(0, cand_ids)
-                pend_sc.insert(0, cand_sc)
-                cand_ids, cand_sc = _aggregate_scores(
-                    np.concatenate(pend_ids), np.concatenate(pend_sc))
+                cand_ids, cand_sc = aggregate_scores(
+                    np.concatenate([cand_ids, *pend_ids]),
+                    np.concatenate([cand_sc, *pend_sc]))
                 pend_ids, pend_sc = [], []
                 pend_total = 0
                 fold_at = max(fold_at, 2 * int(cand_ids.size))
-                th = _theta(cand_sc)
-                if np.isfinite(th):
-                    theta_lower = max(theta_lower, th)
-            i += 1
+                theta_lower = max(theta_lower, _kth(cand_sc, k))
         if pend_ids:
-            pend_ids.insert(0, cand_ids)
-            pend_sc.insert(0, cand_sc)
-            cand_ids, cand_sc = _aggregate_scores(
-                np.concatenate(pend_ids), np.concatenate(pend_sc))
-        theta = _theta(cand_sc)
+            cand_ids, cand_sc = aggregate_scores(
+                np.concatenate([cand_ids, *pend_ids]),
+                np.concatenate([cand_sc, *pend_sc]))
+        theta = _kth(cand_sc, k)
 
-        for j in range(i, len(runs)):
-            if cand_ids.size == 0:
-                break
+        for j in range(i, len(by_bound)):
             if np.isfinite(theta):
                 # retire candidates that cannot reach θ even with every
                 # remaining bound (>= keeps exact-θ ties alive)
                 keep = cand_sc + suffix[j] >= theta
                 cand_ids, cand_sc = cand_ids[keep], cand_sc[keep]
-                if cand_ids.size == 0:
-                    break
-            r = runs[j]
-            run_n = sum(b["n"] for b in r["blocks"])
-            if cand_ids.size > 2 * run_n:
-                # probing dominates when candidates outnumber the run's
-                # postings — decoding the whole run and intersecting is
-                # strictly cheaper.  Docs of this run that are NOT
-                # candidates stay excluded: by the probe-phase invariant
-                # any doc first seen now can total at most suffix[j] < θ
-                # and can never enter the top k.
-                self._decode_blocks_bulk(r["blocks"], r["idf"])
-                rids = np.concatenate([b["ids"] for b in r["blocks"]])
-                rsc = np.concatenate([b["scores"] for b in r["blocks"]])
-                pos = np.searchsorted(rids, cand_ids)
-                pos = np.minimum(pos, rids.size - 1)
-                hit = rids[pos] == cand_ids
-                if hit.any():
-                    cand_sc[hit] += rsc[pos[hit]]
-                theta = max(theta, _theta(cand_sc))
-                continue
-            bi = np.searchsorted(r["firsts"], cand_ids,
-                                 side="right").astype(np.int64) - 1
-            valid = bi >= 0
-            if not valid.any():
-                continue
-            # group candidates by block via ONE stable sort + slices —
-            # a per-block boolean mask would cost
-            # O(candidates × touched blocks)
-            vpos = np.nonzero(valid)[0]
-            order = np.argsort(bi[vpos], kind="stable")
-            vidx = vpos[order]
-            bsorted = bi[vidx]
-            touched = np.unique(bsorted)
-            bl = [r["blocks"][int(x)] for x in touched]
-            self._decode_blocks_bulk(bl, r["idf"])
-            starts = np.searchsorted(bsorted, touched, side="left")
-            ends = np.searchsorted(bsorted, touched, side="right")
-            for x, s0, s1 in zip(touched, starts, ends):
-                blk = r["blocks"][int(x)]
-                ci = vidx[s0:s1]
-                ids_q = cand_ids[ci]
-                pos = np.searchsorted(blk["ids"], ids_q)
-                pos = np.minimum(pos, blk["n"] - 1)
-                hit = blk["ids"][pos] == ids_q
-                if hit.any():
-                    cand_sc[ci[hit]] += blk["scores"][pos[hit]]
-            theta = max(theta, _theta(cand_sc))
+            if cand_ids.size == 0:
+                break
+            # docs of this run that are NOT candidates stay excluded: by
+            # the probe-phase invariant any doc first seen now can total
+            # at most suffix[j] < θ and can never enter the top k
+            cand_sc = cand_sc + self._probe(by_bound[j], cand_ids)
+            theta = max(theta, _kth(cand_sc, k))
 
         if cand_ids.size == 0:
             return cand_ids, cand_sc
-        # Final selection: pick a slack'd candidate head by the phased
-        # sums, then RECOMPUTE those docs' scores by probing every run
-        # in term-major order — the exact accumulation order TAAT uses —
-        # so the returned floats are bitwise identical to _score's (the
+        # Final pick: take a slack'd candidate head by the phased sums,
+        # then RECOMPUTE those docs' scores by probing every run in
+        # term-major order — the exact accumulation order TAAT uses — so
+        # the returned floats are bitwise identical to _score's (the
         # phased sums add runs in descending-bound order, which can
-        # differ by ulps and flip near-ties).  A doc is in exactly one
+        # differ by ulps and flip near-ties).  A doc is in at most one
         # run per term, and adding 0.0 for absent runs is exact, so the
         # per-doc addition sequence matches TAAT's bincount order.
         kk = min(k, cand_ids.size)
-        slack = min(cand_ids.size, kk * 4 + 16)
-        if cand_ids.size > slack:
-            kth = np.partition(cand_sc, cand_ids.size - slack)[
-                cand_ids.size - slack]
-            m = cand_sc >= kth
-            sel_ids = cand_ids[m]
-        else:
-            sel_ids = cand_ids
+        sel_ids = cand_ids
+        if cand_ids.size > kk * 4 + 16:
+            sel_ids = cand_ids[cand_sc >= _kth(cand_sc, kk * 4 + 16)]
         exact = np.zeros(sel_ids.size)
-        # the tie-safe >= selection is unbounded when scores mass-tie
-        # (degenerate small-vocabulary corpora): for large selections,
-        # probe whole runs vectorized (one searchsorted over the run's
-        # concatenated docID stream) instead of per-block — the blocks
-        # are already decoded in exactly those scenarios
-        big_sel = sel_ids.size > 1024
-        for r in runs_term_order:
-            if big_sel:
-                self._decode_blocks_bulk(r["blocks"], r["idf"])
-                rids = np.concatenate([b["ids"] for b in r["blocks"]])
-                rsc = np.concatenate([b["scores"] for b in r["blocks"]])
-                pos = np.searchsorted(rids, sel_ids)
-                pos = np.minimum(pos, rids.size - 1)
-                hit = rids[pos] == sel_ids
-                contrib = np.zeros(sel_ids.size)
-                contrib[hit] = rsc[pos[hit]]
-                exact += contrib
-                continue
-            bi = np.searchsorted(r["firsts"], sel_ids,
-                                 side="right").astype(np.int64) - 1
-            valid = bi >= 0
-            if not valid.any():
-                continue
-            contrib = np.zeros(sel_ids.size)
-            for x in np.unique(bi[valid]):
-                blk = r["blocks"][int(x)]
-                self._decode_blocks_bulk([blk], r["idf"])
-                sel = valid & (bi == x)
-                ids_q = sel_ids[sel]
-                pos = np.searchsorted(blk["ids"], ids_q)
-                pos = np.minimum(pos, blk["n"] - 1)
-                hit = blk["ids"][pos] == ids_q
-                c = np.zeros(ids_q.size)
-                c[hit] = blk["scores"][pos[hit]]
-                contrib[sel] = c
-            exact += contrib
-        order = np.lexsort((sel_ids, -exact))[:kk]
-        return sel_ids[order], exact[order]
+        for r in runs:
+            exact += self._probe(r, sel_ids)
+        return select_topk(sel_ids, exact, kk)
 
     # -- public API ----------------------------------------------------
 
@@ -1116,7 +1012,7 @@ class BM25Index:
         analysis, which would re-stem or split the raw pattern."""
         uniq = sorted(set(terms))
         self._load_terms(uniq)
-        return self._score(uniq)
+        return self._score(self._runs(uniq))
 
     def postings(self, terms) -> dict[str, PostingList]:
         """term -> PostingList for each of ``terms``, all loaded in one
@@ -1132,10 +1028,16 @@ class BM25Index:
         return self._idf(term)
 
     def live_mask(self, ids: np.ndarray) -> np.ndarray:
-        """True where a doc id is not tombstoned."""
-        if self._deleted is None:
-            return np.ones(len(ids), dtype=bool)
-        return ~np.isin(ids, self._deleted)
+        """True where a doc id is live on this handle: not tombstoned
+        and inside its ``doc_range``."""
+        ids = np.asarray(ids)
+        keep = np.ones(ids.size, dtype=bool)
+        if self.doc_range is not None:
+            lo, hi = (ids.dtype.type(max(x, 0)) for x in self.doc_range)
+            keep &= (ids >= lo) & (ids < hi)
+        if self._deleted is not None:
+            keep &= ~np.isin(ids, self._deleted)
+        return keep
 
     def cached_terms(self) -> int:
         """Number of terms whose posting blocks the handle holds."""
@@ -1148,6 +1050,29 @@ class BM25Index:
             return [tok.term for tok in analyze_en(query)]
         return self.analyze(query)
 
+    def topk(self, query: str, max_results: int,
+             method: str = "taat") -> tuple[np.ndarray, np.ndarray, int]:
+        """The analyzed query's top ``max_results`` inside the handle's
+        ``doc_range``, without hydration: (doc_ids, scores,
+        total_matches), ranked (score desc, doc_id asc).  ``method`` and
+        ``total_matches`` are as in ``search``."""
+        return self._topk(self.query_terms(query), max_results, method)
+
+    def _topk(self, q_terms: list[str], max_results: int,
+              method: str) -> tuple[np.ndarray, np.ndarray, int]:
+        uniq_terms = sorted(set(q_terms))
+        self._load_terms(uniq_terms)
+        runs = self._runs(uniq_terms)
+        if method == "auto":
+            method = ("maxscore" if sum(r["n"] for r in runs)
+                      > AUTO_MAXSCORE_POSTINGS else "taat")
+        if method == "maxscore":
+            ids, scores = self._maxscore(runs, max(max_results, 1))
+            n = max(max_results, 0)
+            return ids[:n], scores[:n], -1 if ids.size else 0
+        ids, scores = self._score(runs)
+        return (*select_topk(ids, scores, max_results), int(ids.size))
+
     def search(
         self,
         query: str,
@@ -1156,7 +1081,8 @@ class BM25Index:
         apply_best: bool = False,
         method: str = "taat",
     ) -> MatchSet:
-        """Analyzed OR-of-terms BM25 top-k (SearchBleveIndex analog).
+        """Analyzed OR-of-terms BM25 top-k (SearchBleveIndex analog):
+        ``topk`` plus ``hydrate``.
 
         ``method``: "taat" (exhaustive, exact total_matches — the oracle
         path), "maxscore" (block-max pruned top-k, same ranks/scores,
@@ -1164,51 +1090,19 @@ class BM25Index:
         "auto" (taat while the query's posting mass is small enough
         that exhaustive scoring is the faster path, maxscore beyond —
         total_matches is then exact only for the cheap queries)."""
-        import time as _time
-
-        t0 = _time.perf_counter()
+        t0 = time.perf_counter()
         q_terms = self.query_terms(query)
-        uniq_terms = sorted(set(q_terms))
-        self._load_terms(uniq_terms)
-        if method == "auto":
-            postings = sum(b["n"] for t in uniq_terms
-                           for b in self._term_cache.get(t, ()))
-            method = "maxscore" if postings > AUTO_MAXSCORE_POSTINGS \
-                else "taat"
-        if method == "maxscore":
-            top_i, top_s = self._score_maxscore(uniq_terms, max(max_results, 1))
-            result = MatchSet()
-            result.total_matches = -1 if top_i.size else 0
-            if top_i.size and max_results > 0:
-                result.matches = self.hydrate(
-                    q_terms, top_i[:max_results], top_s[:max_results], with_spans
-                )
-            result.search_duration = _time.perf_counter() - t0
-            return result.best() if apply_best else result
-        ids, scores = self._score(uniq_terms)
-
-        result = MatchSet()
-        result.total_matches = int(ids.size)
-        if ids.size and max_results > 0:
-            k = min(max_results, ids.size)
-            # top-k, tie-break (score desc, doc_id asc); keep every row tied
-            # with the k-th score so the lexsort sees all tie candidates
-            if ids.size > k * 8:
-                kth = np.partition(scores, ids.size - k)[ids.size - k]
-                mask = scores >= kth
-                cand_ids, cand_sc = ids[mask], scores[mask]
-            else:
-                cand_ids, cand_sc = ids, scores
-            order = np.lexsort((cand_ids, -cand_sc))[:k]
-            top_ids = cand_ids[order]
-            top_sc = cand_sc[order]
-            result.matches = self.hydrate(q_terms, top_ids, top_sc, with_spans)
-        result.search_duration = _time.perf_counter() - t0
-        if apply_best:
-            best = result.best()
-            best.total_matches = result.total_matches if not with_spans else best.total_matches
-            return best
-        return result
+        ids, scores, total = self._topk(q_terms, max_results, method)
+        result = MatchSet(total_matches=total)
+        if ids.size:
+            result.matches = self.hydrate(q_terms, ids, scores, with_spans)
+        result.search_duration = time.perf_counter() - t0
+        if not apply_best:
+            return result
+        best = result.best()
+        if not with_spans and total >= 0:
+            best.total_matches = total
+        return best
 
     def hydrate(
         self,

@@ -257,8 +257,7 @@ def score_synonym_groups(idx, groups) -> tuple[np.ndarray, np.ndarray]:
     OR scorer already does, with the aggregate keyed on (class, doc)
     instead of (term, doc) — no extra I/O, no shuffle; df_class is an
     exact by-product of the merge."""
-    from ..index.codec import bm25_idf, bm25_wdl
-    from .query import _aggregate_scores
+    from ..index.codec import aggregate_scores, bm25_idf, bm25_wdl
 
     m = idx.manifest
     idx.postings({t for g in groups for t in g})  # one batched read
@@ -272,8 +271,8 @@ def score_synonym_groups(idx, groups) -> tuple[np.ndarray, np.ndarray]:
         sc_parts.append(idf * bm25_wdl(tf, dl, m.k1, m.b, m.avgdl))
     if not id_parts:
         return np.empty(0, dtype=np.uint64), np.empty(0)
-    ids, sc = _aggregate_scores(np.concatenate(id_parts),
-                                np.concatenate(sc_parts))
+    ids, sc = aggregate_scores(np.concatenate(id_parts),
+                               np.concatenate(sc_parts))
     keep = idx.live_mask(ids)
     return ids[keep], sc[keep]
 

@@ -157,8 +157,8 @@ def test_sharded_engine_sees_appended_segment(ray_session, tmp_path):
 
 def test_sharded_engine_respects_tombstones(ray_session, tmp_path):
     """Doc-range shards must exclude deleted docs exactly like the
-    single-process TAAT path (the _score_range path filters the same
-    tombstone set)."""
+    single-process TAAT path (both apply the handle's one live
+    predicate)."""
     from pdfsearch_ray.pipelines.build import build_index, delete_docs
     from pdfsearch_ray.pipelines.engine import ShardedEngine
     from pdfsearch_ray.pipelines.query import BM25Index
@@ -250,7 +250,7 @@ def test_shard_reads_prune_to_doc_range(ray_session, tmp_path):
     merged = []
     for lo, hi in ranges:
         h = BM25Index(d, doc_range=(lo, hi))
-        ids, sc, _tot = h.topk_in_range(q, 10, lo, hi)
+        ids, sc, _tot = h.topk(q, 10)
         merged.append((ids, sc))
         per_shard.append(h.io_stats["postings_row_groups_read"])
     # every shard must read strictly less than the full handle, and the

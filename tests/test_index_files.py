@@ -371,10 +371,10 @@ def test_serving_handle_keeps_ids_and_scores_only(ray_session, tmp_path,
     for q in QUERIES:
         for method in ("taat", "maxscore", "auto"):
             idx.search(q, max_results=5, method=method)
-        idx.topk_in_range(q, 5, 0, 300)
+        idx.topk(q, 5)
     shard = BM25Index(d, doc_range=(0, 200))
     for q in QUERIES:
-        shard.topk_in_range(q, 5, 0, 200)
+        shard.topk(q, 5)
     assert started == []
     assert shard.io_stats["df_row_groups_read"] > 0
 
@@ -454,7 +454,7 @@ def test_serving_imports_no_pandas(ray_session, tmp_path):
                 idx.search(q, max_results=5, method=method, with_spans=True)
         shard = BM25Index({d!r}, doc_range=(0, 200))
         for q in queries:
-            shard.topk_in_range(q, 5, 0, 200)
+            shard.topk(q, 5)
         for p in idx.postings(idx.query_terms(queries[0])).values():
             assert p.tf.size == p.dl.size == p.ids.size > 0
             assert p.position_keys(np.unique(p.ids)).size >= p.tf.sum()

@@ -1,14 +1,17 @@
 """Layering guards: ``pipelines/query.py`` is the only module that knows
-the posting-block layout, the decode memo and the tombstone array,
-``index/codec.py`` is the only place that writes the BM25 formula, and
-the serving modules call none of pyarrow's pandas-backed converters."""
+the posting-block layout, the decode memo and the tombstone array, and
+no code imports its underscore names; ``index/codec.py`` is the only
+place that writes the BM25 formula; and the serving modules call none
+of pyarrow's pandas-backed converters."""
 
 import ast
 import re
 from pathlib import Path
 
-PKG = Path(__file__).resolve().parents[1] / "pdfsearch_ray"
+REPO = Path(__file__).resolve().parents[1]
+PKG = REPO / "pdfsearch_ray"
 QUERY = PKG / "pipelines" / "query.py"
+QUERY_MODULE = "pdfsearch_ray.pipelines.query"
 CODEC = PKG / "index" / "codec.py"
 
 
@@ -54,6 +57,47 @@ def test_no_module_outside_query_touches_bm25index_privates():
                 hits.append(f"{path.relative_to(PKG)}:{n.lineno} "
                             f"{ast.unparse(n)}")
     assert not hits, "BM25Index internals used outside query.py:\n" + \
+        "\n".join(hits)
+
+
+def _imported_module(path: Path, node: ast.ImportFrom) -> str:
+    """The dotted module an ``ImportFrom`` in ``path`` reads from."""
+    if not node.level:
+        return node.module or ""
+    parts = list(path.relative_to(REPO).with_suffix("").parts)
+    base = parts[:len(parts) - node.level]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def test_no_code_imports_query_underscore_names():
+    """Every import of ``pipelines/query.py`` names public things only —
+    in the package, the tests and the tools alike — and so does every
+    attribute read through a ``query`` module alias."""
+    hits = []
+    for path in sorted(REPO.rglob("*.py")):
+        if path == QUERY or any(p.startswith(".") for p in
+                                path.relative_to(REPO).parts):
+            continue
+        aliases = set()
+        tree = ast.parse(path.read_text())
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.ImportFrom):
+                continue
+            mod = _imported_module(path, n)
+            for a in n.names:
+                if mod == QUERY_MODULE and a.name.startswith("_"):
+                    hits.append(f"{path.relative_to(REPO)}:{n.lineno} "
+                                f"{a.name}")
+                elif f"{mod}.{a.name}" == QUERY_MODULE:
+                    aliases.add(a.asname or a.name)
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Attribute) and n.attr.startswith("_")
+                    and not n.attr.startswith("__")
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id in aliases):
+                hits.append(f"{path.relative_to(REPO)}:{n.lineno} "
+                            f"{ast.unparse(n)}")
+    assert not hits, "query.py underscore names used outside it:\n" + \
         "\n".join(hits)
 
 

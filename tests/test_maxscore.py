@@ -41,27 +41,39 @@ def test_maxscore_equals_taat(indexes, which):
         for k in (1, 3, 10, 50):
             a = idx.search(q, max_results=k, with_spans=False, method="taat")
             b = idx.search(q, max_results=k, with_spans=False, method="maxscore")
-            ia = [m.doc_id for m in a.matches]
-            ib = [m.doc_id for m in b.matches]
-            assert ia == ib, (q, k)
-            np.testing.assert_allclose(
-                [m.score for m in a.matches], [m.score for m in b.matches],
-                rtol=1e-12, err_msg=(q, k),
-            )
+            assert [(m.doc_id, m.score) for m in a.matches] == [
+                (m.doc_id, m.score) for m in b.matches], (q, k)
 
 
-def test_maxscore_prunes_decodes(indexes):
-    """With k=1 the pruned path must decode fewer blocks than exist."""
+def test_maxscore_prunes_decodes(ray_session, tmp_path):
+    """k=1 over a rare and a common term: MaxScore decodes the rare
+    term's one block, then PROBEs the common term's run only in the
+    block the rare docs fall in — 2 of 126 blocks — and still answers
+    exactly as TAAT does."""
+    import pyarrow as pa
+
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import build_index
     from pdfsearch_ray.pipelines.query import BM25Index
 
-    idx = BM25Index(indexes["plain"])
-    idx.search("data processing stream window merge", max_results=1,
-               with_spans=False, method="maxscore")
-    total = sum(len(bl) for bl in idx._term_cache.values())
-    decoded = sum(
-        1 for bl in idx._term_cache.values() for b in bl if "ids" in b
-    )
-    assert decoded <= total  # sanity; strict inequality depends on corpus
+    texts = [f"common filler w{i % 13}" for i in range(2000)] + \
+        ["rare rare"] * 5
+    d = str(tmp_path / "idx")
+    build_index(rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(len(texts)), pa.int64()),
+        "text": pa.array(texts)})), d, analyzer="simple", num_buckets=4,
+        block_size=16)
+    idx = BM25Index(d)
+    got = idx.search("rare common", max_results=1, with_spans=False,
+                     method="maxscore")
+    blocks = [b for t in ("rare", "common") for b in idx._term_cache[t]]
+    decoded = sum(1 for b in blocks if "ids" in b)
+    assert len(blocks) == 126 and decoded == 2, (decoded, len(blocks))
+    want = BM25Index(d).search("rare common", max_results=1,
+                               with_spans=False, method="taat")
+    assert [(m.doc_id, m.score) for m in got.matches] == [
+        (m.doc_id, m.score) for m in want.matches]
 
 
 def test_bulk_decode_equals_per_block():
@@ -148,18 +160,14 @@ def test_auto_method_rank_identical(indexes):
             (m.doc_id, m.score) for m in c.matches], q
 
 
-def test_maxscore_mass_tie_corpus(ray_session, tmp_path):
-    """Degenerate corpus: every doc contains every query term with the
-    same tf, so scores mass-tie (the 1M-doc smoke's shape).  Guards the
-    scale paths: unbounded tie selection in the exact-recompute tail and
-    per-block probe masks were quadratic here.  MaxScore must stay
-    rank/score-identical to TAAT, with ties resolved by doc_id asc."""
+def _mass_tie_index(tmp_path) -> str:
+    """3,000 docs that all hold "alpha beta gamma" 5 times, plus one of
+    7 filler words."""
     import pyarrow as pa
 
     import ray.data as rd
 
     from pdfsearch_ray.pipelines.build import build_index
-    from pdfsearch_ray.pipelines.query import BM25Index
 
     n = 3000
     text = "alpha beta gamma " * 5
@@ -169,7 +177,18 @@ def test_maxscore_mass_tie_corpus(ray_session, tmp_path):
     })
     d = str(tmp_path / "tie")
     build_index(rd.from_arrow(t), d, analyzer="simple", num_buckets=8)
-    idx = BM25Index(d)
+    return d
+
+
+def test_maxscore_mass_tie_corpus(ray_session, tmp_path):
+    """Degenerate corpus: every doc contains every query term with the
+    same tf, so scores mass-tie (the 1M-doc smoke's shape).  Guards the
+    scale paths: unbounded tie selection in the exact-recompute tail and
+    per-block probe masks were quadratic here.  MaxScore must stay
+    rank/score-identical to TAAT, with ties resolved by doc_id asc."""
+    from pdfsearch_ray.pipelines.query import BM25Index
+
+    idx = BM25Index(_mass_tie_index(tmp_path))
     for q in ("alpha beta gamma", "alpha", "alpha w3"):
         a = idx.search(q, max_results=10, with_spans=False, method="taat")
         b = idx.search(q, max_results=10, with_spans=False,
@@ -181,6 +200,38 @@ def test_maxscore_mass_tie_corpus(ray_session, tmp_path):
                     method="maxscore")
     assert [m.doc_id for m in ms.matches] == sorted(
         m.doc_id for m in ms.matches)
+
+
+def test_maxscore_fold_path_equals_taat(ray_session, tmp_path,
+                                        monkeypatch):
+    """MaxScore's GROW folds its pending postings into one exact
+    aggregation once ``MAXSCORE_FOLD_POSTINGS`` of them are pending.
+    With the constant set low the mass-tie corpus folds after its first
+    run, and forced MaxScore still equals TAAT bitwise."""
+    from pdfsearch_ray.pipelines import query
+    from pdfsearch_ray.pipelines.query import BM25Index
+
+    idx = BM25Index(_mass_tie_index(tmp_path))
+    want = {q: [(m.doc_id, m.score) for m in idx.search(
+        q, max_results=10, with_spans=False, method="taat").matches]
+        for q in ("alpha beta gamma", "alpha", "alpha w3")}
+    sizes = []
+    agg = query.aggregate_scores
+    monkeypatch.setattr(query, "MAXSCORE_FOLD_POSTINGS", 64)
+    monkeypatch.setattr(query, "aggregate_scores",
+                        lambda ids, sc: sizes.append(ids.size) or agg(ids, sc))
+    for q, top in want.items():
+        sizes.clear()
+        ms = idx.search(q, max_results=10, with_spans=False,
+                        method="maxscore")
+        assert [(m.doc_id, m.score) for m in ms.matches] == top, q
+        if q == "alpha beta gamma":
+            # folded after the first run (3,000 postings): the exact
+            # bound stops GROW after the second, and the third run is
+            # probed.  Without the fold GROW decodes all three runs and
+            # aggregates 9,000 postings once.  (The per-run scoreboard
+            # merges stay under 4k + 16 + k = 66.)
+            assert [n for n in sizes if n > 66] == [3000, 6000], sizes
 
 
 def test_maxscore_concentrated_top_contributions(ray_session, tmp_path):
@@ -283,7 +334,7 @@ def test_aggregate_scores_equals_sequential_add_at():
     """Above 65,536 postings (4 docID-sorted runs sharing ids, as a
     4-term query concatenates them) the group-sum is bitwise equal to
     a sequential ``np.add.at`` over the postings in input order."""
-    from pdfsearch_ray.pipelines.query import _aggregate_scores
+    from pdfsearch_ray.index.codec import aggregate_scores
 
     rng = np.random.default_rng(5)
     runs = [np.sort(rng.choice(30_000, 20_000, replace=False))
@@ -296,7 +347,7 @@ def test_aggregate_scores_equals_sequential_add_at():
     ref = np.zeros(uniq.size)
     np.add.at(ref, inv, sc)
 
-    got_ids, got_sc = _aggregate_scores(ids, sc)
+    got_ids, got_sc = aggregate_scores(ids, sc)
     order = np.argsort(got_ids)
     np.testing.assert_array_equal(got_ids[order], uniq)
     assert got_sc[order].tobytes() == ref.tobytes()
