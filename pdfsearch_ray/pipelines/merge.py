@@ -486,7 +486,7 @@ def federated_score_terms(handles, terms):
     """
     import numpy as np
 
-    from ..index.codec import bm25_idf, bm25_wdl
+    from ..index.codec import aggregate_scores, bm25_idf, bm25_wdl
 
     n_total = sum(h.manifest.n_docs for h in handles)
     total_dl = sum(h.manifest.total_dl for h in handles)
@@ -512,12 +512,8 @@ def federated_score_terms(handles, terms):
                                            k1, b, avgdl))
     if not ids_parts:
         return np.empty(0, np.int64), np.empty(0)
-    all_ids = np.concatenate(ids_parts)
-    all_sc = np.concatenate(sc_parts)
-    uniq, inv = np.unique(all_ids, return_inverse=True)
-    sums = np.zeros(uniq.size)
-    np.add.at(sums, inv, all_sc)
-    return uniq, sums
+    return aggregate_scores(np.concatenate(ids_parts),
+                            np.concatenate(sc_parts))
 
 
 def federated_topk(sf_dir: str):
@@ -652,7 +648,7 @@ def shard_selected_topk(sf_dir: str):
     import pyarrow as pa
 
     from ..analysis.analyzer import analyze_simple
-    from ..index.codec import bm25_idf, bm25_wdl
+    from ..index.codec import aggregate_scores, bm25_idf, bm25_wdl
     from .query import BM25Index
 
     handles = [BM25Index(d) for d in mod_shard_indexes_cached(sf_dir)]
@@ -679,11 +675,8 @@ def shard_selected_topk(sf_dir: str):
                     posts[s][t].tf, posts[s][t].dl, k1, b, avgdl))
         if not ids_parts:
             continue
-        all_ids = np.concatenate(ids_parts)
-        all_sc = np.concatenate(sc_parts)
-        uniq, inv = np.unique(all_ids, return_inverse=True)
-        sums = np.zeros(uniq.size)
-        np.add.at(sums, inv, all_sc)
+        uniq, sums = aggregate_scores(np.concatenate(ids_parts),
+                                      np.concatenate(sc_parts))
         sums = np.round(sums, 6)
         order = np.lexsort((uniq, -sums))[:SHARD_SEL_K]
         out_q.extend([q] * order.size)

@@ -250,7 +250,8 @@ class PostingList:
 
     ``df`` is the term's global posting count (tombstoned docs still
     counted) and ``idf`` its BM25 idf.  ``ids``/``tf``/``dl``/``scores``
-    concatenate the term's blocks in (salt, segment, block) order, so
+    concatenate the term's blocks in (salt, segment, block) order (on a
+    ``doc_range`` handle, the blocks that can hold an in-range doc), so
     ids are docID-sorted only within one run; they decode on first
     access, always at the term's own idf, so ``scores`` are exactly the
     per-posting contributions the handle's own scorers sum.  ``ids``
@@ -264,7 +265,8 @@ class PostingList:
 
     def __init__(self, index: "BM25Index", term: str):
         self._index = index
-        self._blocks = index._term_cache.get(term, [])
+        self._blocks = [b for r in index._term_cache.get(term, ())
+                        for b in r["blocks"]]
         self._cols: dict[str, np.ndarray] = {}
         self._pos_blobs: list[bytes] | None = None
         self.df = index._term_df(term)
@@ -356,7 +358,7 @@ class BM25Index:
         # term+n metadata read covers the out-of-range row groups), so
         # scores are bitwise-identical to the full handle's.
         self.doc_range = doc_range
-        self._df_global: dict[str, int] = {}
+        self._df_global: dict[str, int] = {}  # term -> global df
         # open-handle / read accounting (F7 parity: the reference counts
         # open file handles, utils/fileio.go:131-193)
         self.io_stats: dict[str, int] = {
@@ -413,8 +415,7 @@ class BM25Index:
             tomb = self.manifest.tombstone_ids(index_dir)
             if tomb.size:
                 self._deleted = tomb.astype(np.uint64)
-        self._term_cache: dict[str, list[dict]] = {}
-        self._term_runs: dict[str, list[dict]] = {}  # memo of _runs
+        self._term_cache: dict[str, list[dict]] = {}  # term -> its runs
         self._doc_rg_index: list[tuple[str, int, int, int]] | None = None
         self._bucket_frags: dict[int, list] | None = None
         from collections import OrderedDict
@@ -474,7 +475,8 @@ class BM25Index:
         The read leaves ``pos_blob`` out: each block keeps the row group
         and row it came from, and ``_read_positions`` reads its positions
         from there when asked.  Only a checksum-verifying handle reads
-        ``pos_blob`` here, because the block crc covers all four blobs."""
+        ``pos_blob`` here, because the block crc covers all four blobs.
+        Each term is cached as its runs (``_build_runs``)."""
         missing = [t for t in terms if t not in self._term_cache]
         if not missing:
             return
@@ -600,8 +602,9 @@ class BM25Index:
                         f"computed {got}"
                     )
             self.io_stats["blocks_verified"] += len(terms_np)
+        blocks_of: dict[str, list[dict]] = {t: [] for t in missing}
         for i, term in enumerate(terms_np):
-            self._term_cache[term].append({
+            blocks_of[term].append({
                 "salt": int(salts[i]),
                 "seg": int(segs[i]),
                 "first_doc": int(firsts[i]),
@@ -613,6 +616,10 @@ class BM25Index:
                 "src": sources[srcs[i]],
                 "row": int(rows[i]),
             })
+        for t, blocks in blocks_of.items():
+            self._df_global[t] = (self._df_global.get(t, 0)
+                                  + sum(b["n"] for b in blocks))
+            self._term_cache[t] = self._build_runs(t, blocks)
 
     def _read_positions(self, blocks: list[dict]) -> list[bytes]:
         """The ``pos_blob`` of each of ``blocks``, read from the row group
@@ -729,10 +736,9 @@ class BM25Index:
             b["scores"] = scores_all[s:e]
 
     def _term_df(self, term: str) -> int:
-        # cached (in-range) blocks + out-of-range metadata counts — df is
-        # GLOBAL even on a doc-range-pruned shard handle
-        return (sum(b["n"] for b in self._term_cache.get(term, ()))
-                + self._df_global.get(term, 0))
+        # every loaded block plus the out-of-range row groups' metadata
+        # counts — df is GLOBAL even on a doc-range-pruned shard handle
+        return self._df_global.get(term, 0)
 
     def _idf(self, term: str) -> float:
         df = self._term_df(term)
@@ -742,52 +748,49 @@ class BM25Index:
 
     # -- scoring -------------------------------------------------------
 
-    def _runs(self, terms: list[str]) -> list[dict]:
-        """The scoring units of ``terms`` (sorted unique, loaded): one
-        run per (term, salt, segment), in term-major (salt, segment)
-        order — the order every scorer sums in.  A salted hot term's
-        postings are independent docID-sorted runs
-        (stages/tokenize.py), docID order only holds within one append
-        segment, and a doc has at most one posting per run.
+    def _build_runs(self, term: str, blocks: list[dict]) -> list[dict]:
+        """The scoring units of ``term``, from its loaded ``blocks`` in
+        (salt, segment, block) order: one run per (salt, segment), in
+        that order.  A salted hot term's postings are independent
+        docID-sorted runs (stages/tokenize.py), docID order only holds
+        within one append segment, and a doc has at most one posting
+        per run.
 
-        Each run carries its term's ``idf``, its ``blocks``, their
+        Each run carries the term's ``idf``, its ``blocks``, their
         ``firsts`` (block j covers [firsts[j], firsts[j+1])), its
         posting count ``n`` and its upper bound ``ub`` = idf × max
         block max_wdl.  On a ``doc_range`` handle only the blocks that
         can hold an in-range doc are kept, so the rest are never
-        decoded.  A term's runs are built once per handle."""
-        out = []
-        for t in terms:
-            runs = self._term_runs.get(t)
-            if runs is None:
-                runs = self._term_runs[t] = []
-                idf = self._idf(t)
-                if idf == 0.0:
+        decoded."""
+        idf = self._idf(term)
+        by_run: dict[tuple[int, int], list[dict]] = {}
+        for b in blocks:
+            by_run.setdefault((b["salt"], b["seg"]), []).append(b)
+        runs = []
+        for rb in by_run.values():
+            if self.doc_range is not None:
+                lo, hi = self.doc_range
+                # past the range from the first block starting at hi;
+                # before it while the next block starts at or below lo
+                rb = [b for j, b in enumerate(rb)
+                      if b["first_doc"] < hi
+                      and not (j + 1 < len(rb)
+                               and rb[j + 1]["first_doc"] <= lo)]
+                if not rb:
                     continue
-                by_run: dict[tuple[int, int], list[dict]] = {}
-                for b in self._term_cache[t]:
-                    by_run.setdefault((b["salt"], b["seg"]), []).append(b)
-                for blocks in by_run.values():
-                    if self.doc_range is not None:
-                        lo, hi = self.doc_range
-                        # past the range from the first block starting
-                        # at hi; before it while the next block starts
-                        # at or below lo
-                        blocks = [
-                            b for j, b in enumerate(blocks)
-                            if b["first_doc"] < hi
-                            and not (j + 1 < len(blocks)
-                                     and blocks[j + 1]["first_doc"] <= lo)]
-                        if not blocks:
-                            continue
-                    runs.append({
-                        "idf": idf, "blocks": blocks,
-                        "firsts": np.array([b["first_doc"] for b in blocks],
-                                           dtype=np.uint64),
-                        "n": sum(b["n"] for b in blocks),
-                        "ub": idf * max(b["max_wdl"] for b in blocks)})
-            out.extend(runs)
-        return out
+            runs.append({
+                "idf": idf, "blocks": rb,
+                "firsts": np.array([b["first_doc"] for b in rb],
+                                   dtype=np.uint64),
+                "n": sum(b["n"] for b in rb),
+                "ub": idf * max(b["max_wdl"] for b in rb)})
+        return runs
+
+    def _runs(self, terms: list[str]) -> list[dict]:
+        """The runs of ``terms`` (sorted unique) in term-major order —
+        the order every scorer sums in — loading any term not cached."""
+        self._load_terms(terms)
+        return [r for t in terms for r in self._term_cache[t]]
 
     def _decoded(self, run: dict) -> tuple[np.ndarray, np.ndarray]:
         """A run's (ids, scores), docID-sorted, dead docs included."""
@@ -807,34 +810,25 @@ class BM25Index:
         """The contribution of ``run`` to each of ``ids``: the posting's
         score where the doc has one in the run, else 0.0.
 
-        A per-block lookup pays a Python step per block an id falls in,
-        a whole-run lookup decodes every block: once the ids are as
-        many as the run's blocks they touch most blocks anyway, so the
-        whole run is decoded and looked up in one pass.  Fewer ids find
-        their blocks by ``firsts`` and only those blocks are decoded."""
+        Looking ids up costs more than decoding the whole run once they
+        outnumber its postings twice over; then every block is decoded.
+        Fewer ids decode only the blocks they fall in, found by
+        ``firsts`` — a heavy low-idf run probed at a few candidates
+        stays mostly encoded.  The decoded blocks are a docID-sorted
+        slice of the run, so one ``searchsorted`` looks every id up."""
+        blocks = run["blocks"]
+        if ids.size <= 2 * run["n"]:
+            bi = np.searchsorted(run["firsts"], ids, side="right") - 1
+            touched = np.zeros(len(blocks), dtype=bool)
+            touched[bi[bi >= 0]] = True
+            blocks = [blocks[j] for j in np.flatnonzero(touched).tolist()]
         out = np.zeros(ids.size)
-        if ids.size >= len(run["blocks"]):
-            rids, rsc = self._decoded(run)
+        if blocks:
+            self._decode_blocks_bulk(blocks, run["idf"])
+            rids = np.concatenate([b["ids"] for b in blocks])
             pos = np.minimum(np.searchsorted(rids, ids), rids.size - 1)
             hit = rids[pos] == ids
-            out[hit] = rsc[pos[hit]]
-            return out
-        bi = np.searchsorted(run["firsts"], ids,
-                             side="right").astype(np.int64) - 1
-        # group the ids by block with ONE stable sort + slices — a mask
-        # per block would cost O(ids × touched blocks)
-        vidx = np.nonzero(bi >= 0)[0]
-        vidx = vidx[np.argsort(bi[vidx], kind="stable")]
-        bsorted = bi[vidx]
-        starts = np.flatnonzero(np.diff(bsorted, prepend=-1))
-        blocks = [run["blocks"][x] for x in bsorted[starts]]
-        self._decode_blocks_bulk(blocks, run["idf"])
-        for blk, s0, s1 in zip(blocks, starts, [*starts[1:], vidx.size]):
-            ci = vidx[s0:s1]
-            pos = np.minimum(np.searchsorted(blk["ids"], ids[ci]),
-                             blk["n"] - 1)
-            hit = blk["ids"][pos] == ids[ci]
-            out[ci[hit]] = blk["scores"][pos[hit]]
+            out[hit] = np.concatenate([b["scores"] for b in blocks])[pos[hit]]
         return out
 
     def _score(self, runs: list[dict]) -> tuple[np.ndarray, np.ndarray]:
@@ -1010,9 +1004,7 @@ class BM25Index:
         expands the pattern against the term dictionary, this scores
         the disjunction with each term's own idf — bypassing query
         analysis, which would re-stem or split the raw pattern."""
-        uniq = sorted(set(terms))
-        self._load_terms(uniq)
-        return self._score(self._runs(uniq))
+        return self._score(self._runs(sorted(set(terms))))
 
     def postings(self, terms) -> dict[str, PostingList]:
         """term -> PostingList for each of ``terms``, all loaded in one
@@ -1060,9 +1052,7 @@ class BM25Index:
 
     def _topk(self, q_terms: list[str], max_results: int,
               method: str) -> tuple[np.ndarray, np.ndarray, int]:
-        uniq_terms = sorted(set(q_terms))
-        self._load_terms(uniq_terms)
-        runs = self._runs(uniq_terms)
+        runs = self._runs(sorted(set(q_terms)))
         if method == "auto":
             method = ("maxscore" if sum(r["n"] for r in runs)
                       > AUTO_MAXSCORE_POSTINGS else "taat")

@@ -379,8 +379,8 @@ def test_serving_handle_keeps_ids_and_scores_only(ray_session, tmp_path,
     assert shard.io_stats["df_row_groups_read"] > 0
 
     def held(handle) -> set[str]:
-        return {k for blocks in handle._term_cache.values()
-                for b in blocks for k in b}
+        return {k for runs in handle._term_cache.values()
+                for r in runs for b in r["blocks"] for k in b}
 
     assert "ids" in held(idx) and "scores" in held(idx)
     assert not held(idx) & {"tf", "dl", "pos_blob"}

@@ -67,7 +67,8 @@ def test_maxscore_prunes_decodes(ray_session, tmp_path):
     idx = BM25Index(d)
     got = idx.search("rare common", max_results=1, with_spans=False,
                      method="maxscore")
-    blocks = [b for t in ("rare", "common") for b in idx._term_cache[t]]
+    blocks = [b for t in ("rare", "common") for r in idx._term_cache[t]
+              for b in r["blocks"]]
     decoded = sum(1 for b in blocks if "ids" in b)
     assert len(blocks) == 126 and decoded == 2, (decoded, len(blocks))
     want = BM25Index(d).search("rare common", max_results=1,
