@@ -174,8 +174,10 @@ def encode_positions_run(
     return blob, post_off
 
 
-def varint_decode(blob: bytes | memoryview, count: int | None = None) -> np.ndarray:
-    """Decode a LEB128 stream to uint64 (vectorized)."""
+def varint_decode(blob: bytes | memoryview | np.ndarray,
+                  count: int | None = None) -> np.ndarray:
+    """Decode a LEB128 stream (bytes-like or a uint8 array) to uint64
+    (vectorized)."""
     b = np.frombuffer(blob, dtype=np.uint8)
     if b.size == 0:
         return np.empty(0, dtype=np.uint64)
@@ -203,16 +205,26 @@ def decode_posting_blocks(firsts, ns, doc_blobs, tf_blobs,
 
     Per-block ``varint_decode`` costs ~30µs of fixed numpy overhead and
     a multi-term query over a large corpus touches thousands of blocks,
-    so the blobs are concatenated and each stream decoded once.  DocID
-    gaps restart at every block (its first id is stored absolute):
-    one cumsum over the interleaved (first, gaps...) stream, minus each
-    block's running prefix, rebuilds every block's ids — uint64
-    wrap-around makes the subtraction exact."""
+    so the blobs are concatenated and each stream decoded once
+    (``decode_posting_streams``)."""
+    return decode_posting_streams(firsts, ns, b"".join(doc_blobs),
+                                  b"".join(tf_blobs), b"".join(dl_blobs))
+
+
+def decode_posting_streams(firsts, ns, doc_stream, tf_stream,
+                           dl_stream) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]:
+    """``decode_posting_blocks`` over blobs already concatenated in
+    block order (bytes or a uint8 array each).  DocID gaps restart at
+    every block (its first id is stored absolute): one cumsum over the
+    interleaved (first, gaps...) stream, minus each block's running
+    prefix, rebuilds every block's ids — uint64 wrap-around makes the
+    subtraction exact."""
     n_arr = np.asarray(ns, dtype=np.int64)
     total = int(n_arr.sum())
-    gaps = varint_decode(b"".join(doc_blobs), count=total - n_arr.size)
-    tf = varint_decode(b"".join(tf_blobs), count=total)
-    dl = varint_decode(b"".join(dl_blobs), count=total)
+    gaps = varint_decode(doc_stream, count=total - n_arr.size)
+    tf = varint_decode(tf_stream, count=total)
+    dl = varint_decode(dl_stream, count=total)
     firsts = np.asarray(firsts, dtype=np.uint64)
     starts = np.cumsum(n_arr, dtype=np.int64) - n_arr
     head = np.zeros(total, dtype=bool)

@@ -11,16 +11,26 @@ index storage and the pool IS the serving tier.
 
 Every replica and every shard pays for what one process holds.  On a
 4-vCPU host, serving 600 ``query_head`` benchmark queries (seed 9,
-7k docs) from one handle, a replica's RSS is: the Ray worker floor
-78 MB, the engine import (numpy, pyarrow, pyarrow.parquet, the
-analyzers) +54 MB, the open handle (manifest, parquet footers) +2 MB
-and its warm caches +19 MB — 153 MB in all, down from 184 MB.  The
-difference was pandas (31 MB, 325 modules): pyarrow's Arrow↔numpy
-converters (``Array.to_numpy``, ``pa.array``, a Python scalar operand
-to ``pyarrow.compute``) go through its pandas shim, which imports
-pandas on first use.  So serving converts through buffers
-(``index/arrays.py``) and never imports pandas, ``ray.data`` or
-``pyarrow.dataset``.
+7k docs) from one handle, a replica's RSS was: the Ray worker floor
+78 MB, the engine import (numpy, pyarrow, pyarrow.parquet,
+pyarrow.compute, the analyzers) +54 MB, the open handle (manifest,
+parquet footers) +2 MB and its warm caches +19 MB — 153 MB in all,
+down from 184 MB.  That difference was pandas (31 MB, 325 modules):
+pyarrow's Arrow↔numpy converters (``Array.to_numpy``, ``pa.array``, a
+Python scalar operand to ``pyarrow.compute``) go through its pandas
+shim, which imports pandas on first use.  So serving converts through
+buffers (``index/arrays.py``) and never imports pandas, ``ray.data``
+or ``pyarrow.dataset``.
+
+Nor does it import ``pyarrow.compute``, 7.4 MB of that engine import
+in a replica (in a plain process on the same host the import fell from
++49.1 to +41.9 MB without it): ``Table.take`` / ``filter`` /
+``sort_by`` and ``Array.cast`` import it, so posting and doc rows are
+matched, sorted and gathered with numpy over the Arrow buffers.  The
+warm caches hold each term as a few arrays per run (``query.py``'s
+columnar term cache), not a dict of Python objects per block, and
+every parquet read passes ``use_threads=False``, so a cold request
+starts no Arrow thread pool.
 """
 
 from __future__ import annotations
@@ -37,9 +47,11 @@ class QueryEngine:
     Match) serialize as-is.
 
     Every replica pays for what its handle keeps, so the handle keeps
-    little: per cached term the encoded blocks, and per decoded posting
-    only its id and score (16 B).  Positions are never read for
-    scoring; tf and dl are decoded again when a reader asks.
+    little: per cached term its runs as columns (the encoded blobs in
+    one buffer per kind with block offsets, and per-block arrays of
+    first id, posting count and bound), and per decoded posting only
+    its id and score (16 B).  Positions are never read for scoring; tf
+    and dl are decoded again when a reader asks.
 
     A small LRU RESULT cache sits in front of the scorer (every
     production engine's request cache): keyed by (index version, query,

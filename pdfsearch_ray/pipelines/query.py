@@ -16,6 +16,14 @@ hit and documents that as inefficient at bleve_pdf.go:482-484).  The
 scoring read leaves the position blobs out; they are read per term on
 the first ``PostingList.position_keys`` call.
 
+The term cache is columnar: ``_term_cache[term]`` is the term's runs,
+and each run is one set of arrays — per block its first id, posting
+count, bound and source row, one contiguous buffer per blob kind with
+block byte offsets, and an (ids, scores) decode memo with a per-block
+"decoded" mask.  Rows are matched, sorted and gathered with numpy over
+the Arrow buffers (``index/arrays.py``), so serving never imports
+``pyarrow.compute``, and every parquet read is single-threaded.
+
 Scoring is BM25 (k1/b from the manifest, ``index/codec.py``), one design
 on ``BM25Index``:
 
@@ -44,14 +52,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..analysis.analyzer import analyze_en, get_analyzer
 from ..functions.hashing import fnv1a64_str
-from ..index.arrays import _np, _pa, _pa_str
+from ..index.arrays import (_bytes, _gather_bytes, _np, _spans, _str_codes,
+                            _take_table)
 from ..index.codec import (aggregate_scores, bm25_idf, bm25_wdl,
-                           decode_positions, decode_posting_blocks,
+                           decode_positions, decode_posting_streams,
                            varint_decode)
 from ..state.manifest import IndexManifest
 
@@ -64,6 +72,8 @@ AUTO_MAXSCORE_POSTINGS = 300_000
 # aggregation once at least this many are pending (then on a doubling
 # schedule), so a mass-tie corpus gets a true k-th-total bound to stop on
 MAXSCORE_FOLD_POSTINGS = 1 << 19
+# the blobs the scoring read keeps per block (positions are read apart)
+BLOB_KINDS = ("doc", "tf", "dl")
 
 
 # ---------------------------------------------------------------- phrase kernels
@@ -176,15 +186,33 @@ def select_topk(ids: np.ndarray, scores: np.ndarray,
     return ids[order], scores[order]
 
 
-def _matching_rows(t: pa.Table, terms: pa.Array, src: int) -> pa.Table:
-    """The rows of posting table ``t`` whose term is in ``terms``, each
-    tagged with ``src`` (the index of the read ``t`` came from) and its
-    row number in ``t`` — where its position blob can be read again."""
-    rows = pc.indices_nonzero(pc.is_in(t["term"], value_set=terms))
-    return (t.take(rows)
-            .append_column("src", _pa(np.full(len(rows), src,
-                                              dtype=np.int32)))
-            .append_column("row", rows.cast(pa.int64())))
+def _matching_blocks(t: pa.Table, terms: list[str], src: int, seg: int,
+                     bf: float, kinds: tuple[str, ...]) -> dict | None:
+    """The posting blocks of ``t`` whose term is in ``terms``, as numpy
+    columns in row order (None when there are none): ``code`` (the
+    term's index in ``terms``), ``salt``, ``seg``, ``block_id``,
+    ``first``, ``n``, ``max_wdl`` (times ``bf``, the segment's bound
+    correction), ``src`` (where ``t`` was read), ``row`` (the block's
+    row in ``t``, where its position blob can be read again), ``crc``
+    when ``t`` has one, and per blob kind of ``kinds`` the blobs'
+    lengths ``<kind>_len`` and bytes ``<kind>_data``."""
+    code = _str_codes(t["term"], terms)
+    rows = np.flatnonzero(code >= 0)
+    if not rows.size:
+        return None
+    out = {"code": code[rows], "salt": _np(t["salt"])[rows],
+           "seg": np.full(rows.size, seg, dtype=np.int32),
+           "block_id": _np(t["block_id"])[rows],
+           "first": _np(t["first_doc"])[rows], "n": _np(t["n"])[rows],
+           "max_wdl": _np(t["max_wdl"])[rows].astype(np.float64) * bf,
+           "src": np.full(rows.size, src, dtype=np.int64), "row": rows}
+    if "crc" in t.schema.names:
+        out["crc"] = _np(t["crc"])[rows]
+    for kind in kinds:
+        off, out[f"{kind}_data"] = _gather_bytes(*_bytes(t[f"{kind}_blob"]),
+                                                 rows)
+        out[f"{kind}_len"] = np.diff(off)
+    return out
 
 
 @dataclass
@@ -250,40 +278,41 @@ class PostingList:
 
     ``df`` is the term's global posting count (tombstoned docs still
     counted) and ``idf`` its BM25 idf.  ``ids``/``tf``/``dl``/``scores``
-    concatenate the term's blocks in (salt, segment, block) order (on a
-    ``doc_range`` handle, the blocks that can hold an in-range doc), so
-    ids are docID-sorted only within one run; they decode on first
-    access, always at the term's own idf, so ``scores`` are exactly the
-    per-posting contributions the handle's own scorers sum.  ``ids``
-    and ``scores`` come from the handle's decode memo; ``tf``, ``dl``
-    and positions are decoded (positions first read) here and kept on
-    this PostingList only, so a warm handle holds 16 B per decoded
-    posting whatever its readers ask for."""
+    concatenate the term's runs in (salt, segment) order, each run's
+    blocks in order (on a ``doc_range`` handle, the blocks that can hold
+    an in-range doc), so ids are docID-sorted only within one run; they
+    decode on first access, always at the term's own idf, so ``scores``
+    are exactly the per-posting contributions the handle's own scorers
+    sum.  ``ids`` and ``scores`` come from the handle's decode memo;
+    ``tf``, ``dl`` and positions are decoded (positions first read)
+    here and kept on this PostingList only, so a warm handle holds 16 B
+    per decoded posting whatever its readers ask for."""
 
     _EMPTY = {"ids": np.uint64, "tf": np.uint64, "dl": np.uint64,
               "scores": np.float64}
 
     def __init__(self, index: "BM25Index", term: str):
         self._index = index
-        self._blocks = [b for r in index._term_cache.get(term, ())
-                        for b in r["blocks"]]
+        self._runs = index._term_cache.get(term, [])
         self._cols: dict[str, np.ndarray] = {}
-        self._pos_blobs: list[bytes] | None = None
+        # (block byte offsets, bytes) of the runs' position blobs
+        self._positions: tuple[np.ndarray, np.ndarray] | None = None
         self.df = index._term_df(term)
         self.idf = index._idf(term)
 
     def _column(self, key: str) -> np.ndarray:
         col = self._cols.get(key)
         if col is None:
-            if not self._blocks:
+            if not self._runs:
                 col = np.empty(0, dtype=self._EMPTY[key])
             elif key in ("ids", "scores"):
-                self._index._decode_blocks_bulk(self._blocks, self.idf)
-                col = np.concatenate([b[key] for b in self._blocks])
-            else:  # tf / dl: one varint pass over the blocks' blobs
+                for r in self._runs:
+                    self._index._decode_blocks_bulk(r)
+                col = np.concatenate([r[key] for r in self._runs])
+            else:  # tf / dl: one varint pass over the runs' buffers
                 col = varint_decode(
-                    b"".join(b[f"{key}_blob"] for b in self._blocks),
-                    count=sum(b["n"] for b in self._blocks))
+                    np.concatenate([r[f"{key}_blob"] for r in self._runs]),
+                    count=sum(r["n"] for r in self._runs))
             self._cols[key] = col
         return col
 
@@ -309,21 +338,31 @@ class PostingList:
         The scoring read leaves positions out: the first call reads the
         term's position blobs from the row groups its blocks came from.
         Position blobs decode only for blocks holding a candidate."""
-        self._index._decode_blocks_bulk(self._blocks, self.idf)
-        if self._pos_blobs is None:
-            self._pos_blobs = self._index._read_positions(self._blocks)
+        if not self._runs:
+            return np.empty(0, dtype=np.uint64)
+        ids = self.ids
+        if self._positions is None:
+            self._positions = self._index._read_positions(self._runs)
+        pos_off, pos_data = self._positions
+        # one membership test per run (a doc is in a run at most once)
+        sel_all = np.concatenate([
+            np.isin(r["ids"], candidates, assume_unique=True)
+            for r in self._runs])
+        ns = np.concatenate([r["ns"] for r in self._runs])
+        starts = np.zeros(ns.size + 1, dtype=np.int64)
+        np.cumsum(ns, dtype=np.int64, out=starts[1:])
+        hit = np.logical_or.reduceat(sel_all, starts[:-1])
         keys = []
-        for blk, pos_blob in zip(self._blocks, self._pos_blobs):
-            ids = blk["ids"]
-            sel = np.isin(ids, candidates, assume_unique=True)
-            if not sel.any():
-                continue
-            plists = decode_positions(pos_blob, blk["n"])
+        for j in np.flatnonzero(hit).tolist():
+            s, e = starts[j], starts[j + 1]
+            sel = sel_all[s:e]
+            plists = decode_positions(pos_data[pos_off[j]:pos_off[j + 1]],
+                                      int(ns[j]))
             lens = np.fromiter((p.size for p in plists), dtype=np.int64,
-                               count=blk["n"])
+                               count=len(plists))
             flat = np.concatenate(plists) if lens.sum() else \
                 np.empty(0, dtype=np.uint32)
-            doc_per_pos = np.repeat(ids, lens)
+            doc_per_pos = np.repeat(ids[s:e], lens)
             keep = np.repeat(sel, lens)
             codes = np.searchsorted(candidates,
                                     doc_per_pos[keep]).astype(np.uint64)
@@ -416,6 +455,9 @@ class BM25Index:
             if tomb.size:
                 self._deleted = tomb.astype(np.uint64)
         self._term_cache: dict[str, list[dict]] = {}  # term -> its runs
+        # where each cached block was read: None for the in-memory
+        # table, else (path, row_group); a run's ``src`` indexes it
+        self._sources: list[tuple[str, int] | None] = []
         self._doc_rg_index: list[tuple[str, int, int, int]] | None = None
         self._bucket_frags: dict[int, list] | None = None
         from collections import OrderedDict
@@ -433,7 +475,7 @@ class BM25Index:
         self.index_dir = None
         self.manifest = manifest
         self._postings_mem = postings
-        self._docs_mem = docs.sort_by("doc_id")
+        self._docs_mem = docs
         self.analyze = get_analyzer(manifest.analyzer)
         return self
 
@@ -476,7 +518,10 @@ class BM25Index:
         and row it came from, and ``_read_positions`` reads its positions
         from there when asked.  Only a checksum-verifying handle reads
         ``pos_blob`` here, because the block crc covers all four blobs.
-        Each term is cached as its runs (``_build_runs``)."""
+
+        Rows are matched, sorted and gathered with numpy over the Arrow
+        buffers (``index/arrays.py``), a whole row group at a time; each
+        term is cached as its runs (``_build_run``)."""
         missing = [t for t in terms if t not in self._term_cache]
         if not missing:
             return
@@ -507,13 +552,13 @@ class BM25Index:
             if "crc" in schema_names:
                 cols = cols + ["pos_blob", "crc"]
         check_crc = "crc" in cols
-        value_set = _pa_str(missing)
-        # where each read came from: None for the in-memory table, else
-        # (path, row_group); blocks point into this list
-        sources: list[tuple[str, int] | None]
+        kinds = BLOB_KINDS + (("pos",) if check_crc else ())
+        base = len(self._sources)
+        parts = []
         if self._postings_mem is not None:
-            sources = [None]
-            tbl = _matching_rows(self._postings_mem.select(cols), value_set, 0)
+            self._sources.append(None)
+            parts.append(_matching_blocks(self._postings_mem.select(cols),
+                                          missing, base, 0, 1.0, kinds))
         else:
             if self._bucket_frags is None:
                 self._bucket_frags = self._build_bucket_frag_index()
@@ -539,109 +584,102 @@ class BM25Index:
             else:
                 want = [(p, rg, seg, bf)
                         for (p, rg, seg, bf, _d0, _d1) in want_all]
-            sources = [(path, rg) for path, rg, _seg, _bf in want]
-            parts = []
-            for src, (path, rg, seg, bf) in enumerate(want):
+            self._sources.extend((path, rg) for path, rg, _seg, _bf in want)
+            for src, (path, rg, seg, bf) in enumerate(want, base):
                 t = self._parquet_file(path, "postings").read_row_group(
                     rg, columns=cols, use_threads=False)
                 self.io_stats["postings_bytes_read"] += t.nbytes
-                t = _matching_rows(t, value_set, src)
-                if not t.num_rows:
-                    continue
                 # block-max bounds were encoded under that segment's
-                # avgdl; scaling by max(1, avgdl_now/avgdl_baked) keeps
-                # them valid upper bounds (wdl ratio <= avgdl'/avgdl).
-                # Cast unconditionally so all fragments concat-compatible.
-                t = t.set_column(
-                    t.schema.get_field_index("max_wdl"), "max_wdl",
-                    pc.multiply(t["max_wdl"].cast(pa.float64()),
-                                _pa(np.full(t.num_rows, bf))))
-                parts.append(t.append_column(
-                    "seg", _pa(np.full(t.num_rows, seg, dtype=np.int32))))
+                # avgdl; scaling by bf = max(1, avgdl_now/avgdl_baked)
+                # keeps them valid upper bounds (wdl ratio <=
+                # avgdl'/avgdl)
+                parts.append(_matching_blocks(t, missing, src, seg, bf,
+                                              kinds))
             self.io_stats["postings_row_groups_read"] += len(want)
-            if not parts:
-                # nothing to decode — also covers an EMPTY index, which
-                # has no posting files and hence no schema
-                for t in missing:
-                    self._term_cache[t] = []
-                return
-            tbl = pa.concat_tables(parts)
         for t in missing:
             self._term_cache[t] = []
-        if tbl.num_rows == 0:
+        # no part: nothing matched — also covers an EMPTY index, which
+        # has no posting files and hence no schema
+        parts = [p for p in parts if p is not None]
+        if not parts:
             return
-        if "seg" not in tbl.schema.names:  # mem index: single segment
-            tbl = tbl.append_column(
-                "seg", _pa(np.zeros(tbl.num_rows, dtype=np.int32)))
-        tbl = tbl.sort_by([("term", "ascending"), ("salt", "ascending"),
-                           ("seg", "ascending"),
-                           ("block_id", "ascending")]).combine_chunks()
-        terms_np = tbl["term"].to_pylist()
-        salts = _np(tbl["salt"])
-        segs = _np(tbl["seg"])
-        firsts = _np(tbl["first_doc"])
-        ns = _np(tbl["n"])
-        maxw = _np(tbl["max_wdl"])
-        srcs = _np(tbl["src"])
-        rows = _np(tbl["row"])
-        doc_b = tbl["doc_blob"].to_pylist()
-        tf_b = tbl["tf_blob"].to_pylist()
-        dl_b = tbl["dl_blob"].to_pylist()
+        blk = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
         if check_crc:
-            from zlib import crc32
+            self._verify_blocks(missing, blk)
+        # (term, salt, segment, block) order: the runs, each in order
+        order = np.lexsort((blk["block_id"], blk["seg"], blk["salt"],
+                            blk["code"]))
+        for kind in BLOB_KINDS:
+            off = np.zeros(order.size + 1, dtype=np.int64)
+            np.cumsum(blk[f"{kind}_len"], dtype=np.int64, out=off[1:])
+            blk[f"{kind}_off"], blk[f"{kind}_blob"] = _gather_bytes(
+                off, blk[f"{kind}_data"], order)
+        for k in ("code", "salt", "seg", "first", "n", "max_wdl", "src",
+                  "row"):
+            blk[k] = blk[k][order]
+        code = blk["code"]
+        df = np.bincount(code, weights=blk["n"], minlength=len(missing))
+        for i, t in enumerate(missing):
+            self._df_global[t] = self._df_global.get(t, 0) + int(df[i])
+        cut = np.flatnonzero((code[1:] != code[:-1])
+                             | (blk["salt"][1:] != blk["salt"][:-1])
+                             | (blk["seg"][1:] != blk["seg"][:-1])) + 1
+        bounds = [0, *cut.tolist(), code.size]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            term = missing[int(code[a])]
+            run = self._build_run(term, blk, a, b)
+            if run is not None:
+                self._term_cache[term].append(run)
 
-            pos_b = tbl["pos_blob"].to_pylist()
-            crcs = _np(tbl["crc"])
-            for i in range(len(terms_np)):
-                got = crc32(pos_b[i],
-                            crc32(dl_b[i], crc32(tf_b[i], crc32(doc_b[i]))))
-                if got != int(crcs[i]):
-                    raise CorruptIndexError(
-                        f"posting block checksum mismatch for term "
-                        f"{terms_np[i]!r} block {i}: stored {int(crcs[i])}, "
-                        f"computed {got}"
-                    )
-            self.io_stats["blocks_verified"] += len(terms_np)
-        blocks_of: dict[str, list[dict]] = {t: [] for t in missing}
-        for i, term in enumerate(terms_np):
-            blocks_of[term].append({
-                "salt": int(salts[i]),
-                "seg": int(segs[i]),
-                "first_doc": int(firsts[i]),
-                "n": int(ns[i]),
-                "doc_blob": doc_b[i],
-                "tf_blob": tf_b[i],
-                "dl_blob": dl_b[i],
-                "max_wdl": float(maxw[i]),
-                "src": sources[srcs[i]],
-                "row": int(rows[i]),
-            })
-        for t, blocks in blocks_of.items():
-            self._df_global[t] = (self._df_global.get(t, 0)
-                                  + sum(b["n"] for b in blocks))
-            self._term_cache[t] = self._build_runs(t, blocks)
+    def _verify_blocks(self, terms: list[str], blk: dict) -> None:
+        """Check every loaded block's crc32 over its four blobs (the
+        block framing, F2) — one zlib call per blob."""
+        from zlib import crc32
 
-    def _read_positions(self, blocks: list[dict]) -> list[bytes]:
-        """The ``pos_blob`` of each of ``blocks``, read from the row group
-        (or in-memory table row) each block came from — one read per row
+        off = {k: np.zeros(blk["code"].size + 1, dtype=np.int64)
+               for k in ("doc", "tf", "dl", "pos")}
+        for k, o in off.items():
+            np.cumsum(blk[f"{k}_len"], dtype=np.int64, out=o[1:])
+        data = {k: memoryview(blk[f"{k}_data"]) for k in off}
+        for i, stored in enumerate(blk["crc"].tolist()):
+            got = 0
+            for k in ("doc", "tf", "dl", "pos"):
+                got = crc32(data[k][off[k][i]:off[k][i + 1]], got)
+            if got != stored:
+                raise CorruptIndexError(
+                    f"posting block checksum mismatch for term "
+                    f"{terms[int(blk['code'][i])]!r} block "
+                    f"{int(blk['block_id'][i])}: stored {stored}, "
+                    f"computed {got}")
+        self.io_stats["blocks_verified"] += int(blk["code"].size)
+
+    def _read_positions(self, runs: list[dict]) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+        """(block byte offsets, bytes) of the ``pos_blob`` of every block
+        of ``runs``, in block order, read from the row group (or
+        in-memory table row) each block came from — one read per row
         group."""
-        out: list[bytes] = [b""] * len(blocks)
-        by_src: dict[tuple[str, int] | None, list[int]] = {}
-        for i, b in enumerate(blocks):
-            by_src.setdefault(b["src"], []).append(i)
-        for src, idxs in by_src.items():
-            if src is None:
+        src = np.concatenate([r["src"] for r in runs])
+        rows = np.concatenate([r["row"] for r in runs])
+        blocks, lens, datas = [], [], []
+        for s in np.unique(src).tolist():
+            where = self._sources[s]
+            if where is None:
                 col = self._postings_mem["pos_blob"]
             else:
-                path, rg = src
+                path, rg = where
                 col = self._parquet_file(path, "postings").read_row_group(
                     rg, columns=["pos_blob"], use_threads=False)["pos_blob"]
                 self.io_stats["positions_row_groups_read"] += 1
-            rows = _pa(np.array([blocks[i]["row"] for i in idxs],
-                                dtype=np.int64))
-            for i, blob in zip(idxs, col.take(rows).to_pylist()):
-                out[i] = blob
-        return out
+            at = np.flatnonzero(src == s)
+            off, data = _gather_bytes(*_bytes(col), rows[at])
+            blocks.append(at)
+            lens.append(np.diff(off))
+            datas.append(data)
+        off = np.zeros(src.size + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(lens), dtype=np.int64, out=off[1:])
+        return _gather_bytes(off, np.concatenate(datas),
+                             np.argsort(np.concatenate(blocks)))
 
     def _build_bucket_frag_index(self) -> list[tuple]:
         """(path, row_group, bucket_min, bucket_max, term_min, term_max,
@@ -696,44 +734,60 @@ class BM25Index:
         """Sum posting counts for ``missing`` terms over out-of-range row
         groups — (term, n) columns only, so global idf survives
         doc-range read pruning without touching blob bytes."""
-        value_set = _pa_str(missing)
         for t in missing:
             self._df_global.setdefault(t, 0)
         for path, rg in skipped:
             p = self._parquet_file(path, "postings").read_row_group(
                 rg, columns=["term", "n"], use_threads=False)
-            p = p.filter(pc.is_in(p["term"], value_set=value_set))
-            for term, n in zip(p["term"].to_pylist(), _np(p["n"])):
-                self._df_global[term] += int(n)
+            code = _str_codes(p["term"], missing)
+            hit = code >= 0
+            df = np.bincount(code[hit], weights=_np(p["n"])[hit],
+                             minlength=len(missing))
+            for i, t in enumerate(missing):
+                self._df_global[t] += int(df[i])
         self.io_stats["df_row_groups_read"] += len(skipped)
 
-    def _decode_blocks_bulk(self, blocks: list[dict], idf: float) -> None:
-        """Decode posting blocks in place (memoized): ids and the
-        per-posting BM25 contribution ``scores`` = idf × wdl, in one
-        bulk varint pass (``codec.decode_posting_blocks``).  Only those
-        two arrays (16 B per posting) stay on the handle; tf and dl are
-        dropped once the scores are made (``PostingList`` decodes them
-        again from the blobs when a reader asks).
+    def _decode_blocks_bulk(self, run: dict,
+                            want: np.ndarray | None = None) -> None:
+        """Decode the blocks of ``run`` that ``want`` selects (a block
+        mask; all when None) into the run's memo, skipping decoded ones:
+        ids and the per-posting BM25 contribution ``scores`` = idf ×
+        wdl, in one bulk varint pass (``codec.decode_posting_streams``).
+        Only those two arrays (16 B per posting) stay on the handle; tf
+        and dl are dropped once the scores are made (``PostingList``
+        decodes them again from the blobs when a reader asks).
 
-        INVARIANT: ``idf`` is the blocks' own term's ``_idf`` — the
-        memo keeps the scores of the FIRST decode, so every caller
-        (all inside this module; other modules read postings through
-        ``postings()``) decodes at that idf and no reader can leave
-        another's scores wrong."""
-        todo = [b for b in blocks if "ids" not in b]
-        if not todo:
+        The memo is one (ids, scores) array pair per run plus the
+        ``decoded`` block mask.  Until a block is decoded its ids read
+        as the block's first id, so ``ids`` stays docID-sorted and one
+        ``searchsorted`` over it finds any id in a decoded block.
+        Scores are always made at the run's own ``idf``, so no reader
+        can leave another's scores wrong."""
+        todo = ~run["decoded"]
+        if want is not None:
+            todo &= want
+        j = np.flatnonzero(todo)
+        if not j.size:
             return
+        if j.size == todo.size:  # the whole run: its buffers as they are
+            streams = [run[f"{k}_blob"] for k in BLOB_KINDS]
+        else:
+            streams = [_gather_bytes(run[f"{k}_off"], run[f"{k}_blob"], j)[1]
+                       for k in BLOB_KINDS]
+        ns = run["ns"][j]
+        ids, tf, dl = decode_posting_streams(run["firsts"][j], ns, *streams)
         m = self.manifest
-        ids, tf, dl = decode_posting_blocks(
-            [b["first_doc"] for b in todo], [b["n"] for b in todo],
-            [b["doc_blob"] for b in todo], [b["tf_blob"] for b in todo],
-            [b["dl_blob"] for b in todo])
-        scores_all = idf * bm25_wdl(tf, dl, m.k1, m.b, m.avgdl)
-        e = 0
-        for b in todo:
-            s, e = e, e + b["n"]
-            b["ids"] = ids[s:e]
-            b["scores"] = scores_all[s:e]
+        scores = run["idf"] * bm25_wdl(tf, dl, m.k1, m.b, m.avgdl)
+        if j.size == todo.size:
+            run["ids"], run["scores"] = ids, scores
+        else:
+            if "ids" not in run:
+                run["ids"] = np.repeat(run["firsts"], run["ns"])
+                run["scores"] = np.zeros(run["n"])
+            at = _spans(run["starts"][j], ns)
+            run["ids"][at] = ids
+            run["scores"][at] = scores
+        run["decoded"][j] = True
 
     def _term_df(self, term: str) -> int:
         # every loaded block plus the out-of-range row groups' metadata
@@ -748,43 +802,49 @@ class BM25Index:
 
     # -- scoring -------------------------------------------------------
 
-    def _build_runs(self, term: str, blocks: list[dict]) -> list[dict]:
-        """The scoring units of ``term``, from its loaded ``blocks`` in
-        (salt, segment, block) order: one run per (salt, segment), in
-        that order.  A salted hot term's postings are independent
-        docID-sorted runs (stages/tokenize.py), docID order only holds
-        within one append segment, and a doc has at most one posting
-        per run.
+    def _build_run(self, term: str, blk: dict, a: int,
+                   b: int) -> dict | None:
+        """The scoring unit made of loaded blocks ``[a, b)`` of ``blk``
+        — one (salt, segment) run of ``term``, blocks in order.  A salted
+        hot term's postings are independent docID-sorted runs
+        (stages/tokenize.py), docID order only holds within one append
+        segment, and a doc has at most one posting per run.
 
-        Each run carries the term's ``idf``, its ``blocks``, their
-        ``firsts`` (block j covers [firsts[j], firsts[j+1])), its
-        posting count ``n`` and its upper bound ``ub`` = idf × max
-        block max_wdl.  On a ``doc_range`` handle only the blocks that
-        can hold an in-range doc are kept, so the rest are never
-        decoded."""
+        A run is columnar: per block its first id ``firsts`` (block j
+        covers [firsts[j], firsts[j+1])), posting count ``ns``, posting
+        offsets ``starts``, bound-corrected ``max_wdl``, source read
+        ``src`` and ``row``, and per blob kind one contiguous buffer
+        ``<kind>_blob`` with block byte offsets ``<kind>_off``; then the
+        term's ``idf``, the posting count ``n``, the upper bound ``ub``
+        = idf × max block max_wdl and the decode memo
+        (``_decode_blocks_bulk``).  On a ``doc_range`` handle only the
+        blocks that can hold an in-range doc are kept — past the range
+        from the first block starting at hi, before it while the next
+        block starts at or below lo — so the rest are never decoded;
+        None when none is left."""
+        if self.doc_range is not None:
+            lo, hi = (min(max(x, -(1 << 63)), (1 << 63) - 1)
+                      for x in self.doc_range)
+            f = blk["first"][a:b]
+            a, b = (a + max(int(np.searchsorted(f, lo, side="right")) - 1, 0),
+                    a + int(np.searchsorted(f, hi, side="left")))
+            if a >= b:
+                return None
         idf = self._idf(term)
-        by_run: dict[tuple[int, int], list[dict]] = {}
-        for b in blocks:
-            by_run.setdefault((b["salt"], b["seg"]), []).append(b)
-        runs = []
-        for rb in by_run.values():
-            if self.doc_range is not None:
-                lo, hi = self.doc_range
-                # past the range from the first block starting at hi;
-                # before it while the next block starts at or below lo
-                rb = [b for j, b in enumerate(rb)
-                      if b["first_doc"] < hi
-                      and not (j + 1 < len(rb)
-                               and rb[j + 1]["first_doc"] <= lo)]
-                if not rb:
-                    continue
-            runs.append({
-                "idf": idf, "blocks": rb,
-                "firsts": np.array([b["first_doc"] for b in rb],
-                                   dtype=np.uint64),
-                "n": sum(b["n"] for b in rb),
-                "ub": idf * max(b["max_wdl"] for b in rb)})
-        return runs
+        ns = blk["n"][a:b].astype(np.int64)
+        starts = np.zeros(ns.size + 1, dtype=np.int64)
+        np.cumsum(ns, dtype=np.int64, out=starts[1:])
+        run = {"idf": idf, "n": int(starts[-1]),
+               "ub": idf * float(blk["max_wdl"][a:b].max()),
+               "firsts": blk["first"][a:b].astype(np.uint64), "ns": ns,
+               "starts": starts, "max_wdl": blk["max_wdl"][a:b],
+               "src": blk["src"][a:b], "row": blk["row"][a:b],
+               "decoded": np.zeros(ns.size, dtype=bool)}
+        for kind in BLOB_KINDS:
+            off = blk[f"{kind}_off"]
+            run[f"{kind}_off"] = off[a:b + 1] - off[a]
+            run[f"{kind}_blob"] = blk[f"{kind}_blob"][off[a]:off[b]]
+        return run
 
     def _runs(self, terms: list[str]) -> list[dict]:
         """The runs of ``terms`` (sorted unique) in term-major order —
@@ -793,10 +853,10 @@ class BM25Index:
         return [r for t in terms for r in self._term_cache[t]]
 
     def _decoded(self, run: dict) -> tuple[np.ndarray, np.ndarray]:
-        """A run's (ids, scores), docID-sorted, dead docs included."""
-        self._decode_blocks_bulk(run["blocks"], run["idf"])
-        return (np.concatenate([b["ids"] for b in run["blocks"]]),
-                np.concatenate([b["scores"] for b in run["blocks"]]))
+        """A run's (ids, scores), docID-sorted, dead docs included — the
+        memo arrays themselves, never to be written to."""
+        self._decode_blocks_bulk(run)
+        return run["ids"], run["scores"]
 
     def _live(self, ids: np.ndarray,
               scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -814,21 +874,21 @@ class BM25Index:
         outnumber its postings twice over; then every block is decoded.
         Fewer ids decode only the blocks they fall in, found by
         ``firsts`` — a heavy low-idf run probed at a few candidates
-        stays mostly encoded.  The decoded blocks are a docID-sorted
-        slice of the run, so one ``searchsorted`` looks every id up."""
-        blocks = run["blocks"]
+        stays mostly encoded.  The memo's ids are docID-sorted whatever
+        is decoded, so one ``searchsorted`` looks every id up."""
+        want = None
         if ids.size <= 2 * run["n"]:
             bi = np.searchsorted(run["firsts"], ids, side="right") - 1
-            touched = np.zeros(len(blocks), dtype=bool)
-            touched[bi[bi >= 0]] = True
-            blocks = [blocks[j] for j in np.flatnonzero(touched).tolist()]
+            want = np.zeros(run["firsts"].size, dtype=bool)
+            want[bi[bi >= 0]] = True
+            if not want.any():
+                return np.zeros(ids.size)
+        self._decode_blocks_bulk(run, want)
+        rids, rsc = run["ids"], run["scores"]
         out = np.zeros(ids.size)
-        if blocks:
-            self._decode_blocks_bulk(blocks, run["idf"])
-            rids = np.concatenate([b["ids"] for b in blocks])
-            pos = np.minimum(np.searchsorted(rids, ids), rids.size - 1)
-            hit = rids[pos] == ids
-            out[hit] = np.concatenate([b["scores"] for b in blocks])[pos[hit]]
+        pos = np.minimum(np.searchsorted(rids, ids), rids.size - 1)
+        hit = rids[pos] == ids
+        out[hit] = rsc[pos[hit]]
         return out
 
     def _score(self, runs: list[dict]) -> tuple[np.ndarray, np.ndarray]:
@@ -837,12 +897,10 @@ class BM25Index:
         concatenated in term-major order and group-summed."""
         if not runs:
             return np.empty(0, dtype=np.uint64), np.empty(0)
-        for r in runs:
-            self._decode_blocks_bulk(r["blocks"], r["idf"])
-        blocks = [b for r in runs for b in r["blocks"]]
+        decoded = [self._decoded(r) for r in runs]
         return self._live(*aggregate_scores(
-            np.concatenate([b["ids"] for b in blocks]),
-            np.concatenate([b["scores"] for b in blocks])))
+            np.concatenate([ids for ids, _ in decoded]),
+            np.concatenate([sc for _, sc in decoded])))
 
     def _maxscore(self, runs: list[dict],
                   k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1128,21 +1186,32 @@ class BM25Index:
         if has_text and with_text:
             cols.append("text")
         want = sorted(id_list)
-        value_set = _pa(np.array(want, dtype=np.int64))
+        want_np = np.array(want, dtype=np.int64)
+
+        def wanted(ids: np.ndarray) -> np.ndarray:
+            """The rows of ``ids`` that are in ``want``."""
+            if not want_np.size:
+                return np.empty(0, dtype=np.int64)
+            at = np.minimum(np.searchsorted(want_np, ids), want_np.size - 1)
+            return np.flatnonzero(want_np[at] == ids)
+
         if self._docs_mem is not None:
-            return self._docs_mem.filter(
-                pc.is_in(self._docs_mem["doc_id"], value_set=value_set)
-            ).select(cols), has_text
+            ids = _np(self._docs_mem["doc_id"])
+            rows = wanted(ids)
+            return _take_table(self._docs_mem.select(cols),
+                               rows[np.argsort(ids[rows], kind="stable")]
+                               ), has_text
         if self._doc_rg_index is None:
             self._doc_rg_index = self._build_doc_rg_index()
         parts = []
         for path, rg, lo, hi in self._doc_rg_index:
             if any(lo <= d <= hi for d in want):
+                # single-threaded, like the postings reads: a cold
+                # hydration must not start Arrow's thread pool
                 t = self._parquet_file(path, "docs").read_row_group(
-                    rg, columns=cols)
+                    rg, columns=cols, use_threads=False)
                 self.io_stats["docs_row_groups_read"] += 1
-                parts.append(t.filter(pc.is_in(t["doc_id"],
-                                               value_set=value_set)))
+                parts.append(_take_table(t, wanted(_np(t["doc_id"]))))
         dtbl = pa.concat_tables(parts) if parts else pa.Table.from_batches(
             [], schema=pa.schema([docs_schema.field(c) for c in cols]))
         return dtbl, has_text

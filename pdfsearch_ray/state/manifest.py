@@ -93,10 +93,11 @@ class IndexManifest:
         if not self.tombstones:
             return np.empty(0, dtype=np.int64)
         # ParquetFile.read, not pq.read_table: the latter goes through
-        # pyarrow.dataset, which serving never imports
+        # pyarrow.dataset, which serving never imports; single-threaded,
+        # so opening a handle starts no Arrow thread pool
         parts = [
             _np(pq.ParquetFile(f"{index_dir}/tombstones/{f}").read(
-                columns=["doc_id"])["doc_id"])
+                columns=["doc_id"], use_threads=False)["doc_id"])
             for f in self.tombstones
         ]
         return np.unique(np.concatenate(parts)).astype(np.int64)

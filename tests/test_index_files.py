@@ -353,11 +353,13 @@ def test_posting_readers_equal_a_full_column_read(ray_session, tmp_path):
 
 def test_serving_handle_keeps_ids_and_scores_only(ray_session, tmp_path,
                                                   monkeypatch):
-    """After a batch of searches on every scoring path no cached block
+    """After a batch of searches on every scoring path no cached run
     holds decoded tf or dl, or a position blob; reading them through a
     PostingList does not put them on the handle either.  A cold read
-    starts no thread, and position reads are counted apart from the
-    scoring read."""
+    starts no thread — no Python thread, and, in a fresh process, no OS
+    thread (Arrow's C++ pool) across opening a handle and a cold search
+    with spans — and position reads are counted apart from the scoring
+    read."""
     import threading
 
     from pdfsearch_ray.pipelines.query import BM25Index
@@ -380,7 +382,7 @@ def test_serving_handle_keeps_ids_and_scores_only(ray_session, tmp_path,
 
     def held(handle) -> set[str]:
         return {k for runs in handle._term_cache.values()
-                for r in runs for b in r["blocks"] for k in b}
+                for r in runs for k in r}
 
     assert "ids" in held(idx) and "scores" in held(idx)
     assert not held(idx) & {"tf", "dl", "pos_blob"}
@@ -395,6 +397,24 @@ def test_serving_handle_keeps_ids_and_scores_only(ray_session, tmp_path,
     assert idx.io_stats["positions_row_groups_read"] > 0
     for key in ("postings_row_groups_read", "postings_bytes_read"):
         assert idx.io_stats[key] == stats[key], key
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = textwrap.dedent(f"""
+        import os
+        from pdfsearch_ray.pipelines.query import BM25Index
+        def n_threads():
+            return len(os.listdir("/proc/self/task"))
+        before = n_threads()
+        idx = BM25Index({d!r})
+        ms = idx.search({QUERIES[0]!r}, max_results=5, with_spans=True)
+        assert ms.matches and ms.matches[0].spans, "no hits with spans"
+        print(before, n_threads())
+    """)
+    r = subprocess.run([sys.executable, "-c", code], cwd=repo,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr[-2000:]
+    before, after = map(int, r.stdout.split()[-2:])
+    assert after == before, f"a cold search started {after - before} threads"
 
 
 def test_scoring_never_reads_positions(ray_session, tmp_path):
@@ -427,10 +447,10 @@ def test_scoring_never_reads_positions(ray_session, tmp_path):
 
 
 def test_serving_imports_no_pandas(ray_session, tmp_path):
-    """Serving converts between Arrow and numpy through buffers: no
-    search path, posting reader, checksum check or hydration of a local
-    handle imports pandas, and neither does a warmed QueryEngine or
-    ShardEngine replica."""
+    """Serving converts, matches, sorts and gathers Arrow data through
+    buffers: no search path, posting reader, checksum check or
+    hydration of a local handle imports pandas or ``pyarrow.compute``,
+    and neither does a warmed QueryEngine or ShardEngine replica."""
     import ray
     import ray.data as rd
 
@@ -463,6 +483,8 @@ def test_serving_imports_no_pandas(ray_session, tmp_path):
         assert meta.num_rows > 0
         assert BM25Index({empty!r}).search(queries[0]).total_matches == 0
         assert "pandas" not in sys.modules, "serving imported pandas"
+        assert "pyarrow.compute" not in sys.modules, \
+            "serving imported pyarrow.compute"
     """)
     r = subprocess.run([sys.executable, "-c", code], cwd=repo,
                        capture_output=True, text=True, timeout=120)
@@ -475,8 +497,9 @@ def test_serving_imports_no_pandas(ray_session, tmp_path):
         ray.get([engine.search.remote(q, max_results=5) for q in QUERIES]
                 + [shard.topk.remote(q, 5) for q in QUERIES])
         loaded = ray.get([a.__ray_call__.remote(
-            lambda _self: "pandas" in sys.modules) for a in (engine, shard)])
-        assert loaded == [False, False]
+            lambda _self: [m for m in ("pandas", "pyarrow.compute")
+                           if m in sys.modules]) for a in (engine, shard)])
+        assert loaded == [[], []]
     finally:
         for a in (engine, shard):
             ray.kill(a)

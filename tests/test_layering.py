@@ -2,7 +2,7 @@
 the posting-block layout, the decode memo and the tombstone array, and
 no code imports its underscore names; ``index/codec.py`` is the only
 place that writes the BM25 formula; and the serving modules call none
-of pyarrow's pandas-backed converters."""
+of pyarrow's pandas-backed converters or ``pyarrow.compute``."""
 
 import ast
 import re
@@ -135,22 +135,26 @@ def test_bm25_formula_written_once_in_codec():
 
 # The serving path: what a QueryEngine / ShardEngine replica or a local
 # BM25Index imports and runs.  pyarrow's converters (``to_numpy``,
-# ``pa.array``, ``Schema.empty_table``) import pandas on first use, so
-# serving converts through buffers with the ``index/arrays.py`` helpers.
+# ``pa.array``, ``Schema.empty_table``) import pandas on first use, and
+# ``Table.take`` / ``filter`` / ``sort_by`` and ``Array.cast`` import
+# ``pyarrow.compute``, so serving converts, matches and gathers through
+# buffers with the ``index/arrays.py`` helpers.
 SERVING = [PKG / "pipelines" / "query.py", PKG / "pipelines" / "engine.py",
            PKG / "state" / "manifest.py", PKG / "index" / "codec.py",
            PKG / "index" / "arrays.py",
            *sorted((PKG / "analysis").glob("*.py"))]
-# where a converter call is allowed: the buffer helpers themselves and
+# where such a call is allowed: the buffer helpers themselves and
 # search_to_table, a batch output rather than the serving path
-CONVERTER_ALLOWLIST = {"index/arrays.py:_np", "index/arrays.py:_pa",
-                       "index/arrays.py:_pa_str",
+CONVERTER_ALLOWLIST = {"index/arrays.py:_np",
                        "pipelines/query.py:BM25Index.search_to_table"}
 
 
 def _converter_sites(path: Path) -> list[str]:
-    """``where:qualname:line what`` of every pandas import and every
-    ``.to_numpy(`` / ``pa.array(`` / ``.empty_table(`` call in ``path``."""
+    """``where:qualname:line what`` of every pandas or
+    ``pyarrow.compute`` import and every ``.to_numpy(`` / ``pa.array(``
+    / ``.empty_table(`` call and every ``.take(`` / ``.filter(`` /
+    ``.sort_by(`` / ``.cast(`` call (each imports ``pyarrow.compute``)
+    in ``path``."""
     where = str(path.relative_to(PKG))
     hits: list[str] = []
 
@@ -161,15 +165,21 @@ def _converter_sites(path: Path) -> list[str]:
                 continue
             what = None
             if isinstance(n, ast.Import) and any(
-                    a.name.split(".")[0] == "pandas" for a in n.names):
-                what = "import pandas"
+                    a.name.split(".")[0] == "pandas"
+                    or a.name.startswith("pyarrow.compute")
+                    for a in n.names):
+                what = "import " + ", ".join(a.name for a in n.names)
             elif (isinstance(n, ast.ImportFrom) and n.module
-                  and n.module.split(".")[0] == "pandas"):
-                what = "from pandas import"
+                  and (n.module.split(".")[0] == "pandas"
+                       or n.module.startswith("pyarrow.compute")
+                       or (n.module == "pyarrow" and any(
+                           a.name == "compute" for a in n.names)))):
+                what = f"from {n.module} import"
             elif isinstance(n, ast.Call) and isinstance(n.func,
                                                         ast.Attribute):
                 f = n.func
-                if f.attr in ("to_numpy", "empty_table"):
+                if f.attr in ("to_numpy", "empty_table", "take", "filter",
+                              "sort_by", "cast"):
                     what = f".{f.attr}("
                 elif (f.attr == "array" and isinstance(f.value, ast.Name)
                       and f.value.id == "pa"):
@@ -185,5 +195,5 @@ def _converter_sites(path: Path) -> list[str]:
 def test_serving_modules_use_no_pandas_backed_converter():
     assert all(p.exists() for p in SERVING)
     hits = [h for path in SERVING for h in _converter_sites(path)]
-    assert not hits, "pandas-backed conversion on the serving path:\n" + \
-        "\n".join(hits)
+    assert not hits, ("pandas-backed conversion or pyarrow.compute on the "
+                      "serving path:\n" + "\n".join(hits))

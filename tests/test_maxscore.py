@@ -67,14 +67,50 @@ def test_maxscore_prunes_decodes(ray_session, tmp_path):
     idx = BM25Index(d)
     got = idx.search("rare common", max_results=1, with_spans=False,
                      method="maxscore")
-    blocks = [b for t in ("rare", "common") for r in idx._term_cache[t]
-              for b in r["blocks"]]
-    decoded = sum(1 for b in blocks if "ids" in b)
-    assert len(blocks) == 126 and decoded == 2, (decoded, len(blocks))
+    masks = [r["decoded"] for t in ("rare", "common")
+             for r in idx._term_cache[t]]
+    blocks = sum(m.size for m in masks)
+    decoded = sum(int(m.sum()) for m in masks)
+    assert blocks == 126 and decoded == 2, (decoded, blocks)
     want = BM25Index(d).search("rare common", max_results=1,
                                with_spans=False, method="taat")
     assert [(m.doc_id, m.score) for m in got.matches] == [
         (m.doc_id, m.score) for m in want.matches]
+
+
+def test_maxscore_probe_hits_a_block_inside_an_encoded_run(ray_session,
+                                                           tmp_path):
+    """The rare docs sit in the middle of the common term's run and hold
+    the common term too: MaxScore decodes the rare term's block and only
+    the one common block they fall in, with encoded blocks on both
+    sides, and the probe must still find their common postings — the
+    scores equal TAAT's bit for bit."""
+    import pyarrow as pa
+
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import build_index
+    from pdfsearch_ray.pipelines.query import BM25Index
+
+    texts = [f"common filler w{i % 13}" for i in range(2000)]
+    for i in range(1000, 1005):
+        texts[i] = "rare rare common"
+    d = str(tmp_path / "idx")
+    build_index(rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(len(texts)), pa.int64()),
+        "text": pa.array(texts)})), d, analyzer="simple", num_buckets=4,
+        block_size=16)
+    idx = BM25Index(d)
+    for k in (1, 3):
+        got = idx.search("rare common", max_results=k, with_spans=False,
+                         method="maxscore")
+        want = BM25Index(d).search("rare common", max_results=k,
+                                   with_spans=False, method="taat")
+        assert [(m.doc_id, m.score) for m in got.matches] == [
+            (m.doc_id, m.score) for m in want.matches], k
+    masks = [r["decoded"] for r in idx._term_cache["common"]]
+    decoded = np.flatnonzero(np.concatenate(masks))
+    assert decoded.size == 1 and 0 < decoded[0] < sum(m.size for m in masks) - 1
 
 
 def test_bulk_decode_equals_per_block():
