@@ -32,24 +32,23 @@ SF_SMOKE = "/root/testdata/sf0.001"
 def entry() -> Any:
     """Flagship: build the en-chain BM25 index over sf0.001 documents and
     answer the reference query set; returns the result table."""
-    import tempfile
-
     import pyarrow as pa
 
+    from pdfsearch_ray.functions.spill import spill_dir
     from pdfsearch_ray.pipelines.build import build_index
     from pdfsearch_ray.pipelines.query import BM25Index
 
-    index_dir = tempfile.mkdtemp(prefix="pdfsearch_entry_")
-    build_index(
-        f"{SF_SMOKE}/documents.parquet", index_dir,
-        analyzer="en", lang_col="lang", num_buckets=16,
-    )
-    idx = BM25Index(index_dir)
-    tables = [
-        idx.search_to_table(q, max_results=10)
-        for q in ("data processing pipeline", "stream window", "information")
-    ]
-    return pa.concat_tables(tables)
+    with spill_dir("pdfsearch_entry_") as index_dir:
+        build_index(
+            f"{SF_SMOKE}/documents.parquet", index_dir,
+            analyzer="en", lang_col="lang", num_buckets=16,
+        )
+        idx = BM25Index(index_dir)
+        return pa.concat_tables([
+            idx.search_to_table(q, max_results=10)
+            for q in ("data processing pipeline", "stream window",
+                      "information")
+        ])
 
 
 def _windowed_event_counts(sf_dir: str):

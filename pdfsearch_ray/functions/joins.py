@@ -1,11 +1,10 @@
 """Distributed equi-join and connected-components primitives.
 
 Ray Data has no native join; the engine's join is the classic
-disk-mediated hash join built from the same map-side hash-partition
-spill the posting build uses (pipelines/build.py design note):
+disk-mediated hash join, the two-side case of the one exchange
+(``functions/spill.bucket_exchange``):
 
-    both inputs --map_batches--> +__jb column (mix64(key) % B)
-                --write_parquet(partition_cols=[__jb])--> spill
+    both inputs --mix64(key) % B--> bucket layouts in one scoped spill
     one task per bucket: read both sides' bucket, Arrow (Acero) join
 
 Only the join KEY decides placement; payload moves exactly once, there
@@ -21,12 +20,7 @@ machine).
 
 from __future__ import annotations
 
-from .spill import spill_dir
-
-import glob
 import os
-import shutil
-import tempfile
 
 import numpy as np
 import pyarrow as pa
@@ -34,82 +28,7 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from .hashing import mix64
-
-
-def _ensure_http_fs_importable() -> None:
-    """Make Ray's lazy ``from fsspec.implementations.http import
-    HTTPFileSystem`` (path_util._is_http_filesystem, called on every
-    read/write path resolution) deterministic under driver threads.
-
-    When aiohttp is absent that import FAILS — and failed imports are
-    never cached, so two threads resolving paths concurrently can race
-    in the import machinery and one sees a plain ImportError that Ray's
-    ModuleNotFoundError guard does not catch.  Seed a sentinel module
-    (HTTP filesystems are unusable without aiohttp anyway): the import
-    then succeeds once, is cached, and the isinstance check is False."""
-    import sys
-    import types
-
-    try:
-        import fsspec.implementations.http  # noqa: F401
-        return
-    except ImportError:
-        pass
-    # only seed the sentinel when the import failure is PERMANENT
-    # (aiohttp genuinely absent).  If it was transient — the very
-    # concurrent-import race being worked around, with aiohttp actually
-    # installed — seeding would mask real HTTPFileSystem support for
-    # the process lifetime; leave it to retry instead.
-    import importlib.util
-
-    if importlib.util.find_spec("aiohttp") is not None:
-        return
-    name = "fsspec.implementations.http"
-    if name in sys.modules:
-        return
-    mod = types.ModuleType(name)
-
-    class HTTPFileSystem:  # sentinel — real class unimportable here
-        pass
-
-    mod.HTTPFileSystem = HTTPFileSystem
-    sys.modules[name] = mod
-    try:
-        import fsspec.implementations
-
-        fsspec.implementations.http = mod
-    except ImportError:
-        pass
-
-
-def _with_bucket(t: pa.Table, key: str, num_buckets: int) -> pa.Table:
-    ids = t[key].to_numpy(zero_copy_only=False).astype(np.int64)
-    b = (mix64(ids.view(np.uint64)) % np.uint64(num_buckets)).astype(np.int32)
-    return t.append_column("__jb", pa.array(b))
-
-
-def _spill_schema(d: str) -> pa.Schema:
-    files = glob.glob(f"{d}/**/*.parquet", recursive=True)
-    if not files:
-        return pa.schema([])
-    return pq.read_schema(files[0])
-
-
-def spill_bucketed(ds: rd.Dataset, key: str, out: str,
-                   num_buckets: int = 16) -> str:
-    """Materialize one join side to its bucket-partitioned layout
-    (mix64(key) % num_buckets under ``__jb=``).  Pass the dir to
-    ``hash_join`` in place of that side's Dataset to reuse ONE layout
-    across many joins — the iterative-algorithm shape (e.g. hash-min
-    CC joins a static edge list against evolving labels every round).
-    The caller owns cleanup and must pass the SAME ``num_buckets``."""
-    _ensure_http_fs_importable()
-    ds.map_batches(
-        lambda t: _with_bucket(t, key, num_buckets),
-        batch_format="pyarrow",
-    ).write_parquet(out, partition_cols=["__jb"])
-    return out
+from .spill import bucket_exchange, layout_files, spill_bucketed, spill_dir
 
 
 def hash_join(
@@ -119,81 +38,25 @@ def hash_join(
     left_on: str,
     right_on: str,
     num_buckets: int = 16,
-    work_dir: str | None = None,
-) -> rd.Dataset:
-    """Distributed INNER equi-join on int64 keys via bucket-partitioned
-    spill + per-bucket Arrow joins.
+) -> rd.MaterializedDataset:
+    """Distributed INNER equi-join on int64 keys: one two-side
+    ``bucket_exchange`` whose per-bucket function is an Arrow join.
 
-    Either side may be a ``spill_bucketed`` directory (str) instead of
-    a Dataset — that side's spill is skipped and the layout is read as
-    is (it must have been written with the same ``num_buckets``).
+    Either side may be a ``spill_bucketed`` layout path instead of a
+    Dataset (written with the same ``num_buckets``).
 
-    Returns a lazy Dataset of joined rows (left columns then right
-    columns; when ``left_on != right_on`` both key columns survive).
-    The spill lives until process exit unless the caller passes
-    ``work_dir`` and removes it after consuming the result
-    (prespilled dirs always stay the caller's).
-    """
-    work_dir = work_dir or spill_dir(prefix="pdfsearch_join_")
-    ldir = left if isinstance(left, str) else f"{work_dir}/l"
-    rdir = right if isinstance(right, str) else f"{work_dir}/r"
+    Returns the joined rows materialized (left columns then right
+    columns; when ``left_on != right_on`` both key columns survive)."""
 
-    def _spill(ds: rd.Dataset, key: str, out: str) -> None:
-        ds.map_batches(
-            lambda t: _with_bucket(t, key, num_buckets),
-            batch_format="pyarrow",
-        ).write_parquet(out, partition_cols=["__jb"])
+    def join(_b: int, lt: pa.Table | None,
+             rt: pa.Table | None) -> pa.Table | None:
+        if lt is None or rt is None:
+            return None
+        return lt.join(rt, keys=left_on, right_keys=right_on,
+                       join_type="inner", use_threads=False)
 
-    # the two spills are independent jobs — overlap them so the smaller
-    # side's wall time hides under the larger side's
-    from concurrent.futures import ThreadPoolExecutor
-
-    _ensure_http_fs_importable()
-
-    todo = []
-    if not isinstance(left, str):
-        todo.append((left, left_on, ldir))
-    if not isinstance(right, str):
-        todo.append((right, right_on, rdir))
-    with ThreadPoolExecutor(max_workers=2) as ex:
-        futs = [ex.submit(_spill, ds, key, out)
-                for ds, key, out in todo]
-        for f in futs:
-            f.result()
-    # empty-bucket blocks need the joined schema; an Acero join of two
-    # empty tables computes it exactly once here
-    lschema, rschema = _spill_schema(ldir), _spill_schema(rdir)
-    if not lschema.names or not rschema.names:
-        empty = pa.schema([]).empty_table()
-    else:
-        empty = lschema.empty_table().join(
-            rschema.empty_table(), keys=left_on, right_keys=right_on,
-            join_type="inner",
-        )
-
-    def _join_bucket(batch: pa.Table) -> pa.Table:
-        outs = []
-        for bi in batch["b"].to_pylist():
-            lp, rp = f"{ldir}/__jb={bi}", f"{rdir}/__jb={bi}"
-            if not os.path.isdir(lp) or not os.path.isdir(rp):
-                continue
-            lt = pq.read_table(lp, use_threads=False)
-            rt = pq.read_table(rp, use_threads=False)
-            if lt.num_rows == 0 or rt.num_rows == 0:
-                continue
-            j = lt.join(rt, keys=left_on, right_keys=right_on,
-                        join_type="inner", use_threads=False)
-            if j.num_rows:
-                outs.append(j)
-        if not outs:
-            return empty
-        return pa.concat_tables(outs, promote_options="default")
-
-    return (
-        rd.from_items([{"b": i} for i in range(num_buckets)],
-                      override_num_blocks=num_buckets)
-        .map_batches(_join_bucket, batch_size=1, batch_format="pyarrow")
-    )
+    return bucket_exchange([left, right], [left_on, right_on],
+                           num_buckets, join)
 
 
 def min_label_propagation(
@@ -221,8 +84,6 @@ def min_label_propagation(
     parquet when it is tiny, else via a Ray aggregate.  No driver-side
     union-find: the edge set may exceed single-machine memory.
     """
-    import glob as _glob
-
     from ray.data.aggregate import Min, Sum
 
     empty = pa.table({
@@ -245,98 +106,67 @@ def min_label_propagation(
         })
 
     imax = np.iinfo(np.int64).max
-    empty_nc = pa.table({"node": pa.array([], type=pa.int64()),
-                         "cand": pa.array([], type=pa.int64())})
-    work = spill_dir(prefix="pdfsearch_lprop_")
-    try:
-        edges_dir = spill_bucketed(
+
+    def contrib(_b: int, et: pa.Table | None,
+                *labels: pa.Table | None) -> pa.Table | None:
+        if et is None or labels == (None,):
+            return None
+        u = et["u"].to_numpy(zero_copy_only=False).astype(np.int64)
+        v = et["v"].to_numpy(zero_copy_only=False).astype(np.int64)
+        if not labels:
+            # round 0: label(u) == u — no lookup
+            nodes = np.unique(u)
+            msg_lab = u
+            self_n, self_c = nodes, nodes
+        else:
+            lt, = labels
+            nid = lt["node"].to_numpy(zero_copy_only=False).astype(np.int64)
+            nlab = lt["label"].to_numpy(
+                zero_copy_only=False).astype(np.int64)
+            order = np.argsort(nid, kind="stable")
+            sid, slab = nid[order], nlab[order]
+            pos = np.minimum(np.searchsorted(sid, u), max(sid.size - 1, 0))
+            # co-partition invariant: every u's label is in THIS bucket
+            # (labels cover all nodes, same mix64 % B) — a miss would
+            # corrupt silently
+            assert sid.size and (sid[pos] == u).all(), \
+                "label bucket missing edge endpoints"
+            msg_lab = slab[pos]
+            self_n, self_c = nid, nlab
+        uv, vinv = np.unique(v, return_inverse=True)
+        vmin = np.full(uv.size, imax, dtype=np.int64)
+        np.minimum.at(vmin, vinv, msg_lab)
+        return pa.table({
+            "node": pa.array(np.concatenate([uv, self_n]), type=pa.int64()),
+            "cand": pa.array(np.concatenate([vmin, self_c]),
+                             type=pa.int64()),
+        })
+
+    def relabel(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "node": t["node"].cast(pa.int64()),
+            "label": t["min(cand)"].cast(pa.int64()),
+        })
+
+    with spill_dir("pdfsearch_lprop_") as work:
+        edges = spill_bucketed(
             pairs_ds.map_batches(_both_dirs, batch_format="pyarrow"),
             "u", f"{work}/edges", num_buckets=num_buckets)
-        efiles = _glob.glob(f"{edges_dir}/**/*.parquet", recursive=True)
+        efiles = layout_files(edges)
         if not efiles or sum(pq.read_metadata(f).num_rows
                              for f in efiles) == 0:
             return empty
 
-        def make_contrib(labels_dir: str | None):
-            def contrib(batch: pa.Table) -> pa.Table:
-                outs = []
-                for b in batch["b"].to_pylist():
-                    ep = f"{edges_dir}/__jb={b}"
-                    if not os.path.isdir(ep):
-                        continue
-                    et = pq.read_table(ep, columns=["u", "v"],
-                                       use_threads=False)
-                    u = et["u"].to_numpy(
-                        zero_copy_only=False).astype(np.int64)
-                    v = et["v"].to_numpy(
-                        zero_copy_only=False).astype(np.int64)
-                    if labels_dir is None:
-                        # round 0: label(u) == u — no lookup
-                        nodes = np.unique(u)
-                        msg_lab = u
-                        self_n, self_c = nodes, nodes
-                    else:
-                        lp = f"{labels_dir}/__jb={b}"
-                        if not os.path.isdir(lp):
-                            continue
-                        lt = pq.read_table(lp,
-                                           columns=["node", "label"],
-                                           use_threads=False)
-                        nid = lt["node"].to_numpy(
-                            zero_copy_only=False).astype(np.int64)
-                        nlab = lt["label"].to_numpy(
-                            zero_copy_only=False).astype(np.int64)
-                        order = np.argsort(nid, kind="stable")
-                        sid, slab = nid[order], nlab[order]
-                        pos = np.minimum(np.searchsorted(sid, u),
-                                         max(sid.size - 1, 0))
-                        # co-partition invariant: every u's label is in
-                        # THIS bucket (labels cover all nodes, same
-                        # mix64 % B) — a miss would corrupt silently
-                        assert sid.size and (sid[pos] == u).all(), \
-                            "label bucket missing edge endpoints"
-                        msg_lab = slab[pos]
-                        self_n, self_c = nid, nlab
-                    uv, vinv = np.unique(v, return_inverse=True)
-                    vmin = np.full(uv.size, imax, dtype=np.int64)
-                    np.minimum.at(vmin, vinv, msg_lab)
-                    outs.append(pa.table({
-                        "node": pa.array(
-                            np.concatenate([uv, self_n]),
-                            type=pa.int64()),
-                        "cand": pa.array(
-                            np.concatenate([vmin, self_c]),
-                            type=pa.int64()),
-                    }))
-                if not outs:
-                    return empty_nc
-                return pa.concat_tables(outs)
-            return contrib
-
-        def relabel(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "node": t["node"].cast(pa.int64()),
-                "label": t["min(cand)"].cast(pa.int64()),
-            })
-
-        labels_dir = None
+        labels = None
         prev_sum = None
         for k in range(max_iter):
-            nd = f"{work}/labels_{k}"
-            spill_bucketed(
-                rd.from_items([{"b": i} for i in range(num_buckets)],
-                              override_num_blocks=num_buckets)
-                .map_batches(make_contrib(labels_dir), batch_size=1,
-                             batch_format="pyarrow")
+            labels = spill_bucketed(
+                bucket_exchange([edges] + ([labels] if labels else []),
+                                [None, None], num_buckets, contrib)
                 .groupby("node").aggregate(Min("cand"))
                 .map_batches(relabel, batch_format="pyarrow"),
-                "node", nd, num_buckets=num_buckets)
-            old = labels_dir
-            labels_dir = nd
-            if old is not None:
-                shutil.rmtree(old, ignore_errors=True)
-            lfiles = sorted(_glob.glob(f"{nd}/**/*.parquet",
-                                       recursive=True))
+                "node", f"{work}/labels_{k}", num_buckets=num_buckets)
+            lfiles = layout_files(labels)
             if sum(os.path.getsize(f) for f in lfiles) < (1 << 28):
                 s = int(np.sum(pq.read_table(
                     lfiles, columns=["label"])["label"].to_numpy()
@@ -348,12 +178,8 @@ def min_label_propagation(
                 break
             prev_sum = s
 
-        lfiles = sorted(_glob.glob(f"{labels_dir}/**/*.parquet",
-                                   recursive=True))
-        out = pq.read_table(lfiles, columns=["node", "label"]) \
+        out = pq.read_table(layout_files(labels), columns=["node", "label"]) \
             .to_pandas().sort_values("node")
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
     return pa.table({
         "doc_id": pa.array(out["node"].astype("int64").tolist(), type=pa.int64()),
         "keep_id": pa.array(out["label"].astype("int64").tolist(), type=pa.int64()),

@@ -29,7 +29,7 @@ Design notes (scale):
 
 from __future__ import annotations
 
-from ..functions.spill import spill_dir
+from ..functions.spill import BUCKET_COL, bucket_exchange
 from ..functions.tables import block_tables
 
 import time
@@ -848,49 +848,17 @@ def duplicate_doc_ids(ds: rd.Dataset, id_col: str = "doc_id",
     structural for the extract source ((partition_id << 32) | row with
     validated markers); this audit is the explicit check for arbitrary
     sources, where a colliding id would silently corrupt postings."""
-    import os
-    import shutil
+    def _dups(_b: int, t: pa.Table) -> pa.Table:
+        ids = np.sort(t["doc_id"].to_numpy())
+        dup = ids[1:][ids[1:] == ids[:-1]]
+        return pa.table({"doc_id": pa.array(np.unique(dup))})
 
-    import pyarrow.parquet as pq
-
-    from ..functions.hashing import mix64
-
-    work_dir = spill_dir(prefix="pdfsearch_audit_")
-
-    def _ids(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (mix64(ids.view(np.uint64)) % np.uint64(num_buckets)).astype(np.int32)
-        return pa.table({
-            "doc_id": pa.array(ids),
-            "bucket": pa.array(b),
-        })
-
-    ids_dir = f"{work_dir}/ids"
-    (
-        ds.map_batches(_ids, batch_format="pyarrow")
-        .repartition(num_buckets)
-        .write_parquet(ids_dir, partition_cols=["bucket"])
-    )
-    bucket_dirs = sorted(
-        f"{ids_dir}/{d}" for d in os.listdir(ids_dir) if d.startswith("bucket=")
-    )
-
-    def _dups(batch: pa.Table) -> pa.Table:
-        outs = []
-        for bdir in batch["dir"].to_pylist():
-            ids = np.sort(
-                pq.read_table(bdir, columns=["doc_id"],
-                              use_threads=False)["doc_id"].to_numpy())
-            dup = ids[1:][ids[1:] == ids[:-1]]
-            outs.append(pa.table({"doc_id": pa.array(np.unique(dup))}))
-        return pa.concat_tables(outs)
-
-    tabs = block_tables(
-        rd.from_items([{"dir": d} for d in bucket_dirs],
-                      override_num_blocks=max(1, len(bucket_dirs)))
-        .map_batches(_dups, batch_format="pyarrow", batch_size=1)
-    )
-    shutil.rmtree(work_dir, ignore_errors=True)
+    tabs = block_tables(bucket_exchange(
+        [ds.map_batches(
+            lambda t: pa.table({"doc_id": pa.array(t[id_col].to_numpy(
+                zero_copy_only=False).astype(np.int64))}),
+            batch_format="pyarrow").repartition(num_buckets)],
+        ["doc_id"], num_buckets, _dups))
     if not tabs:
         return np.empty(0, dtype=np.int64)
     return np.sort(pa.concat_tables(tabs)["doc_id"].to_numpy())
@@ -910,7 +878,6 @@ def dup_loser_ids(
     hash_col: str = "hash",
     id_col: str = "doc_id",
     num_buckets: int = 16,
-    work_dir: str | None = None,
 ) -> np.ndarray:
     """Doc_ids of every duplicate row (all but the min-doc_id per content
     hash), computed with a NARROW shuffle: only (hash, doc_id) pairs move,
@@ -918,63 +885,35 @@ def dup_loser_ids(
     dir (the same map-side hash shuffle the posting build uses), one task
     per bucket extracts its losers, and only the loser ids come back —
     the small output of a distributed computation, not a corpus gather."""
-    import os
-    import shutil
-
-    import pyarrow.parquet as pq
-
-    work_dir = work_dir or spill_dir(prefix="pdfsearch_dedup_")
-
     def _pairs(t: pa.Table) -> pa.Table:
-        h = t[hash_col].to_pylist()
-        b = _hash_buckets(h, num_buckets)
         return pa.table({
             "hash": t[hash_col],
             "doc_id": t[id_col].cast(pa.int64()),
-            "bucket": pa.array(b, type=pa.int32()),
+            BUCKET_COL: pa.array(_hash_buckets(t[hash_col].to_pylist(),
+                                               num_buckets),
+                                 type=pa.int32()),
         })
 
-    pairs_dir = f"{work_dir}/pairs"
-    (
-        ds.select_columns([hash_col, id_col])
-        .map_batches(_pairs, batch_format="pyarrow")
-        # pairs are ~50 bytes/doc: coalesce to num_buckets blocks before
-        # the partitioned write so the spill is num_buckets² files, not
-        # (input blocks × num_buckets) tiny ones
-        .repartition(num_buckets)
-        .write_parquet(pairs_dir, partition_cols=["bucket"])
-    )
-    bucket_dirs = sorted(
-        f"{pairs_dir}/{d}" for d in os.listdir(pairs_dir)
-        if d.startswith("bucket=")
-    ) if os.path.isdir(pairs_dir) else []  # empty input writes no dir
-    if not bucket_dirs:
-        return np.empty(0, dtype=np.int64)
+    def _losers(_b: int, t: pa.Table) -> pa.Table:
+        h = t["hash"].to_numpy(zero_copy_only=False)
+        ids = t["doc_id"].to_numpy()
+        order = np.lexsort((ids, h))
+        hs = h[order]
+        keep_first = np.ones(hs.size, dtype=bool)
+        keep_first[1:] = hs[1:] != hs[:-1]
+        return pa.table({"doc_id": pa.array(ids[order][~keep_first])})
 
-    def _losers(batch: pa.Table) -> pa.Table:
-        outs = []
-        for bdir in batch["dir"].to_pylist():
-            t = pq.read_table(bdir, columns=["hash", "doc_id"], use_threads=False)
-            h = t["hash"].to_numpy(zero_copy_only=False)
-            ids = t["doc_id"].to_numpy()
-            order = np.lexsort((ids, h))
-            hs = h[order]
-            keep_first = np.ones(hs.size, dtype=bool)
-            keep_first[1:] = hs[1:] != hs[:-1]
-            outs.append(pa.table({"doc_id": pa.array(ids[order][~keep_first])}))
-        return pa.concat_tables(outs)
-
-    tabs = block_tables(
-        rd.from_items([{"dir": d} for d in bucket_dirs],
-                      override_num_blocks=max(1, len(bucket_dirs)))
-        .map_batches(_losers, batch_format="pyarrow", batch_size=1)
-    )
-    shutil.rmtree(work_dir, ignore_errors=True)
+    tabs = block_tables(bucket_exchange(
+        [ds.select_columns([hash_col, id_col])
+         .map_batches(_pairs, batch_format="pyarrow")
+         # pairs are ~50 bytes/doc: coalesce to num_buckets blocks
+         # before the partitioned write so the spill is num_buckets²
+         # files, not (input blocks × num_buckets) tiny ones
+         .repartition(num_buckets)],
+        [None], num_buckets, _losers))
     if not tabs:
         return np.empty(0, dtype=np.int64)
-    losers = pa.concat_tables(tabs)["doc_id"].to_numpy()
-    losers = np.sort(losers)
-    return losers
+    return np.sort(pa.concat_tables(tabs)["doc_id"].to_numpy())
 
 
 class _DropIds:
@@ -1274,15 +1213,10 @@ def append_skip_hashes(
     delta rows side=1), one task per bucket intersects its slice, and
     only the MATCHED hashes come back — bounded by |delta|, the side
     that is small by construction (it is the append batch itself)."""
-    import os
-    import shutil
-
-    import pyarrow.parquet as pq
     import ray
 
     if not doc_files:
         return pa.array([], type=pa.string())
-    work_dir = spill_dir(prefix="pdfsearch_append_")
     tomb_ref = ray.put(np.sort(tombstones.astype(np.int64))
                        if tombstones.size else None)
 
@@ -1299,53 +1233,30 @@ def append_skip_hashes(
                                      tomb.size - 1)
                     t = t.filter(pa.array(~(tomb[pos] == ids)))
             h = t["hash"].to_pylist()
-            b = _hash_buckets(h, num_buckets)
             return pa.table({
                 "hash": t["hash"],
                 "side": pa.array([side] * len(h), type=pa.int8()),
-                "bucket": pa.array(b, type=pa.int32()),
+                BUCKET_COL: pa.array(_hash_buckets(h, num_buckets),
+                                     type=pa.int32()),
             })
         return f
 
-    pairs_dir = f"{work_dir}/pairs"
-    (
-        rd.read_parquet(doc_files, columns=["hash", "doc_id"])
-        .map_batches(_narrow(0), batch_format="pyarrow")
-        .union(delta.select_columns(["hash"])
-               .map_batches(_narrow(1), batch_format="pyarrow"))
-        .repartition(num_buckets)
-        .write_parquet(pairs_dir, partition_cols=["bucket"])
-    )
-    bucket_dirs = sorted(
-        f"{pairs_dir}/{d}" for d in os.listdir(pairs_dir)
-        if d.startswith("bucket=")
-    ) if os.path.isdir(pairs_dir) else []
-    if not bucket_dirs:
-        shutil.rmtree(work_dir, ignore_errors=True)
-        return pa.array([], type=pa.string())
+    def _matched(_b: int, t: pa.Table) -> pa.Table | None:
+        side = t["side"].to_numpy()
+        cat = t["hash"].filter(pa.array(side == 0))
+        new = t["hash"].filter(pa.array(side == 1))
+        if len(cat) == 0 or len(new) == 0:
+            return None
+        hit = pc.is_in(new, value_set=cat.unique())
+        return pa.table({"hash": new.filter(hit).unique()})
 
-    def _matched(batch: pa.Table) -> pa.Table:
-        outs = []
-        for bdir in batch["dir"].to_pylist():
-            t = pq.read_table(bdir, columns=["hash", "side"],
-                              use_threads=False)
-            side = t["side"].to_numpy()
-            cat = t["hash"].filter(pa.array(side == 0))
-            new = t["hash"].filter(pa.array(side == 1))
-            if len(cat) == 0 or len(new) == 0:
-                continue
-            hit = pc.is_in(new, value_set=cat.unique())
-            outs.append(pa.table({"hash": new.filter(hit).unique()}))
-        if not outs:
-            return pa.table({"hash": pa.array([], type=pa.string())})
-        return pa.concat_tables(outs)
-
-    tabs = block_tables(
-        rd.from_items([{"dir": d} for d in bucket_dirs],
-                      override_num_blocks=max(1, len(bucket_dirs)))
-        .map_batches(_matched, batch_format="pyarrow", batch_size=1)
-    )
-    shutil.rmtree(work_dir, ignore_errors=True)
+    tabs = block_tables(bucket_exchange(
+        [rd.read_parquet(doc_files, columns=["hash", "doc_id"])
+         .map_batches(_narrow(0), batch_format="pyarrow")
+         .union(delta.select_columns(["hash"])
+                .map_batches(_narrow(1), batch_format="pyarrow"))
+         .repartition(num_buckets)],
+        [None], num_buckets, _matched))
     if not tabs:
         return pa.array([], type=pa.string())
     return pa.concat_tables(tabs)["hash"].combine_chunks().unique()

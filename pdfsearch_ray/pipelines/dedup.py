@@ -15,7 +15,7 @@ documented scale path being iterative min-label propagation.
 
 from __future__ import annotations
 
-from ..functions.spill import spill_dir
+from ..functions.spill import BUCKET_COL, bucket_exchange, spill_dir
 
 import numpy as np
 import pyarrow as pa
@@ -115,149 +115,91 @@ def ngram_jaccard_pairs(
       applies inside the combine tasks; only above-threshold pairs
       ever reach the driver.
     """
-    import os
-    import shutil
+    from ..functions.tables import typed_pandas
 
-    import pyarrow.parquet as pq
-
-    from ..functions.joins import spill_bucketed
-
-    own_work = True
-    work_dir = spill_dir(prefix="pdfsearch_ngram_")
-    sh_dir = f"{work_dir}/shingles"
-    spill_bucketed(
-        docs.map_batches(_ShingleEmitter(n), batch_format="pyarrow"),
-        "h", sh_dir)
-
-    empty_pairs = pa.table({"doc_a": pa.array([], type=pa.int64()),
-                            "doc_b": pa.array([], type=pa.int64()),
-                            "na": pa.array([], type=pa.int64()),
-                            "nb": pa.array([], type=pa.int64()),
-                            "c": pa.array([], type=pa.int64())})
-
-    def pairs_bucket(batch: pa.Table) -> pa.Table:
-        outs = []
-        for bi in batch["b"].to_pylist():
-            p = f"{sh_dir}/__jb={bi}"
-            if not os.path.isdir(p):
-                continue
-            t = pq.read_table(p, columns=["h", "doc_id", "n_sh"],
-                              use_threads=False)
-            h = t["h"].to_numpy(zero_copy_only=False).astype(np.int64)
-            d = t["doc_id"].to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            ns = t["n_sh"].to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            if h.size < 2:
-                continue
-            order = np.lexsort((d, h))
-            h, d, ns = h[order], d[order], ns[order]
-            new = np.ones(h.size, dtype=bool)
-            new[1:] = h[1:] != h[:-1]
-            gid = np.cumsum(new, dtype=np.int64) - 1
-            sizes = np.bincount(gid)
-            ok_g = (sizes >= 2) & (sizes <= max_shingle_df)
-            if not ok_g.any():
-                continue
-            okrow = ok_g[gid]
-            pa_, pb_, pna, pnb = [], [], [], []
-            for k in range(1, int(sizes[ok_g].max())):
-                m = (gid[:-k] == gid[k:]) & okrow[:-k]
-                if m.any():
-                    pa_.append(d[:-k][m])
-                    pb_.append(d[k:][m])
-                    pna.append(ns[:-k][m])
-                    pnb.append(ns[k:][m])
-            if not pa_:
-                continue
-            A = np.concatenate(pa_)
-            B = np.concatenate(pb_)
-            NA = np.concatenate(pna)
-            NB = np.concatenate(pnb)
-            # pre-combine per (a, b) inside the bucket: one lexsort +
-            # run-length count — the per-task combiner before the
-            # global groupby
-            o2 = np.lexsort((B, A))
-            A, B, NA, NB = A[o2], B[o2], NA[o2], NB[o2]
-            first = np.ones(A.size, dtype=bool)
-            first[1:] = (A[1:] != A[:-1]) | (B[1:] != B[:-1])
-            starts = np.flatnonzero(first)
-            cnt = np.diff(np.append(starts, A.size))
-            outs.append(pa.table({
-                "doc_a": pa.array(A[starts], type=pa.int64()),
-                "doc_b": pa.array(B[starts], type=pa.int64()),
-                "na": pa.array(NA[starts], type=pa.int64()),
-                "nb": pa.array(NB[starts], type=pa.int64()),
-                "c": pa.array(cnt, type=pa.int64()),
-            }))
-        if not outs:
-            return empty_pairs
-        return pa.concat_tables(outs)
-
-    pair_dir = f"{work_dir}/pairs"
     empty_out = pa.table({
         "doc_a": pa.array([], type=pa.int64()),
         "doc_b": pa.array([], type=pa.int64()),
         "jaccard": pa.array([], type=pa.float64()),
     })
 
-    def combine_bucket(batch: pa.Table) -> pa.Table:
-        outs = []
-        for bi in batch["b"].to_pylist():
-            p = f"{pair_dir}/__jb={bi}"
-            if not os.path.isdir(p):
-                continue
-            t = pq.read_table(
-                p, columns=["doc_a", "doc_b", "na", "nb", "c"],
-                use_threads=False)
-            if t.num_rows == 0:
-                continue
-            A = t["doc_a"].to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            B = t["doc_b"].to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            NA = t["na"].to_numpy(
-                zero_copy_only=False).astype(np.float64)
-            NB = t["nb"].to_numpy(
-                zero_copy_only=False).astype(np.float64)
-            C = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)
-            o = np.lexsort((B, A))
-            A, B, NA, NB, C = A[o], B[o], NA[o], NB[o], C[o]
-            first = np.ones(A.size, dtype=bool)
-            first[1:] = (A[1:] != A[:-1]) | (B[1:] != B[:-1])
-            starts = np.flatnonzero(first)
-            inter = np.add.reduceat(C, starts).astype(np.float64)
-            na, nb = NA[starts], NB[starts]
-            j = np.round(inter / (na + nb - inter), 6)
-            keep = j >= threshold
-            if keep.any():
-                outs.append(pa.table({
-                    "doc_a": pa.array(A[starts][keep], type=pa.int64()),
-                    "doc_b": pa.array(B[starts][keep], type=pa.int64()),
-                    "jaccard": pa.array(j[keep], type=pa.float64()),
-                }))
-        if not outs:
-            return empty_out
-        return pa.concat_tables(outs)
+    def pairs_bucket(_b: int, t: pa.Table) -> pa.Table | None:
+        h = t["h"].to_numpy(zero_copy_only=False).astype(np.int64)
+        d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        ns = t["n_sh"].to_numpy(zero_copy_only=False).astype(np.int64)
+        if h.size < 2:
+            return None
+        order = np.lexsort((d, h))
+        h, d, ns = h[order], d[order], ns[order]
+        new = np.ones(h.size, dtype=bool)
+        new[1:] = h[1:] != h[:-1]
+        gid = np.cumsum(new, dtype=np.int64) - 1
+        sizes = np.bincount(gid)
+        ok_g = (sizes >= 2) & (sizes <= max_shingle_df)
+        if not ok_g.any():
+            return None
+        okrow = ok_g[gid]
+        pa_, pb_, pna, pnb = [], [], [], []
+        for k in range(1, int(sizes[ok_g].max())):
+            m = (gid[:-k] == gid[k:]) & okrow[:-k]
+            if m.any():
+                pa_.append(d[:-k][m])
+                pb_.append(d[k:][m])
+                pna.append(ns[:-k][m])
+                pnb.append(ns[k:][m])
+        if not pa_:
+            return None
+        A = np.concatenate(pa_)
+        B = np.concatenate(pb_)
+        NA = np.concatenate(pna)
+        NB = np.concatenate(pnb)
+        # pre-combine per (a, b) inside the bucket: one lexsort +
+        # run-length count — the per-task combiner before the global
+        # groupby
+        o2 = np.lexsort((B, A))
+        A, B, NA, NB = A[o2], B[o2], NA[o2], NB[o2]
+        first = np.ones(A.size, dtype=bool)
+        first[1:] = (A[1:] != A[:-1]) | (B[1:] != B[:-1])
+        starts = np.flatnonzero(first)
+        cnt = np.diff(np.append(starts, A.size))
+        return pa.table({
+            "doc_a": pa.array(A[starts], type=pa.int64()),
+            "doc_b": pa.array(B[starts], type=pa.int64()),
+            "na": pa.array(NA[starts], type=pa.int64()),
+            "nb": pa.array(NB[starts], type=pa.int64()),
+            "c": pa.array(cnt, type=pa.int64()),
+        })
 
-    try:
-        spill_bucketed(
-            rd.from_items([{"b": i} for i in range(16)],
-                          override_num_blocks=16)
-            .map_batches(pairs_bucket, batch_size=1,
-                         batch_format="pyarrow"),
-            "doc_a", pair_dir)
-        from ..functions.tables import typed_pandas
-        out = typed_pandas(
-            rd.from_items([{"b": i} for i in range(16)],
-                          override_num_blocks=16)
-            .map_batches(combine_bucket, batch_size=1,
-                         batch_format="pyarrow"),
-            {"doc_a": "int64", "doc_b": "int64", "jaccard": "float64"},
-        ).sort_values(["doc_a", "doc_b"])
-    finally:
-        if own_work:
-            shutil.rmtree(work_dir, ignore_errors=True)
+    def combine_bucket(_b: int, t: pa.Table) -> pa.Table:
+        A = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
+        B = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
+        NA = t["na"].to_numpy(zero_copy_only=False).astype(np.float64)
+        NB = t["nb"].to_numpy(zero_copy_only=False).astype(np.float64)
+        C = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)
+        o = np.lexsort((B, A))
+        A, B, NA, NB, C = A[o], B[o], NA[o], NB[o], C[o]
+        first = np.ones(A.size, dtype=bool)
+        first[1:] = (A[1:] != A[:-1]) | (B[1:] != B[:-1])
+        starts = np.flatnonzero(first)
+        inter = np.add.reduceat(C, starts).astype(np.float64)
+        na, nb = NA[starts], NB[starts]
+        j = np.round(inter / (na + nb - inter), 6)
+        keep = j >= threshold
+        if not keep.any():
+            return empty_out
+        return pa.table({
+            "doc_a": pa.array(A[starts][keep], type=pa.int64()),
+            "doc_b": pa.array(B[starts][keep], type=pa.int64()),
+            "jaccard": pa.array(j[keep], type=pa.float64()),
+        })
+
+    pairs = bucket_exchange(
+        [docs.map_batches(_ShingleEmitter(n), batch_format="pyarrow")],
+        ["h"], 16, pairs_bucket)
+    out = typed_pandas(
+        bucket_exchange([pairs], ["doc_a"], 16, combine_bucket),
+        {"doc_a": "int64", "doc_b": "int64", "jaccard": "float64"},
+    ).sort_values(["doc_a", "doc_b"])
     return pa.table({
         "doc_a": pa.array(out["doc_a"].astype("int64").tolist(), type=pa.int64()),
         "doc_b": pa.array(out["doc_b"].astype("int64").tolist(), type=pa.int64()),
@@ -432,7 +374,6 @@ def minhash_lsh_dedup(
     shingle_n: int = 3,
     threshold: float = 0.7,
     max_bucket: int = 2000,
-    work_dir: str | None = None,
 ) -> pa.Table:
     """MinHash+LSH near-dup clusters, fully distributed (SQL-oracled).
 
@@ -453,121 +394,53 @@ def minhash_lsh_dedup(
        no driver-side union-find, no O(corpus) driver gather.
     """
     import os
-    import shutil
-
-    import pyarrow.parquet as pq
 
     from ray.data.aggregate import Count
 
-    from ..functions.joins import hash_join, min_label_propagation, \
-        spill_bucketed
+    from ..functions.joins import hash_join, min_label_propagation
 
     from functools import partial
 
     assert num_perm % bands == 0
     r = num_perm // bands
-    own_work = work_dir is None
-    work_dir = work_dir or spill_dir(prefix="pdfsearch_minhash_")
-    sig_dir = f"{work_dir}/sigs"
 
-    # task pool, not an actor pool: signer "state" is 2×num_perm seeded
-    # ints (microseconds to build, memoized per worker process) — actor
-    # spawn latency would dominate the stage at gate scale
-    docs.map_batches(
-        partial(_sign_batch, num_perm=num_perm, shingle_n=shingle_n),
-        batch_format="pyarrow",
-    ).write_parquet(sig_dir)
-    if not os.path.isdir(sig_dir):   # zero-row corpus: nothing signed
+    def band_pairs(_b: int, t: pa.Table) -> pa.Table | None:
+        if t.num_rows < 2:
+            return None
+        bid = t["band_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        h = t["band_hash"].to_numpy(zero_copy_only=False).astype(np.int64)
+        d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.lexsort((d, h, bid))
+        bid, h, d = bid[order], h[order], d[order]
+        new = np.ones(d.size, dtype=bool)
+        new[1:] = (bid[1:] != bid[:-1]) | (h[1:] != h[:-1])
+        gid = np.cumsum(new, dtype=np.int64) - 1
+        sizes = np.bincount(gid)
+        a_parts, b_parts = [], []
+        # normal groups: all pairs via the offset sweep
+        ok_g = (sizes >= 2) & (sizes <= max_bucket)
+        if ok_g.any():
+            okrow = ok_g[gid]
+            for k in range(1, int(sizes[ok_g].max())):
+                m = (gid[:-k] == gid[k:]) & okrow[:-k]
+                if m.any():
+                    a_parts.append(d[:-k][m])
+                    b_parts.append(d[k:][m])
+        # oversize groups: star edges (min member, other) only
+        big_g = sizes > max_bucket
+        if big_g.any():
+            starts = np.flatnonzero(new)
+            bs = starts[big_g[gid[starts]]]
+            bsz = sizes[gid[bs]]
+            a_parts.append(np.repeat(d[bs], bsz - 1))
+            rows = big_g[gid] & ~new
+            b_parts.append(d[rows])
+        if not a_parts:
+            return None
         return pa.table({
-            "doc_id": pa.array([], type=pa.int64()),
-            "keep_id": pa.array([], type=pa.int64()),
+            "doc_a": pa.array(np.concatenate(a_parts), type=pa.int64()),
+            "doc_b": pa.array(np.concatenate(b_parts), type=pa.int64()),
         })
-    sigs = rd.read_parquet(sig_dir)
-
-    band_dir = f"{work_dir}/bands"
-    spill_bucketed(
-        sigs.map_batches(partial(_band_row_table, bands=bands, r=r),
-                         batch_format="pyarrow"),
-        "band_hash", band_dir)
-
-    empty_ab = pa.table({"doc_a": pa.array([], type=pa.int64()),
-                         "doc_b": pa.array([], type=pa.int64())})
-
-    def band_pairs(batch: pa.Table) -> pa.Table:
-        outs = []
-        for bi in batch["b"].to_pylist():
-            p = f"{band_dir}/__jb={bi}"
-            if not os.path.isdir(p):
-                continue
-            t = pq.read_table(
-                p, columns=["band_id", "band_hash", "doc_id"],
-                use_threads=False)
-            if t.num_rows < 2:
-                continue
-            bid = t["band_id"].to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            h = t["band_hash"].to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            d = t["doc_id"].to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            order = np.lexsort((d, h, bid))
-            bid, h, d = bid[order], h[order], d[order]
-            new = np.ones(d.size, dtype=bool)
-            new[1:] = (bid[1:] != bid[:-1]) | (h[1:] != h[:-1])
-            gid = np.cumsum(new, dtype=np.int64) - 1
-            sizes = np.bincount(gid)
-            a_parts, b_parts = [], []
-            # normal groups: all pairs via the offset sweep
-            ok_g = (sizes >= 2) & (sizes <= max_bucket)
-            if ok_g.any():
-                okrow = ok_g[gid]
-                for k in range(1, int(sizes[ok_g].max())):
-                    m = (gid[:-k] == gid[k:]) & okrow[:-k]
-                    if m.any():
-                        a_parts.append(d[:-k][m])
-                        b_parts.append(d[k:][m])
-            # oversize groups: star edges (min member, other) only
-            big_g = sizes > max_bucket
-            if big_g.any():
-                starts = np.flatnonzero(new)
-                bs = starts[big_g[gid[starts]]]
-                bsz = sizes[gid[bs]]
-                a_parts.append(np.repeat(d[bs], bsz - 1))
-                rows = big_g[gid] & ~new
-                b_parts.append(d[rows])
-            if a_parts:
-                outs.append(pa.table({
-                    "doc_a": pa.array(np.concatenate(a_parts),
-                                      type=pa.int64()),
-                    "doc_b": pa.array(np.concatenate(b_parts),
-                                      type=pa.int64()),
-                }))
-        if not outs:
-            return empty_ab
-        return pa.concat_tables(outs)
-
-    pairs = (
-        rd.from_items([{"b": i} for i in range(16)],
-                      override_num_blocks=16)
-        .map_batches(band_pairs, batch_size=1, batch_format="pyarrow")
-        .groupby(["doc_a", "doc_b"])
-        .aggregate(Count(alias_name="n_bands"))
-    )
-
-    with_a = hash_join(
-        pairs, sigs.map_batches(
-            lambda t: pa.table({"doc_id": t["doc_id"], "sig_a": t["sig"]}),
-            batch_format="pyarrow"),
-        left_on="doc_a", right_on="doc_id",
-        work_dir=f"{work_dir}/join_a",
-    )
-    with_both = hash_join(
-        with_a, sigs.map_batches(
-            lambda t: pa.table({"doc_id": t["doc_id"], "sig_b": t["sig"]}),
-            batch_format="pyarrow"),
-        left_on="doc_b", right_on="doc_id",
-        work_dir=f"{work_dir}/join_b",
-    )
 
     def _sig_matrix(col) -> np.ndarray:
         """Fixed-width signature column → (n, n_hashes) uint64 matrix in
@@ -607,12 +480,46 @@ def minhash_lsh_dedup(
             "est_jaccard": pa.array(j[keep], type=pa.float64()),
         })
 
-    verified = with_both.map_batches(verify, batch_format="pyarrow").materialize()
-    try:
-        return min_label_propagation(verified)
-    finally:
-        if own_work:
-            shutil.rmtree(work_dir, ignore_errors=True)
+    with spill_dir("pdfsearch_minhash_") as work:
+        # 1. signatures spill once: the band pass and both joins read them
+        sig_dir = f"{work}/sigs"
+        # task pool, not an actor pool: signer "state" is 2×num_perm
+        # seeded ints (microseconds to build, memoized per worker
+        # process) — actor spawn latency would dominate at gate scale
+        docs.map_batches(
+            partial(_sign_batch, num_perm=num_perm, shingle_n=shingle_n),
+            batch_format="pyarrow",
+        ).write_parquet(sig_dir)
+        if not os.path.isdir(sig_dir):   # zero-row corpus: nothing signed
+            return pa.table({
+                "doc_id": pa.array([], type=pa.int64()),
+                "keep_id": pa.array([], type=pa.int64()),
+            })
+        sigs = rd.read_parquet(sig_dir)
+        pairs = (
+            bucket_exchange(
+                [sigs.map_batches(partial(_band_row_table, bands=bands, r=r),
+                                  batch_format="pyarrow")],
+                ["band_hash"], 16, band_pairs)
+            .groupby(["doc_a", "doc_b"])
+            .aggregate(Count(alias_name="n_bands"))
+        )
+        with_a = hash_join(
+            pairs, sigs.map_batches(
+                lambda t: pa.table({"doc_id": t["doc_id"],
+                                    "sig_a": t["sig"]}),
+                batch_format="pyarrow"),
+            left_on="doc_a", right_on="doc_id",
+        )
+        with_both = hash_join(
+            with_a, sigs.map_batches(
+                lambda t: pa.table({"doc_id": t["doc_id"],
+                                    "sig_b": t["sig"]}),
+                batch_format="pyarrow"),
+            left_on="doc_b", right_on="doc_id",
+        )
+    return min_label_propagation(
+        with_both.map_batches(verify, batch_format="pyarrow").materialize())
 
 
 # ------------------------------------------------------------------ simhash
@@ -759,8 +666,7 @@ def chunk_dedup(
     docs: rd.Dataset,
     *,
     words_per_chunk: int = CHUNK_WORDS,
-    work_dir: str | None = None,
-) -> rd.Dataset:
+) -> rd.MaterializedDataset:
     """Corpus-level sequence dedup (C4 / "Deduplicating Training Data
     Makes Language Models Better"-style): split every doc into
     non-overlapping ``words_per_chunk``-word segments, keep exactly ONE
@@ -778,11 +684,10 @@ def chunk_dedup(
        locally; each batch loads only the loser row groups overlapping
        its own doc_id range (docs arrive doc_id-clustered from the
        source, so the pruned read is O(batch's own losers)).
-    """
-    import os
-    import tempfile
 
-    import pyarrow.parquet as pq
+    The loser table lives in a scoped spill, so the result comes back
+    materialized.
+    """
 
     w = words_per_chunk
 
@@ -805,7 +710,6 @@ def chunk_dedup(
             "chunk_idx": pa.array(idxs, type=pa.int64()),
         })
 
-    loser_dir = work_dir or spill_dir(prefix="chunk_dedup_")
     # Election via hash-bucket parquet spill + ONE vectorized lexsort
     # per bucket — not Ray's sort-based groupby + a Python map_groups
     # call per distinct hash (measured: the per-group Python dispatch
@@ -813,72 +717,56 @@ def chunk_dedup(
     # shuffle still moves only narrow (h_hi, h_lo, doc_id, chunk_idx)
     # rows, one partition file set per hash bucket.
     n_buckets = 16
-    elect_dir = f"{loser_dir}/elect"
 
     def add_bucket(t: pa.Table) -> pa.Table:
         b = (t["h_hi"].to_numpy().view(np.uint64)
              % np.uint64(n_buckets)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b))
+        return t.append_column(BUCKET_COL, pa.array(b))
 
-    (
-        docs.select_columns(["doc_id", "text"])
-        .map_batches(election, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        # coalesce the NARROW election rows before the partitioned
-        # write: every (block × bucket) pair becomes a file, so 64
-        # upstream blocks × 32 buckets was 2048 tiny files and the
-        # writer dominated the stage
-        .repartition(8)
-        .write_parquet(elect_dir, partition_cols=["bucket"])
-    )
-    bucket_dirs = sorted(
-        os.path.join(elect_dir, d) for d in os.listdir(elect_dir)
-        if d.startswith("bucket=")
-    ) if os.path.isdir(elect_dir) else []
+    def bucket_losers(_b: int, t: pa.Table) -> pa.Table | None:
+        hi = t["h_hi"].to_numpy()
+        lo = t["h_lo"].to_numpy()
+        ids = t["doc_id"].to_numpy()
+        idxs = t["chunk_idx"].to_numpy()
+        # winner = min (doc_id, chunk_idx) within each 128-bit hash
+        order = np.lexsort((idxs, ids, lo, hi))
+        hi_s, lo_s = hi[order], lo[order]
+        first = np.empty(order.size, dtype=bool)
+        first[0] = True
+        first[1:] = (hi_s[1:] != hi_s[:-1]) | (lo_s[1:] != lo_s[:-1])
+        drop = order[~first]
+        if not drop.size:
+            return None
+        return pa.table({
+            "doc_id": pa.array(ids[drop], type=pa.int64()),
+            "chunk_idx": pa.array(idxs[drop], type=pa.int64()),
+        })
 
-    def bucket_losers(batch: pa.Table) -> pa.Table:
-        outs = []
-        for bdir in batch["dir"].to_pylist():
-            t = pq.read_table(
-                bdir, columns=["h_hi", "h_lo", "doc_id", "chunk_idx"],
-                use_threads=False)
-            if t.num_rows == 0:
-                continue
-            hi = t["h_hi"].to_numpy()
-            lo = t["h_lo"].to_numpy()
-            ids = t["doc_id"].to_numpy()
-            idxs = t["chunk_idx"].to_numpy()
-            # winner = min (doc_id, chunk_idx) within each 128-bit hash
-            order = np.lexsort((idxs, ids, lo, hi))
-            hi_s, lo_s = hi[order], lo[order]
-            first = np.empty(order.size, dtype=bool)
-            first[0] = True
-            first[1:] = (hi_s[1:] != hi_s[:-1]) | (lo_s[1:] != lo_s[:-1])
-            drop = order[~first]
-            if drop.size:
-                outs.append(pa.table({
-                    "doc_id": pa.array(ids[drop], type=pa.int64()),
-                    "chunk_idx": pa.array(idxs[drop], type=pa.int64()),
-                }))
-        if not outs:
-            return pa.table({
-                "doc_id": pa.array([], type=pa.int64()),
-                "chunk_idx": pa.array([], type=pa.int64()),
-            })
-        return pa.concat_tables(outs)
+    with spill_dir("chunk_dedup_") as loser_dir:
+        losers = bucket_exchange(
+            [docs.select_columns(["doc_id", "text"])
+             .map_batches(election, batch_format="pyarrow")
+             .map_batches(add_bucket, batch_format="pyarrow")
+             # coalesce the NARROW election rows before the partitioned
+             # write: every (block × bucket) pair becomes a file, so 64
+             # upstream blocks × 32 buckets was 2048 tiny files and the
+             # writer dominated the stage
+             .repartition(8)],
+            [None], n_buckets, bucket_losers)
+        if losers.count():   # losers only — far smaller than the corpus
+            losers.sort("doc_id").write_parquet(loser_dir,
+                                                row_group_size=16384)
+        return _reassembled(docs, loser_dir, w)
 
-    if bucket_dirs:
-        (
-            rd.from_items([{"dir": d} for d in bucket_dirs],
-                          override_num_blocks=len(bucket_dirs))
-            .map_batches(bucket_losers, batch_format="pyarrow",
-                         batch_size=1)
-            .sort("doc_id")  # losers only — far smaller than the corpus
-            .write_parquet(loser_dir, row_group_size=16384)
-        )
-    import shutil as _shutil
 
-    _shutil.rmtree(elect_dir, ignore_errors=True)
+def _reassembled(docs: rd.Dataset, loser_dir: str,
+                 w: int) -> rd.MaterializedDataset:
+    """Each doc rebuilt from its surviving segments; every batch reads
+    only the loser files overlapping its own doc_id range."""
+    import os
+
+    import pyarrow.parquet as pq
+
     # per-file doc_id ranges from footer stats (files are doc_id-sorted,
     # so ranges are near-disjoint): each reassembly batch opens only the
     # loser files overlapping its own id range, not every file
@@ -932,6 +820,7 @@ def chunk_dedup(
     return (
         docs.select_columns(["doc_id", "text"])
         .map_batches(reassemble, batch_format="pyarrow")
+        .materialize()
     )
 
 
@@ -967,11 +856,6 @@ def source_overlap(
     4. driver sums O(buckets × sources²) partial rows — with S sources
        that is ≤ buckets·S²  rows regardless of corpus size.
     """
-    import os
-    import shutil
-
-    import pyarrow.parquet as pq
-
     w = words_per_chunk
 
     def emit(batch: pa.Table) -> pa.Table:
@@ -997,98 +881,74 @@ def source_overlap(
         })
         b = (t["h_hi"].to_numpy().view(np.uint64)
              % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b))
+        return t.append_column(BUCKET_COL, pa.array(b))
 
-    root = spill_dir(prefix="source_overlap_")
-    try:
-        (
-            docs.select_columns(["source", "text"])
-            .map_batches(emit, batch_format="pyarrow")
-            # coalesce narrow rows so (blocks × buckets) stays a sane
-            # file count (same rationale as chunk_dedup's election)
-            .repartition(8)
-            .write_parquet(root, partition_cols=["bucket"])
-        )
-        bucket_dirs = sorted(
-            os.path.join(root, d) for d in os.listdir(root)
-            if d.startswith("bucket=")
-        ) if os.path.isdir(root) else []
-
-        def bucket_partials(batch: pa.Table) -> pa.Table:
-            """Per-bucket partials in ONE schema: per-source distinct
-            counts as (source_a, source_b='', n); shared-pair counts as
-            (source_a, source_b, n) with source_a < source_b."""
-            out_a: list[str] = []
-            out_b: list[str] = []
-            out_n: list[int] = []
-            for bdir in batch["dir"].to_pylist():
-                t = pq.read_table(bdir, columns=["h_hi", "h_lo", "source"],
-                                  use_threads=False)
-                if t.num_rows == 0:
-                    continue
-                srcs, codes = np.unique(
-                    np.asarray(t["source"].to_pylist(), dtype=object),
-                    return_inverse=True)
-                hi = t["h_hi"].to_numpy()
-                lo = t["h_lo"].to_numpy()
-                # global distinct triples, hash-major / code-minor so
-                # each hash group lists its sources in string order
-                order = np.lexsort((codes, lo, hi))
-                hi, lo, codes = hi[order], lo[order], codes[order]
-                first = np.empty(hi.size, dtype=bool)
-                first[0] = True
-                first[1:] = ((hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-                             | (codes[1:] != codes[:-1]))
-                hi, lo, codes = hi[first], lo[first], codes[first]
-                # per-source distinct chunk counts
-                cnt = np.bincount(codes, minlength=srcs.size)
-                for si in range(srcs.size):
-                    if cnt[si]:
-                        out_a.append(str(srcs[si]))
-                        out_b.append("")
-                        out_n.append(int(cnt[si]))
-                # hash groups with >=2 sources → all (a<b) pairs
-                gstart = np.empty(hi.size, dtype=bool)
-                gstart[0] = True
-                gstart[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-                starts = np.nonzero(gstart)[0]
-                lens = np.diff(np.append(starts, hi.size))
-                pair_n: dict[tuple[int, int], int] = {}
-                for s, L in zip(starts[lens >= 2], lens[lens >= 2]):
-                    grp = codes[s:s + L]
-                    for i in range(L - 1):
-                        for j in range(i + 1, L):
-                            k = (int(grp[i]), int(grp[j]))
-                            pair_n[k] = pair_n.get(k, 0) + 1
-                for (ia, ib), n in pair_n.items():
-                    out_a.append(str(srcs[ia]))
-                    out_b.append(str(srcs[ib]))
-                    out_n.append(n)
-            return pa.table({
-                "source_a": pa.array(out_a, type=pa.string()),
-                "source_b": pa.array(out_b, type=pa.string()),
-                "n": pa.array(out_n, type=pa.int64()),
-            })
-
-        empty = pa.table({
-            "source_a": pa.array([], type=pa.string()),
-            "source_b": pa.array([], type=pa.string()),
-            "n_shared": pa.array([], type=pa.int64()),
-            "n_chunks_a": pa.array([], type=pa.int64()),
-            "n_chunks_b": pa.array([], type=pa.int64()),
-            "jaccard_bp": pa.array([], type=pa.int64()),
+    def bucket_partials(_b: int, t: pa.Table) -> pa.Table:
+        """Per-bucket partials in ONE schema: per-source distinct
+        counts as (source_a, source_b='', n); shared-pair counts as
+        (source_a, source_b, n) with source_a < source_b."""
+        out_a: list[str] = []
+        out_b: list[str] = []
+        out_n: list[int] = []
+        srcs, codes = np.unique(
+            np.asarray(t["source"].to_pylist(), dtype=object),
+            return_inverse=True)
+        hi = t["h_hi"].to_numpy()
+        lo = t["h_lo"].to_numpy()
+        # global distinct triples, hash-major / code-minor so each hash
+        # group lists its sources in string order
+        order = np.lexsort((codes, lo, hi))
+        hi, lo, codes = hi[order], lo[order], codes[order]
+        first = np.empty(hi.size, dtype=bool)
+        first[0] = True
+        first[1:] = ((hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+                     | (codes[1:] != codes[:-1]))
+        hi, lo, codes = hi[first], lo[first], codes[first]
+        # per-source distinct chunk counts
+        cnt = np.bincount(codes, minlength=srcs.size)
+        for si in range(srcs.size):
+            if cnt[si]:
+                out_a.append(str(srcs[si]))
+                out_b.append("")
+                out_n.append(int(cnt[si]))
+        # hash groups with >=2 sources → all (a<b) pairs
+        gstart = np.empty(hi.size, dtype=bool)
+        gstart[0] = True
+        gstart[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+        starts = np.nonzero(gstart)[0]
+        lens = np.diff(np.append(starts, hi.size))
+        pair_n: dict[tuple[int, int], int] = {}
+        for s, L in zip(starts[lens >= 2], lens[lens >= 2]):
+            grp = codes[s:s + L]
+            for i in range(L - 1):
+                for j in range(i + 1, L):
+                    k = (int(grp[i]), int(grp[j]))
+                    pair_n[k] = pair_n.get(k, 0) + 1
+        for (ia, ib), n in pair_n.items():
+            out_a.append(str(srcs[ia]))
+            out_b.append(str(srcs[ib]))
+            out_n.append(n)
+        return pa.table({
+            "source_a": pa.array(out_a, type=pa.string()),
+            "source_b": pa.array(out_b, type=pa.string()),
+            "n": pa.array(out_n, type=pa.int64()),
         })
-        if not bucket_dirs:
-            return empty
-        partials = (
-            rd.from_items([{"dir": d} for d in bucket_dirs],
-                          override_num_blocks=len(bucket_dirs))
-            .map_batches(bucket_partials, batch_format="pyarrow",
-                         batch_size=1)
-            .to_pandas()  # O(buckets × sources²) rows — driver-safe
-        )
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
+
+    empty = pa.table({
+        "source_a": pa.array([], type=pa.string()),
+        "source_b": pa.array([], type=pa.string()),
+        "n_shared": pa.array([], type=pa.int64()),
+        "n_chunks_a": pa.array([], type=pa.int64()),
+        "n_chunks_b": pa.array([], type=pa.int64()),
+        "jaccard_bp": pa.array([], type=pa.int64()),
+    })
+    partials = bucket_exchange(
+        # coalesce narrow rows so (blocks × buckets) stays a sane file
+        # count (same rationale as chunk_dedup's election)
+        [docs.select_columns(["source", "text"])
+         .map_batches(emit, batch_format="pyarrow").repartition(8)],
+        [None], num_buckets, bucket_partials,
+    ).to_pandas()  # O(buckets × sources²) rows — driver-safe
     if partials.empty:
         return empty
     tot = (partials.groupby(["source_a", "source_b"], as_index=False)["n"]

@@ -20,7 +20,7 @@ Partitioning notes (scale):
 
 from __future__ import annotations
 
-from ..functions.spill import spill_dir
+from ..functions.spill import bucket_exchange
 
 import numpy as np
 import pyarrow as pa
@@ -117,49 +117,16 @@ def user_sessions(sf_dir: str, *, num_buckets: int = 32) -> rd.Dataset:
     the per-user ``map_groups`` call (one pandas dispatch per user —
     per-key Python at web scale); ``num_buckets`` bounds per-task memory
     at corpus_events/B rows of 4 narrow columns."""
-    import tempfile
-
-    from ..functions.hashing import mix64
-
     gap_us = SESSION_GAP_MINUTES * 60 * 1_000_000
-    work_dir = spill_dir(prefix="pdfsearch_sessions_")
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (mix64(uid.view(np.uint64)) % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b))
-
-    (
-        _events(sf_dir, ["event_id", "user_id", "ts", "value"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        # rows are 4 narrow columns: coalesce to num_buckets blocks before
-        # the partitioned write so the spill is num_buckets² files, not
-        # (input blocks × num_buckets) tiny ones (same as dup_loser_ids)
-        .repartition(num_buckets)
-        .write_parquet(work_dir, partition_cols=["bucket"])
-    )
-
-    import os
-
-    import pyarrow.parquet as pq
-
-    bucket_dirs = sorted(
-        f"{work_dir}/{d}" for d in os.listdir(work_dir) if d.startswith("bucket=")
-    )
-
-    def per_bucket(batch: pa.Table) -> pa.Table:
-        outs = [
-            sessionize_block(
-                pq.read_table(bdir, use_threads=False), gap_us)
-            for bdir in batch["dir"].to_pylist()
-        ]
-        return pa.concat_tables(outs)
-
-    return (
-        rd.from_items([{"dir": d} for d in bucket_dirs],
-                      override_num_blocks=max(1, len(bucket_dirs)))
-        .map_batches(per_bucket, batch_format="pyarrow", batch_size=1)
-    )
+    return bucket_exchange(
+        # rows are 4 narrow columns: coalesce to num_buckets blocks
+        # before the partitioned write so the spill is num_buckets²
+        # files, not (input blocks × num_buckets) tiny ones (same as
+        # dup_loser_ids)
+        [_events(sf_dir, ["event_id", "user_id", "ts", "value"])
+         .repartition(num_buckets)],
+        ["user_id"], num_buckets,
+        lambda _b, t: sessionize_block(t, gap_us))
 
 
 ASOF_REF_TYPE = "purchase"
@@ -255,43 +222,11 @@ def asof_join_events(sf_dir: str, *, ref_type: str = ASOF_REF_TYPE,
     narrow columns; no all-to-all sort, no per-user dispatch.  Oracle:
     DuckDB's native ``ASOF LEFT JOIN`` over the same pre-deduped
     reference table (__ray_entry__.oracle_sql)."""
-    import os
-    import tempfile
-
-    import pyarrow.parquet as pq
-
-    from ..functions.hashing import mix64
-
-    work_dir = spill_dir(prefix="pdfsearch_asof_")
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (mix64(uid.view(np.uint64)) % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b))
-
-    (
-        _events(sf_dir, ["event_id", "user_id", "ts", "event_type", "value"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(num_buckets)
-        .write_parquet(work_dir, partition_cols=["bucket"])
-    )
-    bucket_dirs = sorted(
-        f"{work_dir}/{d}" for d in os.listdir(work_dir)
-        if d.startswith("bucket=")
-    )
-
-    def per_bucket(batch: pa.Table) -> pa.Table:
-        outs = [
-            asof_block(pq.read_table(bdir, use_threads=False), ref_type)
-            for bdir in batch["dir"].to_pylist()
-        ]
-        return pa.concat_tables(outs)
-
-    return (
-        rd.from_items([{"dir": d} for d in bucket_dirs],
-                      override_num_blocks=max(1, len(bucket_dirs)))
-        .map_batches(per_bucket, batch_format="pyarrow", batch_size=1)
-    )
+    return bucket_exchange(
+        [_events(sf_dir, ["event_id", "user_id", "ts", "event_type",
+                          "value"]).repartition(num_buckets)],
+        ["user_id"], num_buckets,
+        lambda _b, t: asof_block(t, ref_type))
 
 
 SLIDE_SIZE_MINUTES = 60
@@ -395,51 +330,20 @@ def funnel_counts(sf_dir: str, *, steps=FUNNEL_STEPS,
     events land wholly in one bucket; no all-to-all sort), one
     vectorized funnel pass per bucket, O(steps) partial rows per
     bucket to the driver."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from ..functions.hashing import mix64
-
     horizon_us = int(horizon_hours) * 3600 * 1_000_000
-    work_dir = spill_dir(prefix="pdfsearch_funnel_")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (mix64(uid.view(np.uint64))
-             % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b))
-
-    (
-        _events(sf_dir, ["user_id", "ts", "event_type"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(num_buckets)
-        .write_parquet(work_dir, partition_cols=["bucket"])
-    )
-    bucket_dirs = sorted(
-        f"{work_dir}/{d}" for d in os.listdir(work_dir)
-        if d.startswith("bucket="))
-
-    def per_bucket(batch: pa.Table) -> pa.Table:
-        ns = np.zeros(len(steps), dtype=np.int64)
-        ls = np.zeros(len(steps), dtype=np.int64)
-        for bdir in batch["dir"].to_pylist():
-            n, l = funnel_block(pq.read_table(bdir, use_threads=False),
-                                steps, horizon_us)
-            ns += np.array(n, dtype=np.int64)
-            ls += np.array(l, dtype=np.int64)
+    def per_bucket(_b: int, t: pa.Table) -> pa.Table:
+        n, l = funnel_block(t, steps, horizon_us)
         return pa.table({
             "step": pa.array(np.arange(1, len(steps) + 1)),
-            "n_users": pa.array(ns),
-            "sum_lag_us": pa.array(ls),
+            "n_users": pa.array(np.array(n, dtype=np.int64)),
+            "sum_lag_us": pa.array(np.array(l, dtype=np.int64)),
         })
 
-    part = (
-        rd.from_items([{"dir": d} for d in bucket_dirs],
-                      override_num_blocks=max(1, len(bucket_dirs)))
-        .map_batches(per_bucket, batch_format="pyarrow", batch_size=4)
-        .to_pandas()
-    )
+    part = bucket_exchange(
+        [_events(sf_dir, ["user_id", "ts", "event_type"])
+         .repartition(num_buckets)],
+        ["user_id"], num_buckets, per_bucket).to_pandas()
     from ..functions.tables import typed_pandas
     part = typed_pandas(part, {
         "step": "int64", "n_users": "int64", "sum_lag_us": "int64"})
@@ -504,59 +408,26 @@ def daily_active_users(sf_dir: str, *,
     bucket, so per-bucket (day, user) dedup partials can simply be
     SUMMED per day with no cross-bucket double counting.  The driver
     sees O(days × buckets) partial rows, never user IDs."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from ..functions.hashing import mix64
     from ..functions.spill import auto_buckets
 
     if num_buckets is None:   # scale knob: bytes-derived, not fixed
         num_buckets = auto_buckets(f"{sf_dir}/events.parquet", lo=32)
-    work_dir = spill_dir(prefix="pdfsearch_dau_")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (mix64(uid.view(np.uint64))
-             % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b))
-
-    (
-        _events(sf_dir, ["user_id", "ts"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(num_buckets)
-        .write_parquet(work_dir, partition_cols=["bucket"])
-    )
-    bucket_dirs = sorted(
-        f"{work_dir}/{d}" for d in os.listdir(work_dir)
-        if d.startswith("bucket="))
-
-    def per_bucket(batch: pa.Table) -> pa.Table:
-        outs = []
-        for bdir in batch["dir"].to_pylist():
-            t = pq.read_table(bdir, use_threads=False)
-            if t.num_rows == 0:
-                continue
-            uid = t["user_id"].to_numpy(zero_copy_only=False)
-            day = (t["ts"].to_numpy(zero_copy_only=False)
-                   .astype("datetime64[D]").view(np.int64))
-            pair = np.unique(day * np.int64(1 << 40) + uid)
-            d_of = pair >> np.int64(40)
-            days, counts = np.unique(d_of, return_counts=True)
-            outs.append(pa.table({
-                "day_i": pa.array(days, type=pa.int64()),
-                "n_users": pa.array(counts.astype(np.int64),
-                                    type=pa.int64()),
-            }))
-        if not outs:
-            return pa.table({"day_i": pa.array([], type=pa.int64()),
-                             "n_users": pa.array([], type=pa.int64())})
-        return pa.concat_tables(outs)
+    def per_bucket(_b: int, t: pa.Table) -> pa.Table:
+        uid = t["user_id"].to_numpy(zero_copy_only=False)
+        day = (t["ts"].to_numpy(zero_copy_only=False)
+               .astype("datetime64[D]").view(np.int64))
+        pair = np.unique(day * np.int64(1 << 40) + uid)
+        days, counts = np.unique(pair >> np.int64(40), return_counts=True)
+        return pa.table({
+            "day_i": pa.array(days, type=pa.int64()),
+            "n_users": pa.array(counts.astype(np.int64), type=pa.int64()),
+        })
 
     agg = (
-        rd.from_items([{"dir": d} for d in bucket_dirs],
-                      override_num_blocks=max(1, len(bucket_dirs)))
-        .map_batches(per_bucket, batch_format="pyarrow", batch_size=1)
+        bucket_exchange(
+            [_events(sf_dir, ["user_id", "ts"]).repartition(num_buckets)],
+            ["user_id"], num_buckets, per_bucket)
         .repartition(1)
         .groupby("day_i")
         .aggregate(Sum("n_users", alias_name="n_users"))
@@ -690,44 +561,16 @@ def event_transitions(sf_dir: str, *,
     user_sessions — a user's timeline never crosses a bucket, so
     adjacency is exact — then one vectorized pass per bucket and an
     O(types² × buckets) combiner reduce."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from ..functions.hashing import mix64
     from ..functions.spill import auto_buckets
 
     if num_buckets is None:
         num_buckets = auto_buckets(f"{sf_dir}/events.parquet", lo=32)
-    work_dir = spill_dir(prefix="pdfsearch_trans_")
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (mix64(uid.view(np.uint64))
-             % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b))
-
-    (
-        _events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(num_buckets)
-        .write_parquet(work_dir, partition_cols=["bucket"])
-    )
-    bucket_dirs = sorted(
-        f"{work_dir}/{d}" for d in os.listdir(work_dir)
-        if d.startswith("bucket="))
-
-    def per_bucket(batch: pa.Table) -> pa.Table:
-        outs = [
-            transitions_block(pq.read_table(bdir, use_threads=False))
-            for bdir in batch["dir"].to_pylist()
-        ]
-        return pa.concat_tables(outs)
-
     agg = (
-        rd.from_items([{"dir": d} for d in bucket_dirs],
-                      override_num_blocks=max(1, len(bucket_dirs)))
-        .map_batches(per_bucket, batch_format="pyarrow", batch_size=1)
+        bucket_exchange(
+            [_events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
+             .repartition(num_buckets)],
+            ["user_id"], num_buckets,
+            lambda _b, t: transitions_block(t))
         .repartition(1)
         .groupby(["prev_type", "event_type"])
         .aggregate(Sum("n", alias_name="n"))

@@ -35,8 +35,6 @@ the fixed set (k tiny kernels per batch beat k passes).
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 
 import numpy as np
 import pyarrow as pa
@@ -208,35 +206,20 @@ def simple_index_cached(sf_dir: str, *, num_buckets: int = 16) -> str:
     """Build-once cached simple-analyzer index over ``sf_dir``'s
     documents — the fulltext analog of ``similarity.ivf_layout_cached``:
     fingerprint-keyed on the source parquet identity + build params,
-    atomic tmp+rename, shared across calls and processes.  The fuzzy /
+    committed atomically (``spill.cached_dir``), shared across calls and
+    processes.  The fuzzy /
     prefix gates are QUERY-side features; they reuse one layout instead
     of paying a per-call rebuild (the index is a build-once artifact)."""
-    import hashlib
-
+    from ..functions.spill import cached_dir, file_key
     from .build import build_index
 
     src = f"{sf_dir}/documents.parquet"
-    st = os.stat(src)
-    key = hashlib.sha256(repr((
-        os.path.abspath(src), st.st_size, st.st_mtime_ns,
-        "simple", num_buckets,
-    )).encode()).hexdigest()[:20]
-    root = os.environ.get("PDFSEARCH_SPILL_ROOT") or tempfile.gettempdir()
-    cdir = os.path.join(root, "pdfsearch_ftidx_cache", key)
-    if os.path.isfile(os.path.join(cdir, "manifest.json")):
-        return cdir
-    tmp = f"{cdir}.tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    build_index(src, tmp, analyzer="simple", lang_col="lang",
-                num_buckets=num_buckets, sample_rate=1.0)
-    os.makedirs(os.path.dirname(cdir), exist_ok=True)
-    try:
-        os.rename(tmp, cdir)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not os.path.isfile(os.path.join(cdir, "manifest.json")):
-            raise
-    return cdir
+    return cached_dir(
+        "pdfsearch_ftidx", (*file_key(src), "simple", num_buckets),
+        "manifest.json",
+        lambda out: build_index(src, out, analyzer="simple",
+                                lang_col="lang", num_buckets=num_buckets,
+                                sample_rate=1.0))
 
 
 # ------------------------------------------------------------------ gates

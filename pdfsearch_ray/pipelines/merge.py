@@ -243,35 +243,19 @@ def merged_index_cached(sf_dir: str, *, num_buckets: int = 16) -> str:
     two cached doc_id-parity half-indexes (parity_half_indexes_cached —
     shared with the federated gate, so the halves build ONCE for both),
     hard-link merged (mode='link').  Fingerprint-keyed on source
-    identity + params, atomic tmp+rename — the simple_index_cached
-    discipline (expand.py:201), so the gate's marginal cost after the
-    first call is a manifest read."""
-    import hashlib
-    import tempfile
+    identity + params, committed atomically by ``spill.cached_dir``, so
+    the gate's marginal cost after the first call is a manifest read."""
+    from ..functions.spill import cached_dir, file_key
 
-    src = f"{sf_dir}/documents.parquet"
-    st = os.stat(src)
-    key = hashlib.sha256(repr((
-        os.path.abspath(src), st.st_size, st.st_mtime_ns,
-        "merged-parity", num_buckets,
-    )).encode()).hexdigest()[:20]
-    root = os.environ.get("PDFSEARCH_SPILL_ROOT") or tempfile.gettempdir()
-    cdir = os.path.join(root, "pdfsearch_ftidx_cache", key)
-    if os.path.isfile(os.path.join(cdir, "manifest.json")):
-        return cdir
-    halves = parity_half_indexes_cached(sf_dir, num_buckets=num_buckets)
-    tmp = f"{cdir}.tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    merge_indexes(list(halves), f"{tmp}/merged", mode="link")
-    os.makedirs(os.path.dirname(cdir), exist_ok=True)
-    try:
-        os.rename(f"{tmp}/merged", cdir)
-    except OSError:
-        if not os.path.isfile(os.path.join(cdir, "manifest.json")):
-            raise
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return cdir
+    def build(out: str) -> None:
+        halves = parity_half_indexes_cached(sf_dir, num_buckets=num_buckets)
+        merge_indexes(list(halves), out, mode="link")
+
+    return cached_dir(
+        "pdfsearch_ftidx",
+        (*file_key(f"{sf_dir}/documents.parquet"), "merged-parity",
+         num_buckets),
+        "manifest.json", build)
 
 
 def merged_index_topk(sf_dir: str):
@@ -341,41 +325,26 @@ def compacted_index_cached(sf_dir: str, *, num_buckets: int = 16) -> str:
     from a filter pipeline, tombstones append per shard); here the id
     list is read from the source parquet's id column — O(deleted)
     driver state, the same shape delete_docs commits."""
-    import hashlib
-    import tempfile
-
     import pyarrow.parquet as pq
 
+    from ..functions.spill import cached_dir, file_key
     from .build import build_index, compact_index, delete_docs
 
     src = f"{sf_dir}/documents.parquet"
-    st = os.stat(src)
-    key = hashlib.sha256(repr((
-        os.path.abspath(src), st.st_size, st.st_mtime_ns,
-        "compacted", num_buckets, COMPACT_MOD, COMPACT_RESIDUE,
-    )).encode()).hexdigest()[:20]
-    root = os.environ.get("PDFSEARCH_SPILL_ROOT") or tempfile.gettempdir()
-    cdir = os.path.join(root, "pdfsearch_ftidx_cache", key)
-    if os.path.isfile(os.path.join(cdir, "manifest.json")):
-        return cdir
-    tmp = f"{cdir}.tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    idir = f"{tmp}/idx"
-    build_index(src, idir, analyzer="simple", lang_col="lang",
-                num_buckets=num_buckets, sample_rate=1.0)
-    ids = pq.read_table(src, columns=["doc_id"])["doc_id"].to_numpy()
-    doomed = ids[ids % COMPACT_MOD == COMPACT_RESIDUE].tolist()
-    delete_docs(idir, doc_ids=doomed)
-    compact_index(idir)
-    os.makedirs(os.path.dirname(cdir), exist_ok=True)
-    try:
-        os.rename(idir, cdir)
-    except OSError:
-        if not os.path.isfile(os.path.join(cdir, "manifest.json")):
-            raise
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return cdir
+
+    def build(out: str) -> None:
+        build_index(src, out, analyzer="simple", lang_col="lang",
+                    num_buckets=num_buckets, sample_rate=1.0)
+        ids = pq.read_table(src, columns=["doc_id"])["doc_id"].to_numpy()
+        delete_docs(out, doc_ids=ids[ids % COMPACT_MOD
+                                     == COMPACT_RESIDUE].tolist())
+        compact_index(out)
+
+    return cached_dir(
+        "pdfsearch_ftidx",
+        (*file_key(src), "compacted", num_buckets, COMPACT_MOD,
+         COMPACT_RESIDUE),
+        "manifest.json", build)
 
 
 def compacted_index_topk(sf_dir: str):
@@ -430,55 +399,44 @@ def parity_half_indexes_cached(sf_dir: str, *,
     """Two independently-built simple-analyzer indexes over the doc_id
     parity halves, each its own fingerprint-cached artifact — the
     sharded-crawl fixture for merge AND federated query gates."""
-    import hashlib
-    import tempfile
-
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    from ..functions.spill import cached_dir, file_key
     from ..functions.tables import read_parquet_nometa
     from .build import build_index
 
     src = f"{sf_dir}/documents.parquet"
-    st = os.stat(src)
-    root = os.environ.get("PDFSEARCH_SPILL_ROOT") or tempfile.gettempdir()
-    dirs = []
-    for parity in (0, 1):
-        key = hashlib.sha256(repr((
-            os.path.abspath(src), st.st_size, st.st_mtime_ns,
-            "parity-half", parity, num_buckets,
-        )).encode()).hexdigest()[:20]
-        cdir = os.path.join(root, "pdfsearch_ftidx_cache", key)
-        if not os.path.isfile(os.path.join(cdir, "manifest.json")):
-            def _half(t: pa.Table, parity=parity) -> pa.Table:
-                return t.filter(pc.equal(
-                    pc.bit_wise_and(t["doc_id"], 1), parity))
-            tmp = f"{cdir}.tmp.{os.getpid()}"
-            shutil.rmtree(tmp, ignore_errors=True)
-            ds = read_parquet_nometa(
-                src, columns=["doc_id", "text", "lang"],
-            ).map_batches(_half, batch_format="pyarrow")
-            build_index(ds, tmp, analyzer="simple", lang_col="lang",
-                        num_buckets=num_buckets, sample_rate=1.0)
-            os.makedirs(os.path.dirname(cdir), exist_ok=True)
-            try:
-                os.rename(tmp, cdir)
-            except OSError:
-                shutil.rmtree(tmp, ignore_errors=True)
-                if not os.path.isfile(os.path.join(cdir, "manifest.json")):
-                    raise
-        dirs.append(cdir)
-    return dirs[0], dirs[1]
+
+    def build(out: str, parity: int) -> None:
+        def _half(t: pa.Table) -> pa.Table:
+            return t.filter(pc.equal(
+                pc.bit_wise_and(t["doc_id"], 1), parity))
+        ds = read_parquet_nometa(
+            src, columns=["doc_id", "text", "lang"],
+        ).map_batches(_half, batch_format="pyarrow")
+        build_index(ds, out, analyzer="simple", lang_col="lang",
+                    num_buckets=num_buckets, sample_rate=1.0)
+
+    d0, d1 = (cached_dir(
+        "pdfsearch_ftidx",
+        (*file_key(src), "parity-half", parity, num_buckets),
+        "manifest.json", lambda out, p=parity: build(out, p))
+        for parity in (0, 1))
+    return d0, d1
 
 
-def federated_score_terms(handles, terms):
+def federated_score_terms(handles, terms, selected=None):
     """Disjunctive BM25 over SEVERAL independent indexes with GLOBAL
     statistics — federated search without a merge job (the distributed
     ``df`` problem every scatter-gather engine must solve: Lucene/ES
     use the same correction for cross-shard scoring).
 
     Global N / total_dl come from the manifests; per-term global df is
-    the sum of per-index dfs (each handle's ``postings`` df).
+    the sum of per-index dfs (each handle's ``postings`` df).  With
+    ``selected`` (handle positions), only those handles' postings are
+    scored — a broker's resource selection — while the statistics stay
+    global over every handle.
     Contributions are recomputed from the raw (ids, tf, dl) as
     ``idf_global · bm25_wdl(tf, dl, k1, b, avgdl_global)`` — identical
     algebra to a merged or from-scratch build over the union corpus,
@@ -505,7 +463,9 @@ def federated_score_terms(handles, terms):
         if df == 0:
             continue
         idf = float(bm25_idf(n_total, df))
-        for h, p in zip(handles, posts):
+        for i, (h, p) in enumerate(zip(handles, posts)):
+            if selected is not None and i not in selected:
+                continue
             live = h.live_mask(p[t].ids)
             ids_parts.append(p[t].ids[live].astype(np.int64))
             sc_parts.append(idf * bm25_wdl(p[t].tf[live], p[t].dl[live],
@@ -576,50 +536,34 @@ def mod_shard_indexes_cached(sf_dir: str, *, n_shards: int = N_SEL_SHARDS,
     ``doc_id % n_shards`` split — the multi-shard fixture for the
     resource-selection gate (the parity-halves pattern, generalized).
     Each shard is its own fingerprint-cached artifact."""
-    import hashlib
-    import tempfile
-
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    from ..functions.spill import cached_dir, file_key
     from ..functions.tables import read_parquet_nometa
     from .build import build_index
 
     src = f"{sf_dir}/documents.parquet"
-    st = os.stat(src)
-    root = os.environ.get("PDFSEARCH_SPILL_ROOT") or tempfile.gettempdir()
-    dirs = []
-    for s in range(n_shards):
-        key = hashlib.sha256(repr((
-            os.path.abspath(src), st.st_size, st.st_mtime_ns,
-            "mod-shard", n_shards, s, num_buckets,
-        )).encode()).hexdigest()[:20]
-        cdir = os.path.join(root, "pdfsearch_ftidx_cache", key)
-        if not os.path.isfile(os.path.join(cdir, "manifest.json")):
-            def _shard(t: pa.Table, s=s) -> pa.Table:
-                m = pc.equal(pc.cast(
-                    pc.subtract(t["doc_id"],
-                                pc.multiply(pc.divide(t["doc_id"],
-                                                      n_shards),
-                                            n_shards)),
-                    pa.int64()), s)
-                return t.filter(m)
-            tmp = f"{cdir}.tmp.{os.getpid()}"
-            shutil.rmtree(tmp, ignore_errors=True)
-            ds = read_parquet_nometa(
-                src, columns=["doc_id", "text", "lang"],
-            ).map_batches(_shard, batch_format="pyarrow")
-            build_index(ds, tmp, analyzer="simple", lang_col="lang",
-                        num_buckets=num_buckets, sample_rate=1.0)
-            os.makedirs(os.path.dirname(cdir), exist_ok=True)
-            try:
-                os.rename(tmp, cdir)
-            except OSError:
-                shutil.rmtree(tmp, ignore_errors=True)
-                if not os.path.isfile(os.path.join(cdir, "manifest.json")):
-                    raise
-        dirs.append(cdir)
-    return dirs
+
+    def build(out: str, s: int) -> None:
+        def _shard(t: pa.Table) -> pa.Table:
+            m = pc.equal(pc.cast(
+                pc.subtract(t["doc_id"],
+                            pc.multiply(pc.divide(t["doc_id"], n_shards),
+                                        n_shards)),
+                pa.int64()), s)
+            return t.filter(m)
+        ds = read_parquet_nometa(
+            src, columns=["doc_id", "text", "lang"],
+        ).map_batches(_shard, batch_format="pyarrow")
+        build_index(ds, out, analyzer="simple", lang_col="lang",
+                    num_buckets=num_buckets, sample_rate=1.0)
+
+    return [cached_dir(
+        "pdfsearch_ftidx",
+        (*file_key(src), "mod-shard", n_shards, s, num_buckets),
+        "manifest.json", lambda out, s=s: build(out, s))
+        for s in range(n_shards)]
 
 
 def select_shards(handles, terms, *, n_select: int = SHARD_SEL):
@@ -648,35 +592,17 @@ def shard_selected_topk(sf_dir: str):
     import pyarrow as pa
 
     from ..analysis.analyzer import analyze_simple
-    from ..index.codec import aggregate_scores, bm25_idf, bm25_wdl
     from .query import BM25Index
 
     handles = [BM25Index(d) for d in mod_shard_indexes_cached(sf_dir)]
-    n_total = sum(h.manifest.n_docs for h in handles)
-    total_dl = sum(h.manifest.total_dl for h in handles)
-    avgdl = total_dl / n_total if n_total else 1.0
-    k1 = handles[0].manifest.k1
-    b = handles[0].manifest.b
     out_q, out_sh, out_d, out_s = [], [], [], []
     for q in sorted(SHARD_SEL_QUERIES):
         terms = sorted(set(analyze_simple(q)))
         sel = select_shards(handles, terms)
         sh_str = ",".join(str(s) for s in sel)
-        posts = [h.postings(terms) for h in handles]
-        ids_parts, sc_parts = [], []
-        for t in terms:
-            df = sum(p[t].df for p in posts)  # GLOBAL df
-            if df == 0:
-                continue
-            idf = float(bm25_idf(n_total, df))
-            for s in sel:
-                ids_parts.append(posts[s][t].ids.astype(np.int64))
-                sc_parts.append(idf * bm25_wdl(
-                    posts[s][t].tf, posts[s][t].dl, k1, b, avgdl))
-        if not ids_parts:
+        uniq, sums = federated_score_terms(handles, terms, selected=sel)
+        if not uniq.size:
             continue
-        uniq, sums = aggregate_scores(np.concatenate(ids_parts),
-                                      np.concatenate(sc_parts))
         sums = np.round(sums, 6)
         order = np.lexsort((uniq, -sums))[:SHARD_SEL_K]
         out_q.extend([q] * order.size)
@@ -781,41 +707,27 @@ def lang_index_cached(sf_dir: str, lang: str, *,
     the per-partition index of a lang-routed deployment (each tenant /
     partition owns its index and ITS OWN statistics).  Fingerprint-
     cached like every other index artifact."""
-    import hashlib
-    import tempfile
-
     import pyarrow.compute as pc
 
+    from ..functions.spill import cached_dir, file_key
     from ..functions.tables import read_parquet_nometa
     from .build import build_index
 
     src = f"{sf_dir}/documents.parquet"
-    st = os.stat(src)
-    root = os.environ.get("PDFSEARCH_SPILL_ROOT") or tempfile.gettempdir()
-    key = hashlib.sha256(repr((
-        os.path.abspath(src), st.st_size, st.st_mtime_ns,
-        "lang-route", lang, num_buckets,
-    )).encode()).hexdigest()[:20]
-    cdir = os.path.join(root, "pdfsearch_ftidx_cache", key)
-    if os.path.isfile(os.path.join(cdir, "manifest.json")):
-        return cdir
-    tmp = f"{cdir}.tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    ds = read_parquet_nometa(
-        src, columns=["doc_id", "text", "lang"],
-    ).map_batches(
-        lambda t, lang=lang: t.filter(pc.equal(t["lang"], lang)),
-        batch_format="pyarrow")
-    build_index(ds, tmp, analyzer="simple", lang_col="lang",
-                num_buckets=num_buckets, sample_rate=1.0)
-    os.makedirs(os.path.dirname(cdir), exist_ok=True)
-    try:
-        os.rename(tmp, cdir)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not os.path.isfile(os.path.join(cdir, "manifest.json")):
-            raise
-    return cdir
+
+    def build(out: str) -> None:
+        ds = read_parquet_nometa(
+            src, columns=["doc_id", "text", "lang"],
+        ).map_batches(
+            lambda t: t.filter(pc.equal(t["lang"], lang)),
+            batch_format="pyarrow")
+        build_index(ds, out, analyzer="simple", lang_col="lang",
+                    num_buckets=num_buckets, sample_rate=1.0)
+
+    return cached_dir(
+        "pdfsearch_ftidx",
+        (*file_key(src), "lang-route", lang, num_buckets),
+        "manifest.json", build)
 
 
 def routed_lang_topk(sf_dir: str):

@@ -26,7 +26,6 @@ Oracle: the same pair-ordinality SQL chain as phrase_topk
 from __future__ import annotations
 
 import os
-import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -43,31 +42,29 @@ NW_K = 10
 
 def nextword_index_cached(sf_dir: str, *, num_buckets: int = 16) -> str:
     """Build-once cached nextword artifact:
-    ``bucket=NNN/part.parquet`` rows (w1, w2, doc_id, tf, dl), sorted
+    ``__jb=N/part.parquet`` rows (w1, w2, doc_id, tf, dl), sorted
     (w1, w2, doc asc)."""
+    from ..functions.spill import cached_dir, file_key
+
+    src = f"{sf_dir}/documents.parquet"
+    # v2: bucket directories are spill.py's ``__jb=`` layout
+    return cached_dir(
+        "pdfsearch_nextword", (*file_key(src), "nextword-v2", num_buckets),
+        "nw_manifest.json",
+        lambda out: _build_nextword(src, out, num_buckets))
+
+
+def _build_nextword(src: str, tmp: str, num_buckets: int) -> None:
+    import glob as _glob
+    import json
+
     import pyarrow.parquet as pqw
 
     from ..functions.hashing import fnv1a64_str
+    from ..functions.spill import (BUCKET_COL, bucket_path, layout_buckets,
+                                   spill_bucketed)
     from ..functions.tables import read_parquet_nometa
     from .queries import _tok_codes
-    from .tiering import _commit_dir
-
-    src = f"{sf_dir}/documents.parquet"
-    st = os.stat(src)
-    import hashlib
-    import tempfile
-
-    key = hashlib.sha256(repr((
-        os.path.abspath(src), st.st_size, st.st_mtime_ns,
-        "nextword-v1", num_buckets,
-    )).encode()).hexdigest()[:20]
-    root = os.environ.get("PDFSEARCH_SPILL_ROOT") or tempfile.gettempdir()
-    cdir = os.path.join(root, "pdfsearch_nextword_cache", key)
-    if os.path.isfile(os.path.join(cdir, "nw_manifest.json")):
-        return cdir
-    tmp = f"{cdir}.tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
 
     def pairs_batch(batch: pa.Table) -> pa.Table:
         codes, doc_idx, vocab = _tok_codes(batch)
@@ -77,7 +74,7 @@ def nextword_index_cached(sf_dir: str, *, num_buckets: int = 16) -> str:
             "doc_id": pa.array([], type=pa.int64()),
             "tf": pa.array([], type=pa.int64()),
             "dl": pa.array([], type=pa.int64()),
-            "bucket": pa.array([], type=pa.int32()),
+            BUCKET_COL: pa.array([], type=pa.int32()),
         })
         if codes.size < 2:
             return empty
@@ -109,21 +106,18 @@ def nextword_index_cached(sf_dir: str, *, num_buckets: int = 16) -> str:
             "doc_id": pa.array(ids, type=pa.int64()),
             "tf": pa.array(tf.astype(np.int64)),
             "dl": pa.array(dl[u_d]),
-            "bucket": pa.array(b),
+            BUCKET_COL: pa.array(b),
         })
 
-    (
+    os.makedirs(tmp)
+    spill_bucketed(
         read_parquet_nometa(src, columns=["doc_id", "text"])
         .map_batches(pairs_batch, batch_format="pyarrow", batch_size=512)
-        .repartition(num_buckets)
-        .write_parquet(tmp, partition_cols=["bucket"])
-    )
+        .repartition(num_buckets), None, tmp)
     # per-bucket consolidate + sort for pruned reads
-    import glob as _glob
-    import json
-
     n_rows = 0
-    for bdir in sorted(_glob.glob(f"{tmp}/bucket=*")):
+    for b in layout_buckets(tmp):
+        bdir = bucket_path(tmp, b)
         files = sorted(_glob.glob(f"{bdir}/*.parquet"))
         t = pa.concat_tables([pqw.read_table(f) for f in files])
         t = t.sort_by([("w1", "ascending"), ("w2", "ascending"),
@@ -135,8 +129,6 @@ def nextword_index_cached(sf_dir: str, *, num_buckets: int = 16) -> str:
         n_rows += t.num_rows
     with open(os.path.join(tmp, "nw_manifest.json"), "w") as f:
         json.dump({"num_buckets": num_buckets, "n_rows": n_rows}, f)
-    _commit_dir(tmp, cdir, "nw_manifest.json")
-    return cdir
 
 
 def nextword_phrase_topk(sf_dir: str) -> pa.Table:
@@ -148,6 +140,7 @@ def nextword_phrase_topk(sf_dir: str) -> pa.Table:
 
     from ..analysis.analyzer import analyze_simple
     from ..functions.hashing import fnv1a64_str
+    from ..functions.spill import bucket_path
     from .expand import simple_index_cached
     from .query import BM25Index
 
@@ -160,9 +153,7 @@ def nextword_phrase_topk(sf_dir: str) -> pa.Table:
     for q in sorted(NW_QUERIES):
         t1, t2 = analyze_simple(q)[:2]
         b = fnv1a64_str(f"{t1} {t2}") % nb
-        p = os.path.join(nw, f"bucket={b}", "part.parquet")
-        if not os.path.isfile(p):
-            p = os.path.join(nw, f"bucket={b:03d}", "part.parquet")
+        p = os.path.join(bucket_path(nw, b), "part.parquet")
         if not os.path.isfile(p):
             continue
         t = pq.read_table(p)

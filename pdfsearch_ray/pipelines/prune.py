@@ -35,11 +35,8 @@ the driver's value hash.
 from __future__ import annotations
 
 import glob as _glob
-import hashlib
 import json
 import os
-import shutil
-import tempfile
 
 import numpy as np
 import pyarrow as pa
@@ -159,31 +156,25 @@ def champion_lists_cached(sf_dir: str, *, r: int = CHAMP_R,
     champion_safety).  One Ray task per bucket (terms co-locate);
     salted terms emit per-shard partials merged exactly at query
     time."""
-    import pyarrow.parquet as pq
-
-    import ray.data as rd
-
+    from ..functions.spill import cached_dir, index_key
     from .expand import simple_index_cached
 
     idx_dir = simple_index_cached(sf_dir, num_buckets=num_buckets)
-    mst = os.stat(os.path.join(idx_dir, "manifest.json"))
-    key = hashlib.sha256(repr((
-        os.path.abspath(idx_dir), mst.st_size, mst.st_mtime_ns, r,
-        "champ-v2",
-    )).encode()).hexdigest()[:20]
-    root = os.environ.get("PDFSEARCH_SPILL_ROOT") or tempfile.gettempdir()
-    cdir = os.path.join(root, "pdfsearch_champ_cache", key)
-    if os.path.isfile(os.path.join(cdir, "champ_manifest.json")):
-        return cdir
+    return cached_dir(
+        "pdfsearch_champ", (*index_key(idx_dir), r, "champ-v2"),
+        "champ_manifest.json",
+        lambda out: _build_champions(idx_dir, out, r, num_buckets))
+
+
+def _build_champions(idx_dir: str, tmp: str, r: int,
+                     num_buckets: int) -> None:
+    import ray.data as rd
 
     # driver-side footer scan: (path, rg) -> bucket range (metadata only)
     per_bucket, man = bucket_rowgroup_map(idx_dir, num_buckets)
 
     bm = (float(man["k1"]), float(man["b"]), float(man["avgdl"]))
-
-    tmp = f"{cdir}.tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
+    os.makedirs(tmp)
 
     def _one_bucket(batch: dict) -> dict:
         import pyarrow.compute as pc
@@ -244,14 +235,6 @@ def champion_lists_cached(sf_dir: str, *, r: int = CHAMP_R,
     with open(os.path.join(tmp, "champ_manifest.json"), "w") as f:
         json.dump({"r": r, "index_dir": idx_dir,
                    "buckets": stats.to_dict("records")}, f)
-    os.makedirs(os.path.dirname(cdir), exist_ok=True)
-    try:
-        os.rename(tmp, cdir)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not os.path.isfile(os.path.join(cdir, "champ_manifest.json")):
-            raise
-    return cdir
 
 
 def champion_rows_for_terms(champ_dir: str, idx, terms: list[str],
@@ -291,7 +274,7 @@ def champion_topk(sf_dir: str) -> pa.Table:
     UNPRUNED dictionary stats — the impact-ordered pruned-tier
     semantics, end to end under the value hash."""
     from ..analysis.analyzer import analyze_simple
-    from ..index.codec import bm25_wdl
+    from ..index.codec import aggregate_scores, bm25_wdl
     from .expand import simple_index_cached
     from .query import BM25Index
 
@@ -317,11 +300,8 @@ def champion_topk(sf_dir: str) -> pa.Table:
                 m.k1, m.b, m.avgdl))
         if not all_ids:
             continue
-        ids = np.concatenate(all_ids)
-        sc = np.concatenate(all_sc)
-        uniq, inv = np.unique(ids, return_inverse=True)
-        agg = np.zeros(uniq.size)
-        np.add.at(agg, inv, sc)
+        uniq, agg = aggregate_scores(np.concatenate(all_ids),
+                                     np.concatenate(all_sc))
         agg = np.round(agg, 6)
         cut = np.lexsort((uniq, -agg))[:CHAMP_K]
         out_q.extend([q] * cut.size)

@@ -896,21 +896,19 @@ def fulltext_topk_simple(sf_dir: str) -> pa.Table:
     so float noise beyond the comparison precision cannot flip orders;
     ``max_results`` is oversized then cut at K after re-ranking so
     boundary ties resolve identically."""
-    import tempfile
-
     from .build import build_index
     from .query import BM25Index
 
-    d = spill_dir(prefix="ft_simple_")
-    build_index(f"{sf_dir}/documents.parquet", d, analyzer="simple",
-                lang_col="lang", num_buckets=16, sample_rate=1.0)
-    idx = BM25Index(d)
-    out_q, out_d, out_s = [], [], []
-    for q in FT_SIMPLE_QUERIES:
-        for m in _retrieve_tie_complete(idx, q, FT_SIMPLE_K):
-            out_q.append(q)
-            out_d.append(m.doc_id)
-            out_s.append(round(m.score, 6))
+    with spill_dir("ft_simple_") as d:
+        build_index(f"{sf_dir}/documents.parquet", d, analyzer="simple",
+                    lang_col="lang", num_buckets=16, sample_rate=1.0)
+        idx = BM25Index(d)
+        out_q, out_d, out_s = [], [], []
+        for q in FT_SIMPLE_QUERIES:
+            for m in _retrieve_tie_complete(idx, q, FT_SIMPLE_K):
+                out_q.append(q)
+                out_d.append(m.doc_id)
+                out_s.append(round(m.score, 6))
     import pandas as pd
 
     df = pd.DataFrame({"query": out_q, "doc_id": out_d, "score": out_s})
@@ -947,18 +945,18 @@ def unit_topk(sf_dir: str) -> pa.Table:
     from .query import BM25Index
     from .units import chunk_units, split_unit_id
 
-    d = spill_dir(prefix="ft_units_")
-    units = chunk_units(f"{sf_dir}/documents.parquet",
-                        size=UNIT_SIZE, stride=UNIT_STRIDE)
-    build_index(units, d, analyzer="simple", id_col="unit_id",
-                lang_col="lang", num_buckets=16, sample_rate=1.0)
-    idx = BM25Index(d)
-    out_q, out_u, out_s = [], [], []
-    for q in UNIT_QUERIES:
-        for m in _retrieve_tie_complete(idx, q, UNIT_K):
-            out_q.append(q)
-            out_u.append(m.doc_id)
-            out_s.append(round(m.score, 6))
+    with spill_dir("ft_units_") as d:
+        units = chunk_units(f"{sf_dir}/documents.parquet",
+                            size=UNIT_SIZE, stride=UNIT_STRIDE)
+        build_index(units, d, analyzer="simple", id_col="unit_id",
+                    lang_col="lang", num_buckets=16, sample_rate=1.0)
+        idx = BM25Index(d)
+        out_q, out_u, out_s = [], [], []
+        for q in UNIT_QUERIES:
+            for m in _retrieve_tie_complete(idx, q, UNIT_K):
+                out_q.append(q)
+                out_u.append(m.doc_id)
+                out_s.append(round(m.score, 6))
     import pandas as pd
 
     df = pd.DataFrame({"query": out_q, "unit_id": out_u, "score": out_s})
@@ -1412,12 +1410,12 @@ def tfidf_topk(sf_dir: str, num_buckets: int | None = None) -> pa.Table:
     Two narrow disk-mediated shuffles (the hash_join pattern,
     functions/joins.py), O(1) driver state, result rows O(K × docs)."""
     import os
-    import shutil
-    import tempfile
 
     import pyarrow.parquet as pq
 
-    from ..functions.hashing import fnv1a64_str, mix64
+    from ..functions.hashing import fnv1a64_str
+    from ..functions.spill import (BUCKET_COL, bucket_exchange, bucket_path,
+                                   spill_bucketed)
 
     if num_buckets is None:
         num_buckets = _tfidf_num_buckets(sf_dir)
@@ -1426,16 +1424,13 @@ def tfidf_topk(sf_dir: str, num_buckets: int | None = None) -> pa.Table:
                           "term": pa.array([], type=pa.string()),
                           "score": pa.array([], type=pa.float64()),
                           "rank": pa.array([], type=pa.int64())})
-    work = spill_dir(prefix="tfidf_")
-    pairs_dir = f"{work}/pairs"
-    scored_dir = f"{work}/scored"
     nd_bucket = num_buckets  # sentinel partition: per-batch doc counts
 
     def pairs_batch(t: pa.Table) -> pa.Table:
         empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
                           "term": pa.array([], type=pa.string()),
                           "tf": pa.array([], type=pa.int64()),
-                          "__jb": pa.array([], type=pa.int32())})
+                          BUCKET_COL: pa.array([], type=pa.int32())})
         codes, doc_idx, vocab = _tok_codes(t)
         if codes.size == 0:
             return empty
@@ -1463,7 +1458,7 @@ def tfidf_topk(sf_dir: str, num_buckets: int | None = None) -> pa.Table:
             "doc_id": pa.array(ids[d], type=pa.int64()),
             "term": term_arr,
             "tf": pa.array(tf.astype(np.int64), type=pa.int64()),
-            "__jb": pa.array(vb[c], type=pa.int32()),
+            BUCKET_COL: pa.array(vb[c], type=pa.int32()),
         })
         # sentinel row: doc_id column carries this batch's distinct-doc
         # count into the nd partition (docs never span batches)
@@ -1471,21 +1466,51 @@ def tfidf_topk(sf_dir: str, num_buckets: int | None = None) -> pa.Table:
             "doc_id": pa.array([n_docs], type=pa.int64()),
             "term": pa.array([""], type=pa.string()),
             "tf": pa.array([0], type=pa.int64()),
-            "__jb": pa.array([nd_bucket], type=pa.int32()),
+            BUCKET_COL: pa.array([nd_bucket], type=pa.int32()),
         })
         return pa.concat_tables([body, sent])
 
-    try:
-        (
+    def score_bucket(b: int, t: pa.Table, n_total: int) -> pa.Table | None:
+        if b == nd_bucket:
+            return None
+        de = t["term"].combine_chunks().dictionary_encode()
+        if isinstance(de, pa.ChunkedArray):
+            de = de.combine_chunks()
+        c = de.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        # a term's (doc, term) rows all live in THIS bucket and are
+        # unique per doc, so local row counts ARE global df
+        df_local = np.bincount(c).astype(np.float64)
+        tf = t["tf"].to_numpy(zero_copy_only=False).astype(np.float64)
+        score = np.round(tf * np.log(n_total / df_local[c]), 6)
+        return pa.table({
+            "doc_id": t["doc_id"],
+            "term": t["term"],
+            "score": pa.array(score, type=pa.float64()),
+        })
+
+    def topk_bucket(_b: int, t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
+        df = df.sort_values(["doc_id", "score", "term"],
+                            ascending=[True, False, True],
+                            kind="mergesort")
+        df["rank"] = df.groupby("doc_id", sort=False).cumcount() + 1
+        df = df[df["rank"] <= TFIDF_TOPK]
+        return pa.table({
+            "doc_id": pa.array(df["doc_id"].to_numpy(), type=pa.int64()),
+            "term": pa.array(df["term"].tolist(), type=pa.string()),
+            "score": pa.array(df["score"].to_numpy(), type=pa.float64()),
+            "rank": pa.array(df["rank"].to_numpy(), type=pa.int64()),
+        })
+
+    with spill_dir("tfidf_") as work:
+        pairs = spill_bucketed(
             _docs(sf_dir).map_batches(pairs_batch, batch_format="pyarrow")
             # narrow rows: coalesce before the partitioned write so the
             # spill is ~num_buckets² files, not (blocks × buckets) tiny
             # ones (the user_sessions / dup_loser_ids precedent)
-            .repartition(num_buckets)
-            .write_parquet(pairs_dir, partition_cols=["__jb"])
-        )
-
-        nd_dir = f"{pairs_dir}/__jb={nd_bucket}"
+            .repartition(num_buckets),
+            None, f"{work}/pairs", num_buckets)
+        nd_dir = bucket_path(pairs, nd_bucket)
         if not os.path.isdir(nd_dir):
             return empty_out
         n_total = int(pq.read_table(nd_dir, columns=["doc_id"],
@@ -1493,92 +1518,13 @@ def tfidf_topk(sf_dir: str, num_buckets: int | None = None) -> pa.Table:
                       .to_numpy().sum())
         if n_total == 0:
             return empty_out
-
-        def score_bucket(batch: pa.Table) -> pa.Table:
-            outs = []
-            for bi in batch["b"].to_pylist():
-                bdir = f"{pairs_dir}/__jb={bi}"
-                if not os.path.isdir(bdir):
-                    continue
-                t = pq.read_table(bdir, columns=["doc_id", "term", "tf"],
-                                  use_threads=False)
-                if t.num_rows == 0:
-                    continue
-                de = t["term"].combine_chunks().dictionary_encode()
-                if isinstance(de, pa.ChunkedArray):
-                    de = de.combine_chunks()
-                c = de.indices.to_numpy(zero_copy_only=False) \
-                    .astype(np.int64)
-                # a term's (doc, term) rows all live in THIS bucket and
-                # are unique per doc, so local row counts ARE global df
-                df_local = np.bincount(c).astype(np.float64)
-                tf = t["tf"].to_numpy(zero_copy_only=False) \
-                    .astype(np.float64)
-                score = np.round(tf * np.log(n_total / df_local[c]), 6)
-                ids = t["doc_id"].to_numpy(zero_copy_only=False) \
-                    .astype(np.int64)
-                db = (mix64(ids.view(np.uint64))
-                      % np.uint64(num_buckets)).astype(np.int32)
-                outs.append(pa.table({
-                    "doc_id": t["doc_id"],
-                    "term": t["term"],
-                    "score": pa.array(score, type=pa.float64()),
-                    "__db": pa.array(db, type=pa.int32()),
-                }))
-            if not outs:
-                return pa.table({
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "term": pa.array([], type=pa.string()),
-                    "score": pa.array([], type=pa.float64()),
-                    "__db": pa.array([], type=pa.int32()),
-                })
-            return pa.concat_tables(outs)
-
-        rd.from_items([{"b": i} for i in range(num_buckets)],
-                      override_num_blocks=num_buckets).map_batches(
-            score_bucket, batch_size=1, batch_format="pyarrow",
-        ).write_parquet(scored_dir, partition_cols=["__db"])
-
-        def topk_bucket(batch: pa.Table) -> pa.Table:
-            import pandas as pd
-
-            outs = []
-            for bi in batch["b"].to_pylist():
-                bdir = f"{scored_dir}/__db={bi}"
-                if not os.path.isdir(bdir):
-                    continue
-                t = pq.read_table(bdir, use_threads=False)
-                if t.num_rows == 0:
-                    continue
-                df = t.to_pandas()
-                df = df.sort_values(["doc_id", "score", "term"],
-                                    ascending=[True, False, True],
-                                    kind="mergesort")
-                df["rank"] = df.groupby("doc_id", sort=False) \
-                    .cumcount() + 1
-                df = df[df["rank"] <= TFIDF_TOPK]
-                outs.append(pa.table({
-                    "doc_id": pa.array(df["doc_id"].to_numpy(),
-                                       type=pa.int64()),
-                    "term": pa.array(df["term"].tolist(),
-                                     type=pa.string()),
-                    "score": pa.array(df["score"].to_numpy(),
-                                      type=pa.float64()),
-                    "rank": pa.array(df["rank"].to_numpy(),
-                                     type=pa.int64()),
-                }))
-            if not outs:
-                return empty_out
-            return pa.concat_tables(outs)
-
-        out = rd.from_items(
-            [{"b": i} for i in range(num_buckets)],
-            override_num_blocks=num_buckets,
-        ).map_batches(
-            topk_bucket, batch_size=1, batch_format="pyarrow",
-        ).to_pandas()
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+        # the scored rows re-spill by doc: each doc's top-K is local
+        out = bucket_exchange(
+            [bucket_exchange([pairs], [None], num_buckets,
+                             lambda b, t: score_bucket(b, t, n_total))],
+            ["doc_id"], num_buckets, topk_bucket).to_pandas()
+        if out.empty:
+            return empty_out
     out = out.sort_values(["doc_id", "rank"], kind="mergesort")
     return pa.table({
         "doc_id": pa.array(out["doc_id"].tolist(), type=pa.int64()),
@@ -1645,21 +1591,19 @@ def fulltext_topk(sf_dir: str) -> pa.Table:
     BM25 — from raw text, so the engine (build → shuffle → codec →
     decode → stats → scoring) is hash-checked end-to-end; Porter
     itself stays pinned by tests/test_analyzer.py goldens."""
-    import tempfile
-
     from .build import build_index
     from .query import BM25Index
 
-    d = spill_dir(prefix="ft_en_")
-    build_index(f"{sf_dir}/documents.parquet", d, analyzer="en",
-                lang_col="lang", num_buckets=16, sample_rate=1.0)
-    idx = BM25Index(d)
-    out_q, out_d, out_s = [], [], []
-    for q in FT_EN_QUERIES:
-        for m in _retrieve_tie_complete(idx, q, FT_EN_K):
-            out_q.append(q)
-            out_d.append(m.doc_id)
-            out_s.append(round(m.score, 6))
+    with spill_dir("ft_en_") as d:
+        build_index(f"{sf_dir}/documents.parquet", d, analyzer="en",
+                    lang_col="lang", num_buckets=16, sample_rate=1.0)
+        idx = BM25Index(d)
+        out_q, out_d, out_s = [], [], []
+        for q in FT_EN_QUERIES:
+            for m in _retrieve_tie_complete(idx, q, FT_EN_K):
+                out_q.append(q)
+                out_d.append(m.doc_id)
+                out_s.append(round(m.score, 6))
     import pandas as pd
 
     df = pd.DataFrame({"query": out_q, "doc_id": out_d, "score": out_s})
@@ -1785,6 +1729,7 @@ def knn_label_accuracy(sf_dir: str) -> pa.Table:
 
     import pyarrow.parquet as pq
 
+    from ..functions.spill import bucket_path
     from .similarity import _embed_matrix, ivf_layout_cached
 
     if pq.read_metadata(f"{sf_dir}/embeddings.parquet").num_rows == 0:
@@ -1800,7 +1745,7 @@ def knn_label_accuracy(sf_dir: str) -> pa.Table:
     dim = cents.shape[1]
     cents_ref = ray.put(cents)
     have_parts = [p for p in range(KNN_N_CLUSTERS)
-                  if os.path.isdir(f"{parts_dir}/part={p}")]
+                  if os.path.isdir(bucket_path(parts_dir, p))]
 
     def score_parts(batch: pa.Table) -> pa.Table:
         empty = pa.table({
@@ -1815,7 +1760,7 @@ def knn_label_accuracy(sf_dir: str) -> pa.Table:
             got = part_cache.get(p, -1)
             if got != -1:
                 return got
-            pdir = f"{parts_dir}/part={p}"
+            pdir = bucket_path(parts_dir, p)
             if not os.path.isdir(pdir):
                 part_cache[p] = None
                 return None
@@ -2075,10 +2020,7 @@ def sequence_pack(sf_dir: str) -> pa.Table:
     every exchange is O(docs) ints through the spill dir and the
     driver never sees text.  The oracle reproduces the whole layout
     with one SQL window cumsum."""
-    import os
-    import shutil
-
-    import pyarrow.parquet as pq
+    from ..functions.spill import BUCKET_COL, bucket_exchange, spill_bucketed
 
     from ..functions.tables import read_parquet_nometa
 
@@ -2097,25 +2039,42 @@ def sequence_pack(sf_dir: str) -> pa.Table:
         np.add.at(nt, parent[nonempty], 1)
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array(ids // R, type=pa.int64()),
             "doc_id": pa.array(ids, type=pa.int64()),
             "n_tokens": pa.array(nt, type=pa.int64()),
+            BUCKET_COL: pa.array(ids // R, type=pa.int64()),
         })
 
-    work = spill_dir(prefix="seqpack_")
-    try:
-        try:
-            (read_parquet_nometa(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "text"])
-             .map_batches(counts, batch_format="pyarrow")
-             .write_parquet(work, partition_cols=["part"]))
-        except KeyError:
-            # zero-row corpus: the map stage saw no batches, so the
-            # partitioned write gets a schemaless empty dataset
-            pass
-        parts = sorted(int(d.split("=")[1]) for d in os.listdir(work)
-                       if d.startswith("part="))
-        if not parts:
+    def bucket_sum(b: int, t: pa.Table) -> pa.Table:
+        return pa.table({"part": pa.array([b], type=pa.int64()),
+                         "total": pa.array([int(np.sum(
+                             t["n_tokens"].to_numpy()))], type=pa.int64())})
+
+    def finalize(b: int, t: pa.Table, offs: dict) -> pa.Table:
+        ids = t["doc_id"].to_numpy().astype(np.int64)
+        nt = t["n_tokens"].to_numpy().astype(np.int64)
+        o = np.argsort(ids, kind="stable")
+        ids, nt = ids[o], nt[o]
+        start = offs[b] + np.concatenate(
+            ([0], np.cumsum(nt[:-1], dtype=np.int64)))
+        first = start // L
+        last = np.where(nt > 0, (start + nt - 1) // L, first)
+        return pa.table({
+            "doc_id": pa.array(ids, type=pa.int64()),
+            "n_tokens": pa.array(nt, type=pa.int64()),
+            "first_seq": pa.array(first, type=pa.int64()),
+            "last_seq": pa.array(last, type=pa.int64()),
+            "offset_in_seq": pa.array(start % L, type=pa.int64()),
+            "crosses": pa.array(last > first, type=pa.bool_()),
+        })
+
+    with spill_dir("seqpack_") as work:
+        layout = spill_bucketed(
+            read_parquet_nometa(f"{sf_dir}/documents.parquet",
+                                columns=["doc_id", "text"])
+            .map_batches(counts, batch_format="pyarrow"),
+            None, f"{work}/counts")
+        sums = bucket_exchange([layout], [None], 1, bucket_sum).to_pandas()
+        if sums.empty:
             return pa.table({
                 "doc_id": pa.array([], type=pa.int64()),
                 "n_tokens": pa.array([], type=pa.int64()),
@@ -2124,88 +2083,23 @@ def sequence_pack(sf_dir: str) -> pa.Table:
                 "offset_in_seq": pa.array([], type=pa.int64()),
                 "crosses": pa.array([], type=pa.bool_()),
             })
-
-        def bucket_sum(batch: pa.Table) -> pa.Table:
-            out_p, out_s = [], []
-            for p in batch["part"].to_pylist():
-                mt = pq.read_table(f"{work}/part={p}",
-                                   columns=["n_tokens"],
-                                   use_threads=False)
-                out_p.append(int(p))
-                out_s.append(int(pc.sum(mt["n_tokens"]).as_py() or 0))
-            return pa.table({
-                "part": pa.array(out_p, type=pa.int64()),
-                "total": pa.array(out_s, type=pa.int64()),
-            })
-
-        sums = (rd.from_items([{"part": p} for p in parts])
-                .map_batches(bucket_sum, batch_format="pyarrow",
-                             batch_size=8)
-                .to_pandas().set_index("part")["total"].to_dict())
-        offs, run = {}, 0
-        for p in parts:
-            offs[p] = run
-            run += sums[p]
-        offs_ref = ray.put(offs)
-
-        def finalize(batch: pa.Table) -> pa.Table:
-            offs_ = ray.get(offs_ref)
-            cols = {k: [] for k in ("doc_id", "n_tokens", "first_seq",
-                                    "last_seq", "offset_in_seq",
-                                    "crosses")}
-            for p in batch["part"].to_pylist():
-                mt = pq.read_table(f"{work}/part={p}",
-                                   columns=["doc_id", "n_tokens"],
-                                   use_threads=False)
-                ids = mt["doc_id"].to_numpy().astype(np.int64)
-                nt = mt["n_tokens"].to_numpy().astype(np.int64)
-                o = np.argsort(ids, kind="stable")
-                ids, nt = ids[o], nt[o]
-                start = offs_[int(p)] + np.concatenate(
-                    ([0], np.cumsum(nt[:-1], dtype=np.int64)))
-                first = start // L
-                last = np.where(nt > 0, (start + nt - 1) // L, first)
-                cols["doc_id"].append(ids)
-                cols["n_tokens"].append(nt)
-                cols["first_seq"].append(first)
-                cols["last_seq"].append(last)
-                cols["offset_in_seq"].append(start % L)
-                cols["crosses"].append(last > first)
-            if not cols["doc_id"]:
-                return pa.table({
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "n_tokens": pa.array([], type=pa.int64()),
-                    "first_seq": pa.array([], type=pa.int64()),
-                    "last_seq": pa.array([], type=pa.int64()),
-                    "offset_in_seq": pa.array([], type=pa.int64()),
-                    "crosses": pa.array([], type=pa.bool_()),
-                })
-            return pa.table({
-                k: pa.array(np.concatenate(v),
-                            type=pa.bool_() if k == "crosses"
-                            else pa.int64())
-                for k, v in cols.items()
-            })
-
-        out = (rd.from_items([{"part": p} for p in parts])
-               .map_batches(finalize, batch_format="pyarrow",
-                            batch_size=1)
-               .to_pandas().sort_values("doc_id"))
-        return pa.table({
-            "doc_id": pa.array(out["doc_id"].tolist(), type=pa.int64()),
-            "n_tokens": pa.array(out["n_tokens"].tolist(),
-                                 type=pa.int64()),
-            "first_seq": pa.array(out["first_seq"].tolist(),
+        # bucket order IS stream order: an exclusive prefix sum over the
+        # bucket totals gives each bucket's global token offset
+        sums = sums.sort_values("part")
+        offs = dict(zip(sums["part"].tolist(),
+                        (sums["total"].cumsum() - sums["total"]).tolist()))
+        out = bucket_exchange(
+            [layout], [None], 1,
+            lambda b, t: finalize(b, t, offs)).to_pandas().sort_values("doc_id")
+    return pa.table({
+        "doc_id": pa.array(out["doc_id"].tolist(), type=pa.int64()),
+        "n_tokens": pa.array(out["n_tokens"].tolist(), type=pa.int64()),
+        "first_seq": pa.array(out["first_seq"].tolist(), type=pa.int64()),
+        "last_seq": pa.array(out["last_seq"].tolist(), type=pa.int64()),
+        "offset_in_seq": pa.array(out["offset_in_seq"].tolist(),
                                   type=pa.int64()),
-            "last_seq": pa.array(out["last_seq"].tolist(),
-                                 type=pa.int64()),
-            "offset_in_seq": pa.array(out["offset_in_seq"].tolist(),
-                                      type=pa.int64()),
-            "crosses": pa.array(out["crosses"].tolist(),
-                                type=pa.bool_()),
-        })
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+        "crosses": pa.array(out["crosses"].tolist(), type=pa.bool_()),
+    })
 
 
 def sequence_pack_sql() -> str:
@@ -2381,12 +2275,8 @@ def shard_layout(sf_dir: str) -> pa.Table:
     O(buckets × shards) partials, never per-doc rows.  Output: per shard
     (n_docs, n_chars, min_doc, max_doc); contiguity is checkable from
     the min/max ranges.  Oracle: one window cumsum."""
-    import os
-    import shutil
-
-    import pyarrow.parquet as pq
-
-    from ..functions.spill import spill_dir
+    from ..functions.spill import (BUCKET_COL, bucket_exchange,
+                                   spill_bucketed, spill_dir)
     from ..functions.tables import read_parquet_nometa
 
     K = SHARD_COUNT
@@ -2395,95 +2285,69 @@ def shard_layout(sf_dir: str) -> pa.Table:
     def narrow(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array(ids // R, type=pa.int64()),
             "doc_id": pa.array(ids, type=pa.int64()),
             "n_chars": t["n_chars"].cast(pa.int64()),
+            BUCKET_COL: pa.array(ids // R, type=pa.int64()),
         })
 
-    work = spill_dir(prefix="shardlay_")
-    try:
-        try:
-            (read_parquet_nometa(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "n_chars"])
-             .map_batches(narrow, batch_format="pyarrow")
-             .write_parquet(work, partition_cols=["part"]))
-        except KeyError:
-            # zero-row corpus: schemaless empty dataset at the
-            # partitioned write — no buckets to lay out
-            pass
-        parts = sorted(int(d.split("=")[1]) for d in os.listdir(work)
-                       if d.startswith("part="))
-        if not parts:
+    def bucket_sum(b: int, t: pa.Table) -> pa.Table:
+        return pa.table({"part": pa.array([b], type=pa.int64()),
+                         "total": pa.array([int(np.sum(
+                             t["n_chars"].to_numpy()))], type=pa.int64())})
+
+    def finalize(b: int, t: pa.Table, offs: dict, total: int) -> pa.Table:
+        ids = t["doc_id"].to_numpy().astype(np.int64)
+        nc = t["n_chars"].to_numpy().astype(np.int64)
+        o = np.argsort(ids, kind="stable")
+        ids, nc = ids[o], nc[o]
+        cum = offs[b] + np.concatenate(
+            ([0], np.cumsum(nc[:-1], dtype=np.int64)))
+        # int64 cum*K is exact to ~10^18/K chars — far past any single
+        # corpus; the SQL oracle mirrors it in HUGEINT
+        shard = np.minimum(cum * K // max(total, 1), K - 1)
+        cols = {k: [] for k in ("shard", "n_docs", "n_chars",
+                                "min_doc", "max_doc")}
+        for s_ in np.unique(shard):
+            m = shard == s_
+            cols["shard"].append(int(s_))
+            cols["n_docs"].append(int(m.sum()))
+            cols["n_chars"].append(int(nc[m].sum()))
+            cols["min_doc"].append(int(ids[m].min()))
+            cols["max_doc"].append(int(ids[m].max()))
+        return pa.table({k: pa.array(v, type=pa.int64())
+                         for k, v in cols.items()})
+
+    from ray.data.aggregate import Max, Min, Sum
+
+    with spill_dir("shardlay_") as work:
+        layout = spill_bucketed(
+            read_parquet_nometa(f"{sf_dir}/documents.parquet",
+                                columns=["doc_id", "n_chars"])
+            .map_batches(narrow, batch_format="pyarrow"),
+            None, f"{work}/chars")
+        sums = bucket_exchange([layout], [None], 1, bucket_sum).to_pandas()
+        if sums.empty:
             return pa.table({c: pa.array([], type=pa.int64())
                              for c in ("shard", "n_docs", "n_chars",
                                        "min_doc", "max_doc")})
-
-        def bucket_sum(batch: pa.Table) -> pa.Table:
-            out_p, out_s = [], []
-            for p in batch["part"].to_pylist():
-                mt = pq.read_table(f"{work}/part={p}", columns=["n_chars"],
-                                   use_threads=False)
-                out_p.append(int(p))
-                out_s.append(int(pc.sum(mt["n_chars"]).as_py() or 0))
-            return pa.table({
-                "part": pa.array(out_p, type=pa.int64()),
-                "total": pa.array(out_s, type=pa.int64()),
-            })
-
-        sums = (rd.from_items([{"part": p} for p in parts])
-                .map_batches(bucket_sum, batch_format="pyarrow",
-                             batch_size=8)
-                .to_pandas().set_index("part")["total"].to_dict())
-        offs, run = {}, 0
-        for p in parts:
-            offs[p] = run
-            run += sums[p]
-        total = run
-        offs_ref = ray.put(offs)
-
-        def finalize(batch: pa.Table) -> pa.Table:
-            offs_ = ray.get(offs_ref)
-            cols = {k: [] for k in ("shard", "n_docs", "n_chars",
-                                    "min_doc", "max_doc")}
-            for p in batch["part"].to_pylist():
-                mt = pq.read_table(f"{work}/part={p}",
-                                   columns=["doc_id", "n_chars"],
-                                   use_threads=False)
-                ids = mt["doc_id"].to_numpy().astype(np.int64)
-                nc = mt["n_chars"].to_numpy().astype(np.int64)
-                o = np.argsort(ids, kind="stable")
-                ids, nc = ids[o], nc[o]
-                cum = offs_[int(p)] + np.concatenate(
-                    ([0], np.cumsum(nc[:-1], dtype=np.int64)))
-                # int64 cum*K is exact to ~10^18/K chars — far past any
-                # single corpus; the SQL oracle mirrors it in HUGEINT
-                shard = np.minimum(cum * K // max(total, 1), K - 1)
-                for s in np.unique(shard):
-                    m = shard == s
-                    cols["shard"].append(int(s))
-                    cols["n_docs"].append(int(m.sum()))
-                    cols["n_chars"].append(int(nc[m].sum()))
-                    cols["min_doc"].append(int(ids[m].min()))
-                    cols["max_doc"].append(int(ids[m].max()))
-            return pa.table({k: pa.array(v, type=pa.int64())
-                             for k, v in cols.items()})
-
-        from ray.data.aggregate import Max, Min, Sum
-
-        out = (rd.from_items([{"part": p} for p in parts])
-               .map_batches(finalize, batch_format="pyarrow", batch_size=1)
+        # bucket order IS corpus order: exclusive prefix sums of the
+        # bucket totals are the global char offsets
+        sums = sums.sort_values("part")
+        offs = dict(zip(sums["part"].tolist(),
+                        (sums["total"].cumsum() - sums["total"]).tolist()))
+        total = int(sums["total"].sum())
+        out = (bucket_exchange([layout], [None], 1,
+                               lambda b, t: finalize(b, t, offs, total))
                .groupby("shard")
                .aggregate(Sum("n_docs", alias_name="n_docs"),
                           Sum("n_chars", alias_name="n_chars"),
                           Min("min_doc", alias_name="min_doc"),
                           Max("max_doc", alias_name="max_doc"))
                .to_pandas().sort_values("shard"))
-        return pa.table({c: pa.array(out[c].astype("int64").tolist(),
-                                     type=pa.int64())
-                         for c in ("shard", "n_docs", "n_chars",
-                                   "min_doc", "max_doc")})
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+    return pa.table({c: pa.array(out[c].astype("int64").tolist(),
+                                 type=pa.int64())
+                     for c in ("shard", "n_docs", "n_chars",
+                               "min_doc", "max_doc")})
 
 
 def shard_layout_sql(*, k: int = SHARD_COUNT) -> str:

@@ -436,45 +436,15 @@ def customer_running_totals(sf_dir: str, *,
     customer's orders land wholly in one bucket file, no global sort),
     then ONE vectorized lexsort+cumsum pass per bucket.  Integer cents
     keep the value hash exact."""
-    import os
-    import pyarrow.parquet as pq
-
-    from ..functions.hashing import mix64
-    from ..functions.spill import auto_buckets, spill_dir
+    from ..functions.spill import auto_buckets, bucket_exchange
 
     if num_buckets is None:   # scale knob: bytes-derived, not fixed
         num_buckets = auto_buckets(f"{sf_dir}/orders.parquet", lo=32)
-    work_dir = spill_dir(prefix="pdfsearch_runtot_")
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        ck = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (mix64(ck.view(np.uint64))
-             % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b))
-
-    (
-        _read(sf_dir, "orders",
-              ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(num_buckets)
-        .write_parquet(work_dir, partition_cols=["bucket"])
-    )
-    bucket_dirs = sorted(
-        f"{work_dir}/{d}" for d in os.listdir(work_dir)
-        if d.startswith("bucket="))
-
-    def per_bucket(batch: pa.Table) -> pa.Table:
-        outs = [
-            running_totals_block(pq.read_table(bdir, use_threads=False))
-            for bdir in batch["dir"].to_pylist()
-        ]
-        return pa.concat_tables(outs)
-
-    return (
-        rd.from_items([{"dir": d} for d in bucket_dirs],
-                      override_num_blocks=max(1, len(bucket_dirs)))
-        .map_batches(per_bucket, batch_format="pyarrow", batch_size=1)
-    )
+    return bucket_exchange(
+        [_read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate",
+                                  "o_totalprice"]).repartition(num_buckets)],
+        ["o_custkey"], num_buckets,
+        lambda _b, t: running_totals_block(t))
 
 
 def running_totals_sql() -> str:
@@ -505,19 +475,15 @@ def silent_customers(sf_dir: str, *, num_buckets: int | None = None,
     before the spill.  (Unfiltered, the testdata generator gives every
     customer at least one order — the priority filter keeps the
     anti-join load-bearing.)"""
-    import os
-
     import pyarrow.parquet as pq
     import ray
 
-    from ..functions.joins import spill_bucketed
-    from ..functions.spill import auto_buckets, spill_dir
+    from ..functions.spill import auto_buckets, bucket_exchange
 
     if num_buckets is None:   # both spills must co-partition
         num_buckets = auto_buckets(
             [f"{sf_dir}/customer.parquet", f"{sf_dir}/orders.parquet"],
             lo=16)
-    work = spill_dir(prefix="pdfsearch_anti_")
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_nationkey", "c_acctbal"])
 
@@ -530,52 +496,39 @@ def silent_customers(sf_dir: str, *, num_buckets: int | None = None,
     okeys = _read(sf_dir, "orders",
                   ["o_custkey", "o_orderpriority"]).map_batches(
         distinct_keys, batch_format="pyarrow")
-    cdir = spill_bucketed(cust, "c_custkey", f"{work}/cust",
-                          num_buckets=num_buckets)
-    odir = spill_bucketed(okeys, "o_custkey", f"{work}/orders",
-                          num_buckets=num_buckets)
-
     nt = pq.read_table(f"{sf_dir}/nation.parquet",
                        columns=["n_nationkey", "n_name"])
     nmap_ref = ray.put(dict(zip(nt["n_nationkey"].to_pylist(),
                                 nt["n_name"].to_pylist())))
 
-    def per_bucket(batch: pa.Table) -> pa.Table:
+    def per_bucket(_b: int, ct: pa.Table | None,
+                   ot: pa.Table | None) -> pa.Table | None:
+        if ct is None:
+            return None
+        have = (ot["o_custkey"].to_numpy() if ot is not None
+                else np.empty(0, dtype=np.int64))
+        ck = ct["c_custkey"].to_numpy()
+        anti = ~np.isin(ck, have)
+        if not anti.any():
+            return None
         nmap = ray.get(nmap_ref)
-        out_n, out_c, out_b = [], [], []
-        for b in batch["b"].to_pylist():
-            cpath = f"{cdir}/__jb={b}"
-            if not os.path.isdir(cpath):
-                continue
-            ct = pq.read_table(cpath, use_threads=False)
-            opath = f"{odir}/__jb={b}"
-            have = (pq.read_table(opath, use_threads=False)
-                    ["o_custkey"].to_numpy()
-                    if os.path.isdir(opath)
-                    else np.empty(0, dtype=np.int64))
-            ck = ct["c_custkey"].to_numpy()
-            anti = ~np.isin(ck, have)
-            if not anti.any():
-                continue
-            nk = ct["c_nationkey"].to_numpy()[anti]
-            bal = np.round(
-                ct["c_acctbal"].to_numpy()[anti] * 100).astype(np.int64)
-            uniq, inv = np.unique(nk, return_inverse=True)
-            out_n.extend(nmap[int(k)] for k in uniq)
-            out_c.extend(np.bincount(inv, minlength=uniq.size)
-                         .astype(np.int64).tolist())
-            out_b.extend(
-                _group_sum_i64(inv, bal, uniq.size).tolist())
+        nk = ct["c_nationkey"].to_numpy()[anti]
+        bal = np.round(
+            ct["c_acctbal"].to_numpy()[anti] * 100).astype(np.int64)
+        uniq, inv = np.unique(nk, return_inverse=True)
         return pa.table({
-            "n_name": pa.array(out_n, type=pa.string()),
-            "n_customers": pa.array(out_c, type=pa.int64()),
-            "acctbal_cents": pa.array(out_b, type=pa.int64()),
+            "n_name": pa.array([nmap[int(k)] for k in uniq],
+                               type=pa.string()),
+            "n_customers": pa.array(
+                np.bincount(inv, minlength=uniq.size).astype(np.int64),
+                type=pa.int64()),
+            "acctbal_cents": pa.array(
+                _group_sum_i64(inv, bal, uniq.size), type=pa.int64()),
         })
 
     out = (
-        rd.from_items([{"b": b} for b in range(num_buckets)],
-                      override_num_blocks=num_buckets)
-        .map_batches(per_bucket, batch_format="pyarrow", batch_size=1)
+        bucket_exchange([cust, okeys], ["c_custkey", "o_custkey"],
+                        num_buckets, per_bucket)
         .repartition(1)
         .groupby("n_name")
         .aggregate(Sum("n_customers", alias_name="n_customers"),
@@ -693,70 +646,36 @@ def above_avg_histogram(sf_dir: str, *,
     Same custkey-hash bucket spill as customer_running_totals; one
     vectorized grouped pass per bucket; the combiner reduces to
     O(distinct n_above × buckets) rows."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from ..functions.hashing import mix64
-    from ..functions.spill import auto_buckets, spill_dir
+    from ..functions.spill import auto_buckets, bucket_exchange
 
     if num_buckets is None:
         num_buckets = auto_buckets(f"{sf_dir}/orders.parquet", lo=32)
-    work_dir = spill_dir(prefix="pdfsearch_aboveavg_")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
+    def per_bucket(_b: int, t: pa.Table) -> pa.Table:
         ck = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (mix64(ck.view(np.uint64))
-             % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b))
-
-    (
-        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(num_buckets)
-        .write_parquet(work_dir, partition_cols=["bucket"])
-    )
-    bucket_dirs = sorted(
-        f"{work_dir}/{d}" for d in os.listdir(work_dir)
-        if d.startswith("bucket="))
-
-    def per_bucket(batch: pa.Table) -> pa.Table:
-        outs_v, outs_c = [], []
-        for bdir in batch["dir"].to_pylist():
-            t = pq.read_table(bdir, use_threads=False)
-            if t.num_rows == 0:
-                continue
-            ck = t["o_custkey"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            cents = np.round(
-                t["o_totalprice"].to_numpy() * 100).astype(np.int64)
-            order = np.argsort(ck, kind="stable")
-            ck, cents = ck[order], cents[order]
-            starts = np.flatnonzero(np.r_[True, ck[1:] != ck[:-1]])
-            counts = np.diff(np.r_[starts, ck.size])
-            totals = np.add.reduceat(cents, starts)
-            n_rep = np.repeat(counts, counts)
-            tot_rep = np.repeat(totals, counts)
-            above = (cents * n_rep > tot_rep).astype(np.int64)
-            n_above = np.add.reduceat(above, starts)
-            vals, ccounts = np.unique(n_above, return_counts=True)
-            outs_v.append(vals)
-            outs_c.append(ccounts.astype(np.int64))
-        if not outs_v:
-            return pa.table({
-                "n_above": pa.array([], type=pa.int64()),
-                "n_customers": pa.array([], type=pa.int64()),
-            })
+        cents = np.round(
+            t["o_totalprice"].to_numpy() * 100).astype(np.int64)
+        order = np.argsort(ck, kind="stable")
+        ck, cents = ck[order], cents[order]
+        starts = np.flatnonzero(np.r_[True, ck[1:] != ck[:-1]])
+        counts = np.diff(np.r_[starts, ck.size])
+        totals = np.add.reduceat(cents, starts)
+        n_rep = np.repeat(counts, counts)
+        tot_rep = np.repeat(totals, counts)
+        above = (cents * n_rep > tot_rep).astype(np.int64)
+        n_above = np.add.reduceat(above, starts)
+        vals, ccounts = np.unique(n_above, return_counts=True)
         return pa.table({
-            "n_above": pa.array(np.concatenate(outs_v), type=pa.int64()),
-            "n_customers": pa.array(np.concatenate(outs_c),
+            "n_above": pa.array(vals, type=pa.int64()),
+            "n_customers": pa.array(ccounts.astype(np.int64),
                                     type=pa.int64()),
         })
 
     agg = (
-        rd.from_items([{"dir": d} for d in bucket_dirs],
-                      override_num_blocks=max(1, len(bucket_dirs)))
-        .map_batches(per_bucket, batch_format="pyarrow", batch_size=1)
+        bucket_exchange(
+            [_read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+             .repartition(num_buckets)],
+            ["o_custkey"], num_buckets, per_bucket)
         .repartition(1)
         .groupby("n_above")
         .aggregate(Sum("n_customers", alias_name="n_customers"))
@@ -814,33 +733,10 @@ def basket_pairs(sf_dir: str, *, num_buckets: int | None = None,
     UNIQUE pairs, the ≥min filter and local top-k run distributed
     (the bigram_counts pattern), and the driver merge sees
     O(k × blocks) rows."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from ..functions.hashing import mix64
-    from ..functions.spill import auto_buckets, spill_dir
+    from ..functions.spill import auto_buckets, bucket_exchange
 
     if num_buckets is None:
         num_buckets = auto_buckets(f"{sf_dir}/lineitem.parquet", lo=32)
-    work_dir = spill_dir(prefix="pdfsearch_basket_")
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        okey = t["l_orderkey"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        b = (mix64(okey.view(np.uint64))
-             % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b))
-
-    (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(num_buckets)
-        .write_parquet(work_dir, partition_cols=["bucket"])
-    )
-    bucket_dirs = sorted(
-        f"{work_dir}/{d}" for d in os.listdir(work_dir)
-        if d.startswith("bucket="))
 
     empty = pa.table({
         "p1": pa.array([], type=pa.int64()),
@@ -848,45 +744,35 @@ def basket_pairs(sf_dir: str, *, num_buckets: int | None = None,
         "n": pa.array([], type=pa.int64()),
     })
 
-    def per_bucket(batch: pa.Table) -> pa.Table:
-        outs = []
-        for bdir in batch["dir"].to_pylist():
-            t = pq.read_table(bdir, use_threads=False)
-            if t.num_rows == 0:
-                continue
-            ok = t["l_orderkey"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            pk = t["l_partkey"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            # dedup (order, part) then sort so parts ascend per order
-            key = np.unique(ok * np.int64(1 << 32) + pk)
-            ok = key >> np.int64(32)
-            pk = key & np.int64(0xFFFFFFFF)
-            starts = np.flatnonzero(np.r_[True, ok[1:] != ok[:-1]])
-            counts = np.diff(np.r_[starts, ok.size])
-            # vectorized ordered-pair expansion: row i at local
-            # position j pairs with the c-1-j later rows of its order
-            local = np.arange(ok.size, dtype=np.int64) \
-                - np.repeat(starts, counts)
-            reps = np.repeat(counts, counts) - 1 - local
-            total = int(reps.sum())
-            if total == 0:
-                continue
-            first = np.repeat(np.arange(ok.size, dtype=np.int64), reps)
-            csum = np.cumsum(reps, dtype=np.int64) - reps
-            second = (np.arange(total, dtype=np.int64)
-                      - np.repeat(csum, reps) + first + 1)
-            pair = pk[first] * np.int64(1 << 32) + pk[second]
-            uniq, cnt = np.unique(pair, return_counts=True)
-            # ONE packed int64 groupby key (not two columns): halves
-            # the shuffle width and the grouping comparisons
-            outs.append(pa.table({
-                "pair": pa.array(uniq, type=pa.int64()),
-                "n": pa.array(cnt.astype(np.int64), type=pa.int64()),
-            }))
-        return (pa.concat_tables(outs) if outs
-                else pa.table({"pair": pa.array([], type=pa.int64()),
-                               "n": pa.array([], type=pa.int64())}))
+    def per_bucket(_b: int, t: pa.Table) -> pa.Table | None:
+        ok = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+        pk = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+        # dedup (order, part) then sort so parts ascend per order
+        key = np.unique(ok * np.int64(1 << 32) + pk)
+        ok = key >> np.int64(32)
+        pk = key & np.int64(0xFFFFFFFF)
+        starts = np.flatnonzero(np.r_[True, ok[1:] != ok[:-1]])
+        counts = np.diff(np.r_[starts, ok.size])
+        # vectorized ordered-pair expansion: row i at local position j
+        # pairs with the c-1-j later rows of its order
+        local = np.arange(ok.size, dtype=np.int64) \
+            - np.repeat(starts, counts)
+        reps = np.repeat(counts, counts) - 1 - local
+        total = int(reps.sum())
+        if total == 0:
+            return None
+        first = np.repeat(np.arange(ok.size, dtype=np.int64), reps)
+        csum = np.cumsum(reps, dtype=np.int64) - reps
+        second = (np.arange(total, dtype=np.int64)
+                  - np.repeat(csum, reps) + first + 1)
+        pair = pk[first] * np.int64(1 << 32) + pk[second]
+        uniq, cnt = np.unique(pair, return_counts=True)
+        # ONE packed int64 groupby key (not two columns): halves the
+        # shuffle width and the grouping comparisons
+        return pa.table({
+            "pair": pa.array(uniq, type=pa.int64()),
+            "n": pa.array(cnt.astype(np.int64), type=pa.int64()),
+        })
 
     def local_topk(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater_equal(t["n"], min_count))
@@ -899,9 +785,10 @@ def basket_pairs(sf_dir: str, *, num_buckets: int | None = None,
         return pa.Table.from_pandas(df, preserve_index=False)
 
     agg = (
-        rd.from_items([{"dir": d} for d in bucket_dirs],
-                      override_num_blocks=max(1, len(bucket_dirs)))
-        .map_batches(per_bucket, batch_format="pyarrow", batch_size=1)
+        bucket_exchange(
+            [_read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
+             .repartition(num_buckets)],
+            ["l_orderkey"], num_buckets, per_bucket)
         .groupby("pair")
         .aggregate(Sum("n", alias_name="n"))
         .map_batches(local_topk, batch_format="pyarrow")

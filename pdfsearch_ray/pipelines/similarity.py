@@ -22,11 +22,10 @@ so DuckDB independently recomputes assignment, probing and scoring
 
 from __future__ import annotations
 
-from ..functions.spill import spill_dir
+from ..functions.spill import (BUCKET_COL, bucket_path, cached_dir,
+                               file_key, spill_bucketed, spill_dir)
 
 import os
-import shutil
-import tempfile
 
 import numpy as np
 import pyarrow as pa
@@ -69,9 +68,10 @@ def _read_queries(sf_dir: str, num_queries: int) -> tuple[np.ndarray, np.ndarray
 
 
 class _PartitionAssigner:
-    """Actor: embedding rows → (part, vec_id, embedding[, extra]) rows;
-    the assignment function (LSH signs or IVF nearest-centroid) is built
-    once per actor from broadcast parameters."""
+    """Actor: embedding rows → (vec_id, embedding[, extra], __jb) rows
+    with ``__jb`` the partition; the assignment function (LSH signs or
+    IVF nearest-centroid) is built once per actor from broadcast
+    parameters."""
 
     def __init__(self, params_ref, mode: str, dim: int, exclude_below: int,
                  extra_cols: tuple[str, ...] = ()):
@@ -95,7 +95,6 @@ class _PartitionAssigner:
             parts = np.argmax(m @ self.params.T, axis=1)
         take = pa.array(np.nonzero(mask)[0], type=pa.int32())
         cols = {
-            "part": pa.array(parts, type=pa.int64()),
             "vec_id": pa.array(ids, type=pa.int64()),
             "embedding": emb.take(take),
         }
@@ -104,6 +103,7 @@ class _PartitionAssigner:
             if isinstance(col, pa.ChunkedArray):
                 col = col.combine_chunks()
             cols[c] = col.take(take)
+        cols[BUCKET_COL] = pa.array(parts, type=pa.int64())
         return pa.table(cols)
 
 
@@ -125,7 +125,7 @@ def build_partitioned_embeddings(
     from ..functions.tables import read_parquet_nometa
 
     params_ref = ray.put(params)
-    read_parquet_nometa(
+    spill_bucketed(read_parquet_nometa(
         f"{sf_dir}/embeddings.parquet",
         columns=["vec_id", "embedding", *extra_cols],
     ).map_batches(
@@ -135,7 +135,7 @@ def build_partitioned_embeddings(
                                    extra_cols=extra_cols),
         batch_format="pyarrow",
         concurrency=(1, 4),
-    ).write_parquet(out_dir, partition_cols=["part"])
+    ), None, out_dir)
 
 
 _EMPTY_TOPK = pa.table({
@@ -167,14 +167,14 @@ def _probe_topk(
     so per-partition top-k is an exact prefix filter).  The driver then
     merges O(k · probes) rows, never the candidate set."""
     all_probes = sorted(set().union(*probe_sets)) if probe_sets else []
-    dirs = [b for b in all_probes if os.path.isdir(f"{parts_dir}/part={b}")]
+    dirs = [b for b in all_probes if os.path.isdir(bucket_path(parts_dir, b))]
     bcast = ray.put((q_ids, qn, probe_sets))
 
     def score_partition(batch: pa.Table) -> pa.Table:
         q_ids_, qn_, probe_sets_ = ray.get(bcast)
         out_q, out_v, out_s = [], [], []
         for part in batch["part"].to_pylist():
-            t = pq.read_table(f"{parts_dir}/part={part}",
+            t = pq.read_table(bucket_path(parts_dir, part),
                               columns=["vec_id", "embedding"],
                               use_threads=False)
             if t.num_rows == 0:
@@ -250,7 +250,6 @@ def ann_lsh_topk(
     k: int = 10,
     nbits: int = 8,
     seed: int = 42,
-    index_dir: str | None = None,
 ) -> pa.Table:
     """Approximate cosine top-k via hyperplane LSH + multi-probe over a
     persisted bucket-partitioned index (see module docstring)."""
@@ -262,18 +261,13 @@ def ann_lsh_topk(
     qn = qm / np.linalg.norm(qm, axis=1, keepdims=True)
     probe_sets = lsh_probe_sets(_signs(qm, planes), nbits)
 
-    own = index_dir is None
-    index_dir = index_dir or spill_dir(prefix="pdfsearch_lsh_")
-    try:
-        if not os.path.isdir(f"{index_dir}/parts"):
-            build_partitioned_embeddings(
-                sf_dir, f"{index_dir}/parts", mode="lsh", params=planes,
-                dim=dim, exclude_below=num_queries,
-            )
-        return _probe_topk(f"{index_dir}/parts", q_ids, qn, probe_sets, dim, k)
-    finally:
-        if own:
-            shutil.rmtree(index_dir, ignore_errors=True)
+    with spill_dir("pdfsearch_lsh_") as index_dir:
+        build_partitioned_embeddings(
+            sf_dir, f"{index_dir}/parts", mode="lsh", params=planes,
+            dim=dim, exclude_below=num_queries,
+        )
+        return _probe_topk(f"{index_dir}/parts", q_ids, qn, probe_sets,
+                           dim, k)
 
 
 def embedding_dup_pairs(
@@ -471,47 +465,30 @@ def ivf_layout_cached(
     The cache key fingerprints the source parquet (abspath, size,
     mtime_ns) plus every model/layout parameter, so a changed input or
     knob gets a fresh layout and identical inputs share one.  Builds are
-    atomic (tmp dir + rename); a concurrent loser just adopts the
+    atomic (``spill.cached_dir``); a concurrent loser just adopts the
     winner's directory.  Cache root follows the spill knob
     (``$PDFSEARCH_SPILL_ROOT``, else the system tempdir) — on a real
     cluster that is the shared-storage mount every task can read."""
-    import hashlib
+    def build(out: str) -> None:
+        cents = ivf_centroids(sf_dir, num_queries=num_queries,
+                              n_clusters=n_clusters, train_rows=train_rows,
+                              iters=iters, seed=seed)
+        build_partitioned_embeddings(
+            sf_dir, f"{out}/parts", mode="ivf", params=cents,
+            dim=cents.shape[1], exclude_below=exclude_below,
+            extra_cols=extra_cols,
+        )
+        np.save(f"{out}/centroids.npy", cents)
 
-    src = f"{sf_dir}/embeddings.parquet"
-    st = os.stat(src)
-    key = hashlib.sha256(repr((
-        os.path.abspath(src), st.st_size, st.st_mtime_ns,
+    # "jb": the layout's bucket directories are ``__jb=`` (spill.py's
+    # layout), so a cache written with the older ``part=`` names is
+    # never adopted
+    cdir = cached_dir("pdfsearch_ivf", (
+        *file_key(f"{sf_dir}/embeddings.parquet"),
         n_clusters, num_queries, train_rows, iters, seed,
-        exclude_below, tuple(extra_cols),
-    )).encode()).hexdigest()[:20]
-    root = os.environ.get("PDFSEARCH_SPILL_ROOT") or tempfile.gettempdir()
-    cdir = os.path.join(root, "pdfsearch_ivf_cache", key)
-    cents_path = os.path.join(cdir, "centroids.npy")
-    parts_path = os.path.join(cdir, "parts")
-    if os.path.isfile(cents_path) and os.path.isdir(parts_path):
-        return np.load(cents_path), parts_path
-
-    cents = ivf_centroids(sf_dir, num_queries=num_queries,
-                          n_clusters=n_clusters, train_rows=train_rows,
-                          iters=iters, seed=seed)
-    tmp = f"{cdir}.tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    build_partitioned_embeddings(
-        sf_dir, f"{tmp}/parts", mode="ivf", params=cents,
-        dim=cents.shape[1], exclude_below=exclude_below,
-        extra_cols=extra_cols,
-    )
-    np.save(f"{tmp}/centroids.npy", cents)
-    os.makedirs(os.path.dirname(cdir), exist_ok=True)
-    try:
-        os.rename(tmp, cdir)
-    except OSError:
-        # concurrent builder won the rename — use theirs (deterministic
-        # params ⇒ identical contents), drop ours
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not (os.path.isfile(cents_path) and os.path.isdir(parts_path)):
-            raise
-    return np.load(cents_path), parts_path
+        exclude_below, tuple(extra_cols), "jb",
+    ), "centroids.npy", build)
+    return np.load(f"{cdir}/centroids.npy"), f"{cdir}/parts"
 
 
 def _kmeans(train: np.ndarray, n_clusters: int, iters: int,
@@ -659,14 +636,14 @@ def semantic_dedup(
     dim = cents.shape[1]
     cents_ref = ray.put(cents)
     have_parts = [p for p in range(n_clusters)
-                  if os.path.isdir(f"{parts_dir}/part={p}")]
+                  if os.path.isdir(bucket_path(parts_dir, p))]
 
     def decide(batch: pa.Table) -> pa.Table:
         cents_ = ray.get(cents_ref)
         out_id, out_cl, out_cs, out_keep = [], [], [], []
         for part in batch["part"].to_pylist():
             p = int(part)
-            mt = pq.read_table(f"{parts_dir}/part={p}",
+            mt = pq.read_table(bucket_path(parts_dir, p),
                                columns=["vec_id", "embedding"],
                                use_threads=False)
             if mt.num_rows == 0:

@@ -235,7 +235,7 @@ def term_cms_sketch_sql() -> str:
                            % {CMS_W} AS BIGINT) AS col, c
             FROM tf CROSS JOIN rows_
         )
-        SELECT r AS row, col, sum(c) AS n FROM cells
+        SELECT r AS row, col, CAST(sum(c) AS BIGINT) AS n FROM cells
         GROUP BY r, col ORDER BY row, col
     """
 

@@ -385,8 +385,8 @@ def lm_surprisal_sql() -> str:
             FROM scored GROUP BY doc_id
         )
         SELECT d.doc_id, coalesce(g.n_tokens, 0) AS n_tokens,
-               coalesce(g.n_oov, 0) AS n_oov,
-               coalesce(g.bits_total, 0) AS bits_total
+               CAST(coalesce(g.n_oov, 0) AS BIGINT) AS n_oov,
+               CAST(coalesce(g.bits_total, 0) AS BIGINT) AS bits_total
         FROM documents d LEFT JOIN g ON d.doc_id = g.doc_id
         ORDER BY d.doc_id
     """
@@ -628,7 +628,7 @@ def dsir_weights_sql() -> str:
             GROUP BY f.doc_id
         )
         SELECT d.doc_id, coalesce(g.n_feats, 0) AS n_feats,
-               coalesce(g.dsir_bits, 0) AS dsir_bits
+               CAST(coalesce(g.dsir_bits, 0) AS BIGINT) AS dsir_bits
         FROM documents d LEFT JOIN g ON g.doc_id = d.doc_id
         ORDER BY d.doc_id
     """
@@ -905,7 +905,8 @@ def ccnet_buckets_sql() -> str:
         ),
         s AS (
             SELECT d.doc_id, d.lang,
-                   g.bits_total * 1000 // g.n_tokens AS ppl_milli
+                   CAST(g.bits_total * 1000 // g.n_tokens AS BIGINT)
+                       AS ppl_milli
             FROM documents d JOIN g ON d.doc_id = g.doc_id
             WHERE g.n_tokens > 0
         ),

@@ -43,14 +43,13 @@ raw text — the full semantics sit under the driver's value hash.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import shutil
-import tempfile
 
 import numpy as np
 import pyarrow as pa
+
+from ..functions.spill import cached_dir, index_key
 
 __all__ = [
     "tiered_index_cached",
@@ -84,26 +83,6 @@ _POSTING_COLS = ["term", "salt", "bucket", "first_doc", "n",
                  "doc_blob", "tf_blob", "dl_blob"]
 
 
-def _artifact_dir(idx_dir: str, tag: str, params: tuple) -> str:
-    mst = os.stat(os.path.join(idx_dir, "manifest.json"))
-    key = hashlib.sha256(repr((
-        os.path.abspath(idx_dir), mst.st_size, mst.st_mtime_ns,
-        tag, params,
-    )).encode()).hexdigest()[:20]
-    root = os.environ.get("PDFSEARCH_SPILL_ROOT") or tempfile.gettempdir()
-    return os.path.join(root, f"pdfsearch_{tag}_cache", key)
-
-
-def _commit_dir(tmp: str, cdir: str, marker: str) -> None:
-    os.makedirs(os.path.dirname(cdir), exist_ok=True)
-    try:
-        os.rename(tmp, cdir)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not os.path.isfile(os.path.join(cdir, marker)):
-            raise
-
-
 # ------------------------------------------------------------ tiered index
 
 
@@ -114,22 +93,26 @@ def tiered_index_cached(sf_dir: str, *,
     index: ``tier=T/bucket=NNN/part.parquet`` rows (term, doc_id, tf,
     dl), term-sorted; tier T holds postings NEW to that tier (a cascade
     to tier T reads tiers 0..T cumulatively).  One Ray task per bucket."""
+    from .expand import simple_index_cached
+
+    idx_dir = simple_index_cached(sf_dir, num_buckets=num_buckets)
+    return cached_dir(
+        "pdfsearch_tiered",
+        (*index_key(idx_dir), "tiered", (tuple(thresholds), "v1")),
+        "tier_manifest.json",
+        lambda out: _build_tiers(idx_dir, out, thresholds, num_buckets))
+
+
+def _build_tiers(idx_dir: str, tmp: str, thresholds: tuple[int, ...],
+                 num_buckets: int) -> None:
     import pyarrow.parquet as pqw
 
     import ray.data as rd
 
-    from .expand import simple_index_cached
     from .prune import _flat_postings, bucket_rowgroup_map
 
-    idx_dir = simple_index_cached(sf_dir, num_buckets=num_buckets)
-    cdir = _artifact_dir(idx_dir, "tiered", (tuple(thresholds), "v1"))
-    if os.path.isfile(os.path.join(cdir, "tier_manifest.json")):
-        return cdir
     per_bucket, _man = bucket_rowgroup_map(idx_dir, num_buckets)
-
-    tmp = f"{cdir}.tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
+    os.makedirs(tmp)
     thr = tuple(int(t) for t in thresholds)
     n_tiers = len(thr) + 1
 
@@ -179,8 +162,6 @@ def tiered_index_cached(sf_dir: str, *,
     with open(os.path.join(tmp, "tier_manifest.json"), "w") as f:
         json.dump({"thresholds": list(thr), "index_dir": idx_dir,
                    "buckets": stats.to_dict("records")}, f)
-    _commit_dir(tmp, cdir, "tier_manifest.json")
-    return cdir
 
 
 def _tier_rows(tdir: str, buckets: set[int], terms: list[str],
@@ -209,7 +190,7 @@ def tiered_topk(sf_dir: str) -> pa.Table:
     Output columns (query, tier, doc_id, score, rank) — the stopping
     tier is under the value hash."""
     from ..analysis.analyzer import analyze_simple
-    from ..index.codec import bm25_wdl
+    from ..index.codec import aggregate_scores, bm25_wdl
     from .expand import simple_index_cached
     from .prune import term_buckets
     from .query import BM25Index
@@ -246,9 +227,7 @@ def tiered_topk(sf_dir: str) -> pa.Table:
         for t in terms:
             sel = t_arr == t
             w[sel] *= posts[t].idf
-        uniq, inv = np.unique(ids, return_inverse=True)
-        agg = np.zeros(uniq.size)
-        np.add.at(agg, inv, w)
+        uniq, agg = aggregate_scores(ids, w)
         agg = np.round(agg, 6)
         cut = np.lexsort((uniq, -agg))[:TIER_K]
         out_q.extend([q] * cut.size)
@@ -355,19 +334,25 @@ def impact_index_cached(sf_dir: str, *, scale: int = IMPACT_SCALE,
     asc) — the score-at-a-time layout.  One Ray task per bucket; df
     comes from the bucket's own postings (terms co-locate), except
     salted hot terms whose global df ships in a tiny broadcast dict."""
+    from .expand import simple_index_cached
+
+    idx_dir = simple_index_cached(sf_dir, num_buckets=num_buckets)
+    return cached_dir(
+        "pdfsearch_impact", (*index_key(idx_dir), "impact", (int(scale), "v1")),
+        "impact_manifest.json",
+        lambda out: _build_impacts(idx_dir, out, scale, num_buckets))
+
+
+def _build_impacts(idx_dir: str, tmp: str, scale: int,
+                   num_buckets: int) -> None:
     import pyarrow.parquet as pqw
 
     import ray.data as rd
 
     from ..index.codec import bm25_idf, bm25_wdl
-    from .expand import simple_index_cached
     from .prune import _flat_postings, bucket_rowgroup_map
     from .query import BM25Index
 
-    idx_dir = simple_index_cached(sf_dir, num_buckets=num_buckets)
-    cdir = _artifact_dir(idx_dir, "impact", (int(scale), "v1"))
-    if os.path.isfile(os.path.join(cdir, "impact_manifest.json")):
-        return cdir
     per_bucket, man = bucket_rowgroup_map(idx_dir, num_buckets)
     k1, b_, avgdl = float(man["k1"]), float(man["b"]), float(man["avgdl"])
     n_docs = int(man["n_docs"])
@@ -379,10 +364,7 @@ def impact_index_cached(sf_dir: str, *, scale: int = IMPACT_SCALE,
     if salt_spec:
         h = BM25Index(idx_dir)
         salted_df = {t: p.df for t, p in h.postings(salt_spec).items()}
-
-    tmp = f"{cdir}.tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
+    os.makedirs(tmp)
 
     def _one_bucket(batch: dict) -> dict:
         import pyarrow.compute as pc
@@ -429,8 +411,6 @@ def impact_index_cached(sf_dir: str, *, scale: int = IMPACT_SCALE,
     with open(os.path.join(tmp, "impact_manifest.json"), "w") as f:
         json.dump({"scale": int(scale), "index_dir": idx_dir,
                    "buckets": stats.to_dict("records")}, f)
-    _commit_dir(tmp, cdir, "impact_manifest.json")
-    return cdir
 
 
 def _impact_rows(sf_dir: str, q: str):

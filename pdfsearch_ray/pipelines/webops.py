@@ -653,7 +653,8 @@ def line_dedup_stats_sql() -> str:
         )
         SELECT doc_id,
                count(*) AS n_lines,
-               coalesce(sum(CASE WHEN is_hot THEN 1 END), 0) AS n_removed,
+               CAST(coalesce(sum(CASE WHEN is_hot THEN 1 END), 0)
+                    AS BIGINT) AS n_removed,
                CAST(CASE WHEN count(*) - coalesce(
                         sum(CASE WHEN is_hot THEN 1 END), 0) = 0 THEN 0
                     ELSE coalesce(sum(CASE WHEN NOT is_hot
@@ -1436,14 +1437,11 @@ def crawl_frontier(sf_dir: str, *, num_buckets: int = FRONTIER_BUCKETS
                    ) -> pa.Table:
     """Gate query: (host, canonical_url, winner_doc_id, fetch_round)
     for every unblocked canonical url, sorted by (host, fetch_round)."""
-    import os
-
     import pandas as pd
-    import pyarrow.parquet as pq
     from ray.data.aggregate import Min
 
     from ..functions.hashing import fnv1a64_str
-    from ..functions.spill import spill_dir
+    from ..functions.spill import BUCKET_COL, bucket_exchange
 
     def prep(t: pa.Table) -> pa.Table:
         st = _synth_urls(t)
@@ -1469,70 +1467,48 @@ def crawl_frontier(sf_dir: str, *, num_buckets: int = FRONTIER_BUCKETS
         b_uniq = np.array(
             [fnv1a64_str(u) % num_buckets for u in uniq],
             dtype=np.int32) if len(uniq) else np.array([], np.int32)
-        return t.append_column("bucket", pa.array(
+        return t.append_column(BUCKET_COL, pa.array(
             b_uniq[codes] if len(uniq) else
             np.array([], np.int32)))
 
-    work_dir = spill_dir(prefix="pdfsearch_frontier_")
-    (
-        read_parquet_nometa(f"{sf_dir}/documents.parquet",
-                            columns=["doc_id"])
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("canonical_url")
-        .aggregate(Min("doc_id", alias_name="winner_doc_id"))
-        .map_batches(hostify, batch_format="pyarrow")
-        .repartition(num_buckets)
-        .write_parquet(work_dir, partition_cols=["bucket"])
-    )
-    bucket_dirs = sorted(
-        f"{work_dir}/{d}" for d in os.listdir(work_dir)
-        if d.startswith("bucket="))
-    if not bucket_dirs:  # empty corpus: no buckets were written
-        import shutil
+    def rank_bucket(_b: int, t: pa.Table) -> pa.Table:
+        h = t["host"].to_numpy(zero_copy_only=False)
+        wid = t["winner_doc_id"].to_numpy(zero_copy_only=False) \
+            .astype(np.int64)
+        codes, _ = pd.factorize(h)
+        order = np.lexsort((wid, codes))
+        hc = codes[order]
+        starts = np.r_[0, np.flatnonzero(hc[1:] != hc[:-1]) + 1] \
+            if hc.size else np.array([], np.int64)
+        counts = np.diff(np.r_[starts, hc.size]).astype(np.int64)
+        rank = (np.arange(hc.size, dtype=np.int64)
+                - np.repeat(starts, counts))
+        return pa.table({
+            "host": pa.array(h[order], type=pa.string()),
+            "canonical_url": pa.array(
+                t["canonical_url"].to_numpy(zero_copy_only=False)[order],
+                type=pa.string()),
+            "winner_doc_id": pa.array(wid[order], type=pa.int64()),
+            "fetch_round": pa.array(rank, type=pa.int64()),
+        })
 
-        shutil.rmtree(work_dir, ignore_errors=True)
+    out = bucket_exchange(
+        [read_parquet_nometa(f"{sf_dir}/documents.parquet",
+                             columns=["doc_id"])
+         .map_batches(prep, batch_format="pyarrow")
+         .groupby("canonical_url")
+         .aggregate(Min("doc_id", alias_name="winner_doc_id"))
+         .map_batches(hostify, batch_format="pyarrow")
+         .repartition(num_buckets)],
+        [None], num_buckets, rank_bucket).to_pandas()
+    if out.empty:  # empty corpus: no buckets were written
         return pa.table({
             "host": pa.array([], type=pa.string()),
             "canonical_url": pa.array([], type=pa.string()),
             "winner_doc_id": pa.array([], type=pa.int64()),
             "fetch_round": pa.array([], type=pa.int64()),
         })
-
-    def rank_bucket(batch: pa.Table) -> pa.Table:
-        outs = []
-        for bdir in batch["dir"].to_pylist():
-            t = pq.read_table(bdir, use_threads=False)
-            h = t["host"].to_numpy(zero_copy_only=False)
-            wid = t["winner_doc_id"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            codes, _ = pd.factorize(h)
-            order = np.lexsort((wid, codes))
-            hc = codes[order]
-            starts = np.r_[0, np.flatnonzero(hc[1:] != hc[:-1]) + 1] \
-                if hc.size else np.array([], np.int64)
-            counts = np.diff(np.r_[starts, hc.size]).astype(np.int64)
-            rank = (np.arange(hc.size, dtype=np.int64)
-                    - np.repeat(starts, counts))
-            outs.append(pa.table({
-                "host": pa.array(h[order], type=pa.string()),
-                "canonical_url": pa.array(
-                    t["canonical_url"].to_numpy(zero_copy_only=False)
-                    [order], type=pa.string()),
-                "winner_doc_id": pa.array(wid[order], type=pa.int64()),
-                "fetch_round": pa.array(rank, type=pa.int64()),
-            }))
-        return pa.concat_tables(outs)
-
-    out = (
-        rd.from_items([{"dir": d} for d in bucket_dirs],
-                      override_num_blocks=max(1, len(bucket_dirs)))
-        .map_batches(rank_bucket, batch_format="pyarrow", batch_size=1)
-        .to_pandas()
-        .sort_values(["host", "fetch_round"])
-    )
-    import shutil
-
-    shutil.rmtree(work_dir, ignore_errors=True)
+    out = out.sort_values(["host", "fetch_round"])
     return pa.table({
         "host": pa.array(out["host"].tolist(), type=pa.string()),
         "canonical_url": pa.array(out["canonical_url"].tolist(),
@@ -1689,15 +1665,9 @@ _LINKCC_BUCKETS = 16
 def link_components(sf_dir: str) -> pa.Table:
     """Gate query: LINKCC_ITERS hash-min rounds over the undirected
     synthetic link graph; returns (doc_id, label) sorted by doc_id."""
-    import os
-    import shutil
-
-    import pyarrow.parquet as pq
-
     from ray.data.aggregate import Min
 
-    from ..functions.joins import spill_bucketed
-    from ..functions.spill import spill_dir
+    from ..functions.spill import bucket_exchange, spill_bucketed, spill_dir
 
     docs = read_parquet_nometa(f"{sf_dir}/documents.parquet",
                                columns=["doc_id"])
@@ -1710,8 +1680,6 @@ def link_components(sf_dir: str) -> pa.Table:
         })
     NB = _LINKCC_BUCKETS
     imax = np.iinfo(np.int64).max
-    empty_nc = pa.table({"node": pa.array([], type=pa.int64()),
-                         "cand": pa.array([], type=pa.int64())})
 
     def edges_tbl(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1736,94 +1704,65 @@ def link_components(sf_dir: str) -> pa.Table:
                 [mins, np.minimum(ids, rev_min)]), type=pa.int64()),
         })
 
-    def make_contrib(labels_dir: str, edges_dir: str):
-        def contrib(batch: pa.Table) -> pa.Table:
-            outs = []
-            for b in batch["b"].to_pylist():
-                lp = f"{labels_dir}/__jb={b}"
-                if not os.path.isdir(lp):
-                    continue
-                lt = pq.read_table(lp, columns=["doc_id", "label"],
-                                   use_threads=False)
-                ids = lt["doc_id"].to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                lab = lt["label"].to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                src, dst, _ = _synth_out_edges(ids, n_docs)
-                cand = np.repeat(lab, 1 + (ids % 3))
-                udst, inv = np.unique(dst, return_inverse=True)
-                mins = np.full(udst.size, imax, dtype=np.int64)
-                np.minimum.at(mins, inv, cand)
-                nodes = [udst, ids]
-                cands = [mins, lab]
-                ep = f"{edges_dir}/__jb={b}"
-                if os.path.isdir(ep):
-                    # co-partitioned: every dst in edge bucket b has its
-                    # label in THIS labels bucket — local searchsorted
-                    et = pq.read_table(ep, columns=["src", "dst"],
-                                       use_threads=False)
-                    d = et["dst"].to_numpy(
-                        zero_copy_only=False).astype(np.int64)
-                    s = et["src"].to_numpy(
-                        zero_copy_only=False).astype(np.int64)
-                    order = np.argsort(ids, kind="stable")
-                    sid, slab = ids[order], lab[order]
-                    pos = np.minimum(np.searchsorted(sid, d),
-                                     max(sid.size - 1, 0))
-                    ok = sid[pos] == d if sid.size else \
-                        np.zeros(d.size, dtype=bool)
-                    usrc, sinv = np.unique(s[ok], return_inverse=True)
-                    smin = np.full(usrc.size, imax, dtype=np.int64)
-                    np.minimum.at(smin, sinv, slab[pos[ok]])
-                    nodes.append(usrc)
-                    cands.append(smin)
-                outs.append(pa.table({
-                    "node": pa.array(np.concatenate(nodes),
-                                     type=pa.int64()),
-                    "cand": pa.array(np.concatenate(cands),
-                                     type=pa.int64()),
-                }))
-            if not outs:
-                return empty_nc
-            return pa.concat_tables(outs)
-        return contrib
+    def contrib(_b: int, lt: pa.Table | None,
+                et: pa.Table | None) -> pa.Table | None:
+        if lt is None:
+            return None
+        ids = lt["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        lab = lt["label"].to_numpy(zero_copy_only=False).astype(np.int64)
+        src, dst, _ = _synth_out_edges(ids, n_docs)
+        cand = np.repeat(lab, 1 + (ids % 3))
+        udst, inv = np.unique(dst, return_inverse=True)
+        mins = np.full(udst.size, imax, dtype=np.int64)
+        np.minimum.at(mins, inv, cand)
+        nodes = [udst, ids]
+        cands = [mins, lab]
+        if et is not None:
+            # co-partitioned: every dst in edge bucket b has its label
+            # in THIS labels bucket — local searchsorted
+            d = et["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
+            s = et["src"].to_numpy(zero_copy_only=False).astype(np.int64)
+            order = np.argsort(ids, kind="stable")
+            sid, slab = ids[order], lab[order]
+            pos = np.minimum(np.searchsorted(sid, d), max(sid.size - 1, 0))
+            ok = sid[pos] == d if sid.size else \
+                np.zeros(d.size, dtype=bool)
+            usrc, sinv = np.unique(s[ok], return_inverse=True)
+            smin = np.full(usrc.size, imax, dtype=np.int64)
+            np.minimum.at(smin, sinv, slab[pos[ok]])
+            nodes.append(usrc)
+            cands.append(smin)
+        return pa.table({
+            "node": pa.array(np.concatenate(nodes), type=pa.int64()),
+            "cand": pa.array(np.concatenate(cands), type=pa.int64()),
+        })
 
     def relabel(t: pa.Table) -> pa.Table:
         return pa.table({"doc_id": pc.cast(t["node"], pa.int64()),
                          "label": pc.cast(t["min(cand)"], pa.int64())})
 
-    work_dirs: list[str] = []
-    edges_dir = None
-    if LINKCC_ITERS > 1:
-        edges_dir = spill_bucketed(
-            docs.map_batches(edges_tbl, batch_format="pyarrow"),
-            "dst", spill_dir(prefix="pdfsearch_cc_edges_"),
-            num_buckets=NB)
-        work_dirs.append(edges_dir)
-    labels_dir = None
-    out = None
-    for k in range(LINKCC_ITERS):
-        if k == 0:
-            contrib_ds = docs.map_batches(contrib0,
-                                          batch_format="pyarrow")
-        else:
-            contrib_ds = (
-                rd.from_items([{"b": i} for i in range(NB)],
-                              override_num_blocks=NB)
-                .map_batches(make_contrib(labels_dir, edges_dir),
-                             batch_size=1, batch_format="pyarrow"))
-        labels = (contrib_ds.groupby("node")
-                  .aggregate(Min("cand"))
-                  .map_batches(relabel, batch_format="pyarrow"))
-        if k < LINKCC_ITERS - 1:
-            nd = spill_dir(prefix=f"pdfsearch_cc_{k}_")
-            work_dirs.append(nd)
-            spill_bucketed(labels, "doc_id", nd, num_buckets=NB)
-            labels_dir = nd
-        else:
-            out = labels.to_pandas().sort_values("doc_id")
-    for wd in work_dirs:
-        shutil.rmtree(wd, ignore_errors=True)
+    with spill_dir("pdfsearch_cc_") as work:
+        if LINKCC_ITERS > 1:
+            edges_dir = spill_bucketed(
+                docs.map_batches(edges_tbl, batch_format="pyarrow"),
+                "dst", f"{work}/edges", num_buckets=NB)
+        labels_dir = None
+        for k in range(LINKCC_ITERS):
+            if k == 0:
+                contrib_ds = docs.map_batches(contrib0,
+                                              batch_format="pyarrow")
+            else:
+                contrib_ds = bucket_exchange([labels_dir, edges_dir],
+                                             [None, None], NB, contrib)
+            labels = (contrib_ds.groupby("node")
+                      .aggregate(Min("cand"))
+                      .map_batches(relabel, batch_format="pyarrow"))
+            if k < LINKCC_ITERS - 1:
+                labels_dir = spill_bucketed(labels, "doc_id",
+                                            f"{work}/labels_{k}",
+                                            num_buckets=NB)
+            else:
+                out = labels.to_pandas().sort_values("doc_id")
     return pa.table({
         "doc_id": pa.array(out["doc_id"].astype("int64").tolist(),
                            type=pa.int64()),
@@ -2252,16 +2191,12 @@ def link_hits(sf_dir: str) -> pa.Table:
       into the same pipeline, so a full hub→auth round is one job.
     The oracle replays every round as chained LEFT-JOIN CTEs over the
     shared mix64 edge list."""
-    import glob as _glob
-    import os
-    import shutil
-
     import pyarrow.parquet as pq
 
     from ray.data.aggregate import Sum
 
-    from ..functions.joins import spill_bucketed
-    from ..functions.spill import spill_dir
+    from ..functions.spill import (bucket_exchange, layout_files,
+                                   spill_bucketed, spill_dir)
 
     docs = read_parquet_nometa(f"{sf_dir}/documents.parquet",
                                columns=["doc_id"])
@@ -2273,8 +2208,6 @@ def link_hits(sf_dir: str) -> pa.Table:
             "auth": pa.array([], type=pa.int64()),
         })
     NB = _LINKCC_BUCKETS
-    empty_dc = pa.table({"doc_id": pa.array([], type=pa.int64()),
-                         "c": pa.array([], type=pa.int64())})
 
     def edges_tbl(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2312,92 +2245,68 @@ def link_hits(sf_dir: str) -> pa.Table:
             "v": pc.cast(t["sum(c)"], pa.int64()),
         })
 
-    def make_gather(auth_dir: str, edges_dir: str):
+    def gather(_b: int, at: pa.Table | None,
+               et: pa.Table | None) -> pa.Table | None:
         # per-bucket hub gather: auth(dst) looked up in the
         # co-partitioned auth bucket; zero rows (from the bucket's own
         # doc ids) keep sinks in the groupby
-        def gather(batch: pa.Table) -> pa.Table:
-            outs = []
-            for b in batch["b"].to_pylist():
-                ap = f"{auth_dir}/__jb={b}"
-                if not os.path.isdir(ap):
-                    continue
-                at = pq.read_table(ap, columns=["doc_id", "v"],
-                                   use_threads=False)
-                ids = at["doc_id"].to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                av = at["v"].to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                docs_c = [ids]
-                cs = [np.zeros(ids.size, dtype=np.int64)]
-                ep = f"{edges_dir}/__jb={b}"
-                if os.path.isdir(ep):
-                    et = pq.read_table(ep, columns=["src", "dst"],
-                                       use_threads=False)
-                    d = et["dst"].to_numpy(
-                        zero_copy_only=False).astype(np.int64)
-                    s = et["src"].to_numpy(
-                        zero_copy_only=False).astype(np.int64)
-                    order = np.argsort(ids, kind="stable")
-                    sid, sv = ids[order], av[order]
-                    pos = np.minimum(np.searchsorted(sid, d),
-                                     max(sid.size - 1, 0))
-                    ok = sid[pos] == d if sid.size else \
-                        np.zeros(d.size, dtype=bool)
-                    usrc, sinv = np.unique(s[ok], return_inverse=True)
-                    sums = np.zeros(usrc.size, dtype=np.int64)
-                    np.add.at(sums, sinv, sv[pos[ok]])
-                    docs_c.append(usrc)
-                    cs.append(sums)
-                outs.append(pa.table({
-                    "doc_id": pa.array(np.concatenate(docs_c),
-                                       type=pa.int64()),
-                    "c": pa.array(np.concatenate(cs), type=pa.int64()),
-                }))
-            if not outs:
-                return empty_dc
-            return pa.concat_tables(outs)
-        return gather
+        if at is None:
+            return None
+        ids = at["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        av = at["v"].to_numpy(zero_copy_only=False).astype(np.int64)
+        docs_c = [ids]
+        cs = [np.zeros(ids.size, dtype=np.int64)]
+        if et is not None:
+            d = et["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
+            s = et["src"].to_numpy(zero_copy_only=False).astype(np.int64)
+            order = np.argsort(ids, kind="stable")
+            sid, sv = ids[order], av[order]
+            pos = np.minimum(np.searchsorted(sid, d), max(sid.size - 1, 0))
+            ok = sid[pos] == d if sid.size else \
+                np.zeros(d.size, dtype=bool)
+            usrc, sinv = np.unique(s[ok], return_inverse=True)
+            sums = np.zeros(usrc.size, dtype=np.int64)
+            np.add.at(sums, sinv, sv[pos[ok]])
+            docs_c.append(usrc)
+            cs.append(sums)
+        return pa.table({
+            "doc_id": pa.array(np.concatenate(docs_c), type=pa.int64()),
+            "c": pa.array(np.concatenate(cs), type=pa.int64()),
+        })
 
-    edges_dir = spill_bucketed(
-        docs.map_batches(edges_tbl, batch_format="pyarrow"),
-        "dst", spill_dir(prefix="pdfsearch_hits_edges_"), num_buckets=NB)
-    work_dirs = [edges_dir]
     # round-1 auth from hub ≡ 1 (init fuses into the scatter pipeline)
     auth_ds = (docs.map_batches(init, batch_format="pyarrow")
                .map_batches(scatter_fwd, batch_format="pyarrow")
                .groupby("doc_id").aggregate(Sum("c"))
                .map_batches(rename_sum, batch_format="pyarrow"))
-    h = auth_dir = None
-    for k in range(HITS_ITERS):
-        auth_dir = spill_dir(prefix=f"pdfsearch_hits_a{k}_")
-        work_dirs.append(auth_dir)
-        spill_bucketed(auth_ds, "doc_id", auth_dir, num_buckets=NB)
-        hub_ds = (
-            rd.from_items([{"b": i} for i in range(NB)],
-                          override_num_blocks=NB)
-            .map_batches(make_gather(auth_dir, edges_dir),
-                         batch_size=1, batch_format="pyarrow")
-            .groupby("doc_id").aggregate(Sum("c"))
-            .map_batches(rename_sum, batch_format="pyarrow"))
-        if k < HITS_ITERS - 1:
-            # chain the next auth scatter into the same (lazy)
-            # pipeline — written by the next loop turn's sink
-            auth_ds = (hub_ds
-                       .map_batches(scatter_fwd, batch_format="pyarrow")
-                       .groupby("doc_id").aggregate(Sum("c"))
-                       .map_batches(rename_sum, batch_format="pyarrow"))
-        else:
-            h = hub_ds.to_pandas().sort_values("doc_id") \
-                .reset_index(drop=True)
-    # final auth: the last bucketed layout, read back on the driver
-    # (O(n) rows — the gate's own return is per-doc anyway)
-    afiles = sorted(_glob.glob(f"{auth_dir}/**/*.parquet",
-                               recursive=True))
-    a = pq.read_table(afiles, columns=["doc_id", "v"]).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    for wd in work_dirs:
-        shutil.rmtree(wd, ignore_errors=True)
+    with spill_dir("pdfsearch_hits_") as work:
+        edges_dir = spill_bucketed(
+            docs.map_batches(edges_tbl, batch_format="pyarrow"),
+            "dst", f"{work}/edges", num_buckets=NB)
+        h = auth_dir = None
+        for k in range(HITS_ITERS):
+            auth_dir = spill_bucketed(auth_ds, "doc_id", f"{work}/auth_{k}",
+                                      num_buckets=NB)
+            hub_ds = (
+                bucket_exchange([auth_dir, edges_dir], [None, None], NB,
+                                gather)
+                .groupby("doc_id").aggregate(Sum("c"))
+                .map_batches(rename_sum, batch_format="pyarrow"))
+            if k < HITS_ITERS - 1:
+                # chain the next auth scatter into the same (lazy)
+                # pipeline — written by the next loop turn's sink
+                auth_ds = (hub_ds
+                           .map_batches(scatter_fwd, batch_format="pyarrow")
+                           .groupby("doc_id").aggregate(Sum("c"))
+                           .map_batches(rename_sum, batch_format="pyarrow"))
+            else:
+                h = hub_ds.to_pandas().sort_values("doc_id") \
+                    .reset_index(drop=True)
+        # final auth: the last bucketed layout, read back on the driver
+        # (O(n) rows — the gate's own return is per-doc anyway)
+        a = pq.read_table(layout_files(auth_dir),
+                          columns=["doc_id", "v"]).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
     assert (h["doc_id"].values == a["doc_id"].values).all()
     return pa.table({
         "doc_id": pa.array(h["doc_id"].astype("int64").tolist(),
@@ -2632,12 +2541,7 @@ def docid_remap(sf_dir: str) -> pa.Table:
 
     The oracle is one SQL window: row_number() OVER (ORDER BY url,
     doc_id) - 1 over the re-synthesized urls."""
-    import os
-
-    import pyarrow.parquet as pq
-    import ray
-
-    from ..functions.spill import spill_dir
+    from ..functions.spill import BUCKET_COL, bucket_exchange
 
     def _stride_sample(t: pa.Table) -> pa.Table:
         keep = (t["doc_id"].to_numpy() % REMAP_SAMPLE_MOD) == 0
@@ -2659,77 +2563,40 @@ def docid_remap(sf_dir: str) -> pa.Table:
         cut = splits
     cut = np.unique(cut)
 
-    work = spill_dir(prefix="docidremap_")
-
     def spill(t: pa.Table) -> pa.Table:
         st = _synth_urls(t)
         urls = np.asarray(st["url"].to_pylist(), dtype=object)
         part = np.searchsorted(cut, urls, side="right").astype(np.int32)
         return pa.table({
-            "part": pa.array(part),
             "doc_id": st["doc_id"],
             "url": st["url"],
+            BUCKET_COL: pa.array(part),
         })
 
-    try:
-        try:
-            (read_parquet_nometa(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-             .map_batches(spill, batch_format="pyarrow")
-             .write_parquet(work, partition_cols=["part"]))
-        except KeyError:
-            # zero-row corpus: schemaless empty dataset at the
-            # partitioned write — nothing to remap
-            pass
-        parts = sorted(int(d.split("=")[1]) for d in os.listdir(work)
-                       if d.startswith("part="))
-        if not parts:
-            return pa.table({
-                "doc_id": pa.array([], type=pa.int64()),
-                "new_id": pa.array([], type=pa.int64()),
-            })
-        # phase 2: metadata-only row counts -> global offsets
-        counts = {}
-        for p in parts:
-            n = 0
-            d = f"{work}/part={p}"
-            for f in os.listdir(d):
-                if f.endswith(".parquet"):
-                    n += pq.ParquetFile(f"{d}/{f}").metadata.num_rows
-            counts[p] = n
-        offs, run = {}, 0
-        for p in parts:
-            offs[p] = run
-            run += counts[p]
-        offs_ref = ray.put(offs)
+    def ordered(b: int, t: pa.Table) -> pa.Table:
+        ids = t["doc_id"].to_numpy().astype(np.int64)
+        urls = np.asarray(t["url"].to_pylist(), dtype=object)
+        o = np.lexsort((ids, urls))
+        return pa.table({"part": pa.array(np.full(ids.size, b)),
+                         "doc_id": pa.array(ids[o], type=pa.int64())})
 
-        def finalize(batch: pa.Table) -> pa.Table:
-            offs_ = ray.get(offs_ref)
-            out_d, out_n = [], []
-            for p in batch["part"].to_pylist():
-                mt = pq.read_table(f"{work}/part={p}",
-                                   columns=["doc_id", "url"],
-                                   use_threads=False)
-                ids = mt["doc_id"].to_numpy().astype(np.int64)
-                urls = np.asarray(mt["url"].to_pylist(), dtype=object)
-                o = np.lexsort((ids, urls))
-                out_d.extend(ids[o].tolist())
-                out_n.extend(
-                    (offs_[int(p)]
-                     + np.arange(ids.size, dtype=np.int64)).tolist())
-            return pa.table({
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "new_id": pa.array(out_n, type=pa.int64()),
-            })
+    # range partitions are url-ordered and each is url-sorted, so the
+    # concatenation in partition order is the global (url, doc_id)
+    # order: new_id is the position in it
+    parts = block_tables(bucket_exchange(
+        [read_parquet_nometa(f"{sf_dir}/documents.parquet",
+                             columns=["doc_id"])
+         .map_batches(spill, batch_format="pyarrow")],
+        [None], cut.size + 1, ordered))
+    parts.sort(key=lambda t: t["part"][0].as_py())
+    ids = np.concatenate([t["doc_id"].to_numpy() for t in parts]
+                         or [np.empty(0, dtype=np.int64)])
+    o = np.argsort(ids, kind="stable")
+    return pa.table({
+        "doc_id": pa.array(ids[o], type=pa.int64()),
+        "new_id": pa.array(o.astype(np.int64), type=pa.int64()),
+    })
 
-        out = pa.concat_tables(block_tables(
-            rd.from_items([{"part": p} for p in parts])
-            .map_batches(finalize, batch_format="pyarrow", batch_size=1)))
-        return out.sort_by([("doc_id", "ascending")])
-    finally:
-        import shutil
-
-        shutil.rmtree(work, ignore_errors=True)
 
 
 def docid_remap_sql() -> str:

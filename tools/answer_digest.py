@@ -16,6 +16,14 @@ once with either).  The indexes:
   ``S`` (``query_head`` and ``query_tail`` build the same corpus), with
   200 head and 200 tail queries of that seed.
 
+    PYTHONPATH=<checkout> python tools/answer_digest.py --gates SF_DIR
+
+With ``--gates`` it runs every ``__ray_entry__.queries()`` gate on
+``SF_DIR`` instead and prints one sha256 per gate over its output: the
+column names, the Arrow types and the rows in canonical order (sorted
+by their ``repr``, so floats hash bitwise).  Two checkouts' lines must
+match gate for gate.
+
 Per query it hashes ``search`` (with spans) under taat, maxscore and
 auto at k = 1, 10, 50, a 4-shard ``ShardedEngine.search`` at the same
 k's, every range shard's ``topk(q, 10)``, ``score_terms`` and every
@@ -150,11 +158,42 @@ def digest(index_dir: str, queries: list[str]) -> tuple[int, str]:
     return n, h.hexdigest()
 
 
+def gate_table(res):
+    """A gate's result (Table, Dataset or DataFrame) as one Arrow table."""
+    import pandas as pd
+    import pyarrow as pa
+
+    from pdfsearch_ray.functions.tables import block_tables
+
+    if isinstance(res, pa.Table):
+        return res
+    if isinstance(res, pd.DataFrame):
+        return pa.Table.from_pandas(res, preserve_index=False)
+    tabs = block_tables(res)
+    return pa.concat_tables(tabs) if tabs else pa.table({})
+
+
+def gate_digests(sf_dir: str) -> None:
+    import __ray_entry__ as entry
+
+    for name, fn in entry.queries().items():
+        t = gate_table(fn(sf_dir))
+        h = hashlib.sha256()
+        h.update(repr([(f.name, str(f.type)) for f in t.schema]).encode())
+        for row in sorted(repr(tuple(r.values())) for r in t.to_pylist()):
+            h.update(row.encode())
+        print(f"{name}: {t.num_rows} rows sha256 {h.hexdigest()}",
+              flush=True)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--work", required=True, type=Path)
+    ap.add_argument("--work", type=Path)
     ap.add_argument("--bench-seed", type=int, default=None)
+    ap.add_argument("--gates", metavar="SF_DIR")
     args = ap.parse_args()
+    if (args.work is None) == (args.gates is None):
+        ap.error("give exactly one of --work and --gates")
 
     import ray
 
@@ -162,6 +201,9 @@ def main() -> None:
         ray.init(address="local", num_cpus=4, include_dashboard=False,
                  logging_level="ERROR")
     try:
+        if args.gates:
+            gate_digests(args.gates)
+            return
         dirs = build(args.work, args.bench_seed)
         total = hashlib.sha256()
         count = 0

@@ -1,12 +1,14 @@
 """Local simulation of the driver's correctness gate: run each
 __ray_entry__.queries() entry and its oracle_sql() on the same sf dir,
-compare row count, schema (column names), and order-insensitive values.
+compare row count, schema (column names and each column's dtype class:
+int / float / bool / string / time), and order-insensitive values.
 
 Usage: python tools/check_oracle.py [sf_dir] [query ...]
 """
 
 from __future__ import annotations
 
+import datetime
 import sys
 from pathlib import Path
 
@@ -37,12 +39,52 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
+def dtype_class(col: pd.Series) -> str | None:
+    """int / float / bool / string / time (or another type name) for a
+    column; None for an object column with no non-null value, whose
+    class the frame cannot tell."""
+    dt = col.dtype
+    if pd.api.types.is_bool_dtype(dt):
+        return "bool"
+    if pd.api.types.is_integer_dtype(dt):
+        return "int"
+    if pd.api.types.is_float_dtype(dt):
+        return "float"
+    if pd.api.types.is_datetime64_any_dtype(dt) or pd.api.types.is_timedelta64_dtype(dt):
+        return "time"
+    if pd.api.types.is_string_dtype(dt) and not pd.api.types.is_object_dtype(dt):
+        return "string"
+    vals = col.dropna()
+    if vals.empty:
+        return None
+    v = vals.iloc[0]
+    if isinstance(v, (bool, np.bool_)):
+        return "bool"
+    if isinstance(v, (int, np.integer)):
+        return "int"
+    if isinstance(v, (float, np.floating)):
+        return "float"
+    if isinstance(v, str):
+        return "string"
+    if isinstance(v, (datetime.date, datetime.time, datetime.timedelta)):
+        return "time"
+    return type(v).__name__
+
+
 def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
     problems = []
     if len(ray_df) != len(sql_df):
         problems.append(f"row count: ray={len(ray_df)} sql={len(sql_df)}")
     if sorted(ray_df.columns) != sorted(sql_df.columns):
         problems.append(f"columns: ray={sorted(ray_df.columns)} sql={sorted(sql_df.columns)}")
+        return problems
+    for col in sorted(ray_df.columns):
+        rc, sc = dtype_class(ray_df[col]), dtype_class(sql_df[col])
+        if rc is not None and sc is not None and rc != sc:
+            problems.append(f"dtype class differs in col {col!r}: "
+                            f"ray={rc} ({ray_df[col].dtype}) "
+                            f"sql={sc} ({sql_df[col].dtype})")
+    if problems:
         return problems
     a, b = canon(ray_df), canon(sql_df)
     if len(a) == len(b):
