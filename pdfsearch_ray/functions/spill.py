@@ -24,6 +24,9 @@ layout path to ``bucket_exchange`` in place of a Dataset.
 ``cached_dir`` is the other owner of directories under the spill root:
 build-once fixture artifacts (cached indexes, tiers, champion lists,
 IVF layouts) under ``<root>/<tag>_cache/<key>``, committed atomically.
+The key folds in the index format and analyzer versions, so a root
+shared across code versions never hands an artifact written in another
+format to this code.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
+from ..analysis.analyzer import ANALYZER_VERSION
+from ..state.manifest import FORMAT_VERSION
 from .hashing import mix64
 
 ENV_VAR = "PDFSEARCH_SPILL_ROOT"
@@ -226,13 +231,15 @@ def index_key(index_dir: str) -> tuple:
 def cached_dir(tag: str, key_parts: tuple, marker: str,
                build: Callable[[str], None]) -> str:
     """A build-once artifact directory ``<root>/<tag>_cache/<key>``,
-    ``key`` = a hash of ``key_parts``, shared across calls and
-    processes.  When ``<key>/<marker>`` is missing, ``build(out)``
-    creates the artifact at ``out`` in a private staging dir, which is
-    renamed into place atomically; a concurrent builder that lost the
-    rename adopts the winner's (identical) directory.  The staging dir
-    is removed whether the build returns or raises."""
-    key = hashlib.sha256(repr(key_parts).encode()).hexdigest()[:20]
+    ``key`` = a hash of ``key_parts``, the index ``FORMAT_VERSION`` and
+    the ``ANALYZER_VERSION``, shared across calls and processes.  When
+    ``<key>/<marker>`` is missing, ``build(out)`` creates the artifact
+    at ``out`` in a private staging dir, which is renamed into place
+    atomically; a concurrent builder that lost the rename adopts the
+    winner's (identical) directory.  The staging dir is removed whether
+    the build returns or raises."""
+    key = hashlib.sha256(repr((key_parts, FORMAT_VERSION, ANALYZER_VERSION))
+                         .encode()).hexdigest()[:20]
     cdir = os.path.join(_root(), f"{tag}_cache", key)
     if os.path.isfile(os.path.join(cdir, marker)):
         return cdir

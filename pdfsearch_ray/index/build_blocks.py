@@ -20,11 +20,13 @@ Two input shapes:
   approximates with its 100-page bleve batches (bleve_pdf.go:64).
 
 Both normalize to flat per-posting arrays and share one fully-vectorized
-encoder: the WHOLE bucket is varint-encoded in four passes (doc gaps with
-per-block restarts, tf, dl, positions) and every block's payload is a
-byte slice — no per-run or per-posting encode calls.  Zipf tails make
-most (term, salt) runs singletons, so anything per-run in Python is the
-bottleneck at web scale.
+encoder: the WHOLE bucket is varint-encoded in three passes (doc gaps
+with per-block restarts, tf, positions) and every block's payload is a
+byte slice — no per-run or per-posting encode calls.  Each posting's
+doc length arrives with it only to compute the block's ``max_wdl``
+bound: the index stores a doc's length once, in the docs catalog.
+Zipf tails make most (term, salt) runs singletons, so anything per-run
+in Python is the bottleneck at web scale.
 
 Output doc order per (term, salt) is the global doc_id sort, so the index
 is bit-identical whichever input shape built it (SURVEY §7.1 determinism).
@@ -93,7 +95,6 @@ def _encode_flat(
 
     doc_bytes, doc_off = varint_encode_offsets(gaps)
     tf_bytes, tf_off = varint_encode_offsets(tfs)
-    dl_bytes, dl_off = varint_encode_offsets(dls)
     with_pos = pos_flat is not None or pre_encoded_pos is not None
     if pre_encoded_pos is not None:
         pos_bytes, pos_off = pre_encoded_pos
@@ -119,19 +120,18 @@ def _encode_flat(
     nb = bstarts.size
     o_doc = [doc_bytes[doc_off[s] + 1 : doc_off[e]] for s, e in zip(bstarts, bends)]
     o_tf = [tf_bytes[tf_off[s] : tf_off[e]] for s, e in zip(bstarts, bends)]
-    o_dl = [dl_bytes[dl_off[s] : dl_off[e]] for s, e in zip(bstarts, bends)]
     if with_pos:
         o_pos = [pos_bytes[pos_off[s] : pos_off[e]] for s, e in zip(bstarts, bends)]
     else:
         o_pos = [b""] * nb
 
-    # per-block integrity framing: crc32 chained over the four payload
+    # per-block integrity framing: crc32 chained over the three payload
     # blobs (F2 parity — doc_positions.go:140-153 CRC-frames page blobs)
     from zlib import crc32
 
     o_crc = np.fromiter(
-        (crc32(p, crc32(dl, crc32(tf, crc32(d))))
-         for d, tf, dl, p in zip(o_doc, o_tf, o_dl, o_pos)),
+        (crc32(p, crc32(tf, crc32(d)))
+         for d, tf, p in zip(o_doc, o_tf, o_pos)),
         dtype=np.int64, count=nb,
     )
 
@@ -146,7 +146,6 @@ def _encode_flat(
             "n": pa.array(blk_n.astype(np.int32)),
             "doc_blob": pa.array(o_doc, type=pa.large_binary()),
             "tf_blob": pa.array(o_tf, type=pa.large_binary()),
-            "dl_blob": pa.array(o_dl, type=pa.large_binary()),
             "pos_blob": pa.array(o_pos, type=pa.large_binary()),
             "max_wdl": pa.array(bmax32),
             "crc": pa.array(o_crc),

@@ -6,14 +6,18 @@ rebuild's format — mandated by the north rule — is its own: per-term
 posting lists are cut into fixed-size blocks (``BLOCK_SIZE`` postings),
 each block stored as one Arrow row carrying
 
-    (term, salt, block_id, first_doc, n, doc_blob, tf_blob, dl_blob,
-     pos_blob, max_wdl)
+    (term, salt, block_id, first_doc, last_doc, n, doc_blob, tf_blob,
+     pos_blob, max_wdl, crc)
 
 where ``doc_blob`` is the varint stream of docID deltas within the block,
-``tf_blob``/``dl_blob`` are varint term-frequencies / doc-lengths, and
-``max_wdl`` is the block's maximum *idf-free* BM25 partial score
+``tf_blob`` the varint term-frequencies, ``pos_blob`` the per-posting
+position lists (``encode_positions_run``) and ``max_wdl`` the block's
+maximum *idf-free* BM25 partial score
 ``tf / (tf + k1*(1 - b + b*dl/avgdl))`` — multiplied by the term's idf at
 query time it is the block upper bound that block-max WAND skips on.
+A document's length ``dl`` is stored once, in the ``dl`` column of the
+docs catalog (the reference's one ``fieldNorm`` per document, SURVEY
+§7.1), not on each of its postings: scorers look it up by doc id.
 
 Both encode and decode are numpy-vectorized (no per-value Python loop):
 encode computes per-value byte widths by threshold comparison and
@@ -196,11 +200,10 @@ def varint_decode(blob: bytes | memoryview | np.ndarray,
     return vals
 
 
-def decode_posting_blocks(firsts, ns, doc_blobs, tf_blobs,
-                          dl_blobs) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray]:
+def decode_posting_blocks(firsts, ns, doc_blobs,
+                          tf_blobs) -> tuple[np.ndarray, np.ndarray]:
     """Decode many posting blocks in ONE varint pass per stream →
-    flat uint64 (ids, tf, dl) in block order; block i owns the slice
+    flat uint64 (ids, tf) in block order; block i owns the slice
     ``[sum(ns[:i]), sum(ns[:i+1]))``.
 
     Per-block ``varint_decode`` costs ~30µs of fixed numpy overhead and
@@ -208,12 +211,11 @@ def decode_posting_blocks(firsts, ns, doc_blobs, tf_blobs,
     so the blobs are concatenated and each stream decoded once
     (``decode_posting_streams``)."""
     return decode_posting_streams(firsts, ns, b"".join(doc_blobs),
-                                  b"".join(tf_blobs), b"".join(dl_blobs))
+                                  b"".join(tf_blobs))
 
 
-def decode_posting_streams(firsts, ns, doc_stream, tf_stream,
-                           dl_stream) -> tuple[np.ndarray, np.ndarray,
-                                               np.ndarray]:
+def decode_posting_streams(firsts, ns, doc_stream,
+                           tf_stream) -> tuple[np.ndarray, np.ndarray]:
     """``decode_posting_blocks`` over blobs already concatenated in
     block order (bytes or a uint8 array each).  DocID gaps restart at
     every block (its first id is stored absolute): one cumsum over the
@@ -224,7 +226,6 @@ def decode_posting_streams(firsts, ns, doc_stream, tf_stream,
     total = int(n_arr.sum())
     gaps = varint_decode(doc_stream, count=total - n_arr.size)
     tf = varint_decode(tf_stream, count=total)
-    dl = varint_decode(dl_stream, count=total)
     firsts = np.asarray(firsts, dtype=np.uint64)
     starts = np.cumsum(n_arr, dtype=np.int64) - n_arr
     head = np.zeros(total, dtype=bool)
@@ -234,7 +235,7 @@ def decode_posting_streams(firsts, ns, doc_stream, tf_stream,
     stream[~head] = gaps
     run = np.cumsum(stream, dtype=np.uint64)
     ids = run - np.repeat(run[starts] - firsts, n_arr)
-    return ids, tf, dl
+    return ids, tf
 
 
 def delta_encode(sorted_ids: np.ndarray) -> bytes:
@@ -273,15 +274,57 @@ def encode_positions(pos_lists: list[np.ndarray]) -> bytes:
     return varint_encode(np.concatenate(parts))
 
 
+def decode_positions_flat(blob: bytes | memoryview | np.ndarray,
+                          n_postings: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode ``n_postings`` concatenated position lists (the
+    ``encode_positions`` / ``encode_positions_run`` stream, possibly many
+    blocks' blobs joined) → (flat uint64 positions, int64 per-posting
+    counts), with no per-posting Python.
+
+    One varint pass gives the value stream (count, first, gaps...) per
+    posting.  The count slots form a chain — the slot after slot ``i``
+    is ``i + 1 + value[i]`` — so they are found by pointer doubling, in
+    log2(n_postings) gathers over the stream; the positions are then one
+    cumsum over the gaps, restarted at every posting's first value."""
+    vals = varint_decode(blob)
+    m = vals.size
+    if n_postings <= 0:
+        if m:
+            raise ValueError(f"{m} position values for 0 postings")
+        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+    # next count slot of each would-be slot; m is the end, and stays
+    nxt = np.minimum(np.arange(1, m + 1, dtype=np.int64)
+                     + np.minimum(vals, np.uint64(m)).astype(np.int64), m)
+    jump = np.append(nxt, m)
+    slots = np.zeros(1, dtype=np.int64)
+    while slots.size < n_postings:  # slots = chain[:L], jump = next^L
+        slots = np.concatenate([slots, jump[slots]])
+        jump = jump[jump]
+    slots = slots[:n_postings]
+    last = int(slots[-1])
+    if last >= m or last + 1 + int(vals[last]) != m:
+        raise ValueError(f"position stream of {m} values does not hold "
+                         f"{n_postings} postings")
+    counts = vals[slots].astype(np.int64)
+    is_gap = np.ones(m, dtype=bool)
+    is_gap[slots] = False
+    gaps = vals[is_gap]
+    run = np.cumsum(gaps, dtype=np.uint64)
+    starts = np.cumsum(counts, dtype=np.int64) - counts
+    # subtract each posting's running prefix before its first value;
+    # uint64 wrap-around makes the subtraction exact
+    before = np.zeros(counts.size, dtype=np.uint64)
+    nz = counts > 0
+    before[nz] = run[starts[nz]] - gaps[starts[nz]]
+    return run - np.repeat(before, counts), counts
+
+
 def decode_positions(blob: bytes | memoryview, n_postings: int) -> list[np.ndarray]:
-    flat = varint_decode(blob)
-    out: list[np.ndarray] = []
-    i = 0
-    for _ in range(n_postings):
-        cnt = int(flat[i]); i += 1
-        out.append(np.cumsum(flat[i : i + cnt], dtype=np.uint64))
-        i += cnt
-    return out
+    """Per-posting position lists of an ``encode_positions`` stream."""
+    flat, counts = decode_positions_flat(blob, n_postings)
+    if not counts.size:
+        return []
+    return np.split(flat, np.cumsum(counts)[:-1])
 
 
 # The one BM25: a posting's score is bm25_idf(N, df) * bm25_wdl(tf, dl,

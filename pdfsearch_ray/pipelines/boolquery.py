@@ -12,10 +12,10 @@
   as data rather than via text re-analysis: per phrase, how many
   documents contain the exact token sequence and how many occurrences
   exist.  Adjacency is checked entirely in integer space: positions
-  decode per posting (index/codec.decode_positions), docs densify to
-  codes, and a start position survives iff ``key + k`` exists in term
-  k's ``(doc_code << 32) | pos`` key set for every k — one
-  ``np.isin`` per phrase term, no per-doc Python.
+  decode in one pass per term (index/codec.decode_positions_flat), docs
+  densify to codes, and a start position survives iff ``key + k``
+  exists in term k's ``(doc_code << 32) | pos`` key set for every k —
+  one ``np.isin`` per phrase term, no per-doc Python.
 
 Scale shape: both operators touch only the queried terms' posting
 blocks (bucket + row-group pruned reads, the standard BM25Index path);
@@ -93,14 +93,12 @@ def _common_docs(posts, terms) -> np.ndarray:
     return common
 
 
-def _phrase_bm25(idx, dl_term: str, docs: np.ndarray,
-                 tf: np.ndarray) -> np.ndarray:
+def _phrase_bm25(idx, docs: np.ndarray, tf: np.ndarray) -> np.ndarray:
     """BM25 of a phrase-like pseudo-term over its matching ``docs``:
-    df = len(docs), per-doc ``tf`` as given, dl read off the postings
-    of ``dl_term`` (a term every one of ``docs`` holds) — doc text is
-    never read."""
+    df = len(docs), per-doc ``tf`` as given, dl from the docs catalog
+    (``BM25Index.doc_lengths``) — doc text is never read."""
     m = idx.manifest
-    dl = idx.postings([dl_term])[dl_term].dl_of(docs)
+    dl = idx.doc_lengths(docs)
     idf = float(bm25_idf(m.n_docs, int(docs.size)))
     return idf * bm25_wdl(tf, dl, m.k1, m.b, m.avgdl)
 
@@ -480,9 +478,8 @@ def phrase_topk(sf_dir: str) -> pa.Table:
     occurrence count per doc (positions store), df = docs with ≥ 1
     occurrence, score = idf(N, df) · tf / (tf + k1·(1−b+b·dl/avgdl))
     with the corpus N/avgdl from the manifest — the scoring sibling of
-    the counting gate ``phrase_match_counts``.  dl is gathered from
-    the first phrase term's postings (a doc's dl rides on every one of
-    its postings), so the doc text is never read.
+    the counting gate ``phrase_match_counts``.  dl comes from the docs
+    catalog (one length per doc), so the doc text is never read.
 
     Scale shape: the positional intersection is per-candidate-doc work
     over posting blocks (block-pruned reads as usual); per-doc tf is a
@@ -502,7 +499,7 @@ def phrase_topk(sf_dir: str) -> pa.Table:
         codes, tf = np.unique(starts >> np.uint64(32),
                               return_counts=True)
         docs = common[codes.astype(np.int64)].astype(np.int64)
-        sc = np.round(_phrase_bm25(idx, sorted(set(terms))[0], docs, tf), 6)
+        sc = np.round(_phrase_bm25(idx, docs, tf), 6)
         cut = np.lexsort((docs, -sc))[:PHRASE_TOPK_K]
         out_q.extend([q] * cut.size)
         out_d.extend(docs[cut].tolist())
@@ -580,7 +577,7 @@ def sloppy_phrase_topk(sf_dir: str) -> pa.Table:
         if docs_u.size == 0:
             continue
         docs = docs_u.astype(np.int64)
-        sc = np.round(_phrase_bm25(idx, min(t1, t2), docs_u,
+        sc = np.round(_phrase_bm25(idx, docs_u,
                                    w12 / float(SLOP_SCALE)), 6)
         cut = np.lexsort((docs, -sc))[:SLOP_K]
         out_q.extend([q] * cut.size)
@@ -758,7 +755,7 @@ def ordered_span_topk(sf_dir: str) -> pa.Table:
         if docs_u.size == 0:
             continue
         docs = docs_u.astype(np.int64)
-        sc = np.round(_phrase_bm25(idx, min(t1, t2), docs_u,
+        sc = np.round(_phrase_bm25(idx, docs_u,
                                    w12 / float(SPANO_SCALE)), 6)
         cut = np.lexsort((docs, -sc))[:SPANO_K]
         out_q.extend([q] * cut.size)
@@ -898,7 +895,7 @@ def span_not_topk(sf_dir: str) -> pa.Table:
         if docs_u.size == 0:
             continue
         docs = docs_u.astype(np.int64)
-        sc = np.round(_phrase_bm25(idx, min(t1, t2), docs_u,
+        sc = np.round(_phrase_bm25(idx, docs_u,
                                    w12 / float(SPANNOT_SCALE)), 6)
         cut = np.lexsort((docs, -sc))[:SPANNOT_K]
         out_q.extend([q] * cut.size)
@@ -1027,7 +1024,7 @@ def phrase_prefix_topk(sf_dir: str, *, queries=PHRASE_PREFIX_QUERIES,
         docs, inv = np.unique(ids, return_inverse=True)
         tf_sum = np.zeros(docs.size, dtype=np.int64)
         np.add.at(tf_sum, inv, tfs)
-        sc = np.round(_phrase_bm25(idx, min(head), docs, tf_sum), 6)
+        sc = np.round(_phrase_bm25(idx, docs, tf_sum), 6)
         cut = np.lexsort((docs, -sc))[:k]
         out_q.extend([q] * cut.size)
         out_d.extend(docs[cut].tolist())

@@ -1,9 +1,9 @@
 """Index build pipeline (SURVEY §3.1 rebuilt Ray-Data-first).
 
     read_parquet(corpus)
-      → [docs-meta map_batches]                → docs table parquet
       → [stats map_batches → tiny reduce]      → N, avgdl (exact or sampled)
-      → [Tokenizer actor map_batches]          → (term, salt, bucket, doc_id, tf, dl, positions)
+      → [Tokenizer map_batches]                → (term, salt, bucket, docs, tfs, dls, positions)
+                                                 + docs catalog parquet (one doc length each)
       → write_parquet(partition_cols=[bucket]) → per-bucket token spill
       → one encode task per bucket             → posting-block rows
       → write_parquet(postings)                → + manifest.json
@@ -41,42 +41,11 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
-# Ray's read_parquet path resolution retries
-# ``from fsspec.implementations.http import HTTPFileSystem`` on EVERY
-# call (it fails here: no aiohttp) and only catches ModuleNotFoundError.
-# With the docs stage on a driver thread, two concurrent retries race
-# the import machinery and one thread sees a partially-initialized
-# module → ImportError("cannot import name ...") → the read dies.  Stub
-# the module once so the import always succeeds; the stub class is never
-# instantiated (without aiohttp no http:// path can be used anyway) and
-# isinstance checks against it are correctly False for real filesystems.
-try:  # pragma: no cover - environment-dependent guard
-    import fsspec.implementations.http  # noqa: F401
-except Exception:
-    try:
-        import sys as _sys
-        import types as _types
-
-        import fsspec.implementations as _fsimpl
-
-        _http_stub = _types.ModuleType("fsspec.implementations.http")
-
-        class _StubHTTPFileSystem:
-            def __init__(self, *a, **k):
-                raise ImportError("fsspec http filesystem unavailable "
-                                  "(aiohttp not installed)")
-
-        _http_stub.HTTPFileSystem = _StubHTTPFileSystem
-        _sys.modules["fsspec.implementations.http"] = _http_stub
-        _fsimpl.http = _http_stub
-    except Exception:
-        pass
-
 from ..analysis.analyzer import ANALYZER_VERSION, get_analyzer
 from ..functions.hashing import content_hash, mix64
 from ..index.codec import BLOCK_SIZE, INDEX_WRITE_OPTIONS
 from ..stages.tokenize import DEFAULT_NUM_BUCKETS, Tokenizer
-from ..state.manifest import IndexManifest
+from ..state.manifest import FORMAT_VERSION, IndexManifest
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -123,41 +92,6 @@ def _source_columns(source, cols: list[str]) -> list[str]:
         except Exception:
             pass
     return cols
-
-
-class _DocMeta:
-    """Per-batch doc catalog rows (createFileDesc analog, file_desc.go:51-68)."""
-
-    def __init__(self, id_col: str, text_col: str, url_col: str | None,
-                 lang_col: str | None, store_text: bool):
-        self.id_col, self.text_col = id_col, text_col
-        self.url_col, self.lang_col = url_col, lang_col
-        self.store_text = store_text
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        texts = batch[self.text_col].to_pylist()
-        # one identity per doc: when the source already carries a content
-        # hash (the extract checkpoint stores sha256(html), the file-level
-        # identity M1 requires — file_desc.go:51-68), pass it through so
-        # the catalog and the dedup path agree; sha256(text) is only the
-        # fallback for hash-less sources
-        if "hash" in batch.schema.names:
-            hash_arr = batch["hash"]
-        else:
-            hash_arr = pa.array(
-                [content_hash((t or "").encode("utf-8")) for t in texts],
-                type=pa.string(),
-            )
-        cols: dict[str, Any] = {
-            "doc_id": batch[self.id_col].cast(pa.int64()),
-            "url": batch[self.url_col] if self.url_col else pa.array([""] * n),
-            "hash": hash_arr,
-            "lang": batch[self.lang_col] if self.lang_col else pa.array([""] * n),
-        }
-        if self.store_text:
-            cols["text"] = batch[self.text_col]
-        return pa.table(cols)
 
 
 class _TokenStats:
@@ -408,6 +342,9 @@ def build_index(
         "with_positions": with_positions, "store_text": store_text,
         "auto_salt": auto_salt, "hot_terms": sorted((hot_terms or {}).items()),
         "analyzer_version": ANALYZER_VERSION,
+        # a stage dir written in another index format is rebuilt, never
+        # resumed into this format's manifest
+        "format_version": FORMAT_VERSION,
         # Precomputed-stats identity: a resumed append segment must not
         # reuse stage dirs built from a DIFFERENT delta under the same
         # config (append_index computes these from old+delta totals, so
@@ -448,43 +385,7 @@ def build_index(
         from ..functions.tables import read_parquet_nometa
         return read_parquet_nometa(source, columns=cols)
 
-    # 1. docs catalog (cheap pass, no tokenization).  Sorted per block, not
-    # globally: hydration prunes by row-group min/max footer stats, which
-    # only needs each row group's doc_id range to be tight — a global
-    # all-to-all sort buys nothing (doc_ids are partition-prefixed, so
-    # block ranges are already near-disjoint) and costs a full shuffle of
-    # the text payload.
-    #
-    # The docs stage depends on nothing downstream, so it runs in a
-    # driver THREAD concurrently with stats/tokenize/encode — Ray Data
-    # executes both datasets in one session and the streaming executor
-    # interleaves their tasks; this shaves one full stage barrier off the
-    # build's width-independent floor.
-    docs_dir = f"{index_dir}/docs"
-
-    def _docs_stage() -> int:
-        tmp = _fresh_stage(docs_dir)
-        if tmp is not None:
-            docs = _load().map_batches(
-                _DocMeta(id_col, text_col, url_col, lang_col, store_text),
-                batch_format="pyarrow",
-            )
-            docs.map_batches(
-                lambda b: b.sort_by("doc_id"), batch_format="pyarrow"
-            ).write_parquet(tmp, **INDEX_WRITE_OPTIONS["docs"])
-            os.makedirs(tmp, exist_ok=True)  # empty corpus: no files
-            os.rename(tmp, docs_dir)
-        if not any(f.endswith(".parquet") for f in os.listdir(docs_dir)):
-            return 0
-        return int(rd.read_parquet(docs_dir, columns=["doc_id"]).count())
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    _pool = ThreadPoolExecutor(max_workers=1)
-    docs_future = _pool.submit(_docs_stage)
-    t_docs = time.time()
-
-    # 2+3. ONE sampled pass for corpus stats (avgdl) AND hot-term df
+    # 1+2. ONE sampled pass for corpus stats (avgdl) AND hot-term df
     # estimates (salting); N exact from the docs catalog
     stats_path = f"{index_dir}/.stats.json"
     cached = None
@@ -561,17 +462,29 @@ def build_index(
         os.replace(stats_path + ".tmp", stats_path)
         t_hot = time.time()
 
-    # 4. tokenize (combined segments) → bucket partition spill → encode.
+    # 3. tokenize (combined segments) → bucket partition spill → encode.
     # combine=True is the combiner: one (term, salt) segment row per batch
     # instead of one row per (doc, term), shrinking the shuffle by ~the
     # batch size for head terms (SURVEY §4: pre-aggregate before groupby).
     # Default is the task-pool path (per-worker memoized Tokenizer state,
     # zero actor-spawn warmup); pass tokenize_concurrency to pin a
     # fixed-size actor pool instead.
+    #
+    # The same pass writes the docs catalog, one file per batch with each
+    # doc's length (stages/tokenize.write_catalog), so the corpus is read
+    # once for the postings and the catalog.  Files are sorted per batch,
+    # not globally: hydration prunes by row-group min/max footer stats,
+    # which only needs each row group's doc_id range to be tight.
+    # A resumed build keeps a committed catalog (its config matched).
+    docs_dir = f"{index_dir}/docs"
+    docs_tmp = _fresh_stage(docs_dir)
     tokenizer_kwargs: dict[str, Any] = dict(
         analyzer=analyzer, text_col=text_col, id_col=id_col,
         num_buckets=num_buckets, hot_terms=hot_terms,
         with_positions=with_positions, combine=True,
+        catalog=None if docs_tmp is None else {
+            "dir": docs_tmp, "url_col": url_col, "lang_col": lang_col,
+            "store_text": store_text},
     )
     if tokenize_concurrency is not None:
         tokens = _load().map_batches(
@@ -616,6 +529,9 @@ def build_index(
             # extra exchange of the COMBINED token segments (~the spill
             # size, not the corpus), traded for smaller spill IO.
             tokens = tokens.repartition(spill_coalesce)
+        if docs_tmp is not None:
+            # the catalog is written by the pass that writes the spill
+            shutil.rmtree(tokens_dir, ignore_errors=True)
         tmp = _fresh_stage(tokens_dir)
         if tmp is not None:
             # seg_docs dominates the spill (measured: 21.4 of 39 MB of
@@ -631,9 +547,12 @@ def build_index(
                     "seg_docs.list.element": "DELTA_BINARY_PACKED"},
             )
             # an empty corpus writes no files (and no tmp dir): commit
-            # an empty stage so the build yields a valid empty index
-            os.makedirs(tmp, exist_ok=True)
-            os.rename(tmp, tokens_dir)
+            # an empty stage so the build yields a valid empty index.
+            # The catalog commits first: a committed spill implies it.
+            for final, stage in ((docs_dir, docs_tmp), (tokens_dir, tmp)):
+                if stage is not None:
+                    os.makedirs(stage, exist_ok=True)
+                    os.rename(stage, final)
         if os.path.isdir(tokens_dir):
             spill_bytes = _dir_bytes(tokens_dir)
     t_tok = time.time()
@@ -682,8 +601,10 @@ def build_index(
         os.rename(tmp, postings_dir)
         # the spill is only removable once postings are durably renamed
         shutil.rmtree(tokens_dir, ignore_errors=True)
-    n_catalog = docs_future.result()
-    _pool.shutdown()
+    import pyarrow.parquet as pq
+
+    n_catalog = sum(pq.ParquetFile(f"{docs_dir}/{f}").metadata.num_rows
+                    for f in os.listdir(docs_dir) if f.endswith(".parquet"))
     if audit_unique:
         # J2 bimap audit (CheckConsistency analog): a duplicate doc_id
         # from an id-assignment collision would silently corrupt
@@ -725,8 +646,7 @@ def build_index(
         total_dl=int(total_dl),
         with_positions=with_positions,
         build_metrics={
-            "sec_docs": round(t_docs - t0, 3),
-            "sec_stats": round(t_stats - t_docs, 3),
+            "sec_stats": round(t_stats - t0, 3),
             "sec_hot": round(t_hot - t_stats, 3),
             "sec_tokenize": round(t_tok - t_hot, 3),
             "sec_encode": round(t_post - t_tok, 3),
@@ -786,13 +706,6 @@ def build_index_mem(
 
     from ..schemas import DOCS, POSTINGS
 
-    docs_tbl = _concat(
-        _load()
-        .map_batches(_DocMeta(id_col, text_col, url_col, lang_col, True),
-                     batch_format="pyarrow"),
-        DOCS,
-    )
-
     stats = (
         _load()
         .map_batches(_TokenStats(analyzer, text_col, id_col, 1.0),
@@ -803,31 +716,43 @@ def build_index_mem(
     n_indexed = int(stats["n_docs"].sum())
     avgdl = (total_dl / n_indexed) if n_indexed else 1.0
 
-    tokens = _load().map_batches(
-        Tokenizer,
-        fn_constructor_kwargs=dict(
-            analyzer=analyzer, text_col=text_col, id_col=id_col,
-            num_buckets=num_buckets, hot_terms=hot_terms or {},
-            with_positions=True, combine=True,
-        ),
-        batch_format="pyarrow",
-        concurrency=tokenize_concurrency,
-    )
-
+    from ..functions.spill import spill_dir
     from ..index.build_blocks import encode_bucket_segments
 
     def _encode(group: pa.Table) -> pa.Table:
         return encode_bucket_segments(group, k1=k1, b=b, avgdl=avgdl,
                                       block_size=block_size)
 
-    postings_tbl = _concat(
-        tokens.groupby("bucket")
-        .map_groups(_encode, batch_format="pyarrow"),
-        POSTINGS,
-    )
+    # the tokenize pass writes the catalog, as in build_index; here into
+    # a scoped spill that is read back whole
+    with spill_dir("pdfsearch_memdocs") as cat_dir:
+        tokens = _load().map_batches(
+            Tokenizer,
+            fn_constructor_kwargs=dict(
+                analyzer=analyzer, text_col=text_col, id_col=id_col,
+                num_buckets=num_buckets, hot_terms=hot_terms or {},
+                with_positions=True, combine=True,
+                catalog={"dir": cat_dir, "url_col": url_col,
+                         "lang_col": lang_col, "store_text": True},
+            ),
+            batch_format="pyarrow",
+            concurrency=tokenize_concurrency,
+        )
+        postings_tbl = _concat(
+            tokens.groupby("bucket")
+            .map_groups(_encode, batch_format="pyarrow"),
+            POSTINGS,
+        )
+        import glob as _glob
+
+        import pyarrow.parquet as pq
+
+        parts = [pq.ParquetFile(f).read() for f in
+                 sorted(_glob.glob(f"{cat_dir}/*.parquet"))]
+        docs_tbl = pa.concat_tables(parts) if parts else DOCS.empty_table()
     manifest = IndexManifest(
         n_docs=int(n_indexed), avgdl=float(avgdl),
-        total_tokens=total_dl, analyzer=analyzer,
+        total_tokens=total_dl, total_dl=total_dl, analyzer=analyzer,
         analyzer_version=ANALYZER_VERSION, k1=k1, b=b,
         num_buckets=num_buckets, block_size=block_size,
         salt_spec=hot_terms or {},
@@ -1316,6 +1241,7 @@ def append_index(
     t0 = time.time()
     report = report or (lambda msg: None)
     m = IndexManifest.load(index_dir)
+    m.check_format(index_dir)
 
     def _load() -> rd.Dataset:
         if isinstance(source, rd.Dataset):

@@ -50,8 +50,10 @@ class QueryEngine:
     little: per cached term its runs as columns (the encoded blobs in
     one buffer per kind with block offsets, and per-block arrays of
     first id, posting count and bound), and per decoded posting only
-    its id and score (16 B).  Positions are never read for scoring; tf
-    and dl are decoded again when a reader asks.
+    its id and score (16 B), plus one (id, length) pair per doc whose
+    length a decode has looked up (``BM25Index.doc_lengths``).
+    Positions are never read for scoring; tf is decoded again when a
+    reader asks.
 
     A small LRU RESULT cache sits in front of the scorer (every
     production engine's request cache): keyed by (index version, query,
@@ -136,41 +138,32 @@ class ShardEngine:
 
 def compute_doc_ranges(index_dir: str, n_shards: int) -> list[tuple[int, int]]:
     """Split the index's docID space into ``n_shards`` contiguous ranges
-    of ~equal row count, from docs parquet footer statistics (no data
-    read).  Ranges cover all of int64 so appended segments with new id
-    ranges still land in some shard."""
+    of ~equal doc count, cut at the quantiles of the catalogs' doc ids
+    (a read of the ``doc_id`` column only), so the ranges depend on the
+    ids and not on the file layout.  Ranges cover all of int64 so
+    appended segments with new id ranges still land in some shard."""
     import glob
 
     import numpy as np
     import pyarrow.parquet as pq
 
+    from ..index.arrays import _np
     from ..state.manifest import IndexManifest
 
     m = IndexManifest.load(index_dir)
     dirs = [index_dir] + [f"{index_dir}/segments/{s['name']}"
                           for s in m.segments if s["name"] != "base"]
-    mins: list[tuple[int, int]] = []  # (rg_min_doc_id, rows)
-    for d in dirs:
-        for path in sorted(glob.glob(f"{d}/docs/*.parquet")):
-            md = pq.ParquetFile(path).metadata
-            idx = md.schema.to_arrow_schema().names.index("doc_id")
-            for rg in range(md.num_row_groups):
-                st = md.row_group(rg).column(idx).statistics
-                lo = st.min if st is not None and st.min is not None else 0
-                mins.append((int(lo), md.row_group(rg).num_rows))
-    if not mins or n_shards <= 1:
+    files = [p for d in dirs for p in sorted(glob.glob(f"{d}/docs/*.parquet"))]
+    if not files or n_shards <= 1:
         return [(-(1 << 62), 1 << 62)]
-    mins.sort()
-    rows = np.array([r for _, r in mins], dtype=np.int64)
-    cum = np.cumsum(rows)
-    total = int(cum[-1])
-    bounds: list[int] = []
-    for s in range(1, n_shards):
-        target = total * s // n_shards
-        j = int(np.searchsorted(cum, target))
-        b = mins[min(j + 1, len(mins) - 1)][0]
-        if not bounds or b > bounds[-1]:
-            bounds.append(b)
+    ids = np.sort(np.concatenate([
+        _np(pq.ParquetFile(p).read(columns=["doc_id"],
+                                   use_threads=False)["doc_id"])
+        for p in files]))
+    if not ids.size:
+        return [(-(1 << 62), 1 << 62)]
+    cuts = {int(ids[ids.size * s // n_shards]) for s in range(1, n_shards)}
+    bounds = sorted(cuts - {int(ids[0])})
     edges = [-(1 << 62)] + bounds + [1 << 62]
     return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 

@@ -135,6 +135,8 @@ def merge_indexes(
     report = report or (lambda msg: None)
 
     manifests = [IndexManifest.load(s) for s in sources]
+    for s, m in zip(sources, manifests):
+        m.check_format(s)
     ref = manifests[0]
     for s, m in zip(sources[1:], manifests[1:]):
         for k in _CONFIG_KEYS:

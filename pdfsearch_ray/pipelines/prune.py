@@ -65,18 +65,21 @@ CHAMP_QUERIES = ("data processing pipeline", "the information",
                  "fast scan merge", "customer query zzznope")
 
 _CHAMP_COLS = ["term", "salt", "bucket", "first_doc", "n",
-               "doc_blob", "tf_blob", "dl_blob"]
+               "doc_blob", "tf_blob"]
 
 
-def _flat_postings(tbl: pa.Table):
-    """Posting-block rows -> per-posting (term, doc_id, tf, dl) arrays
-    through the codec's bulk block decoder."""
+def _flat_postings(tbl: pa.Table, idx_dir: str):
+    """Posting-block rows of the index at ``idx_dir`` -> per-posting
+    (term, doc_id, tf, dl) arrays through the codec's bulk block decoder;
+    dl from the docs catalog (``BM25Index.doc_lengths``)."""
     from ..index.codec import decode_posting_blocks
+    from .query import BM25Index
 
     n = tbl["n"].to_numpy().astype(np.int64)
-    ids, tf, dl = decode_posting_blocks(
+    ids, tf = decode_posting_blocks(
         tbl["first_doc"].to_numpy(), n, tbl["doc_blob"].to_pylist(),
-        tbl["tf_blob"].to_pylist(), tbl["dl_blob"].to_pylist())
+        tbl["tf_blob"].to_pylist())
+    dl = BM25Index(idx_dir).doc_lengths(ids)
     terms = np.asarray(tbl["term"].to_pylist(), dtype=object).repeat(n)
     return terms, ids, tf.astype(np.int64), dl.astype(np.int64)
 
@@ -192,7 +195,7 @@ def _build_champions(idx_dir: str, tmp: str, r: int,
             return {"bucket": np.array([b]), "n_terms": np.array([0]),
                     "n_rows": np.array([0])}
         tbl = pa.concat_tables(parts)
-        terms, ids, tf, dl = _flat_postings(tbl)
+        terms, ids, tf, dl = _flat_postings(tbl, idx_dir)
         keep, _codes = _champion_cut(terms, ids, tf, dl, r)
         out = pa.table({
             "term": pa.array(terms[keep].tolist(), type=pa.string()),

@@ -20,9 +20,12 @@ The term cache is columnar: ``_term_cache[term]`` is the term's runs,
 and each run is one set of arrays — per block its first id, posting
 count, bound and source row, one contiguous buffer per blob kind with
 block byte offsets, and an (ids, scores) decode memo with a per-block
-"decoded" mask.  Rows are matched, sorted and gathered with numpy over
-the Arrow buffers (``index/arrays.py``), so serving never imports
-``pyarrow.compute``, and every parquet read is single-threaded.
+"decoded" mask.  A doc's length is stored once, in the docs catalog:
+``doc_lengths`` reads the (doc_id, dl) columns of the catalog row groups
+the ids fall in and keeps them as sorted arrays.  Rows are matched,
+sorted and gathered with numpy over the Arrow buffers
+(``index/arrays.py``), so serving never imports ``pyarrow.compute``, and
+every parquet read is single-threaded.
 
 Scoring is BM25 (k1/b from the manifest, ``index/codec.py``), one design
 on ``BM25Index``:
@@ -59,7 +62,7 @@ from ..functions.hashing import fnv1a64_str
 from ..index.arrays import (_bytes, _gather_bytes, _np, _spans, _str_codes,
                             _take_table)
 from ..index.codec import (aggregate_scores, bm25_idf, bm25_wdl,
-                           decode_positions, decode_posting_streams,
+                           decode_positions_flat, decode_posting_streams,
                            varint_decode)
 from ..state.manifest import IndexManifest
 
@@ -73,7 +76,7 @@ AUTO_MAXSCORE_POSTINGS = 300_000
 # schedule), so a mass-tie corpus gets a true k-th-total bound to stop on
 MAXSCORE_FOLD_POSTINGS = 1 << 19
 # the blobs the scoring read keeps per block (positions are read apart)
-BLOB_KINDS = ("doc", "tf", "dl")
+BLOB_KINDS = ("doc", "tf")
 
 
 # ---------------------------------------------------------------- phrase kernels
@@ -284,8 +287,9 @@ class PostingList:
     decode on first access, always at the term's own idf, so ``scores``
     are exactly the per-posting contributions the handle's own scorers
     sum.  ``ids`` and ``scores`` come from the handle's decode memo;
-    ``tf``, ``dl`` and positions are decoded (positions first read)
-    here and kept on this PostingList only, so a warm handle holds 16 B
+    ``tf`` and positions are decoded (positions first read) here, and
+    ``dl`` is each posting doc's length from ``BM25Index.doc_lengths``;
+    they are kept on this PostingList only, so a warm handle holds 16 B
     per decoded posting whatever its readers ask for."""
 
     _EMPTY = {"ids": np.uint64, "tf": np.uint64, "dl": np.uint64,
@@ -309,9 +313,11 @@ class PostingList:
                 for r in self._runs:
                     self._index._decode_blocks_bulk(r)
                 col = np.concatenate([r[key] for r in self._runs])
-            else:  # tf / dl: one varint pass over the runs' buffers
+            elif key == "dl":
+                col = self._index.doc_lengths(self.ids)
+            else:  # tf: one varint pass over the runs' buffers
                 col = varint_decode(
-                    np.concatenate([r[f"{key}_blob"] for r in self._runs]),
+                    np.concatenate([r["tf_blob"] for r in self._runs]),
                     count=sum(r["n"] for r in self._runs))
             self._cols[key] = col
         return col
@@ -322,13 +328,10 @@ class PostingList:
     scores = property(lambda self: self._column("scores"))
 
     def dl_of(self, doc_ids: np.ndarray) -> np.ndarray:
-        """Doc length (float64) of each of ``doc_ids``, every one of
-        which must hold this term — a doc's dl rides on each of its
-        postings, so positional scorers never read doc text for it."""
-        order = np.argsort(self.ids)
-        pos = np.searchsorted(self.ids[order],
-                              np.asarray(doc_ids).astype(np.uint64))
-        return self.dl[order][pos].astype(np.float64)
+        """Doc length (float64) of each of ``doc_ids``
+        (``BM25Index.doc_lengths``), so positional scorers never read doc
+        text for it."""
+        return self._index.doc_lengths(doc_ids).astype(np.float64)
 
     def position_keys(self, candidates: np.ndarray) -> np.ndarray:
         """All ``(doc_code << 32) | pos`` keys of the term's occurrences
@@ -349,28 +352,18 @@ class PostingList:
             np.isin(r["ids"], candidates, assume_unique=True)
             for r in self._runs])
         ns = np.concatenate([r["ns"] for r in self._runs])
-        starts = np.zeros(ns.size + 1, dtype=np.int64)
-        np.cumsum(ns, dtype=np.int64, out=starts[1:])
-        hit = np.logical_or.reduceat(sel_all, starts[:-1])
-        keys = []
-        for j in np.flatnonzero(hit).tolist():
-            s, e = starts[j], starts[j + 1]
-            sel = sel_all[s:e]
-            plists = decode_positions(pos_data[pos_off[j]:pos_off[j + 1]],
-                                      int(ns[j]))
-            lens = np.fromiter((p.size for p in plists), dtype=np.int64,
-                               count=len(plists))
-            flat = np.concatenate(plists) if lens.sum() else \
-                np.empty(0, dtype=np.uint32)
-            doc_per_pos = np.repeat(ids[s:e], lens)
-            keep = np.repeat(sel, lens)
-            codes = np.searchsorted(candidates,
-                                    doc_per_pos[keep]).astype(np.uint64)
-            keys.append((codes << np.uint64(32))
-                        | flat[keep].astype(np.uint64))
-        if not keys:
+        starts = np.cumsum(ns, dtype=np.int64) - ns
+        # the blocks holding a candidate, decoded in one pass
+        j = np.flatnonzero(np.logical_or.reduceat(sel_all, starts))
+        if not j.size:
             return np.empty(0, dtype=np.uint64)
-        return np.concatenate(keys)
+        flat, counts = decode_positions_flat(
+            _gather_bytes(pos_off, pos_data, j)[1], int(ns[j].sum()))
+        at = _spans(starts[j], ns[j])
+        keep = np.repeat(sel_all[at], counts)
+        codes = np.searchsorted(
+            candidates, np.repeat(ids[at], counts)[keep]).astype(np.uint64)
+        return (codes << np.uint64(32)) | flat[keep]
 
 
 class CorruptIndexError(RuntimeError):
@@ -408,7 +401,10 @@ class BM25Index:
             # on-demand position reads (PostingList.position_keys)
             "positions_row_groups_read": 0,
             "docs_files_opened": 0,
+            # hydration reads (doc_id, url[, text])
             "docs_row_groups_read": 0,
+            # narrow (doc_id, dl) reads for doc_lengths
+            "dl_row_groups_read": 0,
             "blocks_verified": 0,
             # narrow (term, n) metadata reads over doc-range-pruned row
             # groups (global-df upkeep on shard handles) — tracked
@@ -421,6 +417,7 @@ class BM25Index:
         if index_dir is not None:
             self.index_dir = index_dir
             self.manifest = IndexManifest.load(index_dir)
+            self.manifest.check_format(index_dir)
             # Segment-aware open (append_index, the forceCreate=false
             # analog): only manifest-COMMITTED segment dirs are read, so
             # a crashed append's half-written segment is invisible.
@@ -459,6 +456,13 @@ class BM25Index:
         # table, else (path, row_group); a run's ``src`` indexes it
         self._sources: list[tuple[str, int] | None] = []
         self._doc_rg_index: list[tuple[str, int, int, int]] | None = None
+        # doc_lengths: the (doc_id, dl) pairs read so far, sorted by id,
+        # the _doc_rg_index positions not read yet and every row group's
+        # (min, max) doc id
+        self._dl_ids = np.empty(0, dtype=np.int64)
+        self._dl = np.empty(0, dtype=np.uint32)
+        self._dl_unread: np.ndarray | None = None
+        self._dl_bounds: np.ndarray | None = None
         self._bucket_frags: dict[int, list] | None = None
         from collections import OrderedDict
 
@@ -517,7 +521,7 @@ class BM25Index:
         The read leaves ``pos_blob`` out: each block keeps the row group
         and row it came from, and ``_read_positions`` reads its positions
         from there when asked.  Only a checksum-verifying handle reads
-        ``pos_blob`` here, because the block crc covers all four blobs.
+        ``pos_blob`` here, because the block crc covers all three blobs.
 
         Rows are matched, sorted and gathered with numpy over the Arrow
         buffers (``index/arrays.py``), a whole row group at a time; each
@@ -540,7 +544,7 @@ class BM25Index:
                 bucket_set.add(fnv1a64_str(t) % nb)
         buckets = sorted(bucket_set)
         cols = ["term", "salt", "block_id", "first_doc", "n",
-                "doc_blob", "tf_blob", "dl_blob", "max_wdl"]
+                "doc_blob", "tf_blob", "max_wdl"]
         if self.verify_checksums:
             if self._postings_mem is not None:
                 schema_names = self._postings_mem.schema.names
@@ -632,18 +636,18 @@ class BM25Index:
                 self._term_cache[term].append(run)
 
     def _verify_blocks(self, terms: list[str], blk: dict) -> None:
-        """Check every loaded block's crc32 over its four blobs (the
+        """Check every loaded block's crc32 over its three blobs (the
         block framing, F2) — one zlib call per blob."""
         from zlib import crc32
 
         off = {k: np.zeros(blk["code"].size + 1, dtype=np.int64)
-               for k in ("doc", "tf", "dl", "pos")}
+               for k in ("doc", "tf", "pos")}
         for k, o in off.items():
             np.cumsum(blk[f"{k}_len"], dtype=np.int64, out=o[1:])
         data = {k: memoryview(blk[f"{k}_data"]) for k in off}
         for i, stored in enumerate(blk["crc"].tolist()):
             got = 0
-            for k in ("doc", "tf", "dl", "pos"):
+            for k in ("doc", "tf", "pos"):
                 got = crc32(data[k][off[k][i]:off[k][i + 1]], got)
             if got != stored:
                 raise CorruptIndexError(
@@ -752,10 +756,11 @@ class BM25Index:
         """Decode the blocks of ``run`` that ``want`` selects (a block
         mask; all when None) into the run's memo, skipping decoded ones:
         ids and the per-posting BM25 contribution ``scores`` = idf ×
-        wdl, in one bulk varint pass (``codec.decode_posting_streams``).
-        Only those two arrays (16 B per posting) stay on the handle; tf
-        and dl are dropped once the scores are made (``PostingList``
-        decodes them again from the blobs when a reader asks).
+        wdl, in one bulk varint pass (``codec.decode_posting_streams``)
+        and one ``doc_lengths`` lookup.  Only those two arrays (16 B per
+        posting) stay on the handle; tf and dl are dropped once the
+        scores are made (``PostingList`` reads them again when a reader
+        asks).
 
         The memo is one (ids, scores) array pair per run plus the
         ``decoded`` block mask.  Until a block is decoded its ids read
@@ -775,9 +780,10 @@ class BM25Index:
             streams = [_gather_bytes(run[f"{k}_off"], run[f"{k}_blob"], j)[1]
                        for k in BLOB_KINDS]
         ns = run["ns"][j]
-        ids, tf, dl = decode_posting_streams(run["firsts"][j], ns, *streams)
+        ids, tf = decode_posting_streams(run["firsts"][j], ns, *streams)
         m = self.manifest
-        scores = run["idf"] * bm25_wdl(tf, dl, m.k1, m.b, m.avgdl)
+        scores = run["idf"] * bm25_wdl(tf, self.doc_lengths(ids), m.k1,
+                                       m.b, m.avgdl)
         if j.size == todo.size:
             run["ids"], run["scores"] = ids, scores
         else:
@@ -788,6 +794,63 @@ class BM25Index:
             run["ids"][at] = ids
             run["scores"][at] = scores
         run["decoded"][j] = True
+
+    def doc_lengths(self, ids) -> np.ndarray:
+        """The length (uint64) of each doc of ``ids`` — its analyzed
+        token count, the ``dl`` column of the docs catalog.
+
+        Reads only ``(doc_id, dl)``, and only from the catalog row groups
+        the ids fall in (the footer index hydration uses), counted in
+        ``io_stats["dl_row_groups_read"]``; what is read stays on the
+        handle as one pair of id-sorted arrays.  An in-memory handle
+        looks them up in its docs table.  Raises ``CorruptIndexError``
+        for an id the catalog does not hold."""
+        ids = np.asarray(ids).astype(np.int64)
+        if not ids.size:
+            return np.empty(0, dtype=np.uint64)
+        if self._docs_mem is not None:
+            if not self._dl_ids.size:
+                self._add_doc_lengths([self._docs_mem])
+        else:
+            if self._dl_unread is None:
+                if self._doc_rg_index is None:
+                    self._doc_rg_index = self._build_doc_rg_index()
+                self._dl_unread = np.arange(len(self._doc_rg_index))
+                self._dl_bounds = np.array(
+                    [r[2:] for r in self._doc_rg_index],
+                    dtype=np.int64).reshape(-1, 2)
+            if self._dl_unread.size:
+                want = np.unique(ids)
+                lo, hi = self._dl_bounds[self._dl_unread].T
+                hit = (np.searchsorted(want, hi, side="right")
+                       > np.searchsorted(want, lo))
+                parts = []
+                for i in self._dl_unread[hit].tolist():
+                    path, rg = self._doc_rg_index[i][:2]
+                    pf = self._parquet_file(path, "docs")
+                    parts.append(pf.read_row_group(
+                        rg, columns=["doc_id", "dl"], use_threads=False))
+                self.io_stats["dl_row_groups_read"] += len(parts)
+                self._add_doc_lengths(parts)
+                self._dl_unread = self._dl_unread[~hit]
+        pos = np.minimum(np.searchsorted(self._dl_ids, ids),
+                         max(self._dl_ids.size - 1, 0))
+        if not (self._dl_ids.size and np.array_equal(self._dl_ids[pos], ids)):
+            missing = np.setdiff1d(ids, self._dl_ids)[:5].tolist()
+            raise CorruptIndexError(
+                f"the docs catalog holds no length for doc ids {missing}")
+        return self._dl[pos].astype(np.uint64)
+
+    def _add_doc_lengths(self, tables: list[pa.Table]) -> None:
+        """Merge the (doc_id, dl) pairs of ``tables`` into the sorted
+        arrays in one sort (a stable sort of id-sorted runs is a merge)."""
+        if not tables:
+            return
+        ids = np.concatenate([self._dl_ids]
+                             + [_np(t["doc_id"]) for t in tables])
+        dl = np.concatenate([self._dl] + [_np(t["dl"]) for t in tables])
+        order = np.argsort(ids, kind="stable")
+        self._dl_ids, self._dl = ids[order], dl[order]
 
     def _term_df(self, term: str) -> int:
         # every loaded block plus the out-of-range row groups' metadata

@@ -93,7 +93,7 @@ def _phrase_scores(idx, pair):
         return np.empty(0, dtype=np.uint64), np.empty(0)
     codes, tf = np.unique(starts >> np.uint64(32), return_counts=True)
     docs = common[codes.astype(np.int64)]
-    return docs, _phrase_bm25(idx, min(pair), docs, tf)
+    return docs, _phrase_bm25(idx, docs, tf)
 
 
 def querystring_topk(sf_dir: str) -> pa.Table:

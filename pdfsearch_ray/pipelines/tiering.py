@@ -80,7 +80,7 @@ TIER_K = 10
 TIER_QUERIES = ("scan join hash", "big", "dup", "quantile histogram")
 
 _POSTING_COLS = ["term", "salt", "bucket", "first_doc", "n",
-                 "doc_blob", "tf_blob", "dl_blob"]
+                 "doc_blob", "tf_blob"]
 
 
 # ------------------------------------------------------------ tiered index
@@ -129,7 +129,8 @@ def _build_tiers(idx_dir: str, tmp: str, thresholds: tuple[int, ...],
                 parts.append(t)
         counts = np.zeros(n_tiers, dtype=np.int64)
         if parts:
-            terms, ids, tf, dl = _flat_postings(pa.concat_tables(parts))
+            terms, ids, tf, dl = _flat_postings(pa.concat_tables(parts),
+                                                idx_dir)
             ids = ids.astype(np.int64)
             # tier id per posting: 0 while tf >= thr[0], …, n_tiers-1
             tier = np.full(tf.shape, n_tiers - 1, dtype=np.int64)
@@ -379,7 +380,8 @@ def _build_impacts(idx_dir: str, tmp: str, scale: int,
                 parts.append(t)
         if not parts:
             return {"bucket": np.array([b]), "n_rows": np.array([0])}
-        terms, ids, tf, dl = _flat_postings(pa.concat_tables(parts))
+        terms, ids, tf, dl = _flat_postings(pa.concat_tables(parts),
+                                            idx_dir)
         ids = ids.astype(np.int64)
         codes, inv = np.unique(terms, return_inverse=True)
         df = np.bincount(inv).astype(np.float64)

@@ -60,10 +60,9 @@ POSTINGS = pa.schema(
         ("n", pa.int32()),
         ("doc_blob", pa.large_binary()),
         ("tf_blob", pa.large_binary()),
-        ("dl_blob", pa.large_binary()),
         ("pos_blob", pa.large_binary()),
         ("max_wdl", pa.float32()),
-        # crc32 over doc|tf|dl|pos blobs — explicit per-block integrity
+        # crc32 over doc|tf|pos blobs — explicit per-block integrity
         # framing (F2 parity: the reference CRC-frames its page blobs,
         # doc_positions.go:140-153); verified on read when the query
         # handle is opened with verify_checksums=True
@@ -72,6 +71,9 @@ POSTINGS = pa.schema(
 )
 
 # Docs dimension table (the BlevePdf catalog analog, bleve_pdf.go:136-146).
+# ``dl`` is the doc's analyzed token count — its BM25 length norm, stored
+# once per doc (0 for a doc with no tokens); the catalog also carries
+# ``text`` when the build stores it.
 DOCS = pa.schema(
     [
         ("doc_id", pa.int64()),

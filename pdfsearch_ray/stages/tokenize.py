@@ -19,17 +19,30 @@ Shuffle keys are precomputed here too:
 * ``salt`` — 0 for ordinary terms; ``mix64(doc_id) % salt`` for terms in
   the broadcast hot-term set, splitting Zipfian head-term groups into
   bounded sub-groups (north_rule's explicit skew handling).
+
+The same pass writes the docs catalog (``catalog=``): each batch's
+(doc_id, url, hash, lang, dl[, text]) rows, ``dl`` being the doc length
+the pass has just counted, go to one parquet file per batch — the way
+extract writes its ``pairs`` side file — so the build reads the corpus
+once for both the postings and the catalog.
 """
 
 from __future__ import annotations
+
+import os
+from zlib import crc32
 
 import numpy as np
 import pyarrow as pa
 
 from ..analysis.analyzer import ANALYZER_VERSION, get_analyzer
-from ..functions.hashing import fnv1a64_str, mix64
+from ..functions.hashing import content_hash, fnv1a64_str, mix64
 
 DEFAULT_NUM_BUCKETS = 64
+# most rows in one docs-catalog row group: hydration reads a hit's whole
+# row group, text included, so row groups stay small (an extract
+# partition of the benchmark corpus, ~850 docs, becomes two)
+CATALOG_ROW_GROUP = 512
 
 # Per-worker-process Tokenizer memo for the task-pool path (see
 # tokenize_batch).  Keyed by the full config so differently-configured
@@ -72,6 +85,7 @@ class Tokenizer:
         hot_terms: dict[str, int] | None = None,
         with_positions: bool = True,
         combine: bool = False,
+        catalog: dict | None = None,
     ):
         self.analyze = get_analyzer(analyzer)
         self.analyzer_name = analyzer
@@ -84,6 +98,9 @@ class Tokenizer:
         # (docs/tfs/dls/positions as list columns) — the combiner that
         # shrinks the posting shuffle by ~batch_size for head terms.
         self.combine = combine
+        # catalog = {"dir", "url_col", "lang_col", "store_text"}: write
+        # each batch's docs-catalog rows into "dir" (write_catalog)
+        self.catalog = catalog
         self._bucket_cache: dict[str, int] = {}
         self.version = ANALYZER_VERSION
 
@@ -108,11 +125,17 @@ class Tokenizer:
         return fnv1a64_str(f"{term}#{salt}") % self.num_buckets
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.combine:
-            return self._combine_vectorized(batch)
-        return self._python_path(batch)
+        path = self._combine_vectorized if self.combine else self._python_path
+        out, dl = path(batch)
+        if self.catalog is not None:
+            c = self.catalog
+            write_catalog(catalog_rows(batch, dl, self.id_col, self.text_col,
+                                       c["url_col"], c["lang_col"],
+                                       c["store_text"]), c["dir"])
+        return out
 
-    def _combine_vectorized(self, batch: pa.Table) -> pa.Table:
+    def _combine_vectorized(self, batch: pa.Table
+                            ) -> tuple[pa.Table, np.ndarray]:
         """Batch-vectorized combine path (the indexing hot loop).
 
         Replaces per-doc Python dict aggregation with array passes:
@@ -126,7 +149,8 @@ class Tokenizer:
         Python path (tests/test_tokenize_vec.py equivalence property);
         the point is DRAM traffic — compact int arrays instead of
         ~3 Python objects per token (BASELINE.md: tokenize is the
-        bandwidth-bound stage at full node width)."""
+        bandwidth-bound stage at full node width).  Returns the token
+        segments and each row's doc length (its kept-token count)."""
         import pandas as pd
 
         texts = batch[self.text_col].to_pylist()
@@ -152,7 +176,7 @@ class Tokenizer:
             counts[i] = len(toks)
         total = len(raw_all)
         if total == 0:
-            return self._empty_combine_table()
+            return self._empty_combine_table(), np.zeros(n_docs, np.int64)
 
         codes, uniq = pd.factorize(
             np.asarray(raw_all, dtype=object), sort=False)
@@ -192,9 +216,9 @@ class Tokenizer:
         tcode = tcode_tok[keep]
         d = doc_idx[keep]
         p = pos_tok[keep]
-        if tcode.size == 0:
-            return self._empty_combine_table()
         dl_doc = np.bincount(d, minlength=n_docs).astype(np.int64)
+        if tcode.size == 0:
+            return self._empty_combine_table(), dl_doc
 
         hot = self.hot_terms
         if hot:
@@ -282,7 +306,7 @@ class Tokenizer:
             cols["seg_pos_blen"] = pa.ListArray.from_arrays(
                 pa.array(seg_bounds),
                 pa.array(blens, type=pa.int32()))
-        return pa.table(cols)
+        return pa.table(cols), dl_doc
 
     def _empty_combine_table(self) -> pa.Table:
         cols = {
@@ -298,9 +322,10 @@ class Tokenizer:
             cols["seg_pos_blen"] = pa.array([], type=pa.list_(pa.int32()))
         return pa.table(cols)
 
-    def _python_path(self, batch: pa.Table) -> pa.Table:
+    def _python_path(self, batch: pa.Table) -> tuple[pa.Table, np.ndarray]:
         texts = batch[self.text_col].to_pylist()
         doc_ids = batch[self.id_col].to_numpy(zero_copy_only=False)
+        dls = np.zeros(len(texts), dtype=np.int64)
 
         out_term: list[str] = []
         out_doc: list[int] = []
@@ -316,7 +341,7 @@ class Tokenizer:
             from ..analysis.analyzer import analyze_en_pos
         # combine mode: (term, salt) → [doc_ids, tfs, dls, flat_positions, pos_lens]
         seg: dict[tuple[str, int], list[list[int]]] = {}
-        for text, doc_id in zip(texts, doc_ids):
+        for row, (text, doc_id) in enumerate(zip(texts, doc_ids)):
             if not text:
                 continue  # empty-page filter (bleve_pdf.go:309-312)
             agg: dict[str, list[int]] = {}
@@ -331,6 +356,7 @@ class Tokenizer:
                     agg.setdefault(term, []).append(i + 1)
             if dl == 0:
                 continue
+            dls[row] = dl
             salt_base = int(mix64(np.asarray([doc_id], dtype=np.uint64))[0])
             if self.combine:
                 for term, positions in agg.items():
@@ -411,7 +437,7 @@ class Tokenizer:
                 cols["seg_pos_blen"] = pa.ListArray.from_arrays(
                     pa.array(post_bounds.astype(np.int32)),
                     pa.array(blens, type=pa.int32()))
-            return pa.table(cols)
+            return pa.table(cols), dls
 
         return pa.table(
             {
@@ -423,4 +449,65 @@ class Tokenizer:
                 "dl": pa.array(out_dl, type=pa.uint32()),
                 "positions": pa.array(out_pos, type=pa.list_(pa.uint32())),
             }
-        )
+        ), dls
+
+
+def catalog_rows(batch: pa.Table, dl: np.ndarray, id_col: str,
+                 text_col: str, url_col: str | None, lang_col: str | None,
+                 store_text: bool) -> pa.Table:
+    """A batch's docs-catalog rows (createFileDesc analog,
+    file_desc.go:51-68), sorted by doc_id: ``dl[i]`` is row i's doc
+    length.  One identity per doc: when the source already carries a
+    content hash (the extract checkpoint stores sha256(html), the
+    file-level identity M1 requires), it passes through, so the catalog
+    and the dedup path agree; sha256(text) is only the fallback for
+    hash-less sources."""
+    n = batch.num_rows
+    if "hash" in batch.schema.names:
+        hash_arr = batch["hash"]
+    else:
+        hash_arr = pa.array(
+            [content_hash((t or "").encode("utf-8"))
+             for t in batch[text_col].to_pylist()], type=pa.string())
+    cols = {
+        "doc_id": batch[id_col].cast(pa.int64()),
+        "url": batch[url_col] if url_col else pa.array([""] * n),
+        "hash": hash_arr,
+        "lang": batch[lang_col] if lang_col else pa.array([""] * n),
+        "dl": pa.array(np.asarray(dl, dtype=np.uint32), type=pa.uint32()),
+    }
+    if store_text:
+        cols["text"] = batch[text_col]
+    return pa.table(cols).sort_by("doc_id")
+
+
+def write_catalog(rows: pa.Table, out_dir: str) -> None:
+    """Write one batch's sorted catalog ``rows`` into ``out_dir`` under a
+    name fixed by its content (a retried task rewrites the same file),
+    committed by tmp + rename.  Row groups follow the doc_id partition
+    prefix — the extract source numbers docs ``(partition << 32) | row``,
+    and a row group never spans two partitions — and a partition's rows
+    are split evenly into row groups of at most ``CATALOG_ROW_GROUP``."""
+    import pyarrow.parquet as pq
+
+    from ..index.codec import INDEX_WRITE_OPTIONS
+
+    if not rows.num_rows:
+        return
+    ids = rows["doc_id"].to_numpy(zero_copy_only=False)
+    key = crc32(repr(rows["hash"].to_pylist()).encode(),
+                crc32(ids.tobytes()))
+    name = f"docs-{int(ids[0]) & ((1 << 64) - 1):016x}-{key:08x}.parquet"
+    tmp = os.path.join(out_dir, f".{name}.tmp.{os.getpid()}")
+    os.makedirs(out_dir, exist_ok=True)
+    part = ids >> 32
+    cuts = [0, *(np.flatnonzero(part[1:] != part[:-1]) + 1).tolist(),
+            ids.size]
+    with pq.ParquetWriter(tmp, rows.schema,
+                          **INDEX_WRITE_OPTIONS["docs"]) as w:
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            k = -(-(b - a) // CATALOG_ROW_GROUP)
+            edges = [a + (b - a) * i // k for i in range(k + 1)]
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                w.write_table(rows.slice(lo, hi - lo))
+    os.replace(tmp, os.path.join(out_dir, name))

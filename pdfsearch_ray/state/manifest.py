@@ -25,7 +25,14 @@ from typing import Any
 
 MANIFEST_NAME = "manifest.json"
 PARTITIONS_DIR = "_partitions"
-FORMAT_VERSION = 1
+# 2: a doc's length is stored once, in the docs catalog's ``dl`` column;
+# format-1 posting blocks carried it on every posting (``dl_blob``)
+FORMAT_VERSION = 2
+
+
+class IndexFormatError(ValueError):
+    """The index on disk was written in a format this engine does not
+    read."""
 
 
 @dataclass
@@ -80,6 +87,17 @@ class IndexManifest:
             d = json.load(f)
         d.pop("format_version_check", None)
         return cls(**d)
+
+    def check_format(self, index_dir: str) -> None:
+        """Raise ``IndexFormatError`` unless the index is in the format
+        this engine reads.  ``compact_index`` reads only the docs catalog
+        and the tombstones, so it rewrites an older index in this
+        format."""
+        if self.format_version != FORMAT_VERSION:
+            raise IndexFormatError(
+                f"index {index_dir!r} is in format {self.format_version}; "
+                f"this engine reads format {FORMAT_VERSION} — rewrite it "
+                f"with compact_index({index_dir!r})")
 
     def tombstone_ids(self, index_dir: str):
         """Sorted int64 doc_ids from the committed tombstone files.

@@ -127,3 +127,65 @@ def test_positions_roundtrip_property(lists):
     blob2, offsets = encode_positions_run(flat, lens)
     assert blob2 == blob
     assert offsets[-1] == len(blob)
+
+
+def _positions_per_posting(blob: bytes, n_postings: int) -> list[np.ndarray]:
+    """The per-posting reference decode: one Python step per posting."""
+    flat = varint_decode(blob)
+    out, i = [], 0
+    for _ in range(n_postings):
+        cnt = int(flat[i])
+        out.append(np.cumsum(flat[i + 1:i + 1 + cnt], dtype=np.uint64))
+        i += 1 + cnt
+    assert i == flat.size
+    return out
+
+
+def test_decode_positions_flat_equals_per_posting_decode():
+    """The one-pass decode over many blocks' joined position blobs is
+    bitwise equal to the per-posting decode of each block, on random
+    lists with zero-length lists, single-posting blocks, empty blocks
+    and multi-byte values."""
+    from pdfsearch_ray.index.codec import decode_positions_flat
+
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        blocks = []
+        for _ in range(int(rng.integers(0, 8))):
+            n = int(rng.choice([0, 1, 1, 2, 7, 128]))
+            blocks.append([
+                np.unique(rng.integers(
+                    1, 1 << int(rng.integers(1, 31)),
+                    int(rng.choice([0, 0, 1, 2, 5, 40])))).astype(np.uint64)
+                for _ in range(n)])
+        blobs = [encode_positions(b) for b in blocks]
+        want = [p for blob, blk in zip(blobs, blocks)
+                for p in _positions_per_posting(blob, len(blk))]
+        for blk, blob in zip(blocks, blobs):
+            got = decode_positions(blob, len(blk))
+            assert len(got) == len(blk)
+            for g, e in zip(got, blk):
+                assert g.dtype == np.uint64
+                np.testing.assert_array_equal(g, e)
+        n_total = sum(len(b) for b in blocks)
+        flat, counts = decode_positions_flat(b"".join(blobs), n_total)
+        assert flat.dtype == np.uint64 and counts.dtype == np.int64
+        assert counts.tolist() == [p.size for p in want], trial
+        ref = (np.concatenate(want) if want
+               else np.empty(0, dtype=np.uint64))
+        assert flat.tobytes() == ref.tobytes(), trial
+
+
+def test_decode_positions_flat_rejects_a_short_stream():
+    import pytest
+
+    from pdfsearch_ray.index.codec import decode_positions_flat
+
+    blob = encode_positions([np.array([3, 9], np.uint64),
+                             np.array([4], np.uint64)])
+    with pytest.raises(ValueError):
+        decode_positions_flat(blob, 3)
+    with pytest.raises(ValueError):
+        decode_positions_flat(blob, 1)
+    with pytest.raises(ValueError):
+        decode_positions_flat(blob[:-1], 2)

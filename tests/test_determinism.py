@@ -18,7 +18,14 @@ def _postings_canon(index_dir):
     t = t.sort_by([("bucket", "ascending"), ("term", "ascending"),
                    ("salt", "ascending"), ("block_id", "ascending")])
     return t.select(["bucket", "term", "salt", "block_id", "first_doc",
-                     "n", "doc_blob", "tf_blob", "dl_blob", "pos_blob"])
+                     "n", "doc_blob", "tf_blob", "pos_blob"])
+
+
+def _docs_canon(index_dir):
+    """The docs catalog's rows, doc lengths included, in doc_id order."""
+    t = pq.read_table(f"{index_dir}/docs")
+    return t.sort_by([("doc_id", "ascending")]).select(
+        ["doc_id", "url", "hash", "lang", "dl", "text"])
 
 
 def _topk(index_dir, q="data processing pipeline"):
@@ -46,6 +53,8 @@ def test_build_invariant_to_batch_size_and_pool(ray_session, tmp_path):
     pa_, pb, pc_ = _postings_canon(a), _postings_canon(b), _postings_canon(c)
     assert pa_.equals(pb), "postings differ with batch size"
     assert pa_.equals(pc_), "postings differ between task and actor pools"
+    da, db, dc = _docs_canon(a), _docs_canon(b), _docs_canon(c)
+    assert da.equals(db) and da.equals(dc), "docs catalogs differ"
     assert _topk(a) == _topk(b) == _topk(c)
 
 

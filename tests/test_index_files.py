@@ -10,7 +10,12 @@ everywhere) keep serving, alone or mixed with new segments.
 
 A serving handle keeps only the ids and scores of each decoded posting,
 reads positions only when a reader asks for them, and imports neither
-build code, ``pyarrow.dataset`` nor pandas."""
+build code, ``pyarrow.dataset`` nor pandas.
+
+A doc's length is stored once, in the docs catalog's ``dl`` column
+(index format 2); posting blocks carry none.  A format-1 index (a
+``dl_blob`` on every posting block) is refused at open and at append,
+and ``compact_index`` rewrites it in format 2."""
 
 from __future__ import annotations
 
@@ -42,8 +47,7 @@ PRUNED = {
     "docs": {"doc_id"},
     "tombstones": {"doc_id"},
 }
-UNIQUE_PAYLOADS = {"text", "url", "hash",
-                   "doc_blob", "tf_blob", "dl_blob", "pos_blob"}
+UNIQUE_PAYLOADS = {"text", "url", "hash", "doc_blob", "tf_blob", "pos_blob"}
 
 
 def _corpus(n_rows: int = 500) -> pa.Table:
@@ -271,9 +275,19 @@ def _segment_dirs(index_dir: str) -> list[str]:
                           for s in m.segments if s["name"] != "base"]
 
 
+def _catalog_dl(segment_dirs: list[str]) -> dict[int, int]:
+    """doc_id -> dl from a read of every docs file."""
+    t = pa.concat_tables(
+        pq.ParquetFile(f).read(columns=["doc_id", "dl"])
+        for d in segment_dirs
+        for f in sorted(glob.glob(f"{d}/docs/*.parquet")))
+    return dict(zip(t["doc_id"].to_pylist(), t["dl"].to_pylist()))
+
+
 def _full_read_reference(segment_dirs: list[str], term: str) -> dict:
     """ids, tf, dl and per-posting positions of ``term`` from a read of
-    every posting column, blocks in (salt, segment, block) order."""
+    every posting column (dl from every docs file), blocks in (salt,
+    segment, block) order."""
     from pdfsearch_ray.index.codec import (decode_positions,
                                            decode_posting_blocks)
 
@@ -288,9 +302,11 @@ def _full_read_reference(segment_dirs: list[str], term: str) -> dict:
         [("salt", "ascending"), ("seg", "ascending"),
          ("block_id", "ascending")])
     rows = t.to_pylist()
-    ids, tf, dl = decode_posting_blocks(
+    ids, tf = decode_posting_blocks(
         *([r[k] for r in rows]
-          for k in ("first_doc", "n", "doc_blob", "tf_blob", "dl_blob")))
+          for k in ("first_doc", "n", "doc_blob", "tf_blob")))
+    dl_by_doc = _catalog_dl(segment_dirs)
+    dl = np.array([dl_by_doc[i] for i in ids.tolist()], dtype=np.uint64)
     positions = [p for r in rows for p in decode_positions(r["pos_blob"],
                                                            r["n"])]
     return {"ids": ids, "tf": tf, "dl": dl, "positions": positions}
@@ -503,3 +519,226 @@ def test_serving_imports_no_pandas(ray_session, tmp_path):
     finally:
         for a in (engine, shard):
             ray.kill(a)
+
+
+# -- one doc length per doc: the docs catalog's dl column ---------------
+
+
+def _analyzed_dl(t: pa.Table) -> dict[int, int]:
+    """doc_id -> the ``en`` analyzer's token count of its text."""
+    from pdfsearch_ray.analysis.analyzer import get_analyzer
+
+    analyze = get_analyzer("en")
+    return {i: len(analyze(x)) if x else 0 for i, x in
+            zip(t["doc_id"].to_pylist(), t["text"].to_pylist())}
+
+
+def test_doc_lengths_live_in_the_docs_catalog(ray_session, tmp_path):
+    """No postings file of a base, a segment or a compacted index has a
+    ``dl_blob``; every docs file carries ``dl`` equal to the analyzer's
+    token count of the doc (0 for a doc with no text), the catalog keeps
+    a row per corpus row, and ``PostingList.dl_of`` gives those counts
+    on a doc-range handle and on an appended segment."""
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import (append_index, build_index,
+                                               compact_index)
+    from pdfsearch_ray.pipelines.query import BM25Index
+
+    t = _corpus()
+    # a doc with no text still gets a catalog row, with dl 0
+    texts = t["text"].to_pylist()
+    texts[7] = ""
+    t = t.set_column(t.schema.get_field_index("text"), "text",
+                     pa.array(texts, type=pa.string()))
+    want = _analyzed_dl(t)
+    assert want[7] == 0 and max(want.values()) > 0
+    cut = int(t.num_rows * 0.6)
+    d = str(tmp_path / "idx")
+    build_index(rd.from_arrow(t.slice(0, cut)), d, num_buckets=4,
+                analyzer="en", url_col="url", lang_col="lang",
+                tokenize_batch_size=64)
+    app = append_index(rd.from_arrow(t.slice(cut)), d, url_col="url",
+                       lang_col="lang")
+    # every base row, and every delta row the append did not skip as
+    # already-indexed content
+    n_rows = cut + app["n_added"]
+    assert app["n_added"] > 0
+
+    def check_files(index_dir: str) -> None:
+        files = _committed_files(index_dir)
+        assert files["postings"] and files["docs"]
+        for f in files["postings"]:
+            assert "dl_blob" not in pq.read_schema(f).names, f
+        cat = _catalog_dl(_segment_dirs(index_dir))
+        rows = sum(pq.ParquetFile(f).metadata.num_rows
+                   for f in files["docs"])
+        assert rows == len(cat) == n_rows
+        assert set(range(cut)) <= set(cat)
+        assert cat == {i: want[i] for i in cat}
+
+    check_files(d)
+    assert glob.glob(f"{d}/segments/*/docs/*.parquet")
+
+    lo, hi = 100, 400
+    for handle in (BM25Index(d), BM25Index(d, doc_range=(lo, hi))):
+        terms = handle.query_terms(" ".join(QUERIES))
+        checked = in_segment = 0
+        for term, p in handle.postings(terms).items():
+            ids = np.unique(p.ids).astype(np.int64)
+            if handle.doc_range is not None:
+                ids = ids[(ids >= lo) & (ids < hi)]
+            if not ids.size:
+                continue
+            np.testing.assert_array_equal(
+                p.dl_of(ids), [float(want[i]) for i in ids.tolist()])
+            np.testing.assert_array_equal(
+                p.dl, [want[i] for i in p.ids.tolist()])
+            checked += 1
+            in_segment += bool((ids >= cut).any())
+        assert checked >= 5 and in_segment >= 3
+        assert handle.io_stats["dl_row_groups_read"] > 0
+        assert handle.io_stats["docs_row_groups_read"] == 0
+
+    compact_index(d)
+    check_files(d)
+
+
+def _as_format_1(index_dir: str) -> None:
+    """Rewrite a format-2 index the way format 1 stored it: every posting
+    block carries its docs' lengths as a varint ``dl_blob`` (covered by
+    the block crc), the docs catalog has no ``dl`` column, the manifest
+    says format 1 and the build config has no ``format_version`` key."""
+    from zlib import crc32
+
+    from pdfsearch_ray.index.codec import (decode_posting_blocks,
+                                           varint_encode)
+    from pdfsearch_ray.state.manifest import IndexManifest
+
+    dirs = _segment_dirs(index_dir)
+    dl_by_doc = _catalog_dl(dirs)
+    for d in dirs:
+        for f in glob.glob(f"{d}/postings/*.parquet"):
+            pf = pq.ParquetFile(f)
+            with pq.ParquetWriter(f + ".v1",
+                                  _v1_schema(pf.schema_arrow)) as w:
+                for rg in range(pf.num_row_groups):
+                    t = pf.read_row_group(rg)
+                    ns = t["n"].to_pylist()
+                    ids, _ = decode_posting_blocks(
+                        t["first_doc"].to_pylist(), ns,
+                        t["doc_blob"].to_pylist(), t["tf_blob"].to_pylist())
+                    cut = np.cumsum(ns)[:-1]
+                    dl = [varint_encode(np.array(
+                        [dl_by_doc[i] for i in part.tolist()], np.uint64))
+                        for part in np.split(ids, cut)]
+                    crc = [crc32(p, crc32(x, crc32(tf, crc32(doc))))
+                           for doc, tf, x, p in zip(
+                               t["doc_blob"].to_pylist(),
+                               t["tf_blob"].to_pylist(), dl,
+                               t["pos_blob"].to_pylist())]
+                    t = t.add_column(
+                        t.schema.get_field_index("pos_blob"), "dl_blob",
+                        pa.array(dl, type=pa.large_binary()))
+                    t = t.set_column(t.schema.get_field_index("crc"), "crc",
+                                     pa.array(crc, type=pa.int64()))
+                    w.write_table(t)
+            os.replace(f + ".v1", f)
+        for f in glob.glob(f"{d}/docs/*.parquet"):
+            pq.write_table(pq.read_table(f).drop_columns(["dl"]), f)
+        cfg_path = f"{d}/.build_config.json"
+        if os.path.exists(cfg_path):
+            with open(cfg_path) as f:
+                cfg = json.load(f)
+            cfg.pop("format_version", None)
+            with open(cfg_path, "w") as f:
+                json.dump(cfg, f)
+    m = IndexManifest.load(index_dir)
+    m.format_version = 1
+    m.save(index_dir)
+
+
+def _v1_schema(schema: pa.Schema) -> pa.Schema:
+    return schema.insert(schema.get_field_index("pos_blob"),
+                         pa.field("dl_blob", pa.large_binary()))
+
+
+def test_format_1_index_is_refused_and_compacted(ray_session, tmp_path):
+    """Opening or appending to a format-1 index raises an error that
+    names ``compact_index``; ``compact_index`` reads only its docs
+    catalog and tombstones, writes format 2, and then serves the same
+    ``auto`` top-10 as a fresh build over the same rows."""
+    import pytest
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import (append_index, build_index,
+                                               compact_index)
+    from pdfsearch_ray.pipelines.query import BM25Index
+    from pdfsearch_ray.state.manifest import IndexFormatError, IndexManifest
+
+    t = _corpus()
+    cut = int(t.num_rows * 0.6)
+    d = _segmented_index(tmp_path)
+    deleted = set(IndexManifest.load(d).tombstone_ids(d).tolist())
+    live = {k: v for k, v in _catalog_dl(_segment_dirs(d)).items()
+            if k not in deleted}
+    _as_format_1(d)
+    assert "dl_blob" in pq.read_schema(
+        _committed_files(d)["postings"][0]).names
+    with pytest.raises(IndexFormatError, match="compact_index"):
+        BM25Index(d)
+    with pytest.raises(IndexFormatError, match="compact_index"):
+        append_index(rd.from_arrow(t.slice(cut)), d, url_col="url",
+                     lang_col="lang")
+
+    m = compact_index(d)
+    assert m.format_version == IndexManifest.load(d).format_version == 2
+    for f in _committed_files(d)["postings"]:
+        assert "dl_blob" not in pq.read_schema(f).names
+    assert _catalog_dl([d]) == live
+
+    keep = pa.array([i in live for i in t["doc_id"].to_pylist()])
+    fresh = str(tmp_path / "fresh")
+    build_index(rd.from_arrow(t.filter(keep)), fresh, num_buckets=4,
+                analyzer="en", url_col="url", lang_col="lang")
+    got, ref = BM25Index(d), BM25Index(fresh)
+    for q in QUERIES:
+        a = got.search(q, max_results=10, with_spans=False, method="auto")
+        b = ref.search(q, max_results=10, with_spans=False, method="auto")
+        assert [(x.doc_id, x.score) for x in a.matches] == \
+            [(x.doc_id, x.score) for x in b.matches], q
+
+
+def test_resumed_build_rebuilds_format_1_stages(ray_session, tmp_path):
+    """A resumed ``build_index`` over a format-1 index dir rebuilds its
+    catalog and postings instead of keeping them under a format-2
+    manifest: afterwards every doc has its ``dl`` and the index serves
+    the same answers as before."""
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import build_index
+    from pdfsearch_ray.pipelines.query import BM25Index
+    from pdfsearch_ray.state.manifest import IndexManifest
+
+    t = _corpus()
+    d = str(tmp_path / "idx")
+
+    def build(resume: bool) -> None:
+        build_index(rd.from_arrow(t), d, num_buckets=4, analyzer="en",
+                    url_col="url", lang_col="lang", resume=resume)
+
+    def answers() -> list:
+        idx = BM25Index(d)
+        return [[(x.doc_id, x.score) for x in idx.search(
+            q, max_results=10, with_spans=False, method="auto").matches]
+            for q in QUERIES]
+
+    build(False)
+    ref = answers()
+    _as_format_1(d)
+    build(True)
+    assert IndexManifest.load(d).format_version == 2
+    assert _catalog_dl([d]) == _analyzed_dl(t)
+    for f in _committed_files(d)["postings"]:
+        assert "dl_blob" not in pq.read_schema(f).names
+    assert answers() == ref

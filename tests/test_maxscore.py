@@ -142,23 +142,22 @@ def test_bulk_decode_equals_per_block():
         blocks.append({
             "first_doc": int(ids[0]), "n": nb,
             "doc_blob": varint_encode(ids[1:] - ids[:-1]),
-            "tf_blob": varint_encode(tf), "dl_blob": varint_encode(dl),
+            "tf_blob": varint_encode(tf), "ids": ids, "dl": dl,
         })
-    ids, tf, dl = decode_posting_blocks(
+    ids, tf = decode_posting_blocks(
         *([b[k] for b in blocks]
-          for k in ("first_doc", "n", "doc_blob", "tf_blob", "dl_blob")))
-    ref_ids, ref_tf, ref_dl = [], [], []
+          for k in ("first_doc", "n", "doc_blob", "tf_blob")))
+    ref_ids, ref_tf = [], []
     for b in blocks:
         gaps = varint_decode(b["doc_blob"], count=b["n"] - 1)
         ref_ids.append(np.uint64(b["first_doc"])
                        + np.r_[np.uint64(0), np.cumsum(gaps, dtype=np.uint64)])
         ref_tf.append(varint_decode(b["tf_blob"], count=b["n"]))
-        ref_dl.append(varint_decode(b["dl_blob"], count=b["n"]))
-    ref_ids, ref_tf, ref_dl = (np.concatenate(x)
-                               for x in (ref_ids, ref_tf, ref_dl))
+    ref_ids, ref_tf = (np.concatenate(x) for x in (ref_ids, ref_tf))
+    # a doc's length lives in the docs catalog, one row per doc
+    ref_dl = np.concatenate([b["dl"] for b in blocks])
     np.testing.assert_array_equal(ids, ref_ids)
     np.testing.assert_array_equal(tf, ref_tf)
-    np.testing.assert_array_equal(dl, ref_dl)
 
     postings = pa.table({
         "term": ["t"] * len(blocks),
@@ -167,13 +166,14 @@ def test_bulk_decode_equals_per_block():
         "first_doc": pa.array([b["first_doc"] for b in blocks], pa.int64()),
         "n": pa.array([b["n"] for b in blocks], type=pa.int32()),
         **{k: pa.array([b[k] for b in blocks], type=pa.large_binary())
-           for k in ("doc_blob", "tf_blob", "dl_blob")},
+           for k in ("doc_blob", "tf_blob")},
         "pos_blob": pa.array([b""] * len(blocks), type=pa.large_binary()),
         "max_wdl": pa.array([1.0] * len(blocks), type=pa.float32()),
     })
-    docs = pa.table({"doc_id": pa.array([], pa.int64()),
-                     "url": pa.array([], pa.string()),
-                     "text": pa.array([], pa.string())})
+    docs = pa.table({"doc_id": pa.array(ref_ids.astype(np.int64)),
+                     "url": pa.array([""] * ref_ids.size, pa.string()),
+                     "dl": pa.array(ref_dl.astype(np.uint32)),
+                     "text": pa.array([""] * ref_ids.size, pa.string())})
     idx = BM25Index.from_tables(manifest, postings, docs)
     post = idx.postings(["t"])["t"]
     assert post.df == ref_ids.size and post.idf == idx.idf("t") > 0
@@ -410,7 +410,7 @@ def test_forced_maxscore_equals_taat_above_65536_postings():
         analyzer_version="t", k1=1.2, b=0.75, num_buckets=1,
         block_size=block, salt_spec={})
     rows = {k: [] for k in ("term", "block_id", "first_doc", "n", "doc_blob",
-                            "tf_blob", "dl_blob", "max_wdl")}
+                            "tf_blob", "max_wdl")}
     ref_ids, ref_sc = [], []
     # sorted term order — the order TAAT accumulates in
     for term, df, tf_hi in (("alpha", 30_000, 4), ("beta", 25_000, 6),
@@ -429,7 +429,6 @@ def test_forced_maxscore_equals_taat_above_65536_postings():
             rows["n"].append(e - s)
             rows["doc_blob"].append(varint_encode(np.diff(ids[s:e])))
             rows["tf_blob"].append(varint_encode(tf[s:e]))
-            rows["dl_blob"].append(varint_encode(dl[s:e]))
             rows["max_wdl"].append(float(wdl[s:e].max()))
     n_blocks = len(rows["term"])
     postings = pa.table({
@@ -439,12 +438,13 @@ def test_forced_maxscore_equals_taat_above_65536_postings():
         "first_doc": pa.array(rows["first_doc"], pa.int64()),
         "n": pa.array(rows["n"], pa.int32()),
         **{k: pa.array(rows[k], pa.large_binary())
-           for k in ("doc_blob", "tf_blob", "dl_blob")},
+           for k in ("doc_blob", "tf_blob")},
         "pos_blob": pa.array([b""] * n_blocks, pa.large_binary()),
         "max_wdl": pa.array(rows["max_wdl"], pa.float64()),
     })
     docs = pa.table({"doc_id": pa.array(np.arange(n_docs), pa.int64()),
                      "url": [f"u{i}" for i in range(n_docs)],
+                     "dl": pa.array(doc_dl, pa.uint32()),
                      "text": [""] * n_docs})
     idx = BM25Index.from_tables(manifest, postings, docs)
 

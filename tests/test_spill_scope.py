@@ -135,3 +135,33 @@ def test_bucket_exchange_sides_and_missing_buckets(ray_session, tmp_path,
     assert 0 in out["r"].to_pylist()    # a bucket with no right rows
     assert len(set(out["b"].to_pylist())) == out.num_rows
     assert bucket_exchange([left], ["a"], 8, lambda b, t: None).count() == 0
+
+
+def test_cached_dir_is_not_reused_across_format_versions(tmp_path,
+                                                        monkeypatch):
+    """An artifact cached under another index format version (or
+    analyzer version) is not handed out: the key folds both in, so the
+    same key parts build a new entry."""
+    from pdfsearch_ray.functions import spill
+
+    monkeypatch.setenv("PDFSEARCH_SPILL_ROOT", str(tmp_path))
+    built = []
+
+    def build(out: str) -> None:
+        os.makedirs(out)
+        with open(os.path.join(out, "done"), "w") as f:
+            f.write(str(spill.FORMAT_VERSION))
+        built.append(out)
+
+    now = spill.cached_dir("t", ("same", 1), "done", build)
+    assert spill.cached_dir("t", ("same", 1), "done", build) == now
+    assert len(built) == 1
+    monkeypatch.setattr(spill, "FORMAT_VERSION", spill.FORMAT_VERSION - 1)
+    old = spill.cached_dir("t", ("same", 1), "done", build)
+    assert old != now and len(built) == 2
+    with open(os.path.join(old, "done")) as f:
+        assert f.read() == str(spill.FORMAT_VERSION)
+    monkeypatch.setattr(spill, "ANALYZER_VERSION", "other")
+    assert spill.cached_dir("t", ("same", 1), "done", build) not in (old,
+                                                                    now)
+    assert len(built) == 3

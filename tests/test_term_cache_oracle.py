@@ -93,9 +93,16 @@ def _direct_read(index_dir: str, term: str, doc_range=None) -> dict:
         kept += [r for j, r in enumerate(run)
                  if r["first_doc"] < hi
                  and not (j + 1 < len(run) and run[j + 1]["first_doc"] <= lo)]
-    ids, tf, dl = decode_posting_blocks(
+    ids, tf = decode_posting_blocks(
         *([r[k] for r in kept]
-          for k in ("first_doc", "n", "doc_blob", "tf_blob", "dl_blob")))
+          for k in ("first_doc", "n", "doc_blob", "tf_blob")))
+    # each doc's length, from a read of every docs file
+    cat = pa.concat_tables(
+        pq.ParquetFile(f).read(columns=["doc_id", "dl"])
+        for d in _segment_dirs(index_dir)
+        for f in sorted(glob.glob(f"{d}/docs/*.parquet")))
+    dl_by_doc = dict(zip(cat["doc_id"].to_pylist(), cat["dl"].to_pylist()))
+    dl = np.array([dl_by_doc[i] for i in ids.tolist()], dtype=np.uint64)
     m = IndexManifest.load(index_dir)
     idf = float(bm25_idf(m.n_docs, df)) if df else 0.0
     return {"df": df, "ids": ids, "tf": tf, "dl": dl,

@@ -41,12 +41,15 @@ def test_combine_vectorized_equivalence(analyzer, with_positions, hot):
                     num_buckets=8)
     for trial in range(6):
         batch = _random_batch(rng, n_docs=int(rng.randint(1, 40)))
-        got = tok._combine_vectorized(batch)
-        want = tok._python_path(batch)
+        got, got_dl = tok._combine_vectorized(batch)
+        want, want_dl = tok._python_path(batch)
         assert got.schema.equals(want.schema), (trial, got.schema,
                                                 want.schema)
         assert got.equals(want), (
             trial, got.to_pydict(), want.to_pydict())
+        # both paths count the same doc lengths, one per batch row
+        np.testing.assert_array_equal(got_dl, want_dl)
+        assert got_dl.size == batch.num_rows
 
 
 def test_combine_vectorized_empty_and_all_stop():
@@ -56,13 +59,14 @@ def test_combine_vectorized_empty_and_all_stop():
         "text": pa.array([], type=pa.string()),
     })
     assert tok(empty).num_rows == 0
-    assert tok(empty).schema.equals(tok._python_path(empty).schema)
+    assert tok(empty).schema.equals(tok._python_path(empty)[0].schema)
     allstop = pa.table({
         "doc_id": pa.array([1, 2], type=pa.int64()),
         "text": pa.array(["the and of", "to from up"], type=pa.string()),
     })
     assert tok(allstop).num_rows == 0
-    assert tok(allstop).equals(tok._python_path(allstop))
+    assert tok(allstop).equals(tok._python_path(allstop)[0])
+    assert tok._combine_vectorized(allstop)[1].tolist() == [0, 0]
 
 
 def test_callable_dispatches_to_vectorized():
@@ -72,7 +76,7 @@ def test_callable_dispatches_to_vectorized():
                          type=pa.string()),
     })
     tok = Tokenizer(analyzer="en", combine=True)
-    assert tok(rng_batch).equals(tok._python_path(rng_batch))
+    assert tok(rng_batch).equals(tok._python_path(rng_batch)[0])
     # non-combine mode still runs the (order-sensitive) python path
     tok2 = Tokenizer(analyzer="en", combine=False)
     out = tok2(rng_batch)
