@@ -19,6 +19,12 @@ A document's length ``dl`` is stored once, in the ``dl`` column of the
 docs catalog (the reference's one ``fieldNorm`` per document, SURVEY
 §7.1), not on each of its postings: scorers look it up by doc id.
 
+On disk the block rows, the docs catalog and the tombstone sets are
+parquet files written under ``INDEX_WRITE_OPTIONS`` (below): zstd-9,
+statistics only on the columns a reader prunes on, one chosen encoding
+per column and no embedded Arrow schema, so the blobs read back as
+``binary`` whatever type they were written from.
+
 Both encode and decode are numpy-vectorized (no per-value Python loop):
 encode computes per-value byte widths by threshold comparison and
 scatters 7-bit groups per byte-position; decode locates terminal bytes
@@ -43,31 +49,67 @@ BLOCK_SIZE = 128
 # postings: bucket and term (bucket/term row-group pruning, the term
 # pushdown filters of prefix, range and completion expansion) and
 # first_doc/last_doc (doc-range shard pruning); docs and tombstones:
-# doc_id (hydration's row-group index, shard planning).  Dictionary pages
-# only on low-cardinality columns.  The unique payloads (text, url, hash,
-# the varint blobs) get neither: a statistic no reader looks at is footer
-# bytes, and a dictionary over unique values is a second copy.  Readers
-# never depend on the policy — parquet is self-describing and does not
-# record the zstd level, so files written with other settings keep
-# serving beside these.
+# doc_id (hydration's row-group index, shard planning).  A statistic no
+# reader looks at is footer and page-header bytes.
+#
+# Every column has an explicit encoding, chosen by one rule: of plain,
+# dictionary, DELTA_BINARY_PACKED, DELTA_LENGTH_BYTE_ARRAY and
+# DELTA_BYTE_ARRAY, a candidate replaces the earlier choice only if it is
+# smaller on both a 6k- and a 24k-page build of the benchmark corpus, a
+# read of its row groups the way the serving handle reads them is no
+# slower, and DuckDB 1.0 reads the file; of those, the one with the
+# fewest bytes over both builds wins (``python tools/index_bytes.py
+# --sweep INDEX_DIR`` prints every candidate's bytes).  The outcome:
+#   postings    block_id       DELTA_BINARY_PACKED
+#               every other    plain — bucket, term, salt and n lost
+#                              their dictionaries (nearly every block
+#                              row has its own term, so a dictionary is
+#                              a second copy)
+#   docs        doc_id         DELTA_BINARY_PACKED (sorted in each file)
+#               hash           DELTA_LENGTH_BYTE_ARRAY
+#               every other    plain — lang lost its dictionary
+#   tombstones  doc_id         DELTA_BINARY_PACKED (sorted)
+# Smaller but slower to read under pyarrow 16, so left plain:
+# DELTA_LENGTH_BYTE_ARRAY on tf_blob and pos_blob and a dictionary on
+# max_wdl and dl (each read 2-17% slower).  ``text`` is left plain: a
+# hydration decodes a text row group on every query, and
+# DELTA_BYTE_ARRAY's gain on it comes from the fixture's shared "page N"
+# prefixes.  BYTE_STREAM_SPLIT on the integer columns would be smaller
+# still, but DuckDB 1.0 refuses it on anything but FLOAT and DOUBLE.
+#
+# No file embeds pyarrow's Arrow schema (``store_schema=False``, about
+# 900 B per postings file): a file's types are its parquet types, so a
+# ``large_binary`` blob reads back as ``binary`` (``index/arrays.py``
+# takes either offset width).  Readers never depend on the policy —
+# parquet is self-describing and does not record the zstd level, so files
+# written with other settings keep serving beside these.
+_ZSTD_9 = {"compression": "zstd", "compression_level": 9,
+           "use_dictionary": False, "store_schema": False}
 INDEX_WRITE_OPTIONS = {
     "postings": {
-        "compression": "zstd",
-        "compression_level": 9,
+        **_ZSTD_9,
         "write_statistics": ("bucket", "term", "first_doc", "last_doc"),
-        "use_dictionary": ("term", "bucket", "salt", "block_id", "n"),
+        "column_encoding": {
+            "bucket": "PLAIN", "term": "PLAIN", "salt": "PLAIN",
+            "block_id": "DELTA_BINARY_PACKED", "first_doc": "PLAIN",
+            "last_doc": "PLAIN", "n": "PLAIN", "doc_blob": "PLAIN",
+            "tf_blob": "PLAIN", "pos_blob": "PLAIN", "max_wdl": "PLAIN",
+            "crc": "PLAIN",
+        },
     },
     "docs": {
-        "compression": "zstd",
-        "compression_level": 9,
+        **_ZSTD_9,
         "write_statistics": ("doc_id",),
-        "use_dictionary": ("lang",),
+        "column_encoding": {
+            "doc_id": "DELTA_BINARY_PACKED", "url": "PLAIN",
+            "hash": "DELTA_LENGTH_BYTE_ARRAY", "lang": "PLAIN",
+            "dl": "PLAIN", "text": "PLAIN",
+        },
     },
     "tombstones": {
-        "compression": "zstd",
-        "compression_level": 9,
+        **_ZSTD_9,
         "write_statistics": ("doc_id",),
-        "use_dictionary": False,
+        "column_encoding": {"doc_id": "DELTA_BINARY_PACKED"},
     },
 }
 

@@ -6,7 +6,7 @@
                                                  + docs catalog parquet (one doc length each)
       → write_parquet(partition_cols=[bucket]) → per-bucket token spill
       → one encode task per bucket             → posting-block rows
-      → write_parquet(postings)                → + manifest.json
+      → one postings file per bucket           → + manifest.json
 
 Design notes (scale):
 * The posting shuffle is a map-side hash partition (partitioned parquet
@@ -567,38 +567,47 @@ def build_index(
     ) if not postings_done else []
 
     def _encode_bucket_dir(batch: pa.Table) -> pa.Table:
+        """Encode each bucket dir of ``batch`` and write its blocks as
+        ``part-<i>.parquet``, ``i`` the dir's place in ``bucket_dirs``,
+        so the files list in bucket-dir order and a retried task
+        rewrites the same file.  Small row groups +
+        per-rg term/bucket/doc-span stats: the query engine prunes to
+        the row groups whose term range covers its terms — and, for
+        doc-range shard handles, whose [first_doc, last_doc] span
+        intersects the shard's slice.  Written here and not by Ray's
+        ``write_parquet``, whose dataset writer cannot leave out the
+        embedded Arrow schema the policy drops."""
         import pyarrow.parquet as pq
 
-        outs = []
-        for bdir in batch["dir"].to_pylist():
+        rows = []
+        for i, bdir in zip(batch["i"].to_pylist(), batch["dir"].to_pylist()):
             g = pq.read_table(bdir, use_threads=False)
             bnum = int(os.path.basename(bdir).split("=")[1])
             g = g.append_column(
                 "bucket", pa.array(np.full(g.num_rows, bnum, dtype=np.int32))
             )
-            outs.append(
-                encode_bucket_segments(
-                    g, k1=k1, b=b, avgdl=avgdl, block_size=block_size,
-                    with_positions=with_positions,
-                )
+            t = encode_bucket_segments(
+                g, k1=k1, b=b, avgdl=avgdl, block_size=block_size,
+                with_positions=with_positions,
             )
-        return pa.concat_tables(outs)
+            if t.num_rows:
+                pq.write_table(t, f"{postings_tmp}/part-{i:05d}.parquet",
+                               row_group_size=row_group_size,
+                               **INDEX_WRITE_OPTIONS["postings"])
+            rows.append(t.num_rows)
+        return pa.table({"rows": pa.array(rows, pa.int64())})
 
     if not postings_done:
-        tmp = _fresh_stage(postings_dir)
-        postings = rd.from_items(
-            [{"dir": d} for d in bucket_dirs],
+        from ..functions.tables import block_tables
+
+        postings_tmp = _fresh_stage(postings_dir)
+        os.makedirs(postings_tmp)           # an empty corpus writes no file
+        block_tables(rd.from_items(
+            [{"i": i, "dir": d} for i, d in enumerate(bucket_dirs)],
             override_num_blocks=max(1, len(bucket_dirs)),
         ).map_batches(_encode_bucket_dir, batch_format="pyarrow",
-                      batch_size=1)
-        # small row groups + per-rg term/bucket/doc-span stats: the query
-        # engine prunes to the row groups whose term range covers its
-        # terms — and, for doc-range shard handles, whose
-        # [first_doc, last_doc] span intersects the shard's slice
-        postings.write_parquet(tmp, row_group_size=row_group_size,
-                               **INDEX_WRITE_OPTIONS["postings"])
-        os.makedirs(tmp, exist_ok=True)      # empty corpus: no files
-        os.rename(tmp, postings_dir)
+                      batch_size=1))
+        os.rename(postings_tmp, postings_dir)
         # the spill is only removable once postings are durably renamed
         shutil.rmtree(tokens_dir, ignore_errors=True)
     import pyarrow.parquet as pq

@@ -40,6 +40,18 @@ import ray
 from .query import BM25Index, MatchSet, select_topk
 
 
+def warm_handle(idx: BM25Index, queries: list[str], run) -> int:
+    """Warm ``idx`` for ``queries``: load every query's analyzed terms in
+    one ``postings`` read, so each postings row group those terms touch
+    is read once and not once per query that first meets one of its
+    terms, then ``run`` each query to fill the caches past the posting
+    load.  Returns the number of terms cached."""
+    idx.postings([t for q in queries for t in idx.query_terms(q)])
+    for q in queries:
+        run(q)
+    return idx.cached_terms()
+
+
 @ray.remote
 class QueryEngine:
     """One serving replica: constructs the index handle once, then
@@ -91,9 +103,8 @@ class QueryEngine:
 
     def warm(self, queries: list[str]) -> int:
         """Pre-load term caches for a query set; returns #terms cached."""
-        for q in queries:
-            self.idx.search(q, max_results=1, with_spans=False)
-        return self.idx.cached_terms()
+        return warm_handle(self.idx, queries, lambda q: self.idx.search(
+            q, max_results=1, with_spans=False))
 
     def reload(self) -> float:
         """Re-open the index handle — picks up appended segments and
@@ -128,9 +139,7 @@ class ShardEngine:
         return self.idx.topk(query, max_results)
 
     def warm(self, queries: list[str]) -> int:
-        for q in queries:
-            self.idx.topk(q, 1)
-        return self.idx.cached_terms()
+        return warm_handle(self.idx, queries, lambda q: self.idx.topk(q, 1))
 
     def io_stats(self) -> dict:
         return dict(self.idx.io_stats)

@@ -10,9 +10,10 @@
   only per-(bucket, query) top-k rows (O(k·probes), not O(candidates))
   reach the driver.  Recall < 1 by design; tested against brute force.
 * IVF cosine top-k — k-means centroids trained on a deterministic
-  sample (driver), broadcast via ``ray.put``; base vectors live in a
-  persisted cluster-partitioned layout; a query brute-forces only its
-  ``n_probe`` nearest clusters, again scored in-task.
+  sample (driver) and passed to the assignment tasks by value; base
+  vectors live in a persisted cluster-partitioned layout; a query
+  brute-forces only its ``n_probe`` nearest clusters, again scored
+  in-task.
 
 Both approximate variants are SQL-oracled: the hyperplanes / centroids
 are deterministic parameters injected into the oracle SQL as literals,
@@ -67,44 +68,35 @@ def _read_queries(sf_dir: str, num_queries: int) -> tuple[np.ndarray, np.ndarray
     return q_ids, qm
 
 
-class _PartitionAssigner:
-    """Actor: embedding rows → (vec_id, embedding[, extra], __jb) rows
-    with ``__jb`` the partition; the assignment function (LSH signs or
-    IVF nearest-centroid) is built once per actor from broadcast
-    parameters."""
-
-    def __init__(self, params_ref, mode: str, dim: int, exclude_below: int,
-                 extra_cols: tuple[str, ...] = ()):
-        self.params = ray.get(params_ref)
-        self.mode = mode
-        self.dim = dim
-        self.exclude_below = exclude_below
-        self.extra_cols = extra_cols
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["vec_id"].to_numpy()
-        emb = batch["embedding"].combine_chunks()
-        if isinstance(emb, pa.ChunkedArray):
-            emb = emb.chunk(0)
-        m = _embed_matrix(emb, self.dim)
-        mask = ids >= self.exclude_below
-        ids, m = ids[mask], m[mask]
-        if self.mode == "lsh":
-            parts = _signs(m, self.params)
-        else:  # ivf: first-max argmax over centroid dots (scaling-invariant)
-            parts = np.argmax(m @ self.params.T, axis=1)
-        take = pa.array(np.nonzero(mask)[0], type=pa.int32())
-        cols = {
-            "vec_id": pa.array(ids, type=pa.int64()),
-            "embedding": emb.take(take),
-        }
-        for c in self.extra_cols:
-            col = batch[c]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            cols[c] = col.take(take)
-        cols[BUCKET_COL] = pa.array(parts, type=pa.int64())
-        return pa.table(cols)
+def _assign_partitions(batch: pa.Table, *, params: np.ndarray, mode: str,
+                       dim: int, exclude_below: int,
+                       extra_cols: tuple[str, ...] = ()) -> pa.Table:
+    """Embedding rows → (vec_id, embedding[, extra], __jb) rows with
+    ``__jb`` the partition: LSH signs over ``params`` (dim × nbits
+    hyperplanes) or the nearest of ``params``'s IVF centroids."""
+    ids = batch["vec_id"].to_numpy()
+    emb = batch["embedding"].combine_chunks()
+    if isinstance(emb, pa.ChunkedArray):
+        emb = emb.chunk(0)
+    m = _embed_matrix(emb, dim)
+    mask = ids >= exclude_below
+    ids, m = ids[mask], m[mask]
+    if mode == "lsh":
+        parts = _signs(m, params)
+    else:  # ivf: first-max argmax over centroid dots (scaling-invariant)
+        parts = np.argmax(m @ params.T, axis=1)
+    take = pa.array(np.nonzero(mask)[0], type=pa.int32())
+    cols = {
+        "vec_id": pa.array(ids, type=pa.int64()),
+        "embedding": emb.take(take),
+    }
+    for c in extra_cols:
+        col = batch[c]
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        cols[c] = col.take(take)
+    cols[BUCKET_COL] = pa.array(parts, type=pa.int64())
+    return pa.table(cols)
 
 
 def build_partitioned_embeddings(
@@ -121,20 +113,21 @@ def build_partitioned_embeddings(
     writes the PERSISTED partition-per-bucket layout — the ANN index.
     At scale this is built once and reused by every query batch; a
     failed build re-runs cheaply (single narrow pass, partitioned
-    output)."""
+    output).  The pass is a task map and not an actor pool: the
+    parameters are small matrices, so there is nothing to build once
+    per actor, and Ray Data hands an actor pool's constructor its
+    arguments through the object store, from which a restarted actor
+    could not rebuild them."""
     from ..functions.tables import read_parquet_nometa
 
-    params_ref = ray.put(params)
     spill_bucketed(read_parquet_nometa(
         f"{sf_dir}/embeddings.parquet",
         columns=["vec_id", "embedding", *extra_cols],
     ).map_batches(
-        _PartitionAssigner,
-        fn_constructor_kwargs=dict(params_ref=params_ref, mode=mode, dim=dim,
-                                   exclude_below=exclude_below,
-                                   extra_cols=extra_cols),
+        _assign_partitions,
+        fn_kwargs=dict(params=params, mode=mode, dim=dim,
+                       exclude_below=exclude_below, extra_cols=extra_cols),
         batch_format="pyarrow",
-        concurrency=(1, 4),
     ), None, out_dir)
 
 

@@ -45,6 +45,9 @@ TOKENS = pa.schema(
 )
 
 # Posting-block rows (index/codec.py): one row per ≤BLOCK_SIZE postings.
+# The blobs are ``large_binary`` in memory (one encode task's blob array
+# can pass 2 GiB); the index files carry no Arrow schema
+# (``codec.INDEX_WRITE_OPTIONS``), so they read back as ``binary``.
 POSTINGS = pa.schema(
     [
         ("bucket", pa.int32()),

@@ -330,3 +330,78 @@ def test_result_cache_hits_and_reload_invalidation(ray_session, tmp_path):
     r3 = ray.get(eng.search.remote(q, max_results=5, with_spans=False))
     assert r3.total_matches > r1.total_matches   # fresh view, not stale
     ray.kill(eng)
+
+
+WARM_QUERIES = ["data processing pipeline", "stream window", "query engine",
+                "processing data", "information system window", "merge",
+                "the data stream", "search index", "zzznope", "data data"]
+
+
+def _count_postings_reads(idx):
+    """Count ``idx``'s postings row-group reads per (file, row group)."""
+    from collections import Counter
+
+    reads = Counter()
+    open_file = idx._parquet_file
+
+    def spy(path, kind):
+        pf = open_file(path, kind)
+        if kind != "postings":
+            return pf
+
+        class Counted:
+            def __getattr__(self, name):
+                return getattr(pf, name)
+
+            def read_row_group(self, rg, **kwargs):
+                reads[(path, rg)] += 1
+                return pf.read_row_group(rg, **kwargs)
+
+        return Counted()
+
+    idx._parquet_file = spy
+    return reads
+
+
+def test_batched_warm_equals_per_query_warm(ray_session, tmp_path):
+    """Warming with one batched posting load (what QueryEngine.warm and
+    ShardEngine.warm run) caches the same terms and gives the same
+    top-k and scores on the warm queries as warming one query at a
+    time, on a full and on a doc_range handle, and reads each postings
+    row group at most once."""
+    from pdfsearch_ray.pipelines.build import build_index
+    from pdfsearch_ray.pipelines.engine import (compute_doc_ranges,
+                                                warm_handle)
+    from pdfsearch_ray.pipelines.query import BM25Index
+
+    d = str(tmp_path / "idx")
+    # small row groups: each warm query's terms touch several, and
+    # queries share them
+    build_index(SRC, d, analyzer="en", num_buckets=4, row_group_size=16)
+    lo, hi = compute_doc_ranges(d, 2)[1]
+
+    def full_top(idx, q):
+        ms = idx.search(q, max_results=10, with_spans=False)
+        return ms.total_matches, [(m.doc_id, m.score) for m in ms.matches]
+
+    def range_top(idx, q):
+        ids, sc, total = idx.topk(q, 10)
+        return total, list(zip(ids.tolist(), sc.tolist()))
+
+    for doc_range, run, top in (
+            (None, lambda idx, q: idx.search(q, max_results=1,
+                                             with_spans=False), full_top),
+            ((lo, hi), lambda idx, q: idx.topk(q, 1), range_top)):
+        one_by_one = BM25Index(d, doc_range=doc_range)
+        each_reads = _count_postings_reads(one_by_one)
+        for q in WARM_QUERIES:
+            run(one_by_one, q)
+        batched = BM25Index(d, doc_range=doc_range)
+        batched_reads = _count_postings_reads(batched)
+        n = warm_handle(batched, WARM_QUERIES, lambda q: run(batched, q))
+
+        assert n == batched.cached_terms() == one_by_one.cached_terms() > 0
+        assert max(batched_reads.values()) == 1, doc_range
+        assert sum(batched_reads.values()) < sum(each_reads.values())
+        for q in WARM_QUERIES:
+            assert top(batched, q) == top(one_by_one, q), (doc_range, q)

@@ -3,10 +3,13 @@ index costs.
 
 Every committed index file (docs catalog, posting blocks, tombstones;
 base build, append segments, compaction) is written zstd-compressed at
-level 9, with row-group statistics only on the columns a reader prunes on
-and no dictionary over unique payloads.  Readers must not depend on that:
-indexes written with the old layout (Snappy, statistics and dictionary
-everywhere) keep serving, alone or mixed with new segments.
+level 9, with row-group statistics only on the columns a reader prunes on,
+each column in the encoding ``INDEX_WRITE_OPTIONS`` names for it and no
+embedded Arrow schema, and DuckDB reads it.  Readers must not depend on
+that: indexes written with an older layout (Snappy, statistics and
+dictionary everywhere; or zstd with dictionaries and an embedded schema
+whose blobs are ``large_binary``) keep serving, alone or mixed with new
+segments.
 
 A serving handle keeps only the ids and scores of each decoded posting,
 reads positions only when a reader asks for them, and imports neither
@@ -22,6 +25,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -75,6 +79,8 @@ def _committed_files(index_dir: str) -> dict[str, list[str]]:
 def _policy_violations(kind: str, path: str) -> list[str]:
     bad = []
     md = pq.ParquetFile(path).metadata
+    if b"ARROW:schema" in (md.metadata or {}):
+        bad.append(f"{os.path.basename(path)}: embedded Arrow schema")
     for rg in range(md.num_row_groups):
         for ci in range(md.num_columns):
             col = md.row_group(rg).column(ci)
@@ -86,6 +92,12 @@ def _policy_violations(kind: str, path: str) -> list[str]:
                 bad.append(f"{where}: statistics {col.is_stats_set}")
             if name in UNIQUE_PAYLOADS and col.has_dictionary_page:
                 bad.append(f"{where}: dictionary page")
+            # the data encodings; RLE is the definition levels'
+            got = set(col.encodings) - {"RLE"}
+            want = INDEX_WRITE_OPTIONS[kind]["column_encoding"].get(name,
+                                                                    "PLAIN")
+            if got != {want}:
+                bad.append(f"{where}: encodings {sorted(got)}")
     return bad
 
 
@@ -116,22 +128,58 @@ def _assert_auto_equals_taat(index_dir: str) -> None:
         assert got == _taat_top10(idx, q), q
 
 
-def _rewrite(src: str, dst: str, **writer_options) -> None:
-    """Write ``src``'s rows to ``dst`` with the given writer options,
-    keeping the row groups."""
+def _rewrite(src: str, dst: str, schema: pa.Schema | None = None,
+             **writer_options) -> None:
+    """Write ``src``'s rows to ``dst`` with the given writer options (and
+    ``schema``, if given), keeping the row groups."""
     pf = pq.ParquetFile(src)
-    with pq.ParquetWriter(dst, pf.schema_arrow, **writer_options) as w:
+    schema = schema or pf.schema_arrow
+    with pq.ParquetWriter(dst, schema, **writer_options) as w:
         for rg in range(pf.num_row_groups):
-            w.write_table(pf.read_row_group(rg))
+            w.write_table(pf.read_row_group(rg).cast(schema))
 
 
-def _rewrite_old_layout(directory: str) -> None:
-    """Rewrite every file in ``directory`` the way the index used to be
-    written (pyarrow defaults: Snappy, statistics and dictionary on every
-    column), keeping the rows and the row groups."""
+# The writer options of the two earlier layouts: pyarrow's defaults
+# (Snappy, statistics and dictionary on every column), and the first
+# zstd policy (statistics as today, dictionaries on the low-cardinality
+# columns, no column encodings and the Arrow schema embedded, with the
+# blobs typed ``large_binary``).
+OLD_LAYOUTS = {
+    "defaults": {kind: {"compression": "snappy", "write_statistics": True,
+                        "use_dictionary": True}
+                 for kind in ("postings", "docs", "tombstones")},
+    "zstd_dictionaries": {
+        "postings": {"compression": "zstd", "compression_level": 9,
+                     "write_statistics": ("bucket", "term", "first_doc",
+                                          "last_doc"),
+                     "use_dictionary": ("term", "bucket", "salt",
+                                        "block_id", "n")},
+        "docs": {"compression": "zstd", "compression_level": 9,
+                 "write_statistics": ("doc_id",),
+                 "use_dictionary": ("lang",)},
+        "tombstones": {"compression": "zstd", "compression_level": 9,
+                       "write_statistics": ("doc_id",),
+                       "use_dictionary": False},
+    },
+}
+
+
+def _large_blobs(schema: pa.Schema) -> pa.Schema:
+    """``schema`` with every ``binary`` field ``large_binary``, as the
+    encoder types the blobs."""
+    return pa.schema([f.with_type(pa.large_binary())
+                      if pa.types.is_binary(f.type) else f for f in schema])
+
+
+def _rewrite_old_layout(directory: str, layout: str = "defaults") -> None:
+    """Rewrite every file in ``directory`` (a ``postings``, ``docs`` or
+    ``tombstones`` dir) the way the index used to be written under
+    ``layout`` of ``OLD_LAYOUTS``, keeping the rows and the row groups."""
+    kind = os.path.basename(directory)
     for path in glob.glob(f"{directory}/*.parquet"):
-        _rewrite(path, path + ".old", compression="snappy",
-                 write_statistics=True, use_dictionary=True)
+        _rewrite(path, path + ".old",
+                 _large_blobs(pq.ParquetFile(path).schema_arrow),
+                 **OLD_LAYOUTS[layout][kind])
         os.replace(path + ".old", path)
 
 
@@ -180,8 +228,54 @@ def test_committed_files_follow_writer_policy(ray_session, tmp_path):
     assert written < default_level, (written, default_level)
 
 
+def _answers(index_dir: str) -> list:
+    """Every query's ``auto`` top-10 with spans: ids, urls, scores and
+    spans, and the match count."""
+    from pdfsearch_ray.pipelines.query import BM25Index
+
+    idx = BM25Index(index_dir)
+    out = []
+    for q in QUERIES:
+        ms = idx.search(q, max_results=10, with_spans=True, method="auto")
+        out.append((ms.total_matches, [(m.doc_id, m.url, m.score, m.spans)
+                                       for m in ms.matches]))
+    return out
+
+
+def _assert_old_layout(index_dir: str, layout: str) -> None:
+    """The rewritten base files carry ``layout``'s marks."""
+    files = _committed_files(index_dir)
+    post = pq.ParquetFile(files["postings"][0])
+    rg0 = post.metadata.row_group(0)
+    cols = {rg0.column(i).path_in_schema: rg0.column(i)
+            for i in range(rg0.num_columns)}
+    assert b"ARROW:schema" in post.metadata.metadata
+    assert post.schema_arrow.field("pos_blob").type == pa.large_binary()
+    assert cols["term"].has_dictionary_page
+    if layout == "defaults":
+        assert cols["term"].compression == "SNAPPY"
+        assert all(c.is_stats_set for c in cols.values())
+        return
+    assert {c.compression for c in cols.values()} == {"ZSTD"}
+    assert not cols["doc_blob"].is_stats_set
+    for kind in ("docs", "tombstones"):
+        md = pq.ParquetFile(files[kind][0]).metadata
+        assert b"ARROW:schema" in md.metadata
+        doc_id = md.row_group(0).column(0)
+        assert doc_id.path_in_schema == "doc_id"
+        assert set(doc_id.encodings) - {"RLE"} == {"PLAIN"}
+
+
 def test_old_layout_index_serves_appends_and_compacts(ray_session,
                                                       tmp_path):
+    """A base and tombstones written in either older layout serve,
+    append, delete and compact beside files written now, with the same
+    answers as the same index written in today's layout throughout."""
+    for layout in sorted(OLD_LAYOUTS):
+        _check_old_layout(tmp_path / layout, layout)
+
+
+def _check_old_layout(tmp_path, layout: str) -> None:
     import ray.data as rd
 
     from pdfsearch_ray.pipelines.build import (append_index, build_index,
@@ -189,25 +283,59 @@ def test_old_layout_index_serves_appends_and_compacts(ray_session,
 
     t = _corpus()
     cut = int(t.num_rows * 0.6)
-    d = str(tmp_path / "idx")
+    d, ref = str(tmp_path / "idx"), str(tmp_path / "ref")
     build_index(rd.from_arrow(t.slice(0, cut)), d, num_buckets=4,
                 analyzer="en", url_col="url", lang_col="lang")
-    for kind in ("docs", "postings"):
-        _rewrite_old_layout(f"{d}/{kind}")
-    old = pq.ParquetFile(_committed_files(d)["postings"][0]).metadata
-    assert old.row_group(0).column(0).compression == "SNAPPY"
-    assert all(old.row_group(0).column(i).is_stats_set
-               for i in range(old.num_columns))
+    assert delete_docs(d, doc_ids=_victims(d, 2))["n_new"] == 2
+    shutil.copytree(d, ref)
+    for kind in ("docs", "postings", "tombstones"):
+        _rewrite_old_layout(f"{d}/{kind}", layout)
+    _assert_old_layout(d, layout)
+    assert _answers(d) == _answers(ref)
 
-    # an old-layout base beside a new-layout segment and tombstones
-    append_index(rd.from_arrow(t.slice(cut)), d, url_col="url",
-                 lang_col="lang")
-    assert delete_docs(d, doc_ids=_victims(d, 3))["n_new"] == 3
+    # an old-layout base and tombstones beside a new-layout segment and
+    # tombstones
+    for x in (d, ref):
+        append_index(rd.from_arrow(t.slice(cut)), x, url_col="url",
+                     lang_col="lang")
+    victims = _victims(ref, 3)
+    for x in (d, ref):
+        assert delete_docs(x, doc_ids=victims)["n_new"] == 3
+    assert _answers(d) == _answers(ref)
     _assert_auto_equals_taat(d)
 
-    compact_index(d)
+    for x in (d, ref):
+        compact_index(x)
+    assert _answers(d) == _answers(ref)
     _assert_auto_equals_taat(d)
     _assert_policy(d, kinds=("docs", "postings"))
+
+
+def test_duckdb_reads_every_index_file(ray_session, tmp_path):
+    """DuckDB reads every committed postings, docs and tombstones file
+    of a built, appended, deleted and then compacted index, with the
+    rows and values pyarrow reads."""
+    import duckdb
+
+    from pdfsearch_ray.pipelines.build import compact_index
+
+    def check(index_dir: str, kinds: tuple[str, ...]) -> None:
+        files = _committed_files(index_dir)
+        for kind in kinds:
+            assert files[kind], kind
+            for f in files[kind]:
+                want = pq.read_table(f)
+                got = duckdb.sql(f"SELECT * FROM read_parquet('{f}')").arrow()
+                assert got.num_rows == want.num_rows, f
+                assert got.column_names == want.column_names, f
+                for name in want.column_names:
+                    assert got[name].to_pylist() == want[name].to_pylist(), \
+                        (f, name)
+
+    d = _segmented_index(tmp_path)
+    check(d, ("postings", "docs", "tombstones"))
+    compact_index(d)
+    check(d, ("postings", "docs"))
 
 
 def test_opening_an_index_imports_no_build_code(ray_session, tmp_path):
