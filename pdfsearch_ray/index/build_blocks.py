@@ -10,26 +10,25 @@ bucket is bounded by the salt column (stages/tokenize.py): a salted term's
 postings arrive as up to S independent, internally docID-sorted runs that
 the query engine unions (term-at-a-time scoring never needs them merged).
 
-Two input shapes:
+The input is one row per (term, salt) per upstream batch with
+list-typed doc/tf payloads and the batch's positions stream (Tokenizer
+``combine=True``).  The combiner shrinks the shuffle by roughly the
+batch size for head terms — the pre-aggregation the reference
+approximates with its 100-page bleve batches (bleve_pdf.go:64).
 
-* ``encode_bucket`` — one row per (doc, term) (Tokenizer default mode).
-* ``encode_bucket_segments`` — one row per (term, salt) per upstream
-  batch with list-typed doc/tf/dl/position payloads (Tokenizer
-  ``combine=True``).  The combiner shrinks the shuffle by roughly the
-  batch size for head terms — the pre-aggregation the reference
-  approximates with its 100-page bleve batches (bleve_pdf.go:64).
-
-Both normalize to flat per-posting arrays and share one fully-vectorized
-encoder: the WHOLE bucket is varint-encoded in three passes (doc gaps
-with per-block restarts, tf, positions) and every block's payload is a
-byte slice — no per-run or per-posting encode calls.  Each posting's
-doc length arrives with it only to compute the block's ``max_wdl``
-bound: the index stores a doc's length once, in the docs catalog.
-Zipf tails make most (term, salt) runs singletons, so anything per-run
-in Python is the bottleneck at web scale.
+One fully-vectorized encoder handles the WHOLE bucket: doc gaps with
+per-block restarts and tf are varint-encoded in one pass each, the
+positions arrive already encoded and are only permuted, and every
+block's payload is a byte slice — no per-run or per-posting encode
+calls.  A posting's doc length does not travel with it: the encoder
+looks it up in the build's committed docs catalog (``doc_dl``), only to
+compute the block's ``max_wdl`` bound.  Zipf tails make most (term,
+salt) runs singletons, so anything per-run in Python is the bottleneck
+at web scale.
 
 Output doc order per (term, salt) is the global doc_id sort, so the index
-is bit-identical whichever input shape built it (SURVEY §7.1 determinism).
+is bit-identical however upstream batching cut the segments (SURVEY §7.1
+determinism).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .codec import BLOCK_SIZE, bm25_wdl, encode_positions_run, varint_encode_offsets
+from .codec import BLOCK_SIZE, bm25_wdl, varint_encode_offsets
 
 
 def _empty() -> pa.Table:
@@ -60,20 +59,16 @@ def _encode_flat(
     ids: np.ndarray,            # doc ids, sorted within each run
     tfs: np.ndarray,
     dls: np.ndarray,
-    pos_flat: np.ndarray | None,
-    pos_lens: np.ndarray | None,
+    positions: tuple[bytes, np.ndarray] | None,
     *,
     k1: float,
     b: float,
     avgdl: float,
     block_size: int,
-    pre_encoded_pos: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> pa.Table:
-    """``pre_encoded_pos`` = (uint8 byte stream, int64 per-posting byte
-    offsets[n+1]) in POSTING order — the wire format
-    ``encode_positions_run`` produces; suppliers that carry positions
-    already varint-encoded (the combine-mode spill) pass it instead of
-    pos_flat/pos_lens and skip the whole re-encode."""
+    """``positions`` = (byte stream, int64 per-posting byte offsets[n+1])
+    in POSTING order — the wire format ``codec.encode_positions_run``
+    produces — or None for an index without positions."""
     n = ids.size
     if n == 0:
         return _empty()
@@ -95,11 +90,6 @@ def _encode_flat(
 
     doc_bytes, doc_off = varint_encode_offsets(gaps)
     tf_bytes, tf_off = varint_encode_offsets(tfs)
-    with_pos = pos_flat is not None or pre_encoded_pos is not None
-    if pre_encoded_pos is not None:
-        pos_bytes, pos_off = pre_encoded_pos
-    elif with_pos:
-        pos_bytes, pos_off = encode_positions_run(pos_flat, pos_lens)
 
     wdl = bm25_wdl(tfs, dls, k1, b, avgdl)
     bmax = np.maximum.reduceat(wdl, bstarts)
@@ -120,7 +110,8 @@ def _encode_flat(
     nb = bstarts.size
     o_doc = [doc_bytes[doc_off[s] + 1 : doc_off[e]] for s, e in zip(bstarts, bends)]
     o_tf = [tf_bytes[tf_off[s] : tf_off[e]] for s, e in zip(bstarts, bends)]
-    if with_pos:
+    if positions is not None:
+        pos_bytes, pos_off = positions
         o_pos = [pos_bytes[pos_off[s] : pos_off[e]] for s, e in zip(bstarts, bends)]
     else:
         o_pos = [b""] * nb
@@ -142,7 +133,8 @@ def _encode_flat(
             "salt": pa.array(run_salts[blk_run].astype(np.int32)),
             "block_id": pa.array(blk_id.astype(np.int32)),
             "first_doc": pa.array(blk_first),
-            "last_doc": pa.array(blk_last),
+            # null where it would repeat first_doc: one posting
+            "last_doc": pa.array(blk_last, mask=blk_n == 1),
             "n": pa.array(blk_n.astype(np.int32)),
             "doc_blob": pa.array(o_doc, type=pa.large_binary()),
             "tf_blob": pa.array(o_tf, type=pa.large_binary()),
@@ -153,52 +145,29 @@ def _encode_flat(
     )
 
 
-def encode_bucket(
-    group: pa.Table,
-    *,
-    k1: float,
-    b: float,
-    avgdl: float,
-    block_size: int = BLOCK_SIZE,
-) -> pa.Table:
-    """Encode one bucket of per-(doc, term) token rows (Tokenizer default
-    output) into posting-block rows sorted by (term, salt, block_id)."""
-    if group.num_rows == 0:
-        return _empty()
+def catalog_doc_lengths(docs_dir: str) -> tuple[np.ndarray, np.ndarray]:
+    """(doc ids sorted, their dl) over every file of a committed docs
+    catalog — the ``doc_dl`` that ``encode_bucket_segments`` looks the
+    postings' doc lengths up in."""
+    import glob
 
-    order = pc.sort_indices(
-        group,
-        sort_keys=[("term", "ascending"), ("salt", "ascending"),
-                   ("doc_id", "ascending")],
-    )
-    t = group.take(order).combine_chunks()
+    import pyarrow.parquet as pq
 
-    term_np = t["term"].to_numpy(zero_copy_only=False)
-    salts = t["salt"].to_numpy()
-    n = len(term_np)
-    change = np.ones(n, dtype=bool)
-    change[1:] = (term_np[1:] != term_np[:-1]) | (salts[1:] != salts[:-1])
-    run_of_post = np.cumsum(change) - 1
-    run_first = np.nonzero(change)[0]
-
-    pos_offsets, pos_values = _list_parts(t["positions"])
-    return _encode_flat(
-        int(t["bucket"][0].as_py()),
-        term_np[run_first],
-        salts[run_first],
-        run_of_post,
-        t["doc_id"].to_numpy().astype(np.uint64),
-        t["tf"].to_numpy(),
-        t["dl"].to_numpy(),
-        pos_values,
-        np.diff(pos_offsets).astype(np.int64),
-        k1=k1, b=b, avgdl=avgdl, block_size=block_size,
-    )
+    parts = [pq.ParquetFile(f).read(columns=["doc_id", "dl"],
+                                    use_threads=False)
+             for f in sorted(glob.glob(f"{docs_dir}/*.parquet"))]
+    if not parts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32)
+    t = pa.concat_tables(parts)
+    ids = t["doc_id"].to_numpy()
+    order = np.argsort(ids, kind="stable")
+    return ids[order], t["dl"].to_numpy()[order]
 
 
 def encode_bucket_segments(
     group: pa.Table,
     *,
+    doc_dl: tuple[np.ndarray, np.ndarray],
     k1: float,
     b: float,
     avgdl: float,
@@ -206,9 +175,12 @@ def encode_bucket_segments(
     with_positions: bool = True,
 ) -> pa.Table:
     """Encode one bucket of combined segment rows (Tokenizer
-    ``combine=True`` output).  Segments of the same (term, salt) are
-    concatenated and globally re-sorted by doc_id, so output is identical
-    to the per-row path regardless of upstream batching."""
+    ``combine=True`` output) into posting-block rows sorted by (term,
+    salt, block_id).  Segments of the same (term, salt) are concatenated
+    and globally re-sorted by doc_id, so the output does not depend on
+    upstream batching.  ``doc_dl`` = (sorted doc ids, their dl) of the
+    build's docs catalog (``catalog_doc_lengths``); every posting's doc
+    must be in it."""
     if group.num_rows == 0:
         return _empty()
 
@@ -227,46 +199,57 @@ def encode_bucket_segments(
 
     d_off, d_val = _list_parts(t["seg_docs"])
     tf_off, tf_val = _list_parts(t["seg_tfs"])
-    dl_off, dl_val = _list_parts(t["seg_dls"])
     row_counts = np.diff(d_off).astype(np.int64)
     run_of_post = np.repeat(run_of_row, row_counts)
+
+    cat_ids, cat_dl = doc_dl
+    at = np.searchsorted(cat_ids, d_val)
+    if at.size and (at.max() >= cat_ids.size
+                    or not np.array_equal(cat_ids[at], d_val)):
+        raise ValueError("a posting's doc is not in the docs catalog")
 
     ids = d_val.astype(np.uint64)
     # sort postings by (run, doc_id); segments already grouped by run, so
     # a stable sort on doc within run = lexsort
     ordr = np.lexsort((ids, run_of_post))
     ids = ids[ordr]
-    # tf/dl/positions stay uint32 end-to-end: the codec consumes uint32
-    # directly and the encode stage is DRAM-bandwidth-bound — every
-    # avoided upcast copy is wall-time under full-node concurrency
+    # tf/dl stay uint32 end-to-end: the codec consumes uint32 directly
+    # and the encode stage is DRAM-bandwidth-bound — every avoided
+    # upcast copy is wall-time under full-node concurrency
     tfs = tf_val[ordr]
-    dls = dl_val[ordr]
+    dls = cat_dl[at[ordr]]
     run_of_post = run_of_post[ordr]
 
-    pre_pos = None
+    positions = None
     if with_positions:
-        # Positions arrive ALREADY varint-encoded as per-posting byte
-        # streams (tokenize-side encode, stages/tokenize.py): the only
-        # work here is permuting byte slices into the sorted posting
-        # order — ~1.3 B/position of gather traffic instead of 4 B
-        # uint32 + a full re-encode, in the DRAM-bound stage.
-        bl_off, bl_val = _list_parts(t["seg_pos_blen"])
+        # Positions arrive ALREADY varint-encoded (tokenize-side
+        # encode, stages/tokenize.py), one stream per segment row with
+        # each posting's tf values: the only work here is permuting
+        # byte slices into the sorted posting order — ~1.3 B/position
+        # of gather traffic instead of 4 B uint32 + a full re-encode,
+        # in the DRAM-bound stage.
         blob_col = t["seg_pos_blob"]
         chunk = (blob_col.combine_chunks()
                  if isinstance(blob_col, pa.ChunkedArray) else blob_col)
         boffs = np.frombuffer(chunk.buffers()[1], dtype=np.int64)
         boffs = boffs[chunk.offset: chunk.offset + len(chunk) + 1]
         data = np.frombuffer(chunk.buffers()[2], dtype=np.uint8)
-        # per-posting absolute byte start: rows are contiguous after
-        # take/combine, so the array base offset + the global exclusive
-        # cumsum of per-posting byte lengths is each posting's start
+        # rows are contiguous after take/combine, and so are their
+        # postings: each posting ends at the terminal byte (high bit
+        # clear) of its tf-th value, and starts where the one before
+        # it ends
         total_b = int(boffs[-1] - boffs[0])
         it = np.int32 if total_b < (1 << 31) else np.int64
-        bl = bl_val.astype(it)
-        starts = np.zeros(bl.size, dtype=it)
-        if bl.size > 1:
-            np.cumsum(bl[:-1], out=starts[1:])
-        starts += it(boffs[0])
+        val_end = np.flatnonzero(
+            data[boffs[0]:boffs[-1]] < 128).astype(it) + 1
+        n_vals = np.cumsum(tf_val, dtype=np.int64)
+        if val_end.size != (int(n_vals[-1]) if n_vals.size else 0):
+            raise ValueError(
+                f"positions stream holds {val_end.size} values for "
+                f"{int(n_vals[-1]) if n_vals.size else 0} positions")
+        ends = val_end[n_vals - 1]
+        bl = np.diff(ends, prepend=it(0))
+        starts = ends - bl + it(boffs[0])
         bl_sorted = bl[ordr]
         starts_sorted = starts[ordr]
         out_excl = np.zeros(bl_sorted.size, dtype=it)
@@ -275,18 +258,15 @@ def encode_bucket_segments(
         idx = (np.arange(total_b, dtype=it)
                - np.repeat(out_excl, bl_sorted)
                + np.repeat(starts_sorted, bl_sorted))
-        pos_bytes_sorted = data[idx].tobytes()
-        post_off_sorted = np.zeros(bl_sorted.size + 1, dtype=np.int64)
-        post_off_sorted[1:] = np.cumsum(bl_sorted, dtype=np.int64)
-        pre_pos = (pos_bytes_sorted, post_off_sorted)
+        pos_off_sorted = np.zeros(bl_sorted.size + 1, dtype=np.int64)
+        pos_off_sorted[1:] = np.cumsum(bl_sorted, dtype=np.int64)
+        positions = (data[idx].tobytes(), pos_off_sorted)
 
     return _encode_flat(
         int(t["bucket"][0].as_py()),
         term_np[run_first_row],
         salts[run_first_row],
         run_of_post,
-        ids, tfs, dls,
-        None, None,
+        ids, tfs, dls, positions,
         k1=k1, b=b, avgdl=avgdl, block_size=block_size,
-        pre_encoded_pos=pre_pos,
     )

@@ -9,15 +9,26 @@ each block stored as one Arrow row carrying
     (term, salt, block_id, first_doc, last_doc, n, doc_blob, tf_blob,
      pos_blob, max_wdl, crc)
 
-where ``doc_blob`` is the varint stream of docID deltas within the block,
-``tf_blob`` the varint term-frequencies, ``pos_blob`` the per-posting
-position lists (``encode_positions_run``) and ``max_wdl`` the block's
-maximum *idf-free* BM25 partial score
-``tf / (tf + k1*(1 - b + b*dl/avgdl))`` — multiplied by the term's idf at
-query time it is the block upper bound that block-max WAND skips on.
-A document's length ``dl`` is stored once, in the ``dl`` column of the
-docs catalog (the reference's one ``fieldNorm`` per document, SURVEY
-§7.1), not on each of its postings: scorers look it up by doc id.
+where ``doc_blob`` is the varint stream of docID deltas within the block
+(its first id is ``first_doc``), ``tf_blob`` the varint
+term-frequencies, ``pos_blob`` the positions stream below, ``crc`` a
+crc32 chained over the three blobs, and ``max_wdl`` the block's maximum
+*idf-free* BM25 partial score ``tf / (tf + k1*(1 - b + b*dl/avgdl))`` —
+multiplied by the term's idf at query time it is the block upper bound
+that block-max WAND skips on.  ``last_doc`` is the block's last id, and
+null on a single-posting block, where it would repeat ``first_doc``: a
+reader uses it only through the row groups' min/max statistics, for
+doc-range pruning.  A document's length ``dl`` is stored once, in the
+``dl`` column of the docs catalog (the reference's one ``fieldNorm`` per
+document, SURVEY §7.1), not on each of its postings: scorers look it up
+by doc id.
+
+Positions stream (index format 3): per posting, its positions as
+varints — the first absolute, then the gaps — restarting at every
+posting, with no per-posting count: a posting holds exactly ``tf``
+positions, so the decoder cuts the stream with the tf it has already
+decoded (``decode_positions_flat``), the way Lucene's ``.pos`` file
+leaves the frequency to ``.doc``.
 
 On disk the block rows, the docs catalog and the tombstone sets are
 parquet files written under ``INDEX_WRITE_OPTIONS`` (below): zstd-9,
@@ -179,13 +190,14 @@ def varint_encode_offsets(values: np.ndarray) -> tuple[bytes, np.ndarray]:
 def encode_positions_run(
     pos_flat: np.ndarray, pos_lens: np.ndarray
 ) -> tuple[bytes, np.ndarray]:
-    """Vectorized positions encoding for a whole run.
+    """Vectorized positions encoding for a whole run of postings:
+    ``pos_flat`` holds every posting's strictly increasing positions,
+    ``pos_lens`` how many each posting has (its tf).
 
-    Stream per posting: varint(count), varint(first_pos), varint(gaps...).
-    Returns (bytes, byte_offset_per_posting[n+1]) so any block's positions
-    slice is bytes[off[a]:off[b]].  Wire-compatible with
-    encode_positions/decode_positions.
-    """
+    Stream per posting: varint(first_pos), varint(gaps...) — no count,
+    the decoder takes it from tf.  Returns (bytes,
+    byte_offset_per_posting[n+1]) so any block's positions slice is
+    bytes[off[a]:off[b]]."""
     lens = np.ascontiguousarray(pos_lens, dtype=np.int64)
     n = lens.size
     if n == 0:
@@ -204,29 +216,24 @@ def encode_positions_run(
         np.subtract(flat[1:], flat[:-1], out=gaps[1:])
         starts_nonempty = p_start[:-1][lens > 0]
         gaps[starts_nonempty] = flat[starts_nonempty]
-    # interleave: out value stream has lens[i] at stream_start[i], then gaps
-    total = int(flat.size + n)
-    stream = np.empty(total, dtype=np.uint32)
-    stream_start = p_start[:-1] + np.arange(n)  # each posting adds 1 count slot
-    stream[stream_start] = lens.astype(np.uint32)
-    mask = np.ones(total, dtype=bool)
-    mask[stream_start] = False
-    stream[mask] = gaps
-    blob, val_off = varint_encode_offsets(stream)
-    # byte offset of each posting's stream start (+ final end)
-    post_off = np.empty(n + 1, dtype=np.int64)
-    post_off[:-1] = val_off[stream_start]
-    post_off[-1] = val_off[-1]
-    return blob, post_off
+    blob, val_off = varint_encode_offsets(gaps)
+    return blob, val_off[p_start]
 
 
 def varint_decode(blob: bytes | memoryview | np.ndarray,
                   count: int | None = None) -> np.ndarray:
     """Decode a LEB128 stream (bytes-like or a uint8 array) to uint64
-    (vectorized)."""
+    (vectorized).  Raises ``ValueError`` when the stream ends inside a
+    value, or when ``count`` is given and the stream holds another
+    number of values."""
     b = np.frombuffer(blob, dtype=np.uint8)
     if b.size == 0:
+        if count:
+            raise ValueError(f"varint stream decoded 0 values, "
+                             f"expected {count}")
         return np.empty(0, dtype=np.uint64)
+    if b[-1] >= 128:
+        raise ValueError("varint stream ends inside a value")
     term_idx = np.nonzero(b < 128)[0]
     starts = np.empty_like(term_idx)
     starts[0] = 0
@@ -296,77 +303,26 @@ def delta_decode(blob: bytes | memoryview, count: int | None = None) -> np.ndarr
     return np.cumsum(d, dtype=np.uint64)
 
 
-def encode_positions(pos_lists: list[np.ndarray]) -> bytes:
-    """Encode per-posting position lists: varint(count), then varint gaps.
-
-    Positions are 1-based token positions (pre-stop-removal stream, bleve
-    semantics); each list must be strictly increasing.
-    """
-    parts: list[np.ndarray] = []
-    for p in pos_lists:
-        a = np.ascontiguousarray(p, dtype=np.uint64)
-        d = np.empty(a.size + 1, dtype=np.uint64)
-        d[0] = a.size
-        if a.size:
-            d[1] = a[0]
-            np.subtract(a[1:], a[:-1], out=d[2:])
-        parts.append(d)
-    if not parts:
-        return b""
-    return varint_encode(np.concatenate(parts))
-
-
 def decode_positions_flat(blob: bytes | memoryview | np.ndarray,
-                          n_postings: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode ``n_postings`` concatenated position lists (the
-    ``encode_positions`` / ``encode_positions_run`` stream, possibly many
-    blocks' blobs joined) → (flat uint64 positions, int64 per-posting
-    counts), with no per-posting Python.
+                          counts: np.ndarray) -> np.ndarray:
+    """Decode concatenated position lists (the ``encode_positions_run``
+    stream, possibly many blocks' blobs joined) → flat uint64 positions,
+    posting after posting, with no per-posting Python.  ``counts`` is
+    each posting's number of positions — its tf.
 
-    One varint pass gives the value stream (count, first, gaps...) per
-    posting.  The count slots form a chain — the slot after slot ``i``
-    is ``i + 1 + value[i]`` — so they are found by pointer doubling, in
-    log2(n_postings) gathers over the stream; the positions are then one
-    cumsum over the gaps, restarted at every posting's first value."""
-    vals = varint_decode(blob)
-    m = vals.size
-    if n_postings <= 0:
-        if m:
-            raise ValueError(f"{m} position values for 0 postings")
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    # next count slot of each would-be slot; m is the end, and stays
-    nxt = np.minimum(np.arange(1, m + 1, dtype=np.int64)
-                     + np.minimum(vals, np.uint64(m)).astype(np.int64), m)
-    jump = np.append(nxt, m)
-    slots = np.zeros(1, dtype=np.int64)
-    while slots.size < n_postings:  # slots = chain[:L], jump = next^L
-        slots = np.concatenate([slots, jump[slots]])
-        jump = jump[jump]
-    slots = slots[:n_postings]
-    last = int(slots[-1])
-    if last >= m or last + 1 + int(vals[last]) != m:
-        raise ValueError(f"position stream of {m} values does not hold "
-                         f"{n_postings} postings")
-    counts = vals[slots].astype(np.int64)
-    is_gap = np.ones(m, dtype=bool)
-    is_gap[slots] = False
-    gaps = vals[is_gap]
+    One varint pass gives the gaps, and one cumsum over them, minus each
+    posting's running prefix, restarts the positions at every posting's
+    first value; uint64 wrap-around makes the subtraction exact.
+    Raises ``ValueError`` when the stream does not hold exactly
+    ``sum(counts)`` values."""
+    counts = np.asarray(counts, dtype=np.int64)
+    gaps = varint_decode(blob, count=int(counts.sum()))
     run = np.cumsum(gaps, dtype=np.uint64)
     starts = np.cumsum(counts, dtype=np.int64) - counts
-    # subtract each posting's running prefix before its first value;
-    # uint64 wrap-around makes the subtraction exact
     before = np.zeros(counts.size, dtype=np.uint64)
     nz = counts > 0
     before[nz] = run[starts[nz]] - gaps[starts[nz]]
-    return run - np.repeat(before, counts), counts
-
-
-def decode_positions(blob: bytes | memoryview, n_postings: int) -> list[np.ndarray]:
-    """Per-posting position lists of an ``encode_positions`` stream."""
-    flat, counts = decode_positions_flat(blob, n_postings)
-    if not counts.size:
-        return []
-    return np.split(flat, np.cumsum(counts)[:-1])
+    return run - np.repeat(before, counts)
 
 
 # The one BM25: a posting's score is bm25_idf(N, df) * bm25_wdl(tf, dl,

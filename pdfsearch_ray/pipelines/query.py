@@ -340,7 +340,8 @@ class PostingList:
         partition-prefixed 64-bit and would overflow the packed key.
         The scoring read leaves positions out: the first call reads the
         term's position blobs from the row groups its blocks came from.
-        Position blobs decode only for blocks holding a candidate."""
+        Position blobs decode only for blocks holding a candidate, cut
+        into postings by the term's decoded ``tf``."""
         if not self._runs:
             return np.empty(0, dtype=np.uint64)
         ids = self.ids
@@ -357,9 +358,11 @@ class PostingList:
         j = np.flatnonzero(np.logical_or.reduceat(sel_all, starts))
         if not j.size:
             return np.empty(0, dtype=np.uint64)
-        flat, counts = decode_positions_flat(
-            _gather_bytes(pos_off, pos_data, j)[1], int(ns[j].sum()))
+        # a posting holds tf positions: the stream carries no counts
         at = _spans(starts[j], ns[j])
+        counts = self.tf[at].astype(np.int64)
+        flat = decode_positions_flat(
+            _gather_bytes(pos_off, pos_data, j)[1], counts)
         keep = np.repeat(sel_all[at], counts)
         codes = np.searchsorted(
             candidates, np.repeat(ids[at], counts)[keep]).astype(np.uint64)
@@ -384,7 +387,7 @@ class BM25Index:
         self.verify_checksums = verify_checksums
         # doc-range handle: every answer (search, topk, score_terms)
         # covers only doc_id ∈ [lo, hi).  Posting reads skip row groups
-        # whose [first_doc.min, last_doc.max] span misses the range and
+        # whose doc span (``_build_bucket_frag_index``) misses the range and
         # the scorers skip blocks outside it, so a shard's IO ∝ its
         # slice for long posting lists.  df/idf stay GLOBAL (a cheap
         # term+n metadata read covers the out-of-range row groups), so
@@ -695,10 +698,12 @@ class BM25Index:
         the file belongs to (MaxScore scores each (term, salt, seg) run
         independently — doc ids are only sorted WITHIN a segment);
         ``bound_factor`` is the max(1, avgdl_now/avgdl_baked) block-max
-        correction.  ``doc_min``/``doc_max`` come from the
-        first_doc/last_doc column stats (full-range for indexes built
-        before the last_doc column existed) and drive the doc-range
-        shard pruning."""
+        correction.  ``doc_min`` is the first_doc minimum and
+        ``doc_max`` the larger of the first_doc and last_doc maxima
+        (last_doc is null on single-posting blocks); both are
+        full-range for files without those statistics or built before
+        the last_doc column existed.  They drive the doc-range shard
+        pruning."""
         avgdl_now = self.manifest.avgdl
         out: list[tuple] = []
         max_b = self.manifest.num_buckets - 1
@@ -721,13 +726,16 @@ class BM25Index:
                               if tst is not None and tst.min is not None
                               else (None, None))
                 fst = md.row_group(rg).column(f_idx).statistics
-                dmin = (fst.min if fst is not None and fst.min is not None
-                        else -(1 << 62))
-                if l_idx is not None:
-                    lst = md.row_group(rg).column(l_idx).statistics
-                    dmax = (lst.max
-                            if lst is not None and lst.max is not None
-                            else 1 << 62)
+                lst = (md.row_group(rg).column(l_idx).statistics
+                       if l_idx is not None else None)
+                has_first = fst is not None and fst.min is not None
+                dmin = fst.min if has_first else -(1 << 62)
+                if has_first and lst is not None:
+                    # last_doc is null on single-posting blocks, whose
+                    # last id is their first: a row group of only those
+                    # has no last_doc max, and its span ends at first_doc
+                    dmax = (fst.max if lst.max is None
+                            else max(fst.max, lst.max))
                 else:
                     dmax = 1 << 62
                 out.append((path, rg, bmin, bmax, tmin, tmax, seg, bf,

@@ -55,14 +55,18 @@ POSTINGS = pa.schema(
         ("salt", pa.int32()),
         ("block_id", pa.int32()),
         ("first_doc", pa.int64()),
-        # last docID in the block: parquet row-group stats over
-        # (first_doc.min, last_doc.max) give each row group's exact
-        # docID span, so doc-range-sharded serving prunes its READS to
-        # its own slice (round 4; engine.ShardEngine)
+        # last docID in the block, null when the block holds one
+        # posting (it would repeat first_doc): parquet row-group stats
+        # over (first_doc.min, max(first_doc.max, last_doc.max)) give
+        # each row group's exact docID span, so doc-range-sharded
+        # serving prunes its READS to its own slice (round 4;
+        # engine.ShardEngine).  No reader reads it as a column.
         ("last_doc", pa.int64()),
         ("n", pa.int32()),
         ("doc_blob", pa.large_binary()),
         ("tf_blob", pa.large_binary()),
+        # each posting's positions, first absolute then gaps, with no
+        # count: a posting holds tf positions (index format 3)
         ("pos_blob", pa.large_binary()),
         ("max_wdl", pa.float32()),
         # crc32 over doc|tf|pos blobs — explicit per-block integrity

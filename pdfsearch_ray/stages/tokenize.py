@@ -95,8 +95,9 @@ class Tokenizer:
         self.hot_terms = hot_terms or {}
         self.with_positions = with_positions
         # combine=True emits ONE segment row per (term, salt) per batch
-        # (docs/tfs/dls/positions as list columns) — the combiner that
-        # shrinks the posting shuffle by ~batch_size for head terms.
+        # (docs/tfs as list columns, positions as one encoded stream) —
+        # the combiner that shrinks the posting shuffle by ~batch_size
+        # for head terms.
         self.combine = combine
         # catalog = {"dir", "url_col", "lang_col", "store_text"}: write
         # each batch's docs-catalog rows into "dir" (write_catalog)
@@ -131,7 +132,8 @@ class Tokenizer:
             c = self.catalog
             write_catalog(catalog_rows(batch, dl, self.id_col, self.text_col,
                                        c["url_col"], c["lang_col"],
-                                       c["store_text"]), c["dir"])
+                                       c["store_text"]), c["dir"],
+                          hash_scheme(batch))
         return out
 
     def _combine_vectorized(self, batch: pa.Table
@@ -287,25 +289,17 @@ class Tokenizer:
             "seg_tfs": pa.ListArray.from_arrays(
                 pa.array(seg_bounds),
                 pa.array(tf.astype(np.uint32), type=pa.uint32())),
-            "seg_dls": pa.ListArray.from_arrays(
-                pa.array(seg_bounds),
-                pa.array(dl_doc[dd_p].astype(np.uint32),
-                         type=pa.uint32())),
         }
         if self.with_positions:
             from ..index.codec import encode_positions_run
 
             blob, post_off = encode_positions_run(
                 pp.astype(np.uint32), tf)
-            blens = np.diff(post_off).astype(np.int32)
             byte_bounds = post_off[seg_bounds.astype(np.int64)]
             cols["seg_pos_blob"] = pa.Array.from_buffers(
                 pa.large_binary(), seg_tc.size,
                 [None, pa.py_buffer(byte_bounds.tobytes()),
                  pa.py_buffer(blob)])
-            cols["seg_pos_blen"] = pa.ListArray.from_arrays(
-                pa.array(seg_bounds),
-                pa.array(blens, type=pa.int32()))
         return pa.table(cols), dl_doc
 
     def _empty_combine_table(self) -> pa.Table:
@@ -315,11 +309,9 @@ class Tokenizer:
             "bucket": pa.array([], type=pa.int32()),
             "seg_docs": pa.array([], type=pa.list_(pa.int64())),
             "seg_tfs": pa.array([], type=pa.list_(pa.uint32())),
-            "seg_dls": pa.array([], type=pa.list_(pa.uint32())),
         }
         if self.with_positions:
             cols["seg_pos_blob"] = pa.array([], type=pa.large_binary())
-            cols["seg_pos_blen"] = pa.array([], type=pa.list_(pa.int32()))
         return pa.table(cols)
 
     def _python_path(self, batch: pa.Table) -> tuple[pa.Table, np.ndarray]:
@@ -339,7 +331,7 @@ class Tokenizer:
         en = self.analyzer_name == "en"
         if en:
             from ..analysis.analyzer import analyze_en_pos
-        # combine mode: (term, salt) → [doc_ids, tfs, dls, flat_positions, pos_lens]
+        # combine mode: (term, salt) → [doc_ids, tfs, flat_positions]
         seg: dict[tuple[str, int], list[list[int]]] = {}
         for row, (text, doc_id) in enumerate(zip(texts, doc_ids)):
             if not text:
@@ -364,13 +356,11 @@ class Tokenizer:
                     key = (term, salt_base % s if s else 0)
                     e = seg.get(key)
                     if e is None:
-                        e = seg[key] = [[], [], [], [], []]
+                        e = seg[key] = [[], [], []]
                     e[0].append(int(doc_id))
                     e[1].append(len(positions))
-                    e[2].append(dl)
                     if self.with_positions:
-                        e[3].extend(positions)
-                    e[4].append(len(positions) if self.with_positions else 0)
+                        e[2].extend(positions)
             else:
                 for term, positions in agg.items():
                     out_term.append(term)
@@ -395,33 +385,31 @@ class Tokenizer:
                                      type=pa.list_(pa.int64())),
                 "seg_tfs": pa.array([seg[k][1] for k in keys],
                                     type=pa.list_(pa.uint32())),
-                "seg_dls": pa.array([seg[k][2] for k in keys],
-                                    type=pa.list_(pa.uint32())),
             }
             if self.with_positions:
-                # Positions leave the tokenizer ALREADY varint-encoded as
-                # per-posting byte streams (count, first, gaps — the wire
-                # format of index/codec.py:encode_positions_run), ONE
-                # vectorized encode call per batch.  The encode stage then
-                # only permutes byte slices instead of re-encoding every
-                # position: this moves ~2/3 of the posting-payload memory
-                # traffic out of the DRAM-bandwidth-bound encode stage
-                # into this CPU-bound (near-linearly-scaling) stage, and
-                # shrinks the shuffle bytes ~3x (varint ≈1.3 B/position
-                # vs uint32).
+                # Positions leave the tokenizer ALREADY varint-encoded,
+                # one stream per segment row holding each posting's first
+                # position and gaps (the wire format of
+                # index/codec.py:encode_positions_run; a posting's tf is
+                # its count), ONE vectorized encode call per batch.  The
+                # encode stage then only permutes byte slices instead of
+                # re-encoding every position: this moves ~2/3 of the
+                # posting-payload memory traffic out of the
+                # DRAM-bandwidth-bound encode stage into this CPU-bound
+                # (near-linearly-scaling) stage, and shrinks the shuffle
+                # bytes ~3x (varint ≈1.3 B/position vs uint32).
                 from itertools import chain
 
                 from ..index.codec import encode_positions_run
 
-                lens_parts = [seg[k][4] for k in keys]
-                n_post_total = sum(len(p) for p in lens_parts)
-                all_lens = np.fromiter(chain.from_iterable(lens_parts),
+                tf_parts = [seg[k][1] for k in keys]
+                n_post_total = sum(len(p) for p in tf_parts)
+                all_lens = np.fromiter(chain.from_iterable(tf_parts),
                                        np.int64, count=n_post_total)
                 all_flat = np.fromiter(
-                    chain.from_iterable(seg[k][3] for k in keys),
+                    chain.from_iterable(seg[k][2] for k in keys),
                     np.uint32, count=int(all_lens.sum()))
                 blob, post_off = encode_positions_run(all_flat, all_lens)
-                blens = np.diff(post_off).astype(np.int32)
                 # zero-copy column assembly: segment boundaries in posting
                 # space → byte space via post_off; no Python list round-trip
                 post_bounds = np.zeros(len(keys) + 1, dtype=np.int64)
@@ -434,9 +422,6 @@ class Tokenizer:
                     pa.large_binary(), len(keys),
                     [None, pa.py_buffer(byte_bounds.tobytes()),
                      pa.py_buffer(blob)])
-                cols["seg_pos_blen"] = pa.ListArray.from_arrays(
-                    pa.array(post_bounds.astype(np.int32)),
-                    pa.array(blens, type=pa.int32()))
             return pa.table(cols), dls
 
         return pa.table(
@@ -452,6 +437,13 @@ class Tokenizer:
         ), dls
 
 
+def hash_scheme(batch: pa.Table) -> str:
+    """How ``catalog_rows`` makes the batch's ``hash`` column:
+    ``"source"`` when it passes the source's own hash through,
+    ``"text"`` when it computes sha256(text)."""
+    return "source" if "hash" in batch.schema.names else "text"
+
+
 def catalog_rows(batch: pa.Table, dl: np.ndarray, id_col: str,
                  text_col: str, url_col: str | None, lang_col: str | None,
                  store_text: bool) -> pa.Table:
@@ -463,7 +455,7 @@ def catalog_rows(batch: pa.Table, dl: np.ndarray, id_col: str,
     and the dedup path agree; sha256(text) is only the fallback for
     hash-less sources."""
     n = batch.num_rows
-    if "hash" in batch.schema.names:
+    if hash_scheme(batch) == "source":
         hash_arr = batch["hash"]
     else:
         hash_arr = pa.array(
@@ -481,10 +473,12 @@ def catalog_rows(batch: pa.Table, dl: np.ndarray, id_col: str,
     return pa.table(cols).sort_by("doc_id")
 
 
-def write_catalog(rows: pa.Table, out_dir: str) -> None:
+def write_catalog(rows: pa.Table, out_dir: str, scheme: str) -> None:
     """Write one batch's sorted catalog ``rows`` into ``out_dir`` under a
-    name fixed by its content (a retried task rewrites the same file),
-    committed by tmp + rename.  Row groups follow the doc_id partition
+    name fixed by its content (a retried task rewrites the same file)
+    and ending in ``scheme``, the batch's ``hash_scheme``
+    (``catalog_hash_scheme`` reads it back), committed by tmp + rename.
+    Row groups follow the doc_id partition
     prefix — the extract source numbers docs ``(partition << 32) | row``,
     and a row group never spans two partitions — and a partition's rows
     are split evenly into row groups of at most ``CATALOG_ROW_GROUP``."""
@@ -497,7 +491,8 @@ def write_catalog(rows: pa.Table, out_dir: str) -> None:
     ids = rows["doc_id"].to_numpy(zero_copy_only=False)
     key = crc32(repr(rows["hash"].to_pylist()).encode(),
                 crc32(ids.tobytes()))
-    name = f"docs-{int(ids[0]) & ((1 << 64) - 1):016x}-{key:08x}.parquet"
+    name = (f"docs-{int(ids[0]) & ((1 << 64) - 1):016x}-{key:08x}"
+            f"-{scheme}.parquet")
     tmp = os.path.join(out_dir, f".{name}.tmp.{os.getpid()}")
     os.makedirs(out_dir, exist_ok=True)
     part = ids >> 32
@@ -511,3 +506,18 @@ def write_catalog(rows: pa.Table, out_dir: str) -> None:
             for lo, hi in zip(edges[:-1], edges[1:]):
                 w.write_table(rows.slice(lo, hi - lo))
     os.replace(tmp, os.path.join(out_dir, name))
+
+
+def catalog_hash_scheme(docs_dir: str) -> str | None:
+    """The ``hash_scheme`` every file of the catalog in ``docs_dir`` was
+    written with (its name's last part): ``"source"`` or ``"text"``,
+    ``"unknown"`` when they differ, None when no file names one (an
+    empty catalog)."""
+    import glob
+
+    schemes = {os.path.basename(f)[:-len(".parquet")].rsplit("-", 1)[-1]
+               for f in glob.glob(f"{docs_dir}/docs-*.parquet")}
+    schemes &= {"source", "text"}
+    if not schemes:
+        return None
+    return schemes.pop() if len(schemes) == 1 else "unknown"

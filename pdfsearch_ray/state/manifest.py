@@ -26,8 +26,12 @@ from typing import Any
 MANIFEST_NAME = "manifest.json"
 PARTITIONS_DIR = "_partitions"
 # 2: a doc's length is stored once, in the docs catalog's ``dl`` column;
-# format-1 posting blocks carried it on every posting (``dl_blob``)
-FORMAT_VERSION = 2
+# format-1 posting blocks carried it on every posting (``dl_blob``).
+# 3: a posting's positions carry no count (it is the posting's tf), and
+# ``last_doc`` is null on single-posting blocks; format-2 blocks began
+# each posting's positions with its count and always filled
+# ``last_doc``.  ``compact_index`` rewrites an older index.
+FORMAT_VERSION = 3
 
 
 class IndexFormatError(ValueError):

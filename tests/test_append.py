@@ -206,6 +206,40 @@ def test_append_respects_source_hash_column(ray_session, tmp_path):
     assert IndexManifest.load(d).segments == []
 
 
+def test_mapped_source_records_its_catalog_hash_scheme(ray_session,
+                                                       tmp_path):
+    """A build from a ``map_batches``-derived dataset, whose schema Ray
+    cannot know without running the plan, records the hash scheme the
+    catalog stage actually used: ``"source"`` when the mapped rows carry
+    a ``hash`` column (passed through to the catalog), ``"text"`` when
+    they do not (sha256(text) computed)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import build_index
+    from pdfsearch_ray.state.manifest import IndexManifest
+
+    t = pq.read_table(SF).select(["doc_id", "text"]).slice(0, 120)
+
+    def with_hash(b: pa.Table) -> pa.Table:
+        return b.append_column("hash", pa.array(
+            [f"h{int(i):06d}" for i in b["doc_id"].to_pylist()],
+            type=pa.string()))
+
+    def text_only(b: pa.Table) -> pa.Table:
+        return b.select(["doc_id", "text"])
+
+    for fn, want in ((with_hash, "source"), (text_only, "text")):
+        ds = rd.from_arrow(t).map_batches(fn, batch_format="pyarrow")
+        assert ds.schema(fetch_if_missing=False) is None
+        d = str(tmp_path / want)
+        build_index(ds, d, num_buckets=4, analyzer="en")
+        m = IndexManifest.load(d)
+        assert m.build_metrics["hash_provenance"] == want
+        cat = pq.read_table(f"{d}/docs", columns=["hash"])["hash"]
+        assert cat[0].as_py().startswith("h") == (want == "source")
+
+
 def test_two_appends_match_full_rebuild(ray_session, tmp_path):
     """Three segments (base + seg-001 + seg-002), each encoded under a
     different global avgdl, must still reproduce the from-scratch build

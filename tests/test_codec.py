@@ -7,13 +7,35 @@ from hypothesis import strategies as st
 
 from pdfsearch_ray.index.codec import (
     bm25_wdl,
-    decode_positions,
+    decode_positions_flat,
     delta_decode,
     delta_encode,
-    encode_positions,
+    encode_positions_run,
     varint_decode,
     varint_encode,
 )
+
+
+def encode_positions(pos_lists: list[np.ndarray]) -> bytes:
+    """Reference positions encoder, one posting at a time: each list's
+    first position, then its gaps, as varints — no count (index
+    format 3: a posting's count is its tf)."""
+    parts = [np.diff(np.ascontiguousarray(p, dtype=np.uint64), prepend=0)
+             .astype(np.uint64) for p in pos_lists]
+    if not parts:
+        return b""
+    return varint_encode(np.concatenate(parts))
+
+
+def decode_positions(blob: bytes, counts: list[int]) -> list[np.ndarray]:
+    """Reference positions decoder: one Python step per posting, each
+    taking its count (tf) values."""
+    flat = varint_decode(blob, count=sum(counts))
+    out, i = [], 0
+    for c in counts:
+        out.append(np.cumsum(flat[i:i + c], dtype=np.uint64))
+        i += c
+    return out
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=300))
@@ -56,10 +78,14 @@ def test_delta_empty():
 def test_positions_roundtrip(lists):
     arrs = [np.sort(np.array(p, dtype=np.uint64)) for p in lists]
     blob = encode_positions(arrs)
-    out = decode_positions(blob, len(arrs))
+    counts = [a.size for a in arrs]
+    out = decode_positions(blob, counts)
     assert len(out) == len(arrs)
     for a, b in zip(arrs, out):
         assert np.array_equal(a, b)
+    flat = decode_positions_flat(blob, counts)
+    want = np.concatenate(arrs) if arrs else np.empty(0, np.uint64)
+    assert np.array_equal(flat, want)
 
 
 def test_bm25_wdl_monotone():
@@ -109,15 +135,9 @@ def test_delta_roundtrip_property(vals):
     max_size=30,
 ))
 def test_positions_roundtrip_property(lists):
-    from pdfsearch_ray.index.codec import (
-        decode_positions,
-        encode_positions,
-        encode_positions_run,
-    )
-
     pos_lists = [np.sort(np.array(x, dtype=np.uint64)) for x in lists]
     blob = encode_positions(pos_lists)
-    out = decode_positions(blob, len(pos_lists))
+    out = decode_positions(blob, [len(x) for x in pos_lists])
     for a, b in zip(pos_lists, out):
         np.testing.assert_array_equal(a, b)
     # the vectorized whole-run encoder must be wire-compatible
@@ -129,14 +149,13 @@ def test_positions_roundtrip_property(lists):
     assert offsets[-1] == len(blob)
 
 
-def _positions_per_posting(blob: bytes, n_postings: int) -> list[np.ndarray]:
+def _positions_per_posting(blob: bytes, counts: list[int]) -> list[np.ndarray]:
     """The per-posting reference decode: one Python step per posting."""
     flat = varint_decode(blob)
     out, i = [], 0
-    for _ in range(n_postings):
-        cnt = int(flat[i])
-        out.append(np.cumsum(flat[i + 1:i + 1 + cnt], dtype=np.uint64))
-        i += 1 + cnt
+    for cnt in counts:
+        out.append(np.cumsum(flat[i:i + cnt], dtype=np.uint64))
+        i += cnt
     assert i == flat.size
     return out
 
@@ -146,8 +165,6 @@ def test_decode_positions_flat_equals_per_posting_decode():
     bitwise equal to the per-posting decode of each block, on random
     lists with zero-length lists, single-posting blocks, empty blocks
     and multi-byte values."""
-    from pdfsearch_ray.index.codec import decode_positions_flat
-
     rng = np.random.default_rng(5)
     for trial in range(200):
         blocks = []
@@ -159,18 +176,19 @@ def test_decode_positions_flat_equals_per_posting_decode():
                     int(rng.choice([0, 0, 1, 2, 5, 40])))).astype(np.uint64)
                 for _ in range(n)])
         blobs = [encode_positions(b) for b in blocks]
-        want = [p for blob, blk in zip(blobs, blocks)
-                for p in _positions_per_posting(blob, len(blk))]
-        for blk, blob in zip(blocks, blobs):
-            got = decode_positions(blob, len(blk))
+        counts = [[p.size for p in b] for b in blocks]
+        want = [p for blob, c in zip(blobs, counts)
+                for p in _positions_per_posting(blob, c)]
+        for blk, blob, c in zip(blocks, blobs, counts):
+            got = decode_positions(blob, c)
             assert len(got) == len(blk)
             for g, e in zip(got, blk):
                 assert g.dtype == np.uint64
                 np.testing.assert_array_equal(g, e)
-        n_total = sum(len(b) for b in blocks)
-        flat, counts = decode_positions_flat(b"".join(blobs), n_total)
-        assert flat.dtype == np.uint64 and counts.dtype == np.int64
-        assert counts.tolist() == [p.size for p in want], trial
+        all_counts = np.array([x for c in counts for x in c], np.int64)
+        flat = decode_positions_flat(b"".join(blobs), all_counts)
+        assert flat.dtype == np.uint64
+        assert [p.size for p in want] == all_counts.tolist(), trial
         ref = (np.concatenate(want) if want
                else np.empty(0, dtype=np.uint64))
         assert flat.tobytes() == ref.tobytes(), trial
@@ -179,13 +197,62 @@ def test_decode_positions_flat_equals_per_posting_decode():
 def test_decode_positions_flat_rejects_a_short_stream():
     import pytest
 
-    from pdfsearch_ray.index.codec import decode_positions_flat
-
     blob = encode_positions([np.array([3, 9], np.uint64),
                              np.array([4], np.uint64)])
     with pytest.raises(ValueError):
-        decode_positions_flat(blob, 3)
+        decode_positions_flat(blob, [2, 1, 1])
     with pytest.raises(ValueError):
-        decode_positions_flat(blob, 1)
+        decode_positions_flat(blob, [2])
     with pytest.raises(ValueError):
-        decode_positions_flat(blob[:-1], 2)
+        decode_positions_flat(blob[:-1], [2, 1])
+
+
+_POSITION_LISTS = st.lists(
+    st.lists(st.integers(min_value=1, max_value=2**32 - 1),
+             min_size=1, max_size=300, unique=True),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_POSITION_LISTS, min_size=1, max_size=6),
+       st.booleans(), st.data())
+def test_gaps_only_positions_roundtrip_property(blocks, tf_one, data):
+    """The gaps-only positions stream (no per-posting count): encode
+    many blocks' runs with ``encode_positions_run``, join the blocks'
+    blobs and decode them with the counts alone (each posting's tf) —
+    with every tf 1, or lists up to 300 long — equal to the input and
+    to the per-posting reference codec; a stream one value short or one
+    byte long is rejected."""
+    import pytest
+
+    if tf_one:
+        blocks = [[p[:1] for p in b] for b in blocks]
+    lists = [[np.sort(np.array(p, dtype=np.uint64)) for p in b]
+             for b in blocks]
+    blobs = []
+    for b in lists:
+        lens = np.array([p.size for p in b], dtype=np.int64)
+        blob, off = encode_positions_run(np.concatenate(b), lens)
+        assert blob == encode_positions(b)
+        assert off[0] == 0 and off[-1] == len(blob)
+        assert np.all(np.diff(off) >= lens)  # a varint is ≥ 1 byte
+        blobs.append(blob)
+    counts = np.array([p.size for b in lists for p in b], dtype=np.int64)
+    joined = b"".join(blobs)
+    flat = decode_positions_flat(joined, counts)
+    want = np.concatenate([p for b in lists for p in b])
+    assert flat.tobytes() == want.tobytes()
+    split = np.split(flat, np.cumsum(counts)[:-1])
+    assert all(np.array_equal(a, e) for a, e in
+               zip(split, decode_positions(joined, counts.tolist())))
+    # one value short: the stream lacks a posting's last position
+    short = counts.copy()
+    short[data.draw(st.integers(0, counts.size - 1))] += 1
+    with pytest.raises(ValueError):
+        decode_positions_flat(joined, short)
+    # one byte long: a trailing whole value, or a dangling continuation
+    extra = data.draw(st.integers(0, 255))
+    with pytest.raises(ValueError):
+        decode_positions_flat(joined + bytes([extra]), counts)
+    with pytest.raises(ValueError):
+        decode_positions_flat(joined[:-1], counts)

@@ -286,6 +286,63 @@ def test_shard_reads_prune_to_doc_range(ray_session, tmp_path):
         full2.postings(["data"])["data"].df
 
 
+def test_sharded_engine_prunes_single_posting_row_groups(ray_session,
+                                                         tmp_path):
+    """An index of single-posting blocks only (``block_size=1``) has a
+    null ``last_doc`` on every block, so no postings row group has a
+    ``last_doc`` max.  A ``ShardedEngine`` over it answers like the
+    local handle, and each of its range handles still reads fewer
+    postings row groups than the full handle: a row group's doc span
+    ends at its ``first_doc`` max."""
+    import glob
+
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from pdfsearch_ray.pipelines.build import build_index
+    from pdfsearch_ray.pipelines.engine import ShardedEngine
+    from pdfsearch_ray.pipelines.query import BM25Index
+
+    d = str(tmp_path / "idx")
+    build_index(SRC, d, analyzer="en", num_buckets=4, block_size=1,
+                row_group_size=32)
+    n_rg = 0
+    for f in glob.glob(f"{d}/postings/*.parquet"):
+        md = pq.ParquetFile(f).metadata
+        li = md.schema.to_arrow_schema().names.index("last_doc")
+        for rg in range(md.num_row_groups):
+            st = md.row_group(rg).column(li).statistics
+            assert st is not None and st.min is None and st.max is None
+            n_rg += 1
+    assert n_rg > 8
+
+    full = BM25Index(d)
+    eng = ShardedEngine(d, n_shards=4, num_cpus=0.25)
+    try:
+        for q in QUERIES:
+            want = full.search(q, max_results=10, with_spans=False,
+                               method="taat")
+            got = eng.search(q, max_results=10, with_spans=False)
+            assert got.total_matches == want.total_matches, q
+            assert [(m.doc_id, m.score) for m in got.matches] == \
+                [(m.doc_id, m.score) for m in want.matches], q
+        ranges = eng.ranges
+    finally:
+        eng.shutdown()
+
+    q = "data processing pipeline"
+    one = BM25Index(d)
+    one.topk(q, 10)
+    full_rg = one.io_stats["postings_row_groups_read"]
+    per_shard = []
+    for lo, hi in ranges:
+        h = BM25Index(d, doc_range=(lo, hi))
+        h.topk(q, 10)
+        per_shard.append(h.io_stats["postings_row_groups_read"])
+    assert all(p < full_rg for p in per_shard), (per_shard, full_rg)
+    assert float(np.mean(per_shard)) <= 0.6 * full_rg, (per_shard, full_rg)
+
+
 def test_result_cache_hits_and_reload_invalidation(ray_session, tmp_path):
     """The serving-replica result cache: identical repeated queries hit
     (identical object contents), a reload after an append drops the

@@ -16,9 +16,12 @@ reads positions only when a reader asks for them, and imports neither
 build code, ``pyarrow.dataset`` nor pandas.
 
 A doc's length is stored once, in the docs catalog's ``dl`` column
-(index format 2); posting blocks carry none.  A format-1 index (a
-``dl_blob`` on every posting block) is refused at open and at append,
-and ``compact_index`` rewrites it in format 2."""
+(index format 2); posting blocks carry none.  A posting's positions
+carry no count, and ``last_doc`` is null on single-posting blocks
+(format 3).  A format-1 index (a ``dl_blob`` on every posting block) or
+a format-2 index (counted positions, ``last_doc`` everywhere) is
+refused at open and at append, and ``compact_index`` rewrites it in
+format 3."""
 
 from __future__ import annotations
 
@@ -416,8 +419,7 @@ def _full_read_reference(segment_dirs: list[str], term: str) -> dict:
     """ids, tf, dl and per-posting positions of ``term`` from a read of
     every posting column (dl from every docs file), blocks in (salt,
     segment, block) order."""
-    from pdfsearch_ray.index.codec import (decode_positions,
-                                           decode_posting_blocks)
+    from pdfsearch_ray.index.codec import decode_posting_blocks
 
     parts = []
     for seg, d in enumerate(segment_dirs):
@@ -435,9 +437,23 @@ def _full_read_reference(segment_dirs: list[str], term: str) -> dict:
           for k in ("first_doc", "n", "doc_blob", "tf_blob")))
     dl_by_doc = _catalog_dl(segment_dirs)
     dl = np.array([dl_by_doc[i] for i in ids.tolist()], dtype=np.uint64)
-    positions = [p for r in rows for p in decode_positions(r["pos_blob"],
-                                                           r["n"])]
+    positions = [p for r in rows for p in _block_positions(r)]
     return {"ids": ids, "tf": tf, "dl": dl, "positions": positions}
+
+
+def _block_positions(row: dict) -> list[np.ndarray]:
+    """A posting block row's per-posting positions, one posting at a
+    time: posting i takes its tf (from the row's ``tf_blob``) values of
+    the ``pos_blob`` stream — its first position, then the gaps."""
+    from pdfsearch_ray.index.codec import varint_decode
+
+    tf = varint_decode(row["tf_blob"], count=row["n"]).tolist()
+    vals = varint_decode(row["pos_blob"], count=sum(tf))
+    out, i = [], 0
+    for c in tf:
+        out.append(np.cumsum(vals[i:i + c], dtype=np.uint64))
+        i += c
+    return out
 
 
 def _assert_posting_readers_match(idx, segment_dirs: list[str]) -> None:
@@ -732,17 +748,73 @@ def test_doc_lengths_live_in_the_docs_catalog(ray_session, tmp_path):
     check_files(d)
 
 
+def _as_format_2(index_dir: str) -> None:
+    """Rewrite an index the way format 2 stored it: each posting's
+    positions begin with their count (``varint(count)``, then the first
+    position and the gaps), ``last_doc`` is filled on single-posting
+    blocks too, the block crc covers those blobs, and the manifest and
+    the build config say format 2."""
+    from zlib import crc32
+
+    from pdfsearch_ray.index.codec import varint_decode, varint_encode
+    from pdfsearch_ray.state.manifest import IndexManifest
+
+    dirs = _segment_dirs(index_dir)
+    for d in dirs:
+        for f in glob.glob(f"{d}/postings/*.parquet"):
+            pf = pq.ParquetFile(f)
+            with pq.ParquetWriter(f + ".v2", pf.schema_arrow,
+                                  **INDEX_WRITE_OPTIONS["postings"]) as w:
+                for rg in range(pf.num_row_groups):
+                    t = pf.read_row_group(rg)
+                    pos = []
+                    for r in t.select(["n", "tf_blob",
+                                       "pos_blob"]).to_pylist():
+                        tf = varint_decode(r["tf_blob"], count=r["n"])
+                        vals = varint_decode(r["pos_blob"],
+                                             count=int(tf.sum()))
+                        at = np.cumsum(tf, dtype=np.int64) - tf.astype(
+                            np.int64)
+                        pos.append(varint_encode(
+                            np.insert(vals, at, tf).astype(np.uint64)))
+                    crc = [crc32(p, crc32(tf, crc32(doc)))
+                           for doc, tf, p in zip(
+                               t["doc_blob"].to_pylist(),
+                               t["tf_blob"].to_pylist(), pos)]
+                    last = pc.coalesce(t["last_doc"], t["first_doc"])
+                    for name, col in (("pos_blob", pa.array(
+                            pos, type=t.schema.field("pos_blob").type)),
+                            ("crc", pa.array(crc, type=pa.int64())),
+                            ("last_doc", last)):
+                        t = t.set_column(t.schema.get_field_index(name),
+                                         name, col)
+                    w.write_table(t)
+            os.replace(f + ".v2", f)
+        cfg_path = f"{d}/.build_config.json"
+        if os.path.exists(cfg_path):
+            with open(cfg_path) as f:
+                cfg = json.load(f)
+            cfg["format_version"] = 2
+            with open(cfg_path, "w") as f:
+                json.dump(cfg, f)
+    m = IndexManifest.load(index_dir)
+    m.format_version = 2
+    m.save(index_dir)
+
+
 def _as_format_1(index_dir: str) -> None:
-    """Rewrite a format-2 index the way format 1 stored it: every posting
-    block carries its docs' lengths as a varint ``dl_blob`` (covered by
-    the block crc), the docs catalog has no ``dl`` column, the manifest
-    says format 1 and the build config has no ``format_version`` key."""
+    """Rewrite an index the way format 1 stored it: format 2's positions
+    and ``last_doc`` (``_as_format_2``), and every posting block carries
+    its docs' lengths as a varint ``dl_blob`` (covered by the block
+    crc), the docs catalog has no ``dl`` column, the manifest says
+    format 1 and the build config has no ``format_version`` key."""
     from zlib import crc32
 
     from pdfsearch_ray.index.codec import (decode_posting_blocks,
                                            varint_encode)
     from pdfsearch_ray.state.manifest import IndexManifest
 
+    _as_format_2(index_dir)
     dirs = _segment_dirs(index_dir)
     dl_by_doc = _catalog_dl(dirs)
     for d in dirs:
@@ -794,15 +866,17 @@ def _v1_schema(schema: pa.Schema) -> pa.Schema:
 def test_format_1_index_is_refused_and_compacted(ray_session, tmp_path):
     """Opening or appending to a format-1 index raises an error that
     names ``compact_index``; ``compact_index`` reads only its docs
-    catalog and tombstones, writes format 2, and then serves the same
-    ``auto`` top-10 as a fresh build over the same rows."""
+    catalog and tombstones, writes the current format, and then serves
+    the same ``auto`` top-10 as a fresh build over the same rows."""
     import pytest
     import ray.data as rd
 
     from pdfsearch_ray.pipelines.build import (append_index, build_index,
                                                compact_index)
     from pdfsearch_ray.pipelines.query import BM25Index
-    from pdfsearch_ray.state.manifest import IndexFormatError, IndexManifest
+    from pdfsearch_ray.state.manifest import (FORMAT_VERSION,
+                                              IndexFormatError,
+                                              IndexManifest)
 
     t = _corpus()
     cut = int(t.num_rows * 0.6)
@@ -820,7 +894,8 @@ def test_format_1_index_is_refused_and_compacted(ray_session, tmp_path):
                      lang_col="lang")
 
     m = compact_index(d)
-    assert m.format_version == IndexManifest.load(d).format_version == 2
+    assert m.format_version == IndexManifest.load(d).format_version \
+        == FORMAT_VERSION
     for f in _committed_files(d)["postings"]:
         assert "dl_blob" not in pq.read_schema(f).names
     assert _catalog_dl([d]) == live
@@ -837,16 +912,74 @@ def test_format_1_index_is_refused_and_compacted(ray_session, tmp_path):
             [(x.doc_id, x.score) for x in b.matches], q
 
 
+def test_format_2_index_is_refused_and_compacted(ray_session, tmp_path):
+    """Opening or appending to a format-2 index (a count before each
+    posting's positions, ``last_doc`` on every block) raises an error
+    that names ``compact_index``; ``compact_index`` writes format 3 —
+    ``last_doc`` null exactly on the single-posting blocks and positions
+    that decode with the blocks' tf — and then serves the same ``auto``
+    top-10, spans included, as a fresh build over the same rows."""
+    import pytest
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import (append_index, build_index,
+                                               compact_index)
+    from pdfsearch_ray.pipelines.query import BM25Index
+    from pdfsearch_ray.state.manifest import (FORMAT_VERSION,
+                                              IndexFormatError,
+                                              IndexManifest)
+
+    t = _corpus()
+    cut = int(t.num_rows * 0.6)
+    d = _segmented_index(tmp_path)
+    deleted = set(IndexManifest.load(d).tombstone_ids(d).tolist())
+    live = {k: v for k, v in _catalog_dl(_segment_dirs(d)).items()
+            if k not in deleted}
+    _as_format_2(d)
+    for f in _committed_files(d)["postings"]:
+        assert pq.read_table(f, columns=["last_doc"])["last_doc"] \
+            .null_count == 0
+    with pytest.raises(IndexFormatError, match="compact_index"):
+        BM25Index(d)
+    with pytest.raises(IndexFormatError, match="compact_index"):
+        append_index(rd.from_arrow(t.slice(cut)), d, url_col="url",
+                     lang_col="lang")
+
+    m = compact_index(d)
+    assert m.format_version == IndexManifest.load(d).format_version \
+        == FORMAT_VERSION == 3
+    singles = 0
+    for f in _committed_files(d)["postings"]:
+        rows = pq.read_table(f).to_pylist()
+        for r in rows:
+            assert (r["last_doc"] is None) == (r["n"] == 1)
+            assert len(_block_positions(r)) == r["n"]
+        singles += sum(r["n"] == 1 for r in rows)
+    assert singles > 0
+    assert _catalog_dl([d]) == live
+
+    keep = pa.array([i in live for i in t["doc_id"].to_pylist()])
+    fresh = str(tmp_path / "fresh")
+    build_index(rd.from_arrow(t.filter(keep)), fresh, num_buckets=4,
+                analyzer="en", url_col="url", lang_col="lang")
+    got, ref = BM25Index(d), BM25Index(fresh)
+    for q in QUERIES:
+        a = got.search(q, max_results=10, method="auto")
+        b = ref.search(q, max_results=10, method="auto")
+        assert [(x.doc_id, x.score, x.spans) for x in a.matches] == \
+            [(x.doc_id, x.score, x.spans) for x in b.matches], q
+
+
 def test_resumed_build_rebuilds_format_1_stages(ray_session, tmp_path):
     """A resumed ``build_index`` over a format-1 index dir rebuilds its
-    catalog and postings instead of keeping them under a format-2
+    catalog and postings instead of keeping them under a current-format
     manifest: afterwards every doc has its ``dl`` and the index serves
     the same answers as before."""
     import ray.data as rd
 
     from pdfsearch_ray.pipelines.build import build_index
     from pdfsearch_ray.pipelines.query import BM25Index
-    from pdfsearch_ray.state.manifest import IndexManifest
+    from pdfsearch_ray.state.manifest import FORMAT_VERSION, IndexManifest
 
     t = _corpus()
     d = str(tmp_path / "idx")
@@ -865,7 +998,7 @@ def test_resumed_build_rebuilds_format_1_stages(ray_session, tmp_path):
     ref = answers()
     _as_format_1(d)
     build(True)
-    assert IndexManifest.load(d).format_version == 2
+    assert IndexManifest.load(d).format_version == FORMAT_VERSION
     assert _catalog_dl([d]) == _analyzed_dl(t)
     for f in _committed_files(d)["postings"]:
         assert "dl_blob" not in pq.read_schema(f).names

@@ -68,7 +68,6 @@ def _direct_read(index_dir: str, term: str, doc_range=None) -> dict:
     order, each (salt, segment) run cut to the blocks that can hold an
     in-range doc; then decoded with the codec."""
     from pdfsearch_ray.index.codec import (bm25_idf, bm25_wdl,
-                                           decode_positions,
                                            decode_posting_blocks)
     from pdfsearch_ray.state.manifest import IndexManifest
 
@@ -80,8 +79,13 @@ def _direct_read(index_dir: str, term: str, doc_range=None) -> dict:
             for rg in range(pf.num_row_groups):
                 t = pf.read_row_group(rg)
                 dmin = pc.min(t["first_doc"]).as_py()
-                dmax = (pc.max(t["last_doc"]).as_py()
-                        if "last_doc" in t.schema.names else 1 << 63)
+                # last_doc is null on a one-posting block: its last doc
+                # is its first
+                dmax = 1 << 63
+                if "last_doc" in t.schema.names:
+                    dmax = max(x for x in (pc.max(t["first_doc"]).as_py(),
+                                           pc.max(t["last_doc"]).as_py())
+                               if x is not None)
                 t = t.filter(pc.equal(t["term"], term))
                 df += pc.sum(t["n"]).as_py() or 0
                 if dmax >= lo and dmin < hi:
@@ -107,8 +111,21 @@ def _direct_read(index_dir: str, term: str, doc_range=None) -> dict:
     idf = float(bm25_idf(m.n_docs, df)) if df else 0.0
     return {"df": df, "ids": ids, "tf": tf, "dl": dl,
             "scores": idf * bm25_wdl(tf, dl, m.k1, m.b, m.avgdl),
-            "positions": [p for r in kept
-                          for p in decode_positions(r["pos_blob"], r["n"])]}
+            "positions": [p for r in kept for p in _block_positions(r)]}
+
+
+def _block_positions(row: dict) -> list[np.ndarray]:
+    """A block row's per-posting positions, one posting at a time: each
+    takes its tf values of ``pos_blob`` (first position, then gaps)."""
+    from pdfsearch_ray.index.codec import varint_decode
+
+    tf = varint_decode(row["tf_blob"], count=row["n"]).tolist()
+    vals = varint_decode(row["pos_blob"], count=sum(tf))
+    out, i = [], 0
+    for c in tf:
+        out.append(np.cumsum(vals[i:i + c], dtype=np.uint64))
+        i += c
+    return out
 
 
 def _assert_cache_equals_direct_read(idx, index_dir: str) -> int:

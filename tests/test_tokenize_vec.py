@@ -81,3 +81,37 @@ def test_callable_dispatches_to_vectorized():
     tok2 = Tokenizer(analyzer="en", combine=False)
     out = tok2(rng_batch)
     assert "positions" in out.schema.names
+
+
+@pytest.mark.parametrize("with_positions", [True, False])
+def test_spill_carries_only_what_encode_needs(with_positions):
+    """The combine output (the build's token spill) has no doc lengths
+    and no per-posting position byte lengths: encode looks ``dl`` up in
+    the docs catalog and cuts positions with ``tf``.  The one positions
+    stream per segment holds exactly ``sum(tf)`` varints, first position
+    then gaps per posting."""
+    from pdfsearch_ray.index.codec import varint_decode
+
+    tok = Tokenizer(analyzer="en", combine=True,
+                    with_positions=with_positions)
+    batch = pa.table({
+        "doc_id": pa.array([5, 9, 11], type=pa.int64()),
+        "text": pa.array(["data stream data", "window merge data",
+                          "the stream"], type=pa.string()),
+    })
+    want = ["term", "salt", "bucket", "seg_docs", "seg_tfs"]
+    want += ["seg_pos_blob"] if with_positions else []
+    for out in (tok._combine_vectorized(batch)[0],
+                tok._python_path(batch)[0],
+                tok._empty_combine_table()):
+        assert out.schema.names == want
+    if with_positions:
+        out = tok(batch)
+        for row in out.to_pylist():
+            vals = varint_decode(row["seg_pos_blob"],
+                                 count=sum(row["seg_tfs"]))
+            assert (vals > 0).all()
+        data = {r["term"]: r for r in out.to_pylist()}["data"]
+        assert data["seg_docs"] == [5, 9] and data["seg_tfs"] == [2, 1]
+        # "data stream data": positions 1, 3; "window merge data": 3
+        assert varint_decode(data["seg_pos_blob"]).tolist() == [1, 2, 3]

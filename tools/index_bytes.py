@@ -6,8 +6,11 @@ chunks, and every other file under the index dir.
     python tools/index_bytes.py INDEX_DIR
     python tools/index_bytes.py --sweep INDEX_DIR
 
-Prints one row per (table, column) with its bytes and bytes per indexed
-doc (the manifest's ``n_docs``), then per table:
+Prints one row per (table, column) with its compressed bytes, bytes per
+indexed doc (the manifest's ``n_docs``) and its uncompressed bytes
+(``raw``: the encoded pages before the codec, page headers included) —
+a change to what a column stores can move the two very differently —
+then per table:
 
 * ``(footer)``: the parquet footers (file metadata, length and magic),
   without the embedded Arrow schema;
@@ -76,44 +79,50 @@ def footer_bytes(path: str) -> int:
         return struct.unpack("<i", f.read(4))[0] + 8
 
 
-def file_bytes(path: str) -> tuple[dict[str, int], dict[str, int]]:
-    """({column: compressed bytes}, {part: bytes}) for one parquet file;
-    the parts are the footer, its Arrow schema and the bytes between
-    chunks, and sum with the columns to the file size."""
+def file_bytes(path: str) -> tuple[dict[str, int], dict[str, int],
+                                   dict[str, int]]:
+    """({column: compressed bytes}, {part: bytes}, {column: uncompressed
+    bytes}) for one parquet file; the parts are the footer, its Arrow
+    schema and the bytes between chunks, and sum with the columns'
+    compressed bytes to the file size."""
     md = pq.ParquetFile(path).metadata
     cols: dict[str, int] = defaultdict(int)
+    raw: dict[str, int] = defaultdict(int)
     for rg in range(md.num_row_groups):
         for ci in range(md.num_columns):
             c = md.row_group(rg).column(ci)
             cols[c.path_in_schema] += c.total_compressed_size
+            raw[c.path_in_schema] += c.total_uncompressed_size
     schema = len((md.metadata or {}).get(b"ARROW:schema", b""))
     footer = footer_bytes(path)
     rest = os.path.getsize(path) - footer - sum(cols.values())
     return cols, {"(footer)": footer - schema,
                   "(footer: Arrow schema)": schema,
-                  "(between chunks)": rest}
+                  "(between chunks)": rest}, raw
 
 
-def column_bytes(index_dir: str) -> tuple[dict, dict, dict, int]:
+def column_bytes(index_dir: str) -> tuple[dict, dict, dict, int, dict]:
     """({table: {column: bytes}}, {table: {part: bytes}}, {table: file
     bytes}, the bytes of every file under ``index_dir`` but
-    ``extracted/``)."""
+    ``extracted/``, {table: {column: uncompressed bytes}})."""
     cols = {t: defaultdict(int) for t in TABLES}
+    raw = {t: defaultdict(int) for t in TABLES}
     parts = {t: defaultdict(int) for t in TABLES}
     files = {t: 0 for t in TABLES}
     for table, paths in table_files(index_dir).items():
         for path in paths:
             files[table] += os.path.getsize(path)
-            c, p = file_bytes(path)
+            c, p, r = file_bytes(path)
             for k, v in c.items():
                 cols[table][k] += v
+                raw[table][k] += r[k]
             for k, v in p.items():
                 parts[table][k] += v
     total = 0
     for root, dirs, names in os.walk(index_dir):
         dirs[:] = [x for x in dirs if x != "extracted"]
         total += sum(os.path.getsize(os.path.join(root, n)) for n in names)
-    return cols, parts, files, total
+    return cols, parts, files, total, raw
 
 
 def _write_column(sink, t: list[pa.Table], encoding: str, table: str):
@@ -212,17 +221,19 @@ def main(argv: list[str]) -> int:
         return 0
     with open(os.path.join(index_dir, "manifest.json")) as f:
         n_docs = max(int(json.load(f)["n_docs"]), 1)
-    cols, parts, files, total = column_bytes(index_dir)
+    cols, parts, files, total, raw = column_bytes(index_dir)
 
-    def row(table: str, name: str, nbytes: int) -> None:
-        print(f"{table:<10} {name:<22} {nbytes:>12,} {nbytes / n_docs:>9.2f}")
+    def row(table: str, name: str, nbytes: int, nraw: str = "") -> None:
+        print(f"{table:<10} {name:<22} {nbytes:>12,} {nbytes / n_docs:>9.2f}"
+              f" {nraw:>12}")
 
-    print(f"{'table':<10} {'column':<22} {'bytes':>12} {'B/doc':>9}")
+    print(f"{'table':<10} {'column':<22} {'bytes':>12} {'B/doc':>9}"
+          f" {'raw':>12}")
     for table in TABLES:
         if not files[table]:
             continue
         for name, nbytes in sorted(cols[table].items(), key=lambda kv: -kv[1]):
-            row(table, name, nbytes)
+            row(table, name, nbytes, f"{raw[table][name]:,}")
         for name, nbytes in parts[table].items():
             row(table, name, nbytes)
         row(table, "(all)", files[table])
