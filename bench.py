@@ -106,7 +106,7 @@ def run_bench(ncpu: int, sf_dir: str) -> dict:
     manifest = build_from_pages(
         corpus, index_dir,
         resume=False, dedup=True,
-        sample_rate=0.1,       # sampled avgdl: the at-scale configuration
+        sample_rate=0.1,       # sampled hot-term detection (salting)
         auto_salt=True,
         num_buckets=NUM_BUCKETS,
         tokenize_batch_size=2048,
@@ -552,7 +552,6 @@ def main():
             stage_detail[str(w)] = {
                 "extract": e.get("sec_extract"),
                 "dedup": e.get("sec_dedup"),
-                "stats": s.get("sec_stats"),
                 "tokenize": s.get("sec_tokenize"),
                 "encode": s.get("sec_encode"),
             }

@@ -36,7 +36,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="skip extract partitions with completion markers")
     p.add_argument("--num-buckets", type=int, default=64)
     p.add_argument("--sample-rate", type=float, default=0.1,
-                   help="avgdl sampling rate (1.0 = exact)")
+                   help="doc sample rate of the hot-term (salting) "
+                        "pass; corpus stats are always exact")
     p.add_argument("--num-cpus", type=int, default=None,
                    help="only for standalone runs; ignored under a cluster")
     args = p.parse_args(argv)

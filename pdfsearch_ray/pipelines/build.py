@@ -1,10 +1,11 @@
 """Index build pipeline (SURVEY §3.1 rebuilt Ray-Data-first).
 
     read_parquet(corpus)
-      → [stats map_batches → tiny reduce]      → N, avgdl (exact or sampled)
-      → [Tokenizer map_batches]                → (term, salt, bucket, docs, tfs, dls, positions)
+      → [hot-term sample → tiny reduce]        → salt spec (auto_salt only)
+      → [Tokenizer map_batches]                → (term, salt, bucket, docs, tfs, positions)
                                                  + docs catalog parquet (one doc length each)
       → write_parquet(partition_cols=[bucket]) → per-bucket token spill
+      → catalog doc lengths                    → N, total_dl, avgdl (exact)
       → one encode task per bucket             → posting-block rows
       → one postings file per bucket           → + manifest.json
 
@@ -20,9 +21,10 @@ Design notes (scale):
   reference's single-threaded bleve index writer
   (internal/doclib/index_pdfs.go:104-167) — no single-writer bottleneck,
   and the spill dir is a resumable checkpoint between the two phases.
-* Corpus stats (avgdl) come from a deterministic doc_id-hash sample so the
-  build does not tokenize twice at scale; ``sample_rate=1.0`` gives exact
-  stats for correctness fixtures.  N (doc count) is always exact.
+* Corpus stats (N, total_dl, avgdl) come from the docs catalog the
+  tokenize pass writes, so they are exact in every build and the corpus
+  is tokenized once.  ``sample_rate`` is only the deterministic
+  doc_id-hash sample of the ``auto_salt`` hot-term pass.
 * Output layout: ``<index_dir>/{docs,postings}/*.parquet`` + manifest —
   the analog of the reference's persistDir layout (bleve_pdf.go:93-130).
 """
@@ -50,6 +52,8 @@ from ..state.manifest import FORMAT_VERSION, IndexManifest
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
+DEFAULT_HOT_DF_RATIO = 0.25
+DEFAULT_NUM_SALTS = 8
 _SAMPLE_MOD = 1 << 16
 
 
@@ -95,177 +99,84 @@ def _source_columns(source, cols: list[str]) -> list[str]:
     return cols
 
 
-class _TokenStats:
-    """Per-batch partials over ONE deterministic sample pass: corpus stats
-    (n_docs, total_dl) AND per-term partial df for hot-term detection —
-    the sample is tokenized once, not once per concern.
-
-    Output rows: term="" carries (total_dl, n_docs); term!="" carries
-    df_part.  ``track_df=False`` skips the per-term rows."""
-
-    def __init__(self, analyzer: str, text_col: str, id_col: str, rate: float,
-                 track_df: bool = False):
-        self.analyze = get_analyzer(analyzer)
-        self.analyzer = analyzer
-        self.text_col, self.id_col, self.rate = text_col, id_col, rate
-        self.track_df = track_df
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        mask = _sample_mask(ids, self.rate)
-        total, ndocs = 0, 0
-        counts: dict[str, int] = {}
-        texts = batch[self.text_col].to_pylist()
-        for keep, text in zip(mask, texts):
-            if not keep or not text:
-                continue
-            toks = self.analyze(text)
-            if not toks:
-                continue
-            total += len(toks)
-            ndocs += 1
-            if self.track_df:
-                for term in set(toks):
-                    counts[term] = counts.get(term, 0) + 1
-        if self.track_df and counts:
-            # only near-hot terms leave the worker: a term can't be hot
-            # globally without being frequent in most batches, so a low
-            # per-batch floor bounds driver-side rows to ~the head of the
-            # Zipf curve instead of the sample's whole vocabulary
-            floor = max(2, ndocs // 16)
-            counts = {t: c for t, c in counts.items() if c >= floor}
-        terms = [""] + list(counts.keys())
-        dfs = [0] + list(counts.values())
-        return pa.table({
-            "term": pa.array(terms, type=pa.string()),
-            "df_part": pa.array(dfs, type=pa.int64()),
-            "total_dl": pa.array([total] + [0] * len(counts), type=pa.int64()),
-            "n_docs": pa.array([ndocs] + [0] * len(counts), type=pa.int64()),
-        })
+def sampled_df(ids: np.ndarray, texts: list, analyze,
+               rate: float) -> tuple[int, dict[str, int]]:
+    """One batch's share of hot-term detection: (docs in the doc-hash
+    sample with at least one token, {term: df over those docs}).  Only
+    near-hot terms are kept: a term can't be hot globally without being
+    frequent in most batches, so the per-batch floor max(2, docs // 16)
+    bounds the rows that leave a worker to about the head of the Zipf
+    curve instead of the sample's whole vocabulary."""
+    ndocs = 0
+    counts: dict[str, int] = {}
+    for keep, text in zip(_sample_mask(ids, rate), texts):
+        if not keep or not text:
+            continue
+        toks = analyze(text)
+        if not toks:
+            continue
+        ndocs += 1
+        for term in set(toks):
+            counts[term] = counts.get(term, 0) + 1
+    floor = max(2, ndocs // 16)
+    return ndocs, {t: c for t, c in counts.items() if c >= floor}
 
 
-class _HotTermSampler:
-    """Per-batch (term, partial_df) rows over a sample — hot-term
-    detection.  Batch-vectorized like the tokenize combiner
-    (stages/tokenize.py:_combine_vectorized): regex findall per doc is
-    the only per-doc Python; ONE pandas factorize over the batch's raw
-    tokens, the normalize chain applied once per UNIQUE raw token, and
-    df computed as unique (doc, term-code) pairs via a packed-int64
-    np.unique + bincount — no per-token dict churn."""
+def hot_term_salts(df: dict[str, int], n_sampled: int, hot_df_ratio: float,
+                   num_salts: int) -> dict[str, int]:
+    """Salt shard count per hot term (SURVEY §4 skew row): a term whose
+    sampled df reaches ``hot_df_ratio`` of the sampled docs gets shards
+    in proportion to its df over that threshold, between 2 and
+    ``num_salts`` — a barely-hot term gets 2, a term in every doc about
+    1/hot_df_ratio.  Fewer shards than a flat num_salts for the mid-tail
+    means fewer buckets probed per query term, while each shard's df
+    stays near the threshold."""
+    thresh = hot_df_ratio * max(1, n_sampled)
+    return {t: int(np.clip(np.ceil(d / thresh) + 1, 2, num_salts))
+            for t, d in df.items() if d >= thresh}
 
-    def __init__(self, analyzer: str, text_col: str, id_col: str, rate: float):
-        self.analyzer_name = analyzer
+
+def _load_source(source, *cols: str | None) -> rd.Dataset:
+    """``source`` as a Dataset: a Dataset as given, parquet path(s) read
+    with the named columns (``None`` skipped) and the source's ``hash``
+    column when it has one."""
+    if isinstance(source, rd.Dataset):
+        return source
+    from ..functions.tables import read_parquet_nometa
+
+    return read_parquet_nometa(
+        source, columns=_source_columns(source, [c for c in cols if c]))
+
+
+class _HotTermDf:
+    """``map_batches`` body of the hot-term pass: one ``sampled_df`` per
+    batch as (term, df_part) rows; the row with term "" carries the
+    batch's sampled doc count."""
+
+    def __init__(self, analyzer: str, text_col: str, id_col: str,
+                 rate: float):
         self.analyze = get_analyzer(analyzer)
         self.text_col, self.id_col, self.rate = text_col, id_col, rate
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        empty = pa.table({"term": pa.array([], type=pa.string()),
-                          "df_part": pa.array([], type=pa.int64())})
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        mask = _sample_mask(ids, self.rate)
-        texts = batch[self.text_col].to_pylist()
-        en = self.analyzer_name == "en"
-        if en:
-            from ..analysis.analyzer import _TOKEN_RE
-
-            tokenize = _TOKEN_RE.findall
-        else:
-            tokenize = self.analyze
-
-        raw_all: list[str] = []
-        counts_l: list[int] = []
-        for keep, text in zip(mask, texts):
-            if not keep or not text:
-                continue
-            toks = tokenize(text)
-            raw_all.extend(toks)
-            counts_l.append(len(toks))
-        if not raw_all:
-            return empty
-        counts = np.asarray(counts_l, dtype=np.int64)
-        codes, uniq = pd.factorize(np.asarray(raw_all, dtype=object),
-                                   sort=False)
-        del raw_all
-        if en:
-            from ..analysis.analyzer import (
-                _MISSING,
-                _RAW_TERM_CACHE,
-                _final_term,
-            )
-
-            cache_get = _RAW_TERM_CACHE.get
-            final = []
-            for u in uniq:
-                t = cache_get(u, _MISSING)
-                if t is _MISSING:
-                    t = _final_term(u)
-                final.append(t)
-        else:
-            final = list(uniq)
-        kept_terms = sorted({t for t in final if t is not None})
-        if not kept_terms:
-            return empty
-        term_rank = {t: j for j, t in enumerate(kept_terms)}
-        code_map = np.fromiter(
-            (term_rank[t] if t is not None else -1 for t in final),
-            dtype=np.int64, count=len(final))
-        tcode = code_map[codes]
-        doc_idx = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        keep_tok = tcode >= 0
-        # df == count of distinct (doc, term) pairs per term
-        packed = np.unique((doc_idx[keep_tok] << 32) | tcode[keep_tok])
-        df = np.bincount(packed & 0xFFFFFFFF,
-                         minlength=len(kept_terms)).astype(np.int64)
+        n, df = sampled_df(batch[self.id_col].to_numpy(zero_copy_only=False),
+                           batch[self.text_col].to_pylist(), self.analyze,
+                           self.rate)
         return pa.table({
-            "term": pa.array(kept_terms, type=pa.string()),
-            "df_part": pa.array(df, type=pa.int64()),
+            "term": pa.array([""] + list(df), type=pa.string()),
+            "df_part": pa.array([n] + list(df.values()), type=pa.int64()),
         })
 
 
-def detect_hot_terms(
-    ds: rd.Dataset,
-    *,
-    analyzer: str,
-    text_col: str,
-    id_col: str,
-    sample_rate: float,
-    hot_df_ratio: float,
-    num_salts: int,
-) -> dict[str, int]:
-    """Estimate per-term df on a sample; terms with df/N above
-    ``hot_df_ratio`` get ``num_salts`` salt shards (SURVEY §4 skew row).
-
-    The driver receives O(hot terms) rows ONLY: the sampled vocabulary
-    aggregate stays distributed (materialized in the object store, not
-    pulled), the max-df scalar comes from a distributed ``Dataset.max``,
-    and the ``df >= hot_df_ratio·n_sampled`` threshold is applied inside
-    ``map_batches`` before the tiny ``to_pandas`` — at a web corpus's
-    10⁸–10⁹-term vocabulary the driver never sees more than the Zipf
-    head."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    parts = ds.map_batches(
-        _HotTermSampler(analyzer, text_col, id_col, sample_rate),
-        batch_format="pyarrow",
-    )
-    agg = parts.groupby("term").aggregate(
-        Sum("df_part", alias_name="df")).materialize()
-    n_max = agg.max("df", ignore_nulls=True) if agg.count() else None
-    if n_max is None:
-        return {}
-    n_sampled = max(1, int(n_max))  # upper bound on sampled docs
-    # a term present in every sampled doc has df == n_sampled
-    thresh = float(hot_df_ratio * n_sampled)
-
-    def _hot_only(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater_equal(
-            pc.cast(t["df"], pa.float64()), thresh))
-
-    hot = agg.map_batches(_hot_only, batch_format="pyarrow").to_pandas()
-    return {t: num_salts for t in hot["term"].tolist()}
+def _catalog_stats(doc_dl: tuple[np.ndarray, np.ndarray]
+                   ) -> tuple[int, int, float]:
+    """(N, total_dl, avgdl) of a docs catalog, exact: N counts the docs
+    that entered the index (at least one token after analysis), as the
+    reference's bleve DocCount counts indexed pages, not catalog rows."""
+    dl = doc_dl[1]
+    n = int(np.count_nonzero(dl))
+    total = int(dl.sum(dtype=np.int64))
+    return n, total, (total / n) if n else 1.0
 
 
 def _dir_bytes(path: str) -> int:
@@ -298,8 +209,8 @@ def build_index(
     sample_rate: float = 1.0,
     hot_terms: dict[str, int] | None = None,
     auto_salt: bool = False,
-    hot_df_ratio: float = 0.25,
-    num_salts: int = 8,
+    hot_df_ratio: float = DEFAULT_HOT_DF_RATIO,
+    num_salts: int = DEFAULT_NUM_SALTS,
     with_positions: bool = True,
     store_text: bool = True,
     tokenize_concurrency: int | None = None,
@@ -307,10 +218,6 @@ def build_index(
     spill_coalesce: int | None = None,
     row_group_size: int = 1024,
     resume: bool = False,
-    stats_source: "rd.Dataset | None" = None,
-    stats_scale: float = 1.0,
-    stats_sampled: bool = False,
-    stats_precomputed: dict | None = None,
     audit_unique: bool = False,
     report=None,
 ) -> IndexManifest:
@@ -326,6 +233,11 @@ def build_index(
     last completed stage (north_rule: resumable from per-partition
     checkpoints — partition-level resume lives in the extract source,
     stage-level here).
+
+    N, total_dl and avgdl are exact, read from the docs catalog the
+    tokenize pass writes.  ``sample_rate`` is only the doc-hash sample
+    of the ``auto_salt`` hot-term pass, which runs when ``auto_salt`` is
+    set and ``hot_terms`` is not given.
 
     ``report``: optional ``fn(str)`` progress callback — the reference's
     report hook (index_search.go:62-67, invoked per file at
@@ -346,14 +258,6 @@ def build_index(
         # a stage dir written in another index format is rebuilt, never
         # resumed into this format's manifest
         "format_version": FORMAT_VERSION,
-        # Precomputed-stats identity: a resumed append segment must not
-        # reuse stage dirs built from a DIFFERENT delta under the same
-        # config (append_index computes these from old+delta totals, so
-        # distinct batches virtually always fingerprint differently).
-        "stats_precomputed": (
-            {k: stats_precomputed[k] for k in ("total_dl", "n_sampled")
-             if k in stats_precomputed}
-            if stats_precomputed is not None else None),
     }
     cfg_path = f"{index_dir}/.build_config.json"
     prev_cfg = None
@@ -368,6 +272,8 @@ def build_index(
         _json.dump(cfg_fp, f)
     os.replace(cfg_path + ".tmp", cfg_path)
 
+    corpus = _load_source(source, id_col, text_col, url_col, lang_col)
+
     def _fresh_stage(final_dir: str) -> str | None:
         """Return the tmp dir to write, or None if the stage is complete
         and resumable."""
@@ -378,92 +284,39 @@ def build_index(
         shutil.rmtree(final_dir, ignore_errors=True)
         return tmp
 
-    def _load() -> rd.Dataset:
-        if isinstance(source, rd.Dataset):
-            return source
-        cols = _source_columns(
-            source, [c for c in (id_col, text_col, url_col, lang_col) if c])
-        from ..functions.tables import read_parquet_nometa
-        return read_parquet_nometa(source, columns=cols)
+    # 1. hot-term detection (salting) over the doc-hash sample.  A
+    # resumed build reuses the committed stages' hot terms: the sample's
+    # per-batch floor follows how Ray cuts batches.
+    hot_path = f"{index_dir}/.hot_terms.json"
+    sec_hot = 0.0
+    if auto_salt and hot_terms is None:
+        t1 = time.time()
+        if resume and os.path.exists(hot_path):
+            hot_terms = dict(_json.load(open(hot_path)))
+        else:
+            parts = block_tables(corpus.map_batches(
+                _HotTermDf(analyzer, text_col, id_col, sample_rate),
+                batch_format="pyarrow"))
+            df: dict[str, int] = {}
+            n_sampled = 0
+            for t in parts:
+                for term, c in zip(t["term"].to_pylist(),
+                                   t["df_part"].to_pylist()):
+                    if term:
+                        df[term] = df.get(term, 0) + c
+                    else:
+                        n_sampled += c
+            hot_terms = hot_term_salts(dict(sorted(df.items())), n_sampled,
+                                       hot_df_ratio, num_salts)
+            with open(hot_path + ".tmp", "w") as f:
+                _json.dump(sorted(hot_terms.items()), f)
+            os.replace(hot_path + ".tmp", hot_path)
+            report("hot-term pass done")
+        sec_hot = time.time() - t1
+    hot_terms = hot_terms or {}
+    t_hot = time.time()
 
-    # 1+2. ONE sampled pass for corpus stats (avgdl) AND hot-term df
-    # estimates (salting); N exact from the docs catalog
-    stats_path = f"{index_dir}/.stats.json"
-    cached = None
-    if resume and os.path.exists(stats_path):
-        try:
-            cached = _json.load(open(stats_path))
-        except Exception:
-            cached = None
-    if stats_precomputed is not None:
-        # stats were fused into an upstream pass (the extract markers,
-        # sources/pages_source.py:_ExtractPartition._partition_stats):
-        # no stats read pass, no barrier — one read of the corpus total
-        total_dl = int(stats_precomputed["total_dl"])
-        n_sampled = int(stats_precomputed["n_sampled"])
-        avgdl = (total_dl / n_sampled) if n_sampled else 1.0
-        total_tokens = int(total_dl * stats_scale / max(sample_rate, 1e-9))
-        if auto_salt and hot_terms is None:
-            hot_df = stats_precomputed.get("hot_df", {})
-            thresh = hot_df_ratio * max(1, n_sampled)
-            hot_terms = {
-                t: int(np.clip(np.ceil(df_t / thresh) + 1, 2, num_salts))
-                for t, df_t in hot_df.items() if df_t >= thresh
-            }
-        hot_terms = hot_terms or {}
-        t_stats = t_hot = time.time()
-    elif cached is not None:
-        total_dl = cached["total_dl"]
-        n_sampled = cached["n_sampled"]
-        avgdl = cached["avgdl"]
-        total_tokens = cached["total_tokens"]
-        hot_terms = hot_terms or dict(cached["hot_terms"])
-        t_stats = t_hot = time.time()
-    else:
-        track_df = auto_salt and hot_terms is None
-        stats = (
-            (stats_source if stats_source is not None else _load())
-            .map_batches(_TokenStats(analyzer, text_col, id_col, sample_rate,
-                                     track_df=track_df),
-                         batch_format="pyarrow")
-            .to_pandas()
-        )
-        report("corpus stats pass done")
-        if stats.empty or "total_dl" not in stats.columns:
-            # empty corpus: the empty Dataset drops the partial schema;
-            # proceed with zero stats so the build emits a valid empty
-            # index (manifest + no postings) instead of a KeyError
-            stats = stats.reindex(
-                columns=["total_dl", "n_docs", "term", "df_part"])
-        total_dl = int(stats["total_dl"].sum())
-        n_sampled = int(stats["n_docs"].sum())
-        avgdl = (total_dl / n_sampled) if n_sampled else 1.0
-        total_tokens = int(total_dl * stats_scale / max(sample_rate, 1e-9))
-        t_stats = time.time()
-
-        if track_df:
-            dfs = stats[stats["term"] != ""].groupby("term")["df_part"].sum()
-            thresh = hot_df_ratio * max(1, n_sampled)
-            hot = dfs[dfs >= thresh]
-            # adaptive shard count: salts ∝ estimated df over the hot
-            # threshold, capped at num_salts — a barely-hot term gets 2
-            # shards, a term in every doc gets ~1/hot_df_ratio.  Fewer
-            # shards than a flat num_salts for the mid-tail means fewer
-            # buckets probed per query term while encode-side balance
-            # (per-shard df ≤ threshold-ish) is preserved.
-            hot_terms = {
-                t: int(np.clip(np.ceil(df_t / thresh) + 1, 2, num_salts))
-                for t, df_t in hot.items()
-            }
-        hot_terms = hot_terms or {}
-        with open(stats_path + ".tmp", "w") as f:
-            _json.dump({"total_dl": total_dl, "n_sampled": n_sampled,
-                        "avgdl": avgdl, "total_tokens": total_tokens,
-                        "hot_terms": sorted(hot_terms.items())}, f)
-        os.replace(stats_path + ".tmp", stats_path)
-        t_hot = time.time()
-
-    # 3. tokenize (combined segments) → bucket partition spill → encode.
+    # 2. tokenize (combined segments) → bucket partition spill → encode.
     # combine=True is the combiner: one (term, salt) segment row per batch
     # instead of one row per (doc, term), shrinking the shuffle by ~the
     # batch size for head terms (SURVEY §4: pre-aggregate before groupby).
@@ -488,7 +341,7 @@ def build_index(
             "store_text": store_text},
     )
     if tokenize_concurrency is not None:
-        tokens = _load().map_batches(
+        tokens = corpus.map_batches(
             Tokenizer,
             fn_constructor_kwargs=tokenizer_kwargs,
             batch_format="pyarrow",
@@ -500,7 +353,7 @@ def build_index(
 
         from ..stages.tokenize import tokenize_batch
 
-        tokens = _load().map_batches(
+        tokens = corpus.map_batches(
             partial(tokenize_batch, cfg=tokenizer_kwargs),
             batch_format="pyarrow",
             batch_size=tokenize_batch_size,
@@ -603,15 +456,15 @@ def build_index(
             rows.append(t.num_rows)
         return pa.table({"rows": pa.array(rows, pa.int64())})
 
+    # each doc's length, from the catalog the tokenize pass committed (the
+    # spill carries none): the corpus stats, and every encode task looks
+    # its postings' docs up in it
+    doc_dl = catalog_doc_lengths(docs_dir)
+    n_docs, total_dl, avgdl = _catalog_stats(doc_dl)
+    n_catalog = int(doc_dl[0].size)
     if not postings_done:
-        from ..functions.tables import block_tables
-
         postings_tmp = _fresh_stage(postings_dir)
         os.makedirs(postings_tmp)           # an empty corpus writes no file
-        # each doc's length, from the catalog the tokenize pass committed
-        # (the spill carries none); every encode task looks its
-        # postings' docs up in it
-        doc_dl = catalog_doc_lengths(docs_dir)
         block_tables(rd.from_items(
             [{"i": i, "dir": d} for i, d in enumerate(bucket_dirs)],
             override_num_blocks=max(1, len(bucket_dirs)),
@@ -620,10 +473,6 @@ def build_index(
         os.rename(postings_tmp, postings_dir)
         # the spill is only removable once postings are durably renamed
         shutil.rmtree(tokens_dir, ignore_errors=True)
-    import pyarrow.parquet as pq
-
-    n_catalog = sum(pq.ParquetFile(f"{docs_dir}/{f}").metadata.num_rows
-                    for f in os.listdir(docs_dir) if f.endswith(".parquet"))
     if audit_unique:
         # J2 bimap audit (CheckConsistency analog): a duplicate doc_id
         # from an id-assignment collision would silently corrupt
@@ -635,24 +484,16 @@ def build_index(
                 f"docs catalog has {dups.size} duplicate doc_id(s); "
                 f"first few: {dups[:5].tolist()}"
             )
-    # BM25's N must count docs that actually entered the index (>=1 token
-    # after analysis) — the reference's bleve DocCount counts indexed
-    # pages, not catalog rows.  The exact stats pass measures this
-    # directly; with sampled stats fall back to the catalog count (the
-    # relative error is the empty-doc rate, and avgdl is approximate in
-    # that mode anyway — recorded via avgdl_exact).
-    stats_exact = sample_rate >= 1.0 and not stats_sampled
-    n_docs = n_sampled if stats_exact else n_catalog
     t_post = time.time()
     report(
         f"postings written in {t_post - t_hot:.1f}s "
-        f"({int(n_catalog) / max(t_post - t0, 1e-9):.0f} docs/sec overall)"
+        f"({n_catalog / max(t_post - t0, 1e-9):.0f} docs/sec overall)"
     )
 
     manifest = IndexManifest(
-        n_docs=int(n_docs),
-        avgdl=float(avgdl),
-        total_tokens=total_tokens,
+        n_docs=n_docs,
+        avgdl=avgdl,
+        total_tokens=total_dl,
         analyzer=analyzer,
         analyzer_version=ANALYZER_VERSION,
         k1=k1,
@@ -661,18 +502,16 @@ def build_index(
         block_size=block_size,
         salt_spec=hot_terms,
         built_at=t0,
-        avgdl_exact=sample_rate >= 1.0 and not stats_sampled,
-        total_dl=int(total_dl),
+        total_dl=total_dl,
         with_positions=with_positions,
         build_metrics={
-            "sec_stats": round(t_stats - t0, 3),
-            "sec_hot": round(t_hot - t_stats, 3),
+            "sec_hot": round(sec_hot, 3),
             "sec_tokenize": round(t_tok - t_hot, 3),
             "sec_encode": round(t_post - t_tok, 3),
             "sec_postings": round(t_post - t_hot, 3),
             "sec_total": round(t_post - t0, 3),
-            "docs_per_sec": round(int(n_catalog) / max(t_post - t0, 1e-9), 2),
-            "n_docs_catalog": int(n_catalog),
+            "docs_per_sec": round(n_catalog / max(t_post - t0, 1e-9), 2),
+            "n_docs_catalog": n_catalog,
             "store_text": store_text,
             "hash_provenance": (catalog_hash_scheme(docs_dir)
                                 or _hash_provenance(source)),
@@ -709,13 +548,7 @@ def build_index_mem(
     of parquet; for tests and small ephemeral corpora."""
     from .query import BM25Index
 
-    def _load() -> rd.Dataset:
-        if isinstance(source, rd.Dataset):
-            return source
-        cols = _source_columns(
-            source, [c for c in (id_col, text_col, url_col, lang_col) if c])
-        from ..functions.tables import read_parquet_nometa
-        return read_parquet_nometa(source, columns=cols)
+    corpus = _load_source(source, id_col, text_col, url_col, lang_col)
 
     def _concat(ds: rd.Dataset, schema: pa.Schema) -> pa.Table:
         # Ray may emit zero-row pass-through blocks carrying the *upstream*
@@ -724,28 +557,17 @@ def build_index_mem(
         tabs = block_tables(ds)
         return pa.concat_tables(tabs) if tabs else schema.empty_table()
 
-    from ..schemas import DOCS, POSTINGS
-
-    stats = (
-        _load()
-        .map_batches(_TokenStats(analyzer, text_col, id_col, 1.0),
-                     batch_format="pyarrow")
-        .to_pandas()
-    )
-    total_dl = int(stats["total_dl"].sum())
-    n_indexed = int(stats["n_docs"].sum())
-    avgdl = (total_dl / n_indexed) if n_indexed else 1.0
-
     from ..functions.spill import spill_dir
     from ..index.build_blocks import (catalog_doc_lengths,
                                       encode_bucket_segments)
+    from ..schemas import DOCS, POSTINGS
 
     # the tokenize pass writes the catalog, as in build_index; here into
     # a scoped spill that is read back whole.  The tokens are
-    # materialized first, so the catalog is complete before encode looks
-    # the postings' doc lengths up in it.
+    # materialized first, so the catalog is complete before the corpus
+    # stats are taken from it and encode looks doc lengths up in it.
     with spill_dir("pdfsearch_memdocs") as cat_dir:
-        tokens = _load().map_batches(
+        tokens = corpus.map_batches(
             Tokenizer,
             fn_constructor_kwargs=dict(
                 analyzer=analyzer, text_col=text_col, id_col=id_col,
@@ -758,6 +580,7 @@ def build_index_mem(
             concurrency=tokenize_concurrency,
         ).materialize()
         doc_dl = catalog_doc_lengths(cat_dir)
+        n_docs, total_dl, avgdl = _catalog_stats(doc_dl)
 
         def _encode(group: pa.Table) -> pa.Table:
             return encode_bucket_segments(group, doc_dl=doc_dl, k1=k1,
@@ -777,7 +600,7 @@ def build_index_mem(
                  sorted(_glob.glob(f"{cat_dir}/*.parquet"))]
         docs_tbl = pa.concat_tables(parts) if parts else DOCS.empty_table()
     manifest = IndexManifest(
-        n_docs=int(n_indexed), avgdl=float(avgdl),
+        n_docs=n_docs, avgdl=avgdl,
         total_tokens=total_dl, total_dl=total_dl, analyzer=analyzer,
         analyzer_version=ANALYZER_VERSION, k1=k1, b=b,
         num_buckets=num_buckets, block_size=block_size,
@@ -1002,9 +825,10 @@ def compact_index(
     analog, run as an explicit distributed job instead of a background
     thread.
 
-    Requires ``store_text=True`` catalogs.  Corpus stats (N, avgdl) are
-    recomputed over the surviving docs, so the compacted index scores
-    IDENTICALLY to a from-scratch build over the same rows (tested).
+    Requires ``store_text=True`` catalogs.  Corpus stats (N, avgdl) come
+    from the rebuilt catalog of the surviving docs, with no stats pass,
+    so the compacted index scores IDENTICALLY to a from-scratch build
+    over the same rows (tested).
     The rebuild happens at ``<index_dir>.compact.tmp`` and is swapped in
     with two renames; a crash between them is recovered on the next
     compact_index call (the displaced ``.old`` tree is restored before
@@ -1214,6 +1038,22 @@ def append_skip_hashes(
     return pa.concat_tables(tabs)["hash"].combine_chunks().unique()
 
 
+def _delta_digest(delta: rd.Dataset, id_col: str) -> str | None:
+    """sha256 over a delta's (doc_id, hash) pairs in doc_id order — the
+    identity of the segment an append builds from it; None when the
+    delta has no rows."""
+    import hashlib
+
+    tabs = block_tables(delta.select_columns([id_col, "hash"]))
+    if not tabs:
+        return None
+    t = pa.concat_tables(tabs).sort_by([(id_col, "ascending"),
+                                        ("hash", "ascending")])
+    h = hashlib.sha256(t[id_col].cast(pa.int64()).to_numpy().tobytes())
+    h.update("\0".join(map(str, t["hash"].to_pylist())).encode("utf-8"))
+    return h.hexdigest()
+
+
 def append_index(
     source: str | list[str] | rd.Dataset,
     index_dir: str,
@@ -1242,25 +1082,31 @@ def append_index(
        (≤ |delta|) come back and are ``ray.put`` once.
     2. the surviving delta is (optionally) exact-deduped within itself,
        then built as a NEW SEGMENT at ``<index_dir>/segments/seg-NNN``
-       with the parent's analyzer/buckets/salt config and — crucially —
-       the GLOBAL avgdl over old + new docs, so freshly-encoded
-       block-max bounds are exact under the updated statistics.
-    3. the parent manifest's segment list, n_docs, total_dl and avgdl
-       are updated and atomically saved — the commit point.  A crash
+       with the parent's analyzer/buckets/salt config.  No stats pass
+       runs: the segment's block-max bounds are encoded at its own
+       catalog's avgdl, recorded as its ``avgdl_baked``.
+    3. the segment's exact n_docs and total_dl (from its catalog) are
+       added to the parent manifest, whose segment list and avgdl are
+       updated and atomically saved — the commit point.  A crash
        before the save leaves an un-listed (invisible) segment dir;
        re-running the same append resumes its completed stages and
-       commits.
+       commits, while an append of a different delta rebuilds the dir
+       (the delta's (doc_id, hash) digest is the dir's identity).
 
     Query-side consistency: postings store raw tf/dl (avgdl enters only
     at decode), so exact TAAT over the appended index reproduces a
     from-scratch rebuild over the union BITWISE (same N, df, avgdl ⇒
-    same idf and wdl) — tested in tests/test_append.py.  Older
-    segments' stored block-max metadata was encoded under a smaller
-    avgdl; BM25Index scales those bounds by avgdl_now/avgdl_baked
-    (a valid upper-bound envelope: wdl is increasing in avgdl with
-    ratio ≤ avgdl'/avgdl), keeping MaxScore pruning sound.
+    same idf and wdl) — tested in tests/test_append.py.  Each segment's
+    block-max metadata was encoded under its own avgdl; BM25Index
+    scales those bounds by max(1, avgdl_now/avgdl_baked) (a valid
+    upper-bound envelope: wdl is increasing in avgdl with ratio ≤
+    avgdl'/avgdl), keeping MaxScore pruning sound.
 
     Returns a summary dict (segment name, docs added, dup-skips…)."""
+    import os
+    import shutil
+    from pathlib import Path
+
     import ray
 
     from ..state.manifest import IndexManifest
@@ -1269,14 +1115,6 @@ def append_index(
     report = report or (lambda msg: None)
     m = IndexManifest.load(index_dir)
     m.check_format(index_dir)
-
-    def _load() -> rd.Dataset:
-        if isinstance(source, rd.Dataset):
-            return source
-        cols = _source_columns(
-            source, [c for c in (id_col, text_col, url_col, lang_col) if c])
-        from ..functions.tables import read_parquet_nometa
-        return read_parquet_nometa(source, columns=cols)
 
     # 1. known-hash skip: bucketed semi-join of catalog hashes vs delta
     # hashes — only the matched (≤ |delta|) hashes are broadcast.
@@ -1306,10 +1144,11 @@ def append_index(
     doc_files = _committed_doc_files(index_dir, m)
     tomb = m.tombstone_ids(index_dir)
     # materialize once: the hashed delta is consumed by the skip-join,
-    # the stats pass AND the segment build — without this the source
-    # read + sha256 re-run per consumer.  Object-store blocks spill
+    # the identity digest AND the segment build — without this the
+    # source read + sha256 re-run per consumer.  Object-store blocks spill
     # under pressure; size is bounded by the append batch itself.
-    delta_hashed = _load().map_batches(
+    delta_hashed = _load_source(
+        source, id_col, text_col, url_col, lang_col).map_batches(
         _AttachHash(text_col, drop_carried=drop_carried),
         batch_format="pyarrow",
     ).materialize()
@@ -1324,28 +1163,26 @@ def append_index(
         delta = dedup_exact(delta, hash_col="hash", id_col=id_col,
                             num_buckets=m.num_buckets)
 
-    # 2. delta corpus stats (exact) → combined global stats
-    stats = delta.map_batches(
-        _TokenStats(m.analyzer, text_col, id_col, 1.0, track_df=False),
-        batch_format="pyarrow",
-    ).to_pandas()
-    delta_dl = int(stats["total_dl"].sum()) if len(stats) else 0
-    delta_n = int(stats["n_docs"].sum()) if len(stats) else 0
-    report(f"append: delta has {delta_n} new docs ({delta_dl} tokens)")
-    if delta_n == 0:
+    # 2. build the delta as a segment under the parent's config.  A
+    # segment dir left by a crashed append resumes only under the same
+    # delta: its (doc_id, hash) digest is the dir's identity.
+    def _none_added() -> dict:
+        report("append: delta has no new docs")
         return {"segment": None, "n_added": 0, "n_docs": m.n_docs,
                 "avgdl": m.avgdl, "sec_total": round(time.time() - t0, 3)}
 
-    old_dl = int(m.total_dl) if m.total_dl else int(round(m.avgdl * m.n_docs))
-    new_n = m.n_docs + delta_n
-    new_dl = old_dl + delta_dl
-    new_avgdl = new_dl / max(new_n, 1)
-
-    # 3. build the delta as a segment under the parent's config
+    ident = _delta_digest(delta, id_col)
+    if ident is None:
+        return _none_added()
     seg_name = "seg-%03d" % (
         len([s for s in m.segments if s["name"] != "base"]) + 1)
     seg_dir = f"{index_dir}/segments/{seg_name}"
-    seg_manifest = build_index(
+    ident_path = Path(seg_dir, ".delta_digest")
+    if not (ident_path.exists() and ident_path.read_text() == ident):
+        shutil.rmtree(seg_dir, ignore_errors=True)
+        os.makedirs(seg_dir)
+        ident_path.write_text(ident)
+    seg = build_index(
         delta, seg_dir,
         text_col=text_col, id_col=id_col, url_col=url_col,
         lang_col=lang_col,
@@ -1354,27 +1191,32 @@ def append_index(
         hot_terms=dict(m.salt_spec or {}), auto_salt=False,
         with_positions=m.with_positions,
         store_text=m.build_metrics.get("store_text", True),
-        stats_precomputed={"total_dl": new_dl, "n_sampled": new_n},
         tokenize_batch_size=tokenize_batch_size,
         resume=resume, report=report,
     )
+    if seg.n_docs == 0:
+        # no doc has a token: the delta leaves no segment behind
+        shutil.rmtree(seg_dir, ignore_errors=True)
+        return _none_added()
+    report(f"append: delta has {seg.n_docs} new docs "
+           f"({seg.total_dl} tokens)")
 
-    # 4. commit: parent manifest update (atomic save)
+    # 3. commit: parent manifest update (atomic save)
     if not m.segments:
         m.segments.append({"name": "base", "n_docs": m.n_docs,
-                           "total_dl": old_dl, "avgdl_baked": m.avgdl})
+                           "total_dl": m.total_dl, "avgdl_baked": m.avgdl})
     m.segments = [s for s in m.segments if s["name"] != seg_name]
-    m.segments.append({"name": seg_name, "n_docs": delta_n,
-                       "total_dl": delta_dl, "avgdl_baked": new_avgdl})
-    m.n_docs = new_n
-    m.total_dl = new_dl
-    m.avgdl = new_avgdl
-    m.total_tokens = new_dl
+    m.segments.append({"name": seg_name, "n_docs": seg.n_docs,
+                       "total_dl": seg.total_dl, "avgdl_baked": seg.avgdl})
+    m.n_docs += seg.n_docs
+    m.total_dl += seg.total_dl
+    m.total_tokens = m.total_dl
+    m.avgdl = m.total_dl / m.n_docs
     m.build_metrics = dict(
         m.build_metrics,
         appends=int(m.build_metrics.get("appends", 0)) + 1,
         last_append_sec=round(time.time() - t0, 3),
-        last_append_docs=delta_n,
+        last_append_docs=seg.n_docs,
     )
     m.save(index_dir)
     if audit_unique:
@@ -1390,10 +1232,10 @@ def append_index(
                 f"first few: {dups[:5].tolist()}")
     return {
         "segment": seg_name,
-        "n_added": delta_n,
-        "n_docs": new_n,
-        "avgdl": new_avgdl,
-        "segment_metrics": seg_manifest.build_metrics,
+        "n_added": seg.n_docs,
+        "n_docs": m.n_docs,
+        "avgdl": m.avgdl,
+        "segment_metrics": seg.build_metrics,
         "sec_total": round(time.time() - t0, 3),
     }
 
@@ -1534,7 +1376,12 @@ def build_from_pages(
 
     ``strict=True`` surfaces extractor errors instead of skip-and-count
     (ExposeErrors analog); either way the skip counters land in
-    ``manifest.build_metrics['extract']``."""
+    ``manifest.build_metrics['extract']``.
+
+    Corpus stats come from the index's docs catalog, as in every build.
+    A sampled (``sample_rate < 1``) ``auto_salt`` build takes its hot
+    terms from the extract markers, so ``build_index`` runs no hot-term
+    pass."""
     from ..sources.pages_source import (
         dup_loser_ids_from_extract,
         extract_pages,
@@ -1545,24 +1392,24 @@ def build_from_pages(
     t0 = time.time()
     extract_dir = extract_dir or f"{index_dir}/extracted"
     # Fused extract (ONE read of the raw corpus): text extraction + the
-    # exact-dedup pair spill + (sampled builds) the corpus-stats pass all
-    # happen while each partition's rows are in memory — two fewer
-    # full-corpus reads and two fewer pipeline barriers than running
-    # them as separate stages.
+    # exact-dedup pair spill + (sampled auto_salt builds) the hot-term
+    # sample all happen while each partition's rows are in memory — two
+    # fewer full-corpus reads and two fewer pipeline barriers than
+    # running them as separate stages.
     sample_rate = build_kwargs.get("sample_rate", 1.0)
-    fuse_stats = sample_rate < 1.0
+    fuse_hot = (sample_rate < 1.0 and build_kwargs.get("auto_salt", False)
+                and build_kwargs.get("hot_terms") is None)
     analyzer = build_kwargs.get("analyzer", "en")
     summary = extract_pages(
         input_path, extract_dir,
         lang_allow=lang_allow, resume=resume, concurrency=extract_concurrency,
         strict=strict,
         pairs=dedup,
-        stats_analyzer=analyzer if fuse_stats else None,
+        stats_analyzer=analyzer if fuse_hot else None,
         stats_rate=sample_rate,
     )
     summary["sec_extract"] = round(time.time() - t0, 3)
     ds = extracted_dataset(extract_dir)
-    loser_ref = None
     if dedup:
         # losers come from the extract-fused pairs spill (hash-sorted
         # per-partition files, range-pruned reduce tasks): no corpus
@@ -1576,30 +1423,13 @@ def build_from_pages(
                             batch_format="pyarrow")
         summary["sec_dedup"] = round(time.time() - t1, 3)
 
-    if fuse_stats:
+    if fuse_hot:
         ms = marker_stats(extract_dir)
-        if ms is not None and ms.get("analyzer") == analyzer:
-            build_kwargs = dict(build_kwargs, sample_rate=1.0,
-                                stats_precomputed=ms,
-                                stats_scale=1.0 / max(sample_rate, 1e-9),
-                                stats_sampled=True)
-        else:
-            # markers predate stats fusion (or analyzer changed):
-            # fall back to the file-sampled stats pass
-            import glob as _glob
-
-            files = sorted(_glob.glob(f"{extract_dir}/part-*.parquet"))
-            k = max(1, round(len(files) * sample_rate))
-            step = len(files) / k
-            subset = [files[int(i * step)] for i in range(k)]
-            stats_ds = rd.read_parquet(subset)
-            if loser_ref is not None:
-                stats_ds = stats_ds.map_batches(_DropIds(loser_ref, "doc_id"),
-                                                batch_format="pyarrow")
-            build_kwargs = dict(build_kwargs, sample_rate=1.0,
-                                stats_source=stats_ds,
-                                stats_scale=len(files) / len(subset),
-                                stats_sampled=True)
+        if ms is not None and ms["analyzer"] == analyzer:
+            build_kwargs = dict(build_kwargs, hot_terms=hot_term_salts(
+                ms["hot_df"], ms["n_sampled"],
+                build_kwargs.get("hot_df_ratio", DEFAULT_HOT_DF_RATIO),
+                build_kwargs.get("num_salts", DEFAULT_NUM_SALTS)))
 
     manifest = build_index(
         ds, index_dir, id_col="doc_id", url_col="url", lang_col="lang",

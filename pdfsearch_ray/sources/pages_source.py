@@ -110,10 +110,10 @@ class _ExtractPartition:
     * ``pairs``: a (hash, doc_id) parquet sorted by hash with small row
       groups — the map side of the exact-dedup shuffle; loser tasks
       later prune by hash range (dup_loser_ids_from_extract).
-    * ``stats_*``: sampled corpus statistics (docs, total token count,
-      near-hot per-term df partials) under the build's analyzer,
-      recorded in the marker — the build's avgdl/hot-term stats pass
-      reads markers instead of re-reading text."""
+    * ``stats_*``: the hot-term sample (sampled doc count and near-hot
+      per-term df partials, ``build.sampled_df``) under the build's
+      analyzer, recorded in the marker — a sampled ``auto_salt`` build
+      reads its hot terms from the markers instead of re-reading text."""
 
     def __init__(self, out_dir: str, lang_allow: tuple[str, ...] | None,
                  strict: bool = False,
@@ -132,31 +132,14 @@ class _ExtractPartition:
             self._analyze = get_analyzer(stats_analyzer)
 
     def _partition_stats(self, extracted: pa.Table) -> dict:
-        """Sampled (doc-hash-deterministic) token stats for this
-        partition: analyzed ONCE here, summed from markers at build time."""
-        import numpy as np
+        """This partition's hot-term sample: analyzed ONCE here, summed
+        from the markers at build time."""
+        from ..pipelines.build import sampled_df
 
-        from ..pipelines.build import _sample_mask
-
-        ids = extracted["doc_id"].to_numpy()
-        mask = _sample_mask(ids, self.stats_rate)
-        total = ndocs = 0
-        counts: dict[str, int] = {}
-        for keep, text in zip(mask, extracted["text"].to_pylist()):
-            if not keep or not text:
-                continue
-            toks = self._analyze(text)
-            if not toks:
-                continue
-            total += len(toks)
-            ndocs += 1
-            for term in set(toks):
-                counts[term] = counts.get(term, 0) + 1
-        # only near-hot terms enter the marker (bounded size; a globally
-        # hot term must be frequent in most partitions)
-        floor = max(2, ndocs // 16)
-        hot = {t: c for t, c in counts.items() if c >= floor}
-        return {"n_docs": ndocs, "total_dl": total, "df_top": hot,
+        ndocs, hot = sampled_df(extracted["doc_id"].to_numpy(),
+                                extracted["text"].to_pylist(),
+                                self._analyze, self.stats_rate)
+        return {"n_docs": ndocs, "df_top": hot,
                 "rate": self.stats_rate, "analyzer": self.stats_analyzer}
 
     def _write_pairs(self, extracted: pa.Table, pid: int) -> None:
@@ -306,8 +289,8 @@ def extract_pages(
     ``strict=True`` is the ExposeErrors/Debug analog
     (index_search.go:190-194): extractor exceptions propagate and fail
     the build instead of skip-and-count.  ``pairs``/``stats_analyzer``
-    fuse the dedup pair-spill and the sampled corpus-stats pass into
-    this single read (see _ExtractPartition); resume validates the fused
+    fuse the dedup pair-spill and the hot-term sample into this single
+    read (see _ExtractPartition); resume validates the fused
     config so a rerun with different stats settings re-extracts."""
     os.makedirs(out_dir, exist_ok=True)
     descs = list_partitions(input_path)
@@ -445,15 +428,15 @@ def dup_loser_ids_from_extract(out_dir: str, num_buckets: int = 16):
 
 
 def marker_stats(out_dir: str) -> dict | None:
-    """Aggregate the extract-fused sampled corpus stats from the
-    partition markers: returns {n_sampled, total_dl, hot_df: {term: df},
-    rate, analyzer} or None if any marker lacks stats (older run)."""
+    """Aggregate the extract-fused hot-term sample from the partition
+    markers: returns {n_sampled, hot_df: {term: df}, rate, analyzer} or
+    None if any marker lacks it (older run)."""
     from ..state.manifest import PARTITIONS_DIR
 
     pdir = os.path.join(out_dir, PARTITIONS_DIR)
     if not os.path.isdir(pdir):
         return None
-    n = total = 0
+    n = 0
     hot: dict[str, int] = {}
     rate = analyzer = None
     for name in sorted(os.listdir(pdir)):
@@ -465,10 +448,9 @@ def marker_stats(out_dir: str) -> dict | None:
         if not s:
             return None
         n += s["n_docs"]
-        total += s["total_dl"]
         for t, c in s.get("df_top", {}).items():
             hot[t] = hot.get(t, 0) + c
         rate = s.get("rate")
         analyzer = s.get("analyzer")
-    return {"n_sampled": n, "total_dl": total, "hot_df": hot,
+    return {"n_sampled": n, "hot_df": hot,
             "rate": rate, "analyzer": analyzer}

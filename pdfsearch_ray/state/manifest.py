@@ -63,8 +63,10 @@ class IndexManifest:
     # live at <index_dir>/segments/<name>/.  A segment dir not listed
     # here is INVISIBLE to queries — the manifest save is the append's
     # atomic commit point.  avgdl_baked is the avgdl its block-max
-    # metadata was encoded with; the query engine scales those bounds by
-    # max(1, avgdl_now/avgdl_baked) to keep them valid upper bounds.
+    # metadata was encoded with — each build, an append segment included,
+    # encodes at its own catalog's exact avgdl; the query engine scales
+    # those bounds by max(1, avgdl_now/avgdl_baked) to keep them valid
+    # upper bounds.
     total_dl: int = 0
     with_positions: bool = True
     segments: list[dict[str, Any]] = field(default_factory=list)

@@ -3,8 +3,9 @@
 The hard invariant: building part A then appending part B must produce
 the SAME search results — doc ids, scores, tie order — as one
 from-scratch build over A∪B.  Postings store raw tf/dl, avgdl enters
-only at decode, and append recomputes the global (N, total_dl) exactly,
-so scores agree bitwise, not just approximately."""
+only at decode, and append adds each segment's exact (N, total_dl),
+read from its docs catalog, so scores agree bitwise, not just
+approximately."""
 
 from __future__ import annotations
 
@@ -277,3 +278,140 @@ def test_two_appends_match_full_rebuild(ray_session, tmp_path):
                            method=method)
             assert [(m.doc_id, m.score) for m in a.matches] == [
                 (m.doc_id, m.score) for m in b.matches], (q, method)
+
+
+def _catalog_dl(index_dir):
+    """Every committed catalog's ``dl`` column, concatenated."""
+    from pdfsearch_ray.pipelines.build import _committed_doc_files
+    from pdfsearch_ray.state.manifest import IndexManifest
+
+    files = _committed_doc_files(index_dir, IndexManifest.load(index_dir))
+    return np.concatenate([pq.read_table(f, columns=["dl"])["dl"].to_numpy()
+                           for f in files]).astype(np.int64)
+
+
+def test_sampled_base_append_keeps_exact_stats(ray_session, tmp_path):
+    """A base built with ``sample_rate < 1`` records the catalog's exact
+    stats, so after an append the manifest's N, total_dl and avgdl are
+    the sums over every committed catalog, and TAAT and MaxScore answer
+    exactly as a from-scratch build of the union."""
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import append_index, build_index
+    from pdfsearch_ray.pipelines.query import BM25Index
+    from pdfsearch_ray.state.manifest import IndexManifest
+
+    t = pq.read_table(SF)
+    cut = int(t.num_rows * 0.6)
+    full_dir = str(tmp_path / "full")
+    build_index(rd.from_arrow(t), full_dir, num_buckets=8, analyzer="en",
+                lang_col="lang")
+    inc_dir = str(tmp_path / "inc")
+    build_index(rd.from_arrow(t.slice(0, cut)), inc_dir, num_buckets=8,
+                analyzer="en", lang_col="lang", sample_rate=0.1)
+    assert append_index(rd.from_arrow(t.slice(cut)), inc_dir,
+                        lang_col="lang")["segment"] == "seg-001"
+
+    m = IndexManifest.load(inc_dir)
+    dl = _catalog_dl(inc_dir)
+    assert m.n_docs == np.count_nonzero(dl)
+    assert m.total_dl == int(dl.sum())
+    assert m.avgdl == m.total_dl / m.n_docs
+    full, inc = BM25Index(full_dir), BM25Index(inc_dir)
+    assert (inc.manifest.n_docs, inc.manifest.avgdl) == (
+        full.manifest.n_docs, full.manifest.avgdl)
+    for q in QUERIES:
+        for method in ("taat", "maxscore"):
+            a = full.search(q, max_results=10, with_spans=False,
+                            method=method)
+            b = inc.search(q, max_results=10, with_spans=False,
+                           method=method)
+            assert [(h.doc_id, h.score) for h in a.matches] == [
+                (h.doc_id, h.score) for h in b.matches], (q, method)
+            assert a.total_matches == b.total_matches, (q, method)
+
+
+def test_crashed_append_resumes_only_for_its_own_delta(ray_session,
+                                                       tmp_path):
+    """A segment dir left by a crashed append (built, never committed)
+    is resumed by a re-run of the same delta — its files are kept — and
+    rebuilt by an append of a different delta."""
+    import os
+
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import append_index, build_index
+    from pdfsearch_ray.state.manifest import IndexManifest
+
+    t = pq.read_table(SF)
+    delta_a, delta_b = t.slice(200, 100), t.slice(300, 100)
+    d = str(tmp_path / "idx")
+    build_index(rd.from_arrow(t.slice(0, 200)), d, num_buckets=8,
+                analyzer="en", lang_col="lang")
+    with open(f"{d}/manifest.json", "rb") as f:
+        committed = f.read()
+    seg = f"{d}/segments/seg-001"
+
+    def crash() -> None:
+        # the segment stays on disk; the parent never lists it
+        with open(f"{d}/manifest.json", "wb") as f:
+            f.write(committed)
+
+    def files() -> dict:
+        out = {}
+        for sub in ("docs", "postings"):
+            for name in os.listdir(f"{seg}/{sub}"):
+                st = os.stat(f"{seg}/{sub}/{name}")
+                out[f"{sub}/{name}"] = (st.st_ino, st.st_mtime_ns)
+        return out
+
+    def seg_ids() -> set:
+        return set(pq.read_table(f"{seg}/docs", columns=["doc_id"])
+                   ["doc_id"].to_pylist())
+
+    append_index(rd.from_arrow(delta_a), d, lang_col="lang")
+    crash()
+    left = files()
+    out = append_index(rd.from_arrow(delta_a), d, lang_col="lang")
+    assert out["segment"] == "seg-001" and out["n_added"] > 0
+    assert files() == left  # resumed: every stage file kept
+    crash()
+    out = append_index(rd.from_arrow(delta_b), d, lang_col="lang")
+    assert out["segment"] == "seg-001" and out["n_added"] > 0
+    assert seg_ids() <= set(delta_b["doc_id"].to_pylist())
+    assert not seg_ids() & set(delta_a["doc_id"].to_pylist())
+    m = IndexManifest.load(d)
+    dl = _catalog_dl(d)
+    assert (m.n_docs, m.total_dl) == (np.count_nonzero(dl), int(dl.sum()))
+
+
+def test_build_metrics_after_build_append_and_compact(ray_session,
+                                                      tmp_path):
+    """The per-stage walls the benchmark reads (``sec_tokenize``,
+    ``sec_encode``) are recorded by a build, an append's segment build
+    and a compaction; no build records a stats pass, and ``sec_hot`` is
+    0 when the hot terms come from the extract markers or the caller."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pdfsearch_ray.fixtures.gen import generate_pages, write_pages
+    from pdfsearch_ray.pipelines.build import (append_index, build_from_pages,
+                                               compact_index)
+
+    pages = str(tmp_path / "pages")
+    write_pages(pages, 300, rows_per_file=100)
+    d = str(tmp_path / "idx")
+    m = build_from_pages(pages, d, num_buckets=4, resume=False,
+                         sample_rate=0.5, auto_salt=True)
+    assert m.salt_spec  # hot terms came from the markers
+    t = generate_pages(400).slice(300)
+    delta = pa.table({
+        "doc_id": pa.array(10**15 + np.arange(t.num_rows, dtype=np.int64)),
+        "url": t["url"], "text": t["text"], "lang": t["lang"]})
+    seg = append_index(rd.from_arrow(delta), d, lang_col="lang",
+                       url_col="url")["segment_metrics"]
+    compacted = compact_index(d).build_metrics
+    for bm in (m.build_metrics, seg, compacted):
+        assert bm["sec_tokenize"] > 0 and bm["sec_encode"] > 0
+        assert "sec_stats" not in bm
+        assert bm["sec_hot"] == 0

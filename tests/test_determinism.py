@@ -58,21 +58,36 @@ def test_build_invariant_to_batch_size_and_pool(ray_session, tmp_path):
     assert _topk(a) == _topk(b) == _topk(c)
 
 
-def test_sampled_stats_only_scales_scores(ray_session, tmp_path):
-    """Sampled avgdl changes score VALUES, never the docID set per term:
-    posting ids/tfs are identical, only max_wdl metadata moves."""
+def _index_files(index_dir):
+    """{relative path: bytes} of every postings and docs file."""
+    import os
+
+    out = {}
+    for sub in ("postings", "docs"):
+        for name in sorted(os.listdir(f"{index_dir}/{sub}")):
+            with open(f"{index_dir}/{sub}/{name}", "rb") as f:
+                out[f"{sub}/{name}"] = f.read()
+    return out
+
+
+def test_sample_rate_leaves_index_unchanged(ray_session, tmp_path):
+    """Corpus stats come from the docs catalog, so with auto_salt off
+    ``sample_rate`` changes nothing: the same postings and docs files,
+    byte for byte, the same N / total_dl / avgdl, the same scores."""
     from pdfsearch_ray.pipelines.build import build_index
 
     a = str(tmp_path / "exact")
     b = str(tmp_path / "sampled")
-    build_index(SRC, a, analyzer="en", num_buckets=8, sample_rate=1.0)
-    build_index(SRC, b, analyzer="en", num_buckets=8, sample_rate=0.3)
+    ma = build_index(SRC, a, analyzer="en", num_buckets=8, sample_rate=1.0)
+    mb = build_index(SRC, b, analyzer="en", num_buckets=8, sample_rate=0.3)
     ta, tb = _postings_canon(a), _postings_canon(b)
     assert ta.equals(tb)
-    ids_a = [d for d, _ in _topk(a)]
-    ids_b = [d for d, _ in _topk(b)]
-    # same corpus, slightly different avgdl: identical hit SETS
-    assert set(ids_a) == set(ids_b)
+    fa, fb = _index_files(a), _index_files(b)
+    assert fa and fa == fb
+    assert (ma.n_docs, ma.total_dl, ma.avgdl) == (
+        mb.n_docs, mb.total_dl, mb.avgdl)
+    assert ma.total_dl > 0
+    assert _topk(a) == _topk(b)
 
 
 def test_docs_row_groups_prunable(ray_session, tmp_path):
