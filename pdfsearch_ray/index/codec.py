@@ -31,10 +31,11 @@ decoded (``decode_positions_flat``), the way Lucene's ``.pos`` file
 leaves the frequency to ``.doc``.
 
 On disk the block rows, the docs catalog and the tombstone sets are
-parquet files written under ``INDEX_WRITE_OPTIONS`` (below): zstd-9,
-statistics only on the columns a reader prunes on, one chosen encoding
-per column and no embedded Arrow schema, so the blobs read back as
-``binary`` whatever type they were written from.
+parquet files written under ``INDEX_WRITE_OPTIONS`` (below): zstd at a
+measured level per table (14 for the blocks, 9 for the rest), statistics
+only on the columns a reader prunes on, one chosen encoding per column
+and no embedded Arrow schema, so the blobs read back as ``binary``
+whatever type they were written from.
 
 Both encode and decode are numpy-vectorized (no per-value Python loop):
 encode computes per-value byte widths by threshold comparison and
@@ -50,12 +51,56 @@ BLOCK_SIZE = 128
 
 # Parquet writer policy for every committed index file: the docs catalog,
 # the posting blocks above and the tombstone sets, whether written by a
-# base build, an append segment or a compaction.  zstd at level 9: the
-# files are bucket-partitioned and term-grouped, so a strong general
-# codec finds the repeats.  An index is written once and read on every
-# cold query, and zstd decodes at the same speed at every level, so the
-# level costs only build CPU; level 9 is the knee of the size curve
-# (level 12 doubles the postings compression time for 3% fewer bytes).
+# base build, an append segment or a compaction.  zstd: the files are
+# bucket-partitioned and term-grouped, so a strong general codec finds
+# the repeats.  An index is written once and read on every cold query,
+# and zstd decodes at the same speed at every level, so a higher level
+# costs build CPU and buys smaller files for every reader.  Each table's
+# level follows one rule: starting from 9, a higher level (up to 19)
+# replaces the choice only if, on both a 6k- and a 24k-page build of the
+# benchmark corpus, it is at least 1 % smaller than the choice, a
+# single-thread write of the whole table takes at most 4x the level-9
+# time, a serving read of its row groups is no slower than at level 9,
+# and DuckDB 1.0 reads the file.  ``python tools/index_bytes.py --levels
+# IDX_6K IDX_24K`` prints, per level, the table's bytes, its write and
+# its serving read (ms, fastest of 5, 4-CPU host; seed-7 builds):
+#
+#   6k pages, 5,045 docs      postings                   docs
+#   level          bytes   write  read       bytes   write  read
+#       9        188,645      39   7.6      76,026      23   2.3
+#      10        187,818      45   7.8      75,842      24   2.4
+#      11        184,841      74   7.5      75,640      25   2.5
+#      12        183,851      81   7.8      75,740      31   2.5
+#      13        180,435      89   7.6      76,899      64   2.6
+#      14        174,380     122   7.5      77,717      53   2.6
+#      15        173,619     141   7.6      77,707      68   2.4
+#      16        171,949     194   7.7      81,772     473   2.5
+#      17        171,860     230   7.7      81,761     477   2.5
+#      18        171,859     242   7.5      86,430     675   2.4
+#      19        170,920     364   7.7      86,426     824   2.6
+#   24k pages, 20,216 docs    postings                   docs
+#   level          bytes   write  read       bytes   write  read
+#       9        628,536     133   9.7     290,950      88   8.0
+#      10        621,783     165   9.4     290,004      94   8.2
+#      11        605,427     391   9.6     288,681      92   8.3
+#      12        599,300     437   9.9     287,984      99   8.0
+#      13        574,793     415   9.2     293,592     149   8.0
+#      14        552,382     580   9.3     294,494     180   8.2
+#      15        548,780     633   9.3     294,439     207   8.1
+#      16        543,730     914   9.0     312,288    2062   8.2
+#      17        543,252    1088   9.5     312,248    2150  10.4
+#      18        543,002    1299   9.5     333,346    2799   8.9
+#      19        541,368    1770   9.3     332,831    3560   8.7
+#
+# Postings: 14 (-7.6 % at 6k, -12.1 % at 24k).  15 saves under 1 % more
+# and 16 writes 5-7x slower than 9.  14 sits at the write bound at 24k:
+# over nine sweeps its write took 3.4-4.6x level 9's (median 3.97x; a
+# busy host slows the high levels' larger match tables more than level
+# 9), against 3.0-3.2x at 6k.  Of the -14.3 KB at 6k, pos_blob is
+# -9.2 KB, partly because the fixture's text repeats (a ~100-word
+# vocabulary); the other columns fall less: doc_blob -5.5 %, tf_blob and
+# term -10 %.  Docs stay at 9: 12 saves only 0.4 % at 6k and 13-15 are
+# larger.  Tombstones stay at 9.
 # Row-group min/max statistics only on the columns a reader prunes on —
 # postings: bucket and term (bucket/term row-group pruning, the term
 # pushdown filters of prefix, range and completion expansion) and
@@ -70,7 +115,9 @@ BLOCK_SIZE = 128
 # read of its row groups the way the serving handle reads them is no
 # slower, and DuckDB 1.0 reads the file; of those, the one with the
 # fewest bytes over both builds wins (``python tools/index_bytes.py
-# --sweep INDEX_DIR`` prints every candidate's bytes).  The outcome:
+# --sweep INDEX_DIR`` prints every candidate's bytes at the table's
+# level).  Re-run at postings level 14, the rule keeps every choice.
+# The outcome:
 #   postings    block_id       DELTA_BINARY_PACKED
 #               every other    plain — bucket, term, salt and n lost
 #                              their dictionaries (nearly every block
@@ -82,8 +129,9 @@ BLOCK_SIZE = 128
 #   tombstones  doc_id         DELTA_BINARY_PACKED (sorted)
 # Smaller but slower to read under pyarrow 16, so left plain:
 # DELTA_LENGTH_BYTE_ARRAY on tf_blob and pos_blob and a dictionary on
-# max_wdl and dl (each read 2-17% slower).  ``text`` is left plain: a
-# hydration decodes a text row group on every query, and
+# max_wdl and dl (each read 2-17% slower; at level 14 the two blobs
+# still read 3-12 % slower under DELTA_LENGTH_BYTE_ARRAY).  ``text`` is
+# left plain: a hydration decodes a text row group on every query, and
 # DELTA_BYTE_ARRAY's gain on it comes from the fixture's shared "page N"
 # prefixes.  BYTE_STREAM_SPLIT on the integer columns would be smaller
 # still, but DuckDB 1.0 refuses it on anything but FLOAT and DOUBLE.
@@ -94,11 +142,11 @@ BLOCK_SIZE = 128
 # takes either offset width).  Readers never depend on the policy —
 # parquet is self-describing and does not record the zstd level, so files
 # written with other settings keep serving beside these.
-_ZSTD_9 = {"compression": "zstd", "compression_level": 9,
-           "use_dictionary": False, "store_schema": False}
+_ZSTD = {"compression": "zstd", "use_dictionary": False,
+         "store_schema": False}
 INDEX_WRITE_OPTIONS = {
     "postings": {
-        **_ZSTD_9,
+        **_ZSTD, "compression_level": 14,
         "write_statistics": ("bucket", "term", "first_doc", "last_doc"),
         "column_encoding": {
             "bucket": "PLAIN", "term": "PLAIN", "salt": "PLAIN",
@@ -109,7 +157,7 @@ INDEX_WRITE_OPTIONS = {
         },
     },
     "docs": {
-        **_ZSTD_9,
+        **_ZSTD, "compression_level": 9,
         "write_statistics": ("doc_id",),
         "column_encoding": {
             "doc_id": "DELTA_BINARY_PACKED", "url": "PLAIN",
@@ -118,7 +166,7 @@ INDEX_WRITE_OPTIONS = {
         },
     },
     "tombstones": {
-        **_ZSTD_9,
+        **_ZSTD, "compression_level": 9,
         "write_statistics": ("doc_id",),
         "column_encoding": {"doc_id": "DELTA_BINARY_PACKED"},
     },

@@ -242,6 +242,7 @@ def build_index(
     ``report``: optional ``fn(str)`` progress callback — the reference's
     report hook (index_search.go:62-67, invoked per file at
     index_pdfs.go:160-166); here invoked per stage."""
+    import hashlib
     import json as _json
     import os
     import shutil
@@ -253,7 +254,12 @@ def build_index(
         "analyzer": analyzer, "k1": k1, "b": b, "num_buckets": num_buckets,
         "block_size": block_size, "sample_rate": sample_rate,
         "with_positions": with_positions, "store_text": store_text,
-        "auto_salt": auto_salt, "hot_terms": sorted((hot_terms or {}).items()),
+        "auto_salt": auto_salt,
+        # a digest, not the list: the spec itself is the manifest's
+        # salt_spec, and a config listing it under "hot_terms" (the
+        # older form) no longer matches, so it rebuilds
+        "hot_terms_sha256": hashlib.sha256(_json.dumps(
+            sorted((hot_terms or {}).items())).encode()).hexdigest(),
         "analyzer_version": ANALYZER_VERSION,
         # a stage dir written in another index format is rebuilt, never
         # resumed into this format's manifest
@@ -435,10 +441,11 @@ def build_index(
         doc-range shard handles, whose [first_doc, last_doc] span
         intersects the shard's slice.  Written here and not by Ray's
         ``write_parquet``, whose dataset writer cannot leave out the
-        embedded Arrow schema the policy drops."""
+        embedded Arrow schema the policy drops.  Returns each bucket's
+        block rows and the seconds its ``pq.write_table`` took."""
         import pyarrow.parquet as pq
 
-        rows = []
+        rows, write_s = [], []
         for i, bdir in zip(batch["i"].to_pylist(), batch["dir"].to_pylist()):
             g = pq.read_table(bdir, use_threads=False)
             bnum = int(os.path.basename(bdir).split("=")[1])
@@ -449,12 +456,15 @@ def build_index(
                 g, doc_dl=doc_dl, k1=k1, b=b, avgdl=avgdl,
                 block_size=block_size, with_positions=with_positions,
             )
+            tw = time.perf_counter()
             if t.num_rows:
                 pq.write_table(t, f"{postings_tmp}/part-{i:05d}.parquet",
                                row_group_size=row_group_size,
                                **INDEX_WRITE_OPTIONS["postings"])
             rows.append(t.num_rows)
-        return pa.table({"rows": pa.array(rows, pa.int64())})
+            write_s.append(time.perf_counter() - tw)
+        return pa.table({"rows": pa.array(rows, pa.int64()),
+                         "write_s": pa.array(write_s, pa.float64())})
 
     # each doc's length, from the catalog the tokenize pass committed (the
     # spill carries none): the corpus stats, and every encode task looks
@@ -462,14 +472,17 @@ def build_index(
     doc_dl = catalog_doc_lengths(docs_dir)
     n_docs, total_dl, avgdl = _catalog_stats(doc_dl)
     n_catalog = int(doc_dl[0].size)
+    sec_write = 0.0
     if not postings_done:
         postings_tmp = _fresh_stage(postings_dir)
         os.makedirs(postings_tmp)           # an empty corpus writes no file
-        block_tables(rd.from_items(
+        encoded = block_tables(rd.from_items(
             [{"i": i, "dir": d} for i, d in enumerate(bucket_dirs)],
             override_num_blocks=max(1, len(bucket_dirs)),
         ).map_batches(_encode_bucket_dir, batch_format="pyarrow",
                       batch_size=1))
+        # summed over the encode tasks: CPU seconds, not wall
+        sec_write = sum(pc.sum(t["write_s"]).as_py() for t in encoded)
         os.rename(postings_tmp, postings_dir)
         # the spill is only removable once postings are durably renamed
         shutil.rmtree(tokens_dir, ignore_errors=True)
@@ -508,6 +521,7 @@ def build_index(
             "sec_hot": round(sec_hot, 3),
             "sec_tokenize": round(t_tok - t_hot, 3),
             "sec_encode": round(t_post - t_tok, 3),
+            "sec_postings_write": round(sec_write, 3),
             "sec_postings": round(t_post - t_hot, 3),
             "sec_total": round(t_post - t0, 3),
             "docs_per_sec": round(n_catalog / max(t_post - t0, 1e-9), 2),

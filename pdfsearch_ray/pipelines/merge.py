@@ -211,7 +211,6 @@ def merge_indexes(
         block_size=ref.block_size,
         salt_spec=dict(ref.salt_spec or {}),
         built_at=time.time(),
-        avgdl_exact=all(m.avgdl_exact for m in manifests),
         total_dl=total_dl,
         with_positions=ref.with_positions,
         segments=segments,

@@ -54,7 +54,6 @@ class IndexManifest:
     format_version: int = FORMAT_VERSION
     built_at: float = 0.0
     build_metrics: dict[str, Any] = field(default_factory=dict)
-    avgdl_exact: bool = True
     # Incremental append (the reference's forceCreate=false reopen path,
     # bleve_glue.go:16-29): exact total token count (total_dl), whether
     # positions are stored, and the committed segment list.  Each entry
@@ -92,6 +91,9 @@ class IndexManifest:
         with open(os.path.join(index_dir, MANIFEST_NAME)) as f:
             d = json.load(f)
         d.pop("format_version_check", None)
+        # an older manifest's corpus-stats flag: every build's stats are
+        # exact now
+        d.pop("avgdl_exact", None)
         return cls(**d)
 
     def check_format(self, index_dir: str) -> None:

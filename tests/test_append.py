@@ -388,9 +388,11 @@ def test_crashed_append_resumes_only_for_its_own_delta(ray_session,
 def test_build_metrics_after_build_append_and_compact(ray_session,
                                                       tmp_path):
     """The per-stage walls the benchmark reads (``sec_tokenize``,
-    ``sec_encode``) are recorded by a build, an append's segment build
-    and a compaction; no build records a stats pass, and ``sec_hot`` is
-    0 when the hot terms come from the extract markers or the caller."""
+    ``sec_encode``) and the encode tasks' summed postings write
+    (``sec_postings_write``) are recorded by a build, an append's
+    segment build and a compaction; no build records a stats pass, and
+    ``sec_hot`` is 0 when the hot terms come from the extract markers or
+    the caller."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -413,5 +415,6 @@ def test_build_metrics_after_build_append_and_compact(ray_session,
     compacted = compact_index(d).build_metrics
     for bm in (m.build_metrics, seg, compacted):
         assert bm["sec_tokenize"] > 0 and bm["sec_encode"] > 0
+        assert bm["sec_postings_write"] > 0
         assert "sec_stats" not in bm
         assert bm["sec_hot"] == 0

@@ -68,10 +68,20 @@ def built_index(request, ray_session, tmp_path_factory, docs):
     return analyzer, index_dir, manifest
 
 
-def test_manifest_stats(built_index, docs):
+def test_manifest_stats(built_index, docs, tmp_path):
+    import json
+
+    from pdfsearch_ray.state.manifest import IndexManifest
+
     analyzer, index_dir, manifest = built_index
     assert manifest.n_docs == len(docs)
-    assert manifest.avgdl_exact
+    assert manifest.avgdl == manifest.total_dl / manifest.n_docs
+    # a manifest written with the older avgdl_exact flag still loads
+    with open(f"{index_dir}/manifest.json") as f:
+        older = dict(json.load(f), avgdl_exact=True)
+    with open(tmp_path / "manifest.json", "w") as f:
+        json.dump(older, f)
+    assert IndexManifest.load(str(tmp_path)) == IndexManifest.load(index_dir)
     analyze = analyze_en_terms if analyzer == "en" else analyze_simple
     expect_total = sum(len(analyze(t)) for t in docs.values() if t)
     assert manifest.total_tokens == expect_total

@@ -59,6 +59,46 @@ def test_resume_config_change_rebuilds(ray_session, tmp_path):
     assert IndexManifest.load(d).num_buckets == 16
 
 
+def test_resume_keys_on_the_hot_terms_digest(ray_session, tmp_path):
+    """The build config keeps a digest of the hot terms, not the list:
+    the same spec resumes, a different spec rebuilds, and so does a
+    config that lists the terms (the older form)."""
+    import json
+
+    from pdfsearch_ray.pipelines.build import build_index
+    from pdfsearch_ray.state.manifest import IndexManifest
+
+    d = str(tmp_path / "idx")
+    spec = {"data": 2, "the": 4}
+    build_index(SRC, d, analyzer="en", num_buckets=8, hot_terms=spec)
+    cfg_path = f"{d}/.build_config.json"
+    with open(cfg_path) as f:
+        cfg = json.load(f)
+    assert "hot_terms" not in cfg and len(cfg["hot_terms_sha256"]) == 64
+    docs_mtime = os.path.getmtime(f"{d}/docs")
+
+    shutil.rmtree(f"{d}/postings")
+    build_index(SRC, d, analyzer="en", num_buckets=8, hot_terms=dict(spec),
+                resume=True)
+    assert os.path.getmtime(f"{d}/docs") == docs_mtime, "docs stage re-ran"
+
+    build_index(SRC, d, analyzer="en", num_buckets=8,
+                hot_terms={"data": 3}, resume=True)
+    assert os.path.getmtime(f"{d}/docs") != docs_mtime
+    assert IndexManifest.load(d).salt_spec == {"data": 3}
+
+    docs_mtime = os.path.getmtime(f"{d}/docs")
+    with open(cfg_path) as f:
+        cfg = json.load(f)
+    del cfg["hot_terms_sha256"]
+    cfg["hot_terms"] = [["data", 3]]
+    with open(cfg_path, "w") as f:
+        json.dump(cfg, f)
+    build_index(SRC, d, analyzer="en", num_buckets=8,
+                hot_terms={"data": 3}, resume=True)
+    assert os.path.getmtime(f"{d}/docs") != docs_mtime
+
+
 def test_partial_stage_tmp_is_invisible(ray_session, tmp_path):
     """A leftover .tmp stage dir from a crash must be ignored and cleaned."""
     from pdfsearch_ray.pipelines.build import build_index

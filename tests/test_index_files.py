@@ -3,8 +3,9 @@ index costs.
 
 Every committed index file (docs catalog, posting blocks, tombstones;
 base build, append segments, compaction) is written zstd-compressed at
-level 9, with row-group statistics only on the columns a reader prunes on,
-each column in the encoding ``INDEX_WRITE_OPTIONS`` names for it and no
+its table's level (14 for the posting blocks, 9 for the rest), with
+row-group statistics only on the columns a reader prunes on, each
+column in the encoding ``INDEX_WRITE_OPTIONS`` names for it and no
 embedded Arrow schema, and DuckDB reads it.  Readers must not depend on
 that: indexes written with an older layout (Snappy, statistics and
 dictionary everywhere; or zstd with dictionaries and an embedded schema
@@ -218,17 +219,25 @@ def test_committed_files_follow_writer_policy(ray_session, tmp_path):
 
     # parquet does not record the zstd level, so pin it by size: the same
     # row groups at pyarrow's default level, under the same statistics
-    # and dictionary policy, take more bytes
-    written = default_level = 0
-    for kind in ("docs", "postings"):
+    # and encodings, take more bytes; and so do the postings rewritten
+    # at level 9, so a revert of their level fails here
+    def sizes(kind: str, **level) -> tuple[int, int]:
         policy = {k: v for k, v in INDEX_WRITE_OPTIONS[kind].items()
                   if k != "compression_level"}
+        written = rewritten = 0
         for i, path in enumerate(files[kind]):
-            out = str(tmp_path / f"default-{kind}-{i}.parquet")
-            _rewrite(path, out, **policy)
+            out = str(tmp_path / f"rewrite-{kind}-{i}.parquet")
+            _rewrite(path, out, **policy, **level)
             written += os.path.getsize(path)
-            default_level += os.path.getsize(out)
+            rewritten += os.path.getsize(out)
+        return written, rewritten
+
+    (docs, docs_default), (post, post_default) = (sizes("docs"),
+                                                  sizes("postings"))
+    written, default_level = docs + post, docs_default + post_default
     assert written < default_level, (written, default_level)
+    written, level_9 = sizes("postings", compression_level=9)
+    assert written < level_9, (written, level_9)
 
 
 def _answers(index_dir: str) -> list:

@@ -5,6 +5,8 @@ chunks, and every other file under the index dir.
 
     python tools/index_bytes.py INDEX_DIR
     python tools/index_bytes.py --sweep INDEX_DIR
+    python tools/index_bytes.py --levels INDEX_DIR [INDEX_DIR ...]
+    python tools/index_bytes.py --bench-index N_PAGES SEED INDEX_DIR
 
 Prints one row per (table, column) with its compressed bytes, bytes per
 indexed doc (the manifest's ``n_docs``) and its uncompressed bytes
@@ -30,16 +32,37 @@ candidate: ``now`` is the index's own bytes, ``-`` marks an encoding
 parquet does not allow on the column's type, ``!`` one that DuckDB
 cannot read, and ``*`` the smallest one it can.  Run it on a new corpus
 to re-derive the writer policy.
+
+``--levels`` rewrites each table of every given index, keeping its row
+groups, encodings and statistics as ``INDEX_WRITE_OPTIONS`` has them, at
+every zstd level from 9 to 19, and prints per (index, table, level) the
+total bytes, the single-thread write of the whole table (ms) and a
+serving read of all its row groups (ms; the columns
+``BM25Index._load_terms`` reads from postings, ``doc_id``, ``url`` and
+``text`` from docs, ``use_threads=False``), each the fastest of
+``REPEATS`` runs.  ``*`` marks the level the policy's rule picks over
+all the given indexes (``codec.py``): a level replaces the current
+choice only if, on every index, it is at least 1 % smaller than the
+choice, writes in at most 4x the level-9 time, reads no slower than
+level 9 (within ``READ_SLACK``, the run-to-run spread of a read) and
+DuckDB reads it.  ``!`` marks a level DuckDB cannot read.
+
+``--bench-index`` builds the ``perfbench`` index of ``SEED`` over
+``N_PAGES`` pages (``perfbench.inputs.FULL`` with only ``n_pages``
+changed) into ``INDEX_DIR``, to give ``--levels`` its 6k and 24k
+builds.
 """
 
 from __future__ import annotations
 
+import argparse
 import glob
 import json
 import os
 import struct
 import sys
 import tempfile
+import time
 from collections import defaultdict
 from pathlib import Path
 
@@ -52,6 +75,16 @@ TABLES = ("postings", "docs", "tombstones")
 CANDIDATES = ("PLAIN", "DICTIONARY", "DELTA_BINARY_PACKED",
               "DELTA_LENGTH_BYTE_ARRAY", "DELTA_BYTE_ARRAY",
               "BYTE_STREAM_SPLIT")
+LEVELS = range(9, 20)
+REPEATS = 5
+READ_SLACK = 1.05
+# the columns a serving handle reads from each table's row groups
+SERVING_COLUMNS = {
+    "postings": ["term", "salt", "block_id", "first_doc", "n", "doc_blob",
+                 "tf_blob", "max_wdl"],
+    "docs": ["doc_id", "url", "text"],
+    "tombstones": ["doc_id"],
+}
 SHORT = {"PLAIN": "plain", "DICTIONARY": "dict",
          "DELTA_BINARY_PACKED": "delta", "DELTA_LENGTH_BYTE_ARRAY": "dlba",
          "DELTA_BYTE_ARRAY": "dba", "BYTE_STREAM_SPLIT": "bss"}
@@ -209,14 +242,161 @@ def print_sweep(index_dir: str) -> None:
                   + "".join(f" {x:>10}" for x in cells))
 
 
+def _row_groups(paths: list[str]) -> list[list[pa.Table]]:
+    """Every file's row groups, in memory."""
+    out = []
+    for path in paths:
+        pf = pq.ParquetFile(path)
+        out.append([pf.read_row_group(rg) for rg in range(pf.num_row_groups)])
+    return out
+
+
+def _fastest(fns: dict) -> dict:
+    """{key: the fastest of ``REPEATS`` runs of ``fns[key]``, in ms}.  The
+    runs go round-robin over the keys, so a slow phase of the host falls
+    on every key alike, and each timed run follows an untimed one of the
+    same key, so the one-off costs of switching keys (fresh allocations
+    for another level's zstd contexts) fall outside the timing, as they
+    do for a writer that stays at one level."""
+    best = dict.fromkeys(fns, float("inf"))
+    for _ in range(REPEATS):
+        for key, fn in fns.items():
+            fn()
+            t = time.perf_counter()
+            fn()
+            best[key] = min(best[key], (time.perf_counter() - t) * 1e3)
+    return best
+
+
+def level_costs(index_dir: str) -> dict[str, dict[int, dict]]:
+    """{table: {level: {"bytes", "write_ms", "read_ms", "duckdb"}}}: each
+    table's files rewritten at ``level`` under the rest of its writer
+    policy, keeping the row groups."""
+    from pdfsearch_ray.index.codec import INDEX_WRITE_OPTIONS
+
+    def write(files: list[list[pa.Table]], opts: dict) -> list[pa.Buffer]:
+        bufs = []
+        for groups in files:
+            sink = pa.BufferOutputStream()
+            with pq.ParquetWriter(sink, groups[0].schema, **opts) as w:
+                for rg in groups:
+                    w.write_table(rg)
+            bufs.append(sink.getvalue())
+        return bufs
+
+    def read(bufs: list[pa.Buffer], cols: list[str]) -> None:
+        for buf in bufs:
+            pf = pq.ParquetFile(pa.BufferReader(buf))
+            for rg in range(pf.num_row_groups):
+                pf.read_row_group(rg, columns=cols, use_threads=False)
+
+    out: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        probe = os.path.join(tmp, "probe.parquet")
+        for table, paths in table_files(index_dir).items():
+            if not paths:
+                continue
+            files = _row_groups(paths)
+            opts = {level: dict(INDEX_WRITE_OPTIONS[table],
+                                compression_level=level) for level in LEVELS}
+            bufs = {level: write(files, opts[level]) for level in LEVELS}
+            write_ms = _fastest({level: lambda o=opts[level]: write(files, o)
+                                 for level in LEVELS})
+            cols = SERVING_COLUMNS[table]
+            read_ms = _fastest({level: lambda b=bufs[level]: read(b, cols)
+                                for level in LEVELS})
+            out[table] = {}
+            for level in LEVELS:
+                with open(probe, "wb") as f:
+                    f.write(bufs[level][0])
+                out[table][level] = {
+                    "bytes": sum(b.size for b in bufs[level]),
+                    "write_ms": write_ms[level], "read_ms": read_ms[level],
+                    "duckdb": _duckdb_reads(probe)}
+    return out
+
+
+def rule_pick(costs: list[dict[int, dict]]) -> int:
+    """The level the writer policy's rule keeps for one table, given its
+    ``level_costs`` on each build: starting from 9, a higher level
+    replaces the choice only if on every build it is at least 1 %
+    smaller than the choice, writes in at most 4x the level-9 time,
+    reads no slower than level 9 and DuckDB reads it."""
+    pick = 9
+    for level in LEVELS[1:]:
+        if all(c[level]["duckdb"]
+               and c[level]["bytes"] <= 0.99 * c[pick]["bytes"]
+               and c[level]["write_ms"] <= 4 * c[9]["write_ms"]
+               and c[level]["read_ms"] <= READ_SLACK * c[9]["read_ms"]
+               for c in costs):
+            pick = level
+    return pick
+
+
+def print_levels(index_dirs: list[str]) -> None:
+    costs = {d: level_costs(d) for d in index_dirs}
+    tables = [t for t in TABLES if all(t in c for c in costs.values())]
+    picks = {t: rule_pick([c[t] for c in costs.values()]) for t in tables}
+    print(f"{'index':<24} {'table':<11} {'level':>5} {'bytes':>11}"
+          f" {'write ms':>9} {'read ms':>8}")
+    for d, c in costs.items():
+        name = os.path.basename(os.path.normpath(d))[-24:]
+        for table in tables:
+            for level, r in c[table].items():
+                mark = ("*" if level == picks[table] else "") + (
+                    "" if r["duckdb"] else "!")
+                print(f"{name:<24} {table:<11} {level:>4}{mark:<1}"
+                      f" {r['bytes']:>11,} {r['write_ms']:>9.1f}"
+                      f" {r['read_ms']:>8.2f}")
+
+
+def build_bench_index(n_pages: int, seed: int, index_dir: str) -> None:
+    """The ``perfbench`` build of ``seed`` over ``n_pages`` pages, its
+    pages written next to ``index_dir``."""
+    import dataclasses
+
+    import ray
+
+    from perfbench import inputs
+    from pdfsearch_ray.pipelines.build import build_from_pages
+
+    sc = dataclasses.replace(inputs.FULL, n_pages=n_pages)
+    pages = os.path.normpath(index_dir) + ".pages"
+    inputs.write_pages(inputs.pages_table(seed, sc), pages, sc)
+    if not ray.is_initialized():
+        ray.init(address="local", num_cpus=4, include_dashboard=False,
+                 logging_level="ERROR")
+    try:
+        m = build_from_pages(pages, index_dir, resume=False, dedup=True,
+                             sample_rate=0.1, auto_salt=True,
+                             num_buckets=sc.num_buckets,
+                             tokenize_batch_size=2048)
+    finally:
+        ray.shutdown()
+    print(f"{index_dir}: {m.n_docs:,} docs")
+
+
 def main(argv: list[str]) -> int:
-    do_sweep = "--sweep" in argv
-    argv = [a for a in argv if a != "--sweep"]
-    if len(argv) != 1:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    index_dir = argv[0]
-    if do_sweep:
+    ap = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--sweep", action="store_true")
+    mode.add_argument("--levels", action="store_true")
+    mode.add_argument("--bench-index", nargs=2, type=int,
+                      metavar=("N_PAGES", "SEED"))
+    ap.add_argument("index_dir", nargs="+")
+    args = ap.parse_args(argv)
+    if args.levels:
+        print_levels(args.index_dir)
+        return 0
+    if len(args.index_dir) != 1:
+        ap.error("give one INDEX_DIR")
+    index_dir = args.index_dir[0]
+    if args.bench_index:
+        build_bench_index(*args.bench_index, index_dir)
+        return 0
+    if args.sweep:
         print_sweep(index_dir)
         return 0
     with open(os.path.join(index_dir, "manifest.json")) as f:
