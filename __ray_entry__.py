@@ -5,16 +5,14 @@ here (or in pdfsearch_ray) calls ``ray.init``/``ray.shutdown``.
 
 ``queries()`` keys with a matching ``oracle_sql()`` entry are verified by
 the driver against DuckDB at sf0.01 (row-count + schema + value-hash).
-158 of 160 queries carry an oracle (round-5 close-out; the 2 rows-only
-entries are the media tensor pipelines) — including BOTH real engine
-paths:
-``fulltext_topk_simple`` (the SQL-reproducible ``simple`` analyzer) and,
-since round 3, ``fulltext_topk`` — the FULL ``en`` chain, whose oracle
-inlines the vocabulary→term mapping produced by the engine's own
-analyzer at generation time (the ann_ivf centroid precedent) and
-recomputes tokenization/stats/BM25 from raw text.  The two rows-only
-entries are the media tensor pipelines (``media_features``,
-``media_features_real``), pinned by golden pytest fixtures.
+All 138 queries carry an oracle, and they read only the ``documents``
+and ``embeddings`` tables.  That includes BOTH real engine paths:
+``fulltext_topk_simple`` (the SQL-reproducible ``simple`` analyzer) and
+``fulltext_topk`` — the FULL ``en`` chain, whose oracle inlines the
+vocabulary→term mapping produced by the engine's own analyzer at
+generation time (the ann_ivf centroid precedent) and recomputes
+tokenization/stats/BM25 from raw text.  The flagship search,
+index-lifecycle and serving gates come first in ``queries()``.
 """
 
 from __future__ import annotations
@@ -51,42 +49,6 @@ def entry() -> Any:
         ])
 
 
-def _windowed_event_counts(sf_dir: str):
-    from pdfsearch_ray.pipelines.events import windowed_event_counts
-
-    return windowed_event_counts(sf_dir)
-
-
-def _user_sessions(sf_dir: str):
-    from pdfsearch_ray.pipelines.events import user_sessions
-
-    return user_sessions(sf_dir)
-
-
-def _funnel_counts(sf_dir: str):
-    from pdfsearch_ray.pipelines.events import funnel_counts
-
-    return funnel_counts(sf_dir)
-
-
-def _events_mod():
-    from pdfsearch_ray.pipelines import events
-
-    return events
-
-
-def _asof_join_events(sf_dir: str):
-    from pdfsearch_ray.pipelines.events import asof_join_events
-
-    return asof_join_events(sf_dir)
-
-
-def _sliding_event_counts(sf_dir: str):
-    from pdfsearch_ray.pipelines.events import sliding_event_counts
-
-    return sliding_event_counts(sf_dir)
-
-
 def _sample_rate():
     from pdfsearch_ray.pipelines.queries import SAMPLE_RATE
 
@@ -121,12 +83,6 @@ def _sketches():
     from pdfsearch_ray.pipelines import sketches
 
     return sketches
-
-
-def _relational():
-    from pdfsearch_ray.pipelines import relational
-
-    return relational
 
 
 def _expand():
@@ -169,12 +125,6 @@ def _dfr():
     from pdfsearch_ray.pipelines import dfr
 
     return dfr
-
-
-def _geo():
-    from pdfsearch_ray.pipelines import geo
-
-    return geo
 
 
 def _blockjoin():
@@ -376,8 +326,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "synonym_topk": _scorequery().synonym_topk,
         "recency_boost_topk": _scorequery().recency_boost_topk,
         "quality_signals": _quality_signals,
-        "geo_knn": _geo().geo_knn,
-        "geo_grid": _geo().geo_grid,
         "ndcg_eval": _ireval().ndcg_eval,
         "query_clarity": _qpp().query_clarity,
         "quality_classifier": __import__(
@@ -428,43 +376,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "token_count_stats": q.token_count_stats,
         "doc_fingerprints": q.doc_fingerprints,
         "ann_lsh": q.ann_lsh,
-        "media_features": q.media_features,
-        "media_inventory": q.media_inventory,
         "ws_token_counts": q.ws_token_counts,
         "ann_ivf": q.ann_ivf,
         "embedding_dup_pairs": q.embedding_dup_pairs,
         "semantic_dedup": q.semantic_dedup,
         "embedding_dup_pairs_lsh": q.embedding_dup_pairs_lsh,
-        "windowed_event_counts": _windowed_event_counts,
-        "user_sessions": _user_sessions,
-        "funnel_counts": _funnel_counts,
-        "asof_join_events": _asof_join_events,
-        "sliding_event_counts": _sliding_event_counts,
         "corpus_sample": q.corpus_sample,
         "top_docs_per_lang": q.top_docs_per_lang,
         "doc_length_quantiles": q.doc_length_quantiles,
-        "pricing_summary": _pricing_summary,
-        "orders_by_nation": _orders_by_nation,
-        "region_part_revenue": _region_part_revenue,
-        "revenue_rollup": _relational().revenue_rollup,
-        "running_totals": _relational().customer_running_totals,
-        "anti_join_customers": _relational().silent_customers,
         "weighted_sample": q.weighted_sample,
         "pmi_collocations": q.pmi_collocations,
-        "daily_active_users": _events_mod().daily_active_users,
-        "event_transitions": _events_mod().event_transitions,
-        "group_quantiles": _relational().group_quantiles,
-        "above_avg_orders": _relational().above_avg_histogram,
-        "revenue_cube": _relational().revenue_cube,
-        "order_value_histogram": _relational().order_value_histogram,
-        "order_value_pct_ranks": _relational().order_value_pct_ranks,
-        "value_matrix_stats": _relational().value_matrix_stats,
-        "daily_event_deltas": _events_mod().daily_event_deltas,
-        "geo_bounds": _geo().geo_bounds,
         "composite_page2": q.composite_page2,
         "rare_terms": q.rare_terms,
         "query_adjacency": _searchx().query_adjacency,
-        "basket_pairs": _relational().basket_pairs,
         "chunk_dedup": q.chunk_dedup_docs,
         "source_overlap": q.source_overlap_report,
         # 13-gram GPT-3-style decontamination — distinct key from the
@@ -478,10 +402,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bigram_counts": q.bigram_counts,
         "doc_chunks": q.doc_chunks,
         "tfidf_topk": q.tfidf_topk,
-        "media_features_real": q.media_features_real,
-        "media_features_meta": q.media_features_meta,
-        "media_features_real_meta": q.media_features_real_meta,
-        "event_props_stats": q.event_props_stats,
         "knn_label_accuracy": q.knn_label_accuracy,
         "source_mix": q.source_mix,
         "temperature_mix": q.temperature_mix,
@@ -491,7 +411,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "anchor_text_agg": _webops().anchor_text_agg,
         "crawl_frontier": _webops().crawl_frontier,
         "host_graph": _webops().host_graph,
-        "link_components": _webops().link_components,
         "anchor_boosted_topk": _webops().anchor_boosted_topk,
         "link_indegree_hist": _webops().link_indegree_hist,
         "bpe_merges": _bpe().bpe_merges,
@@ -499,31 +418,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
     }
 
 
-def _pricing_summary(sf_dir: str):
-    from pdfsearch_ray.pipelines.relational import pricing_summary
-
-    return pricing_summary(sf_dir)
-
-
-def _orders_by_nation(sf_dir: str):
-    from pdfsearch_ray.pipelines.relational import orders_by_nation
-
-    return orders_by_nation(sf_dir)
-
-
-def _region_part_revenue(sf_dir: str):
-    from pdfsearch_ray.pipelines.relational import region_part_revenue
-
-    return region_part_revenue(sf_dir)
-
-
 def oracle_sql() -> dict[str, str]:
     from pdfsearch_ray.pipelines import oracles as _oracles
     from pdfsearch_ray.pipelines import queries as q
     from pdfsearch_ray.pipelines import curate as _curate
-    from pdfsearch_ray.stages.multimodal import MediaFeatures
-
-    _N_MEDIA_FEATURES = MediaFeatures.N_FEATURES
     from pdfsearch_ray.pipelines.queries import (
         ANN_K,
         ANN_NUM_QUERIES,
@@ -770,12 +668,6 @@ def oracle_sql() -> dict[str, str]:
         # family — Poisson + Laplace + length norm 2; log2 spelled
         # ln(x)*(1/ln 2) on both sides, cf/df/N/avgdl from raw text
         "dfr_pl2_topk": _dfr().dfr_pl2_sql(),
-        # geo k-NN: splitmix64 coordinate synth in HUGEINT limbs,
-        # integer wraparound squared distance, radius + ROW_NUMBER
-        "geo_knn": _geo().geo_knn_sql(),
-        # geo grid facet: floor-division cells over the same synth,
-        # count per cell + deterministic top-k
-        "geo_grid": _geo().geo_grid_sql(),
         # parent-child block join (ScoreMode.Max): chunk corpus, chunk
         # BM25 stats, parent max / arg-min-chunk reduction replayed
         "blockjoin_topk": _blockjoin().blockjoin_sql(),
@@ -970,9 +862,6 @@ def oracle_sql() -> dict[str, str]:
         "crawl_frontier": _webops().crawl_frontier_sql(),
         # host-level web-graph rollup over the shared edge CTEs
         "host_graph": _webops().host_graph_sql(),
-        # hash-min connected components: chained min-over-neighbors
-        # rounds in pure BIGINT, replayed by DuckDB
-        "link_components": _webops().link_components_sql(),
         # anchor-boosted retrieval: text tf + anchor-in-link scoring,
         # integer-exact, QUALIFY-cut per query
         "anchor_boosted_topk": _webops().anchor_boosted_topk_sql(),
@@ -994,93 +883,14 @@ def oracle_sql() -> dict[str, str]:
                                     fromlist=["x"]).ccnet_buckets_sql(),
         "dsir_weights": __import__("pdfsearch_ray.pipelines.textstats",
                                    fromlist=["x"]).dsir_weights_sql(),
-        # money sums are EXACT integer cents (and cent×percent units
-        # for discounted revenue): the 2-decimal source data makes the
-        # aggregation order-independent and rounding-mode-free, so the
-        # value-hash cannot flake on float summation noise
-        "pricing_summary": """
-            SELECT l_returnflag, l_linestatus,
-                   CAST(sum(CAST(round(l_quantity) AS BIGINT)) AS BIGINT)
-                       AS sum_qty,
-                   CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT))
-                       AS BIGINT) AS sum_base_price_cents,
-                   CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                            * CAST(round((1 - l_discount) * 100) AS BIGINT))
-                       AS BIGINT) AS sum_disc_price_e4,
-                   round(CAST(sum(CAST(round(l_quantity) AS BIGINT))
-                              AS DOUBLE) / count(*), 6) AS avg_qty,
-                   count(*) AS n_rows
-            FROM lineitem
-            WHERE l_shipdate <= TIMESTAMP '1998-09-02 23:59:59.999999'
-            GROUP BY l_returnflag, l_linestatus
-        """,
-        "orders_by_nation": """
-            SELECT n.n_name, count(*) AS n_orders,
-                   CAST(sum(CAST(round(o.o_totalprice * 100) AS BIGINT))
-                       AS BIGINT) AS revenue_cents
-            FROM orders o
-            JOIN customer c ON o.o_custkey = c.c_custkey
-            JOIN nation n ON c.c_nationkey = n.n_nationkey
-            GROUP BY n.n_name
-        """,
-        "region_part_revenue": """
-            SELECT r.r_name,
-                   CAST(sum(CAST(round(l.l_extendedprice * 100) AS BIGINT)
-                            * CAST(round((1 - l.l_discount) * 100) AS BIGINT))
-                       AS BIGINT) AS revenue_e4,
-                   count(*) AS n_items
-            FROM lineitem l
-            JOIN part p ON l.l_partkey = p.p_partkey
-            JOIN supplier s ON l.l_suppkey = s.s_suppkey
-            JOIN nation n ON s.s_nationkey = n.n_nationkey
-            JOIN region r ON n.n_regionkey = r.r_regionkey
-            WHERE p.p_size < 20
-            GROUP BY r.r_name
-        """,
-        # OLAP subtotals: GROUP BY ROLLUP(region, nation), 'ALL' labels,
-        # integer cents (engine derives subtotals from the leaf agg)
-        "revenue_rollup": _relational().rollup_sql(),
-        # per-key window function: running revenue per customer —
-        # SUM/ROW_NUMBER OVER (PARTITION BY custkey ORDER BY date, key)
-        # vs the bucket-spill lexsort+cumsum
-        "running_totals": _relational().running_totals_sql(),
-        # distributed anti-join (NOT EXISTS): customers with no urgent
-        # order, per-nation count + exact acctbal cents
-        "anti_join_customers": _relational().silent_customers_sql(),
         # Efraimidis-Spirakis weighted sample: splitmix64 u in HUGEINT
         # limbs, ln(u)/n_chars keys, top-k
         "weighted_sample": q.weighted_sample_sql(),
         # PMI collocations (Church & Hanks): bigram/unigram counts and
         # the PMI algebra replayed from raw text
         "pmi_collocations": q.pmi_sql(),
-        # exact COUNT(DISTINCT) per group via the user-hash bucket
-        # spill (per-bucket dedup partials sum without double counting)
-        "daily_active_users": _events_mod().dau_sql(),
-        # the LAG() window shape: per-user adjacent event-type pairs
-        "event_transitions": _events_mod().transitions_sql(),
-        # per-group exact discrete quantiles via sparse histogram merge
-        "group_quantiles": _relational().group_quantiles_sql(),
-        # correlated-aggregate window: orders above the customer's own
-        # mean, integer-exact (cents*n > total), bucket-spill grouped
-        "above_avg_orders": _relational().above_avg_sql(),
-        # market-basket: within-order self-join pair counts, vectorized
-        # pair expansion per bucket, distributed >=min + local top-k
-        "basket_pairs": _relational().basket_pairs_sql(),
-        # GROUP BY CUBE: all four grouping sets derived from the leaf
-        # combiner aggregate, 'ALL' labels, integer cents
-        "revenue_cube": _relational().cube_sql(),
-        # numeric histogram facet: integer floor bins over cents
-        "order_value_histogram": _relational().histogram_sql(),
-        # percentile_ranks: exact integer-bp inverse quantiles
-        "order_value_pct_ranks": _relational().pct_ranks_sql(),
-        # matrix_stats: exact HUGEINT moments -> identical float exprs
-        "value_matrix_stats": _relational().matrix_stats_sql(),
-        # geo_bounds/centroid per lang over the mix64 coordinate synth
-        "geo_bounds": _geo().geo_bounds_sql(),
         # composite after-key paging vs an independent OFFSET oracle
         "composite_page2": q.composite_page2_sql(),
-        # date_histogram + derivative: day buckets + one LAG window
-        "daily_event_deltas": _events_mod().daily_event_deltas_sql(),
         # rare_terms: bounded hapax report (K first + total count)
         "rare_terms": q.rare_terms_sql(),
         # adjacency_matrix: pairwise OR-candidate-set intersections
@@ -1130,114 +940,12 @@ def oracle_sql() -> dict[str, str]:
         "langid_pred": _oracles.langid_sql(),
         "doc_fingerprints": _oracles.fingerprints_sql(),
         "simhash_fps": _oracles.simhash_sql(),
-        # media_inventory mirrors stages/multimodal.py exactly: kind
-        # cycles image/audio/video by doc_id % 3; docs with empty text
-        # synthesize an empty payload and are dropped; videos carry
-        # n_frames=12 and FrameSampler picks j*12//4 = 0,3,6,9 (emitted
-        # as kind 'image'); image/audio emit one row at frame_idx 0.
-        "media_inventory": """
-            WITH m AS (
-                SELECT doc_id,
-                       CASE CAST(doc_id % 3 AS INTEGER)
-                            WHEN 0 THEN 'image'
-                            WHEN 1 THEN 'audio'
-                            ELSE 'video' END AS kind
-                FROM documents
-                WHERE text IS NOT NULL AND length(text) > 0
-            ),
-            frames AS (
-                SELECT doc_id, kind, 0 AS frame_idx FROM m WHERE kind <> 'video'
-                UNION ALL
-                SELECT m.doc_id, 'image' AS kind, f.frame_idx
-                FROM m, (SELECT unnest([0, 3, 6, 9]) AS frame_idx) f
-                WHERE m.kind = 'video'
-            )
-            SELECT doc_id AS media_id, doc_id, kind,
-                   CAST(frame_idx AS BIGINT) AS frame_idx
-            FROM frames
-        """,
         "ws_token_counts": r"""
             SELECT doc_id,
                    CASE WHEN text IS NULL OR trim(text) = '' THEN 0
                         ELSE len(regexp_split_to_array(trim(text), '\s+'))
                    END AS n_ws_tokens
             FROM documents
-        """,
-        "windowed_event_counts": """
-            SELECT date_trunc('hour', ts) AS window_start,
-                   event_type,
-                   count(*) AS n_events,
-                   CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
-                       AS sum_value_cents
-            FROM events
-            GROUP BY 1, 2
-        """,
-        # reference rows pre-deduped to one per (user, ts) by max
-        # event_id — the same tie rule asof_block applies — so DuckDB's
-        # native ASOF JOIN resolves ties identically
-        # ordered funnel (greedy first-match, step-1 horizon): chained
-        # per-user min-after-previous CTEs, integer microsecond lags
-        "funnel_counts": _events_mod().funnel_sql(),
-        "asof_join_events": """
-            WITH r AS (
-                SELECT user_id, ts, max(event_id) AS ref_event_id
-                FROM events WHERE event_type = 'purchase'
-                GROUP BY user_id, ts
-            ),
-            r2 AS (
-                SELECT r.user_id, r.ts, r.ref_event_id,
-                       e.value AS ref_value
-                FROM r JOIN events e ON e.event_id = r.ref_event_id
-            )
-            SELECT a.event_id, a.user_id, a.ts,
-                   COALESCE(b.ref_event_id, -1) AS ref_event_id,
-                   round(COALESCE(b.ref_value, -1.0), 6) AS ref_value
-            FROM events a
-            ASOF LEFT JOIN r2 b
-                ON a.user_id = b.user_id AND a.ts >= b.ts
-        """,
-        # every event fans out to size/hop = 4 overlapping windows;
-        # window starts are epoch-floor multiples of the 15-min hop
-        "sliding_event_counts": """
-            WITH e AS (
-                SELECT ts, event_type, value,
-                       ts - (epoch_us(ts) % 900000000)
-                            * INTERVAL '1 microsecond' AS b
-                FROM events
-            ),
-            w AS (
-                SELECT e.event_type, e.value,
-                       e.b - i.i * INTERVAL '15 minutes' AS window_start
-                FROM e, (SELECT unnest(range(0, 4)) AS i) i
-            )
-            SELECT window_start, event_type,
-                   count(*) AS n_events,
-                   CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
-                       AS sum_value_cents
-            FROM w GROUP BY 1, 2
-        """,
-        "user_sessions": """
-            WITH o AS (
-                SELECT user_id, event_id, ts, value,
-                       CASE WHEN ts - lag(ts) OVER (
-                                PARTITION BY user_id ORDER BY ts, event_id
-                            ) > INTERVAL 30 MINUTE
-                            THEN 1 ELSE 0 END AS new_s
-                FROM events
-            ),
-            s AS (
-                SELECT *, sum(new_s) OVER (
-                           PARTITION BY user_id ORDER BY ts, event_id
-                           ROWS UNBOUNDED PRECEDING) AS sid
-                FROM o
-            )
-            SELECT user_id,
-                   min(ts) AS session_start,
-                   max(ts) AS session_end,
-                   count(*) AS n_events,
-                   CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
-                       AS sum_value_cents
-            FROM s GROUP BY user_id, sid
         """,
         "chunk_dedup": _oracles.chunk_dedup_sql(
             words_per_chunk=_chunk_words()),
@@ -1292,39 +1000,6 @@ def oracle_sql() -> dict[str, str]:
                           {q.CHUNK_SIZE}) AS chunk_text
             FROM d JOIN ks ON ks.c < d.k
         """,
-        # media metadata margins: DuckDB recomputes the pipelines'
-        # documented contracts (kind cycle doc_id % 3, FrameSampler's
-        # 1->4 video fan-out over non-empty payloads, utf-8 payload
-        # byte sums, MediaFeatures' fixed feature length) — only the
-        # tensor VALUES stay rows-only
-        "media_features_meta": f"""
-            WITH m AS (
-              SELECT doc_id,
-                     CASE doc_id % 3 WHEN 0 THEN 'image'
-                          WHEN 1 THEN 'audio' ELSE 'video' END AS kind,
-                     octet_length(encode(text)) AS nb
-              FROM documents
-            )
-            SELECT kind,
-                   CAST(count(*) FILTER (WHERE nb > 0) AS BIGINT)
-                       AS n_media,
-                   CAST(sum(CASE WHEN nb > 0 THEN
-                            CASE WHEN kind = 'video' THEN 4 ELSE 1 END
-                            ELSE 0 END) AS BIGINT) AS n_rows,
-                   CAST(sum(nb) AS BIGINT) AS payload_bytes,
-                   CAST(0 AS BIGINT) AS n_null_feat,
-                   CAST({_N_MEDIA_FEATURES} AS BIGINT) AS min_feat_len,
-                   CAST({_N_MEDIA_FEATURES} AS BIGINT) AS max_feat_len
-            FROM m GROUP BY kind
-        """,
-        "media_features_real_meta": f"""
-            SELECT CASE doc_id % 3 WHEN 0 THEN 'image'
-                        WHEN 1 THEN 'audio' ELSE 'video' END AS kind,
-                   CAST(count(*) AS BIGINT) AS n_rows,
-                   CAST({_N_MEDIA_FEATURES} AS BIGINT) AS min_feat_len,
-                   CAST({_N_MEDIA_FEATURES} AS BIGINT) AS max_feat_len
-            FROM documents GROUP BY kind
-        """,
         "source_mix": """
             SELECT source, lang,
                    count(*) AS n_docs,
@@ -1341,17 +1016,6 @@ def oracle_sql() -> dict[str, str]:
         # packed-layout oracle: one SQL window cumsum reproduces the
         # distributed two-phase prefix scan bit-for-bit
         "sequence_pack": q.sequence_pack_sql(),
-        "event_props_stats": f"""
-            SELECT event_type, count(*) AS n_events,
-                   CAST(sum(CAST(regexp_extract(props, '{q.PROPS_KEY_RE}',
-                                                1) AS BIGINT))
-                        AS BIGINT) AS sum_k,
-                   max(CAST(regexp_extract(props, '{q.PROPS_KEY_RE}', 1)
-                            AS BIGINT)) AS max_k
-            FROM events
-            WHERE regexp_extract(props, '{q.PROPS_KEY_RE}', 1) <> ''
-            GROUP BY event_type
-        """,
         "tfidf_topk": f"""
             WITH toks AS (
               SELECT doc_id,

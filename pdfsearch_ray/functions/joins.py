@@ -71,9 +71,8 @@ def min_label_propagation(
     with label = min(node id in its component).  Returns (doc_id,
     keep_id) sorted by doc_id.
 
-    Iterative min-label flooding, ONE Ray job per round (the fused
-    link_components shape, pipelines/webops.py): the doubled edge list
-    spills bucket-partitioned by ``u`` ONCE; the evolving label state
+    Iterative min-label flooding, ONE Ray job per round: the doubled
+    edge list spills bucket-partitioned by ``u`` ONCE; the evolving label state
     lives as a CO-PARTITIONED bucket layout (same mix64 % B) written as
     each round's pipeline sink, so a round is  read label buckets →
     per-bucket local searchsorted lookup of label(u) against the edge

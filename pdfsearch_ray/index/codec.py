@@ -63,7 +63,8 @@ BLOCK_SIZE = 128
 # time, a serving read of its row groups is no slower than at level 9,
 # and DuckDB 1.0 reads the file.  ``python tools/index_bytes.py --levels
 # IDX_6K IDX_24K`` prints, per level, the table's bytes, its write and
-# its serving read (ms, fastest of 5, 4-CPU host; seed-7 builds):
+# its serving read (the table below: wall ms, fastest of 5, 4-CPU host;
+# seed-7 builds; the tool now times process CPU ms):
 #
 #   6k pages, 5,045 docs      postings                   docs
 #   level          bytes   write  read       bytes   write  read
@@ -96,7 +97,9 @@ BLOCK_SIZE = 128
 # and 16 writes 5-7x slower than 9.  14 sits at the write bound at 24k:
 # over nine sweeps its write took 3.4-4.6x level 9's (median 3.97x; a
 # busy host slows the high levels' larger match tables more than level
-# 9), against 3.0-3.2x at 6k.  Of the -14.3 KB at 6k, pos_blob is
+# 9), against 3.0-3.2x at 6k.  In CPU time it took 3.6x, 4.8x and 4.0x
+# over three sweeps, so CPU time does not settle the bound either (the
+# sweeps picked 14, 9 and 13).  Of the -14.3 KB at 6k, pos_blob is
 # -9.2 KB, partly because the fixture's text repeats (a ~100-word
 # vocabulary); the other columns fall less: doc_blob -5.5 %, tf_blob and
 # term -10 %.  Docs stay at 9: 12 saves only 0.4 % at 6k and 13-15 are

@@ -46,9 +46,8 @@ Scale shape (100 TB corpus):
   groupby-sum over (pair, n) rows + a per-block top-1 so the driver
   sees O(blocks) rows, never the pair table; the merge itself is a
   broadcast of ONE (pattern, replacement) string pair.
-* The vocab state is re-materialized per round (O(vocab) blocks, the
-  link_components checkpoint precedent) so round k does not replay
-  rounds 1..k-1.
+* The vocab state is re-materialized per round (O(vocab) blocks) so
+  round k does not replay rounds 1..k-1.
 * Production vocabularies run ~30k merges with this same loop; the
   known optimization — batching mutually non-interacting merges per
   round (SentencePiece's queue) — drops rounds to O(hundreds) without
@@ -177,10 +176,10 @@ def learn_bpe(vocab: rd.Dataset, n_merges: int = BPE_MERGES,
     — apply+count run in the same ``map_batches`` task chain), with a
     checkpoint ``materialize()`` every ``checkpoint_every`` rounds so
     round k replays at most ``checkpoint_every`` pending string
-    replaces, never rounds 1..k (the link_components checkpoint
-    precedent; replays are vectorized ``replace_substring`` over the
-    sublinear vocab table, so a short replay tail is far cheaper than
-    a per-round materialize job at ~0.5 s fixed Ray-job latency)."""
+    replaces, never rounds 1..k (replays are vectorized
+    ``replace_substring`` over the sublinear vocab table, so a short
+    replay tail is far cheaper than a per-round materialize job at
+    ~0.5 s fixed Ray-job latency)."""
     from ray.data.aggregate import Sum
 
     vf = vocab.map_batches(_init_seg, batch_format="pyarrow") \

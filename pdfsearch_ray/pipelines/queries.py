@@ -534,211 +534,6 @@ def ann_cosine_topk(sf_dir: str) -> pa.Table:
     })
 
 
-def media_features(sf_dir: str) -> rd.Dataset:
-    """Multimodal plumbing pipeline (rows-only check): synthetic media
-    rows synthesized INSIDE map_batches over the distributed documents
-    read (no driver-side table load) → frame sampling (1→N, fixed-shape
-    tensor column) → vectorized feature extraction.  Returns one feature
-    row per image/audio item and per sampled video frame."""
-    from ..stages.multimodal import (
-        DEFAULT_MEDIA_BATCH_SIZE,
-        FrameSampler,
-        MediaFeatures,
-        synth_media_table,
-    )
-
-    # the synthetic single-file source reads as few blocks; split so the
-    # decode-shaped actor pool fans out (real media tables arrive as
-    # many-block reads and skip this)
-    media = _docs(sf_dir).repartition(8).map_batches(
-        synth_media_table, batch_format="pyarrow",
-    )
-    # ONE pinned actor pool (the decode-shaped stage); the stateless
-    # feature stage runs as tasks — chaining multiple fixed actor pools
-    # can reserve every CPU and starve upstream tasks on small clusters
-    frames = media.map_batches(
-        FrameSampler,
-        fn_constructor_kwargs=dict(frames_per_video=4, image_hw=(32, 32)),
-        batch_format="pyarrow",
-        batch_size=DEFAULT_MEDIA_BATCH_SIZE,
-        concurrency=2,
-    )
-    feats = frames.map_batches(MediaFeatures(), batch_format="pyarrow",
-                               batch_size=DEFAULT_MEDIA_BATCH_SIZE)
-    return feats.select_columns(
-        ["media_id", "doc_id", "kind", "frame_idx", "features"]
-    )
-
-
-_KIND_CYCLE = ("image", "audio", "video")
-
-
-def media_features_meta(sf_dir: str) -> pa.Table:
-    """SQL-oracled metadata margin of the media_features pipeline
-    (round 4, VERDICT item 7): runs the REAL distributed synth →
-    FrameSampler → MediaFeatures pipeline and aggregates per ORIGINAL
-    kind (media_id % 3 cycle) — media count, feature-row count (the
-    1→N video fan-out), synth payload byte sums, null-feature count and
-    the fixed-shape feature-length bounds.  DuckDB recomputes every
-    number from the documents table + the pipeline's documented
-    contract, so the only thing left rows-only in media_features is the
-    tensor VALUES themselves."""
-    from ray.data.aggregate import Max, Min
-
-    feats = media_features(sf_dir)
-
-    def fpartial(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "kind": pa.array([], type=pa.string()),
-            "n_rows": pa.array([], type=pa.int64()),
-            "n_media": pa.array([], type=pa.int64()),
-            "n_null_feat": pa.array([], type=pa.int64()),
-            "min_feat_len": pa.array([], type=pa.int64()),
-            "max_feat_len": pa.array([], type=pa.int64()),
-        })
-        if t.num_rows == 0:
-            return empty
-        mid = t["media_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        k = mid % 3
-        fi = t["frame_idx"].to_numpy(zero_copy_only=False).astype(np.int64)
-        flen_arr = pc.list_value_length(t["features"])
-        nulls = pc.is_null(t["features"]).to_numpy(zero_copy_only=False)
-        flen = np.asarray(pc.fill_null(flen_arr, -1), dtype=np.int64)
-        rows = []
-        for ki in range(3):
-            sel = k == ki
-            if not sel.any():
-                continue
-            fl = flen[sel & ~nulls]
-            rows.append({
-                "kind": _KIND_CYCLE[ki],
-                "n_rows": int(sel.sum()),
-                # every surviving media emits exactly one frame_idx==0
-                # row (j=0 → frame 0), so this is an exact distinct
-                # count without cross-batch state
-                "n_media": int((sel & (fi == 0)).sum()),
-                "n_null_feat": int((sel & nulls).sum()),
-                "min_feat_len": int(fl.min()) if fl.size else 1 << 62,
-                "max_feat_len": int(fl.max()) if fl.size else -1,
-            })
-        if not rows:
-            return empty
-        return pa.Table.from_pylist(rows, schema=empty.schema)
-
-    agg = (
-        feats.map_batches(fpartial, batch_format="pyarrow")
-        .groupby("kind")
-        .aggregate(Sum("n_rows", alias_name="n_rows"),
-                   Sum("n_media", alias_name="n_media"),
-                   Sum("n_null_feat", alias_name="n_null_feat"),
-                   Min("min_feat_len", alias_name="min_feat_len"),
-                   Max("max_feat_len", alias_name="max_feat_len"))
-        .to_pandas()
-    )
-
-    def dpartial(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        nb = np.asarray(
-            pc.fill_null(pc.binary_length(t["text"]), 0), dtype=np.int64)
-        k = ids % 3
-        return pa.table({
-            "kind": pa.array([_KIND_CYCLE[i] for i in range(3)],
-                             type=pa.string()),
-            "payload_bytes": pa.array(
-                [int(nb[k == i].sum()) for i in range(3)],
-                type=pa.int64()),
-        })
-
-    pb = (
-        _docs(sf_dir).map_batches(dpartial, batch_format="pyarrow")
-        .groupby("kind")
-        .aggregate(Sum("payload_bytes", alias_name="payload_bytes"))
-        .to_pandas()
-    )
-    from ..functions.tables import typed_pandas
-    agg = typed_pandas(agg, {
-        "kind": "object", "n_rows": "int64", "n_media": "int64",
-        "n_null_feat": "int64", "min_feat_len": "int64",
-        "max_feat_len": "int64"})
-    pb = typed_pandas(pb, {"kind": "object", "payload_bytes": "int64"})
-    out = agg.merge(pb, on="kind").sort_values("kind")
-    return pa.table({
-        "kind": pa.array(out["kind"].tolist(), type=pa.string()),
-        "n_media": pa.array(out["n_media"].astype("int64").tolist(),
-                            type=pa.int64()),
-        "n_rows": pa.array(out["n_rows"].astype("int64").tolist(),
-                           type=pa.int64()),
-        "payload_bytes": pa.array(
-            out["payload_bytes"].astype("int64").tolist(), type=pa.int64()),
-        "n_null_feat": pa.array(
-            out["n_null_feat"].astype("int64").tolist(), type=pa.int64()),
-        "min_feat_len": pa.array(
-            out["min_feat_len"].astype("int64").tolist(), type=pa.int64()),
-        "max_feat_len": pa.array(
-            out["max_feat_len"].astype("int64").tolist(), type=pa.int64()),
-    })
-
-
-def media_features_real_meta(sf_dir: str) -> pa.Table:
-    """SQL-oracled metadata margin of media_features_real: runs the
-    real-decode pipeline (PNG / WAV / AVI, functions/media_codecs) and
-    reports per-kind row counts and feature-length bounds; the oracle
-    recomputes them from documents + the pipeline contract — every
-    synthesized payload must decode (n_rows == docs of that kind) and
-    every feature vector must have the fixed length."""
-    from ray.data.aggregate import Max, Min
-
-    feats = media_features_real(sf_dir)
-
-    def fpartial(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "kind": pa.array([], type=pa.string()),
-            "n_rows": pa.array([], type=pa.int64()),
-            "min_feat_len": pa.array([], type=pa.int64()),
-            "max_feat_len": pa.array([], type=pa.int64()),
-        })
-        if t.num_rows == 0:
-            return empty
-        kind = t["kind"].to_pylist()
-        flen = np.asarray(
-            pc.fill_null(pc.list_value_length(t["features"]), -1),
-            dtype=np.int64)
-        rows = []
-        for kname in _KIND_CYCLE:
-            sel = np.array([x == kname for x in kind])
-            if not sel.any():
-                continue
-            rows.append({
-                "kind": kname,
-                "n_rows": int(sel.sum()),
-                "min_feat_len": int(flen[sel].min()),
-                "max_feat_len": int(flen[sel].max()),
-            })
-        if not rows:
-            return empty
-        return pa.Table.from_pylist(rows, schema=empty.schema)
-
-    from ..functions.tables import typed_pandas
-    out = typed_pandas(
-        feats.map_batches(fpartial, batch_format="pyarrow")
-        .groupby("kind")
-        .aggregate(Sum("n_rows", alias_name="n_rows"),
-                   Min("min_feat_len", alias_name="min_feat_len"),
-                   Max("max_feat_len", alias_name="max_feat_len")),
-        {"kind": "object", "n_rows": "int64",
-         "min_feat_len": "int64", "max_feat_len": "int64"},
-    ).sort_values("kind")
-    return pa.table({
-        "kind": pa.array(out["kind"].tolist(), type=pa.string()),
-        "n_rows": pa.array(out["n_rows"].astype("int64").tolist(),
-                           type=pa.int64()),
-        "min_feat_len": pa.array(
-            out["min_feat_len"].astype("int64").tolist(), type=pa.int64()),
-        "max_feat_len": pa.array(
-            out["max_feat_len"].astype("int64").tolist(), type=pa.int64()),
-    })
-
-
 SAMPLE_RATE = 0.25
 TOP_PER_LANG_K = 10
 QUANTILE_PS = (0.5, 0.9, 0.99, 0.999)
@@ -974,41 +769,6 @@ def unit_topk(sf_dir: str) -> pa.Table:
     })
 
 
-def media_inventory(sf_dir: str) -> rd.Dataset:
-    """SQL-checkable projection of the multimodal plumbing: the same
-    synth → FrameSampler stages as media_features, but returning only
-    the metadata columns (media identity, output kind, sampled
-    frame_idx).  This puts the 1→N frame expansion and the kind-cycle
-    synthesis under the driver's hard value-hash gate; the tensor
-    features stay rows-only (media_features)."""
-    from ..stages.multimodal import (
-        DEFAULT_MEDIA_BATCH_SIZE,
-        FrameSampler,
-        synth_media_table,
-    )
-
-    media = _docs(sf_dir).repartition(8).map_batches(
-        synth_media_table, batch_format="pyarrow",
-    )
-    frames = media.map_batches(
-        FrameSampler,
-        fn_constructor_kwargs=dict(frames_per_video=4, image_hw=(8, 8)),
-        batch_format="pyarrow",
-        batch_size=DEFAULT_MEDIA_BATCH_SIZE,
-        concurrency=2,
-    )
-
-    def meta(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "media_id": t["media_id"].cast(pa.int64()),
-            "doc_id": t["doc_id"].cast(pa.int64()),
-            "kind": t["kind"],
-            "frame_idx": t["frame_idx"].cast(pa.int64()),
-        })
-
-    return frames.map_batches(meta, batch_format="pyarrow")
-
-
 def ws_token_counts(sf_dir: str) -> rd.Dataset:
     """Whitespace token counts per doc — the SQL-expressible half of
     token_count_stats, exposed separately so the driver can value-check
@@ -1063,18 +823,6 @@ def semantic_dedup(sf_dir: str) -> rd.Dataset:
     from .similarity import semantic_dedup as _s
 
     return _s(sf_dir, eps=SEMDEDUP_EPS, n_clusters=SEMDEDUP_N_CLUSTERS)
-
-
-def windowed_event_counts(sf_dir: str) -> rd.Dataset:
-    from .events import windowed_event_counts as _w
-
-    return _w(sf_dir)
-
-
-def user_sessions(sf_dir: str) -> rd.Dataset:
-    from .events import user_sessions as _u
-
-    return _u(sf_dir)
 
 
 def chunk_dedup_docs(sf_dir: str) -> rd.Dataset:
@@ -1534,46 +1282,6 @@ def tfidf_topk(sf_dir: str, num_buckets: int | None = None) -> pa.Table:
     })
 
 
-def media_features_real(sf_dir: str) -> rd.Dataset:
-    """media_features with the REAL decode backend end-to-end (rows-only
-    check: DuckDB cannot decode PNG/WAV/AVI): synthesize VALID payloads
-    inside the distributed read — PNGs cycling all five scanline
-    filters, WAV-PCM16 waveforms, AVI videos alternating baseline-MJPG
-    and raw-DIB frame codecs (round 4: all three modalities decode for
-    REAL) — decode them with MediaDecoder(backend='real') in a
-    small-batch actor pool, and extract feature vectors.  Every row
-    must come back decode_ok."""
-    from ..stages.multimodal import (
-        DEFAULT_MEDIA_BATCH_SIZE,
-        MediaDecoder,
-        MediaFeatures,
-        synth_real_media_table,
-    )
-
-    # 32-way synth: the real ENCODERS (PNG/WAV/AVI writers) are pure
-    # python too — 8 synth tasks serialized the pipeline at sf0.1
-    media = _docs(sf_dir).repartition(32).map_batches(
-        synth_real_media_table, batch_format="pyarrow",
-    )
-    decoded = media.map_batches(
-        MediaDecoder,
-        fn_constructor_kwargs=dict(backend="real", image_hw=(16, 16),
-                                   audio_samples=256),
-        batch_format="pyarrow",
-        batch_size=DEFAULT_MEDIA_BATCH_SIZE,
-        # real codecs are pure-python CPU: autoscale the pool (2→8)
-        # instead of pinning 2 actors (which serializes sf0.1's ~160
-        # decode batches); the upstream synth stage stays a task pool
-        concurrency=(2, 8),
-    )
-    feats = decoded.map_batches(
-        lambda t: t.filter(pc.field("decode_ok")),
-        batch_format="pyarrow",
-    ).map_batches(MediaFeatures(), batch_format="pyarrow",
-                  batch_size=DEFAULT_MEDIA_BATCH_SIZE)
-    return feats.select_columns(["media_id", "doc_id", "kind", "features"])
-
-
 FT_EN_QUERIES = ("data processing pipeline", "stream window merge",
                  "query performance", "information")
 FT_EN_K = 10
@@ -1619,74 +1327,9 @@ def fulltext_topk(sf_dir: str) -> pa.Table:
     })
 
 
-PROPS_KEY_RE = r'"k":\s*(?P<k>\d+)'
-
-
-def event_props_stats(sf_dir: str) -> pa.Table:
-    """Semi-structured column extraction (the log-pipeline staple): the
-    events table's ``props`` column holds JSON; extract the integer
-    ``k`` with ONE vectorized RE2 kernel per batch (pyarrow
-    extract_regex — the same regex engine DuckDB's regexp_extract uses,
-    so both sides parse identically), pre-aggregate per event_type
-    inside the batch, and reduce the tiny per-type partials."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        ex = pc.extract_regex(t["props"], pattern=PROPS_KEY_RE)
-        k = pc.cast(pc.struct_field(ex, "k"), pa.int64())
-        et = t["event_type"]
-        ok = pc.is_valid(k)
-        et = et.filter(ok)
-        kv = k.filter(ok).to_numpy(zero_copy_only=False)
-        names = np.asarray(et.to_pylist(), dtype=object)
-        uniq, inv = np.unique(names, return_inverse=True)
-        n = uniq.size
-        return pa.table({
-            "event_type": pa.array(uniq.tolist(), type=pa.string()),
-            "n_events": pa.array(np.bincount(inv, minlength=n)
-                                 .astype(np.int64)),
-            "sum_k": pa.array(_group_sum(inv, kv, n)),
-            "max_k": pa.array(_group_max(inv, kv, n)),
-        })
-
-    from ray.data.aggregate import Max
-
-    from ..functions.tables import read_parquet_nometa
-
-    out = (
-        read_parquet_nometa(f"{sf_dir}/events.parquet",
-                            columns=["event_type", "props"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("n_events", alias_name="n_events"),
-                   Sum("sum_k", alias_name="sum_k"),
-                   Max("max_k", alias_name="max_k"))
-        .to_pandas()
-    )
-    from ..functions.tables import typed_pandas
-    out = typed_pandas(out, {
-        "event_type": "object", "n_events": "int64",
-        "sum_k": "int64", "max_k": "int64"}).sort_values("event_type")
-    return pa.table({
-        "event_type": pa.array(out["event_type"].tolist(),
-                               type=pa.string()),
-        "n_events": pa.array(out["n_events"].astype("int64").tolist(),
-                             type=pa.int64()),
-        "sum_k": pa.array(out["sum_k"].astype("int64").tolist(),
-                          type=pa.int64()),
-        "max_k": pa.array(out["max_k"].astype("int64").tolist(),
-                          type=pa.int64()),
-    })
-
-
 def _group_sum(inv: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros(n, dtype=np.int64)
     np.add.at(out, inv, v.astype(np.int64, copy=False))
-    return out
-
-
-def _group_max(inv: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    out = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
-    np.maximum.at(out, inv, v.astype(np.int64, copy=False))
     return out
 
 

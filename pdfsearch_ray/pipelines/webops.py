@@ -8,9 +8,8 @@ the reference (a filesystem corpus engine) never needed:
   CANONICAL url.  ``canonicalize_urls`` is the reusable kernel
   (vectorized pyarrow regex passes, fixpoint-bounded); ``url_dedup``
   is the gate query: synthesize raw urls deterministically from doc_id
-  (the media_inventory precedent — the sf tables have no url column),
-  canonicalize, groupby canonical, keep ``min(doc_id)`` — the exact
-  winner rule of the content dedups.
+  (the sf tables have no url column), canonicalize, groupby canonical,
+  keep ``min(doc_id)`` — the exact winner rule of the content dedups.
 * **PII scrubbing** — redact emails/phones before training.
   ``scrub_pii`` is the reusable kernel (count + replace via one
   compiled-in-arrow regex per kind, zero Python per row);
@@ -1631,173 +1630,6 @@ def host_graph_sql() -> str:
     """
 
 
-# ---------------------------------------------------- connected comps
-
-# Connected components over the (undirected) link graph — the web-graph
-# analytics primitive behind Broder's bow-tie study and every
-# host/site clustering job.  Implemented as HASH-MIN label propagation
-# (the standard distributed CC kernel: each round every vertex takes
-# the min label among itself and its neighbors), run for a FIXED
-# LINKCC_ITERS synchronous rounds so the result is deterministic and a
-# chained-CTE SQL oracle can replay it — production iterates the same
-# round kernel to fixpoint (rounds ~ graph diameter; large-star/
-# small-star shortcutting cuts that to O(log n), the documented
-# evolution path).
-#
-# Round shape — ONE Ray job per round: the label state lives as a
-# bucket-partitioned parquet layout co-partitioned with the static
-# by-dst edge layout (same mix64 % B, laid out once), so a round is a
-# single pipeline  read label buckets → per-bucket contributions
-# (forward scatter synthesized from the bucket's own ids; REVERSE =
-# the co-partitioned edge bucket's label(dst) looked up by
-# searchsorted, no Acero, no separate join job) → one narrow
-# groupby-min → bucketed write of the next round's labels AS THE SINK.
-# The per-round label spill that hash_join used to run as its own job
-# is thereby fused into the previous round's sink; everything on the
-# wire is still a 16-byte int pair.  Round 0 is join-free entirely:
-# label(dst) == dst and a node's out-edges are synthesizable from its
-# id, so the first round streams the docs ids directly.
-
-LINKCC_ITERS = 3
-_LINKCC_BUCKETS = 16
-
-
-def link_components(sf_dir: str) -> pa.Table:
-    """Gate query: LINKCC_ITERS hash-min rounds over the undirected
-    synthetic link graph; returns (doc_id, label) sorted by doc_id."""
-    from ray.data.aggregate import Min
-
-    from ..functions.spill import bucket_exchange, spill_bucketed, spill_dir
-
-    docs = read_parquet_nometa(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    n_docs = docs.count()
-    if n_docs == 0:
-        # empty corpus: typed empty result, no "% 0" edge synthesis
-        return pa.table({
-            "doc_id": pa.array([], type=pa.int64()),
-            "label": pa.array([], type=pa.int64()),
-        })
-    NB = _LINKCC_BUCKETS
-    imax = np.iinfo(np.int64).max
-
-    def edges_tbl(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src, dst, _ = _synth_out_edges(ids, n_docs)
-        return pa.table({"src": pa.array(src, type=pa.int64()),
-                         "dst": pa.array(dst, type=pa.int64())})
-
-    def contrib0(t: pa.Table) -> pa.Table:
-        # round 0, labels == ids: fwd scatter (src -> dst), rev pick-up
-        # (min dst per src — label(dst) is dst itself), and self rows
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src, dst, odeg = _synth_out_edges(ids, n_docs)
-        udst, inv = np.unique(dst, return_inverse=True)
-        mins = np.full(udst.size, imax, dtype=np.int64)
-        np.minimum.at(mins, inv, src)
-        starts = np.cumsum(1 + (ids % 3), dtype=np.int64) - (1 + (ids % 3))
-        rev_min = np.minimum.reduceat(dst, starts) if dst.size else \
-            np.zeros(0, dtype=np.int64)
-        return pa.table({
-            "node": pa.array(np.concatenate([udst, ids]), type=pa.int64()),
-            "cand": pa.array(np.concatenate(
-                [mins, np.minimum(ids, rev_min)]), type=pa.int64()),
-        })
-
-    def contrib(_b: int, lt: pa.Table | None,
-                et: pa.Table | None) -> pa.Table | None:
-        if lt is None:
-            return None
-        ids = lt["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lab = lt["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src, dst, _ = _synth_out_edges(ids, n_docs)
-        cand = np.repeat(lab, 1 + (ids % 3))
-        udst, inv = np.unique(dst, return_inverse=True)
-        mins = np.full(udst.size, imax, dtype=np.int64)
-        np.minimum.at(mins, inv, cand)
-        nodes = [udst, ids]
-        cands = [mins, lab]
-        if et is not None:
-            # co-partitioned: every dst in edge bucket b has its label
-            # in THIS labels bucket — local searchsorted
-            d = et["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-            s = et["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-            order = np.argsort(ids, kind="stable")
-            sid, slab = ids[order], lab[order]
-            pos = np.minimum(np.searchsorted(sid, d), max(sid.size - 1, 0))
-            ok = sid[pos] == d if sid.size else \
-                np.zeros(d.size, dtype=bool)
-            usrc, sinv = np.unique(s[ok], return_inverse=True)
-            smin = np.full(usrc.size, imax, dtype=np.int64)
-            np.minimum.at(smin, sinv, slab[pos[ok]])
-            nodes.append(usrc)
-            cands.append(smin)
-        return pa.table({
-            "node": pa.array(np.concatenate(nodes), type=pa.int64()),
-            "cand": pa.array(np.concatenate(cands), type=pa.int64()),
-        })
-
-    def relabel(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": pc.cast(t["node"], pa.int64()),
-                         "label": pc.cast(t["min(cand)"], pa.int64())})
-
-    with spill_dir("pdfsearch_cc_") as work:
-        if LINKCC_ITERS > 1:
-            edges_dir = spill_bucketed(
-                docs.map_batches(edges_tbl, batch_format="pyarrow"),
-                "dst", f"{work}/edges", num_buckets=NB)
-        labels_dir = None
-        for k in range(LINKCC_ITERS):
-            if k == 0:
-                contrib_ds = docs.map_batches(contrib0,
-                                              batch_format="pyarrow")
-            else:
-                contrib_ds = bucket_exchange([labels_dir, edges_dir],
-                                             [None, None], NB, contrib)
-            labels = (contrib_ds.groupby("node")
-                      .aggregate(Min("cand"))
-                      .map_batches(relabel, batch_format="pyarrow"))
-            if k < LINKCC_ITERS - 1:
-                labels_dir = spill_bucketed(labels, "doc_id",
-                                            f"{work}/labels_{k}",
-                                            num_buckets=NB)
-            else:
-                out = labels.to_pandas().sort_values("doc_id")
-    return pa.table({
-        "doc_id": pa.array(out["doc_id"].astype("int64").tolist(),
-                           type=pa.int64()),
-        "label": pa.array(out["label"].astype("int64").tolist(),
-                          type=pa.int64()),
-    })
-
-
-def link_components_sql() -> str:
-    """Oracle: shared edge CTEs + LINKCC_ITERS chained rounds, each one
-    `min over (self UNION ALL fwd-neighbor UNION ALL rev-neighbor)` —
-    pure BIGINT min, no float anywhere."""
-    it = []
-    for k in range(1, LINKCC_ITERS + 1):
-        it.append(f"""
-        l{k} AS (
-            SELECT doc_id, min(label) AS label FROM (
-                SELECT doc_id, label FROM l{k - 1}
-                UNION ALL
-                SELECT e.dst AS doc_id, l.label
-                FROM edges e JOIN l{k - 1} l ON l.doc_id = e.src
-                UNION ALL
-                SELECT e.src AS doc_id, l.label
-                FROM edges e JOIN l{k - 1} l ON l.doc_id = e.dst
-            ) GROUP BY doc_id
-        )""")
-    return f"""
-        WITH {_link_edges_ctes()},
-        l0 AS (SELECT doc_id, doc_id AS label FROM documents),
-        {",".join(it)}
-        SELECT doc_id, label FROM l{LINKCC_ITERS}
-        ORDER BY doc_id
-    """
-
-
 # ------------------------------------------------- anchor-boosted rank
 
 # Anchor-boosted retrieval — what anchor aggregation is FOR (Brin &
@@ -2164,6 +1996,7 @@ def snapshot_diff_sql() -> str:
 # ----------------------------------------------------------------- HITS
 
 HITS_ITERS = 2   # mutual-reinforcement rounds (hub -> auth -> hub)
+_HITS_BUCKETS = 16
 
 
 def link_hits(sf_dir: str) -> pa.Table:
@@ -2177,8 +2010,8 @@ def link_hits(sf_dir: str) -> pa.Table:
     (growth is bounded by (max_deg² )^ITERS, far inside int64 here;
     a production run normalizes by a power of two every few rounds).
 
-    Distribution shape per round (the fused link_components machinery
-    — ONE Ray job per auth-state write plus one final collect):
+    Distribution shape per round — ONE Ray job per auth-state write
+    plus one final collect:
     * auth pass — pure FORWARD scatter: out-edges synthesize from
       doc_id inside each batch, per-batch np.add.at pre-combine, one
       narrow (dst, contrib) groupby-sum with zero rows for sinks; the
@@ -2207,7 +2040,7 @@ def link_hits(sf_dir: str) -> pa.Table:
             "hub": pa.array([], type=pa.int64()),
             "auth": pa.array([], type=pa.int64()),
         })
-    NB = _LINKCC_BUCKETS
+    NB = _HITS_BUCKETS
 
     def edges_tbl(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)

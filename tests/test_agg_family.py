@@ -1,9 +1,8 @@
-"""Session-14 ES-aggregation-family gates: percentile_ranks,
-date_histogram + derivative, rare_terms (bounded hapax report) and
-adjacency_matrix — semantics pinned against brute-force pandas/numpy
-recomputation at sf0.001 (the SQL oracles cover sf0.01 value hashes;
-these pin the ALGEBRA: monotonicity, derivative telescoping, plant
-contract, matrix symmetry-by-construction)."""
+"""Session-14 ES-aggregation-family gates: rare_terms (bounded hapax
+report), adjacency_matrix and composite paging — semantics pinned
+against brute-force pandas/numpy recomputation at sf0.001 (the SQL
+oracles cover sf0.01 value hashes; these pin the ALGEBRA: plant
+contract, matrix symmetry-by-construction, page offsets)."""
 
 import numpy as np
 import pandas as pd
@@ -19,40 +18,6 @@ def _need_testdata():
 
     if not os.path.isdir(SF):
         pytest.skip("testdata not available")
-
-
-def test_pct_ranks_monotone_and_exact(ray_session):
-    from pdfsearch_ray.pipelines.relational import (
-        PCT_RANK_VALUES_CENTS,
-        order_value_pct_ranks,
-    )
-
-    t = order_value_pct_ranks(SF).to_pandas()
-    assert list(t["value_cents"]) == sorted(PCT_RANK_VALUES_CENTS)
-    # rank_bp monotone non-decreasing in the probe value
-    assert (np.diff(t["rank_bp"].to_numpy()) >= 0).all()
-    # exact vs a driver recount
-    cents = np.round(pq.read_table(
-        f"{SF}/orders.parquet", columns=["o_totalprice"]
-    )["o_totalprice"].to_numpy() * 100).astype(np.int64)
-    for _, row in t.iterrows():
-        n_le = int((cents <= row["value_cents"]).sum())
-        assert row["n_le"] == n_le
-        assert row["rank_bp"] == 10_000 * n_le // max(cents.size, 1)
-
-
-def test_daily_deltas_telescope(ray_session):
-    from pdfsearch_ray.pipelines.events import daily_event_deltas
-
-    t = daily_event_deltas(SF).to_pandas()
-    n_events = int(pq.read_metadata(f"{SF}/events.parquet").num_rows)
-    assert int(t["n_events"].sum()) == n_events
-    assert list(t["day"]) == sorted(t["day"])
-    # derivative telescopes: first count + sum(deltas after it) = last
-    n = t["n_events"].to_numpy()
-    d = t["delta"].to_numpy()
-    assert d[0] == 0
-    assert (n[:-1] + d[1:] == n[1:]).all()
 
 
 def test_rare_terms_plant_contract(ray_session):
@@ -107,74 +72,15 @@ def test_query_adjacency_vs_brute(ray_session):
 def test_agg_family_empty_corpus(ray_session, tmp_path):
     import os
 
-    schema_src = SF
+    schema = pq.read_schema(os.path.join(SF, "documents.parquet"))
     d = str(tmp_path)
-    for f in ("orders.parquet", "events.parquet", "documents.parquet"):
-        schema = pq.read_schema(os.path.join(schema_src, f))
-        pq.write_table(schema.empty_table(), os.path.join(d, f))
+    pq.write_table(schema.empty_table(), os.path.join(d, "documents.parquet"))
 
-    import duckdb
-
-    from pdfsearch_ray.pipelines.events import daily_event_deltas
     from pdfsearch_ray.pipelines.queries import rare_terms
-    from pdfsearch_ray.pipelines.relational import (order_value_pct_ranks,
-                                                    pct_ranks_sql)
     from pdfsearch_ray.pipelines.searchx import query_adjacency
 
-    # one row per probe value with nothing below it, as the oracle says
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW orders AS SELECT * FROM "
-                f"read_parquet('{d}/orders.parquet')")
-    want = con.execute(pct_ranks_sql()).arrow().to_pylist()
-    assert len(want) == 3
-    assert all(r["n_le"] == 0 and r["rank_bp"] == 0 for r in want)
-    assert order_value_pct_ranks(d).to_pylist() == want
-    assert daily_event_deltas(d).num_rows == 0
     assert rare_terms(d).num_rows == 0
     assert query_adjacency(d).num_rows == 0
-
-
-def test_matrix_stats_vs_numpy(ray_session):
-    from pdfsearch_ray.pipelines.relational import value_matrix_stats
-
-    t = value_matrix_stats(SF).to_pandas()
-    li = pq.read_table(f"{SF}/lineitem.parquet",
-                       columns=["l_quantity", "l_extendedprice"])
-    x = np.round(li["l_quantity"].to_numpy()).astype(np.int64)
-    y = np.round(li["l_extendedprice"].to_numpy() * 100).astype(np.int64)
-    assert int(t["n_rows"][0]) == x.size
-    # float reference (population moments); integer path must agree
-    # to well inside the 6-dp rounding
-    assert abs(t["mean_qty"][0] - x.mean()) < 1e-6
-    cov = ((x - x.mean()) * (y - y.mean())).mean()
-    corr = cov / (x.std() * y.std())
-    assert abs(t["covariance"][0] - cov) < max(1e-6 * abs(cov), 1e-4)
-    assert abs(t["correlation"][0] - corr) < 1e-6
-    assert -1.0 <= t["correlation"][0] <= 1.0
-
-
-def test_geo_bounds_contract(ray_session):
-    from pdfsearch_ray.pipelines.geo import _coords, geo_bounds
-
-    t = geo_bounds(SF).to_pandas()
-    d = pq.read_table(f"{SF}/documents.parquet",
-                      columns=["doc_id", "lang"])
-    ids = d["doc_id"].to_numpy().astype(np.int64)
-    lat, lon = _coords(ids)
-    langs = np.asarray(d["lang"].to_pylist(), dtype=object)
-    assert int(t["n_docs"].sum()) == ids.size
-    for _, row in t.iterrows():
-        m = langs == row["lang"]
-        assert row["min_lat"] == lat[m].min()
-        assert row["max_lat"] == lat[m].max()
-        assert row["min_lon"] == lon[m].min()
-        assert row["max_lon"] == lon[m].max()
-        # centroid inside the box, truncating division
-        s = int(lat[m].sum())
-        want = (abs(s) // m.sum()) * (1 if s >= 0 else -1)
-        assert row["ctr_lat"] == want
-        assert row["min_lat"] <= row["ctr_lat"] <= row["max_lat"]
-        assert row["min_lon"] <= row["ctr_lon"] <= row["max_lon"]
 
 
 def test_composite_page2_is_offset_page(ray_session):

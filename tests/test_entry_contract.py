@@ -1,7 +1,7 @@
 """Driver-contract hygiene: the queries()/oracle_sql() dict literals
 must not carry duplicate keys (a duplicate silently shadows the earlier
-gate — the round-5 session-4 `decontaminate` regression), and every
-oracle key must have a queries() entry."""
+gate — the round-5 session-4 `decontaminate` regression), and the two
+must name the same gates."""
 
 import ast
 from pathlib import Path
@@ -29,10 +29,8 @@ def test_every_oracle_has_query(ray_session):
     import __ray_entry__ as e
 
     qs, sqls = e.queries(), e.oracle_sql()
-    assert set(sqls) <= set(qs)
-    # the only rows-only gates are the two media tensor pipelines
-    assert sorted(set(qs) - set(sqls)) == [
-        "media_features", "media_features_real"]
+    # every gate is value-checked: no rows-only gate, no orphan oracle
+    assert set(sqls) == set(qs)
 
 
 # index-lifecycle and serving gates a consumer that checks only the first

@@ -1,6 +1,6 @@
 """Property tests for the synthetic link graph (pure numpy — no Ray).
 
-The whole link-graph suite (pagerank, anchors, components, histograms)
+The whole link-graph suite (pagerank, anchors, HITS, histograms)
 rests on ``_synth_out_edges`` being a well-formed, batch-decomposable
 function of doc_id: every property here is one the distributed
 operators silently assume."""
@@ -80,8 +80,7 @@ def test_pagerank_mass_and_floor_bounds(n):
 @settings(max_examples=50, deadline=None)
 def test_cc_labels_monotone_and_valid(n):
     """Hash-min labels only decrease, stay within the id range, and
-    after enough rounds every edge's endpoints agree (fixpoint of the
-    round kernel the distributed op runs a fixed prefix of)."""
+    after enough rounds every edge's endpoints agree."""
     ids = np.arange(n, dtype=np.int64)
     src, dst, _ = w._synth_out_edges(ids, n)
     lab = ids.copy()

@@ -346,33 +346,6 @@ def test_host_graph_matches_oracle_and_edge_conservation(ray_session):
     assert set(got["src_host"]) <= hosts and set(got["dst_host"]) <= hosts
 
 
-def test_link_components_matches_oracle_and_dense_replay(ray_session):
-    """Hash-min CC == SQL oracle == a dense synchronous-rounds replay;
-    labels only ever decrease and real merging happens."""
-    import pyarrow.parquet as pq
-
-    got = w.link_components(SF).to_pandas().reset_index(drop=True)
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW documents AS SELECT * FROM "
-            f"read_parquet('{SF}/documents.parquet')")
-    want = con.sql(w.link_components_sql()).df().reset_index(drop=True)
-    assert got.equals(want.astype(got.dtypes.to_dict()))
-
-    n = pq.read_metadata(f"{SF}/documents.parquet").num_rows
-    ids = np.arange(n, dtype=np.int64)
-    src, dst, _ = w._synth_out_edges(ids, n)
-    lab = ids.copy()
-    for _ in range(w.LINKCC_ITERS):
-        new = lab.copy()
-        np.minimum.at(new, dst, lab[src])
-        np.minimum.at(new, src, lab[dst])
-        lab = new
-    assert got["doc_id"].tolist() == ids.tolist()
-    assert got["label"].to_numpy().tolist() == lab.tolist()
-    assert (got["label"].to_numpy() <= ids).all()
-    assert got["label"].nunique() < n  # propagation actually merged
-
-
 def test_anchor_boosted_topk_matches_oracle_and_boost_matters(
         ray_session):
     """Anchor-boosted ranking == SQL oracle; every query returns a full
@@ -425,7 +398,7 @@ def test_link_graph_ops_on_empty_corpus(ray_session, tmp_path):
     pq.write_table(empty, str(tmp_path / "documents.parquet"))
     sf = str(tmp_path)
     for fn in (w.link_pagerank, w.anchor_text_agg, w.crawl_frontier,
-               w.host_graph, w.link_components, w.anchor_boosted_topk):
+               w.host_graph, w.anchor_boosted_topk):
         out = fn(sf)
         assert out.num_rows == 0, fn.__name__
         assert out.num_columns >= 2, fn.__name__

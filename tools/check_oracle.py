@@ -18,7 +18,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
+TABLES = "documents embeddings".split()
 
 
 def to_pandas(res):

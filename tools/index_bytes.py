@@ -39,8 +39,8 @@ every zstd level from 9 to 19, and prints per (index, table, level) the
 total bytes, the single-thread write of the whole table (ms) and a
 serving read of all its row groups (ms; the columns
 ``BM25Index._load_terms`` reads from postings, ``doc_id``, ``url`` and
-``text`` from docs, ``use_threads=False``), each the fastest of
-``REPEATS`` runs.  ``*`` marks the level the policy's rule picks over
+``text`` from docs, ``use_threads=False``), each the least process CPU
+time of ``REPEATS`` runs.  ``*`` marks the level the policy's rule picks over
 all the given indexes (``codec.py``): a level replaces the current
 choice only if, on every index, it is at least 1 % smaller than the
 choice, writes in at most 4x the level-9 time, reads no slower than
@@ -252,9 +252,12 @@ def _row_groups(paths: list[str]) -> list[list[pa.Table]]:
 
 
 def _fastest(fns: dict) -> dict:
-    """{key: the fastest of ``REPEATS`` runs of ``fns[key]``, in ms}.  The
-    runs go round-robin over the keys, so a slow phase of the host falls
-    on every key alike, and each timed run follows an untimed one of the
+    """{key: the least CPU time of ``REPEATS`` runs of ``fns[key]``, in
+    ms}.  The runs are timed in this process's CPU time, not wall time,
+    so time the host gives to other work (steal, other processes) is not
+    counted; writes and reads here run on one thread.  The runs go
+    round-robin over the keys, so a slow phase of the host falls on
+    every key alike, and each timed run follows an untimed one of the
     same key, so the one-off costs of switching keys (fresh allocations
     for another level's zstd contexts) fall outside the timing, as they
     do for a writer that stays at one level."""
@@ -262,9 +265,9 @@ def _fastest(fns: dict) -> dict:
     for _ in range(REPEATS):
         for key, fn in fns.items():
             fn()
-            t = time.perf_counter()
+            t = time.process_time()
             fn()
-            best[key] = min(best[key], (time.perf_counter() - t) * 1e3)
+            best[key] = min(best[key], (time.process_time() - t) * 1e3)
     return best
 
 
