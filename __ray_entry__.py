@@ -5,8 +5,9 @@ here (or in pdfsearch_ray) calls ``ray.init``/``ray.shutdown``.
 
 ``queries()`` keys with a matching ``oracle_sql()`` entry are verified by
 the driver against DuckDB at sf0.01 (row-count + schema + value-hash).
-All 138 queries carry an oracle, and they read only the ``documents``
-and ``embeddings`` tables.  That includes BOTH real engine paths:
+All 150 queries carry an oracle, and they read only the ``documents``,
+``embeddings`` and ``events`` tables.  That includes BOTH real engine
+paths:
 ``fulltext_topk_simple`` (the SQL-reproducible ``simple`` analyzer) and
 ``fulltext_topk`` — the FULL ``en`` chain, whose oracle inlines the
 vocabulary→term mapping produced by the engine's own analyzer at
@@ -47,6 +48,42 @@ def entry() -> Any:
             for q in ("data processing pipeline", "stream window",
                       "information")
         ])
+
+
+def _windowed_event_counts(sf_dir: str):
+    from pdfsearch_ray.pipelines.events import windowed_event_counts
+
+    return windowed_event_counts(sf_dir)
+
+
+def _user_sessions(sf_dir: str):
+    from pdfsearch_ray.pipelines.events import user_sessions
+
+    return user_sessions(sf_dir)
+
+
+def _funnel_counts(sf_dir: str):
+    from pdfsearch_ray.pipelines.events import funnel_counts
+
+    return funnel_counts(sf_dir)
+
+
+def _events_mod():
+    from pdfsearch_ray.pipelines import events
+
+    return events
+
+
+def _asof_join_events(sf_dir: str):
+    from pdfsearch_ray.pipelines.events import asof_join_events
+
+    return asof_join_events(sf_dir)
+
+
+def _sliding_event_counts(sf_dir: str):
+    from pdfsearch_ray.pipelines.events import sliding_event_counts
+
+    return sliding_event_counts(sf_dir)
 
 
 def _sample_rate():
@@ -125,6 +162,12 @@ def _dfr():
     from pdfsearch_ray.pipelines import dfr
 
     return dfr
+
+
+def _geo():
+    from pdfsearch_ray.pipelines import geo
+
+    return geo
 
 
 def _blockjoin():
@@ -326,6 +369,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "synonym_topk": _scorequery().synonym_topk,
         "recency_boost_topk": _scorequery().recency_boost_topk,
         "quality_signals": _quality_signals,
+        "geo_knn": _geo().geo_knn,
+        "geo_grid": _geo().geo_grid,
         "ndcg_eval": _ireval().ndcg_eval,
         "query_clarity": _qpp().query_clarity,
         "quality_classifier": __import__(
@@ -381,11 +426,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "embedding_dup_pairs": q.embedding_dup_pairs,
         "semantic_dedup": q.semantic_dedup,
         "embedding_dup_pairs_lsh": q.embedding_dup_pairs_lsh,
+        "windowed_event_counts": _windowed_event_counts,
+        "user_sessions": _user_sessions,
+        "funnel_counts": _funnel_counts,
+        "asof_join_events": _asof_join_events,
+        "sliding_event_counts": _sliding_event_counts,
         "corpus_sample": q.corpus_sample,
         "top_docs_per_lang": q.top_docs_per_lang,
         "doc_length_quantiles": q.doc_length_quantiles,
         "weighted_sample": q.weighted_sample,
         "pmi_collocations": q.pmi_collocations,
+        "daily_active_users": _events_mod().daily_active_users,
+        "event_transitions": _events_mod().event_transitions,
+        "daily_event_deltas": _events_mod().daily_event_deltas,
+        "geo_bounds": _geo().geo_bounds,
         "composite_page2": q.composite_page2,
         "rare_terms": q.rare_terms,
         "query_adjacency": _searchx().query_adjacency,
@@ -402,6 +456,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bigram_counts": q.bigram_counts,
         "doc_chunks": q.doc_chunks,
         "tfidf_topk": q.tfidf_topk,
+        "event_props_stats": q.event_props_stats,
         "knn_label_accuracy": q.knn_label_accuracy,
         "source_mix": q.source_mix,
         "temperature_mix": q.temperature_mix,
@@ -668,6 +723,12 @@ def oracle_sql() -> dict[str, str]:
         # family — Poisson + Laplace + length norm 2; log2 spelled
         # ln(x)*(1/ln 2) on both sides, cf/df/N/avgdl from raw text
         "dfr_pl2_topk": _dfr().dfr_pl2_sql(),
+        # geo k-NN: splitmix64 coordinate synth in HUGEINT limbs,
+        # integer wraparound squared distance, radius + ROW_NUMBER
+        "geo_knn": _geo().geo_knn_sql(),
+        # geo grid facet: floor-division cells over the same synth,
+        # count per cell + deterministic top-k
+        "geo_grid": _geo().geo_grid_sql(),
         # parent-child block join (ScoreMode.Max): chunk corpus, chunk
         # BM25 stats, parent max / arg-min-chunk reduction replayed
         "blockjoin_topk": _blockjoin().blockjoin_sql(),
@@ -889,8 +950,17 @@ def oracle_sql() -> dict[str, str]:
         # PMI collocations (Church & Hanks): bigram/unigram counts and
         # the PMI algebra replayed from raw text
         "pmi_collocations": q.pmi_sql(),
+        # exact COUNT(DISTINCT) per group via the user-hash bucket
+        # spill (per-bucket dedup partials sum without double counting)
+        "daily_active_users": _events_mod().dau_sql(),
+        # the LAG() window shape: per-user adjacent event-type pairs
+        "event_transitions": _events_mod().transitions_sql(),
+        # geo_bounds/centroid per lang over the mix64 coordinate synth
+        "geo_bounds": _geo().geo_bounds_sql(),
         # composite after-key paging vs an independent OFFSET oracle
         "composite_page2": q.composite_page2_sql(),
+        # date_histogram + derivative: day buckets + one LAG window
+        "daily_event_deltas": _events_mod().daily_event_deltas_sql(),
         # rare_terms: bounded hapax report (K first + total count)
         "rare_terms": q.rare_terms_sql(),
         # adjacency_matrix: pairwise OR-candidate-set intersections
@@ -946,6 +1016,82 @@ def oracle_sql() -> dict[str, str]:
                         ELSE len(regexp_split_to_array(trim(text), '\s+'))
                    END AS n_ws_tokens
             FROM documents
+        """,
+        "windowed_event_counts": """
+            SELECT date_trunc('hour', ts) AS window_start,
+                   event_type,
+                   count(*) AS n_events,
+                   CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
+                       AS sum_value_cents
+            FROM events
+            GROUP BY 1, 2
+        """,
+        # reference rows pre-deduped to one per (user, ts) by max
+        # event_id — the same tie rule asof_block applies — so DuckDB's
+        # native ASOF JOIN resolves ties identically
+        # ordered funnel (greedy first-match, step-1 horizon): chained
+        # per-user min-after-previous CTEs, integer microsecond lags
+        "funnel_counts": _events_mod().funnel_sql(),
+        "asof_join_events": """
+            WITH r AS (
+                SELECT user_id, ts, max(event_id) AS ref_event_id
+                FROM events WHERE event_type = 'purchase'
+                GROUP BY user_id, ts
+            ),
+            r2 AS (
+                SELECT r.user_id, r.ts, r.ref_event_id,
+                       e.value AS ref_value
+                FROM r JOIN events e ON e.event_id = r.ref_event_id
+            )
+            SELECT a.event_id, a.user_id, a.ts,
+                   COALESCE(b.ref_event_id, -1) AS ref_event_id,
+                   round(COALESCE(b.ref_value, -1.0), 6) AS ref_value
+            FROM events a
+            ASOF LEFT JOIN r2 b
+                ON a.user_id = b.user_id AND a.ts >= b.ts
+        """,
+        # every event fans out to size/hop = 4 overlapping windows;
+        # window starts are epoch-floor multiples of the 15-min hop
+        "sliding_event_counts": """
+            WITH e AS (
+                SELECT ts, event_type, value,
+                       ts - (epoch_us(ts) % 900000000)
+                            * INTERVAL '1 microsecond' AS b
+                FROM events
+            ),
+            w AS (
+                SELECT e.event_type, e.value,
+                       e.b - i.i * INTERVAL '15 minutes' AS window_start
+                FROM e, (SELECT unnest(range(0, 4)) AS i) i
+            )
+            SELECT window_start, event_type,
+                   count(*) AS n_events,
+                   CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
+                       AS sum_value_cents
+            FROM w GROUP BY 1, 2
+        """,
+        "user_sessions": """
+            WITH o AS (
+                SELECT user_id, event_id, ts, value,
+                       CASE WHEN ts - lag(ts) OVER (
+                                PARTITION BY user_id ORDER BY ts, event_id
+                            ) > INTERVAL 30 MINUTE
+                            THEN 1 ELSE 0 END AS new_s
+                FROM events
+            ),
+            s AS (
+                SELECT *, sum(new_s) OVER (
+                           PARTITION BY user_id ORDER BY ts, event_id
+                           ROWS UNBOUNDED PRECEDING) AS sid
+                FROM o
+            )
+            SELECT user_id,
+                   min(ts) AS session_start,
+                   max(ts) AS session_end,
+                   count(*) AS n_events,
+                   CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
+                       AS sum_value_cents
+            FROM s GROUP BY user_id, sid
         """,
         "chunk_dedup": _oracles.chunk_dedup_sql(
             words_per_chunk=_chunk_words()),
@@ -1016,6 +1162,17 @@ def oracle_sql() -> dict[str, str]:
         # packed-layout oracle: one SQL window cumsum reproduces the
         # distributed two-phase prefix scan bit-for-bit
         "sequence_pack": q.sequence_pack_sql(),
+        "event_props_stats": f"""
+            SELECT event_type, count(*) AS n_events,
+                   CAST(sum(CAST(regexp_extract(props, '{q.PROPS_KEY_RE}',
+                                                1) AS BIGINT))
+                        AS BIGINT) AS sum_k,
+                   max(CAST(regexp_extract(props, '{q.PROPS_KEY_RE}', 1)
+                            AS BIGINT)) AS max_k
+            FROM events
+            WHERE regexp_extract(props, '{q.PROPS_KEY_RE}', 1) <> ''
+            GROUP BY event_type
+        """,
         "tfidf_topk": f"""
             WITH toks AS (
               SELECT doc_id,

@@ -1,8 +1,9 @@
-"""Session-14 ES-aggregation-family gates: rare_terms (bounded hapax
-report), adjacency_matrix and composite paging — semantics pinned
-against brute-force pandas/numpy recomputation at sf0.001 (the SQL
-oracles cover sf0.01 value hashes; these pin the ALGEBRA: plant
-contract, matrix symmetry-by-construction, page offsets)."""
+"""Session-14 ES-aggregation-family gates: date_histogram + derivative,
+rare_terms (bounded hapax report), adjacency_matrix, geo_bounds and
+composite paging — semantics pinned against brute-force pandas/numpy
+recomputation at sf0.001 (the SQL oracles cover sf0.01 value hashes;
+these pin the ALGEBRA: derivative telescoping, plant contract, matrix
+symmetry-by-construction, bounding boxes, page offsets)."""
 
 import numpy as np
 import pandas as pd
@@ -18,6 +19,20 @@ def _need_testdata():
 
     if not os.path.isdir(SF):
         pytest.skip("testdata not available")
+
+
+def test_daily_deltas_telescope(ray_session):
+    from pdfsearch_ray.pipelines.events import daily_event_deltas
+
+    t = daily_event_deltas(SF).to_pandas()
+    n_events = int(pq.read_metadata(f"{SF}/events.parquet").num_rows)
+    assert int(t["n_events"].sum()) == n_events
+    assert list(t["day"]) == sorted(t["day"])
+    # derivative telescopes: first count + sum(deltas after it) = last
+    n = t["n_events"].to_numpy()
+    d = t["delta"].to_numpy()
+    assert d[0] == 0
+    assert (n[:-1] + d[1:] == n[1:]).all()
 
 
 def test_rare_terms_plant_contract(ray_session):
@@ -72,15 +87,42 @@ def test_query_adjacency_vs_brute(ray_session):
 def test_agg_family_empty_corpus(ray_session, tmp_path):
     import os
 
-    schema = pq.read_schema(os.path.join(SF, "documents.parquet"))
     d = str(tmp_path)
-    pq.write_table(schema.empty_table(), os.path.join(d, "documents.parquet"))
+    for f in ("events.parquet", "documents.parquet"):
+        schema = pq.read_schema(os.path.join(SF, f))
+        pq.write_table(schema.empty_table(), os.path.join(d, f))
 
+    from pdfsearch_ray.pipelines.events import daily_event_deltas
     from pdfsearch_ray.pipelines.queries import rare_terms
     from pdfsearch_ray.pipelines.searchx import query_adjacency
 
+    assert daily_event_deltas(d).num_rows == 0
     assert rare_terms(d).num_rows == 0
     assert query_adjacency(d).num_rows == 0
+
+
+def test_geo_bounds_contract(ray_session):
+    from pdfsearch_ray.pipelines.geo import _coords, geo_bounds
+
+    t = geo_bounds(SF).to_pandas()
+    d = pq.read_table(f"{SF}/documents.parquet",
+                      columns=["doc_id", "lang"])
+    ids = d["doc_id"].to_numpy().astype(np.int64)
+    lat, lon = _coords(ids)
+    langs = np.asarray(d["lang"].to_pylist(), dtype=object)
+    assert int(t["n_docs"].sum()) == ids.size
+    for _, row in t.iterrows():
+        m = langs == row["lang"]
+        assert row["min_lat"] == lat[m].min()
+        assert row["max_lat"] == lat[m].max()
+        assert row["min_lon"] == lon[m].min()
+        assert row["max_lon"] == lon[m].max()
+        # centroid inside the box, truncating division
+        s = int(lat[m].sum())
+        want = (abs(s) // m.sum()) * (1 if s >= 0 else -1)
+        assert row["ctr_lat"] == want
+        assert row["min_lat"] <= row["ctr_lat"] <= row["max_lat"]
+        assert row["min_lon"] <= row["ctr_lon"] <= row["max_lon"]
 
 
 def test_composite_page2_is_offset_page(ray_session):

@@ -18,6 +18,12 @@ def empty_sf(tmp_path_factory):
         "n_chars": pa.array([], type=pa.int64()),
     }), f"{d}/documents.parquet")
     pq.write_table(pa.table({
+        "event_id": pa.array([], type=pa.int64()),
+        "user_id": pa.array([], type=pa.int64()),
+        "ts": pa.array([], type=pa.timestamp("us")),
+        "event_type": pa.array([], type=pa.string()),
+    }), f"{d}/events.parquet")
+    pq.write_table(pa.table({
         "vec_id": pa.array([], type=pa.int64()),
         "embedding": pa.array([], type=pa.list_(pa.float32())),
         "label": pa.array([], type=pa.int32()),
@@ -28,10 +34,14 @@ def empty_sf(tmp_path_factory):
 def test_session13_gates_survive_empty_corpus(ray_session, empty_sf):
     from pdfsearch_ray.pipelines import blockjoin as B
     from pdfsearch_ray.pipelines import dfr as D
+    from pdfsearch_ray.pipelines import events as E
+    from pdfsearch_ray.pipelines import geo as G
     from pdfsearch_ray.pipelines import queries as Q
 
     gates = [
+        E.daily_active_users, E.event_transitions,
         Q.weighted_sample, Q.pmi_collocations,
+        G.geo_knn, G.geo_grid,
         D.dfr_pl2_topk, B.blockjoin_topk,
     ]
     for fn in gates:

@@ -90,6 +90,16 @@ def test_tfidf_topk_bucket_count_invariant(ray_session):
     assert _tfidf_num_buckets(SF) == 16  # sf0.001 is far below target
 
 
+def test_event_props_stats(ray_session):
+    from pdfsearch_ray.pipelines.queries import event_props_stats
+
+    t = event_props_stats(SF).to_pandas()
+    assert set(t.columns) == {"event_type", "n_events", "sum_k", "max_k"}
+    assert (t["n_events"] > 0).all()
+    assert (t["max_k"] <= 99).all() and (t["max_k"] >= 0).all()
+    assert (t["sum_k"] >= t["max_k"]).all()
+
+
 def test_knn_label_accuracy(ray_session):
     import pyarrow.parquet as pq
 

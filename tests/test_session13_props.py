@@ -2,43 +2,9 @@
 against a brute-force python reference (no Ray needed; the kernels are
 pure functions over Arrow tables)."""
 
-import numpy as np
 import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 5),          # custkey
-                          st.integers(0, 3),          # day
-                          st.integers(1, 10_000)),    # cents (as price)
-                min_size=0, max_size=60))
-def test_running_totals_block_vs_reference(rows):
-    from pdfsearch_ray.pipelines.relational import running_totals_block
-
-    t = pa.table({
-        "o_custkey": pa.array([r[0] for r in rows], type=pa.int64()),
-        "o_orderkey": pa.array(range(len(rows)), type=pa.int64()),
-        "o_orderdate": pa.array([r[1] * 86_400_000_000 for r in rows],
-                                type=pa.timestamp("us")),
-        "o_totalprice": pa.array([r[2] / 100.0 for r in rows],
-                                 type=pa.float64()),
-    })
-    got = running_totals_block(t).to_pandas()
-    # reference: per customer sorted by (day, orderkey), python cumsum
-    ref = {}
-    by_cust = {}
-    for ok, r in enumerate(rows):
-        by_cust.setdefault(r[0], []).append((r[1], ok, r[2]))
-    for ck, items in by_cust.items():
-        run = 0
-        for seq, (_, ok, cents) in enumerate(sorted(items), start=1):
-            run += cents
-            ref[ok] = (ck, seq, run)
-    assert len(got) == len(rows)
-    for r in got.itertuples():
-        ck, seq, run = ref[r.o_orderkey]
-        assert (r.o_custkey, r.seq, r.running_cents) == (ck, seq, run)
 
 
 @settings(max_examples=60, deadline=None)
@@ -65,39 +31,6 @@ def test_transitions_block_vs_reference(rows):
     for items in by_user.values():
         items.sort()
         for (_, _, a), (_, _, b) in zip(items, items[1:]):
-            ref[(a, b)] = ref.get((a, b), 0) + 1
-    assert gmap == ref
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 6),          # orderkey
-                          st.integers(1, 8)),         # partkey
-                min_size=0, max_size=50))
-def test_basket_pair_expansion_vs_itertools(ray_session, rows):
-    """The vectorized repeat/offset pair construction must equal
-    itertools.combinations over per-order sorted distinct parts."""
-    import itertools
-    import os
-    import tempfile
-
-    import pyarrow.parquet as pq
-
-    from pdfsearch_ray.pipelines.relational import basket_pairs
-
-    d = tempfile.mkdtemp(prefix="basketfz_")
-    pq.write_table(pa.table({
-        "l_orderkey": pa.array([r[0] for r in rows], type=pa.int64()),
-        "l_partkey": pa.array([r[1] for r in rows], type=pa.int64()),
-    }), os.path.join(d, "lineitem.parquet"))
-    got = basket_pairs(d, num_buckets=4, min_count=1,
-                       k=10_000).to_pandas()
-    gmap = {(r.p1, r.p2): r.n for r in got.itertuples()}
-    ref: dict = {}
-    by_order: dict = {}
-    for ok, pk in rows:
-        by_order.setdefault(ok, set()).add(pk)
-    for parts in by_order.values():
-        for a, b in itertools.combinations(sorted(parts), 2):
             ref[(a, b)] = ref.get((a, b), 0) + 1
     assert gmap == ref
 

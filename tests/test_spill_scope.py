@@ -15,8 +15,10 @@ SF = "/root/testdata/sf0.001"
 # every driver gate that spills: exchanges, scoped layouts, and the
 # fulltext gates that build a whole index per call
 SPILLING_GATES = (
-    "minhash_dedup", "ngram_jaccard", "chunk_dedup", "source_overlap",
-    "link_hits", "crawl_frontier", "docid_remap", "tfidf_topk",
+    "user_sessions", "asof_join_events", "funnel_counts",
+    "daily_active_users", "event_transitions", "minhash_dedup",
+    "ngram_jaccard", "chunk_dedup", "source_overlap", "link_hits",
+    "crawl_frontier", "docid_remap", "tfidf_topk",
     "sequence_pack", "shard_layout", "ann_lsh", "fulltext_topk",
     "fulltext_topk_simple", "unit_topk",
 )

@@ -18,7 +18,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-TABLES = "documents embeddings".split()
+TABLES = "events documents embeddings".split()
 
 
 def to_pandas(res):
