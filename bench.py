@@ -150,8 +150,7 @@ def run_bench(ncpu: int, sf_dir: str) -> dict:
     # one timed pass of each oracled pipeline at the sf dir
     for name in ("term_df", "top_terms", "doc_token_stats", "exact_dedup",
                  "quality_scores", "bm25_topk", "lang_distribution",
-                 "ann_cosine_topk", "ws_token_counts",
-                 "windowed_event_counts", "user_sessions"):
+                 "ann_cosine_topk", "ws_token_counts"):
         fn = getattr(qmod, name)
         t = time.perf_counter()
         res = fn(sf_dir)
@@ -186,7 +185,6 @@ def run_bench(ncpu: int, sf_dir: str) -> dict:
     from pdfsearch_ray.pipelines import fields as _fields
     from pdfsearch_ray.pipelines import diversify as _diversify
     from pdfsearch_ray.pipelines import dfr as _dfr
-    from pdfsearch_ray.pipelines import geo as _geo
     from pdfsearch_ray.pipelines import blockjoin as _blockjoin
     from pdfsearch_ray.pipelines import queries as _queries
     from pdfsearch_ray.pipelines import sketches, textstats, webops
@@ -194,19 +192,8 @@ def run_bench(ncpu: int, sf_dir: str) -> dict:
     from pdfsearch_ray.pipelines.bpe import (
         bpe_token_stats as _bpe_token_stats,
     )
-    from pdfsearch_ray.pipelines.events import (
-        asof_join_events,
-        sliding_event_counts,
-    )
-    from pdfsearch_ray.pipelines import events as _events
-    from pdfsearch_ray.pipelines.events import (
-        funnel_counts as _funnel_counts_fn,
-    )
 
     for name, fn in (
-        ("sliding_event_counts", sliding_event_counts),
-        ("asof_join_events", asof_join_events),
-        ("funnel_counts", _funnel_counts_fn),
         ("corpus_sample", qmod.corpus_sample),
         ("top_docs_per_lang", qmod.top_docs_per_lang),
         ("doc_length_quantiles", qmod.doc_length_quantiles),
@@ -218,7 +205,6 @@ def run_bench(ncpu: int, sf_dir: str) -> dict:
         ("bigram_counts", qmod.bigram_counts),
         ("doc_chunks", qmod.doc_chunks),
         ("tfidf_topk", qmod.tfidf_topk),
-        ("event_props_stats", qmod.event_props_stats),
         ("knn_label_accuracy", qmod.knn_label_accuracy),
         ("source_mix", qmod.source_mix),
         # round-4 additions
@@ -337,22 +323,16 @@ def run_bench(ncpu: int, sf_dir: str) -> dict:
         ("docid_remap", webops.docid_remap),
         ("phrase_suggest", _searchx.phrase_suggest),
         ("champion_safety", _prune.champion_safety),
-        # session-13: fourth scoring family, geo k-NN, block join,
+        # session-13: fourth scoring family, block join,
         # weighted sampling, PMI collocations
         ("dfr_pl2_topk", _dfr.dfr_pl2_topk),
-        ("geo_knn", _geo.geo_knn),
         ("blockjoin_topk", _blockjoin.blockjoin_topk),
         ("weighted_sample", qmod.weighted_sample),
         ("pmi_collocations", qmod.pmi_collocations),
-        ("daily_active_users", _events.daily_active_users),
-        ("event_transitions", _events.event_transitions),
         ("phrase_prefix_topk", _boolquery.phrase_prefix_topk),
         ("ann_filtered", qmod.ann_filtered),
-        ("geo_grid", _geo.geo_grid),
-        ("daily_event_deltas", _events.daily_event_deltas),
         ("rare_terms", qmod.rare_terms),
         ("query_adjacency", _searchx.query_adjacency),
-        ("geo_bounds", _geo.geo_bounds),
         ("composite_page2", qmod.composite_page2),
         ("span_not_topk", _boolquery.span_not_topk),
         ("quality_classifier", _ts.quality_classifier),

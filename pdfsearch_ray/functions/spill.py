@@ -17,9 +17,9 @@ land on nodes that cannot see the writers' files.  The root is read per
 call, so a driver can set it after import.
 
 ``spill_bucketed`` writes one bucket layout without consuming it — the
-iterative algorithms (min-label propagation, link components, HITS)
-join a static layout against an evolving one every round, and pass the
-layout path to ``bucket_exchange`` in place of a Dataset.
+iterative algorithms (min-label propagation, HITS) join a static layout
+against an evolving one every round, and pass the layout path to
+``bucket_exchange`` in place of a Dataset.
 
 ``cached_dir`` is the other owner of directories under the spill root:
 build-once fixture artifacts (cached indexes, tiers, champion lists,
@@ -257,32 +257,3 @@ def cached_dir(tag: str, key_parts: tuple, marker: str,
     finally:
         shutil.rmtree(stage, ignore_errors=True)
     return cdir
-
-
-def auto_buckets(paths, *, target_bytes: int = 256 << 20,
-                 lo: int = 8, hi: int = 4096) -> int:
-    """Derive a bucket count for a hash spill from the INPUT bytes so
-    per-bucket task memory stays bounded at any corpus size (the
-    tfidf_topk autoscale precedent, round 5): one bucket per
-    ``target_bytes`` of on-disk input, clamped to [lo, hi] and rounded
-    up to a power of two (stable modulo behavior across nearby sizes)
-    — down instead when rounding up would pass ``hi``.
-
-    At the test scales this returns ``lo`` (8–32 buckets); at 100 TB it
-    grows to the cap instead of letting a fixed 32 force 3 TB bucket
-    reads.  Callers pass an explicit ``num_buckets`` to pin layouts
-    (e.g. when two spills must co-partition)."""
-    if isinstance(paths, (str, os.PathLike)):
-        paths = [paths]
-    total = 0
-    for p in paths:
-        p = str(p)
-        if os.path.isdir(p):
-            for root, _, files in os.walk(p):
-                total += sum(os.path.getsize(os.path.join(root, f))
-                             for f in files)
-        elif os.path.exists(p):
-            total += os.path.getsize(p)
-    n = max(lo, min(hi, (total + target_bytes - 1) // target_bytes))
-    p2 = 1 << (int(n - 1).bit_length())
-    return p2 if p2 <= hi else p2 >> 1

@@ -525,48 +525,44 @@ def minhash_lsh_dedup(
 # ------------------------------------------------------------------ simhash
 
 
-class SimHasher:
-    """Actor: doc → 64-bit simhash over simple-analyzer tokens.
+def _simhash(text: str) -> int:
+    """Doc → 64-bit simhash over simple-analyzer tokens.
 
     The per-token 64-bit hash is the LOW half of md5 (digest bytes 8..16,
     little-endian) — exactly DuckDB's ``md5_number_lower``, so the whole
     fingerprint is SQL-oracle-checkable (see __ray_entry__.oracle_sql)."""
+    import hashlib
 
-    def __init__(self):
-        import hashlib
+    toks = analyze_simple(text or "")
+    if not toks:
+        return 0
+    hs = np.array(
+        [int.from_bytes(hashlib.md5(t.encode()).digest()[8:16], "little")
+         for t in toks],
+        dtype=np.uint64,
+    )
+    bits = ((hs[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & 1)
+    votes = bits.astype(np.int64).sum(axis=0) * 2 - len(hs)
+    fp = 0
+    for i in range(64):
+        if votes[i] > 0:
+            fp |= 1 << i
+    return fp
 
-        self._md5 = hashlib.md5
 
-    def fingerprint(self, text: str) -> int:
-        toks = analyze_simple(text or "")
-        if not toks:
-            return 0
-        hs = np.array(
-            [int.from_bytes(self._md5(t.encode()).digest()[8:16], "little")
-             for t in toks],
-            dtype=np.uint64,
-        )
-        bits = ((hs[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & 1)
-        votes = bits.astype(np.int64).sum(axis=0) * 2 - len(hs)
-        fp = 0
-        for i in range(64):
-            if votes[i] > 0:
-                fp |= 1 << i
-        return fp
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, fps = [], []
-        for did, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-            ids.append(did)
-            fps.append(self.fingerprint(text) - (1 << 63))  # shift into int64
-        return pa.table({
-            "doc_id": pa.array(ids, type=pa.int64()),
-            "simhash": pa.array(fps, type=pa.int64()),
-        })
+def _simhash_batch(batch: pa.Table) -> pa.Table:
+    ids, fps = [], []
+    for did, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
+        ids.append(did)
+        fps.append(_simhash(text) - (1 << 63))  # shift into int64
+    return pa.table({
+        "doc_id": pa.array(ids, type=pa.int64()),
+        "simhash": pa.array(fps, type=pa.int64()),
+    })
 
 
 def simhash_fingerprints(docs: rd.Dataset) -> rd.Dataset:
-    return docs.map_batches(SimHasher, batch_format="pyarrow", concurrency=(1, 8))
+    return docs.map_batches(_simhash_batch, batch_format="pyarrow")
 
 
 def simhash_dup_pairs(docs: rd.Dataset, max_hamming: int = 3) -> pa.Table:

@@ -55,9 +55,8 @@ def langid_sql() -> str:
     trigrams of (non-overlapping substring count × rank weight),
     normalized by (text length × profile size); strict-> comparisons in
     en,de,fr order replicate the Python loop's first-wins tie behavior."""
-    from .textstats import _LANG_PROFILES, LanguageId
+    from .textstats import _LANG_PROFILES, LANG_MIN_SCORE
 
-    min_score = LanguageId().min_score
     score_exprs = {}
     for lang, tris in _LANG_PROFILES.items():
         terms = []
@@ -88,11 +87,11 @@ def langid_sql() -> str:
                CASE
                  WHEN n <= 0 THEN 'und'
                  WHEN s_en > 0 AND s_en >= s_de AND s_en >= s_fr
-                   THEN (CASE WHEN s_en >= {min_score} THEN 'en' ELSE 'und' END)
+                   THEN (CASE WHEN s_en >= {LANG_MIN_SCORE} THEN 'en' ELSE 'und' END)
                  WHEN s_de > s_en AND s_de >= s_fr
-                   THEN (CASE WHEN s_de >= {min_score} THEN 'de' ELSE 'und' END)
+                   THEN (CASE WHEN s_de >= {LANG_MIN_SCORE} THEN 'de' ELSE 'und' END)
                  WHEN s_fr > s_en AND s_fr > s_de
-                   THEN (CASE WHEN s_fr >= {min_score} THEN 'fr' ELSE 'und' END)
+                   THEN (CASE WHEN s_fr >= {LANG_MIN_SCORE} THEN 'fr' ELSE 'und' END)
                  ELSE 'und'
                END AS lang_pred
         FROM scored

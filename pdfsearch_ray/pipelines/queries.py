@@ -825,18 +825,6 @@ def semantic_dedup(sf_dir: str) -> rd.Dataset:
     return _s(sf_dir, eps=SEMDEDUP_EPS, n_clusters=SEMDEDUP_N_CLUSTERS)
 
 
-def windowed_event_counts(sf_dir: str) -> rd.Dataset:
-    from .events import windowed_event_counts as _w
-
-    return _w(sf_dir)
-
-
-def user_sessions(sf_dir: str) -> rd.Dataset:
-    from .events import user_sessions as _u
-
-    return _u(sf_dir)
-
-
 def chunk_dedup_docs(sf_dir: str) -> rd.Dataset:
     """C4-style corpus-level sequence dedup over documents (dedup.py:
     chunk_dedup): one surviving copy of each distinct full-length
@@ -1339,74 +1327,9 @@ def fulltext_topk(sf_dir: str) -> pa.Table:
     })
 
 
-PROPS_KEY_RE = r'"k":\s*(?P<k>\d+)'
-
-
-def event_props_stats(sf_dir: str) -> pa.Table:
-    """Semi-structured column extraction (the log-pipeline staple): the
-    events table's ``props`` column holds JSON; extract the integer
-    ``k`` with ONE vectorized RE2 kernel per batch (pyarrow
-    extract_regex — the same regex engine DuckDB's regexp_extract uses,
-    so both sides parse identically), pre-aggregate per event_type
-    inside the batch, and reduce the tiny per-type partials."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        ex = pc.extract_regex(t["props"], pattern=PROPS_KEY_RE)
-        k = pc.cast(pc.struct_field(ex, "k"), pa.int64())
-        et = t["event_type"]
-        ok = pc.is_valid(k)
-        et = et.filter(ok)
-        kv = k.filter(ok).to_numpy(zero_copy_only=False)
-        names = np.asarray(et.to_pylist(), dtype=object)
-        uniq, inv = np.unique(names, return_inverse=True)
-        n = uniq.size
-        return pa.table({
-            "event_type": pa.array(uniq.tolist(), type=pa.string()),
-            "n_events": pa.array(np.bincount(inv, minlength=n)
-                                 .astype(np.int64)),
-            "sum_k": pa.array(_group_sum(inv, kv, n)),
-            "max_k": pa.array(_group_max(inv, kv, n)),
-        })
-
-    from ray.data.aggregate import Max
-
-    from ..functions.tables import read_parquet_nometa
-
-    out = (
-        read_parquet_nometa(f"{sf_dir}/events.parquet",
-                            columns=["event_type", "props"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("n_events", alias_name="n_events"),
-                   Sum("sum_k", alias_name="sum_k"),
-                   Max("max_k", alias_name="max_k"))
-        .to_pandas()
-    )
-    from ..functions.tables import typed_pandas
-    out = typed_pandas(out, {
-        "event_type": "object", "n_events": "int64",
-        "sum_k": "int64", "max_k": "int64"}).sort_values("event_type")
-    return pa.table({
-        "event_type": pa.array(out["event_type"].tolist(),
-                               type=pa.string()),
-        "n_events": pa.array(out["n_events"].astype("int64").tolist(),
-                             type=pa.int64()),
-        "sum_k": pa.array(out["sum_k"].astype("int64").tolist(),
-                          type=pa.int64()),
-        "max_k": pa.array(out["max_k"].astype("int64").tolist(),
-                          type=pa.int64()),
-    })
-
-
 def _group_sum(inv: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros(n, dtype=np.int64)
     np.add.at(out, inv, v.astype(np.int64, copy=False))
-    return out
-
-
-def _group_max(inv: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    out = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
-    np.maximum.at(out, inv, v.astype(np.int64, copy=False))
     return out
 
 

@@ -1,8 +1,8 @@
 """Text-analysis operators for training-data pipelines (addenda):
 language-ID (n-gram heuristic), quality scoring, BPE-ish token counting,
-rolling-hash document fingerprinting.  All vectorized-per-batch
-map_batches stages; stateful tables (profiles, regexes) built once per
-actor."""
+rolling-hash document fingerprinting.  Each is a plain per-batch
+function passed to map_batches; the tables they read (profiles,
+regexes) are module constants."""
 
 from __future__ import annotations
 
@@ -28,42 +28,43 @@ _LANG_PROFILES: dict[str, tuple[str, ...]] = {
 }
 
 
-class LanguageId:
-    """Actor: per-doc language guess by trigram-profile overlap score.
-    Returns 'und' when no profile clears the margin."""
+# trigram -> rank weight (the first trigram of a profile weighs most)
+_LANG_WEIGHTS: dict[str, dict[str, int]] = {
+    lang: {t: len(tris) - i for i, t in enumerate(tris)}
+    for lang, tris in _LANG_PROFILES.items()
+}
+# the normalized score a profile must reach to name the language
+LANG_MIN_SCORE = 0.02
 
-    def __init__(self, min_score: float = 0.02):
-        self.profiles = {
-            lang: {t: len(tris) - i for i, t in enumerate(tris)}
-            for lang, tris in _LANG_PROFILES.items()
-        }
-        self.min_score = min_score
 
-    def classify(self, text: str) -> str:
-        t = " " + re.sub(r"\s+", " ", text.lower()) + " "
-        n = len(t) - 2
-        if n <= 0:
-            return "und"
-        best_lang, best = "und", 0.0
-        for lang, prof in self.profiles.items():
-            score = 0
-            for tri, w in prof.items():
-                score += t.count(tri) * w
-            norm = score / (n * len(prof))
-            if norm > best:
-                best, best_lang = norm, lang
-        return best_lang if best >= self.min_score else "und"
+def classify_language(text: str) -> str:
+    """Language guess by trigram-profile overlap score; 'und' when no
+    profile clears ``LANG_MIN_SCORE``."""
+    t = " " + re.sub(r"\s+", " ", text.lower()) + " "
+    n = len(t) - 2
+    if n <= 0:
+        return "und"
+    best_lang, best = "und", 0.0
+    for lang, prof in _LANG_WEIGHTS.items():
+        score = 0
+        for tri, w in prof.items():
+            score += t.count(tri) * w
+        norm = score / (n * len(prof))
+        if norm > best:
+            best, best_lang = norm, lang
+    return best_lang if best >= LANG_MIN_SCORE else "und"
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        langs = [self.classify(x or "") for x in batch["text"].to_pylist()]
-        return pa.table({
-            "doc_id": batch["doc_id"].cast(pa.int64()),
-            "lang_pred": pa.array(langs, type=pa.string()),
-        })
+
+def _language_batch(batch: pa.Table) -> pa.Table:
+    langs = [classify_language(x or "") for x in batch["text"].to_pylist()]
+    return pa.table({
+        "doc_id": batch["doc_id"].cast(pa.int64()),
+        "lang_pred": pa.array(langs, type=pa.string()),
+    })
 
 
 def language_id(docs: rd.Dataset) -> rd.Dataset:
-    return docs.map_batches(LanguageId, batch_format="pyarrow", concurrency=(1, 8))
+    return docs.map_batches(_language_batch, batch_format="pyarrow")
 
 
 # BPE-ish pre-tokenizer: the GPT-2-style regex (public) with the
@@ -80,35 +81,30 @@ _BPE_RE = re.compile(
 BPE_PATTERN = r"'s|'t|'re|'ve|'m|'ll|'d| ?[A-Za-z]+| ?[0-9]+| ?[^\sA-Za-z0-9]+|\s+"
 
 
-class TokenCounter:
-    """Actor: whitespace tokens + BPE-ish piece counts per doc."""
-
-    def __init__(self):
-        self.bpe = _BPE_RE
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ws, bpe = [], []
-        for text in batch["text"].to_pylist():
-            t = text or ""
-            ws.append(len(t.split()))
-            bpe.append(len(self.bpe.findall(t)))
-        return pa.table({
-            "doc_id": batch["doc_id"].cast(pa.int64()),
-            "n_ws_tokens": pa.array(ws, type=pa.int64()),
-            "n_bpe_pieces": pa.array(bpe, type=pa.int64()),
-        })
+def _token_count_batch(batch: pa.Table) -> pa.Table:
+    """Whitespace tokens + BPE-ish piece counts per doc."""
+    ws, bpe = [], []
+    for text in batch["text"].to_pylist():
+        t = text or ""
+        ws.append(len(t.split()))
+        bpe.append(len(_BPE_RE.findall(t)))
+    return pa.table({
+        "doc_id": batch["doc_id"].cast(pa.int64()),
+        "n_ws_tokens": pa.array(ws, type=pa.int64()),
+        "n_bpe_pieces": pa.array(bpe, type=pa.int64()),
+    })
 
 
 def token_counts(docs: rd.Dataset) -> rd.Dataset:
-    return docs.map_batches(TokenCounter, batch_format="pyarrow", concurrency=(1, 8))
+    return docs.map_batches(_token_count_batch, batch_format="pyarrow")
 
 
 _FP_BASE = np.uint64(1099511628211)
 _FP_WINDOW = 64
 
 
-class Fingerprinter:
-    """Actor: rolling-hash (Rabin-Karp style) document fingerprint — the
+def _fingerprint_batch(batch: pa.Table) -> pa.Table:
+    """Rolling-hash (Rabin-Karp style) document fingerprint — the
     minimum of window hashes over the byte stream (winnowing-lite), plus
     a full-content hash.  Deterministic; used for container-level
     near-dup prefiltering.
@@ -117,39 +113,37 @@ class Fingerprinter:
     DuckDB ``md5_number_lower``) and the window hash is a polynomial
     rolling hash mod 2^64 with public powers — both replicated by the
     SQL oracle in __ray_entry__.oracle_sql."""
+    import hashlib
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        fps, full = [], []
-        for text in batch["text"].to_pylist():
-            data = (text or "").encode("utf-8")
-            if len(data) == 0:
-                fps.append(0)
-                full.append(0)
-                continue
-            import hashlib
-
-            arr = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
-            full.append(
-                int.from_bytes(hashlib.md5(data).digest()[8:16], "little")
-                - (1 << 63)
-            )
-            if len(arr) < _FP_WINDOW:
-                win = arr[None, :]
-            else:
-                win = np.lib.stride_tricks.sliding_window_view(arr, _FP_WINDOW)
-            # polynomial hash per window, vectorized across windows
-            powers = _FP_BASE ** np.arange(win.shape[1], dtype=np.uint64)
-            wh = (win * powers[None, :]).sum(axis=1, dtype=np.uint64)
-            fps.append(int(wh.min()) - (1 << 63))
-        return pa.table({
-            "doc_id": batch["doc_id"].cast(pa.int64()),
-            "fingerprint": pa.array(fps, type=pa.int64()),
-            "content_hash": pa.array(full, type=pa.int64()),
-        })
+    fps, full = [], []
+    for text in batch["text"].to_pylist():
+        data = (text or "").encode("utf-8")
+        if len(data) == 0:
+            fps.append(0)
+            full.append(0)
+            continue
+        arr = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
+        full.append(
+            int.from_bytes(hashlib.md5(data).digest()[8:16], "little")
+            - (1 << 63)
+        )
+        if len(arr) < _FP_WINDOW:
+            win = arr[None, :]
+        else:
+            win = np.lib.stride_tricks.sliding_window_view(arr, _FP_WINDOW)
+        # polynomial hash per window, vectorized across windows
+        powers = _FP_BASE ** np.arange(win.shape[1], dtype=np.uint64)
+        wh = (win * powers[None, :]).sum(axis=1, dtype=np.uint64)
+        fps.append(int(wh.min()) - (1 << 63))
+    return pa.table({
+        "doc_id": batch["doc_id"].cast(pa.int64()),
+        "fingerprint": pa.array(fps, type=pa.int64()),
+        "content_hash": pa.array(full, type=pa.int64()),
+    })
 
 
 def fingerprints(docs: rd.Dataset) -> rd.Dataset:
-    return docs.map_batches(Fingerprinter, batch_format="pyarrow", concurrency=(1, 8))
+    return docs.map_batches(_fingerprint_batch, batch_format="pyarrow")
 
 
 # ------------------------------------------------- Gopher-style quality gate

@@ -1,5 +1,5 @@
-"""Pins for the session-13 gates: DFR PL2 scoring, geo k-NN, and
-parent-child block join."""
+"""Pins for the session-13 gates: DFR PL2 scoring and parent-child
+block join."""
 
 import numpy as np
 
@@ -76,71 +76,6 @@ def test_pl2_oracle_match_small(ray_session):
     w = want.sort_values(["query", "rank"]).reset_index(drop=True)
     assert g["doc_id"].tolist() == w["doc_id"].tolist()
     assert np.allclose(g["score"], w["score"], atol=0)
-
-
-# ---------------------------------------------------------------- geo
-
-def test_geo_coords_deterministic_and_in_range(ray_session):
-    from pdfsearch_ray.pipelines.geo import _coords
-
-    ids = np.arange(10_000, dtype=np.int64)
-    lat, lon = _coords(ids)
-    assert lat.min() >= -90_000_000 and lat.max() < 90_000_000
-    assert lon.min() >= -180_000_000 and lon.max() < 180_000_000
-    lat2, lon2 = _coords(ids)
-    assert (lat == lat2).all() and (lon == lon2).all()
-
-
-def test_geo_knn_matches_bruteforce(ray_session):
-    """The distributed per-batch top-k merge must equal a full local
-    argsort, including the longitude wraparound."""
-    import duckdb
-
-    from pdfsearch_ray.pipelines.geo import (
-        GEO_K, GEO_POINTS, GEO_RADIUS_MICRO, _coords, geo_knn)
-
-    got = geo_knn(SF).to_pandas()
-    con = duckdb.connect()
-    ids = con.execute(
-        f"SELECT doc_id FROM '{SF}/documents.parquet'"
-    ).fetchdf()["doc_id"].to_numpy()
-    lat, lon = _coords(ids)
-    r2 = GEO_RADIUS_MICRO * GEO_RADIUS_MICRO
-    for pi, (plat, plon) in enumerate(GEO_POINTS):
-        dlat = lat - plat
-        adl = np.abs(lon - plon)
-        dlon = np.minimum(adl, 360_000_000 - adl)
-        d2 = dlat * dlat + dlon * dlon
-        m = d2 <= r2
-        order = np.lexsort((ids[m], d2[m]))[:GEO_K]
-        want = ids[m][order].tolist()
-        g = got[got["point_id"] == pi].sort_values("rank")
-        assert g["doc_id"].tolist() == want, pi
-        assert g["dist2"].tolist() == d2[m][order].tolist(), pi
-
-
-def test_geo_wraparound_is_load_bearing(ray_session):
-    """A point at lon +179.9° must see docs at -179.9° as near, not
-    across the whole map."""
-    import pyarrow.parquet as pq
-    import pyarrow as pa
-    import tempfile, os
-
-    from pdfsearch_ray.pipelines.geo import _coords, geo_knn
-
-    ids = np.arange(50_000, dtype=np.int64)
-    lat, lon = _coords(ids)
-    west = ids[(lon < -178_000_000)]          # near the antimeridian
-    assert west.size > 0
-    d = tempfile.mkdtemp(prefix="geo_")
-    pq.write_table(pa.table({"doc_id": pa.array(west)}),
-                   os.path.join(d, "documents.parquet"))
-    wlat, _ = _coords(west)
-    probe = (int(wlat[0]), 179_900_000)       # east side of the seam
-    got = geo_knn(d, points=(probe,), k=5,
-                  radius_micro=30_000_000).to_pandas()
-    assert len(got) > 0                       # wraparound finds them
-    assert int(got["dist2"].min()) < (10_000_000 ** 2) * 2
 
 
 # ---------------------------------------------------------- block join
@@ -227,29 +162,3 @@ def test_blockjoin_oracle_match_small(ray_session):
     assert g["doc_id"].tolist() == w["doc_id"].tolist()
     assert g["best_chunk"].tolist() == w["best_chunk"].tolist()
     assert np.allclose(g["score"], w["score"], atol=0)
-
-
-def test_geo_grid_counts_sum_to_corpus(ray_session):
-    """With one giant cell the grid must count every doc; with the
-    default cell size, top-k counts are exact vs a local recompute."""
-    import duckdb
-
-    from pdfsearch_ray.pipelines.geo import (
-        GRID_CELL_MICRO, _coords, geo_grid)
-
-    con = duckdb.connect()
-    ids = con.execute(
-        f"SELECT doc_id FROM '{SF}/documents.parquet'"
-    ).fetchdf()["doc_id"].to_numpy()
-    # a giant cell still splits at the (0,0) floor-division axes ->
-    # exactly the 4 quadrants, and the counts must sum to the corpus
-    one = geo_grid(SF, cell_micro=1_000_000_000, k=10).to_pandas()
-    assert len(one) == 4 and int(one["n_docs"].sum()) == ids.size
-    t = geo_grid(SF).to_pandas()
-    lat, lon = _coords(ids)
-    import collections
-
-    want = collections.Counter(zip(lat // GRID_CELL_MICRO,
-                                   lon // GRID_CELL_MICRO))
-    for r in t.itertuples():
-        assert want[(r.cell_lat, r.cell_lon)] == r.n_docs

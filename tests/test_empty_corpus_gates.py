@@ -18,12 +18,6 @@ def empty_sf(tmp_path_factory):
         "n_chars": pa.array([], type=pa.int64()),
     }), f"{d}/documents.parquet")
     pq.write_table(pa.table({
-        "event_id": pa.array([], type=pa.int64()),
-        "user_id": pa.array([], type=pa.int64()),
-        "ts": pa.array([], type=pa.timestamp("us")),
-        "event_type": pa.array([], type=pa.string()),
-    }), f"{d}/events.parquet")
-    pq.write_table(pa.table({
         "vec_id": pa.array([], type=pa.int64()),
         "embedding": pa.array([], type=pa.list_(pa.float32())),
         "label": pa.array([], type=pa.int32()),
@@ -34,14 +28,10 @@ def empty_sf(tmp_path_factory):
 def test_session13_gates_survive_empty_corpus(ray_session, empty_sf):
     from pdfsearch_ray.pipelines import blockjoin as B
     from pdfsearch_ray.pipelines import dfr as D
-    from pdfsearch_ray.pipelines import events as E
-    from pdfsearch_ray.pipelines import geo as G
     from pdfsearch_ray.pipelines import queries as Q
 
     gates = [
-        E.daily_active_users, E.event_transitions,
         Q.weighted_sample, Q.pmi_collocations,
-        G.geo_knn, G.geo_grid,
         D.dfr_pl2_topk, B.blockjoin_topk,
     ]
     for fn in gates:
@@ -80,9 +70,10 @@ def test_more_session13_gates_empty(ray_session, empty_sf):
 
 @pytest.fixture(scope="module")
 def empty_sf_full(tmp_path_factory):
-    """Zero-row copies of EVERY real table, exact schemas included —
-    the input shape a filter stage that drops every row hands to any
-    downstream gate."""
+    """Zero-row copies of the two tables the gates read (documents and
+    embeddings), exact schemas included — the input shape a filter
+    stage that drops every row hands to any downstream gate.  A gate
+    that reads any other table fails here."""
     import os
 
     import pyarrow.parquet as pq
@@ -91,10 +82,9 @@ def empty_sf_full(tmp_path_factory):
     if not os.path.isdir(src):
         pytest.skip("testdata not available")
     d = str(tmp_path_factory.mktemp("empty_sf_full"))
-    for f in os.listdir(src):
-        if f.endswith(".parquet"):
-            schema = pq.read_schema(os.path.join(src, f))
-            pq.write_table(schema.empty_table(), os.path.join(d, f))
+    for f in ("documents.parquet", "embeddings.parquet"):
+        schema = pq.read_schema(os.path.join(src, f))
+        pq.write_table(schema.empty_table(), os.path.join(d, f))
     return d
 
 

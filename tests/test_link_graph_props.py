@@ -76,27 +76,6 @@ def test_pagerank_mass_and_floor_bounds(n):
     assert (r[sinks] == base).all()
 
 
-@given(st.integers(min_value=1, max_value=1500))
-@settings(max_examples=50, deadline=None)
-def test_cc_labels_monotone_and_valid(n):
-    """Hash-min labels only decrease, stay within the id range, and
-    after enough rounds every edge's endpoints agree."""
-    ids = np.arange(n, dtype=np.int64)
-    src, dst, _ = w._synth_out_edges(ids, n)
-    lab = ids.copy()
-    prev = None
-    for _ in range(64):
-        new = lab.copy()
-        np.minimum.at(new, dst, lab[src])
-        np.minimum.at(new, src, lab[dst])
-        assert (new <= lab).all()
-        assert ((new >= 0) & (new < n)).all()
-        if prev is not None and np.array_equal(new, lab):
-            break
-        prev, lab = lab, new
-    assert (lab[src] == lab[dst]).all()
-
-
 def test_hits_matches_dense_replay(ray_session):
     """link_hits equals a dense single-process HITS replay of the same
     mix64 graph, and the first-round auth equals in-degree (hub0 = 1)."""

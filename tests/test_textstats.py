@@ -7,7 +7,7 @@ import pytest
 import ray.data as rd
 
 from pdfsearch_ray.pipelines.textstats import (
-    LanguageId,
+    classify_language,
     fingerprints,
     language_id,
     token_counts,
@@ -24,11 +24,10 @@ SAMPLES = {
 
 
 def test_language_id_classifier():
-    lid = LanguageId()
     for lang, text in SAMPLES.items():
-        assert lid.classify(text) == lang, lang
-    assert lid.classify("") == "und"
-    assert lid.classify("zzz qqq 123") == "und"
+        assert classify_language(text) == lang, lang
+    assert classify_language("") == "und"
+    assert classify_language("zzz qqq 123") == "und"
 
 
 def test_language_id_pipeline(ray_session):
