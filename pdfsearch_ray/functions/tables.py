@@ -5,6 +5,7 @@ from __future__ import annotations
 import glob
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -86,6 +87,36 @@ def typed_table(obj, schema: pa.Schema) -> pa.Table:
     if tbl.num_rows == 0 and set(schema.names) - set(tbl.schema.names):
         return schema.empty_table()
     return tbl
+
+
+def ranked_table(rows: list[tuple], extra_col: str | None = None,
+                 extra_type=None) -> pa.Table:
+    """rows of (query[, extra], doc_id, score) already in final order →
+    the standard ranked gate table with a per-query 1-based rank."""
+    ranks: list[int] = []
+    prev = None
+    for r in rows:
+        ranks.append(1 if r[0] != prev else ranks[-1] + 1)
+        prev = r[0]
+    cols = {"query": pa.array([r[0] for r in rows], type=pa.string())}
+    off = 1
+    if extra_col is not None:
+        cols[extra_col] = pa.array([r[1] for r in rows], type=extra_type)
+        off = 2
+    cols["doc_id"] = pa.array([r[off] for r in rows], type=pa.int64())
+    cols["score"] = pa.array([r[off + 1] for r in rows], type=pa.float64())
+    cols["rank"] = pa.array(ranks, type=pa.int64())
+    return pa.table(cols)
+
+
+def topk_rows(q, ids: np.ndarray, sc: np.ndarray, k: int,
+              prefix: tuple = ()) -> list[tuple]:
+    """The top ``k`` of (ids, sc) on the 6-dp rounded score (score desc,
+    doc_id asc) as (q, *prefix, doc_id, score) rows for
+    :func:`ranked_table`."""
+    sc = np.round(sc, 6)
+    order = np.lexsort((ids.astype(np.int64), -sc))[:k]
+    return [(q, *prefix, int(ids[i]), float(sc[i])) for i in order]
 
 
 def block_tables(ds: rd.Dataset) -> list[pa.Table]:

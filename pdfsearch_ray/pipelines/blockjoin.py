@@ -13,8 +13,8 @@ gets from ES ``inner_hits``.
 
 Distributed shape: chunking happens INSIDE the tokenize pass (a doc's
 chunks never cross batch boundaries), so the scan emits per-chunk
-narrow hit rows + per-batch stats sentinels exactly like
-``queries._BM25Scan``; the scoring pass can therefore also reduce
+narrow hit rows + per-batch stats sentinels (the chunk corpus has
+no index to read them from); the scoring pass can therefore also reduce
 chunk→parent (max, arg-min chunk) per batch before its local top-k —
 the driver merge sees O(k · blocks).  One streaming pass over raw
 text, no shuffle, nothing chunk-corpus-sized materializes.

@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..functions.tables import ranked_table, topk_rows
 from ..index.codec import bm25_idf, bm25_wdl
 
 __all__ = [
@@ -145,27 +146,11 @@ def bm25_and_topk(sf_dir: str) -> pa.Table:
     from .query import BM25Index
 
     idx = BM25Index(simple_index_cached(sf_dir))
-    out_q, out_d, out_s = [], [], []
+    rows = []
     for q in sorted(AND_QUERIES):
-        ids, sc = score_terms_conjunctive(idx, analyze_simple(q))
-        if not ids.size:
-            continue
-        sc = np.round(sc, 6)
-        order = np.lexsort((ids.astype(np.int64), -sc))[:AND_K]
-        out_q.extend([q] * order.size)
-        out_d.extend(ids[order].astype(np.int64).tolist())
-        out_s.extend(sc[order].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        rows.extend(topk_rows(
+            q, *score_terms_conjunctive(idx, analyze_simple(q)), AND_K))
+    return ranked_table(rows)
 
 
 def phrase_match_counts(sf_dir: str) -> pa.Table:
@@ -386,32 +371,13 @@ def bm25_not_topk(sf_dir: str) -> pa.Table:
     from .query import BM25Index
 
     idx = BM25Index(simple_index_cached(sf_dir))
-    out_q, out_n, out_d, out_s = [], [], [], []
+    rows = []
     for q, neg in sorted(NOT_QUERIES):
         ids, sc = idx.score_terms(sorted(set(analyze_simple(q))))
-        if not ids.size:
-            continue
-        neg_terms = sorted(set(analyze_simple(neg)))
-        neg_ids, _ = idx.score_terms(neg_terms)
+        neg_ids, _ = idx.score_terms(sorted(set(analyze_simple(neg))))
         keep = ~np.isin(ids, neg_ids, assume_unique=True)
-        ids, sc = ids[keep], np.round(sc[keep], 6)
-        order = np.lexsort((ids.astype(np.int64), -sc))[:NOT_K]
-        out_q.extend([q] * order.size)
-        out_n.extend([neg] * order.size)
-        out_d.extend(ids[order].astype(np.int64).tolist())
-        out_s.extend(sc[order].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "not_term": pa.array(out_n, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        rows.extend(topk_rows(q, ids[keep], sc[keep], NOT_K, prefix=(neg,)))
+    return ranked_table(rows, "not_term", pa.string())
 
 
 def bm25_not_sql(queries=NOT_QUERIES, *, k: int = NOT_K,

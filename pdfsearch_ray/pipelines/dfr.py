@@ -11,19 +11,12 @@ after-effect (L) and normalization 2 (length-scaled tf):
     score    = sum_t (tfn * log2(tfn/lambda) + (lambda - tfn) * log2(e)
                       + 0.5 * log2(2*pi*tfn)) / (tfn + 1)
 
-Distributed exactly like ``queries.bm25_topk`` (the three-phase
-streaming-scan shape, no index artifact):
-
-1. ONE vectorized tokenize pass (the shared ``queries._BM25Scan``
-   kernel over the UNION of all query terms) emits a narrow
-   (doc_id, dl, tf<j>) row per matching doc plus per-batch stats
-   sentinels (doc_id = -1: nd, sum-dl, df<j> partials).
-2. Stats reduce — O(blocks) sentinel rows give N, avgdl and df; the
-   collection frequency cf<j> is the distributed sum of tf<j> over the
-   HIT rows (a doc with tf=0 for every query term contributes nothing
-   to cf by definition, so the hit table is sufficient).
-3. Scoring pass over the hit table: per-row PL2 in sorted-term order,
-   6-dp round, per-batch top-K — the driver merge sees O(K*blocks).
+Read path: the shared simple index (expand.simple_index_cached), the
+one the BM25 gates score through.  Per query term, ``postings`` gives
+each matching doc's tf and dl; the collection frequency cf_t is the
+sum of the term's tf, and N, avgdl come from the index manifest (N
+counts the docs with at least one token, avgdl = total_dl / N).  Terms
+are summed in sorted order, then the 6-dp rounded top-k is cut.
 
 log2 is evaluated as ``ln(x) * (1/ln(2))`` on BOTH sides (numpy and
 the DuckDB oracle) so the two compute bit-identical doubles; the
@@ -48,130 +41,36 @@ DFR_C = 1.0
 
 def dfr_pl2_topk(sf_dir: str, *, queries=DFR_QUERIES,
                  k: int = DFR_K, c: float = DFR_C) -> pa.Table:
-    """PL2 top-k over `documents` for the fixed query set — one shared
-    scan for the union of all query terms, per-query scoring from the
-    same distributed hit table."""
-    import pyarrow.compute as pc
-
+    """PL2 top-k over `documents` for the fixed query set, scored from
+    the shared simple index's postings."""
     from ..analysis.analyzer import analyze_simple
-    from ..functions.tables import read_parquet_nometa
-    from .queries import _BM25Scan
+    from ..functions.tables import ranked_table, topk_rows
+    from .expand import simple_index_cached
+    from .query import BM25Index
+    from .scorequery import summed_scores
 
-    per_q = {q: sorted(set(analyze_simple(q))) for q in queries}
-    union = tuple(sorted({t for ts in per_q.values() for t in ts}))
-    j_of = {t: j for j, t in enumerate(union)}
-    tf_cols = [f"tf{j}" for j in range(len(union))]
-
-    spill = read_parquet_nometa(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"],
-    ).map_batches(
-        _BM25Scan(union), batch_format="pyarrow", batch_size=512,
-    ).materialize()
-
-    def stats_partial(t: pa.Table) -> pa.Table:
-        is_s = pc.equal(t["doc_id"], -1)
-        s = t.filter(is_s)
-        h = t.filter(pc.invert(is_s))
-        cols = {
-            "nd": pa.array([int(pc.sum(s["nd"]).as_py() or 0)],
-                           type=pa.int64()),
-            "dl": pa.array([int(pc.sum(s["dl"]).as_py() or 0)],
-                           type=pa.int64()),
-        }
-        for cn in tf_cols:
-            cols["df_" + cn] = pa.array(
-                [int(pc.sum(s[cn]).as_py() or 0)], type=pa.int64())
-            cols["cf_" + cn] = pa.array(
-                [int(pc.sum(h[cn]).as_py() or 0)], type=pa.int64())
-        return pa.table(cols)
-
-    st = spill.map_batches(
-        stats_partial, batch_format="pyarrow").to_pandas()
-    n = int(st["nd"].sum()) if "nd" in st.columns else 0
-    empty = pa.table({
-        "query": pa.array([], type=pa.string()),
-        "doc_id": pa.array([], type=pa.int64()),
-        "score": pa.array([], type=pa.float64()),
-        "rank": pa.array([], type=pa.int64()),
-    })
-    if n == 0:
-        return empty
-    avgdl = float(int(st["dl"].sum())) / float(n)
-    cfs = {union[j]: int(st["cf_" + tf_cols[j]].sum())
-           for j in range(len(union))}
+    idx = BM25Index(simple_index_cached(sf_dir))
+    n = float(idx.manifest.n_docs)
+    if not n:
+        return ranked_table([])
+    avgdl = float(idx.manifest.total_dl) / n
     inv_ln2 = 1.0 / np.log(2.0)
     two_pi = 2.0 * np.pi
 
-    def score_batch(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.not_equal(t["doc_id"], -1))
-        out_schema = pa.schema([("query", pa.string()),
-                                ("doc_id", pa.int64()),
-                                ("score", pa.float64())])
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        ids = t["doc_id"].to_numpy()
-        dl = t["dl"].to_numpy().astype(np.float64)
-        # length-normalized tf factor is per-doc, shared by every term
-        norm = np.log(1.0 + c * avgdl / dl) * inv_ln2
-        tfm = {cn: t[cn].to_numpy().astype(np.float64) for cn in tf_cols}
-        out_q, out_d, out_s = [], [], []
-        for q in sorted(queries):
-            score = np.zeros(len(ids), dtype=np.float64)
-            matched = np.zeros(len(ids), dtype=bool)
-            for tm in per_q[q]:                 # sorted-term sum order
-                cf = cfs.get(tm, 0)
-                if cf == 0:
-                    continue
-                lam = float(cf) / float(n)
-                tf = tfm[tf_cols[j_of[tm]]]
-                h = tf > 0
-                if not h.any():
-                    continue
-                matched |= h
-                tfn = tf[h] * norm[h]
-                score[h] += (tfn * (np.log(tfn / lam) * inv_ln2)
-                             + (lam - tfn) * inv_ln2
-                             + 0.5 * (np.log(two_pi * tfn) * inv_ln2)
-                             ) / (tfn + 1.0)
-            if not matched.any():
-                continue
-            sc = np.round(score[matched], 6)
-            mid = ids[matched]
-            top = np.lexsort((mid, -sc))[:k]
-            out_q.extend([q] * top.size)
-            out_d.extend(mid[top].tolist())
-            out_s.extend(sc[top].tolist())
-        return pa.table({
-            "query": pa.array(out_q, type=pa.string()),
-            "doc_id": pa.array(out_d, type=pa.int64()),
-            "score": pa.array(out_s, type=pa.float64()),
-        })
+    def pl2(pl) -> np.ndarray:
+        lam = float(pl.tf.sum()) / n
+        # normalization 2: length-scaled tf
+        tfn = pl.tf.astype(np.float64) * (
+            np.log(1.0 + c * avgdl / pl.dl.astype(np.float64)) * inv_ln2)
+        return (tfn * (np.log(tfn / lam) * inv_ln2)
+                + (lam - tfn) * inv_ln2
+                + 0.5 * (np.log(two_pi * tfn) * inv_ln2)) / (tfn + 1.0)
 
-    cand = spill.map_batches(
-        score_batch, batch_format="pyarrow").to_pandas()
-    if cand.empty:
-        return empty
-    out_q, out_d, out_s = [], [], []
+    rows = []
     for q in sorted(queries):
-        g = cand[cand["query"] == q]
-        if g.empty:
-            continue
-        g = g.sort_values(["score", "doc_id"], ascending=[False, True],
-                          kind="mergesort").head(k)
-        out_q.extend([q] * len(g))
-        out_d.extend(g["doc_id"].tolist())
-        out_s.extend(g["score"].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        rows.extend(topk_rows(
+            q, *summed_scores(idx, analyze_simple(q), pl2), k))
+    return ranked_table(rows)
 
 
 def dfr_pl2_sql(queries=DFR_QUERIES, *, k: int = DFR_K,

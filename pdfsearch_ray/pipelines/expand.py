@@ -209,17 +209,67 @@ def simple_index_cached(sf_dir: str, *, num_buckets: int = 16) -> str:
     committed atomically (``spill.cached_dir``), shared across calls and
     processes.  The fuzzy /
     prefix gates are QUERY-side features; they reuse one layout instead
-    of paying a per-call rebuild (the index is a build-once artifact)."""
+    of paying a per-call rebuild (the index is a build-once artifact).
+    A ``documents`` table without a ``lang`` column builds with no
+    language field."""
+    import pyarrow.dataset as pds
+
     from ..functions.spill import cached_dir, file_key
     from .build import build_index
 
     src = f"{sf_dir}/documents.parquet"
+
+    def build(out: str) -> None:
+        names = pds.dataset(src, format="parquet").schema.names
+        build_index(src, out, analyzer="simple",
+                    lang_col="lang" if "lang" in names else None,
+                    num_buckets=num_buckets, sample_rate=1.0)
+
     return cached_dir(
         "pdfsearch_ftidx", (*file_key(src), "simple", num_buckets),
-        "manifest.json",
-        lambda out: build_index(src, out, analyzer="simple",
-                                lang_col="lang", num_buckets=num_buckets,
-                                sample_rate=1.0))
+        "manifest.json", build)
+
+
+def dictionary_stats(index_dir: str) -> pa.Table:
+    """(term, df, tf) for every term of the index's dictionary, sorted
+    by term, read from the postings alone: df = Σ block ``n`` (exact
+    across salt splits, the index_stats identity) and tf = Σ the
+    blocks' decoded ``tf_blob`` (the collection frequency).  One narrow
+    (term, n, tf_blob) scan with per-batch partials; the driver
+    combines O(vocabulary) rows."""
+    from ..functions.tables import block_tables, read_parquet_nometa
+    from ..index.arrays import _bytes
+    from ..index.codec import varint_decode
+
+    schema = pa.schema([("term", pa.string()), ("df", pa.int64()),
+                        ("tf", pa.int64())])
+    pdir = os.path.join(index_dir, "postings")
+    files = sorted(os.path.join(pdir, f) for f in os.listdir(pdir)
+                   if f.endswith(".parquet"))
+
+    def term_sums(t: pa.Table) -> pa.Table:
+        g = t.group_by("term").aggregate([("df", "sum"), ("tf", "sum")])
+        return pa.table([g["term"], g["df_sum"], g["tf_sum"]],
+                        schema=schema)
+
+    def partial(t: pa.Table) -> pa.Table:
+        n = t["n"].to_numpy().astype(np.int64)
+        tf = varint_decode(_bytes(t["tf_blob"])[1],
+                           count=int(n.sum())).astype(np.int64)
+        blk = pa.table({
+            "term": t["term"],
+            "df": pa.array(n, type=pa.int64()),
+            "tf": pa.array(np.add.reduceat(tf, np.cumsum(n) - n)
+                           if n.size else tf, type=pa.int64()),
+        })
+        return term_sums(blk)
+
+    parts = block_tables(read_parquet_nometa(
+        files, columns=["term", "n", "tf_blob"],
+    ).map_batches(partial, batch_format="pyarrow")) if files else []
+    if not parts:                   # empty index: no dictionary at all
+        return schema.empty_table()
+    return term_sums(pa.concat_tables(parts)).sort_by("term")
 
 
 # ------------------------------------------------------------------ gates
@@ -238,34 +288,15 @@ def _expanded_topk(sf_dir: str, expansions: dict[str, list[str]],
     read path and cut top-k on the 6-dp rounded score (score desc,
     doc_id asc) — exhaustive TAAT returns EVERY candidate, so the tie
     boundary needs no grow loop here."""
+    from ..functions.tables import ranked_table, topk_rows
     from .query import BM25Index
 
-    d = simple_index_cached(sf_dir)
-    idx = BM25Index(d)
-    out_q, out_d, out_s = [], [], []
+    idx = BM25Index(simple_index_cached(sf_dir))
+    rows = []
     for q in sorted(expansions):
-        terms = expansions[q]
-        if not terms:
-            continue
-        ids, sc = idx.score_terms(terms)
-        if not ids.size:
-            continue
-        sc = np.round(sc, 6)
-        order = np.lexsort((ids.astype(np.int64), -sc))[:k]
-        out_q.extend([q] * order.size)
-        out_d.extend(ids[order].astype(np.int64).tolist())
-        out_s.extend(sc[order].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        if expansions[q]:
+            rows.extend(topk_rows(q, *idx.score_terms(expansions[q]), k))
+    return ranked_table(rows)
 
 
 def fuzzy_topk(sf_dir: str) -> pa.Table:
@@ -579,18 +610,16 @@ def rm3_topk(sf_dir: str) -> pa.Table:
     BM25 → QUALIFY top-F → feedback term counts → top-E expansion →
     second-pass BM25 over the union."""
     from ..analysis.analyzer import analyze_simple
+    from ..functions.tables import ranked_table, topk_rows
     from .query import BM25Index
 
     idx = BM25Index(simple_index_cached(sf_dir))
-    out_q, out_d, out_s = [], [], []
+    rows = []
     for q in sorted(RM3_QUERIES):
         q_terms = sorted(set(analyze_simple(q)))
-        ids, sc = idx.score_terms(q_terms)
-        if not ids.size:
+        fb = [r[1] for r in topk_rows(q, *idx.score_terms(q_terms), RM3_F)]
+        if not fb:
             continue
-        sc6 = np.round(sc, 6)
-        order = np.lexsort((ids.astype(np.int64), -sc6))[:RM3_F]
-        fb = ids[order].astype(np.int64).tolist()
         tbl, has_text = idx.fetch_doc_meta(fb, with_text=True)
         assert has_text
         from collections import Counter
@@ -602,23 +631,8 @@ def rm3_topk(sf_dir: str) -> pa.Table:
         cand = sorted((t for t in cnt if t not in orig),
                       key=lambda t: (-cnt[t], t))[:RM3_E]
         final_terms = sorted(orig | set(cand))
-        ids2, sc2 = idx.score_terms(final_terms)
-        sc2 = np.round(sc2, 6)
-        o2 = np.lexsort((ids2.astype(np.int64), -sc2))[:RM3_K]
-        out_q.extend([q] * o2.size)
-        out_d.extend(ids2[o2].astype(np.int64).tolist())
-        out_s.extend(sc2[o2].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        rows.extend(topk_rows(q, *idx.score_terms(final_terms), RM3_K))
+    return ranked_table(rows)
 
 
 def rm3_topk_sql(queries=RM3_QUERIES, *, f: int = RM3_F, e: int = RM3_E,

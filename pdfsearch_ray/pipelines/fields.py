@@ -18,7 +18,7 @@ which the ``boosted_topk`` gate already covers):
 idf uses the cross-field df (docs containing the term in ANY field)
 and the same Lucene-style log shape as every other gate.
 
-Scale shape (the ``bm25_topk`` three-phase streaming precedent): ONE
+Scale shape (a three-phase streaming scan, as ``vsm_lnc_ltc_topk``): ONE
 vectorized tokenize pass (the ``_tok_codes`` dictionary-coded kernel —
 no per-token Python) emits a NARROW per-matching-doc row
 ``(doc_id, dl_t, dl_b, tf_t<j>, tf_b<j>)`` plus per-batch stats

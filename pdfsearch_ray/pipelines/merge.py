@@ -265,34 +265,16 @@ def merged_index_topk(sf_dir: str):
     chain — so segment adoption, cross-segment df summation and the
     merged global stats are all under the value hash (a wrong merged N,
     df or avgdl shifts every score)."""
-    import numpy as np
-    import pyarrow as pa
-
     from ..analysis.analyzer import analyze_simple
+    from ..functions.tables import ranked_table, topk_rows
     from .query import BM25Index
 
     idx = BM25Index(merged_index_cached(sf_dir))
-    out_q, out_d, out_s = [], [], []
+    rows = []
     for q in sorted(MERGE_QUERIES):
-        ids, sc = idx.score_terms(sorted(set(analyze_simple(q))))
-        if not ids.size:
-            continue
-        sc = np.round(sc, 6)
-        order = np.lexsort((ids.astype(np.int64), -sc))[:MERGE_K]
-        out_q.extend([q] * order.size)
-        out_d.extend(ids[order].astype(np.int64).tolist())
-        out_s.extend(sc[order].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        rows.extend(topk_rows(
+            q, *idx.score_terms(sorted(set(analyze_simple(q)))), MERGE_K))
+    return ranked_table(rows)
 
 
 def merged_index_sql() -> str:
@@ -354,34 +336,16 @@ def compacted_index_topk(sf_dir: str):
     ONLY the surviving rows — so the tombstone algebra, the physical
     purge and the recomputed corpus stats (a stale pre-delete N, df or
     avgdl shifts every score) all sit under the value hash."""
-    import numpy as np
-    import pyarrow as pa
-
     from ..analysis.analyzer import analyze_simple
+    from ..functions.tables import ranked_table, topk_rows
     from .query import BM25Index
 
     idx = BM25Index(compacted_index_cached(sf_dir))
-    out_q, out_d, out_s = [], [], []
+    rows = []
     for q in sorted(COMPACT_QUERIES):
-        ids, sc = idx.score_terms(sorted(set(analyze_simple(q))))
-        if not ids.size:
-            continue
-        sc = np.round(sc, 6)
-        order = np.lexsort((ids.astype(np.int64), -sc))[:COMPACT_K]
-        out_q.extend([q] * order.size)
-        out_d.extend(ids[order].astype(np.int64).tolist())
-        out_s.extend(sc[order].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        rows.extend(topk_rows(
+            q, *idx.score_terms(sorted(set(analyze_simple(q)))), COMPACT_K))
+    return ranked_table(rows)
 
 
 def compacted_index_sql() -> str:
@@ -483,36 +447,17 @@ def federated_topk(sf_dir: str):
     same full-corpus BM25 chain as the merged gate, so a wrong global
     N, summed df, or union avgdl flips the hash exactly as a bad merge
     would."""
-    import numpy as np
-    import pyarrow as pa
-
     from ..analysis.analyzer import analyze_simple
+    from ..functions.tables import ranked_table, topk_rows
     from .query import BM25Index
 
     d0, d1 = parity_half_indexes_cached(sf_dir)
     handles = [BM25Index(d0), BM25Index(d1)]
-    out_q, out_d, out_s = [], [], []
+    rows = []
     for q in sorted(MERGE_QUERIES):
-        ids, sc = federated_score_terms(
-            handles, sorted(set(analyze_simple(q))))
-        if not ids.size:
-            continue
-        sc = np.round(sc, 6)
-        order = np.lexsort((ids, -sc))[:MERGE_K]
-        out_q.extend([q] * order.size)
-        out_d.extend(ids[order].tolist())
-        out_s.extend(sc[order].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        rows.extend(topk_rows(q, *federated_score_terms(
+            handles, sorted(set(analyze_simple(q)))), MERGE_K))
+    return ranked_table(rows)
 
 
 def federated_topk_sql() -> str:
@@ -589,39 +534,21 @@ def shard_selected_topk(sf_dir: str):
     ranking sit under the value hash.  Selection changes recall, not
     the scoring algebra: a doc in an unselected shard is simply absent,
     exactly like ES ``_search`` with a shard preference routing."""
-    import numpy as np
     import pyarrow as pa
 
     from ..analysis.analyzer import analyze_simple
+    from ..functions.tables import ranked_table, topk_rows
     from .query import BM25Index
 
     handles = [BM25Index(d) for d in mod_shard_indexes_cached(sf_dir)]
-    out_q, out_sh, out_d, out_s = [], [], [], []
+    rows = []
     for q in sorted(SHARD_SEL_QUERIES):
         terms = sorted(set(analyze_simple(q)))
         sel = select_shards(handles, terms)
-        sh_str = ",".join(str(s) for s in sel)
-        uniq, sums = federated_score_terms(handles, terms, selected=sel)
-        if not uniq.size:
-            continue
-        sums = np.round(sums, 6)
-        order = np.lexsort((uniq, -sums))[:SHARD_SEL_K]
-        out_q.extend([q] * order.size)
-        out_sh.extend([sh_str] * order.size)
-        out_d.extend(uniq[order].tolist())
-        out_s.extend(sums[order].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "shards": pa.array(out_sh, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        rows.extend(topk_rows(
+            q, *federated_score_terms(handles, terms, selected=sel),
+            SHARD_SEL_K, prefix=(",".join(str(s) for s in sel),)))
+    return ranked_table(rows, "shards", pa.string())
 
 
 def shard_selected_sql(queries=SHARD_SEL_QUERIES, *,
@@ -744,37 +671,19 @@ def routed_lang_topk(sf_dir: str):
     The oracle recomputes the full BM25 chain over ONLY the routed
     language's documents, so the local-stats semantics are under the
     value hash."""
-    import numpy as np
     import pyarrow as pa
 
     from ..analysis.analyzer import analyze_simple
+    from ..functions.tables import ranked_table, topk_rows
     from .query import BM25Index
 
-    out_q, out_l, out_d, out_s = [], [], [], []
+    rows = []
     for q, lang in sorted(ROUTED_QUERIES):
         idx = BM25Index(lang_index_cached(sf_dir, lang))
-        ids, sc = idx.score_terms(sorted(set(analyze_simple(q))))
-        if not ids.size:
-            continue
-        sc = np.round(sc, 6)
-        ids64 = ids.astype(np.int64)
-        order = np.lexsort((ids64, -sc))[:ROUTED_K]
-        out_q.extend([q] * order.size)
-        out_l.extend([lang] * order.size)
-        out_d.extend(ids64[order].tolist())
-        out_s.extend(sc[order].tolist())
-    ranks: list[int] = []
-    prev = None
-    for key in zip(out_q, out_l):
-        ranks.append(1 if key != prev else ranks[-1] + 1)
-        prev = key
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "lang": pa.array(out_l, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        rows.extend(topk_rows(
+            q, *idx.score_terms(sorted(set(analyze_simple(q)))), ROUTED_K,
+            prefix=(lang,)))
+    return ranked_table(rows, "lang", pa.string())
 
 
 def routed_lang_sql(queries=ROUTED_QUERIES, *, k: int = ROUTED_K,

@@ -277,6 +277,7 @@ def champion_topk(sf_dir: str) -> pa.Table:
     UNPRUNED dictionary stats — the impact-ordered pruned-tier
     semantics, end to end under the value hash."""
     from ..analysis.analyzer import analyze_simple
+    from ..functions.tables import ranked_table, topk_rows
     from ..index.codec import aggregate_scores, bm25_wdl
     from .expand import simple_index_cached
     from .query import BM25Index
@@ -284,7 +285,7 @@ def champion_topk(sf_dir: str) -> pa.Table:
     idx = BM25Index(simple_index_cached(sf_dir))
     champ = champion_lists_cached(sf_dir)
     m = idx.manifest
-    out_q, out_d, out_s = [], [], []
+    ranked = []
     for q in sorted(CHAMP_QUERIES):
         terms = sorted(set(analyze_simple(q)))
         rows = champion_rows_for_terms(champ, idx, terms)
@@ -305,22 +306,8 @@ def champion_topk(sf_dir: str) -> pa.Table:
             continue
         uniq, agg = aggregate_scores(np.concatenate(all_ids),
                                      np.concatenate(all_sc))
-        agg = np.round(agg, 6)
-        cut = np.lexsort((uniq, -agg))[:CHAMP_K]
-        out_q.extend([q] * cut.size)
-        out_d.extend(uniq[cut].tolist())
-        out_s.extend(agg[cut].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        ranked.extend(topk_rows(q, uniq, agg, CHAMP_K))
+    return ranked_table(ranked)
 
 
 def champion_topk_sql(queries=CHAMP_QUERIES, *, r: int = CHAMP_R,

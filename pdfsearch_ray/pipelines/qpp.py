@@ -19,8 +19,8 @@ beyond-reference (bleve has no QPP).
 
 Distribution shape: retrieval runs on the cached simple index (the
 engine's own TAAT scorer); the collection LM (cf_w, T) comes from the
-ONE combiner-aggregated tokenize pass shared with `term_df` /
-`top_terms` (queries._term_stats — vocabulary-sized by Heaps' law);
+same index's dictionary, as `term_df` / `top_terms` read it
+(expand.dictionary_stats — vocabulary-sized by Heaps' law);
 the K feedback docs' texts arrive via one distributed mask pass
 (O(K) rows to the driver); the clarity arithmetic itself is
 O(K × |V|) driver work.  At web scale the Σ_w is truncated to the
@@ -52,17 +52,17 @@ def query_clarity(sf_dir: str) -> pa.Table:
     import pyarrow.compute as pc
 
     from ..analysis.analyzer import analyze_simple
-    from .expand import simple_index_cached
-    from .queries import _docs, _term_stats
+    from .expand import dictionary_stats, simple_index_cached
+    from .queries import _docs
     from .query import BM25Index
 
-    st = _term_stats(sf_dir)
-    terms_v = st["term"].to_pylist()
-    cf = dict(zip(terms_v, (int(x) for x in st["tf"].to_pylist())))
+    d = simple_index_cached(sf_dir)
+    st = dictionary_stats(d)
+    cf = dict(zip(st["term"].to_pylist(), st["tf"].to_pylist()))
     T = float(sum(cf.values()))
     vocab = sorted(cf)
 
-    idx = BM25Index(simple_index_cached(sf_dir))
+    idx = BM25Index(d)
     lam = CLARITY_LAMBDA
 
     # one retrieval per query first, so ONE mask pass fetches every

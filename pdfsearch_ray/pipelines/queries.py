@@ -22,7 +22,7 @@ cannot flip a rank (SURVEY §7.5 rank-identity note).
 from __future__ import annotations
 
 from ..functions.spill import spill_dir
-from ..index.codec import bm25_idf, bm25_wdl
+from ..functions.tables import ranked_table
 
 import numpy as np
 import pyarrow as pa
@@ -48,116 +48,27 @@ def _docs(sf_dir: str) -> rd.Dataset:
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
 
-def _simple_tokens(sf_dir: str) -> rd.Dataset:
-    """One row per (doc_id, term) with tf and dl (simple analyzer);
-    task-pool tokenize (per-worker memoized state, no actor cap)."""
-    from functools import partial
-
-    from ..stages.tokenize import tokenize_batch
-
-    return _docs(sf_dir).map_batches(
-        partial(tokenize_batch, cfg=dict(
-            analyzer="simple", text_col="text", id_col="doc_id",
-            with_positions=False, num_buckets=16,
-        )),
-        batch_format="pyarrow",
-        batch_size=512,
-    )
-
-
 # ---------------------------------------------------------------- SQL-oracled
-
-
-class _TermAgg:
-    """Per-batch COMBINER for term statistics: one (term, df_part,
-    tf_part) row per distinct term per batch instead of one row per
-    (doc, term) — the shuffle entering the term groupby carries
-    batch-vocabulary rows, not corpus-token rows (SURVEY §4:
-    pre-aggregate before groupby).  Run as a task pool (plain function
-    below) — the stage is too short to amortize actor-pool spawn."""
-
-    def __init__(self):
-        from ..analysis.analyzer import analyze_simple
-
-        self.analyze = analyze_simple
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        df: dict[str, int] = {}
-        tf: dict[str, int] = {}
-        for text in batch["text"].to_pylist():
-            toks = self.analyze(text or "")
-            if not toks:
-                continue
-            seen: dict[str, int] = {}
-            for t in toks:
-                seen[t] = seen.get(t, 0) + 1
-            for t, c in seen.items():
-                df[t] = df.get(t, 0) + 1
-                tf[t] = tf.get(t, 0) + c
-        terms = list(df.keys())
-        return pa.table({
-            "term": pa.array(terms, type=pa.string()),
-            "df_part": pa.array([df[t] for t in terms], type=pa.int64()),
-            "tf_part": pa.array([tf[t] for t in terms], type=pa.int64()),
-        })
-
-
-_TERM_AGG: list = []
-
-
-def _term_agg_task(batch: pa.Table) -> pa.Table:
-    if not _TERM_AGG:
-        _TERM_AGG.append(_TermAgg())
-    return _TERM_AGG[0](batch)
-
-
-_TERM_STATS_CACHE: dict[str, pa.Table] = {}
-
-
-def _term_stats(sf_dir: str) -> pa.Table:
-    """ONE tokenize+combine pass yielding the full (term, df, tf) table
-    (vocabulary-sized — small by Heaps' law, safe to hold).  Shared by
-    term_df and top_terms via a per-process memo so the driver's
-    back-to-back calls tokenize the corpus once, not twice."""
-    cached = _TERM_STATS_CACHE.get(sf_dir)
-    if cached is not None:
-        return cached
-    agg = (
-        _docs(sf_dir)
-        .map_batches(_term_agg_task, batch_format="pyarrow", batch_size=512)
-        .groupby("term")
-        .aggregate(Sum("df_part", alias_name="df"),
-                   Sum("tf_part", alias_name="tf"))
-    )
-    from ..functions.tables import typed_table
-    tbl = typed_table(agg, pa.schema([
-        ("term", pa.string()), ("df", pa.int64()), ("tf", pa.int64())]))
-    _TERM_STATS_CACHE[sf_dir] = tbl
-    return tbl
 
 
 def term_df(sf_dir: str) -> pa.Table:
     """Document frequency per term (the A1 shuffle, aggregation-only
-    view) — combiner-aggregated (see _TermAgg)."""
-    t = _term_stats(sf_dir)
-    return pa.table({
-        "term": t["term"],
-        "df": t["df"].cast(pa.int64()),
-    })
+    view), read from the shared simple index's dictionary
+    (expand.dictionary_stats)."""
+    from .expand import dictionary_stats, simple_index_cached
+
+    return dictionary_stats(simple_index_cached(sf_dir)).select(
+        ["term", "df"])
 
 
 def top_terms(sf_dir: str) -> pa.Table:
-    """Top-100 terms by collection frequency, tie-break term asc (T1/T3)."""
-    t = _term_stats(sf_dir)
-    import pandas as pd  # noqa: F401
+    """Top-100 terms by collection frequency, tie-break term asc (T1/T3),
+    from the shared simple index's dictionary."""
+    from .expand import dictionary_stats, simple_index_cached
 
-    df = t.select(["term", "tf"]).to_pandas()
-    df = df.sort_values(["tf", "term"], ascending=[False, True],
-                        kind="mergesort").head(100)
-    return pa.table({
-        "term": pa.array(df["term"].tolist(), type=pa.string()),
-        "tf": pa.array(df["tf"].astype("int64").tolist(), type=pa.int64()),
-    })
+    t = dictionary_stats(simple_index_cached(sf_dir))
+    return t.sort_by([("tf", "descending"), ("term", "ascending")]) \
+        .slice(0, 100).select(["term", "tf"])
 
 
 def doc_token_stats(sf_dir: str) -> rd.Dataset:
@@ -250,143 +161,26 @@ def quality_scores(sf_dir: str) -> rd.Dataset:
     return _docs(sf_dir).map_batches(q, batch_format="pyarrow")
 
 
-class _BM25Scan:
-    """ONE streaming tokenize pass for the bm25_topk projection: emits
-    one NARROW row per matching doc — (doc_id, dl, tf<j>) with a fixed
-    tf column per query term, so scoring later is purely per-row (no
-    per-doc reassembly across batch boundaries) — plus a per-batch
-    stats row (doc_id=-1: nd=docs-with-tokens, dl=Σdl, tf<j>=df
-    partials).  Output is O(matching docs), not O(corpus tokens)."""
-
-    def __init__(self, qterms: tuple[str, ...]):
-        # sorted so the per-row float summation order matches the old
-        # term-sorted groupby sum exactly (6-dp rounding stability)
-        self.qterms = tuple(sorted(qterms))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        # session-11 vectorization: the old per-token Python loop was
-        # O(corpus tokens) interpreter work in the hot tokenize pass;
-        # the dictionary-coded kernel keeps everything in numpy
-        # (equivalence pinned by tests/test_round3_queries.py)
-        m = len(self.qterms)
-        codes, doc_idx, vocab = _tok_codes(batch)
-        nrows = batch.num_rows
-        dl = np.bincount(doc_idx, minlength=nrows).astype(np.int64)
-        slot = np.full(len(vocab), -1, dtype=np.int64)
-        for j, t in enumerate(self.qterms):
-            try:
-                slot[vocab.index(t)] = j
-            except ValueError:
-                pass
-        tok_slot = slot[codes]
-        hit = tok_slot >= 0
-        tf = np.zeros((nrows, m), dtype=np.int64)
-        np.add.at(tf, (doc_idx[hit], tok_slot[hit]), 1)
-        keep = (tf > 0).any(axis=1)
-        has_tok = dl > 0
-        ids = batch["doc_id"].to_numpy()[keep]
-        n_keep = int(keep.sum())
-        cols = {
-            "doc_id": pa.array(np.r_[ids, [-1]], type=pa.int64()),
-            "dl": pa.array(np.r_[dl[keep], [int(dl.sum())]]),
-            "nd": pa.array(np.r_[np.zeros(n_keep, dtype=np.int64),
-                                 [int(has_tok.sum())]]),
-        }
-        for j in range(m):
-            df_j = int((tf[:, j] > 0).sum())
-            cols[f"tf{j}"] = pa.array(np.r_[tf[keep, j], [df_j]])
-        return pa.table(cols)
-
-
 def bm25_topk(sf_dir: str) -> pa.Table:
     """BM25 disjunctive top-k over `documents` for a fixed query,
     rounded to 6 dp with (score desc, doc_id asc) tie-break.
 
     This is the SQL-checkable projection of the flagship engine: same
     formula (Lucene-style idf), same determinism contract, but the simple
-    analyzer so DuckDB can replicate tokenization.
+    analyzer so DuckDB can replicate tokenization.  The query scores
+    through the shared simple index (expand.simple_index_cached), whose
+    N, avgdl and df are the exact corpus statistics."""
+    from .expand import simple_index_cached
+    from .query import BM25Index
 
-    Distributed end-to-end (the r2 scale fix — the old path pulled every
-    hit row ``to_pandas`` and scored in driver pandas, O(matching docs)
-    ≈ corpus for a common term):
-
-    1. ONE tokenize pass materializes the narrow per-doc hit table
-       (plus per-batch stats rows) into the OBJECT STORE — distributed
-       blocks, never driver-held; Ray spills to disk under pressure.
-    2. Stats reduce: per-batch partial sums over the hit table's stats
-       rows → O(blocks) rows to the driver → (N, avgdl, df→idf).
-    3. Scoring pass over the hit table: per-row score (fixed tf
-       columns, no reassembly), 6-dp round, per-batch top-K by (score
-       desc, doc_id asc) — the driver merge sees O(K·blocks) rows."""
-    qterms = tuple(sorted(BM25_QUERY_TERMS))
-    m = len(qterms)
-    tf_cols = [f"tf{j}" for j in range(m)]
-    empty = pa.table({
-        "doc_id": pa.array([], type=pa.int64()),
-        "score": pa.array([], type=pa.float64()),
-        "rank": pa.array([], type=pa.int64()),
-    })
-
-    spill = _docs(sf_dir).map_batches(
-        _BM25Scan(qterms), batch_format="pyarrow", batch_size=512,
-    ).materialize()
-
-    def stats_partial(t: pa.Table) -> pa.Table:
-        s = t.filter(pc.equal(t["doc_id"], -1))
-        cols = {
-            "nd": pa.array([int(pc.sum(s["nd"]).as_py() or 0)],
-                           type=pa.int64()),
-            "dl": pa.array([int(pc.sum(s["dl"]).as_py() or 0)],
-                           type=pa.int64()),
-        }
-        for c in tf_cols:
-            cols[c] = pa.array([int(pc.sum(s[c]).as_py() or 0)],
-                               type=pa.int64())
-        return pa.table(cols)
-
-    st = spill.map_batches(
-        stats_partial, batch_format="pyarrow").to_pandas()
-    if "nd" not in st.columns:       # zero-row corpus: schema-dropped
-        return empty
-    n = int(st["nd"].sum())
-    if n == 0:
-        return empty
-    avgdl = float(st["dl"].sum()) / n
-    dfs = [int(st[c].sum()) for c in tf_cols]
-    if not any(dfs):
-        return empty
-    idf = [float(bm25_idf(n, df)) for df in dfs]
-
-    def score_batch(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.not_equal(t["doc_id"], -1))
-        out_schema = pa.schema([("doc_id", pa.int64()),
-                                ("score", pa.float64())])
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        dl = t["dl"].to_numpy()
-        score = np.zeros(len(dl), dtype=np.float64)
-        for j in range(m):
-            score += idf[j] * bm25_wdl(t[tf_cols[j]].to_numpy(), dl,
-                                       BM25_K1, BM25_B, avgdl)
-        score_r = np.round(score, 6)
-        ids = t["doc_id"].to_numpy()
-        top = np.lexsort((ids, -score_r))[:BM25_K]
-        return pa.table({
-            "doc_id": pa.array(ids[top], type=pa.int64()),
-            "score": pa.array(score_r[top], type=pa.float64()),
-        })
-
-    cand = spill.map_batches(
-        score_batch, batch_format="pyarrow").to_pandas()
-    if cand.empty:
-        return empty
-    cand = cand.sort_values(["score", "doc_id"], ascending=[False, True],
-                            kind="mergesort").head(BM25_K)
-    cand["rank"] = range(1, len(cand) + 1)
+    idx = BM25Index(simple_index_cached(sf_dir))
+    ids, sc = idx.score_terms(sorted(BM25_QUERY_TERMS))
+    sc = np.round(sc, 6)
+    top = np.lexsort((ids.astype(np.int64), -sc))[:BM25_K]
     return pa.table({
-        "doc_id": pa.array(cand["doc_id"].tolist(), type=pa.int64()),
-        "score": pa.array(cand["score"].tolist(), type=pa.float64()),
-        "rank": pa.array(cand["rank"].tolist(), type=pa.int64()),
+        "doc_id": pa.array(ids[top].astype(np.int64), type=pa.int64()),
+        "score": pa.array(sc[top], type=pa.float64()),
+        "rank": pa.array(np.arange(1, top.size + 1), type=pa.int64()),
     })
 
 
@@ -678,45 +472,38 @@ def _retrieve_tie_complete(idx, q: str, k: int, buffer: int = 50):
         need *= 4
 
 
+def _tie_complete_topk(idx, queries, k: int) -> pa.Table:
+    """Each query's top ``k`` through the standard TAAT search path,
+    ranked on the 6-dp rounded score (score desc, doc_id asc) after a
+    tie-complete retrieval (``_retrieve_tie_complete``)."""
+    rows = []
+    for q in sorted(queries):
+        hits = sorted(((round(m.score, 6), int(m.doc_id))
+                       for m in _retrieve_tie_complete(idx, q, k)),
+                      key=lambda h: (-h[0], h[1]))
+        rows.extend((q, d, s) for s, d in hits[:k])
+    return ranked_table(rows)
+
+
 def fulltext_topk_simple(sf_dir: str) -> pa.Table:
-    """The FLAGSHIP ENGINE under the SQL value-hash gate: build a real
-    on-disk index (docs catalog, bucket hash-shuffle, varint posting
-    blocks) with the ``simple`` analyzer — whose tokenization DuckDB can
-    reproduce exactly, unlike Porter — and answer a fixed query set
-    through the standard TAAT search path.  The oracle recomputes BM25
-    end-to-end from raw text, so a bug anywhere in tokenize → shuffle →
-    encode → decode → score flips the hash.
+    """The FLAGSHIP ENGINE under the SQL value-hash gate: a real on-disk
+    index (docs catalog, bucket hash-shuffle, varint posting blocks)
+    with the ``simple`` analyzer — whose tokenization DuckDB can
+    reproduce exactly, unlike Porter — answering a fixed query set
+    through the standard TAAT search path.  The index is the shared
+    build-once simple index (expand.simple_index_cached).  The oracle
+    recomputes BM25 end-to-end from raw text, so a bug anywhere in
+    tokenize → shuffle → encode → decode → score flips the hash.
 
     Ranks are assigned on the 6-dp ROUNDED score in BOTH implementations
     so float noise beyond the comparison precision cannot flip orders;
     ``max_results`` is oversized then cut at K after re-ranking so
     boundary ties resolve identically."""
-    from .build import build_index
+    from .expand import simple_index_cached
     from .query import BM25Index
 
-    with spill_dir("ft_simple_") as d:
-        build_index(f"{sf_dir}/documents.parquet", d, analyzer="simple",
-                    lang_col="lang", num_buckets=16, sample_rate=1.0)
-        idx = BM25Index(d)
-        out_q, out_d, out_s = [], [], []
-        for q in FT_SIMPLE_QUERIES:
-            for m in _retrieve_tie_complete(idx, q, FT_SIMPLE_K):
-                out_q.append(q)
-                out_d.append(m.doc_id)
-                out_s.append(round(m.score, 6))
-    import pandas as pd
-
-    df = pd.DataFrame({"query": out_q, "doc_id": out_d, "score": out_s})
-    df = df.sort_values(["query", "score", "doc_id"],
-                        ascending=[True, False, True], kind="mergesort")
-    df["rank"] = df.groupby("query", sort=True).cumcount() + 1
-    df = df[df["rank"] <= FT_SIMPLE_K]
-    return pa.table({
-        "query": pa.array(df["query"].tolist(), type=pa.string()),
-        "doc_id": pa.array(df["doc_id"].tolist(), type=pa.int64()),
-        "score": pa.array(df["score"].tolist(), type=pa.float64()),
-        "rank": pa.array(df["rank"].tolist(), type=pa.int64()),
-    })
+    return _tie_complete_topk(BM25Index(simple_index_cached(sf_dir)),
+                              FT_SIMPLE_QUERIES, FT_SIMPLE_K)
 
 
 UNIT_QUERIES = FT_SIMPLE_QUERIES
@@ -1305,26 +1092,7 @@ def fulltext_topk(sf_dir: str) -> pa.Table:
     with spill_dir("ft_en_") as d:
         build_index(f"{sf_dir}/documents.parquet", d, analyzer="en",
                     lang_col="lang", num_buckets=16, sample_rate=1.0)
-        idx = BM25Index(d)
-        out_q, out_d, out_s = [], [], []
-        for q in FT_EN_QUERIES:
-            for m in _retrieve_tie_complete(idx, q, FT_EN_K):
-                out_q.append(q)
-                out_d.append(m.doc_id)
-                out_s.append(round(m.score, 6))
-    import pandas as pd
-
-    df = pd.DataFrame({"query": out_q, "doc_id": out_d, "score": out_s})
-    df = df.sort_values(["query", "score", "doc_id"],
-                        ascending=[True, False, True], kind="mergesort")
-    df["rank"] = df.groupby("query", sort=True).cumcount() + 1
-    df = df[df["rank"] <= FT_EN_K]
-    return pa.table({
-        "query": pa.array(df["query"].tolist(), type=pa.string()),
-        "doc_id": pa.array(df["doc_id"].tolist(), type=pa.int64()),
-        "score": pa.array(df["score"].tolist(), type=pa.float64()),
-        "rank": pa.array(df["rank"].tolist(), type=pa.int64()),
-    })
+        return _tie_complete_topk(BM25Index(d), FT_EN_QUERIES, FT_EN_K)
 
 
 def _group_sum(inv: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -2477,6 +2245,21 @@ def _plant_rare(t: pa.Table) -> pa.Table:
     })
 
 
+def _rare_df_partial(t: pa.Table) -> pa.Table:
+    """(term, df_part) for every term of the batch: distinct (doc, term)
+    pairs of the ``_tok_codes`` stream, counted per term (docs never
+    span batches)."""
+    codes, doc_idx, vocab = _tok_codes(t)
+    v = max(len(vocab), 1)
+    df = np.bincount(np.unique(doc_idx * v + codes) % v,
+                     minlength=len(vocab))
+    keep = df > 0
+    return pa.table({
+        "term": pa.array(vocab, type=pa.string()).filter(pa.array(keep)),
+        "df_part": pa.array(df[keep].astype(np.int64), type=pa.int64()),
+    })
+
+
 def rare_terms(sf_dir: str, *, max_df: int = RARE_MAX_DF,
                k: int = RARE_K) -> pa.Table:
     """rare_terms — the ES long-tail aggregation (inverse of
@@ -2487,9 +2270,11 @@ def rare_terms(sf_dir: str, *, max_df: int = RARE_MAX_DF,
     total rare count on every row (the bounded contract a UI pages
     through).
 
-    Scale shape: the _TermAgg combiner → term groupby → a DISTRIBUTED
-    ``df <= max_df`` filter; the count is a Dataset count and the
-    sample a distributed sort+limit — the driver receives k rows and
+    The planted tokens are not in any index, so the gate keeps its own
+    tokenize pass.  Scale shape: per-batch (term, df) partials over the
+    dictionary-coded token stream (``_rare_df_partial``) → term groupby
+    → a DISTRIBUTED ``df <= max_df`` filter; the count is a Dataset
+    count and the sample a distributed sort+limit — the driver receives k rows and
     one integer, never the tail.  (ES caps the same blow-up with a
     bloom-filtered streaming agg; exact here.)"""
     empty = pa.table({
@@ -2500,7 +2285,7 @@ def rare_terms(sf_dir: str, *, max_df: int = RARE_MAX_DF,
     rare = (
         _docs(sf_dir)
         .map_batches(_plant_rare, batch_format="pyarrow")
-        .map_batches(_term_agg_task, batch_format="pyarrow",
+        .map_batches(_rare_df_partial, batch_format="pyarrow",
                      batch_size=512)
         .groupby("term")
         .aggregate(Sum("df_part", alias_name="df"))

@@ -98,9 +98,10 @@ def _phrase_scores(idx, pair):
 
 def querystring_topk(sf_dir: str) -> pa.Table:
     """The parsed-query gate: (query, doc_id, score, rank)."""
+    from ..functions.tables import ranked_table, topk_rows
     from .expand import simple_index_cached
     from .query import BM25Index
-    from .scorequery import _ranked_table, _topk_rows, per_term_scores
+    from .scorequery import per_term_scores
 
     idx = BM25Index(simple_index_cached(sf_dir))
     rows: list[tuple] = []
@@ -162,8 +163,8 @@ def querystring_topk(sf_dir: str) -> pa.Table:
         keep &= score > 0
         if not keep.any():
             continue
-        rows.extend(_topk_rows(qs, union[keep], score[keep], QS_K))
-    return _ranked_table(rows)
+        rows.extend(topk_rows(qs, union[keep], score[keep], QS_K))
+    return ranked_table(rows)
 
 
 def querystring_sql(queries=QS_QUERIES, *, k: int = QS_K,

@@ -45,6 +45,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..functions.tables import ranked_table, topk_rows
+
 __all__ = [
     "bm25_msm_topk",
     "dismax_topk",
@@ -104,6 +106,23 @@ def per_term_scores(idx, terms) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     return {t: idx.score_terms([t]) for t in uniq}
 
 
+def summed_scores(idx, terms, contribution):
+    """(sorted doc_ids, scores) of every doc holding at least one of
+    ``terms``: each doc's score is the sum, in sorted-term order, of
+    ``contribution(posting_list)`` over the terms it holds — the
+    per-posting weights of a scorer that BM25Index does not own."""
+    posts = idx.postings(terms)
+    present = [t for t in sorted(posts) if posts[t].ids.size]
+    if not present:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    union = np.unique(np.concatenate([posts[t].ids for t in present]))
+    score = np.zeros(union.size)
+    for t in present:
+        score[np.searchsorted(union, posts[t].ids)] += \
+            contribution(posts[t])
+    return union, score
+
+
 def aligned_contributions(
     per_term: dict[str, tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -122,33 +141,6 @@ def aligned_contributions(
             v[np.searchsorted(union, ids)] = sc
         dense[t] = v
     return union, dense
-
-
-def _ranked_table(rows: list[tuple], extra_col: str | None = None,
-                  extra_type=None) -> pa.Table:
-    """rows of (query[, extra], doc_id, score) already in final order →
-    the standard ranked gate table with a per-query 1-based rank."""
-    ranks: list[int] = []
-    prev = None
-    for r in rows:
-        ranks.append(1 if r[0] != prev else ranks[-1] + 1)
-        prev = r[0]
-    cols = {"query": pa.array([r[0] for r in rows], type=pa.string())}
-    off = 1
-    if extra_col is not None:
-        cols[extra_col] = pa.array([r[1] for r in rows], type=extra_type)
-        off = 2
-    cols["doc_id"] = pa.array([r[off] for r in rows], type=pa.int64())
-    cols["score"] = pa.array([r[off + 1] for r in rows], type=pa.float64())
-    cols["rank"] = pa.array(ranks, type=pa.int64())
-    return pa.table(cols)
-
-
-def _topk_rows(q, ids: np.ndarray, sc: np.ndarray, k: int,
-               prefix: tuple = ()) -> list[tuple]:
-    sc = np.round(sc, 6)
-    order = np.lexsort((ids.astype(np.int64), -sc))[:k]
-    return [(q, *prefix, int(ids[i]), float(sc[i])) for i in order]
 
 
 # ------------------------------------------------------------------ gates
@@ -172,9 +164,9 @@ def bm25_msm_topk(sf_dir: str) -> pa.Table:
         keep = n_matched >= m
         if not keep.any():
             continue
-        rows.extend(_topk_rows(q, union[keep], mat[:, keep].sum(axis=0),
-                               MSM_K, prefix=(m,)))
-    return _ranked_table(rows, extra_col="min_match", extra_type=pa.int64())
+        rows.extend(topk_rows(q, union[keep], mat[:, keep].sum(axis=0),
+                              MSM_K, prefix=(m,)))
+    return ranked_table(rows, extra_col="min_match", extra_type=pa.int64())
 
 
 def dismax_topk(sf_dir: str) -> pa.Table:
@@ -194,8 +186,8 @@ def dismax_topk(sf_dir: str) -> pa.Table:
         mat = np.stack(list(dense.values()))
         best = mat.max(axis=0)
         score = best + DISMAX_TIE * (mat.sum(axis=0) - best)
-        rows.extend(_topk_rows(q, union, score, DISMAX_K))
-    return _ranked_table(rows)
+        rows.extend(topk_rows(q, union, score, DISMAX_K))
+    return ranked_table(rows)
 
 
 def parse_boost_query(q: str) -> dict[str, float]:
@@ -289,8 +281,8 @@ def synonym_topk(sf_dir: str) -> pa.Table:
         ids, sc = score_synonym_groups(idx, query_synonym_groups(q))
         if not ids.size:
             continue
-        rows.extend(_topk_rows(q, ids, sc, SYN_K))
-    return _ranked_table(rows)
+        rows.extend(topk_rows(q, ids, sc, SYN_K))
+    return ranked_table(rows)
 
 
 def boosted_topk(sf_dir: str) -> pa.Table:
@@ -311,8 +303,8 @@ def boosted_topk(sf_dir: str) -> pa.Table:
         score = np.zeros(union.size)
         for t, v in dense.items():
             score += boosts[t] * v
-        rows.extend(_topk_rows(q, union, score, BOOST_K))
-    return _ranked_table(rows)
+        rows.extend(topk_rows(q, union, score, BOOST_K))
+    return ranked_table(rows)
 
 
 # ---------------------------------------------------------------- oracles

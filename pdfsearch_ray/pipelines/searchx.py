@@ -50,6 +50,8 @@ from collections import Counter
 import numpy as np
 import pyarrow as pa
 
+from ..functions.tables import ranked_table
+
 __all__ = [
     "facet_counts", "mlt_topk", "search_after",
     "filtered_topk", "field_sorted_topk",
@@ -601,16 +603,17 @@ def related_terms(sf_dir: str) -> pa.Table:
     reads); ONE map_batches pass over the docs table emits per-batch
     (term, co_target...) partials ONLY for docs inside the targets'
     union (searchsorted mask — non-member rows cost one binary search),
-    combined by a single-key groupby; global df reuses the shared
-    term-stats pass (queries._term_stats).  The driver holds the
+    combined by a single-key groupby; global df comes from the index
+    dictionary (expand.dictionary_stats).  The driver holds the
     co-candidate table — O(terms co-occurring with the targets), not
     the vocabulary.  At 10^12 docs the union membership ships via
-    ray.put and df comes from the dictionary, not a corpus pass."""
-    from .expand import simple_index_cached
-    from .queries import _docs, _term_stats
+    ray.put."""
+    from .expand import dictionary_stats, simple_index_cached
+    from .queries import _docs
     from .query import BM25Index
 
-    idx = BM25Index(simple_index_cached(sf_dir))
+    d = simple_index_cached(sf_dir)
+    idx = BM25Index(d)
     targets = sorted(PMI_TARGETS)
     tgt_ids = {}
     for t in targets:
@@ -676,7 +679,7 @@ def related_terms(sf_dir: str) -> pa.Table:
     from ..functions.tables import typed_pandas
     agg = typed_pandas(agg, {"term": "object",
                              **{c: "int64" for c in co_cols}})
-    stats = _term_stats(sf_dir).select(["term", "df"]).to_pandas()
+    stats = dictionary_stats(d).select(["term", "df"]).to_pandas()
     merged = agg.merge(stats, on="term", how="left")
     out_t, out_term, out_co, out_pmi, out_r = [], [], [], [], []
     for ti, t in enumerate(targets):
@@ -758,7 +761,7 @@ def collapse_topk(sf_dir: str) -> pa.Table:
     cat_ids, cat_src = _doc_field(
         os.path.join(sf_dir, "documents.parquet"), "source")
 
-    out_q, out_src, out_d, out_s = [], [], [], []
+    rows = []
     for q in sorted(COLLAPSE_QUERIES):
         ids, sc = idx.score_terms(sorted(set(analyze_simple(q))))
         if not ids.size:
@@ -768,22 +771,10 @@ def collapse_topk(sf_dir: str) -> pa.Table:
         # first occurrence per group in ranked order == group argmax
         _, first = np.unique(src, return_index=True)
         keep = np.sort(first)[:COLLAPSE_K]
-        out_q.extend([q] * keep.size)
-        out_src.extend(src[keep].tolist())
-        out_d.extend(r_ids[keep].astype(np.int64).tolist())
-        out_s.extend(r_sc[keep].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "source": pa.array(out_src, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        rows.extend(zip([q] * keep.size, src[keep].tolist(),
+                        r_ids[keep].astype(np.int64).tolist(),
+                        r_sc[keep].tolist()))
+    return ranked_table(rows, "source", pa.string())
 
 
 def collapse_topk_sql(queries=COLLAPSE_QUERIES, *, k: int = COLLAPSE_K,

@@ -18,12 +18,12 @@ Scale shape:
   pandas factorize, np.unique over packed (row, term) codes — the
   distinct-pair collapse — then one bincount per counter) emits
   batch-vocabulary-sized partials, so the term groupby shuffles
-  vocabulary rows, not token rows (the _TermAgg discipline,
-  queries.py:87, with fg columns riding along for free).
+  vocabulary rows, not token rows (pre-aggregate before the groupby,
+  with fg columns riding along for free).
 * Foreground membership is a broadcast sorted doc_id array per query
   (ray.put once, searchsorted per batch) — match sets never shuffle.
 * The aggregated (term, bg, fg…) table is vocabulary-sized (small by
-  Heaps' law — the documented _term_stats precedent); scoring and the
+  Heaps' law, as the index dictionary is); scoring and the
   top-M cut happen on that table, O(vocab) driver state.
 
 The DuckDB oracle recomputes tokenization, the OR match sets, both

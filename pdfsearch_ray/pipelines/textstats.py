@@ -310,12 +310,11 @@ _LM_MODEL_CACHE: dict = {}
 
 
 def unigram_lm_cached(sf_dir: str, top_v: int | None = None):
-    """Per-process memo for the trained unigram table (the
-    _TERM_STATS_CACHE precedent): lm_surprisal and ccnet_buckets share
-    one model per corpus, so back-to-back driver calls pay the train
-    pass (a full tokenize + vocabulary groupby) once, not twice.  The
-    model depends only on the text column, which both callers read
-    identically."""
+    """Per-process memo for the trained unigram table: lm_surprisal
+    and ccnet_buckets share one model per corpus, so back-to-back
+    driver calls pay the train pass (a full tokenize + vocabulary
+    groupby) once, not twice.  The model depends only on the text
+    column, which both callers read identically."""
     from ..functions.tables import read_parquet_nometa
 
     key = (sf_dir, top_v)

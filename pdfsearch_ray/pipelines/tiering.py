@@ -191,6 +191,7 @@ def tiered_topk(sf_dir: str) -> pa.Table:
     Output columns (query, tier, doc_id, score, rank) — the stopping
     tier is under the value hash."""
     from ..analysis.analyzer import analyze_simple
+    from ..functions.tables import ranked_table, topk_rows
     from ..index.codec import aggregate_scores, bm25_wdl
     from .expand import simple_index_cached
     from .prune import term_buckets
@@ -200,7 +201,7 @@ def tiered_topk(sf_dir: str) -> pa.Table:
     tdir = tiered_index_cached(sf_dir)
     m = idx.manifest
     n_tiers = len(TIER_THRESHOLDS) + 1
-    out_q, out_t, out_d, out_s = [], [], [], []
+    ranked = []
     for q in sorted(TIER_QUERIES):
         terms = sorted(set(analyze_simple(q)))
         buckets = term_buckets(m, terms)
@@ -229,24 +230,8 @@ def tiered_topk(sf_dir: str) -> pa.Table:
             sel = t_arr == t
             w[sel] *= posts[t].idf
         uniq, agg = aggregate_scores(ids, w)
-        agg = np.round(agg, 6)
-        cut = np.lexsort((uniq, -agg))[:TIER_K]
-        out_q.extend([q] * cut.size)
-        out_t.extend([stop] * cut.size)
-        out_d.extend(uniq[cut].tolist())
-        out_s.extend(agg[cut].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "tier": pa.array(out_t, type=pa.int64()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        ranked.extend(topk_rows(q, uniq, agg, TIER_K, prefix=(stop,)))
+    return ranked_table(ranked, "tier", pa.int64())
 
 
 def tiered_sql(queries=TIER_QUERIES, *,

@@ -8,16 +8,17 @@ a rank-invariant constant and is conventionally dropped on the lnc.ltc
 document side).  score(q, d) = Σ_t idf_t · (1 + ln tf_td) / ‖d‖ with
 ‖d‖ = sqrt(Σ_{all terms u of d} (1 + ln tf_ud)²).
 
-Distributed exactly like ``queries.bm25_topk`` (the three-phase
-streaming-scan shape, no index artifact needed):
+Unlike the BM25, LM and DFR gates, lnc.ltc does not score from the
+shared simple index: the lnc norm needs every term of each doc, and the
+index stores postings per term, not a doc's whole term vector.  So the
+gate keeps its own three-phase streaming scan:
 
 1. ONE vectorized tokenize pass over `documents` emits a NARROW row
    per doc matching ANY query's terms — (doc_id, norm, tf<j> per union
    term) — plus a per-batch stats sentinel (doc_id = -1: nd, df
    partials).  The per-doc lnc norm is computed INSIDE the pass from
-   the batch's dictionary-coded token stream (it needs every term of
-   the doc, which only exists here), so nothing token-stream-sized
-   survives the stage.
+   the batch's dictionary-coded token stream, so nothing
+   token-stream-sized survives the stage.
 2. Stats reduce: O(blocks) sentinel rows → N and per-term df → idf.
 3. Scoring pass over the hit table: per-row cosine, 6-dp round,
    per-batch top-K — the driver merge sees O(K·blocks) rows.
@@ -96,11 +97,15 @@ class _VSMScan:
 def vsm_lnc_ltc_topk(sf_dir: str) -> pa.Table:
     """lnc.ltc cosine top-k gate over `documents` for the fixed query
     set — one shared scan for the union of all query terms, per-query
-    scoring from the same distributed hit table."""
+    scoring from the same distributed hit table.  It tokenizes the raw
+    text (``_VSMScan``) instead of reading the shared index because the
+    lnc norm needs every term of each doc, which the index does not
+    store."""
     import pyarrow.compute as pc
 
     from ..analysis.analyzer import analyze_simple
-    from ..functions.tables import read_parquet_nometa
+    from ..functions.tables import (ranked_table, read_parquet_nometa,
+                                    topk_rows)
 
     per_q = {q: sorted(set(analyze_simple(q))) for q in VSM_QUERIES}
     union = tuple(sorted({t for ts in per_q.values() for t in ts}))
@@ -125,14 +130,8 @@ def vsm_lnc_ltc_topk(sf_dir: str) -> pa.Table:
     st = spill.map_batches(
         stats_partial, batch_format="pyarrow").to_pandas()
     n = int(st["nd"].sum()) if "nd" in st.columns else 0
-    empty = pa.table({
-        "query": pa.array([], type=pa.string()),
-        "doc_id": pa.array([], type=pa.int64()),
-        "score": pa.array([], type=pa.float64()),
-        "rank": pa.array([], type=pa.int64()),
-    })
     if n == 0:
-        return empty
+        return ranked_table([])
     dfs = {union[j]: int(st[tf_cols[j]].sum())
            for j in range(len(union))}
 
@@ -175,28 +174,13 @@ def vsm_lnc_ltc_topk(sf_dir: str) -> pa.Table:
     cand = spill.map_batches(
         score_batch, batch_format="pyarrow").to_pandas()
     if cand.empty:
-        return empty
-    out_q, out_d, out_s = [], [], []
+        return ranked_table([])
+    rows = []
     for q in sorted(VSM_QUERIES):
         g = cand[cand["query"] == q]
-        if g.empty:
-            continue
-        g = g.sort_values(["score", "doc_id"], ascending=[False, True],
-                          kind="mergesort").head(VSM_K)
-        out_q.extend([q] * len(g))
-        out_d.extend(g["doc_id"].tolist())
-        out_s.extend(g["score"].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        rows.extend(topk_rows(q, g["doc_id"].to_numpy(),
+                              g["score"].to_numpy(), VSM_K))
+    return ranked_table(rows)
 
 
 def vsm_sql(queries=VSM_QUERIES, *, k: int = VSM_K) -> str:
@@ -267,94 +251,29 @@ def lm_dirichlet_topk(sf_dir: str) -> pa.Table:
     BM25 (probabilistic) and lnc.ltc (vector-space) this completes the
     scoring-family triad every IR platform ships.
 
-    Shape: collection LM (cf_t, T) comes from the memoized combiner
-    term-stats pass (queries._term_stats); the per-doc (tf, dl) hit
-    table is the same ONE-pass streaming scan as bm25_topk
-    (queries._BM25Scan — its df sentinels are simply unused here);
-    scoring is a per-batch vector op with O(K·blocks) driver merge."""
-    import pyarrow.compute as pc
-
+    Shape: scored from the shared simple index's postings — per term
+    the matching docs' (tf, dl), cf_t = Σ tf, and T = the manifest's
+    total_dl — summed in sorted-term order (scorequery.summed_scores)."""
     from ..analysis.analyzer import analyze_simple
-    from .queries import _BM25Scan, _docs, _term_stats
+    from ..functions.tables import ranked_table, topk_rows
+    from .expand import simple_index_cached
+    from .query import BM25Index
+    from .scorequery import summed_scores
 
-    st = _term_stats(sf_dir)
-    cf = dict(zip(st["term"].to_pylist(),
-                  (int(x) for x in st["tf"].to_pylist())))
-    T = float(sum(cf.values()))
-
-    per_q = {q: [t for t in sorted(set(analyze_simple(q)))
-                 if cf.get(t)] for q in LM_QUERIES}
-    union = tuple(sorted({t for ts in per_q.values() for t in ts}))
-    j_of = {t: j for j, t in enumerate(union)}
-    tf_cols = [f"tf{j}" for j in range(len(union))]
-
-    spill = _docs(sf_dir).map_batches(
-        _BM25Scan(union), batch_format="pyarrow", batch_size=512,
-    ).materialize()
+    idx = BM25Index(simple_index_cached(sf_dir))
+    T = float(idx.manifest.total_dl)
     mu = LM_MU
 
-    def score_batch(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.not_equal(t["doc_id"], -1))
-        out_schema = pa.schema([("query", pa.string()),
-                                ("doc_id", pa.int64()),
-                                ("score", pa.float64())])
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        ids = t["doc_id"].to_numpy()
-        dl = t["dl"].to_numpy().astype(np.float64)
-        len_part = np.log(mu / (mu + dl))
-        tfm = {c: t[c].to_numpy().astype(np.float64) for c in tf_cols}
-        out_q, out_d, out_s = [], [], []
-        for q in sorted(LM_QUERIES):
-            score = np.zeros(len(ids), dtype=np.float64)
-            matched = np.zeros(len(ids), dtype=bool)
-            for tm in per_q[q]:            # sorted-term sum order
-                tf = tfm[tf_cols[j_of[tm]]]
-                h = tf > 0
-                matched |= h
-                p = cf[tm] / T
-                score[h] += (np.log(1.0 + tf[h] / (mu * p))
-                             + len_part[h])
-            if not matched.any():
-                continue
-            sc = np.round(score[matched], 6)
-            mid = ids[matched]
-            top = np.lexsort((mid, -sc))[:LM_K]
-            out_q.extend([q] * top.size)
-            out_d.extend(mid[top].tolist())
-            out_s.extend(sc[top].tolist())
-        return pa.table({
-            "query": pa.array(out_q, type=pa.string()),
-            "doc_id": pa.array(out_d, type=pa.int64()),
-            "score": pa.array(out_s, type=pa.float64()),
-        })
+    def dirichlet(pl) -> np.ndarray:
+        p = float(pl.tf.sum()) / T
+        return (np.log(1.0 + pl.tf.astype(np.float64) / (mu * p))
+                + np.log(mu / (mu + pl.dl.astype(np.float64))))
 
-    cand = spill.map_batches(
-        score_batch, batch_format="pyarrow").to_pandas()
-    from ..functions.tables import typed_pandas
-    cand = typed_pandas(cand, {
-        "query": "object", "doc_id": "int64", "score": "float64"})
-    out_q, out_d, out_s = [], [], []
+    rows = []
     for q in sorted(LM_QUERIES):
-        g = cand[cand["query"] == q]
-        if g.empty:
-            continue
-        g = g.sort_values(["score", "doc_id"], ascending=[False, True],
-                          kind="mergesort").head(LM_K)
-        out_q.extend([q] * len(g))
-        out_d.extend(g["doc_id"].tolist())
-        out_s.extend(g["score"].tolist())
-    ranks: list[int] = []
-    prev = None
-    for q in out_q:
-        ranks.append(1 if q != prev else ranks[-1] + 1)
-        prev = q
-    return pa.table({
-        "query": pa.array(out_q, type=pa.string()),
-        "doc_id": pa.array(out_d, type=pa.int64()),
-        "score": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(ranks, type=pa.int64()),
-    })
+        rows.extend(topk_rows(
+            q, *summed_scores(idx, analyze_simple(q), dirichlet), LM_K))
+    return ranked_table(rows)
 
 
 def lm_dirichlet_sql(queries=LM_QUERIES, *, k: int = LM_K,

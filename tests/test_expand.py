@@ -305,3 +305,64 @@ def test_complete_prefix_oracle_and_ranks(ray_session):
         assert all(term.startswith(p) for term in g["term"])
         keys = list(zip(-g["df"], g["term"]))
         assert keys == sorted(keys)
+
+
+@pytest.fixture(scope="module")
+def zero_token_sf(tmp_path_factory):
+    """Planted corpus with no ``lang`` column: an empty row and a
+    punctuation-only row hold no token (so the index's N, the docs with
+    at least one token, is 2 below the row count), and ``data`` is in
+    every doc that has a token."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    docs = [
+        "data stream window merge",
+        "",
+        "... !!! ,,, --",
+        "data fast scan sort data",
+        "data dup window table filter",
+        "Data, DATA; data-stream! stream",
+        "data scan merge dup dup table",
+        "data window filter sort stream fast",
+        "data",
+    ]
+    d = str(tmp_path_factory.mktemp("zero_tok_sf"))
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(len(docs)), type=pa.int64()),
+        "text": pa.array(docs, type=pa.string()),
+    }), os.path.join(d, "documents.parquet"))
+    return d
+
+
+@pytest.mark.parametrize("gate", ["bm25_topk", "dfr_pl2_topk",
+                                  "lm_dirichlet_topk", "term_df",
+                                  "top_terms"])
+def test_index_stat_gates_match_oracle_on_zero_token_docs(
+        ray_session, zero_token_sf, gate):
+    """The gates that read corpus statistics from the shared simple
+    index equal their DuckDB oracles on a corpus whose N differs from
+    its row count and that has no ``lang`` column."""
+    import duckdb
+
+    import __ray_entry__ as entry
+
+    got = entry.queries()[gate](zero_token_sf).to_pandas()
+    con = duckdb.connect()
+    con.execute("CREATE VIEW documents AS SELECT * FROM "
+                f"'{zero_token_sf}/documents.parquet'")
+    want = con.execute(entry.oracle_sql()[gate]).fetchdf()
+    assert len(got) > 0
+    assert sorted(got.columns) == sorted(want.columns)
+    cols = sorted(got.columns)
+    g = got[cols].sort_values(cols).reset_index(drop=True)
+    w = want[cols].sort_values(cols).reset_index(drop=True)
+    assert len(g) == len(w)
+    for c in cols:
+        assert (g[c].dtype.kind == "f") == (w[c].dtype.kind == "f"), c
+        if np.issubdtype(w[c].dtype, np.floating):
+            assert np.allclose(g[c].astype(float), w[c], rtol=0, atol=1e-9), c
+        else:
+            assert g[c].astype(str).tolist() == w[c].astype(str).tolist(), c

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pyarrow.parquet as pq
 import pytest
@@ -23,9 +24,10 @@ def _postings_canon(index_dir):
                       ("salt", "ascending"), ("block_id", "ascending")])
 
 
+# the child imports this checkout's package, wherever it lives
 _CHILD = r"""
 import sys
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, %r)
 import ray
 ray.init(address="local", num_cpus=2, include_dashboard=False,
          logging_level="ERROR")
@@ -33,7 +35,7 @@ from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 from pdfsearch_ray.pipelines.build import build_from_pages
 build_from_pages(sys.argv[1], sys.argv[2], resume=True, num_buckets=8)
-"""
+""" % str(Path(__file__).resolve().parents[1])
 
 
 @pytest.mark.parametrize("dummy", [0])

@@ -4,9 +4,13 @@ CLIs (build/search) drive the same pipeline end-to-end."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+# the job CLIs run as ``python -m`` from this checkout's root
+REPO = str(Path(__file__).resolve().parents[1])
 
 
 def test_mem_index_matches_disk(ray_session, tmp_path):
@@ -43,7 +47,7 @@ def test_job_clis_end_to_end(tmp_path, dummy):
         [sys.executable, "-m", "pdfsearch_ray.jobs.build_job",
          "--input", corpus, "--index-dir", index_dir,
          "--num-cpus", "4", "--sample-rate", "1.0"],
-        capture_output=True, text=True, timeout=300, cwd="/root/repo",
+        capture_output=True, text=True, timeout=300, cwd=REPO,
     )
     assert out.returncode == 0, out.stderr[-2000:]
     summary = json.loads(out.stdout.strip().splitlines()[-1])
@@ -53,7 +57,7 @@ def test_job_clis_end_to_end(tmp_path, dummy):
     res = subprocess.run(
         [sys.executable, "-m", "pdfsearch_ray.jobs.search_job",
          "--index-dir", index_dir, "--best", "quick", "brown", "fox"],
-        capture_output=True, text=True, timeout=120, cwd="/root/repo",
+        capture_output=True, text=True, timeout=120, cwd=REPO,
     )
     assert res.returncode == 0, res.stderr[-2000:]
     assert "total matches" in res.stdout
@@ -73,7 +77,7 @@ def test_demo_job_end_to_end(tmp_path, dummy):
         [sys.executable, "-m", "pdfsearch_ray.jobs.demo_job",
          "--input", corpus, "--index-dir", index_dir,
          "--num-cpus", "4", "quick", "brown", "fox"],
-        capture_output=True, text=True, timeout=300, cwd="/root/repo",
+        capture_output=True, text=True, timeout=300, cwd=REPO,
     )
     assert out.returncode == 0, out.stderr[-2000:]
     assert "dtIndex=" in out.stdout and "docs/sec" in out.stdout
@@ -83,7 +87,7 @@ def test_demo_job_end_to_end(tmp_path, dummy):
         [sys.executable, "-m", "pdfsearch_ray.jobs.demo_job",
          "--input", corpus, "--index-dir", index_dir, "--reuse",
          "--num-cpus", "4", "quick", "brown", "fox"],
-        capture_output=True, text=True, timeout=120, cwd="/root/repo",
+        capture_output=True, text=True, timeout=120, cwd=REPO,
     )
     assert reuse.returncode == 0, reuse.stderr[-2000:]
     reuse_first = [ln for ln in reuse.stdout.splitlines()

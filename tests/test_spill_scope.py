@@ -12,8 +12,10 @@ import pytest
 
 SF = "/root/testdata/sf0.001"
 
-# every driver gate that spills: exchanges, scoped layouts, and the
-# fulltext gates that build a whole index per call
+# every driver gate that spills: exchanges, scoped layouts, the
+# fulltext gates that build a whole index per call, and
+# fulltext_topk_simple, which builds the shared simple index into the
+# cache on first use
 SPILLING_GATES = (
     "minhash_dedup", "ngram_jaccard", "chunk_dedup", "source_overlap",
     "link_hits", "crawl_frontier", "docid_remap", "tfidf_topk",

@@ -2,6 +2,8 @@
 __ray_entry__.queries() entry and its oracle_sql() on the same sf dir,
 compare row count, schema (column names and each column's dtype class:
 int / float / bool / string / time), and order-insensitive values.
+Each line gives the gate call's wall seconds (the call and its
+materialization, not the oracle), and the last lines their sum.
 
 Usage: python tools/check_oracle.py [sf_dir] [query ...]
 """
@@ -9,10 +11,17 @@ Usage: python tools/check_oracle.py [sf_dir] [query ...]
 from __future__ import annotations
 
 import datetime
+import os
 import sys
+import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+ROOT = str(Path(__file__).resolve().parents[1])
+sys.path.insert(0, ROOT)
+# Ray's workers import the package too, and they see PYTHONPATH, not
+# this process's sys.path: run from any directory
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
 
 import duckdb
 import numpy as np
@@ -121,12 +130,17 @@ def main():
 
     qs, sqls = entry.queries(), entry.oracle_sql()
     failed = []
+    gate_s = 0.0
     for name, fn in qs.items():
         if only and name not in only:
             continue
         sql = sqls.get(name)
         print(f"== {name} ", end="", flush=True)
+        t0 = time.perf_counter()
         ray_df = to_pandas(fn(sf_dir))
+        dt = time.perf_counter() - t0
+        gate_s += dt
+        print(f"[{dt:.3f} s] ", end="", flush=True)
         if sql is None:
             print(f"[rows-only] {len(ray_df)} rows OK")
             continue
@@ -140,6 +154,7 @@ def main():
         else:
             print(f"OK ({len(ray_df)} rows)")
     ray.shutdown()
+    print(f"gate-call time: {gate_s:.1f} s")
     if failed:
         print("FAILED:", failed)
         sys.exit(1)
