@@ -102,7 +102,6 @@ def _encode_flat(
         bmax32[under] = np.nextafter(bmax32[under], np.float32(np.inf))
 
     blk_run = run_of_post[bstarts]
-    blk_id = (rel[bstarts] // block_size).astype(np.int64)
     blk_first = ids[bstarts].astype(np.int64)
     blk_last = ids[bends - 1].astype(np.int64)
     blk_n = (bends - bstarts).astype(np.int64)
@@ -116,22 +115,11 @@ def _encode_flat(
     else:
         o_pos = [b""] * nb
 
-    # per-block integrity framing: crc32 chained over the three payload
-    # blobs (F2 parity — doc_positions.go:140-153 CRC-frames page blobs)
-    from zlib import crc32
-
-    o_crc = np.fromiter(
-        (crc32(p, crc32(tf, crc32(d)))
-         for d, tf, p in zip(o_doc, o_tf, o_pos)),
-        dtype=np.int64, count=nb,
-    )
-
     return pa.table(
         {
             "bucket": pa.array(np.full(nb, bucket, dtype=np.int32)),
             "term": pa.array(run_terms[blk_run], type=pa.string()),
             "salt": pa.array(run_salts[blk_run].astype(np.int32)),
-            "block_id": pa.array(blk_id.astype(np.int32)),
             "first_doc": pa.array(blk_first),
             # null where it would repeat first_doc: one posting
             "last_doc": pa.array(blk_last, mask=blk_n == 1),
@@ -140,7 +128,6 @@ def _encode_flat(
             "tf_blob": pa.array(o_tf, type=pa.large_binary()),
             "pos_blob": pa.array(o_pos, type=pa.large_binary()),
             "max_wdl": pa.array(bmax32),
-            "crc": pa.array(o_crc),
         }
     )
 
@@ -176,7 +163,7 @@ def encode_bucket_segments(
 ) -> pa.Table:
     """Encode one bucket of combined segment rows (Tokenizer
     ``combine=True`` output) into posting-block rows sorted by (term,
-    salt, block_id).  Segments of the same (term, salt) are concatenated
+    salt, first_doc).  Segments of the same (term, salt) are concatenated
     and globally re-sorted by doc_id, so the output does not depend on
     upstream batching.  ``doc_dl`` = (sorted doc ids, their dl) of the
     build's docs catalog (``catalog_doc_lengths``); every posting's doc

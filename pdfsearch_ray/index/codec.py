@@ -6,13 +6,13 @@ rebuild's format — mandated by the north rule — is its own: per-term
 posting lists are cut into fixed-size blocks (``BLOCK_SIZE`` postings),
 each block stored as one Arrow row carrying
 
-    (term, salt, block_id, first_doc, last_doc, n, doc_blob, tf_blob,
-     pos_blob, max_wdl, crc)
+    (term, salt, first_doc, last_doc, n, doc_blob, tf_blob, pos_blob,
+     max_wdl)
 
 where ``doc_blob`` is the varint stream of docID deltas within the block
 (its first id is ``first_doc``), ``tf_blob`` the varint
-term-frequencies, ``pos_blob`` the positions stream below, ``crc`` a
-crc32 chained over the three blobs, and ``max_wdl`` the block's maximum
+term-frequencies, ``pos_blob`` the positions stream below, and
+``max_wdl`` the block's maximum
 *idf-free* BM25 partial score ``tf / (tf + k1*(1 - b + b*dl/avgdl))`` —
 multiplied by the term's idf at query time it is the block upper bound
 that block-max WAND skips on.  ``last_doc`` is the block's last id, and
@@ -21,7 +21,7 @@ reader uses it only through the row groups' min/max statistics, for
 doc-range pruning.  A document's length ``dl`` is stored once, in the
 ``dl`` column of the docs catalog (the reference's one ``fieldNorm`` per
 document, SURVEY §7.1), not on each of its postings: scorers look it up
-by doc id.
+by doc id.  ``first_doc`` orders a run's blocks (index format 4).
 
 Positions stream (index format 3): per posting, its positions as
 varints — the first absolute, then the gaps — restarting at every
@@ -33,9 +33,10 @@ leaves the frequency to ``.doc``.
 On disk the block rows, the docs catalog and the tombstone sets are
 parquet files written under ``INDEX_WRITE_OPTIONS`` (below): zstd at a
 measured level per table (14 for the blocks, 9 for the rest), statistics
-only on the columns a reader prunes on, one chosen encoding per column
-and no embedded Arrow schema, so the blobs read back as ``binary``
-whatever type they were written from.
+only on the columns a reader prunes on, one chosen encoding per column,
+a CRC-32 on every page and no embedded Arrow schema, so the blobs read
+back as ``binary`` whatever type they were written from.  A handle
+opened with ``verify_checksums=True`` checks each page's CRC on read.
 
 Both encode and decode are numpy-vectorized (no per-value Python loop):
 encode computes per-value byte widths by threshold comparison and
@@ -121,8 +122,7 @@ BLOCK_SIZE = 128
 # --sweep INDEX_DIR`` prints every candidate's bytes at the table's
 # level).  Re-run at postings level 14, the rule keeps every choice.
 # The outcome:
-#   postings    block_id       DELTA_BINARY_PACKED
-#               every other    plain — bucket, term, salt and n lost
+#   postings    every column   plain — bucket, term, salt and n lost
 #                              their dictionaries (nearly every block
 #                              row has its own term, so a dictionary is
 #                              a second copy)
@@ -145,18 +145,20 @@ BLOCK_SIZE = 128
 # takes either offset width).  Readers never depend on the policy —
 # parquet is self-describing and does not record the zstd level, so files
 # written with other settings keep serving beside these.
+# Page CRCs (format 4) replace format 3's 8-B-per-block ``crc`` column.
+# pyarrow passes a page without a CRC even when verifying, so the
+# guarantee rests on this writer (tests/test_index_files.py checks it).
 _ZSTD = {"compression": "zstd", "use_dictionary": False,
-         "store_schema": False}
+         "store_schema": False, "write_page_checksum": True}
 INDEX_WRITE_OPTIONS = {
     "postings": {
         **_ZSTD, "compression_level": 14,
         "write_statistics": ("bucket", "term", "first_doc", "last_doc"),
         "column_encoding": {
             "bucket": "PLAIN", "term": "PLAIN", "salt": "PLAIN",
-            "block_id": "DELTA_BINARY_PACKED", "first_doc": "PLAIN",
-            "last_doc": "PLAIN", "n": "PLAIN", "doc_blob": "PLAIN",
-            "tf_blob": "PLAIN", "pos_blob": "PLAIN", "max_wdl": "PLAIN",
-            "crc": "PLAIN",
+            "first_doc": "PLAIN", "last_doc": "PLAIN", "n": "PLAIN",
+            "doc_blob": "PLAIN", "tf_blob": "PLAIN", "pos_blob": "PLAIN",
+            "max_wdl": "PLAIN",
         },
     },
     "docs": {

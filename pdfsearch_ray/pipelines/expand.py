@@ -230,13 +230,28 @@ def simple_index_cached(sf_dir: str, *, num_buckets: int = 16) -> str:
         "manifest.json", build)
 
 
+# the last dictionary_stats result, keyed by (index_dir, built_at)
+_dictionary_memo: dict[tuple[str, float], pa.Table] = {}
+
+
 def dictionary_stats(index_dir: str) -> pa.Table:
     """(term, df, tf) for every term of the index's dictionary, sorted
     by term, read from the postings alone: df = Σ block ``n`` (exact
     across salt splits, the index_stats identity) and tf = Σ the
     blocks' decoded ``tf_blob`` (the collection frequency).  One narrow
     (term, n, tf_blob) scan with per-batch partials; the driver
-    combines O(vocabulary) rows."""
+    combines O(vocabulary) rows.  The scan is a Ray Data job, so the
+    last result is kept (keyed by the manifest's ``built_at``)."""
+    from ..state.manifest import IndexManifest
+
+    key = (index_dir, IndexManifest.load(index_dir).built_at)
+    if key not in _dictionary_memo:
+        _dictionary_memo.clear()
+        _dictionary_memo[key] = _scan_dictionary(index_dir)
+    return _dictionary_memo[key]
+
+
+def _scan_dictionary(index_dir: str) -> pa.Table:
     from ..functions.tables import block_tables, read_parquet_nometa
     from ..index.arrays import _bytes
     from ..index.codec import varint_decode

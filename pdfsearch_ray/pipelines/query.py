@@ -64,7 +64,7 @@ from ..index.arrays import (_bytes, _gather_bytes, _np, _spans, _str_codes,
 from ..index.codec import (aggregate_scores, bm25_idf, bm25_wdl,
                            decode_positions_flat, decode_posting_streams,
                            varint_decode)
-from ..state.manifest import IndexManifest
+from ..state.manifest import CorruptIndexError, IndexManifest, read_checked
 
 DEFAULT_MAX_RESULTS = 10  # DefaultMaxResults (index_search.go:54-59)
 # method="auto" crossover: below this many candidate postings the
@@ -190,28 +190,25 @@ def select_topk(ids: np.ndarray, scores: np.ndarray,
 
 
 def _matching_blocks(t: pa.Table, terms: list[str], src: int, seg: int,
-                     bf: float, kinds: tuple[str, ...]) -> dict | None:
+                     bf: float) -> dict | None:
     """The posting blocks of ``t`` whose term is in ``terms``, as numpy
     columns in row order (None when there are none): ``code`` (the
-    term's index in ``terms``), ``salt``, ``seg``, ``block_id``,
-    ``first``, ``n``, ``max_wdl`` (times ``bf``, the segment's bound
-    correction), ``src`` (where ``t`` was read), ``row`` (the block's
-    row in ``t``, where its position blob can be read again), ``crc``
-    when ``t`` has one, and per blob kind of ``kinds`` the blobs'
-    lengths ``<kind>_len`` and bytes ``<kind>_data``."""
+    term's index in ``terms``), ``salt``, ``seg``, ``first``, ``n``,
+    ``max_wdl`` (times ``bf``, the segment's bound correction), ``src``
+    (where ``t`` was read), ``row`` (the block's row in ``t``, where its
+    position blob can be read again), and per blob kind of
+    ``BLOB_KINDS`` the blobs' lengths ``<kind>_len`` and bytes
+    ``<kind>_data``."""
     code = _str_codes(t["term"], terms)
     rows = np.flatnonzero(code >= 0)
     if not rows.size:
         return None
     out = {"code": code[rows], "salt": _np(t["salt"])[rows],
            "seg": np.full(rows.size, seg, dtype=np.int32),
-           "block_id": _np(t["block_id"])[rows],
            "first": _np(t["first_doc"])[rows], "n": _np(t["n"])[rows],
            "max_wdl": _np(t["max_wdl"])[rows].astype(np.float64) * bf,
            "src": np.full(rows.size, src, dtype=np.int64), "row": rows}
-    if "crc" in t.schema.names:
-        out["crc"] = _np(t["crc"])[rows]
-    for kind in kinds:
+    for kind in BLOB_KINDS:
         off, out[f"{kind}_data"] = _gather_bytes(*_bytes(t[f"{kind}_blob"]),
                                                  rows)
         out[f"{kind}_len"] = np.diff(off)
@@ -369,11 +366,6 @@ class PostingList:
         return (codes << np.uint64(32)) | flat[keep]
 
 
-class CorruptIndexError(RuntimeError):
-    """A posting block failed its crc32 integrity check (F2 framing —
-    the reference CRC-frames its page blobs, doc_positions.go:140-153)."""
-
-
 class BM25Index:
     """Query-side index handle (ST3 analog).  Construct once; reuse —
     ``ReuseIndex`` semantics (index_search.go:86-91)."""
@@ -408,7 +400,6 @@ class BM25Index:
             "docs_row_groups_read": 0,
             # narrow (doc_id, dl) reads for doc_lengths
             "dl_row_groups_read": 0,
-            "blocks_verified": 0,
             # narrow (term, n) metadata reads over doc-range-pruned row
             # groups (global-df upkeep on shard handles) — tracked
             # separately from blob reads
@@ -451,7 +442,8 @@ class BM25Index:
                 self._parquet_file(self._doc_files[0], "docs").schema_arrow
                 if self._doc_files else pa.schema([]))
             self.analyze = get_analyzer(self.manifest.analyzer)
-            tomb = self.manifest.tombstone_ids(index_dir)
+            tomb = self.manifest.tombstone_ids(
+                index_dir, verify=self.verify_checksums)
             if tomb.size:
                 self._deleted = tomb.astype(np.uint64)
         self._term_cache: dict[str, list[dict]] = {}  # term -> its runs
@@ -506,13 +498,23 @@ class BM25Index:
 
     def _parquet_file(self, path: str, kind: str) -> pq.ParquetFile:
         """The handle's one open ``ParquetFile`` for ``path`` (footer
-        parsed once); ``kind`` ("postings" / "docs") names the
+        parsed once; a verifying handle has pyarrow check the CRC of
+        every page it reads); ``kind`` ("postings" / "docs") names the
         ``io_stats`` open counter."""
         pf = self._pf_cache.get(path)
         if pf is None:
-            pf = self._pf_cache[path] = pq.ParquetFile(path)
+            pf = self._pf_cache[path] = pq.ParquetFile(
+                path, page_checksum_verification=self.verify_checksums)
             self.io_stats[f"{kind}_files_opened"] += 1
         return pf
+
+    def _read_row_group(self, path: str, kind: str, rg: int,
+                        columns: list[str]) -> pa.Table:
+        """``columns`` of row group ``rg`` of ``path``, read in this
+        thread (a cold search starts no Arrow thread pool); a page that
+        fails its CRC raises ``CorruptIndexError``."""
+        return read_checked(self._parquet_file(path, kind), path, columns,
+                            rg)
 
     # -- posting access ------------------------------------------------
 
@@ -523,8 +525,8 @@ class BM25Index:
         pruning must be able to skip a block without paying its decode.
         The read leaves ``pos_blob`` out: each block keeps the row group
         and row it came from, and ``_read_positions`` reads its positions
-        from there when asked.  Only a checksum-verifying handle reads
-        ``pos_blob`` here, because the block crc covers all three blobs.
+        from there when asked.  A verifying handle checks the CRC of each
+        page it reads, so it reads the same columns.
 
         Rows are matched, sorted and gathered with numpy over the Arrow
         buffers (``index/arrays.py``), a whole row group at a time; each
@@ -546,26 +548,14 @@ class BM25Index:
             else:
                 bucket_set.add(fnv1a64_str(t) % nb)
         buckets = sorted(bucket_set)
-        cols = ["term", "salt", "block_id", "first_doc", "n",
-                "doc_blob", "tf_blob", "max_wdl"]
-        if self.verify_checksums:
-            if self._postings_mem is not None:
-                schema_names = self._postings_mem.schema.names
-            elif self._post_files:
-                schema_names = self._parquet_file(
-                    self._post_files[0], "postings").schema_arrow.names
-            else:
-                schema_names = []
-            if "crc" in schema_names:
-                cols = cols + ["pos_blob", "crc"]
-        check_crc = "crc" in cols
-        kinds = BLOB_KINDS + (("pos",) if check_crc else ())
+        cols = ["term", "salt", "first_doc", "n", "doc_blob", "tf_blob",
+                "max_wdl"]
         base = len(self._sources)
         parts = []
         if self._postings_mem is not None:
             self._sources.append(None)
             parts.append(_matching_blocks(self._postings_mem.select(cols),
-                                          missing, base, 0, 1.0, kinds))
+                                          missing, base, 0, 1.0))
         else:
             if self._bucket_frags is None:
                 self._bucket_frags = self._build_bucket_frag_index()
@@ -593,15 +583,13 @@ class BM25Index:
                         for (p, rg, seg, bf, _d0, _d1) in want_all]
             self._sources.extend((path, rg) for path, rg, _seg, _bf in want)
             for src, (path, rg, seg, bf) in enumerate(want, base):
-                t = self._parquet_file(path, "postings").read_row_group(
-                    rg, columns=cols, use_threads=False)
+                t = self._read_row_group(path, "postings", rg, cols)
                 self.io_stats["postings_bytes_read"] += t.nbytes
                 # block-max bounds were encoded under that segment's
                 # avgdl; scaling by bf = max(1, avgdl_now/avgdl_baked)
                 # keeps them valid upper bounds (wdl ratio <=
                 # avgdl'/avgdl)
-                parts.append(_matching_blocks(t, missing, src, seg, bf,
-                                              kinds))
+                parts.append(_matching_blocks(t, missing, src, seg, bf))
             self.io_stats["postings_row_groups_read"] += len(want)
         for t in missing:
             self._term_cache[t] = []
@@ -611,10 +599,9 @@ class BM25Index:
         if not parts:
             return
         blk = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-        if check_crc:
-            self._verify_blocks(missing, blk)
-        # (term, salt, segment, block) order: the runs, each in order
-        order = np.lexsort((blk["block_id"], blk["seg"], blk["salt"],
+        # (term, salt, segment, first doc) order: the runs, each in
+        # order, as a run's blocks are cut from its doc-sorted postings
+        order = np.lexsort((blk["first"], blk["seg"], blk["salt"],
                             blk["code"]))
         for kind in BLOB_KINDS:
             off = np.zeros(order.size + 1, dtype=np.int64)
@@ -638,28 +625,6 @@ class BM25Index:
             if run is not None:
                 self._term_cache[term].append(run)
 
-    def _verify_blocks(self, terms: list[str], blk: dict) -> None:
-        """Check every loaded block's crc32 over its three blobs (the
-        block framing, F2) — one zlib call per blob."""
-        from zlib import crc32
-
-        off = {k: np.zeros(blk["code"].size + 1, dtype=np.int64)
-               for k in ("doc", "tf", "pos")}
-        for k, o in off.items():
-            np.cumsum(blk[f"{k}_len"], dtype=np.int64, out=o[1:])
-        data = {k: memoryview(blk[f"{k}_data"]) for k in off}
-        for i, stored in enumerate(blk["crc"].tolist()):
-            got = 0
-            for k in ("doc", "tf", "pos"):
-                got = crc32(data[k][off[k][i]:off[k][i + 1]], got)
-            if got != stored:
-                raise CorruptIndexError(
-                    f"posting block checksum mismatch for term "
-                    f"{terms[int(blk['code'][i])]!r} block "
-                    f"{int(blk['block_id'][i])}: stored {stored}, "
-                    f"computed {got}")
-        self.io_stats["blocks_verified"] += int(blk["code"].size)
-
     def _read_positions(self, runs: list[dict]) -> tuple[np.ndarray,
                                                          np.ndarray]:
         """(block byte offsets, bytes) of the ``pos_blob`` of every block
@@ -675,8 +640,8 @@ class BM25Index:
                 col = self._postings_mem["pos_blob"]
             else:
                 path, rg = where
-                col = self._parquet_file(path, "postings").read_row_group(
-                    rg, columns=["pos_blob"], use_threads=False)["pos_blob"]
+                col = self._read_row_group(path, "postings", rg,
+                                           ["pos_blob"])["pos_blob"]
                 self.io_stats["positions_row_groups_read"] += 1
             at = np.flatnonzero(src == s)
             off, data = _gather_bytes(*_bytes(col), rows[at])
@@ -749,8 +714,7 @@ class BM25Index:
         for t in missing:
             self._df_global.setdefault(t, 0)
         for path, rg in skipped:
-            p = self._parquet_file(path, "postings").read_row_group(
-                rg, columns=["term", "n"], use_threads=False)
+            p = self._read_row_group(path, "postings", rg, ["term", "n"])
             code = _str_codes(p["term"], missing)
             hit = code >= 0
             df = np.bincount(code[hit], weights=_np(p["n"])[hit],
@@ -835,9 +799,8 @@ class BM25Index:
                 parts = []
                 for i in self._dl_unread[hit].tolist():
                     path, rg = self._doc_rg_index[i][:2]
-                    pf = self._parquet_file(path, "docs")
-                    parts.append(pf.read_row_group(
-                        rg, columns=["doc_id", "dl"], use_threads=False))
+                    parts.append(self._read_row_group(
+                        path, "docs", rg, ["doc_id", "dl"]))
                 self.io_stats["dl_row_groups_read"] += len(parts)
                 self._add_doc_lengths(parts)
                 self._dl_unread = self._dl_unread[~hit]
@@ -1277,10 +1240,7 @@ class BM25Index:
         parts = []
         for path, rg, lo, hi in self._doc_rg_index:
             if any(lo <= d <= hi for d in want):
-                # single-threaded, like the postings reads: a cold
-                # hydration must not start Arrow's thread pool
-                t = self._parquet_file(path, "docs").read_row_group(
-                    rg, columns=cols, use_threads=False)
+                t = self._read_row_group(path, "docs", rg, cols)
                 self.io_stats["docs_row_groups_read"] += 1
                 parts.append(_take_table(t, wanted(_np(t["doc_id"]))))
         dtbl = pa.concat_tables(parts) if parts else pa.Table.from_batches(

@@ -973,8 +973,9 @@ def explain_scores_sql(queries=EXPLAIN_QUERIES, *, top: int = EXPLAIN_TOP,
 # -------------------------------------------------------------- index stats
 
 def index_stats(sf_dir: str) -> pa.Table:
-    """Index integrity report, hash-checked against raw text: corpus
-    counts from the committed manifest (n_docs, total_tokens) plus
+    """Index integrity report, hash-checked against raw text: n_docs
+    from the docs catalog's footers (it keeps zero-token docs, which
+    the manifest's N leaves out), total_tokens from the manifest, plus
     counts RECOMPUTED from the postings parquet itself (n_terms =
     distinct dictionary terms, n_postings = Σ block n = distinct
     (term, doc) pairs — salting splits postings across salt partitions
@@ -984,12 +985,18 @@ def index_stats(sf_dir: str) -> pa.Table:
     partials; exact distinct-term counting is O(vocabulary) at the
     driver — beyond ~10^8 terms use the vocab_hll_sketch gate
     (pipelines/sketches.py) as the approximate path."""
+    import glob
+
+    import pyarrow.parquet as pq
+
     from ..functions.tables import read_parquet_nometa
     from ..state.manifest import IndexManifest
     from .expand import simple_index_cached
 
     d = simple_index_cached(sf_dir)
     m = IndexManifest.load(d)
+    n_docs = sum(pq.read_metadata(f).num_rows
+                 for f in glob.glob(f"{d}/docs/*.parquet"))
     pdir = os.path.join(d, "postings")
     files = sorted(os.path.join(pdir, f) for f in os.listdir(pdir)
                    if f.endswith(".parquet"))
@@ -1011,7 +1018,7 @@ def index_stats(sf_dir: str) -> pa.Table:
     else:                           # empty index: no postings at all
         n_terms, n_post = 0, 0
     return pa.table({
-        "n_docs": pa.array([int(m.n_docs)], type=pa.int64()),
+        "n_docs": pa.array([n_docs], type=pa.int64()),
         "total_tokens": pa.array([int(m.total_dl)], type=pa.int64()),
         "n_terms": pa.array([n_terms], type=pa.int64()),
         "n_postings": pa.array([n_post], type=pa.int64()),

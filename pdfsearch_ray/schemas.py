@@ -53,7 +53,7 @@ POSTINGS = pa.schema(
         ("bucket", pa.int32()),
         ("term", pa.string()),
         ("salt", pa.int32()),
-        ("block_id", pa.int32()),
+        # orders a run's blocks: no block number (index format 4)
         ("first_doc", pa.int64()),
         # last docID in the block, null when the block holds one
         # posting (it would repeat first_doc): parquet row-group stats
@@ -69,11 +69,8 @@ POSTINGS = pa.schema(
         # count: a posting holds tf positions (index format 3)
         ("pos_blob", pa.large_binary()),
         ("max_wdl", pa.float32()),
-        # crc32 over doc|tf|pos blobs — explicit per-block integrity
-        # framing (F2 parity: the reference CRC-frames its page blobs,
-        # doc_positions.go:140-153); verified on read when the query
-        # handle is opened with verify_checksums=True
-        ("crc", pa.int64()),
+        # no block crc: every parquet page carries a CRC-32 (F2 parity,
+        # doc_positions.go:140-153; codec.INDEX_WRITE_OPTIONS)
     ]
 )
 

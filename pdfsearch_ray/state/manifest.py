@@ -30,13 +30,34 @@ PARTITIONS_DIR = "_partitions"
 # 3: a posting's positions carry no count (it is the posting's tf), and
 # ``last_doc`` is null on single-posting blocks; format-2 blocks began
 # each posting's positions with its count and always filled
-# ``last_doc``.  ``compact_index`` rewrites an older index.
-FORMAT_VERSION = 3
+# ``last_doc``.  4: posting blocks have no ``crc`` and no ``block_id``
+# (``first_doc`` orders a run); every page of every file carries a
+# CRC-32.  ``compact_index`` rewrites an older index.
+FORMAT_VERSION = 4
 
 
 class IndexFormatError(ValueError):
     """The index on disk was written in a format this engine does not
     read."""
+
+
+class CorruptIndexError(RuntimeError):
+    """An index file failed a read: a page that fails its CRC-32 (F2,
+    doc_positions.go:140-153) or does not decode, or a missing doc."""
+
+
+def read_checked(pf, path: str, columns: list[str], row_group=None):
+    """Row group ``row_group`` of ``pf`` (the whole file when None),
+    read in this thread; pyarrow's ``OSError`` for a bad page is
+    re-raised as ``CorruptIndexError`` naming the file and row group."""
+    try:
+        if row_group is None:
+            return pf.read(columns=columns, use_threads=False)
+        return pf.read_row_group(row_group, columns=columns,
+                                 use_threads=False)
+    except OSError as e:
+        where = "" if row_group is None else f" row group {row_group}"
+        raise CorruptIndexError(f"{path}{where}: {e}") from e
 
 
 @dataclass
@@ -107,10 +128,10 @@ class IndexManifest:
                 f"this engine reads format {FORMAT_VERSION} — rewrite it "
                 f"with compact_index({index_dir!r})")
 
-    def tombstone_ids(self, index_dir: str):
-        """Sorted int64 doc_ids from the committed tombstone files.
-        Lives here, not in the build pipeline, so opening an index for
-        serving imports no build code."""
+    def tombstone_ids(self, index_dir: str, verify: bool = False):
+        """Sorted int64 doc_ids from the committed tombstone files
+        (page CRCs checked when ``verify``).  Lives here, not in the
+        build pipeline, so opening an index imports no build code."""
         import numpy as np
         import pyarrow.parquet as pq
 
@@ -121,11 +142,10 @@ class IndexManifest:
         # ParquetFile.read, not pq.read_table: the latter goes through
         # pyarrow.dataset, which serving never imports; single-threaded,
         # so opening a handle starts no Arrow thread pool
-        parts = [
-            _np(pq.ParquetFile(f"{index_dir}/tombstones/{f}").read(
-                columns=["doc_id"], use_threads=False)["doc_id"])
-            for f in self.tombstones
-        ]
+        paths = [f"{index_dir}/tombstones/{f}" for f in self.tombstones]
+        parts = [_np(read_checked(pq.ParquetFile(
+            p, page_checksum_verification=verify), p, ["doc_id"])["doc_id"])
+            for p in paths]
         return np.unique(np.concatenate(parts)).astype(np.int64)
 
 

@@ -16,8 +16,8 @@ SRC = "/root/testdata/sf0.001/documents.parquet"
 def _postings_canon(index_dir):
     t = pq.read_table(f"{index_dir}/postings")
     t = t.sort_by([("bucket", "ascending"), ("term", "ascending"),
-                   ("salt", "ascending"), ("block_id", "ascending")])
-    return t.select(["bucket", "term", "salt", "block_id", "first_doc",
+                   ("salt", "ascending"), ("first_doc", "ascending")])
+    return t.select(["bucket", "term", "salt", "first_doc",
                      "n", "doc_blob", "tf_blob", "pos_blob"])
 
 

@@ -339,7 +339,7 @@ def zero_token_sf(tmp_path_factory):
 
 @pytest.mark.parametrize("gate", ["bm25_topk", "dfr_pl2_topk",
                                   "lm_dirichlet_topk", "term_df",
-                                  "top_terms"])
+                                  "top_terms", "index_stats"])
 def test_index_stat_gates_match_oracle_on_zero_token_docs(
         ray_session, zero_token_sf, gate):
     """The gates that read corpus statistics from the shared simple

@@ -5,12 +5,14 @@ Every committed index file (docs catalog, posting blocks, tombstones;
 base build, append segments, compaction) is written zstd-compressed at
 its table's level (14 for the posting blocks, 9 for the rest), with
 row-group statistics only on the columns a reader prunes on, each
-column in the encoding ``INDEX_WRITE_OPTIONS`` names for it and no
-embedded Arrow schema, and DuckDB reads it.  Readers must not depend on
-that: indexes written with an older layout (Snappy, statistics and
-dictionary everywhere; or zstd with dictionaries and an embedded schema
-whose blobs are ``large_binary``) keep serving, alone or mixed with new
-segments.
+column in the encoding ``INDEX_WRITE_OPTIONS`` names for it, a CRC-32
+on every page and no embedded Arrow schema, and DuckDB reads it.  A
+handle opened with ``verify_checksums=True`` raises
+``CorruptIndexError`` on a page whose bytes do not match its CRC.
+Readers must not depend on that: indexes written with an older layout
+(Snappy, statistics and dictionary everywhere; or zstd with
+dictionaries and an embedded schema whose blobs are ``large_binary``)
+keep serving, alone or mixed with new segments.
 
 A serving handle keeps only the ids and scores of each decoded posting,
 reads positions only when a reader asks for them, and imports neither
@@ -19,10 +21,13 @@ build code, ``pyarrow.dataset`` nor pandas.
 A doc's length is stored once, in the docs catalog's ``dl`` column
 (index format 2); posting blocks carry none.  A posting's positions
 carry no count, and ``last_doc`` is null on single-posting blocks
-(format 3).  A format-1 index (a ``dl_blob`` on every posting block) or
-a format-2 index (counted positions, ``last_doc`` everywhere) is
-refused at open and at append, and ``compact_index`` rewrites it in
-format 3."""
+(format 3).  Posting blocks have no ``crc`` and no ``block_id`` column:
+pages carry CRCs, and a run's blocks are ordered by ``first_doc``
+(format 4).  A format-1 index (a ``dl_blob`` on every posting block), a
+format-2 index (counted positions, ``last_doc`` everywhere) or a
+format-3 index (a ``crc`` and a ``block_id`` on every block, no page
+CRCs) is refused at open and at append, and ``compact_index`` rewrites
+it in format 4."""
 
 from __future__ import annotations
 
@@ -156,8 +161,7 @@ OLD_LAYOUTS = {
         "postings": {"compression": "zstd", "compression_level": 9,
                      "write_statistics": ("bucket", "term", "first_doc",
                                           "last_doc"),
-                     "use_dictionary": ("term", "bucket", "salt",
-                                        "block_id", "n")},
+                     "use_dictionary": ("term", "bucket", "salt", "n")},
         "docs": {"compression": "zstd", "compression_level": 9,
                  "write_statistics": ("doc_id",),
                  "use_dictionary": ("lang",)},
@@ -427,7 +431,7 @@ def _catalog_dl(segment_dirs: list[str]) -> dict[int, int]:
 def _full_read_reference(segment_dirs: list[str], term: str) -> dict:
     """ids, tf, dl and per-posting positions of ``term`` from a read of
     every posting column (dl from every docs file), blocks in (salt,
-    segment, block) order."""
+    segment, first doc) order."""
     from pdfsearch_ray.index.codec import decode_posting_blocks
 
     parts = []
@@ -439,7 +443,7 @@ def _full_read_reference(segment_dirs: list[str], term: str) -> dict:
                 "seg", pa.array([seg] * t.num_rows, pa.int32())))
     t = pa.concat_tables(parts).sort_by(
         [("salt", "ascending"), ("seg", "ascending"),
-         ("block_id", "ascending")])
+         ("first_doc", "ascending")])
     rows = t.to_pylist()
     ids, tf = decode_posting_blocks(
         *([r[k] for r in rows]
@@ -586,10 +590,28 @@ def test_serving_handle_keeps_ids_and_scores_only(ray_session, tmp_path,
     assert after == before, f"a cold search started {after - before} threads"
 
 
+def _flip_page_byte(path: str, column: str, rg: int = 0) -> None:
+    """Flip, in place, the last byte of ``column``'s chunk in row group
+    ``rg`` of ``path``: a byte of the chunk's last data page (index
+    files have no dictionary pages)."""
+    meta = pq.ParquetFile(path).metadata.row_group(rg)
+    col = next(meta.column(i) for i in range(meta.num_columns)
+               if meta.column(i).path_in_schema == column)
+    assert not col.has_dictionary_page
+    at = col.data_page_offset + col.total_compressed_size - 1
+    with open(path, "r+b") as f:
+        f.seek(at)
+        byte = f.read(1)[0]
+        f.seek(at)
+        f.write(bytes([byte ^ 0x55]))
+
+
 def test_scoring_never_reads_positions(ray_session, tmp_path):
-    """A corrupt position blob fails a checksum-verifying handle (the
-    block crc covers all four blobs), while a plain handle serves every
-    search, spans included, because spans come from the doc text."""
+    """With a corrupt ``pos_blob`` page in a postings file, a plain and
+    a checksum-verifying handle serve every search, spans included,
+    because scoring never reads positions and spans come from the doc
+    text; the verifying handle raises ``CorruptIndexError`` once a
+    reader asks for that row group's positions."""
     import pytest
 
     from pdfsearch_ray.pipelines.query import BM25Index, CorruptIndexError
@@ -599,20 +621,64 @@ def test_scoring_never_reads_positions(ray_session, tmp_path):
                 BM25Index(d).search(q, max_results=5).matches]
             for q in QUERIES}
     f = _committed_files(d)["postings"][0]
-    t = pq.ParquetFile(f).read()
-    blobs = t["pos_blob"].to_pylist()
-    blobs = [bytes([b[0] ^ 0x55]) + b[1:] for b in blobs]
-    t = t.set_column(t.schema.get_field_index("pos_blob"), "pos_blob",
-                     pa.array(blobs, type=pa.large_binary()))
-    pq.write_table(t, f)
+    term = pq.ParquetFile(f).read_row_group(0, columns=["term"])[
+        "term"][0].as_py()
+    _flip_page_byte(f, "pos_blob")
 
-    idx = BM25Index(d)
-    for q in QUERIES:
-        got = [(m.doc_id, m.score, m.spans)
-               for m in idx.search(q, max_results=5).matches]
-        assert got == want[q], q
-    with pytest.raises(CorruptIndexError, match="checksum mismatch"):
-        BM25Index(d, verify_checksums=True).postings(t["term"].to_pylist())
+    for idx in (BM25Index(d), BM25Index(d, verify_checksums=True)):
+        for q in QUERIES:
+            got = [(m.doc_id, m.score, m.spans)
+                   for m in idx.search(q, max_results=5).matches]
+            assert got == want[q], q
+    p = BM25Index(d, verify_checksums=True).postings([term])[term]
+    with pytest.raises(CorruptIndexError, match="CRC"):
+        p.position_keys(np.unique(p.ids))
+
+
+def test_corrupt_page_fails_a_verifying_handle(ray_session, tmp_path):
+    """A byte flipped inside a data page of a committed file — the
+    postings and the docs of a base, of an appended segment and of a
+    compaction's output, and the tombstones of the segmented and of the
+    compacted index — makes a checksum-verifying handle raise
+    ``CorruptIndexError`` naming the file, from the page CRC.  pyarrow
+    passes a page that has no CRC, so this also shows each of those
+    files was written with page CRCs."""
+    import pytest
+
+    from pdfsearch_ray.pipelines.build import compact_index, delete_docs
+    from pdfsearch_ray.pipelines.query import BM25Index, CorruptIndexError
+
+    d = _segmented_index(tmp_path)
+    comp = str(tmp_path / "compacted")
+    shutil.copytree(d, comp)
+    compact_index(comp)
+    assert delete_docs(comp, doc_ids=_victims(comp, 3))["n_new"] == 3
+
+    # one file per table and directory: base and segment, compacted
+    cases = {}
+    for src in (d, comp):
+        for kind, files in _committed_files(src).items():
+            for f in files:
+                cases.setdefault((src, os.path.dirname(f)), (kind, f))
+    kinds = [kind for kind, _ in cases.values()]
+    assert kinds.count("postings") == kinds.count("docs") == 3
+    assert kinds.count("tombstones") == 2
+
+    column = {"postings": "doc_blob", "docs": "url", "tombstones": "doc_id"}
+    for i, (src, _dir) in enumerate(sorted(cases)):
+        kind, path = cases[src, _dir]
+        work = str(tmp_path / f"case{i}")
+        shutil.copytree(src, work)
+        f = work + path[len(src):]
+        rg0 = pq.ParquetFile(f).read_row_group(0)
+        _flip_page_byte(f, column[kind])
+        with pytest.raises(CorruptIndexError, match="CRC") as err:
+            idx = BM25Index(work, verify_checksums=True)
+            if kind == "postings":
+                idx.postings([rg0["term"][0].as_py()])
+            elif kind == "docs":
+                idx.fetch_doc_meta([rg0["doc_id"][0].as_py()])
+        assert os.path.basename(f) in str(err.value), (kind, f)
 
 
 def test_serving_imports_no_pandas(ray_session, tmp_path):
@@ -757,8 +823,74 @@ def test_doc_lengths_live_in_the_docs_catalog(ray_session, tmp_path):
     check_files(d)
 
 
+# format 3's writer policy: no page CRCs, and a block number and a block
+# crc on every posting block
+V3_WRITE_OPTIONS = {
+    kind: {**opts, "write_page_checksum": False} for kind, opts in
+    INDEX_WRITE_OPTIONS.items()}
+V3_WRITE_OPTIONS["postings"]["column_encoding"] = {
+    **INDEX_WRITE_OPTIONS["postings"]["column_encoding"],
+    "block_id": "DELTA_BINARY_PACKED", "crc": "PLAIN"}
+
+
+def _set_format(index_dir: str, version: int) -> None:
+    """Make the manifest and every build config say format ``version``."""
+    from pdfsearch_ray.state.manifest import IndexManifest
+
+    for d in _segment_dirs(index_dir):
+        cfg_path = f"{d}/.build_config.json"
+        if os.path.exists(cfg_path):
+            with open(cfg_path) as f:
+                cfg = json.load(f)
+            cfg["format_version"] = version
+            with open(cfg_path, "w") as f:
+                json.dump(cfg, f)
+    m = IndexManifest.load(index_dir)
+    m.format_version = version
+    m.save(index_dir)
+
+
+def _as_format_3(index_dir: str) -> None:
+    """Rewrite an index the way format 3 stored it: every posting block
+    carries its number in its (term, salt) run (``block_id``, after
+    ``salt``) and a crc32 chained over its doc, tf and pos blobs
+    (``crc``, last), no page of any file has a CRC, and the manifest and
+    the build configs say format 3."""
+    from zlib import crc32
+
+    files = _committed_files(index_dir)
+    for kind in ("docs", "tombstones"):
+        for f in files[kind]:
+            _rewrite(f, f + ".v3", **V3_WRITE_OPTIONS[kind])
+            os.replace(f + ".v3", f)
+    for f in files["postings"]:
+        pf = pq.ParquetFile(f)
+        t = pf.read()
+        runs = list(zip(t["term"].to_pylist(), t["salt"].to_pylist()))
+        block_id = [0] * len(runs)
+        for i in range(1, len(runs)):
+            if runs[i] == runs[i - 1]:
+                block_id[i] = block_id[i - 1] + 1
+        crc = [crc32(p, crc32(tf, crc32(doc))) for doc, tf, p in zip(
+            t["doc_blob"].to_pylist(), t["tf_blob"].to_pylist(),
+            t["pos_blob"].to_pylist())]
+        t = t.add_column(t.schema.get_field_index("first_doc"), "block_id",
+                         pa.array(block_id, pa.int32()))
+        t = t.append_column("crc", pa.array(crc, pa.int64()))
+        with pq.ParquetWriter(f + ".v3", t.schema,
+                              **V3_WRITE_OPTIONS["postings"]) as w:
+            at = 0
+            for rg in range(pf.num_row_groups):
+                n = pf.metadata.row_group(rg).num_rows
+                w.write_table(t.slice(at, n))
+                at += n
+        os.replace(f + ".v3", f)
+    _set_format(index_dir, 3)
+
+
 def _as_format_2(index_dir: str) -> None:
-    """Rewrite an index the way format 2 stored it: each posting's
+    """Rewrite an index the way format 2 stored it: format 3's block
+    numbers, block crcs and pages (``_as_format_3``), and each posting's
     positions begin with their count (``varint(count)``, then the first
     position and the gaps), ``last_doc`` is filled on single-posting
     blocks too, the block crc covers those blobs, and the manifest and
@@ -766,14 +898,13 @@ def _as_format_2(index_dir: str) -> None:
     from zlib import crc32
 
     from pdfsearch_ray.index.codec import varint_decode, varint_encode
-    from pdfsearch_ray.state.manifest import IndexManifest
 
-    dirs = _segment_dirs(index_dir)
-    for d in dirs:
+    _as_format_3(index_dir)
+    for d in _segment_dirs(index_dir):
         for f in glob.glob(f"{d}/postings/*.parquet"):
             pf = pq.ParquetFile(f)
             with pq.ParquetWriter(f + ".v2", pf.schema_arrow,
-                                  **INDEX_WRITE_OPTIONS["postings"]) as w:
+                                  **V3_WRITE_OPTIONS["postings"]) as w:
                 for rg in range(pf.num_row_groups):
                     t = pf.read_row_group(rg)
                     pos = []
@@ -799,16 +930,7 @@ def _as_format_2(index_dir: str) -> None:
                                          name, col)
                     w.write_table(t)
             os.replace(f + ".v2", f)
-        cfg_path = f"{d}/.build_config.json"
-        if os.path.exists(cfg_path):
-            with open(cfg_path) as f:
-                cfg = json.load(f)
-            cfg["format_version"] = 2
-            with open(cfg_path, "w") as f:
-                json.dump(cfg, f)
-    m = IndexManifest.load(index_dir)
-    m.format_version = 2
-    m.save(index_dir)
+    _set_format(index_dir, 2)
 
 
 def _as_format_1(index_dir: str) -> None:
@@ -924,10 +1046,11 @@ def test_format_1_index_is_refused_and_compacted(ray_session, tmp_path):
 def test_format_2_index_is_refused_and_compacted(ray_session, tmp_path):
     """Opening or appending to a format-2 index (a count before each
     posting's positions, ``last_doc`` on every block) raises an error
-    that names ``compact_index``; ``compact_index`` writes format 3 —
-    ``last_doc`` null exactly on the single-posting blocks and positions
-    that decode with the blocks' tf — and then serves the same ``auto``
-    top-10, spans included, as a fresh build over the same rows."""
+    that names ``compact_index``; ``compact_index`` writes the current
+    format — ``last_doc`` null exactly on the single-posting blocks and
+    positions that decode with the blocks' tf — and then serves the
+    same ``auto`` top-10, spans included, as a fresh build over the same
+    rows."""
     import pytest
     import ray.data as rd
 
@@ -956,7 +1079,7 @@ def test_format_2_index_is_refused_and_compacted(ray_session, tmp_path):
 
     m = compact_index(d)
     assert m.format_version == IndexManifest.load(d).format_version \
-        == FORMAT_VERSION == 3
+        == FORMAT_VERSION == 4
     singles = 0
     for f in _committed_files(d)["postings"]:
         rows = pq.read_table(f).to_pylist()
@@ -977,6 +1100,59 @@ def test_format_2_index_is_refused_and_compacted(ray_session, tmp_path):
         b = ref.search(q, max_results=10, method="auto")
         assert [(x.doc_id, x.score, x.spans) for x in a.matches] == \
             [(x.doc_id, x.score, x.spans) for x in b.matches], q
+
+
+def test_format_3_index_is_refused_and_compacted(ray_session, tmp_path):
+    """Opening or appending to a format-3 index (a ``crc`` and a
+    ``block_id`` on every posting block, no page CRCs) raises an error
+    that names ``compact_index``; ``compact_index`` writes format 4 —
+    neither column, the writer policy — and then serves the same
+    ``auto`` top-10, spans included, as a fresh build over the same
+    rows, through a plain and a checksum-verifying handle."""
+    import pytest
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import (append_index, build_index,
+                                               compact_index)
+    from pdfsearch_ray.pipelines.query import BM25Index
+    from pdfsearch_ray.state.manifest import (FORMAT_VERSION,
+                                              IndexFormatError,
+                                              IndexManifest)
+
+    t = _corpus()
+    cut = int(t.num_rows * 0.6)
+    d = _segmented_index(tmp_path)
+    deleted = set(IndexManifest.load(d).tombstone_ids(d).tolist())
+    live = {k: v for k, v in _catalog_dl(_segment_dirs(d)).items()
+            if k not in deleted}
+    _as_format_3(d)
+    for f in _committed_files(d)["postings"]:
+        assert {"block_id", "crc"} <= set(pq.read_schema(f).names)
+    with pytest.raises(IndexFormatError, match="compact_index"):
+        BM25Index(d)
+    with pytest.raises(IndexFormatError, match="compact_index"):
+        append_index(rd.from_arrow(t.slice(cut)), d, url_col="url",
+                     lang_col="lang")
+
+    m = compact_index(d)
+    assert m.format_version == IndexManifest.load(d).format_version \
+        == FORMAT_VERSION == 4
+    for f in _committed_files(d)["postings"]:
+        assert not {"block_id", "crc"} & set(pq.read_schema(f).names)
+    _assert_policy(d, ("docs", "postings"))
+    assert _catalog_dl([d]) == live
+
+    keep = pa.array([i in live for i in t["doc_id"].to_pylist()])
+    fresh = str(tmp_path / "fresh")
+    build_index(rd.from_arrow(t.filter(keep)), fresh, num_buckets=4,
+                analyzer="en", url_col="url", lang_col="lang")
+    ref = BM25Index(fresh)
+    for got in (BM25Index(d), BM25Index(d, verify_checksums=True)):
+        for q in QUERIES:
+            a = got.search(q, max_results=10, method="auto")
+            b = ref.search(q, max_results=10, method="auto")
+            assert [(x.doc_id, x.score, x.spans) for x in a.matches] == \
+                [(x.doc_id, x.score, x.spans) for x in b.matches], q
 
 
 def test_resumed_build_rebuilds_format_1_stages(ray_session, tmp_path):

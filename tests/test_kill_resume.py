@@ -21,7 +21,7 @@ import pytest
 def _postings_canon(index_dir):
     t = pq.read_table(f"{index_dir}/postings")
     return t.sort_by([("bucket", "ascending"), ("term", "ascending"),
-                      ("salt", "ascending"), ("block_id", "ascending")])
+                      ("salt", "ascending"), ("first_doc", "ascending")])
 
 
 # the child imports this checkout's package, wherever it lives

@@ -162,7 +162,6 @@ def test_bulk_decode_equals_per_block():
     postings = pa.table({
         "term": ["t"] * len(blocks),
         "salt": pa.array([0] * len(blocks), type=pa.int32()),
-        "block_id": pa.array(range(len(blocks)), type=pa.int32()),
         "first_doc": pa.array([b["first_doc"] for b in blocks], pa.int64()),
         "n": pa.array([b["n"] for b in blocks], type=pa.int32()),
         **{k: pa.array([b[k] for b in blocks], type=pa.large_binary())
@@ -409,8 +408,8 @@ def test_forced_maxscore_equals_taat_above_65536_postings():
         total_tokens=int(doc_dl.sum()), analyzer="simple",
         analyzer_version="t", k1=1.2, b=0.75, num_buckets=1,
         block_size=block, salt_spec={})
-    rows = {k: [] for k in ("term", "block_id", "first_doc", "n", "doc_blob",
-                            "tf_blob", "max_wdl")}
+    rows = {k: [] for k in ("term", "first_doc", "n", "doc_blob", "tf_blob",
+                            "max_wdl")}
     ref_ids, ref_sc = [], []
     # sorted term order — the order TAAT accumulates in
     for term, df, tf_hi in (("alpha", 30_000, 4), ("beta", 25_000, 6),
@@ -421,10 +420,9 @@ def test_forced_maxscore_equals_taat_above_65536_postings():
         wdl = bm25_wdl(tf, dl, manifest.k1, manifest.b, manifest.avgdl)
         ref_ids.append(ids)
         ref_sc.append(float(bm25_idf(n_docs, df)) * wdl)
-        for j, s in enumerate(range(0, df, block)):
+        for s in range(0, df, block):
             e = min(s + block, df)
             rows["term"].append(term)
-            rows["block_id"].append(j)
             rows["first_doc"].append(int(ids[s]))
             rows["n"].append(e - s)
             rows["doc_blob"].append(varint_encode(np.diff(ids[s:e])))
@@ -434,7 +432,6 @@ def test_forced_maxscore_equals_taat_above_65536_postings():
     postings = pa.table({
         "term": rows["term"],
         "salt": pa.array([0] * n_blocks, pa.int32()),
-        "block_id": pa.array(rows["block_id"], pa.int32()),
         "first_doc": pa.array(rows["first_doc"], pa.int64()),
         "n": pa.array(rows["n"], pa.int32()),
         **{k: pa.array(rows[k], pa.large_binary())

@@ -79,11 +79,11 @@ def test_run_query_set_writes_parquet(ray_session, tmp_path):
 
 
 def test_crc_framing_and_io_stats(ray_session, tmp_path):
-    """F2/F7 parity: per-block crc32 verified on read; a flipped payload
-    byte is detected; read/open accounting is surfaced."""
+    """F2/F7 parity: every parquet page's CRC-32 is verified on read; a
+    payload byte flipped on disk is detected; read/open accounting is
+    surfaced."""
     import glob
 
-    import pyarrow as pa
     import pytest
 
     from pdfsearch_ray.pipelines.build import build_index
@@ -96,23 +96,26 @@ def test_crc_framing_and_io_stats(ray_session, tmp_path):
     idx = BM25Index(d, verify_checksums=True)
     r = idx.search("data stream", max_results=5)
     assert r.total_matches > 0
-    assert idx.io_stats["blocks_verified"] > 0
     assert idx.io_stats["postings_row_groups_read"] > 0
     assert idx.io_stats["docs_row_groups_read"] > 0
 
-    # corrupt one posting payload byte in-place; a verifying handle must
-    # refuse, a non-verifying one silently decodes garbage (reference
-    # behavior without CRC framing)
+    # flip one byte of the first row group's tf_blob pages in place (the
+    # chunk's last byte lies in its last data page); a verifying handle
+    # must refuse the row group, naming the file and the row group
     f = sorted(glob.glob(f"{d}/postings/*.parquet"))[0]
-    t = pq.read_table(f)
-    blobs = t["tf_blob"].to_pylist()
-    k = next(i for i, b in enumerate(blobs) if len(b) > 0)
-    blobs[k] = bytes([blobs[k][0] ^ 0xFF]) + blobs[k][1:]
-    t = t.set_column(t.schema.get_field_index("tf_blob"), "tf_blob",
-                     pa.array(blobs, type=pa.large_binary()))
-    pq.write_table(t, f)
+    meta = pq.ParquetFile(f).metadata.row_group(0)
+    col = next(meta.column(i) for i in range(meta.num_columns)
+               if meta.column(i).path_in_schema == "tf_blob")
+    corrupted_term = pq.ParquetFile(f).read_row_group(
+        0, columns=["term"])["term"][0].as_py()
+    at = col.data_page_offset + col.total_compressed_size - 1
+    with open(f, "r+b") as fh:
+        fh.seek(at)
+        byte = fh.read(1)[0]
+        fh.seek(at)
+        fh.write(bytes([byte ^ 0xFF]))
 
     bad = BM25Index(d, verify_checksums=True)
-    corrupted_term = t["term"][k].as_py()
-    with pytest.raises(CorruptIndexError, match="checksum mismatch"):
+    with pytest.raises(CorruptIndexError,
+                       match=r"row group 0: .*CRC checksum"):
         bad.postings([corrupted_term])

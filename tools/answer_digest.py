@@ -3,9 +3,11 @@ scoring, posting-read or hydration path must leave it unchanged.
 
     PYTHONPATH=<checkout> python tools/answer_digest.py --work DIR [--bench-seed 7]
 
-The first run builds the indexes under ``DIR`` and later runs reuse
-them, so two checkouts are compared on the same files (run the build
-once with either).  The indexes:
+The first run builds the indexes under ``DIR/format<N>``, ``N`` the
+checkout's index ``FORMAT_VERSION``, and later runs of a checkout in
+the same format reuse them: two checkouts in one format are compared on
+the same files (run the build once with either), and a checkout in
+another format builds its own.  The indexes:
 
 * ``plain`` / ``salted``: ``tests/test_maxscore.py``'s fixtures over
   the sf0.001 documents (``analyzer="en"``; ``analyzer="simple"`` with
@@ -68,7 +70,9 @@ def build(work: Path, bench_seed: int | None) -> dict[str, str]:
     from pdfsearch_ray.pipelines.build import (append_index, build_index,
                                                delete_docs)
     from pdfsearch_ray.pipelines.query import BM25Index
+    from pdfsearch_ray.state.manifest import FORMAT_VERSION
 
+    work = work / f"format{FORMAT_VERSION}"
     dirs = {name: str(work / name) for name in
             ("plain", "salted", "segmented")}
     if bench_seed is not None:

@@ -80,8 +80,8 @@ REPEATS = 5
 READ_SLACK = 1.05
 # the columns a serving handle reads from each table's row groups
 SERVING_COLUMNS = {
-    "postings": ["term", "salt", "block_id", "first_doc", "n", "doc_blob",
-                 "tf_blob", "max_wdl"],
+    "postings": ["term", "salt", "first_doc", "n", "doc_blob", "tf_blob",
+                 "max_wdl"],
     "docs": ["doc_id", "url", "text"],
     "tombstones": ["doc_id"],
 }
