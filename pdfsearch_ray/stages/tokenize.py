@@ -16,9 +16,13 @@ version of the reference's 100-page bleve batching (bleve_pdf.go:64).
 Shuffle keys are precomputed here too:
 * ``bucket = fnv1a64(term) % num_buckets`` — the posting-build partition
   key (query-time pruning recomputes it from the query term).
-* ``salt`` — 0 for ordinary terms; ``mix64(doc_id) % salt`` for terms in
-  the broadcast hot-term set, splitting Zipfian head-term groups into
-  bounded sub-groups (north_rule's explicit skew handling).
+* ``salt`` — 0 for ordinary terms; ``mix64(doc_id // BLOCK_SIZE) % s``
+  (``salt_of``) for terms in the broadcast hot-term set, splitting
+  Zipfian head-term groups into bounded sub-groups (north_rule's
+  explicit skew handling).  The hash is of the doc's 128-id chunk, not
+  of the doc: a salted run is a union of whole id stretches, so its
+  doc-id gaps stay near 1 instead of near s, and delta coding keeps its
+  locality.
 
 The same pass writes the docs catalog (``catalog=``): each batch's
 (doc_id, url, hash, lang, dl[, text]) rows, ``dl`` being the doc length
@@ -73,6 +77,24 @@ def tokenize_batch(batch: pa.Table, cfg: dict) -> pa.Table:
     if tok is None:
         tok = _WORKER_TOKENIZERS[key] = Tokenizer(**cfg)
     return tok(batch)
+
+
+def salt_of(doc_ids: np.ndarray, s) -> np.ndarray:
+    """The salt (int64) of each doc in ``doc_ids`` for a hot term split
+    ``s`` ways (``s`` an int or an array like ``doc_ids``, each > 0):
+    ``mix64(doc_id // BLOCK_SIZE) % s`` over the ids' uint64 view.  A
+    whole chunk of ``BLOCK_SIZE`` consecutive ids shares one salt, so a
+    salted run is a union of id stretches and its gaps stay near 1 — a
+    hash of the doc itself would deal the term's docs out at random and
+    add about log2 s bits to every gap.  The chunk is hashed, not
+    assigned round-robin, so ids that stride by a multiple of
+    ``BLOCK_SIZE * s`` still spread over every salt.  Both tokenizer
+    paths call this; no reader recomputes a salt, so an index written
+    under another salt rule still serves."""
+    from ..index.codec import BLOCK_SIZE
+
+    chunk = doc_ids.astype(np.uint64) // np.uint64(BLOCK_SIZE)
+    return (mix64(chunk) % np.asarray(s, dtype=np.uint64)).astype(np.int64)
 
 
 class Tokenizer:
@@ -227,13 +249,10 @@ class Tokenizer:
             s_of_code = np.fromiter(
                 (hot.get(t, 0) for t in kept_terms),
                 dtype=np.int64, count=len(kept_terms))
-            salt_base = mix64(doc_ids_np.astype(np.uint64))
             s_tok = s_of_code[tcode]
-            salt_tok = np.where(
-                s_tok > 0,
-                (salt_base[d] % np.maximum(s_tok, 1).astype(np.uint64))
-                .astype(np.int64),
-                0)
+            salt_tok = np.zeros(tcode.size, dtype=np.int64)
+            h = s_tok > 0
+            salt_tok[h] = salt_of(doc_ids_np[d[h]], s_tok[h])
         else:
             salt_tok = np.zeros(tcode.size, dtype=np.int64)
 
@@ -328,6 +347,8 @@ class Tokenizer:
         out_bucket: list[int] = []
 
         hot = self.hot_terms
+        # salt_of per distinct salt count, over the batch's rows
+        salts = {s: salt_of(doc_ids, s) for s in set(hot.values()) if s}
         en = self.analyzer_name == "en"
         if en:
             from ..analysis.analyzer import analyze_en_pos
@@ -349,11 +370,10 @@ class Tokenizer:
             if dl == 0:
                 continue
             dls[row] = dl
-            salt_base = int(mix64(np.asarray([doc_id], dtype=np.uint64))[0])
             if self.combine:
                 for term, positions in agg.items():
                     s = hot.get(term, 0)
-                    key = (term, salt_base % s if s else 0)
+                    key = (term, int(salts[s][row]) if s else 0)
                     e = seg.get(key)
                     if e is None:
                         e = seg[key] = [[], [], []]
@@ -369,7 +389,7 @@ class Tokenizer:
                     out_dl.append(dl)
                     out_pos.append(positions if self.with_positions else [])
                     s = hot.get(term, 0)
-                    salt = salt_base % s if s else 0
+                    salt = int(salts[s][row]) if s else 0
                     out_salt.append(salt)
                     out_bucket.append(self._bucket_salted(term, salt))
 

@@ -147,7 +147,9 @@ def test_best_filter(built_index):
 
 
 def test_salted_build_identical(ray_session, tmp_path, docs):
-    """Salting hot terms must not change any result (north_rule skew)."""
+    """Salting hot terms must not change any result (north_rule skew):
+    the same (doc_id, score) lists, scores bitwise, under every
+    scoring method."""
     from pdfsearch_ray.pipelines.build import build_index
     from pdfsearch_ray.pipelines.query import BM25Index
 
@@ -160,10 +162,11 @@ def test_salted_build_identical(ray_session, tmp_path, docs):
                 num_buckets=8, hot_terms=hot)
     a, b = BM25Index(plain_dir), BM25Index(salted_dir)
     for q in QUERIES + ["the and data"]:
-        ra = [(m.doc_id, m.score) for m in a.search(q, 20, with_spans=False).matches]
-        rb = [(m.doc_id, m.score) for m in b.search(q, 20, with_spans=False).matches]
-        assert [d for d, _ in ra] == [d for d, _ in rb], q
-        np.testing.assert_allclose([s for _, s in ra], [s for _, s in rb], rtol=1e-12)
+        for method in ("taat", "maxscore", "auto"):
+            ra, rb = ([(m.doc_id, m.score) for m in
+                       h.search(q, 20, with_spans=False, method=method).matches]
+                      for h in (a, b))
+            assert ra == rb, (q, method)
 
 
 def test_positional_and_federated_reads_keep_search_scores(ray_session):

@@ -32,7 +32,15 @@ k's, every range shard's ``topk(q, 10)``, ``score_terms`` and every
 query term's ``PostingList`` (ids, tf, dl, scores, position keys of
 every other doc): doc ids, urls, ``scores.tobytes()``, spans and
 ``total_matches``.  It prints one line per index (answers, sha256) and
-one over all of them.
+one over all of them.  Under each index line it prints one sha256 per
+category, over the same answers: ``search``, ``sharded``, ``range``,
+``score_terms``, ``postings``, and ``postings_by_doc``, the postings
+with every column sorted by doc id.  A ``PostingList`` concatenates a
+term's runs in (salt, segment) order, so its order follows the build's
+salt layout: a change that only moves postings between salts moves
+``postings`` (and the index's line) and nothing else.  Such a change
+builds other indexes from the same code, so give each checkout its own
+``--work`` DIR.
 """
 
 from __future__ import annotations
@@ -59,6 +67,8 @@ QUERIES = [
     "search index page",
 ]
 SF = "/root/testdata/sf0.001/documents.parquet"
+CATEGORIES = ("search", "sharded", "range", "score_terms", "postings",
+              "postings_by_doc")
 
 
 def build(work: Path, bench_seed: int | None) -> dict[str, str]:
@@ -119,24 +129,32 @@ def queries_of(name: str, bench_seed: int | None) -> list[str]:
             + inputs.tail_pool(bench_seed, inputs.FULL, 200))
 
 
-def digest(index_dir: str, queries: list[str]) -> tuple[int, str]:
+def digest(index_dir: str, queries: list[str]
+           ) -> tuple[int, str, dict[str, tuple[int, str]]]:
     import numpy as np
 
     from pdfsearch_ray.pipelines.engine import ShardedEngine
     from pdfsearch_ray.pipelines.query import BM25Index
 
     h = hashlib.sha256()
+    cats = {c: [hashlib.sha256(), 0] for c in CATEGORIES}
     n = 0
 
-    def add(*parts) -> None:
+    def add(cat: str, *parts, whole: bool = True) -> None:
+        """Hash ``parts`` into ``cat`` and, when ``whole``, into the
+        index's line."""
         nonlocal n
-        n += 1
+        n += whole
+        cats[cat][1] += 1
         for p in parts:
-            h.update(p.tobytes() if isinstance(p, np.ndarray)
-                     else repr(p).encode())
+            b = (p.tobytes() if isinstance(p, np.ndarray)
+                 else repr(p).encode())
+            cats[cat][0].update(b)
+            if whole:
+                h.update(b)
 
-    def add_set(ms) -> None:
-        add(ms.total_matches,
+    def add_set(cat: str, ms) -> None:
+        add(cat, ms.total_matches,
             [(m.doc_id, m.url, m.spans, m.line_nums) for m in ms.matches],
             np.array([m.score for m in ms.matches]))
 
@@ -147,19 +165,25 @@ def digest(index_dir: str, queries: list[str]) -> tuple[int, str]:
         for q in queries:
             for method in ("taat", "maxscore", "auto"):
                 for k in (1, 10, 50):
-                    add_set(idx.search(q, max_results=k, method=method))
+                    add_set("search",
+                            idx.search(q, max_results=k, method=method))
             for k in (1, 10, 50):
-                add_set(eng.search(q, max_results=k))
+                add_set("sharded", eng.search(q, max_results=k))
             for s in shards:
-                add(*s.topk(q, 10))
-            add(*idx.score_terms(idx.query_terms(q)))
+                add("range", *s.topk(q, 10))
+            add("score_terms", *idx.score_terms(idx.query_terms(q)))
             for term, p in idx.postings(idx.query_terms(q)).items():
                 cands = np.unique(p.ids)[::2]
-                add(term, p.df, p.ids, p.tf, p.dl, p.scores,
-                    p.position_keys(cands))
+                keys = p.position_keys(cands)
+                add("postings", term, p.df, p.ids, p.tf, p.dl, p.scores,
+                    keys)
+                o = np.lexsort((p.scores, p.dl, p.tf, p.ids))
+                add("postings_by_doc", term, p.df, p.ids[o], p.tf[o],
+                    p.dl[o], p.scores[o], np.sort(keys), whole=False)
     finally:
         eng.shutdown()
-    return n, h.hexdigest()
+    return n, h.hexdigest(), {c: (k, g.hexdigest())
+                              for c, (g, k) in cats.items()}
 
 
 def gate_table(res):
@@ -212,8 +236,11 @@ def main() -> None:
         total = hashlib.sha256()
         count = 0
         for name, d in dirs.items():
-            n, sha = digest(d, queries_of(name, args.bench_seed))
+            n, sha, cats = digest(d, queries_of(name, args.bench_seed))
             print(f"{name}: {n} answers sha256 {sha}", flush=True)
+            for cat, (k, csha) in cats.items():
+                print(f"  {name}/{cat}: {k} answers sha256 {csha}",
+                      flush=True)
             total.update(sha.encode())
             count += n
         print(f"all: {count} answers sha256 {total.hexdigest()}")

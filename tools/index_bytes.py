@@ -23,7 +23,11 @@ then per table:
 
 The total counts every file under ``INDEX_DIR`` except an
 ``extracted/`` checkpoint, the way ``perfbench`` measures
-``index_bytes_per_doc``.
+``index_bytes_per_doc``.  Under the table it prints the build's
+balance: the max/mean of the postings per encode bucket (the shuffle's
+skew), and, over the hot terms of the manifest's ``salt_spec``, the
+median and the max of each term's max/mean of postings per salt, so a
+salt or bucket change shows its skew cost next to its bytes.
 
 ``--sweep`` rewrites every column, one at a time and keeping its row
 groups, under each candidate encoding at the table's compression in
@@ -59,6 +63,7 @@ import argparse
 import glob
 import json
 import os
+import statistics
 import struct
 import sys
 import tempfile
@@ -156,6 +161,27 @@ def column_bytes(index_dir: str) -> tuple[dict, dict, dict, int, dict]:
         dirs[:] = [x for x in dirs if x != "extracted"]
         total += sum(os.path.getsize(os.path.join(root, n)) for n in names)
     return cols, parts, files, total, raw
+
+
+def balance(index_dir: str, m: dict) -> tuple[float, list[float]]:
+    """(max/mean of the postings per bucket over the manifest's
+    ``num_buckets``, [max/mean of the postings per salt of each hot
+    term of its ``salt_spec``]), over the base and every segment."""
+    import numpy as np
+
+    per_bucket = np.zeros(m["num_buckets"], dtype=np.int64)
+    per_salt = {t: np.zeros(s, dtype=np.int64)
+                for t, s in (m.get("salt_spec") or {}).items()}
+    for path in table_files(index_dir)["postings"]:
+        t = pq.read_table(path, columns=["bucket", "term", "salt", "n"])
+        n = t["n"].to_numpy()
+        np.add.at(per_bucket, t["bucket"].to_numpy(), n)
+        for term, salt, k in zip(t["term"].to_pylist(),
+                                 t["salt"].to_pylist(), n.tolist()):
+            if term in per_salt:
+                per_salt[term][salt] += k
+    ratio = [c.max() / c.mean() for c in per_salt.values() if c.any()]
+    return per_bucket.max() / max(per_bucket.mean(), 1e-12), ratio
 
 
 def _write_column(sink, t: list[pa.Table], encoding: str, table: str):
@@ -403,7 +429,8 @@ def main(argv: list[str]) -> int:
         print_sweep(index_dir)
         return 0
     with open(os.path.join(index_dir, "manifest.json")) as f:
-        n_docs = max(int(json.load(f)["n_docs"]), 1)
+        m = json.load(f)
+    n_docs = max(int(m["n_docs"]), 1)
     cols, parts, files, total, raw = column_bytes(index_dir)
 
     def row(table: str, name: str, nbytes: int, nraw: str = "") -> None:
@@ -422,6 +449,14 @@ def main(argv: list[str]) -> int:
         row(table, "(all)", files[table])
     row("other", "(other files)", total - sum(files.values()))
     row("total", f"({n_docs:,} docs)", total)
+    buckets, salts = balance(index_dir, m)
+    print(f"postings max/mean: {buckets:.3f} over {m['num_buckets']} buckets",
+          end="")
+    if salts:
+        print(f"; per hot term over its salts median "
+              f"{statistics.median(salts):.3f}, max {max(salts):.3f}"
+              f" ({len(salts)} terms)", end="")
+    print()
     return 0
 
 
