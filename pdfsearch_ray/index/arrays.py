@@ -17,26 +17,49 @@ import numpy as np
 import pyarrow as pa
 
 
-def _np(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
-    """Read-only numpy view over an integer or floating Arrow column
-    with no nulls, sharing the column's data buffer (a column of several
-    chunks is combined first).  Raises on nulls and on any other type —
-    variable-width, bit-packed or temporal data is never reinterpreted."""
-    t = col.type
+def _num_dtype(t: pa.DataType) -> np.dtype:
+    """The numpy dtype of an integer or floating Arrow type; any other
+    type raises — variable-width, bit-packed or temporal data is never
+    reinterpreted."""
     if pa.types.is_integer(t):
         kind = "i" if pa.types.is_signed_integer(t) else "u"
     elif pa.types.is_floating(t):
         kind = "f"
     else:
         raise TypeError(f"no zero-copy numpy view of Arrow type {t}")
+    return np.dtype(f"{kind}{t.bit_width // 8}")
+
+
+def _np(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """Read-only numpy view over an integer or floating Arrow column
+    with no nulls, sharing the column's data buffer (a column of several
+    chunks is combined first).  Raises on nulls and on any other type."""
+    dtype = _num_dtype(col.type)
     if col.null_count:
         raise ValueError(f"column has {col.null_count} nulls")
-    dtype = np.dtype(f"{kind}{t.bit_width // 8}")
     if len(col) == 0:
         return np.empty(0, dtype=dtype)
     col = _chunk(col)
     return np.frombuffer(col.buffers()[1], dtype=dtype, count=len(col),
                          offset=col.offset * dtype.itemsize)
+
+
+def _np_or(col: pa.Array | pa.ChunkedArray, fill) -> np.ndarray:
+    """``_np(col)`` with every null read as ``fill`` (a copy when the
+    column has nulls; the validity bitmap is read, never skipped)."""
+    if not col.null_count:
+        return _np(col)
+    dtype = _num_dtype(col.type)
+    col = _chunk(col)
+    validity, data = col.buffers()[:2]
+    out = np.full(len(col), fill, dtype=dtype)
+    valid = np.unpackbits(np.frombuffer(validity, dtype=np.uint8),
+                          bitorder="little")[col.offset:col.offset + len(col)]
+    if data is not None:
+        vals = np.frombuffer(data, dtype=dtype, count=len(col),
+                             offset=col.offset * dtype.itemsize)
+        out[valid == 1] = vals[valid == 1]
+    return out
 
 
 def _offsets_dtype(t: pa.DataType) -> np.dtype:

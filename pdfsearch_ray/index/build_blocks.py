@@ -22,9 +22,11 @@ positions arrive already encoded and are only permuted, and every
 block's payload is a byte slice — no per-run or per-posting encode
 calls.  A posting's doc length does not travel with it: the encoder
 looks it up in the build's committed docs catalog (``doc_dl``), only to
-compute the block's ``max_wdl`` bound.  Zipf tails make most (term,
-salt) runs singletons, so anything per-run in Python is the bottleneck
-at web scale.
+compute the block's ``max_wdl`` bound (null on a single-posting block,
+which a reader bounds by 1.0).  The blocks carry no bucket: the caller
+writes each bucket to its own file (``manifest.postings_file_name``).
+Zipf tails make most (term, salt) runs singletons, so anything per-run
+in Python is the bottleneck at web scale.
 
 Output doc order per (term, salt) is the global doc_id sort, so the index
 is bit-identical however upstream batching cut the segments (SURVEY §7.1
@@ -52,7 +54,6 @@ def _list_parts(col):
 
 
 def _encode_flat(
-    bucket: int,
     run_terms: np.ndarray,      # term string per run
     run_salts: np.ndarray,      # salt per run
     run_of_post: np.ndarray,    # run index per posting (grouped ascending)
@@ -117,7 +118,6 @@ def _encode_flat(
 
     return pa.table(
         {
-            "bucket": pa.array(np.full(nb, bucket, dtype=np.int32)),
             "term": pa.array(run_terms[blk_run], type=pa.string()),
             "salt": pa.array(run_salts[blk_run].astype(np.int32)),
             "first_doc": pa.array(blk_first),
@@ -127,7 +127,9 @@ def _encode_flat(
             "doc_blob": pa.array(o_doc, type=pa.large_binary()),
             "tf_blob": pa.array(o_tf, type=pa.large_binary()),
             "pos_blob": pa.array(o_pos, type=pa.large_binary()),
-            "max_wdl": pa.array(bmax32),
+            # null on one posting: a reader bounds it by 1.0, the
+            # most bm25_wdl can be
+            "max_wdl": pa.array(bmax32, mask=blk_n == 1),
         }
     )
 
@@ -250,7 +252,6 @@ def encode_bucket_segments(
         positions = (data[idx].tobytes(), pos_off_sorted)
 
     return _encode_flat(
-        int(t["bucket"][0].as_py()),
         term_np[run_first_row],
         salts[run_first_row],
         run_of_post,

@@ -15,13 +15,17 @@ term-frequencies, ``pos_blob`` the positions stream below, and
 ``max_wdl`` the block's maximum
 *idf-free* BM25 partial score ``tf / (tf + k1*(1 - b + b*dl/avgdl))`` —
 multiplied by the term's idf at query time it is the block upper bound
-that block-max WAND skips on.  ``last_doc`` is the block's last id, and
-null on a single-posting block, where it would repeat ``first_doc``: a
-reader uses it only through the row groups' min/max statistics, for
-doc-range pruning.  A document's length ``dl`` is stored once, in the
-``dl`` column of the docs catalog (the reference's one ``fieldNorm`` per
-document, SURVEY §7.1), not on each of its postings: scorers look it up
-by doc id.  ``first_doc`` orders a run's blocks (index format 4).
+that block-max WAND skips on.  On a single-posting block ``max_wdl`` is
+null: it would repeat the posting's own weight, and a reader bounds the
+block by 1.0, which no ``bm25_wdl`` exceeds (index format 5).
+``last_doc`` is the block's last id, and null on a single-posting
+block, where it would repeat ``first_doc``: a reader uses it only
+through the row groups' min/max statistics, for doc-range pruning.  A
+document's length ``dl`` is stored once, in the ``dl`` column of the
+docs catalog (the reference's one ``fieldNorm`` per document, SURVEY
+§7.1), not on each of its postings: scorers look it up by doc id.  ``first_doc`` orders a run's blocks (index format 4).  A
+block row carries no bucket: each postings file holds one bucket and
+its name says which (``state/manifest.postings_file_name``; format 5).
 
 Positions stream (index format 3): per posting, its positions as
 varints — the first absolute, then the gaps — restarting at every
@@ -106,11 +110,16 @@ BLOCK_SIZE = 128
 # term -10 %.  Docs stay at 9: 12 saves only 0.4 % at 6k and 13-15 are
 # larger.  Tombstones stay at 9.
 # Row-group min/max statistics only on the columns a reader prunes on —
-# postings: bucket and term (bucket/term row-group pruning, the term
-# pushdown filters of prefix, range and completion expansion) and
-# first_doc/last_doc (doc-range shard pruning); docs and tombstones:
-# doc_id (hydration's row-group index, shard planning).  A statistic no
-# reader looks at is footer and page-header bytes.
+# postings: term (term row-group pruning, the term pushdown filters of
+# prefix, range and completion expansion) and first_doc/last_doc
+# (doc-range shard pruning); docs and tombstones: doc_id (hydration's
+# row-group index, shard planning).  A statistic no reader looks at is
+# footer and page-header bytes.  The bucket is no column at all (index
+# format 5): a file holds one bucket and is named by it, because each
+# column chunk costs about 120-140 B of footer and inline metadata
+# before its data (``tools/index_bytes.py`` prints it per table), so a
+# column that is constant per file paid that in every file, plus a
+# statistic and a page, to say what the file name can.
 #
 # Every column has an explicit encoding, chosen by one rule: of plain,
 # dictionary, DELTA_BINARY_PACKED, DELTA_LENGTH_BYTE_ARRAY and
@@ -120,20 +129,31 @@ BLOCK_SIZE = 128
 # slower, and DuckDB 1.0 reads the file; of those, the one with the
 # fewest bytes over both builds wins (``python tools/index_bytes.py
 # --sweep INDEX_DIR`` prints every candidate's bytes at the table's
-# level).  Re-run at postings level 14, the rule keeps every choice.
+# level).  Re-run at postings level 14, the rule kept every choice;
+# re-run on format 5 it moves tf_blob and pos_blob (below).
 # The outcome:
-#   postings    every column   plain — bucket, term, salt and n lost
-#                              their dictionaries (nearly every block
-#                              row has its own term, so a dictionary is
-#                              a second copy)
+#   postings    tf_blob,       DELTA_LENGTH_BYTE_ARRAY (index format 5):
+#               pos_blob       plain puts a 4-byte length before every
+#                              blob, which breaks zstd's matches
+#               every other    plain — term, salt and n lost their
+#                              dictionaries (nearly every block row has
+#                              its own term, so a dictionary is a
+#                              second copy)
 #   docs        doc_id         DELTA_BINARY_PACKED (sorted in each file)
 #               hash           DELTA_LENGTH_BYTE_ARRAY
 #               every other    plain — lang lost its dictionary
 #   tombstones  doc_id         DELTA_BINARY_PACKED (sorted)
-# Smaller but slower to read under pyarrow 16, so left plain:
-# DELTA_LENGTH_BYTE_ARRAY on tf_blob and pos_blob and a dictionary on
-# max_wdl and dl (each read 2-17% slower; at level 14 the two blobs
-# still read 3-12 % slower under DELTA_LENGTH_BYTE_ARRAY).  ``text`` is
+# The blobs' read check is taken as the levels' is, within the 5 %
+# run-to-run spread of a read (``READ_SLACK``): over every row group of
+# the seed-7 builds, three process-CPU-time runs (best of 7-9 each) put
+# the scoring read (``tf_blob`` with the other serving columns) at
+# 0.94-1.01x plain at 6k and 1.02-1.04x at 24k, and a ``pos_blob`` read
+# at 0.99-1.15x and 1.02-1.07x (one 6k run was noisy for both
+# encodings), for tf 7,610 -> 7,021 B and pos 35,531 -> 33,322 B at 6k
+# and 20,851 -> 19,720 and 117,127 -> 108,733 B at 24k.  Earlier
+# wall-time sweeps had the two blobs 3-12 % slower and left them plain.
+# Smaller but slower to read under pyarrow 16, so left plain: a
+# dictionary on max_wdl and dl (each read 2-17 % slower).  ``text`` is
 # left plain: a hydration decodes a text row group on every query, and
 # DELTA_BYTE_ARRAY's gain on it comes from the fixture's shared "page N"
 # prefixes.  BYTE_STREAM_SPLIT on the integer columns would be smaller
@@ -146,6 +166,8 @@ BLOCK_SIZE = 128
 # parquet is self-describing and does not record the zstd level, so files
 # written with other settings keep serving beside these.
 # Page CRCs (format 4) replace format 3's 8-B-per-block ``crc`` column.
+# ``max_wdl`` is null on single-posting blocks (format 5): one block row
+# per rare term, so at 6k the column fell 4,510 -> 1,623 B.
 # pyarrow passes a page without a CRC even when verifying, so the
 # guarantee rests on this writer (tests/test_index_files.py checks it).
 _ZSTD = {"compression": "zstd", "use_dictionary": False,
@@ -153,12 +175,12 @@ _ZSTD = {"compression": "zstd", "use_dictionary": False,
 INDEX_WRITE_OPTIONS = {
     "postings": {
         **_ZSTD, "compression_level": 14,
-        "write_statistics": ("bucket", "term", "first_doc", "last_doc"),
+        "write_statistics": ("term", "first_doc", "last_doc"),
         "column_encoding": {
-            "bucket": "PLAIN", "term": "PLAIN", "salt": "PLAIN",
+            "term": "PLAIN", "salt": "PLAIN",
             "first_doc": "PLAIN", "last_doc": "PLAIN", "n": "PLAIN",
-            "doc_blob": "PLAIN", "tf_blob": "PLAIN", "pos_blob": "PLAIN",
-            "max_wdl": "PLAIN",
+            "doc_blob": "PLAIN", "tf_blob": "DELTA_LENGTH_BYTE_ARRAY",
+            "pos_blob": "DELTA_LENGTH_BYTE_ARRAY", "max_wdl": "PLAIN",
         },
     },
     "docs": {

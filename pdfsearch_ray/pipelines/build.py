@@ -25,7 +25,9 @@ Design notes (scale):
   tokenize pass writes, so they are exact in every build and the corpus
   is tokenized once.  ``sample_rate`` is only the deterministic
   doc_id-hash sample of the ``auto_salt`` hot-term pass.
-* Output layout: ``<index_dir>/{docs,postings}/*.parquet`` + manifest —
+* Output layout: ``<index_dir>/docs/*.parquet``, one
+  ``<index_dir>/postings/part-<bucket>.parquet`` per non-empty bucket
+  (``manifest.postings_file_name``) + manifest —
   the analog of the reference's persistDir layout (bleve_pdf.go:93-130).
 """
 
@@ -48,7 +50,8 @@ from ..functions.hashing import content_hash, mix64
 from ..index.codec import BLOCK_SIZE, INDEX_WRITE_OPTIONS
 from ..stages.tokenize import (DEFAULT_NUM_BUCKETS, Tokenizer,
                                catalog_hash_scheme)
-from ..state.manifest import FORMAT_VERSION, IndexManifest
+from ..state.manifest import (FORMAT_VERSION, IndexManifest,
+                              postings_file_name)
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -432,11 +435,11 @@ def build_index(
     ) if not postings_done else []
 
     def _encode_bucket_dir(batch: pa.Table) -> pa.Table:
-        """Encode each bucket dir of ``batch`` and write its blocks as
-        ``part-<i>.parquet``, ``i`` the dir's place in ``bucket_dirs``,
-        so the files list in bucket-dir order and a retried task
-        rewrites the same file.  Small row groups +
-        per-rg term/bucket/doc-span stats: the query engine prunes to
+        """Encode each bucket dir of ``batch`` and write its blocks to
+        the file named by its bucket (``postings_file_name``), which is
+        how a reader knows the bucket, and a retried task rewrites the
+        same file.  Small row groups +
+        per-rg term/doc-span stats: the query engine prunes to
         the row groups whose term range covers its terms — and, for
         doc-range shard handles, whose [first_doc, last_doc] span
         intersects the shard's slice.  Written here and not by Ray's
@@ -446,19 +449,17 @@ def build_index(
         import pyarrow.parquet as pq
 
         rows, write_s = [], []
-        for i, bdir in zip(batch["i"].to_pylist(), batch["dir"].to_pylist()):
-            g = pq.read_table(bdir, use_threads=False)
+        for bdir in batch["dir"].to_pylist():
             bnum = int(os.path.basename(bdir).split("=")[1])
-            g = g.append_column(
-                "bucket", pa.array(np.full(g.num_rows, bnum, dtype=np.int32))
-            )
             t = encode_bucket_segments(
-                g, doc_dl=doc_dl, k1=k1, b=b, avgdl=avgdl,
+                pq.read_table(bdir, use_threads=False), doc_dl=doc_dl,
+                k1=k1, b=b, avgdl=avgdl,
                 block_size=block_size, with_positions=with_positions,
             )
             tw = time.perf_counter()
             if t.num_rows:
-                pq.write_table(t, f"{postings_tmp}/part-{i:05d}.parquet",
+                pq.write_table(t,
+                               f"{postings_tmp}/{postings_file_name(bnum)}",
                                row_group_size=row_group_size,
                                **INDEX_WRITE_OPTIONS["postings"])
             rows.append(t.num_rows)
@@ -477,7 +478,7 @@ def build_index(
         postings_tmp = _fresh_stage(postings_dir)
         os.makedirs(postings_tmp)           # an empty corpus writes no file
         encoded = block_tables(rd.from_items(
-            [{"i": i, "dir": d} for i, d in enumerate(bucket_dirs)],
+            [{"dir": d} for d in bucket_dirs],
             override_num_blocks=max(1, len(bucket_dirs)),
         ).map_batches(_encode_bucket_dir, batch_format="pyarrow",
                       batch_size=1))

@@ -34,7 +34,6 @@ the driver's value hash.
 
 from __future__ import annotations
 
-import glob as _glob
 import json
 import os
 
@@ -42,7 +41,8 @@ import numpy as np
 import pyarrow as pa
 
 __all__ = [
-    "bucket_rowgroup_map",
+    "bucket_postings_files",
+    "bucket_postings",
     "term_buckets",
     "champion_lists_cached",
     "champion_rows_for_terms",
@@ -64,8 +64,7 @@ CHAMP_K = 10
 CHAMP_QUERIES = ("data processing pipeline", "the information",
                  "fast scan merge", "customer query zzznope")
 
-_CHAMP_COLS = ["term", "salt", "bucket", "first_doc", "n",
-               "doc_blob", "tf_blob"]
+_CHAMP_COLS = ["term", "salt", "first_doc", "n", "doc_blob", "tf_blob"]
 
 
 def _flat_postings(tbl: pa.Table, idx_dir: str):
@@ -99,35 +98,39 @@ def _champion_cut(terms: np.ndarray, ids: np.ndarray, tf: np.ndarray,
     return keep, codes
 
 
-def bucket_rowgroup_map(idx_dir: str, num_buckets: int):
-    """Driver-side parquet FOOTER scan over the index's posting files
-    (base + delta segments): bucket -> [(path, row_group)] from row-
-    group min/max statistics, metadata only — the standard prelude for
-    any one-Ray-task-per-bucket derived-artifact build (champion lists,
-    tiered postings, impact lists).  Also returns the parsed manifest."""
+def bucket_postings_files(idx_dir: str):
+    """bucket -> [postings file] over the index's base and delta
+    segments (``manifest.postings_files``: a file holds one bucket),
+    from directory listings only — the standard prelude for any
+    one-Ray-task-per-bucket derived-artifact build (champion lists,
+    tiered postings, impact lists).  Also returns the parsed
+    manifest."""
     import json as _json
 
-    import pyarrow.parquet as pq
+    from ..state.manifest import postings_files
 
     seg_dirs = [idx_dir]
-    man = _json.load(open(os.path.join(idx_dir, "manifest.json")))
+    with open(os.path.join(idx_dir, "manifest.json")) as f:
+        man = _json.load(f)
     for s in man.get("segments", []):
         if s["name"] != "base":
             seg_dirs.append(os.path.join(idx_dir, "segments", s["name"]))
-    per_bucket: dict[int, list[tuple[str, int]]] = {}
+    per_bucket: dict[int, list[str]] = {}
     for d in seg_dirs:
-        for path in sorted(_glob.glob(f"{d}/postings/*.parquet")):
-            md = pq.ParquetFile(path).metadata
-            names = md.schema.to_arrow_schema().names
-            b_idx = names.index("bucket")
-            for rg in range(md.num_row_groups):
-                st = md.row_group(rg).column(b_idx).statistics
-                lo, hi = ((st.min, st.max)
-                          if st is not None and st.min is not None
-                          else (0, num_buckets - 1))
-                for b in range(int(lo), int(hi) + 1):
-                    per_bucket.setdefault(b, []).append((path, rg))
+        for path, b in postings_files(d):
+            per_bucket.setdefault(b, []).append(path)
     return per_bucket, man
+
+
+def bucket_postings(paths: list[str], columns: list[str]):
+    """The ``columns`` of every block of one bucket's postings files
+    (``bucket_postings_files``), or None when there are none."""
+    import pyarrow.parquet as pq
+
+    parts = [pq.ParquetFile(p).read(columns=columns, use_threads=False)
+             for p in paths]
+    parts = [t for t in parts if t.num_rows]
+    return pa.concat_tables(parts) if parts else None
 
 
 def term_buckets(manifest, terms) -> set[int]:
@@ -166,35 +169,26 @@ def champion_lists_cached(sf_dir: str, *, r: int = CHAMP_R,
     return cached_dir(
         "pdfsearch_champ", (*index_key(idx_dir), r, "champ-v2"),
         "champ_manifest.json",
-        lambda out: _build_champions(idx_dir, out, r, num_buckets))
+        lambda out: _build_champions(idx_dir, out, r))
 
 
-def _build_champions(idx_dir: str, tmp: str, r: int,
-                     num_buckets: int) -> None:
+def _build_champions(idx_dir: str, tmp: str, r: int) -> None:
     import ray.data as rd
 
-    # driver-side footer scan: (path, rg) -> bucket range (metadata only)
-    per_bucket, man = bucket_rowgroup_map(idx_dir, num_buckets)
+    # bucket -> its postings files, from directory listings
+    per_bucket, man = bucket_postings_files(idx_dir)
 
     bm = (float(man["k1"]), float(man["b"]), float(man["avgdl"]))
     os.makedirs(tmp)
 
     def _one_bucket(batch: dict) -> dict:
-        import pyarrow.compute as pc
         import pyarrow.parquet as pqw
 
         b = int(batch["bucket"][0])
-        parts = []
-        for path, rg in per_bucket[b]:
-            t = pqw.ParquetFile(path).read_row_group(
-                rg, columns=_CHAMP_COLS, use_threads=False)
-            t = t.filter(pc.equal(t["bucket"], b))
-            if t.num_rows:
-                parts.append(t)
-        if not parts:
+        tbl = bucket_postings(per_bucket[b], _CHAMP_COLS)
+        if tbl is None:
             return {"bucket": np.array([b]), "n_terms": np.array([0]),
                     "n_rows": np.array([0])}
-        tbl = pa.concat_tables(parts)
         terms, ids, tf, dl = _flat_postings(tbl, idx_dir)
         keep, _codes = _champion_cut(terms, ids, tf, dl, r)
         out = pa.table({

@@ -59,12 +59,13 @@ import pyarrow.parquet as pq
 
 from ..analysis.analyzer import analyze_en, get_analyzer
 from ..functions.hashing import fnv1a64_str
-from ..index.arrays import (_bytes, _gather_bytes, _np, _spans, _str_codes,
-                            _take_table)
+from ..index.arrays import (_bytes, _gather_bytes, _np, _np_or, _spans,
+                            _str_codes, _take_table)
 from ..index.codec import (aggregate_scores, bm25_idf, bm25_wdl,
                            decode_positions_flat, decode_posting_streams,
                            varint_decode)
-from ..state.manifest import CorruptIndexError, IndexManifest, read_checked
+from ..state.manifest import (CorruptIndexError, IndexManifest,
+                              postings_files, read_checked)
 
 DEFAULT_MAX_RESULTS = 10  # DefaultMaxResults (index_search.go:54-59)
 # method="auto" crossover: below this many candidate postings the
@@ -194,19 +195,22 @@ def _matching_blocks(t: pa.Table, terms: list[str], src: int, seg: int,
     """The posting blocks of ``t`` whose term is in ``terms``, as numpy
     columns in row order (None when there are none): ``code`` (the
     term's index in ``terms``), ``salt``, ``seg``, ``first``, ``n``,
-    ``max_wdl`` (times ``bf``, the segment's bound correction), ``src``
-    (where ``t`` was read), ``row`` (the block's row in ``t``, where its
-    position blob can be read again), and per blob kind of
-    ``BLOB_KINDS`` the blobs' lengths ``<kind>_len`` and bytes
-    ``<kind>_data``."""
+    ``max_wdl`` (1.0 where null, times ``bf``, the segment's bound
+    correction), ``src`` (where ``t`` was read), ``row`` (the block's
+    row in ``t``, where its position blob can be read again), and per
+    blob kind of ``BLOB_KINDS`` the blobs' lengths ``<kind>_len`` and
+    bytes ``<kind>_data``."""
     code = _str_codes(t["term"], terms)
     rows = np.flatnonzero(code >= 0)
     if not rows.size:
         return None
+    # a single-posting block stores no bound: 1.0, the most bm25_wdl
+    # can be, corrected like any other
+    bound = _np_or(t["max_wdl"], 1.0)[rows].astype(np.float64) * bf
     out = {"code": code[rows], "salt": _np(t["salt"])[rows],
            "seg": np.full(rows.size, seg, dtype=np.int32),
            "first": _np(t["first_doc"])[rows], "n": _np(t["n"])[rows],
-           "max_wdl": _np(t["max_wdl"])[rows].astype(np.float64) * bf,
+           "max_wdl": bound,
            "src": np.full(rows.size, src, dtype=np.int64), "row": rows}
     for kind in BLOB_KINDS:
         off, out[f"{kind}_data"] = _gather_bytes(*_bytes(t[f"{kind}_blob"]),
@@ -405,7 +409,6 @@ class BM25Index:
             # separately from blob reads
             "df_row_groups_read": 0,
         }
-        self._post_files: list[str] = []
         self._doc_files: list[str] = []
         self._pf_cache: dict[str, pq.ParquetFile] = {}
         if index_dir is not None:
@@ -429,12 +432,11 @@ class BM25Index:
             self._seg_dirs = seg_dirs
             import glob as _glob
 
-            self._post_file_seg: dict[str, tuple[int, float]] = {}
+            # postings file -> (segment, avgdl_baked, bucket)
+            self._post_file_seg: dict[str, tuple[int, float, int]] = {}
             for si, (_, d, baked) in enumerate(seg_dirs):
-                pf = sorted(_glob.glob(f"{d}/postings/*.parquet"))
-                self._post_files.extend(pf)
-                for p in pf:
-                    self._post_file_seg[p] = (si, baked)
+                for p, bucket in postings_files(d):
+                    self._post_file_seg[p] = (si, baked, bucket)
                 self._doc_files.extend(
                     sorted(_glob.glob(f"{d}/docs/*.parquet")))
             # an empty index has no docs files and so no schema
@@ -562,9 +564,9 @@ class BM25Index:
             bucket_arr = set(buckets)
             want_all = [
                 (path, rg, seg, bf, dmin, dmax)
-                for (path, rg, bmin, bmax, tmin, tmax, seg, bf, dmin, dmax)
+                for (path, rg, bucket, tmin, tmax, seg, bf, dmin, dmax)
                 in self._bucket_frags
-                if any(bmin <= b <= bmax for b in bucket_arr)
+                if bucket in bucket_arr
                 and (tmin is None or any(tmin <= t <= tmax for t in missing))
             ]
             if self.doc_range is not None:
@@ -654,39 +656,33 @@ class BM25Index:
                              np.argsort(np.concatenate(blocks)))
 
     def _build_bucket_frag_index(self) -> list[tuple]:
-        """(path, row_group, bucket_min, bucket_max, term_min, term_max,
-        seg, bound_factor, doc_min, doc_max) per postings row group, from
-        parquet footers — read once per index handle.  The build writes
-        one bucket per file with small row groups, so a query prunes to
-        the few row groups whose bucket AND term ranges cover its terms,
-        then reads them directly.  ``seg`` identifies the append segment
-        the file belongs to (MaxScore scores each (term, salt, seg) run
-        independently — doc ids are only sorted WITHIN a segment);
-        ``bound_factor`` is the max(1, avgdl_now/avgdl_baked) block-max
-        correction.  ``doc_min`` is the first_doc minimum and
-        ``doc_max`` the larger of the first_doc and last_doc maxima
-        (last_doc is null on single-posting blocks); both are
-        full-range for files without those statistics or built before
-        the last_doc column existed.  They drive the doc-range shard
-        pruning."""
+        """(path, row_group, bucket, term_min, term_max, seg,
+        bound_factor, doc_min, doc_max) per postings row group, from the
+        file names and parquet footers — read once per index handle.
+        The build writes one bucket per file (its name says which,
+        ``manifest.postings_files``) with small row groups, so a query
+        prunes to the row groups of its terms' buckets whose term
+        ranges cover its terms, then reads them directly.  ``seg``
+        identifies the append segment the file belongs to (MaxScore
+        scores each (term, salt, seg) run independently — doc ids are
+        only sorted WITHIN a segment); ``bound_factor`` is the max(1,
+        avgdl_now/avgdl_baked) block-max correction.  ``doc_min`` is
+        the first_doc minimum and ``doc_max`` the larger of the
+        first_doc and last_doc maxima (last_doc is null on
+        single-posting blocks); both are full-range for files without
+        those statistics or without the last_doc column.  They drive the
+        doc-range shard pruning."""
         avgdl_now = self.manifest.avgdl
         out: list[tuple] = []
-        max_b = self.manifest.num_buckets - 1
-        for path in self._post_files:
-            seg, baked = self._post_file_seg[path]
+        for path, (seg, baked, bucket) in self._post_file_seg.items():
             bf = max(1.0, avgdl_now / baked) if baked > 0 else 1.0
             md = self._parquet_file(path, "postings").metadata
             names = md.schema.to_arrow_schema().names
-            b_idx = names.index("bucket")
             t_idx = names.index("term")
             f_idx = names.index("first_doc")
             l_idx = names.index("last_doc") if "last_doc" in names else None
             for rg in range(md.num_row_groups):
-                bst = md.row_group(rg).column(b_idx).statistics
                 tst = md.row_group(rg).column(t_idx).statistics
-                bmin, bmax = ((bst.min, bst.max)
-                              if bst is not None and bst.min is not None
-                              else (0, max_b))
                 tmin, tmax = ((tst.min, tst.max)
                               if tst is not None and tst.min is not None
                               else (None, None))
@@ -703,7 +699,7 @@ class BM25Index:
                             else max(fst.max, lst.max))
                 else:
                     dmax = 1 << 62
-                out.append((path, rg, bmin, bmax, tmin, tmax, seg, bf,
+                out.append((path, rg, bucket, tmin, tmax, seg, bf,
                             dmin, dmax))
         return out
 

@@ -79,8 +79,7 @@ TIER_K = 10
 # rare term that needs the full tail, and an OOV query (no rows).
 TIER_QUERIES = ("scan join hash", "big", "dup", "quantile histogram")
 
-_POSTING_COLS = ["term", "salt", "bucket", "first_doc", "n",
-                 "doc_blob", "tf_blob"]
+_POSTING_COLS = ["term", "salt", "first_doc", "n", "doc_blob", "tf_blob"]
 
 
 # ------------------------------------------------------------ tiered index
@@ -100,37 +99,28 @@ def tiered_index_cached(sf_dir: str, *,
         "pdfsearch_tiered",
         (*index_key(idx_dir), "tiered", (tuple(thresholds), "v1")),
         "tier_manifest.json",
-        lambda out: _build_tiers(idx_dir, out, thresholds, num_buckets))
+        lambda out: _build_tiers(idx_dir, out, thresholds))
 
 
-def _build_tiers(idx_dir: str, tmp: str, thresholds: tuple[int, ...],
-                 num_buckets: int) -> None:
+def _build_tiers(idx_dir: str, tmp: str,
+                 thresholds: tuple[int, ...]) -> None:
     import pyarrow.parquet as pqw
 
     import ray.data as rd
 
-    from .prune import _flat_postings, bucket_rowgroup_map
+    from .prune import _flat_postings, bucket_postings, bucket_postings_files
 
-    per_bucket, _man = bucket_rowgroup_map(idx_dir, num_buckets)
+    per_bucket, _man = bucket_postings_files(idx_dir)
     os.makedirs(tmp)
     thr = tuple(int(t) for t in thresholds)
     n_tiers = len(thr) + 1
 
     def _one_bucket(batch: dict) -> dict:
-        import pyarrow.compute as pc
-
         b = int(batch["bucket"][0])
-        parts = []
-        for path, rg in per_bucket[b]:
-            t = pqw.ParquetFile(path).read_row_group(
-                rg, columns=_POSTING_COLS, use_threads=False)
-            t = t.filter(pc.equal(t["bucket"], b))
-            if t.num_rows:
-                parts.append(t)
+        tbl = bucket_postings(per_bucket[b], _POSTING_COLS)
         counts = np.zeros(n_tiers, dtype=np.int64)
-        if parts:
-            terms, ids, tf, dl = _flat_postings(pa.concat_tables(parts),
-                                                idx_dir)
+        if tbl is not None:
+            terms, ids, tf, dl = _flat_postings(tbl, idx_dir)
             ids = ids.astype(np.int64)
             # tier id per posting: 0 while tf >= thr[0], …, n_tiers-1
             tier = np.full(tf.shape, n_tiers - 1, dtype=np.int64)
@@ -326,20 +316,19 @@ def impact_index_cached(sf_dir: str, *, scale: int = IMPACT_SCALE,
     return cached_dir(
         "pdfsearch_impact", (*index_key(idx_dir), "impact", (int(scale), "v1")),
         "impact_manifest.json",
-        lambda out: _build_impacts(idx_dir, out, scale, num_buckets))
+        lambda out: _build_impacts(idx_dir, out, scale))
 
 
-def _build_impacts(idx_dir: str, tmp: str, scale: int,
-                   num_buckets: int) -> None:
+def _build_impacts(idx_dir: str, tmp: str, scale: int) -> None:
     import pyarrow.parquet as pqw
 
     import ray.data as rd
 
     from ..index.codec import bm25_idf, bm25_wdl
-    from .prune import _flat_postings, bucket_rowgroup_map
+    from .prune import _flat_postings, bucket_postings, bucket_postings_files
     from .query import BM25Index
 
-    per_bucket, man = bucket_rowgroup_map(idx_dir, num_buckets)
+    per_bucket, man = bucket_postings_files(idx_dir)
     k1, b_, avgdl = float(man["k1"]), float(man["b"]), float(man["avgdl"])
     n_docs = int(man["n_docs"])
 
@@ -353,20 +342,11 @@ def _build_impacts(idx_dir: str, tmp: str, scale: int,
     os.makedirs(tmp)
 
     def _one_bucket(batch: dict) -> dict:
-        import pyarrow.compute as pc
-
         b = int(batch["bucket"][0])
-        parts = []
-        for path, rg in per_bucket[b]:
-            t = pqw.ParquetFile(path).read_row_group(
-                rg, columns=_POSTING_COLS, use_threads=False)
-            t = t.filter(pc.equal(t["bucket"], b))
-            if t.num_rows:
-                parts.append(t)
-        if not parts:
+        tbl = bucket_postings(per_bucket[b], _POSTING_COLS)
+        if tbl is None:
             return {"bucket": np.array([b]), "n_rows": np.array([0])}
-        terms, ids, tf, dl = _flat_postings(pa.concat_tables(parts),
-                                            idx_dir)
+        terms, ids, tf, dl = _flat_postings(tbl, idx_dir)
         ids = ids.astype(np.int64)
         codes, inv = np.unique(terms, return_inverse=True)
         df = np.bincount(inv).astype(np.float64)

@@ -48,9 +48,10 @@ TOKENS = pa.schema(
 # The blobs are ``large_binary`` in memory (one encode task's blob array
 # can pass 2 GiB); the index files carry no Arrow schema
 # (``codec.INDEX_WRITE_OPTIONS``), so they read back as ``binary``.
+# No bucket column: a postings file holds one bucket and is named by it
+# (index format 5, ``manifest.postings_file_name``).
 POSTINGS = pa.schema(
     [
-        ("bucket", pa.int32()),
         ("term", pa.string()),
         ("salt", pa.int32()),
         # orders a run's blocks: no block number (index format 4)
@@ -68,6 +69,9 @@ POSTINGS = pa.schema(
         # each posting's positions, first absolute then gaps, with no
         # count: a posting holds tf positions (index format 3)
         ("pos_blob", pa.large_binary()),
+        # the block's largest idf-free BM25 weight, rounded up; null
+        # when the block holds one posting, where a reader takes 1.0,
+        # the most bm25_wdl can be (index format 5)
         ("max_wdl", pa.float32()),
         # no block crc: every parquet page carries a CRC-32 (F2 parity,
         # doc_positions.go:140-153; codec.INDEX_WRITE_OPTIONS)

@@ -32,8 +32,27 @@ PARTITIONS_DIR = "_partitions"
 # each posting's positions with its count and always filled
 # ``last_doc``.  4: posting blocks have no ``crc`` and no ``block_id``
 # (``first_doc`` orders a run); every page of every file carries a
-# CRC-32.  ``compact_index`` rewrites an older index.
-FORMAT_VERSION = 4
+# CRC-32.  5: a postings file holds one bucket and its name says which
+# (``postings_file_name``), so blocks have no ``bucket`` column;
+# ``max_wdl`` is null on single-posting blocks (a reader takes 1.0,
+# the most ``bm25_wdl`` can be); the tf and positions blobs are
+# DELTA_LENGTH_BYTE_ARRAY.  ``compact_index`` rewrites an older index.
+FORMAT_VERSION = 5
+
+
+def postings_file_name(bucket: int) -> str:
+    """The name of the postings file that holds ``bucket``'s blocks."""
+    return f"part-{bucket:05d}.parquet"
+
+
+def postings_files(segment_dir: str) -> list[tuple[str, int]]:
+    """(path, bucket) of every postings file of the base or append
+    segment at ``segment_dir``, in bucket order: a file holds one
+    bucket, named by ``postings_file_name``."""
+    import glob
+
+    return [(p, int(os.path.basename(p)[5:-8])) for p in
+            sorted(glob.glob(f"{segment_dir}/postings/part-*.parquet"))]
 
 
 class IndexFormatError(ValueError):

@@ -8,17 +8,29 @@ inside encode, and fixed float accumulation at query time.
 """
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 SRC = "/root/testdata/sf0.001/documents.parquet"
 
 
 def _postings_canon(index_dir):
-    t = pq.read_table(f"{index_dir}/postings")
-    t = t.sort_by([("bucket", "ascending"), ("term", "ascending"),
-                   ("salt", "ascending"), ("first_doc", "ascending")])
-    return t.select(["bucket", "term", "salt", "first_doc",
-                     "n", "doc_blob", "tf_blob", "pos_blob"])
+    """Every posting block, with the file it sits in, in (term, salt,
+    first_doc) order — a (term, salt) run lives in one bucket's file."""
+    import os
+
+    from pdfsearch_ray.state.manifest import postings_files
+
+    parts = []
+    for path, _bucket in postings_files(index_dir):
+        t = pq.read_table(path)
+        parts.append(t.append_column(
+            "file", pa.array([os.path.basename(path)] * t.num_rows)))
+    t = pa.concat_tables(parts).sort_by(
+        [("term", "ascending"), ("salt", "ascending"),
+         ("first_doc", "ascending")])
+    return t.select(["file", "term", "salt", "first_doc", "last_doc",
+                     "n", "doc_blob", "tf_blob", "pos_blob", "max_wdl"])
 
 
 def _docs_canon(index_dir):

@@ -23,11 +23,15 @@ A doc's length is stored once, in the docs catalog's ``dl`` column
 carry no count, and ``last_doc`` is null on single-posting blocks
 (format 3).  Posting blocks have no ``crc`` and no ``block_id`` column:
 pages carry CRCs, and a run's blocks are ordered by ``first_doc``
-(format 4).  A format-1 index (a ``dl_blob`` on every posting block), a
-format-2 index (counted positions, ``last_doc`` everywhere) or a
-format-3 index (a ``crc`` and a ``block_id`` on every block, no page
-CRCs) is refused at open and at append, and ``compact_index`` rewrites
-it in format 4."""
+(format 4).  A postings file holds one bucket and is named by it, so
+blocks have no ``bucket`` column, and ``max_wdl`` is null on
+single-posting blocks, where a reader bounds the block by 1.0 (format
+5).  A format-1 index (a ``dl_blob`` on every posting block), a format-2
+index (counted positions, ``last_doc`` everywhere), a format-3 index (a
+``crc`` and a ``block_id`` on every block, no page CRCs) or a format-4
+index (a ``bucket`` column, a bound on every block, files numbered by
+their place in the spill) is refused at open and at append, and
+``compact_index`` rewrites it in format 5."""
 
 from __future__ import annotations
 
@@ -56,7 +60,7 @@ QUERIES = [
 
 # the columns some reader prunes row groups on, per table
 PRUNED = {
-    "postings": {"bucket", "term", "first_doc", "last_doc"},
+    "postings": {"term", "first_doc", "last_doc"},
     "docs": {"doc_id"},
     "tombstones": {"doc_id"},
 }
@@ -119,6 +123,31 @@ def _assert_policy(index_dir: str, kinds=("docs", "postings",
         for f in files[kind]:
             bad += _policy_violations(kind, f)
     assert not bad, bad[:10]
+
+
+def _assert_files_named_by_bucket(index_dir: str) -> None:
+    """Every postings file of the base and each segment holds the blocks
+    of exactly the bucket its name gives (``postings_files``), as the
+    terms hash, and has no ``bucket`` column."""
+    from pdfsearch_ray.functions.hashing import fnv1a64_str
+    from pdfsearch_ray.state.manifest import IndexManifest, postings_files
+
+    m = IndexManifest.load(index_dir)
+    listed = 0
+    for d in _segment_dirs(index_dir):
+        pairs = postings_files(d)
+        assert [p for p, _ in pairs] == sorted(
+            glob.glob(f"{d}/postings/*.parquet"))
+        for path, bucket in pairs:
+            assert "bucket" not in pq.read_schema(path).names, path
+            t = pq.read_table(path, columns=["term", "salt"])
+            keys = {(term if term not in m.salt_spec else f"{term}#{salt}")
+                    for term, salt in zip(t["term"].to_pylist(),
+                                          t["salt"].to_pylist())}
+            assert {fnv1a64_str(k) % m.num_buckets for k in keys} \
+                == {bucket}, path
+            listed += 1
+    assert listed == len(_committed_files(index_dir)["postings"])
 
 
 def _taat_top10(idx, q: str) -> list[tuple[int, float]]:
@@ -220,6 +249,7 @@ def test_committed_files_follow_writer_policy(ray_session, tmp_path):
     # the docs carry their text, so the unique-payload check covers it
     assert "text" in pq.read_schema(files["docs"][0]).names
     _assert_policy(d)
+    _assert_files_named_by_bucket(d)
 
     # parquet does not record the zstd level, so pin it by size: the same
     # row groups at pyarrow's default level, under the same statistics
@@ -823,13 +853,21 @@ def test_doc_lengths_live_in_the_docs_catalog(ray_session, tmp_path):
     check_files(d)
 
 
-# format 3's writer policy: no page CRCs, and a block number and a block
-# crc on every posting block
+# format 4's writer policy: a bucket column, with statistics, on every
+# posting block, and the tf and positions blobs PLAIN
+V4_WRITE_OPTIONS = {**INDEX_WRITE_OPTIONS, "postings": {
+    **INDEX_WRITE_OPTIONS["postings"],
+    "write_statistics": ("bucket", "term", "first_doc", "last_doc"),
+    "column_encoding": {**INDEX_WRITE_OPTIONS["postings"]["column_encoding"],
+                        "bucket": "PLAIN", "tf_blob": "PLAIN",
+                        "pos_blob": "PLAIN"}}}
+# format 3's: format 4's with no page CRCs, and a block number and a
+# block crc on every posting block
 V3_WRITE_OPTIONS = {
     kind: {**opts, "write_page_checksum": False} for kind, opts in
-    INDEX_WRITE_OPTIONS.items()}
+    V4_WRITE_OPTIONS.items()}
 V3_WRITE_OPTIONS["postings"]["column_encoding"] = {
-    **INDEX_WRITE_OPTIONS["postings"]["column_encoding"],
+    **V4_WRITE_OPTIONS["postings"]["column_encoding"],
     "block_id": "DELTA_BINARY_PACKED", "crc": "PLAIN"}
 
 
@@ -850,14 +888,69 @@ def _set_format(index_dir: str, version: int) -> None:
     m.save(index_dir)
 
 
+def _as_format_4(index_dir: str) -> None:
+    """Rewrite an index the way format 4 stored it: every posting block
+    carries its bucket (``bucket``, first, with statistics), a
+    single-posting block its posting's own weight as ``max_wdl`` (under
+    its segment's ``avgdl_baked``, rounded up to float32), the tf and
+    positions blobs are PLAIN, each postings file is numbered by its
+    bucket's place among the segment's ``bucket=<b>`` spill dirs
+    (``part-<i>``), and the manifest and the build configs say format
+    4."""
+    from pdfsearch_ray.index.codec import bm25_wdl, varint_decode
+    from pdfsearch_ray.state.manifest import IndexManifest, postings_files
+
+    m = IndexManifest.load(index_dir)
+    baked = {s["name"]: s["avgdl_baked"] for s in m.segments}
+    dl_by_doc = _catalog_dl(_segment_dirs(index_dir))
+    for d in _segment_dirs(index_dir):
+        avgdl = baked.get(os.path.basename(d), baked.get("base", m.avgdl))
+        spill_order = sorted(postings_files(d),
+                             key=lambda pb: f"bucket={pb[1]}")
+        for i, (f, bucket) in enumerate(spill_order):
+            pf = pq.ParquetFile(f)
+            t = pf.read()
+            bound = []
+            for r in t.select(["first_doc", "n", "tf_blob",
+                               "max_wdl"]).to_pylist():
+                w = r["max_wdl"]
+                if w is None:
+                    exact = bm25_wdl(
+                        varint_decode(r["tf_blob"], count=1),
+                        np.array([dl_by_doc[r["first_doc"]]]),
+                        m.k1, m.b, avgdl)[0]
+                    w = np.float32(exact)
+                    if float(w) < exact:
+                        w = np.nextafter(w, np.float32(np.inf))
+                bound.append(float(w))
+            t = t.set_column(t.schema.get_field_index("max_wdl"), "max_wdl",
+                             pa.array(bound, pa.float32()))
+            t = t.add_column(0, "bucket",
+                             pa.array([bucket] * t.num_rows, pa.int32()))
+            with pq.ParquetWriter(f"{d}/postings/part-{i:05d}.parquet.v4",
+                                  t.schema,
+                                  **V4_WRITE_OPTIONS["postings"]) as w:
+                at = 0
+                for rg in range(pf.num_row_groups):
+                    n = pf.metadata.row_group(rg).num_rows
+                    w.write_table(t.slice(at, n))
+                    at += n
+            os.remove(f)
+        for f in glob.glob(f"{d}/postings/*.v4"):
+            os.replace(f, f[:-len(".v4")])
+    _set_format(index_dir, 4)
+
+
 def _as_format_3(index_dir: str) -> None:
-    """Rewrite an index the way format 3 stored it: every posting block
-    carries its number in its (term, salt) run (``block_id``, after
-    ``salt``) and a crc32 chained over its doc, tf and pos blobs
-    (``crc``, last), no page of any file has a CRC, and the manifest and
-    the build configs say format 3."""
+    """Rewrite an index the way format 3 stored it: format 4's postings
+    (``_as_format_4``), and every posting block carries its number in
+    its (term, salt) run (``block_id``, after ``salt``) and a crc32
+    chained over its doc, tf and pos blobs (``crc``, last), no page of
+    any file has a CRC, and the manifest and the build configs say
+    format 3."""
     from zlib import crc32
 
+    _as_format_4(index_dir)
     files = _committed_files(index_dir)
     for kind in ("docs", "tombstones"):
         for f in files[kind]:
@@ -1079,7 +1172,7 @@ def test_format_2_index_is_refused_and_compacted(ray_session, tmp_path):
 
     m = compact_index(d)
     assert m.format_version == IndexManifest.load(d).format_version \
-        == FORMAT_VERSION == 4
+        == FORMAT_VERSION == 5
     singles = 0
     for f in _committed_files(d)["postings"]:
         rows = pq.read_table(f).to_pylist()
@@ -1105,7 +1198,7 @@ def test_format_2_index_is_refused_and_compacted(ray_session, tmp_path):
 def test_format_3_index_is_refused_and_compacted(ray_session, tmp_path):
     """Opening or appending to a format-3 index (a ``crc`` and a
     ``block_id`` on every posting block, no page CRCs) raises an error
-    that names ``compact_index``; ``compact_index`` writes format 4 —
+    that names ``compact_index``; ``compact_index`` writes format 5 —
     neither column, the writer policy — and then serves the same
     ``auto`` top-10, spans included, as a fresh build over the same
     rows, through a plain and a checksum-verifying handle."""
@@ -1136,7 +1229,7 @@ def test_format_3_index_is_refused_and_compacted(ray_session, tmp_path):
 
     m = compact_index(d)
     assert m.format_version == IndexManifest.load(d).format_version \
-        == FORMAT_VERSION == 4
+        == FORMAT_VERSION == 5
     for f in _committed_files(d)["postings"]:
         assert not {"block_id", "crc"} & set(pq.read_schema(f).names)
     _assert_policy(d, ("docs", "postings"))
@@ -1153,6 +1246,156 @@ def test_format_3_index_is_refused_and_compacted(ray_session, tmp_path):
             b = ref.search(q, max_results=10, method="auto")
             assert [(x.doc_id, x.score, x.spans) for x in a.matches] == \
                 [(x.doc_id, x.score, x.spans) for x in b.matches], q
+
+
+def _assert_null_bounds(index_dir: str) -> None:
+    """``max_wdl`` is null on exactly the single-posting blocks of every
+    postings file, and there are blocks of both kinds."""
+    singles = blocks = 0
+    for f in _committed_files(index_dir)["postings"]:
+        t = pq.read_table(f, columns=["n", "max_wdl"])
+        one = t["n"].to_numpy() == 1
+        null = t["max_wdl"].is_null().to_numpy(zero_copy_only=False)
+        assert np.array_equal(null, one), f
+        singles += int(one.sum())
+        blocks += t.num_rows
+    assert 0 < singles < blocks
+
+
+def test_format_4_index_is_refused_and_compacted(ray_session, tmp_path):
+    """Opening or appending to a format-4 index (a ``bucket`` column, a
+    bound on every block, files numbered by their place in the spill)
+    raises an error that names ``compact_index``; ``compact_index``
+    writes format 5 — each postings file named by its bucket and with
+    no ``bucket`` column, ``max_wdl`` null exactly on the single-posting
+    blocks, the writer policy — and then serves the same ``auto`` and
+    ``maxscore`` top-10, spans included, as a fresh build over the same
+    rows, through a plain and a checksum-verifying handle."""
+    import pytest
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import (append_index, build_index,
+                                               compact_index)
+    from pdfsearch_ray.pipelines.query import BM25Index
+    from pdfsearch_ray.state.manifest import (FORMAT_VERSION,
+                                              IndexFormatError,
+                                              IndexManifest)
+
+    t = _corpus()
+    cut = int(t.num_rows * 0.6)
+    d = _segmented_index(tmp_path)
+    deleted = set(IndexManifest.load(d).tombstone_ids(d).tolist())
+    live = {k: v for k, v in _catalog_dl(_segment_dirs(d)).items()
+            if k not in deleted}
+    _as_format_4(d)
+    for f in _committed_files(d)["postings"]:
+        assert "bucket" in pq.read_schema(f).names
+        assert pq.read_table(f, columns=["max_wdl"])["max_wdl"] \
+            .null_count == 0
+    with pytest.raises(IndexFormatError, match="compact_index"):
+        BM25Index(d)
+    with pytest.raises(IndexFormatError, match="compact_index"):
+        append_index(rd.from_arrow(t.slice(cut)), d, url_col="url",
+                     lang_col="lang")
+
+    m = compact_index(d)
+    assert m.format_version == IndexManifest.load(d).format_version \
+        == FORMAT_VERSION == 5
+    _assert_files_named_by_bucket(d)
+    _assert_null_bounds(d)
+    _assert_policy(d, ("docs", "postings"))
+    assert _catalog_dl([d]) == live
+
+    keep = pa.array([i in live for i in t["doc_id"].to_pylist()])
+    fresh = str(tmp_path / "fresh")
+    build_index(rd.from_arrow(t.filter(keep)), fresh, num_buckets=4,
+                analyzer="en", url_col="url", lang_col="lang")
+    ref = BM25Index(fresh)
+    for got in (BM25Index(d), BM25Index(d, verify_checksums=True)):
+        for q in QUERIES:
+            for method in ("auto", "maxscore"):
+                a = got.search(q, max_results=10, method=method)
+                b = ref.search(q, max_results=10, method=method)
+                assert [(x.doc_id, x.score, x.spans) for x in a.matches] \
+                    == [(x.doc_id, x.score, x.spans) for x in b.matches], q
+
+
+def _taat_topk(idx, q: str, k: int, lo=None, hi=None) -> list:
+    """The ``score_terms`` TAAT top ``k`` of ``q`` as (doc_id, score),
+    over doc ids in [lo, hi) when given."""
+    ids, sc = idx.score_terms(idx.query_terms(q))
+    if lo is not None:
+        keep = (ids >= lo) & (ids < hi)
+        ids, sc = ids[keep], sc[keep]
+    top = np.lexsort((ids, -sc))[:k]
+    return list(zip(ids[top].tolist(), sc[top].tolist()))
+
+
+def _assert_bounded_by_one(index_dir: str, pages: list[int]) -> None:
+    """Each page number is a df-1 term; paired with head terms in a
+    query, forced ``maxscore``, ``auto``, a 2-shard ``ShardedEngine``
+    and a maxscore ``topk`` on each of its doc-range handles give the
+    TAAT top-k at k = 1 and 10."""
+    from pdfsearch_ray.pipelines.engine import ShardedEngine
+    from pdfsearch_ray.pipelines.query import BM25Index
+
+    idx = BM25Index(index_dir)
+    queries = []
+    for p in pages:
+        assert idx.postings([str(p)])[str(p)].df == 1, p
+        queries += [f"{p} document", f"quick {p} brown",
+                    f"fox throughput {p}"]
+    eng = ShardedEngine(index_dir, n_shards=2, num_cpus=0.25)
+    shards = [(BM25Index(index_dir, doc_range=r), r) for r in eng.ranges]
+    assert len(shards) == 2
+    try:
+        for q in queries:
+            for k in (1, 10):
+                want = _taat_topk(idx, q, k)
+                assert len(want) == k, q
+                for method in ("maxscore", "auto"):
+                    ms = idx.search(q, max_results=k, with_spans=False,
+                                    method=method)
+                    assert [(m.doc_id, m.score) for m in ms.matches] \
+                        == want, (q, k, method)
+                ms = eng.search(q, max_results=k, with_spans=False)
+                assert [(m.doc_id, m.score) for m in ms.matches] == want, \
+                    (q, k)
+                for shard, (lo, hi) in shards:
+                    ids, sc, _ = shard.topk(q, k, method="maxscore")
+                    assert list(zip(ids.tolist(), sc.tolist())) == \
+                        _taat_topk(idx, q, k, lo, hi), (q, k, lo)
+    finally:
+        eng.shutdown()
+
+
+def test_single_posting_blocks_store_no_bound(ray_session, tmp_path):
+    """``max_wdl`` is null on exactly the single-posting blocks, and a
+    reader bounds such a block by 1.0 (the most ``bm25_wdl`` can be):
+    MaxScore stays exact for queries that pair a df-1 page number with
+    head terms, on a base index and after an append of longer pages
+    raises avgdl, so that the base's bounds are scaled by bf > 1."""
+    import ray.data as rd
+
+    from pdfsearch_ray.pipelines.build import append_index, build_index
+    from pdfsearch_ray.state.manifest import IndexManifest
+
+    t = _corpus()
+    d = str(tmp_path / "idx")
+    build_index(rd.from_arrow(t.slice(0, 300)), d, num_buckets=4,
+                analyzer="en", url_col="url", lang_col="lang")
+    _assert_null_bounds(d)
+    _assert_bounded_by_one(d, [7, 123, 250])
+
+    longer = t.slice(300, 100)
+    texts = [f"{x}\n{x}\n{x}" for x in longer["text"].to_pylist()]
+    longer = longer.set_column(longer.schema.get_field_index("text"),
+                               "text", pa.array(texts, pa.string()))
+    append_index(rd.from_arrow(longer), d, url_col="url", lang_col="lang")
+    m = IndexManifest.load(d)
+    assert m.avgdl > m.segments[0]["avgdl_baked"]      # bf > 1 on the base
+    _assert_null_bounds(d)
+    _assert_bounded_by_one(d, [7, 123, 250, 321, 377])
 
 
 def test_resumed_build_rebuilds_format_1_stages(ray_session, tmp_path):

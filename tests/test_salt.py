@@ -107,7 +107,8 @@ def _rewrite_postings(index_dir: str, docs: pa.Table) -> None:
     from pdfsearch_ray.index.build_blocks import (catalog_doc_lengths,
                                                   encode_bucket_segments)
     from pdfsearch_ray.index.codec import INDEX_WRITE_OPTIONS
-    from pdfsearch_ray.state.manifest import IndexManifest
+    from pdfsearch_ray.state.manifest import (IndexManifest,
+                                              postings_file_name)
 
     m = IndexManifest.load(index_dir)
     segs = Tokenizer(analyzer=m.analyzer, num_buckets=m.num_buckets,
@@ -115,12 +116,12 @@ def _rewrite_postings(index_dir: str, docs: pa.Table) -> None:
     doc_dl = catalog_doc_lengths(f"{index_dir}/docs")
     for f in glob.glob(f"{index_dir}/postings/*.parquet"):
         os.remove(f)
-    for i, b in enumerate(np.unique(segs["bucket"].to_numpy())):
+    for b in np.unique(segs["bucket"].to_numpy()):
         g = segs.filter(pc.equal(segs["bucket"], int(b)))
         pq.write_table(
             encode_bucket_segments(g, doc_dl=doc_dl, k1=m.k1, b=m.b,
                                    avgdl=m.avgdl, block_size=m.block_size),
-            f"{index_dir}/postings/part-{i:05d}.parquet",
+            f"{index_dir}/postings/{postings_file_name(int(b))}",
             row_group_size=1024, **INDEX_WRITE_OPTIONS["postings"])
 
 

@@ -3,11 +3,14 @@ scoring, posting-read or hydration path must leave it unchanged.
 
     PYTHONPATH=<checkout> python tools/answer_digest.py --work DIR [--bench-seed 7]
 
-The first run builds the indexes under ``DIR/format<N>``, ``N`` the
-checkout's index ``FORMAT_VERSION``, and later runs of a checkout in
-the same format reuse them: two checkouts in one format are compared on
-the same files (run the build once with either), and a checkout in
-another format builds its own.  The indexes:
+The first run builds the indexes under ``DIR/format<N>-<sha>``, ``N``
+the checkout's index ``FORMAT_VERSION`` and ``<sha>`` the start of a
+sha256 over the build-side sources (``BUILD_SOURCES``: the encoder and
+codec, the tokenizer, the build pipeline and the manifest), and later
+runs of a checkout with the same build code reuse them.  So one DIR
+serves a parent and a change safely: two checkouts that build alike
+are compared on the same files, and a checkout whose build code
+differs builds its own, even in the same format.  The indexes:
 
 * ``plain`` / ``salted``: ``tests/test_maxscore.py``'s fixtures over
   the sf0.001 documents (``analyzer="en"``; ``analyzer="simple"`` with
@@ -38,9 +41,7 @@ category, over the same answers: ``search``, ``sharded``, ``range``,
 with every column sorted by doc id.  A ``PostingList`` concatenates a
 term's runs in (salt, segment) order, so its order follows the build's
 salt layout: a change that only moves postings between salts moves
-``postings`` (and the index's line) and nothing else.  Such a change
-builds other indexes from the same code, so give each checkout its own
-``--work`` DIR.
+``postings`` (and the index's line) and nothing else.
 """
 
 from __future__ import annotations
@@ -67,8 +68,26 @@ QUERIES = [
     "search index page",
 ]
 SF = "/root/testdata/sf0.001/documents.parquet"
+# the package sources that decide what a build writes
+BUILD_SOURCES = ("index/*.py", "stages/tokenize.py", "pipelines/build.py",
+                 "state/manifest.py")
 CATEGORIES = ("search", "sharded", "range", "score_terms", "postings",
               "postings_by_doc")
+
+
+def build_key() -> str:
+    """``format<FORMAT_VERSION>-<sha>``: the start of a sha256 over the
+    imported package's ``BUILD_SOURCES``, path by path."""
+    import pdfsearch_ray
+    from pdfsearch_ray.state.manifest import FORMAT_VERSION
+
+    root = Path(pdfsearch_ray.__file__).parent
+    h = hashlib.sha256()
+    for pattern in BUILD_SOURCES:
+        for path in sorted(root.glob(pattern)):
+            h.update(str(path.relative_to(root)).encode())
+            h.update(path.read_bytes())
+    return f"format{FORMAT_VERSION}-{h.hexdigest()[:16]}"
 
 
 def build(work: Path, bench_seed: int | None) -> dict[str, str]:
@@ -80,9 +99,8 @@ def build(work: Path, bench_seed: int | None) -> dict[str, str]:
     from pdfsearch_ray.pipelines.build import (append_index, build_index,
                                                delete_docs)
     from pdfsearch_ray.pipelines.query import BM25Index
-    from pdfsearch_ray.state.manifest import FORMAT_VERSION
 
-    work = work / f"format{FORMAT_VERSION}"
+    work = work / build_key()
     dirs = {name: str(work / name) for name in
             ("plain", "salted", "segmented")}
     if bench_seed is not None:

@@ -19,13 +19,19 @@ then per table:
 * ``(footer: Arrow schema)``: the base64 Arrow schema a writer with
   ``store_schema=True`` keeps in the footer's key-value metadata;
 * ``(between chunks)``: the rest, mostly the copy of each column chunk's
-  metadata that the writer puts after the chunk.
+  metadata that the writer puts after the chunk;
+
+and a line with the table's files, row groups and column chunks and its
+framing per chunk: the footer and between-chunk bytes over the number
+of column chunks, what each more column or row group costs before its
+data.
 
 The total counts every file under ``INDEX_DIR`` except an
 ``extracted/`` checkpoint, the way ``perfbench`` measures
 ``index_bytes_per_doc``.  Under the table it prints the build's
 balance: the max/mean of the postings per encode bucket (the shuffle's
-skew), and, over the hot terms of the manifest's ``salt_spec``, the
+skew; a postings file's bucket is in its name, ``manifest.postings_files``),
+and, over the hot terms of the manifest's ``salt_spec``, the
 median and the max of each term's max/mean of postings per salt, so a
 salt or bucket change shows its skew cost next to its bytes.
 
@@ -95,14 +101,19 @@ SHORT = {"PLAIN": "plain", "DICTIONARY": "dict",
          "DELTA_BYTE_ARRAY": "dba", "BYTE_STREAM_SPLIT": "bss"}
 
 
+def segment_dirs(index_dir: str) -> list[str]:
+    """The base and every manifest-committed segment dir."""
+    with open(os.path.join(index_dir, "manifest.json")) as f:
+        m = json.load(f)
+    return [index_dir] + [os.path.join(index_dir, "segments", s["name"])
+                          for s in m.get("segments", [])
+                          if s["name"] != "base"]
+
+
 def table_files(index_dir: str) -> dict[str, list[str]]:
     """Parquet files per table over the base and every manifest-committed
     segment; tombstones live only at the index root."""
-    with open(os.path.join(index_dir, "manifest.json")) as f:
-        m = json.load(f)
-    dirs = [index_dir] + [os.path.join(index_dir, "segments", s["name"])
-                          for s in m.get("segments", [])
-                          if s["name"] != "base"]
+    dirs = segment_dirs(index_dir)
     out = {t: [p for d in dirs
                for p in sorted(glob.glob(f"{d}/{t}/*.parquet"))]
            for t in ("postings", "docs")}
@@ -139,17 +150,24 @@ def file_bytes(path: str) -> tuple[dict[str, int], dict[str, int],
                   "(between chunks)": rest}, raw
 
 
-def column_bytes(index_dir: str) -> tuple[dict, dict, dict, int, dict]:
+def column_bytes(index_dir: str) -> tuple[dict, dict, dict, int, dict,
+                                             dict]:
     """({table: {column: bytes}}, {table: {part: bytes}}, {table: file
     bytes}, the bytes of every file under ``index_dir`` but
-    ``extracted/``, {table: {column: uncompressed bytes}})."""
+    ``extracted/``, {table: {column: uncompressed bytes}}, {table:
+    {"files", "row groups", "chunks": count}})."""
     cols = {t: defaultdict(int) for t in TABLES}
     raw = {t: defaultdict(int) for t in TABLES}
     parts = {t: defaultdict(int) for t in TABLES}
     files = {t: 0 for t in TABLES}
+    counts = {t: defaultdict(int) for t in TABLES}
     for table, paths in table_files(index_dir).items():
         for path in paths:
             files[table] += os.path.getsize(path)
+            md = pq.ParquetFile(path).metadata
+            counts[table]["files"] += 1
+            counts[table]["row groups"] += md.num_row_groups
+            counts[table]["chunks"] += md.num_row_groups * md.num_columns
             c, p, r = file_bytes(path)
             for k, v in c.items():
                 cols[table][k] += v
@@ -160,7 +178,7 @@ def column_bytes(index_dir: str) -> tuple[dict, dict, dict, int, dict]:
     for root, dirs, names in os.walk(index_dir):
         dirs[:] = [x for x in dirs if x != "extracted"]
         total += sum(os.path.getsize(os.path.join(root, n)) for n in names)
-    return cols, parts, files, total, raw
+    return cols, parts, files, total, raw, counts
 
 
 def balance(index_dir: str, m: dict) -> tuple[float, list[float]]:
@@ -169,13 +187,16 @@ def balance(index_dir: str, m: dict) -> tuple[float, list[float]]:
     term of its ``salt_spec``]), over the base and every segment."""
     import numpy as np
 
+    from pdfsearch_ray.state.manifest import postings_files
+
     per_bucket = np.zeros(m["num_buckets"], dtype=np.int64)
     per_salt = {t: np.zeros(s, dtype=np.int64)
                 for t, s in (m.get("salt_spec") or {}).items()}
-    for path in table_files(index_dir)["postings"]:
-        t = pq.read_table(path, columns=["bucket", "term", "salt", "n"])
+    for path, bucket in [pb for d in segment_dirs(index_dir)
+                         for pb in postings_files(d)]:
+        t = pq.read_table(path, columns=["term", "salt", "n"])
         n = t["n"].to_numpy()
-        np.add.at(per_bucket, t["bucket"].to_numpy(), n)
+        per_bucket[bucket] += n.sum()
         for term, salt, k in zip(t["term"].to_pylist(),
                                  t["salt"].to_pylist(), n.tolist()):
             if term in per_salt:
@@ -431,7 +452,7 @@ def main(argv: list[str]) -> int:
     with open(os.path.join(index_dir, "manifest.json")) as f:
         m = json.load(f)
     n_docs = max(int(m["n_docs"]), 1)
-    cols, parts, files, total, raw = column_bytes(index_dir)
+    cols, parts, files, total, raw, counts = column_bytes(index_dir)
 
     def row(table: str, name: str, nbytes: int, nraw: str = "") -> None:
         print(f"{table:<10} {name:<22} {nbytes:>12,} {nbytes / n_docs:>9.2f}"
@@ -447,6 +468,11 @@ def main(argv: list[str]) -> int:
         for name, nbytes in parts[table].items():
             row(table, name, nbytes)
         row(table, "(all)", files[table])
+        c = counts[table]
+        framing = parts[table]["(footer)"] + parts[table]["(between chunks)"]
+        print(f"{table:<10} {c['files']:,} files, {c['row groups']:,} row"
+              f" groups, {c['chunks']:,} column chunks:"
+              f" {framing / max(c['chunks'], 1):.1f} B framing per chunk")
     row("other", "(other files)", total - sum(files.values()))
     row("total", f"({n_docs:,} docs)", total)
     buckets, salts = balance(index_dir, m)
